@@ -1,6 +1,6 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// range-query backend behind DBSVEC, bulk vs dynamic R*-tree construction,
-// the SVDD target-set cap, and the incremental-learning threshold.
+// range-query backend behind DBSVEC, the SVDD target-set cap, and the
+// incremental-learning threshold.
 package dbsvec
 
 import (
@@ -32,41 +32,12 @@ func BenchmarkAblationIndexBackend(b *testing.B) {
 	for _, be := range backends {
 		b.Run(be.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Run(ds, core.Options{Eps: 5000, MinPts: 100, Seed: 1, IndexBuilder: be.build}); err != nil {
+				if _, _, err := core.Run(ds, core.Options{Eps: 5000, MinPts: 100, Seed: 1, IndexBuilderCtx: index.WithContext(be.build)}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-}
-
-// BenchmarkAblationRTreeBuild compares STR bulk loading against one-at-a-
-// time R* insertion (build cost and query cost).
-func BenchmarkAblationRTreeBuild(b *testing.B) {
-	ds := spreader(50000, 4)
-	b.Run("bulk-build", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rtree.Bulk(ds)
-		}
-	})
-	b.Run("dynamic-build", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rtree.BuildDynamic(ds)
-		}
-	})
-	bulk := rtree.Bulk(ds)
-	dyn := rtree.BuildDynamic(ds)
-	var buf []int32
-	b.Run("bulk-query", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			buf = bulk.RangeQuery(ds.Point(i%ds.Len()), 5000, buf[:0])
-		}
-	})
-	b.Run("dynamic-query", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			buf = dyn.RangeQuery(ds.Point(i%ds.Len()), 5000, buf[:0])
-		}
-	})
 }
 
 // BenchmarkAblationSVDDTargetCap sweeps the SVDD target-set cap: larger

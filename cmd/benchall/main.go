@@ -18,8 +18,7 @@
 // -json redirects one experiment's machine-readable report: it is
 // repeatable, takes exp=path pairs (exp ∈ svdd, index, highdim, shard), and
 // an empty path skips the report. Unredirected reports go to their default
-// BENCH_<exp>.json. The old per-experiment flags -svddjson, -indexjson and
-// -highdimjson remain as deprecated aliases; -json wins when both are given.
+// BENCH_<exp>.json.
 // -budget skips runs predicted (from prior samples) to be too slow, while
 // -runtimeout arms a hard in-flight wall-clock budget on each DBSVEC run:
 // a run that trips it contributes its best-effort partial clustering.
@@ -77,32 +76,26 @@ func (j jsonFlag) Set(v string) error {
 
 func main() {
 	var (
-		exp         = flag.String("exp", "", "run a single experiment id (default: all)")
-		full        = flag.Bool("full", false, "use paper-scale cardinalities (slow)")
-		seed        = flag.Int64("seed", 1, "random seed for data generation and algorithms")
-		budget      = flag.Duration("budget", 0, "per-run time budget before an algorithm is dropped from a sweep (0 = default)")
-		runTimeout  = flag.Duration("runtimeout", 0, "hard wall-clock budget per DBSVEC run; tripped runs report their partial clustering (0 = off)")
-		workers     = flag.Int("workers", 0, "query-engine worker goroutines for DBSVEC runs (0 = all CPUs)")
-		precision   = flag.String("precision", "f64", "point-storage precision for experiment datasets: f64 | f32")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the harness run to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile at harness exit to this file")
-		svddjson    = flag.String("svddjson", "BENCH_svdd.json", "deprecated alias for -json svdd=path")
-		indexjson   = flag.String("indexjson", "BENCH_index.json", "deprecated alias for -json index=path")
-		highdimjson = flag.String("highdimjson", "BENCH_highdim.json", "deprecated alias for -json highdim=path")
-		baseline    = flag.String("baseline", "", "directory holding committed BENCH_*.json baselines; written reports are shape-diffed against them")
-		list        = flag.Bool("list", false, "list experiment ids and exit")
+		exp        = flag.String("exp", "", "run a single experiment id (default: all)")
+		full       = flag.Bool("full", false, "use paper-scale cardinalities (slow)")
+		seed       = flag.Int64("seed", 1, "random seed for data generation and algorithms")
+		budget     = flag.Duration("budget", 0, "per-run time budget before an algorithm is dropped from a sweep (0 = default)")
+		runTimeout = flag.Duration("runtimeout", 0, "hard wall-clock budget per DBSVEC run; tripped runs report their partial clustering (0 = off)")
+		workers    = flag.Int("workers", 0, "query-engine worker goroutines for DBSVEC runs (0 = all CPUs)")
+		precision  = flag.String("precision", "f64", "point-storage precision for experiment datasets: f64 | f32")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the harness run to this file")
+		memprofile = flag.String("memprofile", "", "write a heap profile at harness exit to this file")
+		baseline   = flag.String("baseline", "", "directory holding committed BENCH_*.json baselines; written reports are shape-diffed against them")
+		list       = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	jsonOverrides := jsonFlag{}
 	flag.Var(jsonOverrides, "json", "redirect one report: exp=path with exp in svdd|index|highdim|shard (repeatable, empty path = skip)")
 	flag.Parse()
 
-	// Report paths: defaults, then the deprecated aliases (whose defaults are
-	// the same standard paths), then any -json overrides.
-	reports := map[string]string{
-		"svdd":    *svddjson,
-		"index":   *indexjson,
-		"highdim": *highdimjson,
-		"shard":   "BENCH_shard.json",
+	// Report paths: the default BENCH_<exp>.json, then any -json overrides.
+	reports := make(map[string]string, len(reportExps))
+	for _, e := range reportExps {
+		reports[e] = "BENCH_" + e + ".json"
 	}
 	for k, v := range jsonOverrides {
 		reports[k] = v

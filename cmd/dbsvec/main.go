@@ -298,8 +298,8 @@ func printStats(algo string, n, d int, res *dbsvec.Result, elapsed time.Duration
 		algo, n, d, res.Clusters, res.NoiseCount(), elapsed.Round(time.Millisecond))
 	if algo == "dbsvec" {
 		s := res.Stats
-		fmt.Fprintf(os.Stderr, "seeds=%d supportVectors=%d merges=%d noiseList=%d rangeQueries=%d rangeCounts=%d svddTrainings=%d degraded=%d retainedModels=%d warmRestarts=%d\n",
-			s.Seeds, s.SupportVectors, s.Merges, s.NoiseList, s.RangeQueries, s.RangeCounts, s.SVDDTrainings, s.Degraded, s.RetainedModels, s.WarmRestarts)
+		fmt.Fprintf(os.Stderr, "seeds=%d supportVectors=%d merges=%d noiseList=%d rangeQueries=%d rangeCounts=%d svddTrainings=%d svddIterations=%d degraded=%d retainedModels=%d warmRestarts=%d\n",
+			s.Seeds, s.SupportVectors, s.Merges, s.NoiseList, s.RangeQueries, s.RangeCounts, s.SVDDTrainings, s.SVDDIterations, s.Degraded, s.RetainedModels, s.WarmRestarts)
 		if budgetErr != nil {
 			fmt.Fprintf(os.Stderr, "budgetExceeded=%s budgetElapsed=%s budgetRounds=%d budgetQueries=%d\n",
 				budgetErr.Limit, budgetErr.Elapsed.Round(time.Millisecond), budgetErr.SVDDRounds, budgetErr.RangeQueries)

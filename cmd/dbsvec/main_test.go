@@ -230,6 +230,53 @@ func TestRunSaveLoadAssign(t *testing.T) {
 	}
 }
 
+// TestRunStatsCounterLine: -stats prints the DBSVEC counter line on stderr
+// with every θ-model and SVDD counter, SMO iterations included.
+func TestRunStatsCounterLine(t *testing.T) {
+	in := writeJitterInput(t)
+	dir := t.TempDir()
+	errPath := filepath.Join(dir, "stderr.txt")
+	f, err := os.Create(errPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = f
+	err = run("dbsvec", 5, 5, 0, 0, in, filepath.Join(dir, "out.csv"), 0, "linear", "f64", 1, 0, true,
+		budgetFlags{}, modelFlags{}, shardFlags{})
+	os.Stderr = stderr
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(errPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counters map[string]string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "seeds=") {
+			counters = make(map[string]string)
+			for _, kv := range strings.Fields(line) {
+				k, v, _ := strings.Cut(kv, "=")
+				counters[k] = v
+			}
+		}
+	}
+	if counters == nil {
+		t.Fatalf("no counter line in -stats output:\n%s", out)
+	}
+	for _, k := range []string{"seeds", "supportVectors", "merges", "noiseList", "rangeQueries", "rangeCounts",
+		"svddTrainings", "svddIterations", "degraded", "retainedModels", "warmRestarts"} {
+		if _, ok := counters[k]; !ok {
+			t.Errorf("counter line lacks %s=:\n%s", k, out)
+		}
+	}
+	if n, err := strconv.Atoi(counters["svddIterations"]); err != nil || n <= 0 {
+		t.Errorf("svddIterations=%q, want a positive count", counters["svddIterations"])
+	}
+}
+
 // TestRunModelFlagErrors covers the flag-validation and decode failures.
 func TestRunModelFlagErrors(t *testing.T) {
 	in := writeInput(t)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/core"
@@ -184,15 +183,6 @@ type Options struct {
 	// MaxSVDDTarget caps the SVDD target-set size (default 1024).
 	MaxSVDDTarget int
 
-	// DisableWarmStart cold-starts every SVDD training round instead of
-	// seeding the solver with the previous round's multipliers for the
-	// surviving target points. Warm starting (the default) converges to the
-	// same dual at the same tolerance but along a different iterate path,
-	// so results can differ within solver tolerance from cold-start runs;
-	// disable it for A/B benchmarking or exact cold-start equivalence. It
-	// also neutralizes WarmFrom.
-	DisableWarmStart bool
-
 	// WarmFrom supplies a previously trained (or loaded) Model as the
 	// warm-restart source: the first SVDD round of every sub-cluster seeds
 	// the solver from the saved multipliers of overlapping points. On
@@ -230,43 +220,20 @@ type PhaseTimes = engine.PhaseTimes
 // solve, and radius/score extraction.
 type SVDDTimes = engine.SVDDTimes
 
-// Stats reports the work a DBSVEC run performed, exposing every term of the
-// paper's θ = s + 1 + k + m + MinPts·l cost model.
+// CoreStats is the work report of one DBSVEC run: every term of the paper's
+// θ = s + 1 + k + m + MinPts·l cost model (Seeds, SupportVectors, Merges,
+// NoiseList), the ε-queries, SVDD trainings and SMO iterations actually
+// spent, degradation and warm-restart counts, and the index-build, phase and
+// SVDD-stage wall clocks. See the field docs on the core type.
+type CoreStats = core.Stats
+
+// Stats reports the work a DBSVEC run performed. The CoreStats fields are
+// promoted, so res.Stats.Seeds, res.Stats.SVDDIterations etc. read directly.
 type Stats struct {
-	// Seeds is the number of sub-cluster seeds (s).
-	Seeds int
-	// SupportVectors is the total number of support vectors (k).
-	SupportVectors int64
-	// Merges is the number of sub-cluster merges (m).
-	Merges int
-	// NoiseList is the number of potential noise points (l).
-	NoiseList int
-	// RangeQueries and RangeCounts count the ε-queries actually issued.
-	RangeQueries int64
-	RangeCounts  int64
-	// SVDDTrainings is the number of SVDD models fitted.
-	SVDDTrainings int
-	// Degraded counts sub-clusters completed by the exact range-query
-	// expansion fallback after their SVDD training failed recoverably
-	// (non-convergence, degenerate kernel width, all-SV blowup).
-	Degraded int
-	// WarmRestarts counts the SVDD rounds seeded from Options.WarmFrom.
-	WarmRestarts int
-	// RetainedModels is the number of per-sub-cluster SVDD snapshots
-	// retained on the run's Model artifact.
-	RetainedModels int
-	// IndexBuild is the wall-clock spent constructing the range-query index
-	// before clustering; like Phases it varies run to run.
-	IndexBuild time.Duration
-	// Phases is the engine's wall-clock breakdown of the run; unlike the
-	// counters above it varies run to run.
-	Phases PhaseTimes
-	// SVDD is the wall-clock breakdown of all SVDD trainings, a
-	// sub-breakdown of Phases.Expand.
-	SVDD SVDDTimes
+	CoreStats
 	// Sharding reports the slab plan, per-shard execution and peak heap of a
 	// RunSharded/RunShardedFile run; nil for single-shot Cluster runs. The
-	// counters above are then the sums over all shards.
+	// CoreStats fields are then the sums over all shards.
 	Sharding *ShardStats
 }
 
@@ -327,42 +294,27 @@ func ClusterContext(ctx context.Context, d *Dataset, opts Options) (*Result, err
 		warm = opts.WarmFrom.snapshots()
 	}
 	res, retained, st, err := core.RunRetained(d.ds, core.Options{
-		Context:          ctx,
-		Eps:              opts.Eps,
-		MinPts:           opts.MinPts,
-		Nu:               opts.Nu,
-		NuMin:            opts.NuMin,
-		MemoryFactor:     opts.MemoryFactor,
-		LearnThreshold:   opts.LearnThreshold,
-		DisableWeights:   opts.DisableWeights,
-		RandomKernel:     opts.RandomKernel,
-		Seed:             opts.Seed,
-		IndexBuilderCtx:  build,
-		Workers:          opts.Workers,
-		MaxSVDDTarget:    opts.MaxSVDDTarget,
-		DisableWarmStart: opts.DisableWarmStart,
-		WarmModels:       warm,
-		Budget:           opts.Budget,
+		Context:         ctx,
+		Eps:             opts.Eps,
+		MinPts:          opts.MinPts,
+		Nu:              opts.Nu,
+		NuMin:           opts.NuMin,
+		MemoryFactor:    opts.MemoryFactor,
+		LearnThreshold:  opts.LearnThreshold,
+		DisableWeights:  opts.DisableWeights,
+		RandomKernel:    opts.RandomKernel,
+		Seed:            opts.Seed,
+		IndexBuilderCtx: build,
+		Workers:         opts.Workers,
+		MaxSVDDTarget:   opts.MaxSVDDTarget,
+		WarmModels:      warm,
+		Budget:          opts.Budget,
 	})
 	if err != nil && res == nil {
 		return nil, err
 	}
 	out := wrapResult(res)
 	out.model = newModel(d, opts, res, retained)
-	out.Stats = Stats{
-		Seeds:          st.Seeds,
-		SupportVectors: st.SupportVectors,
-		Merges:         st.Merges,
-		NoiseList:      st.NoiseList,
-		RangeQueries:   st.RangeQueries,
-		RangeCounts:    st.RangeCounts,
-		SVDDTrainings:  st.SVDDTrainings,
-		Degraded:       st.Degraded,
-		WarmRestarts:   st.WarmRestarts,
-		RetainedModels: st.RetainedModels,
-		IndexBuild:     st.IndexBuild,
-		Phases:         st.Phases,
-		SVDD:           st.SVDD,
-	}
+	out.Stats = Stats{CoreStats: st}
 	return out, err
 }

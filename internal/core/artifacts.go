@@ -98,9 +98,10 @@ func priorAlphas(snaps []*svdd.Snapshot) map[int32]float64 {
 	return prior
 }
 
-// warmFromPrior maps the prior multipliers onto the target ids. Like
-// warmAlphas it returns nil when the target shares no point with the prior
-// set — a cold start is the better seed for genuinely new data.
+// warmFromPrior maps the prior multipliers onto the target ids (0 for points
+// the prior does not carry; the solver clamps and renormalizes). It returns
+// nil when the target shares no point with the prior set — a cold start is
+// the better seed for genuinely new data.
 func warmFromPrior(ids []int32, prior map[int32]float64) []float64 {
 	warm := make([]float64, len(ids))
 	any := false

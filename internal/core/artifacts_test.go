@@ -134,43 +134,3 @@ func TestWarmRestartFromSnapshots(t *testing.T) {
 		}
 	}
 }
-
-// TestWarmModelsDisabledByDisableWarmStart: DisableWarmStart neutralizes
-// WarmModels entirely — identical run to a plain cold start, zero restarts.
-func TestWarmModelsDisabledByDisableWarmStart(t *testing.T) {
-	ds := detBlobs(600, 2, 11)
-	opts := Options{Eps: 6, MinPts: 8, Seed: 3, Workers: 1}
-	_, retained, _, err := RunRetained(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := make([]*svdd.Snapshot, 0, len(retained))
-	for _, e := range retained {
-		if e.Snap != nil {
-			snaps = append(snaps, e.Snap)
-		}
-	}
-	cold, coldStats, err := Run(ds, Options{Eps: 6, MinPts: 8, Seed: 3, Workers: 1, DisableWarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, warmStats, err := Run(ds, Options{
-		Eps: 6, MinPts: 8, Seed: 3, Workers: 1,
-		DisableWarmStart: true, WarmModels: snaps,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.WarmRestarts != 0 {
-		t.Fatalf("DisableWarmStart run counted %d warm restarts", warmStats.WarmRestarts)
-	}
-	if coldStats.SVDDIterations != warmStats.SVDDIterations {
-		t.Fatalf("iteration counts differ (%d vs %d): WarmModels leaked into a DisableWarmStart run",
-			coldStats.SVDDIterations, warmStats.SVDDIterations)
-	}
-	for i := range cold.Labels {
-		if cold.Labels[i] != warm.Labels[i] {
-			t.Fatalf("label %d drifted", i)
-		}
-	}
-}

@@ -73,15 +73,11 @@ type Options struct {
 	// Seed drives the RandomKernel draw. Ignored otherwise.
 	Seed int64
 
-	// IndexBuilder supplies the range-query backend. nil selects the linear
-	// scan — DBSVEC needs no index (Section III-D).
-	IndexBuilder index.Builder
-
-	// IndexBuilderCtx, when non-nil, takes precedence over IndexBuilder and
-	// supplies a cancellable backend construction: a Budget deadline or a
-	// cancelled Context interrupts the build itself instead of waiting for
-	// it to finish. The tree backends export native CtxBuilders;
-	// index.WithContext adapts any plain Builder.
+	// IndexBuilderCtx supplies the range-query backend as a cancellable
+	// construction: a Budget deadline or a cancelled Context interrupts the
+	// build itself instead of waiting for it to finish. nil selects the
+	// linear scan — DBSVEC needs no index (Section III-D). The tree backends
+	// export native CtxBuilders; index.WithContext adapts any plain Builder.
 	IndexBuilderCtx index.CtxBuilder
 
 	// MaxSVDDTarget caps the SVDD target-set size; larger targets are
@@ -90,26 +86,14 @@ type Options struct {
 	// keeps targets under it in normal operation.
 	MaxSVDDTarget int
 
-	// DisableWarmStart cold-starts every SVDD training round instead of
-	// seeding the solver with the previous round's multipliers for the
-	// surviving target points (Section IV-B1 guarantees consecutive rounds
-	// share most of their target set, so the warm start typically lands
-	// near the new optimum). Warm starting converges to the same dual at
-	// the same KKT tolerance, but along a different iterate path, so
-	// multipliers — and in rare near-tie cases cluster boundaries — can
-	// differ within solver tolerance. Set this for A/B benchmarking or when
-	// exact equivalence with cold-start runs is required. It also disables
-	// warm restarts from WarmModels.
-	DisableWarmStart bool
-
 	// WarmModels supplies a previous run's retained SVDD snapshots as the
 	// warm-restart source: the FIRST training round of every sub-cluster
-	// seeds the solver from the saved multipliers of overlapping points
-	// (subsequent rounds warm-start from the in-run previous model as
-	// usual). On unchanged or mostly-overlapping data the saved alphas sit
-	// near each round-one optimum, so a warm restart reproduces the cold
-	// clustering within solver tolerance at strictly fewer SMO iterations.
-	// nil (or DisableWarmStart) cold-starts round one.
+	// seeds the solver from the saved multipliers of overlapping points;
+	// later rounds cold-start as in Algorithm 3. On unchanged or
+	// mostly-overlapping data the saved alphas sit near each round-one
+	// optimum, so a warm restart reproduces the cold clustering within
+	// solver tolerance at strictly fewer SMO iterations. nil cold-starts
+	// every round.
 	WarmModels []*svdd.Snapshot
 
 	// Workers is the query-execution worker count: each expansion round's
@@ -191,8 +175,7 @@ type Stats struct {
 	// sub-cluster loses the θ speedup but keeps DBSCAN-exact semantics.
 	Degraded int
 	// WarmRestarts counts the training rounds seeded from a prior run's
-	// snapshots (Options.WarmModels) rather than cold or from the in-run
-	// previous round.
+	// snapshots (Options.WarmModels) rather than cold.
 	WarmRestarts int
 	// RetainedModels is the number of per-sub-cluster SVDD snapshots the run
 	// retained (RunRetained only; 0 for Run).
@@ -215,6 +198,27 @@ type Stats struct {
 // dataset clustered with the given MinPts.
 func (s Stats) Theta(minPts int) float64 {
 	return float64(s.Seeds) + 1 + float64(s.SupportVectors) + float64(s.Merges) + float64(minPts*s.NoiseList)
+}
+
+// Add accumulates every counter and wall clock of o into s; a sharded run
+// reports the sum of its shards' Stats this way.
+func (s *Stats) Add(o Stats) {
+	s.Seeds += o.Seeds
+	s.SupportVectors += o.SupportVectors
+	s.Merges += o.Merges
+	s.NoiseList += o.NoiseList
+	s.RangeQueries += o.RangeQueries
+	s.RangeCounts += o.RangeCounts
+	s.SVDDTrainings += o.SVDDTrainings
+	s.SVDDIterations += o.SVDDIterations
+	s.Degraded += o.Degraded
+	s.WarmRestarts += o.WarmRestarts
+	s.RetainedModels += o.RetainedModels
+	s.IndexBuild += o.IndexBuild
+	s.Phases.Init += o.Phases.Init
+	s.Phases.Expand += o.Phases.Expand
+	s.Phases.Verify += o.Phases.Verify
+	s.SVDD.Add(o.SVDD)
 }
 
 // ErrNilDataset is returned for a nil dataset.
@@ -334,11 +338,7 @@ func run(ds *vec.Dataset, opts Options, retain bool) (res *cluster.Result, retai
 	}
 	buildCtx := opts.IndexBuilderCtx
 	if buildCtx == nil {
-		build := opts.IndexBuilder
-		if build == nil {
-			build = index.BuildLinear
-		}
-		buildCtx = index.WithContext(build)
+		buildCtx = index.WithContext(index.BuildLinear)
 	}
 
 	parent := opts.Context
@@ -366,7 +366,7 @@ func run(ds *vec.Dataset, opts Options, retain bool) (res *cluster.Result, retai
 		rng:        rand.New(rand.NewSource(opts.Seed)),
 		retain:     retain,
 	}
-	if !opts.DisableWarmStart && len(opts.WarmModels) > 0 {
+	if len(opts.WarmModels) > 0 {
 		r.warmPrior = priorAlphas(opts.WarmModels)
 	}
 	for i := range r.labels {
@@ -601,17 +601,12 @@ func (r *runner) svExpandCluster(initial []int32, cid int32) error {
 		r.counters[id] = 0
 	}
 
-	// prev carries the previous round's model for warm-starting; Section
-	// IV-B1's incremental learning keeps consecutive target sets mostly
-	// overlapping, so the previous multipliers start the solver near the
-	// new optimum.
-	var prev *svdd.Model
-	for len(targets) > 0 {
+	for first := true; len(targets) > 0; first = false {
 		if err := r.checkpoint(); err != nil {
 			return err
 		}
 		ids := r.sampleTargets(targets)
-		model, err := r.trainSVDD(ids, prev)
+		model, err := r.trainSVDD(ids, first)
 		if model != nil {
 			r.stats.SVDDTrainings++
 			r.stats.SVDDIterations += int64(model.Iterations)
@@ -641,7 +636,6 @@ func (r *runner) svExpandCluster(initial []int32, cid int32) error {
 				return r.queryErr(err)
 			}
 		}
-		prev = model
 		r.retainModel(cid, model, false)
 		budget := r.svBudget(len(ids))
 		svs := model.TopSupportVectors(budget)
@@ -854,26 +848,21 @@ func (r *runner) effectiveNu(targetSize int) float64 {
 	}
 }
 
-// trainSVDD fits the (weighted) SVDD model for the current target ids,
-// warm-starting from the previous round's model when one is supplied and
-// warm starts are enabled.
-func (r *runner) trainSVDD(ids []int32, prev *svdd.Model) (*svdd.Model, error) {
+// trainSVDD fits the (weighted) SVDD model for the current target ids. Every
+// round trains afresh (Algorithm 3), except that round one of a sub-cluster
+// (first) restarts from a previous run's snapshots when Options.WarmModels
+// supplied any.
+func (r *runner) trainSVDD(ids []int32, first bool) (*svdd.Model, error) {
 	cfg := svdd.Config{
 		Dim:     r.ds.Dim(),
 		MinPts:  r.opts.MinPts,
 		Workers: r.eng.Workers(),
 		Context: r.ctx,
 	}
-	if !r.opts.DisableWarmStart {
-		if prev != nil {
-			cfg.WarmAlpha = warmAlphas(ids, prev)
-		} else if r.warmPrior != nil {
-			// Round one of a sub-cluster: restart from the saved multipliers
-			// of a previous run's snapshots (Options.WarmModels).
-			if w := warmFromPrior(ids, r.warmPrior); w != nil {
-				cfg.WarmAlpha = w
-				r.stats.WarmRestarts++
-			}
+	if first && r.warmPrior != nil {
+		if w := warmFromPrior(ids, r.warmPrior); w != nil {
+			cfg.WarmAlpha = w
+			r.stats.WarmRestarts++
 		}
 	}
 	switch {
@@ -905,30 +894,6 @@ func (r *runner) trainSVDD(ids []int32, prev *svdd.Model) (*svdd.Model, error) {
 		r.stats.SVDD.Add(model.Times)
 	}
 	return model, err
-}
-
-// warmAlphas maps the previous model's multipliers onto the new target ids
-// (0 for points that were not in the previous round). The solver clamps and
-// renormalizes, so dropped mass from departed points is redistributed there.
-func warmAlphas(ids []int32, prev *svdd.Model) []float64 {
-	prevAlpha := make(map[int32]float64, len(prev.IDs))
-	for i, id := range prev.IDs {
-		if a := prev.Alpha[i]; a > 0 {
-			prevAlpha[id] = a
-		}
-	}
-	warm := make([]float64, len(ids))
-	any := false
-	for i, id := range ids {
-		if a, ok := prevAlpha[id]; ok {
-			warm[i] = a
-			any = true
-		}
-	}
-	if !any {
-		return nil // disjoint target: a cold start is the better seed
-	}
-	return warm
 }
 
 // randomSigma draws σ uniformly from [min,max] pairwise distance of the

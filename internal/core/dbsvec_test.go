@@ -204,14 +204,14 @@ func TestHighNuMatchesDBSCANClusters(t *testing.T) {
 func TestAblationsRun(t *testing.T) {
 	ds := gaussBlobs([][]float64{{0, 0}, {40, 40}}, 200, 2, 20, 80, 6)
 	opts := []Options{
-		{Eps: 3, MinPts: 8, DisableWeights: true},         // \WF
-		{Eps: 3, MinPts: 8, LearnThreshold: -1},           // \IL
-		{Eps: 3, MinPts: 8, RandomKernel: true, Seed: 42}, // \OK
-		{Eps: 3, MinPts: 8, NuMin: true},                  // DBSVEC_min
-		{Eps: 3, MinPts: 8, Nu: 0.5, MemoryFactor: 2},     // explicit knobs
-		{Eps: 3, MinPts: 8, IndexBuilder: kdtree.Build},   // indexed backend
-		{Eps: 3, MinPts: 8, MaxSVDDTarget: 64},            // tiny target cap
-		{Eps: 3, MinPts: 8, LearnThreshold: 1},            // aggressive IL
+		{Eps: 3, MinPts: 8, DisableWeights: true},                       // \WF
+		{Eps: 3, MinPts: 8, LearnThreshold: -1},                         // \IL
+		{Eps: 3, MinPts: 8, RandomKernel: true, Seed: 42},               // \OK
+		{Eps: 3, MinPts: 8, NuMin: true},                                // DBSVEC_min
+		{Eps: 3, MinPts: 8, Nu: 0.5, MemoryFactor: 2},                   // explicit knobs
+		{Eps: 3, MinPts: 8, IndexBuilderCtx: kdtree.BuildWorkersCtx(1)}, // indexed backend
+		{Eps: 3, MinPts: 8, MaxSVDDTarget: 64},                          // tiny target cap
+		{Eps: 3, MinPts: 8, LearnThreshold: 1},                          // aggressive IL
 	}
 	for i, o := range opts {
 		res, st, err := Run(ds, o)

@@ -106,7 +106,7 @@ func TestCancellationMidExpansion(t *testing.T) {
 		ci = &cancellingIndex{Index: index.NewLinear(d), cancel: cancel, after: 4}
 		return ci
 	}
-	_, _, err := Run(ds, Options{Eps: 6, MinPts: 8, Seed: 1, Context: ctx, IndexBuilder: build, Workers: 4})
+	_, _, err := Run(ds, Options{Eps: 6, MinPts: 8, Seed: 1, Context: ctx, IndexBuilderCtx: index.WithContext(build), Workers: 4})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -160,11 +160,7 @@ func TestCancellationMidNoiseVerification(t *testing.T) {
 		t.Skip("noise-verification isolation requires exact f64 geometry")
 	}
 	ds := noiseRingDataset()
-	// Warm-started SVDD rounds follow a different iterate path and can move
-	// one boundary support vector enough to trigger a merge on this dataset;
-	// the test depends on phase isolation, not warm starting, so pin the
-	// cold-start path.
-	opts := Options{Eps: 2, MinPts: 8, Seed: 1, DisableWarmStart: true}
+	opts := Options{Eps: 2, MinPts: 8, Seed: 1}
 	// Guard against the dataset drifting vacuous: a clean run must do
 	// noise-verification counting and no merge-path counting.
 	_, st, err := Run(ds, opts)
@@ -180,7 +176,7 @@ func TestCancellationMidNoiseVerification(t *testing.T) {
 	build := func(d *vec.Dataset) index.Index {
 		return &countCancellingIndex{Index: index.NewLinear(d), cancel: cancel}
 	}
-	opts.Context, opts.IndexBuilder, opts.Workers = ctx, build, 4
+	opts.Context, opts.IndexBuilderCtx, opts.Workers = ctx, index.WithContext(build), 4
 	_, _, err = Run(ds, opts)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)

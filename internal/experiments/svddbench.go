@@ -15,8 +15,10 @@ import (
 // SVDD training fast-path micro-benchmark. Unlike the figure experiments it
 // measures one component (svdd.Train) in isolation, at the paper's default
 // maximum target size ñ = 1024's historical half (ñ = 512, d = 8), so the
-// three fast-path layers — parallel kernel fill, shrinking SMO and
-// warm-started incremental rounds — can be attributed individually.
+// fast-path layers — parallel kernel fill and shrinking SMO — can be
+// attributed individually. The incremental pair measures warm-starting each
+// round from the previous one; it loses to the cold start, which is why
+// DBSVEC cold-starts every round.
 
 // svddBenchN and svddBenchD pin the benchmark shape; the acceptance target
 // for the fast path (≥2x vs the serial baseline at 8 workers) is recorded

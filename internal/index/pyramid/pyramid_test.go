@@ -17,28 +17,6 @@ func TestConformanceF32(t *testing.T) {
 	indextest.RunF32(t, "pyramid", Build)
 }
 
-func TestDynamicConformance(t *testing.T) {
-	indextest.Run(t, "pyramid-dynamic", BuildDynamic)
-}
-
-func TestDynamicMatchesStatic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rows := make([][]float64, 600)
-	for i := range rows {
-		rows[i] = []float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-	}
-	ds, _ := vec.FromRows(rows)
-	static := New(ds)
-	dyn := BuildDynamic(ds)
-	for iter := 0; iter < 40; iter++ {
-		q := rows[rng.Intn(len(rows))]
-		eps := 5 + rng.Float64()*40
-		if a, b := static.RangeCount(q, eps, 0), dyn.RangeCount(q, eps, 0); a != b {
-			t.Fatalf("static %d != dynamic %d (eps=%g)", a, b, eps)
-		}
-	}
-}
-
 func TestPyramidValueAssignment(t *testing.T) {
 	// Center maps to height 0; corners to height 0.5.
 	if v := pyramidValue([]float64{0.5, 0.5}); v != float64(int(v)) {

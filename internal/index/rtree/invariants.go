@@ -3,9 +3,8 @@ package rtree
 import "fmt"
 
 // checkNode recursively verifies structural invariants:
-//   - every non-root node has between MinEntries and MaxEntries entries
-//     (dynamic inserts guarantee this; STR-packed trees only guarantee the
-//     upper bound, so the lower bound is enforced loosely: >= 1),
+//   - every non-root node has between 1 and MaxEntries entries (STR packing
+//     guarantees only the upper bound),
 //   - every internal entry's rectangle tightly covers its child's contents.
 func checkNode(nd *nodeT, dim int, isRoot bool) error {
 	if !isRoot && len(nd.entries) < 1 {

@@ -1,16 +1,8 @@
-// Package rtree implements an in-memory R*-tree (Beckmann et al., SIGMOD
-// 1990) over point data. It backs the R-DBSCAN baseline — the configuration
-// the paper uses as clustering ground truth.
-//
-// Two construction paths are provided:
-//
-//   - New + Insert: dynamic insertion with the R* ChooseSubtree and the
-//     topological split (margin-driven axis selection, minimum-overlap
-//     distribution). Forced reinsertion is omitted; for the static
-//     clustering workloads in this repository it does not change query
-//     results and measurably slows the build.
-//   - Bulk: Sort-Tile-Recursive (STR) bulk loading, which yields tightly
-//     packed leaves and is the default for the benchmark harness.
+// Package rtree implements an in-memory R-tree over point data, built by
+// Sort-Tile-Recursive (STR) bulk loading, which yields tightly packed leaves.
+// It backs the R-DBSCAN baseline — the configuration the paper uses as
+// clustering ground truth (an R*-tree there; every workload in this
+// repository is static, so the bulk-loaded tree answers the same queries).
 package rtree
 
 import (
@@ -26,14 +18,11 @@ import (
 	"dbsvec/internal/vec"
 )
 
-// Fanout constants. MinEntries = 40% of MaxEntries per the R* paper.
-const (
-	MaxEntries = 32
-	MinEntries = 13
-)
+// MaxEntries is the node fanout.
+const MaxEntries = 32
 
-// Tree is an in-memory R*-tree over the points of a dataset. After the last
-// Insert it is safe for concurrent readers.
+// Tree is an immutable R-tree over the points of a dataset. Safe for
+// concurrent readers.
 type Tree struct {
 	ds   *vec.Dataset
 	root *nodeT
@@ -50,11 +39,6 @@ type entry struct {
 type nodeT struct {
 	leaf    bool
 	entries []entry
-}
-
-// New returns an empty tree over ds; points are added with Insert.
-func New(ds *vec.Dataset) *Tree {
-	return &Tree{ds: ds, dim: ds.Dim(), root: &nodeT{leaf: true}}
 }
 
 // Bulk STR-loads all points of ds on the calling goroutine and returns the
@@ -117,15 +101,6 @@ func BuildWorkersCtx(workers int) index.CtxBuilder {
 		}
 		return t, nil
 	}
-}
-
-// BuildDynamic is an index.Builder using one-at-a-time R* insertion.
-func BuildDynamic(ds *vec.Dataset) index.Index {
-	t := New(ds)
-	for i := 0; i < ds.Len(); i++ {
-		t.Insert(int32(i))
-	}
-	return t
 }
 
 // spawnMin is the smallest slab a parallel bulk load hands to another
@@ -283,136 +258,6 @@ func nodeRect(nd *nodeT, dim int) vec.Rect {
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.size }
 
-// Insert adds point id to the tree using R* ChooseSubtree and splitting.
-func (t *Tree) Insert(id int32) {
-	e := entry{rect: vec.RectOf(t.ds.Point(int(id))), id: id}
-	split := t.insert(t.root, e)
-	if split != nil {
-		old := t.root
-		t.root = &nodeT{entries: []entry{
-			{rect: nodeRect(old, t.dim), child: old},
-			{rect: nodeRect(split, t.dim), child: split},
-		}}
-	}
-	t.size++
-}
-
-// insert places e under nd; a non-nil return is the new sibling produced by
-// a split at this level.
-func (t *Tree) insert(nd *nodeT, e entry) *nodeT {
-	if nd.leaf {
-		nd.entries = append(nd.entries, e)
-		if len(nd.entries) > MaxEntries {
-			return t.split(nd)
-		}
-		return nil
-	}
-	best := t.chooseSubtree(nd, e.rect)
-	child := nd.entries[best].child
-	split := t.insert(child, e)
-	nd.entries[best].rect.ExtendRect(e.rect)
-	if split != nil {
-		nd.entries[best].rect = nodeRect(child, t.dim)
-		nd.entries = append(nd.entries, entry{rect: nodeRect(split, t.dim), child: split})
-		if len(nd.entries) > MaxEntries {
-			return t.split(nd)
-		}
-	}
-	return nil
-}
-
-// chooseSubtree implements the R* rule: for nodes pointing at leaves choose
-// minimal overlap enlargement; otherwise minimal area enlargement; ties by
-// smaller area.
-func (t *Tree) chooseSubtree(nd *nodeT, r vec.Rect) int {
-	pointsAtLeaves := len(nd.entries) > 0 && nd.entries[0].child != nil && nd.entries[0].child.leaf
-	best := 0
-	bestOverlap := math.Inf(1)
-	bestEnlarge := math.Inf(1)
-	bestArea := math.Inf(1)
-	for i := range nd.entries {
-		er := nd.entries[i].rect
-		area := er.Area()
-		enlarge := er.EnlargedArea(r) - area
-		overlap := 0.0
-		if pointsAtLeaves {
-			// Overlap enlargement of entry i caused by absorbing r.
-			grown := er.Clone()
-			grown.ExtendRect(r)
-			for j := range nd.entries {
-				if j == i {
-					continue
-				}
-				overlap += grown.OverlapArea(nd.entries[j].rect) - er.OverlapArea(nd.entries[j].rect)
-			}
-		}
-		if overlap < bestOverlap ||
-			(overlap == bestOverlap && enlarge < bestEnlarge) ||
-			(overlap == bestOverlap && enlarge == bestEnlarge && area < bestArea) {
-			best, bestOverlap, bestEnlarge, bestArea = i, overlap, enlarge, area
-		}
-	}
-	return best
-}
-
-// split performs the R* topological split of an overfull node and returns
-// the new sibling. nd keeps the first distribution group.
-func (t *Tree) split(nd *nodeT) *nodeT {
-	ents := nd.entries
-	// Choose split axis: minimal total margin over all distributions.
-	bestAxis, bestMargin := 0, math.Inf(1)
-	for axis := 0; axis < t.dim; axis++ {
-		sortEntriesByAxis(ents, axis)
-		margin := 0.0
-		for k := MinEntries; k <= len(ents)-MinEntries; k++ {
-			margin += groupRect(ents[:k], t.dim).Margin() + groupRect(ents[k:], t.dim).Margin()
-		}
-		if margin < bestMargin {
-			bestAxis, bestMargin = axis, margin
-		}
-	}
-	sortEntriesByAxis(ents, bestAxis)
-	// Choose split index: minimal overlap, ties by minimal combined area.
-	bestK, bestOverlap, bestArea := MinEntries, math.Inf(1), math.Inf(1)
-	for k := MinEntries; k <= len(ents)-MinEntries; k++ {
-		r1 := groupRect(ents[:k], t.dim)
-		r2 := groupRect(ents[k:], t.dim)
-		ov := r1.OverlapArea(r2)
-		ar := r1.Area() + r2.Area()
-		if ov < bestOverlap || (ov == bestOverlap && ar < bestArea) {
-			bestK, bestOverlap, bestArea = k, ov, ar
-		}
-	}
-	sib := &nodeT{leaf: nd.leaf, entries: append([]entry(nil), ents[bestK:]...)}
-	nd.entries = ents[:bestK:bestK]
-	return sib
-}
-
-// sortEntriesByAxis orders split candidates by (Lo, Hi, id) along the axis.
-// The id tie-break settles point entries with identical rectangles
-// deterministically; branch entries (id 0) with fully equal keys keep an
-// arbitrary but reproducible order, as pdqsort is deterministic for a given
-// input permutation.
-func sortEntriesByAxis(ents []entry, axis int) {
-	slices.SortFunc(ents, func(a, b entry) int {
-		if c := cmp.Compare(a.rect.Lo[axis], b.rect.Lo[axis]); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.rect.Hi[axis], b.rect.Hi[axis]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-}
-
-func groupRect(ents []entry, dim int) vec.Rect {
-	r := vec.NewRect(dim)
-	for i := range ents {
-		r.ExtendRect(ents[i].rect)
-	}
-	return r
-}
-
 // RangeQuery implements index.Index. Leaf entries hold degenerate point
 // rects, so the per-entry MinDist2 prune there would just recompute the
 // exact distance; leaves instead gather their ids and run the fused filter
@@ -470,17 +315,6 @@ func (t *Tree) RangeCount(q []float64, eps float64, limit int) int {
 	}
 	rec(t.root)
 	return count
-}
-
-// Depth returns the height of the tree (1 for a tree that is a single leaf).
-func (t *Tree) Depth() int {
-	d := 1
-	nd := t.root
-	for !nd.leaf {
-		d++
-		nd = nd.entries[0].child
-	}
-	return d
 }
 
 // checkInvariants validates entry counts and bounding rectangles; used by

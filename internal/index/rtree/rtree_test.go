@@ -18,10 +18,6 @@ func TestConformanceF32(t *testing.T) {
 	indextest.RunF32(t, "rtree-bulk", Build)
 }
 
-func TestConformanceDynamic(t *testing.T) {
-	indextest.Run(t, "rtree-dynamic", BuildDynamic)
-}
-
 func TestConformanceParallelBulk(t *testing.T) {
 	indextest.Run(t, "rtree-parallel", BuildWorkers(4))
 }
@@ -72,33 +68,6 @@ func sameTree(a, b *nodeT) bool {
 	return true
 }
 
-func TestInvariantsAfterInserts(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	rows := make([][]float64, 3000)
-	for i := range rows {
-		rows[i] = []float64{rng.Float64() * 1000, rng.Float64() * 1000}
-	}
-	ds, _ := vec.FromRows(rows)
-	tr := New(ds)
-	for i := 0; i < ds.Len(); i++ {
-		tr.Insert(int32(i))
-		if i%500 == 499 {
-			if err := tr.checkInvariants(); err != nil {
-				t.Fatalf("after %d inserts: %v", i+1, err)
-			}
-		}
-	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatalf("final invariants: %v", err)
-	}
-	if tr.Len() != ds.Len() {
-		t.Errorf("Len = %d, want %d", tr.Len(), ds.Len())
-	}
-	if tr.Depth() < 2 {
-		t.Errorf("tree of 3000 points should have split: depth=%d", tr.Depth())
-	}
-}
-
 func TestInvariantsAfterBulk(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, n := range []int{0, 1, 31, 32, 33, 1000, 5000} {
@@ -116,29 +85,6 @@ func TestInvariantsAfterBulk(t *testing.T) {
 		}
 		if tr.Len() != n {
 			t.Errorf("n=%d: Len=%d", n, tr.Len())
-		}
-	}
-}
-
-func TestBulkMatchesDynamic(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	rows := make([][]float64, 800)
-	for i := range rows {
-		rows[i] = []float64{rng.NormFloat64() * 50, rng.NormFloat64() * 50}
-	}
-	ds, _ := vec.FromRows(rows)
-	bulk := Bulk(ds)
-	dyn := New(ds)
-	for i := 0; i < ds.Len(); i++ {
-		dyn.Insert(int32(i))
-	}
-	for iter := 0; iter < 50; iter++ {
-		q := []float64{rng.NormFloat64() * 60, rng.NormFloat64() * 60}
-		eps := 5 + rng.Float64()*40
-		a := bulk.RangeCount(q, eps, 0)
-		b := dyn.RangeCount(q, eps, 0)
-		if a != b {
-			t.Fatalf("bulk count %d != dynamic count %d (q=%v eps=%g)", a, b, q, eps)
 		}
 	}
 }

@@ -77,10 +77,11 @@ type ShardStat struct {
 	N, Owned, Boundary int
 	// Clusters is the shard-local cluster count before merging.
 	Clusters int
-	// IndexBuild and Elapsed are the shard's index-construction and total
-	// wall clock (slab load through boundary summary).
-	IndexBuild, Elapsed time.Duration
-	// Core is the inner DBSVEC run's statistics.
+	// Elapsed is the shard's total wall clock (slab load through boundary
+	// summary).
+	Elapsed time.Duration
+	// Core is the inner DBSVEC run's statistics; Core.IndexBuild is the
+	// shard's index construction.
 	Core core.Stats
 }
 
@@ -475,18 +476,14 @@ func runShard(ctx context.Context, src Source, o Options, p *plan, s int, rawLoc
 	// boundary core tests below reuse it.
 	build := o.Core.IndexBuilderCtx
 	if build == nil {
-		if o.Core.IndexBuilder != nil {
-			build = index.WithContext(o.Core.IndexBuilder)
-		} else {
-			build = index.WithContext(index.BuildLinear)
-		}
+		build = index.WithContext(index.BuildLinear)
 	}
 	idxStart := time.Now()
 	idx, err := build(ctx, slab)
 	if err != nil {
 		return nil, err
 	}
-	out.stat.IndexBuild = time.Since(idxStart)
+	idxBuild := time.Since(idxStart)
 
 	copts := o.Core
 	copts.Context = ctx
@@ -509,6 +506,8 @@ func runShard(ctx context.Context, src Source, o Options, p *plan, s int, rawLoc
 	copts.IndexBuilderCtx = nil // drop the captured index: only labels matter now
 	out.clusters = res.Clusters
 	out.stat.Clusters = res.Clusters
+	// The core run only picked up the prebuilt index; report the real build.
+	st.IndexBuild = idxBuild
 	out.stat.Core = st
 
 	// Boundary summary: every non-noise label a halo-band point received in

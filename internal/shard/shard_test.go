@@ -131,7 +131,7 @@ func TestShardedIndexKinds(t *testing.T) {
 	ds := strips(t, 5, 200, 3, 2)
 	want := singleShot(t, ds, 2)
 	opts := Options{
-		Core:       core.Options{Eps: boxEps, MinPts: boxMinPts, Workers: 2, IndexBuilder: kdtree.Build},
+		Core:       core.Options{Eps: boxEps, MinPts: boxMinPts, Workers: 2, IndexBuilderCtx: kdtree.BuildWorkersCtx(2)},
 		Shards:     4,
 		HeapSample: -1,
 	}

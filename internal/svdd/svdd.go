@@ -17,12 +17,12 @@
 //
 // optimized by repeatedly selecting the maximal-violating pair and moving
 // mass between its two multipliers in closed form. The training fast path
-// adds three layers on top (see internal/svdd/README.md and the "SVDD
+// adds two layers on top (see internal/svdd/README.md and the "SVDD
 // solver internals" section of DESIGN.md): the dense kernel fill fans out
-// across a worker pool, a shrinking heuristic drops bound-pinned
+// across a worker pool, and a shrinking heuristic drops bound-pinned
 // multipliers from the working set (with a final full-pass KKT re-check so
-// converged models are unchanged), and incremental rounds can warm-start
-// from the previous round's multipliers.
+// converged models are unchanged). Config.WarmAlpha seeds the solver from
+// saved multipliers for warm restarts.
 package svdd
 
 import (

@@ -68,20 +68,19 @@ func runSharded(src shard.Source, dim int, prec Precision, opts Options) (*Resul
 	}
 	so := shard.Options{
 		Core: core.Options{
-			Eps:              opts.Eps,
-			MinPts:           opts.MinPts,
-			Nu:               opts.Nu,
-			NuMin:            opts.NuMin,
-			MemoryFactor:     opts.MemoryFactor,
-			LearnThreshold:   opts.LearnThreshold,
-			DisableWeights:   opts.DisableWeights,
-			RandomKernel:     opts.RandomKernel,
-			Seed:             opts.Seed,
-			IndexBuilderCtx:  build,
-			Workers:          opts.Workers,
-			MaxSVDDTarget:    opts.MaxSVDDTarget,
-			DisableWarmStart: opts.DisableWarmStart,
-			Budget:           opts.Budget,
+			Eps:             opts.Eps,
+			MinPts:          opts.MinPts,
+			Nu:              opts.Nu,
+			NuMin:           opts.NuMin,
+			MemoryFactor:    opts.MemoryFactor,
+			LearnThreshold:  opts.LearnThreshold,
+			DisableWeights:  opts.DisableWeights,
+			RandomKernel:    opts.RandomKernel,
+			Seed:            opts.Seed,
+			IndexBuilderCtx: build,
+			Workers:         opts.Workers,
+			MaxSVDDTarget:   opts.MaxSVDDTarget,
+			Budget:          opts.Budget,
 		},
 		Shards:      opts.Shards,
 		Concurrency: opts.ShardConcurrency,
@@ -101,31 +100,12 @@ func runSharded(src shard.Source, dim int, prec Precision, opts Options) (*Resul
 	return out, err
 }
 
-// aggregateShardStats sums the per-shard θ-model counters and wall clocks
-// into the top-level Stats and attaches the full sharding report.
+// aggregateShardStats sums the per-shard core stats into the top-level Stats
+// and attaches the full sharding report.
 func aggregateShardStats(sst *ShardStats) Stats {
 	st := Stats{Sharding: sst}
 	for i := range sst.Shards {
-		c := &sst.Shards[i].Core
-		st.Seeds += c.Seeds
-		st.SupportVectors += c.SupportVectors
-		st.Merges += c.Merges
-		st.NoiseList += c.NoiseList
-		st.RangeQueries += c.RangeQueries
-		st.RangeCounts += c.RangeCounts
-		st.SVDDTrainings += c.SVDDTrainings
-		st.Degraded += c.Degraded
-		st.WarmRestarts += c.WarmRestarts
-		st.RetainedModels += c.RetainedModels
-		st.IndexBuild += sst.Shards[i].IndexBuild
-		st.Phases.Init += c.Phases.Init
-		st.Phases.Expand += c.Phases.Expand
-		st.Phases.Verify += c.Phases.Verify
-		st.SVDD.Fill += c.SVDD.Fill
-		st.SVDD.Solve += c.SVDD.Solve
-		st.SVDD.Finish += c.SVDD.Finish
-		st.SVDD.Rounds += c.SVDD.Rounds
-		st.SVDD.NotConverged += c.SVDD.NotConverged
+		st.Add(sst.Shards[i].Core)
 	}
 	return st
 }

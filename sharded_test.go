@@ -181,6 +181,63 @@ func TestRunShardedFile(t *testing.T) {
 	}
 }
 
+// TestRunShardedStatsSumShards: a sharded run's top-level Stats are the
+// field-wise sums of its shards' core stats — every counter, SMO iterations
+// included, and every wall clock — and Cluster reports SMO iterations too.
+func TestRunShardedStatsSumShards(t *testing.T) {
+	ds, err := NewDataset(stripRows(4, 200, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := Cluster(ds, Options{Eps: 3, MinPts: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Stats.SVDDTrainings == 0 || single.Stats.SVDDIterations == 0 {
+		t.Fatalf("Cluster reports %d SVDD trainings and %d SMO iterations, want both positive",
+			single.Stats.SVDDTrainings, single.Stats.SVDDIterations)
+	}
+
+	res, err := RunSharded(ds, Options{Eps: 3, MinPts: 10, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := res.Stats.Sharding.Shards
+	if len(shards) < 2 {
+		t.Fatalf("run used %d shards, want several", len(shards))
+	}
+	var want CoreStats
+	for _, sh := range shards {
+		c := sh.Core
+		want.Seeds += c.Seeds
+		want.SupportVectors += c.SupportVectors
+		want.Merges += c.Merges
+		want.NoiseList += c.NoiseList
+		want.RangeQueries += c.RangeQueries
+		want.RangeCounts += c.RangeCounts
+		want.SVDDTrainings += c.SVDDTrainings
+		want.SVDDIterations += c.SVDDIterations
+		want.Degraded += c.Degraded
+		want.WarmRestarts += c.WarmRestarts
+		want.RetainedModels += c.RetainedModels
+		want.IndexBuild += c.IndexBuild
+		want.Phases.Init += c.Phases.Init
+		want.Phases.Expand += c.Phases.Expand
+		want.Phases.Verify += c.Phases.Verify
+		want.SVDD.Fill += c.SVDD.Fill
+		want.SVDD.Solve += c.SVDD.Solve
+		want.SVDD.Finish += c.SVDD.Finish
+		want.SVDD.Rounds += c.SVDD.Rounds
+		want.SVDD.NotConverged += c.SVDD.NotConverged
+	}
+	if want.SVDDIterations == 0 || want.SVDD.Total() == 0 || want.Phases.Total() == 0 {
+		t.Fatalf("shards report no SVDD work: %+v", want)
+	}
+	if res.Stats.CoreStats != want {
+		t.Fatalf("top-level stats\n%+v\ndiffer from the sum over shards\n%+v", res.Stats.CoreStats, want)
+	}
+}
+
 // TestRunShardedRejectsWarmFrom: warm restarts reference whole-dataset point
 // ids and are rejected up front in sharded mode.
 func TestRunShardedRejectsWarmFrom(t *testing.T) {
