@@ -15,14 +15,16 @@ import (
 // SVDD training fast-path micro-benchmark. Unlike the figure experiments it
 // measures one component (svdd.Train) in isolation, at the paper's default
 // maximum target size ñ = 1024's historical half (ñ = 512, d = 8), so the
-// fast-path layers — parallel kernel fill and shrinking SMO — can be
-// attributed individually. The incremental pair measures warm-starting each
+// fast-path layers — parallel kernel fill (at this size, the pivot-row
+// batch of the lazy tier) and shrinking SMO — can be attributed
+// individually. The incremental pair measures warm-starting each
 // round from the previous one; it loses to the cold start, which is why
-// DBSVEC cold-starts every round.
+// DBSVEC cold-starts every round. The size sweep trains targets on both
+// sides of the dense/lazy kernel-storage threshold (svdd's weightsExactCap,
+// 256) up to the default maximum target size, with and without shrinking.
 
-// svddBenchN and svddBenchD pin the benchmark shape; the acceptance target
-// for the fast path (≥2x vs the serial baseline at 8 workers) is recorded
-// against exactly this shape in internal/svdd/README.md.
+// svddBenchN and svddBenchD pin the benchmark shape; internal/svdd/README.md
+// records the package micro-benchmarks against exactly this shape.
 const (
 	svddBenchN = 512
 	svddBenchD = 8
@@ -43,6 +45,16 @@ type SVDDBenchVariant struct {
 	// Shrink and WarmStart record which fast-path layers were active.
 	Shrink    bool `json:"shrink"`
 	WarmStart bool `json:"warm_start"`
+	SVDDStageTotals
+	// Speedup is TotalNs of this variant's baseline divided by its own:
+	// the serial variant for the fixed-target configurations, the f64
+	// parallel+shrink variant for the f32 one, and the cold incremental
+	// variant for the warm one. 1.0 for the baselines themselves.
+	Speedup float64 `json:"speedup_vs_baseline"`
+}
+
+// SVDDStageTotals accumulates timed svdd.Train calls.
+type SVDDStageTotals struct {
 	// Rounds is the number of svdd.Train calls timed.
 	Rounds int `json:"rounds"`
 	// Iterations is the total SMO pair updates across all rounds.
@@ -52,11 +64,18 @@ type SVDDBenchVariant struct {
 	SolveNs  int64 `json:"solve_ns"`
 	FinishNs int64 `json:"finish_ns"`
 	TotalNs  int64 `json:"total_ns"`
-	// Speedup is TotalNs of this variant's baseline divided by its own:
-	// the serial variant for the fixed-target configurations, the f64
-	// parallel+shrink variant for the f32 one, and the cold incremental
-	// variant for the warm one. 1.0 for the baselines themselves.
-	Speedup float64 `json:"speedup_vs_baseline"`
+}
+
+// SVDDSizeRow is one target size of the size sweep: adaptive weights on,
+// the run's worker count, shrinking on or off.
+type SVDDSizeRow struct {
+	// N is the target size ñ. Targets up to 256 use dense kernel storage,
+	// larger ones lazy rows.
+	N       int    `json:"n"`
+	Storage string `json:"storage"`
+	Workers int    `json:"workers"`
+	Shrink  bool   `json:"shrink"`
+	SVDDStageTotals
 }
 
 // SVDDBenchReport is the machine-readable result benchall writes to
@@ -68,10 +87,11 @@ type SVDDBenchReport struct {
 	Repeats           int                `json:"repeats"`
 	IncrementalRounds int                `json:"incremental_rounds"`
 	Variants          []SVDDBenchVariant `json:"variants"`
+	SizeSweep         []SVDDSizeRow      `json:"size_sweep"`
 }
 
-// accumulate folds one trained model's timings into the variant.
-func (v *SVDDBenchVariant) accumulate(m *svdd.Model) {
+// accumulate folds one trained model's timings into the totals.
+func (v *SVDDStageTotals) accumulate(m *svdd.Model) {
 	v.Rounds++
 	v.Iterations += m.Iterations
 	v.FillNs += m.Times.Fill.Nanoseconds()
@@ -189,6 +209,37 @@ func RunSVDDBench(cfg Config) (*SVDDBenchReport, error) {
 	}
 
 	rep.Variants = append(fixed, inc...)
+
+	// Size sweep: one Blobs dataset per target size, same family as above —
+	// the largest dense target, then lazy targets up to the default maximum
+	// SVDD target size.
+	for _, n := range []int{256, 512, 1024} {
+		sds := data.Blobs(n, svddBenchD, 4, 30, 1000, 0.02, cfg.Seed)
+		sids := vec.Iota(n)
+		storage := "lazy"
+		if n <= 256 {
+			storage = "dense"
+		}
+		// The shrink-off and shrink-on trainings alternate, so machine
+		// drift during the sweep lands on both rows alike.
+		rows := []SVDDSizeRow{
+			{N: n, Storage: storage, Workers: workers},
+			{N: n, Storage: storage, Workers: workers, Shrink: true},
+		}
+		for r := 0; r < repeats; r++ {
+			for i := range rows {
+				c := svddBenchConfig(n)
+				c.Workers = workers
+				c.NoShrink = !rows[i].Shrink
+				m, err := svdd.Train(sds, sids, c)
+				if err != nil && m == nil {
+					return nil, fmt.Errorf("svdd bench size sweep n=%d: %w", n, err)
+				}
+				rows[i].accumulate(m)
+			}
+		}
+		rep.SizeSweep = append(rep.SizeSweep, rows...)
+	}
 	return rep, nil
 }
 
@@ -202,7 +253,7 @@ func speedup(baseline, own int64) float64 {
 // SVDDPerf is the registry entry: it prints the variant table and, when
 // cfg.SVDDJSONPath is set, writes the machine-readable report there.
 func SVDDPerf(w io.Writer, cfg Config) error {
-	header(w, "SVDD training fast path (n=512, d=8): parallel fill, shrinking, warm start")
+	header(w, "SVDD training fast path (n=512, d=8): parallel fill, shrinking, warm start; target-size sweep")
 	rep, err := RunSVDDBench(cfg)
 	if err != nil {
 		return err
@@ -213,6 +264,13 @@ func SVDDPerf(w io.Writer, cfg Config) error {
 		fmt.Fprintf(w, "%-20s %5s %8d %8d %10d %11.3fms %11.3fms %11.3fms %8.2fx\n",
 			v.Name, v.Precision, v.Workers, v.Rounds, v.Iterations,
 			float64(v.FillNs)/1e6, float64(v.SolveNs)/1e6, float64(v.TotalNs)/1e6, v.Speedup)
+	}
+	fmt.Fprintf(w, "\nsize sweep (adaptive weights, %d workers; per-training means)\n", rep.SizeSweep[0].Workers)
+	fmt.Fprintf(w, "%6s %8s %7s %10s %12s %12s %12s\n", "n", "storage", "shrink", "smoIters", "fill", "solve", "total")
+	for _, r := range rep.SizeSweep {
+		per := func(ns int64) float64 { return float64(ns) / float64(r.Rounds) / 1e6 }
+		fmt.Fprintf(w, "%6d %8s %7t %10d %11.3fms %11.3fms %11.3fms\n",
+			r.N, r.Storage, r.Shrink, r.Iterations/r.Rounds, per(r.FillNs), per(r.SolveNs), per(r.TotalNs))
 	}
 	if cfg.SVDDJSONPath != "" {
 		if err := WriteSVDDBenchJSON(cfg.SVDDJSONPath, rep); err != nil {

@@ -21,21 +21,32 @@ func gaussCloud(n, d int, seed int64) *vec.Dataset {
 	return ds
 }
 
-// TestParallelFillBitIdentical pins the tentpole guarantee: the dense fill
-// produces bit-identical matrices for every worker count. n=200 stays in
-// the always-eager zone; n=512 exercises the parallel zone against the
-// forced serial eager fill.
+// denseReference builds the kernel matrix for ids fully materialized by
+// fillDense at any size — the storage Train uses only up to weightsExactCap.
+// Tests compare the lazy tier against it; benchmarks time it as the eager
+// baseline.
+func denseReference(ds *vec.Dataset, ids []int32, sigma float64, workers int) *kernelMatrix {
+	km := newKernelMatrix(ds, ids, sigma, workers)
+	if km.full == nil {
+		km.rows = nil
+		km.full = getMatrixBuf(km.n * km.n)
+		km.fillDense(workers)
+	}
+	return km
+}
+
+// TestParallelFillBitIdentical pins the dense tier: targets up to
+// weightsExactCap are stored dense, and the fill is bit-identical for every
+// worker count; one point more and every worker count stores lazily.
 func TestParallelFillBitIdentical(t *testing.T) {
-	for _, tc := range []struct{ n, d int }{{200, 4}, {200, 24}, {512, 8}, {512, 24}} {
+	for _, tc := range []struct{ n, d int }{{200, 4}, {200, 24}, {weightsExactCap, 8}, {weightsExactCap, 24}} {
 		ds := gaussCloud(tc.n, tc.d, int64(tc.n+tc.d))
 		ids := vec.Iota(tc.n)
 		sigma := SigmaLowerBound(ds, ids)
 
-		forceEagerFill = true
 		ref := newKernelMatrix(ds, ids, sigma, 1)
-		forceEagerFill = false
 		if ref.full == nil {
-			t.Fatalf("n=%d: forced serial fill is not dense", tc.n)
+			t.Fatalf("n=%d: serial fill is not dense", tc.n)
 		}
 		refCopy := append([]float64(nil), ref.full...)
 		releaseMatrix(ref)
@@ -54,11 +65,21 @@ func TestParallelFillBitIdentical(t *testing.T) {
 			releaseMatrix(km)
 		}
 	}
+	n := weightsExactCap + 1
+	ds := gaussCloud(n, 8, 1)
+	ids := vec.Iota(n)
+	for _, workers := range []int{1, 2, 8} {
+		km := newKernelMatrix(ds, ids, SigmaLowerBound(ds, ids), workers)
+		if km.full != nil || km.rows == nil {
+			t.Fatalf("n=%d workers=%d: expected lazy storage above weightsExactCap", n, workers)
+		}
+		releaseMatrix(km)
+	}
 }
 
 // TestLazyRowsMatchDenseFill pins the other half of the storage-mode
-// guarantee: lazily materialized rows (the serial path above
-// weightsExactCap) hold bit-identical values to the eager dense fill,
+// guarantee: lazily materialized rows (every target above weightsExactCap,
+// for every worker count) hold bit-identical values to the dense fill,
 // including the scalar at() fallback, in both the plain and cached-norms
 // distance regimes.
 func TestLazyRowsMatchDenseFill(t *testing.T) {
@@ -68,35 +89,92 @@ func TestLazyRowsMatchDenseFill(t *testing.T) {
 		ids := vec.Iota(n)
 		sigma := SigmaLowerBound(ds, ids)
 
-		lazy := newKernelMatrix(ds, ids, sigma, 1)
-		if lazy.full != nil {
-			t.Fatalf("d=%d: expected lazy storage at n=%d with one worker", d, n)
-		}
-		dense := newKernelMatrix(ds, ids, sigma, 2)
-		if dense.full == nil {
-			t.Fatalf("d=%d: expected dense storage with two workers", d)
-		}
-
-		// Scalar fallback before any row exists.
-		for _, pair := range [][2]int{{0, n - 1}, {7, 3}, {n / 2, n/2 + 1}} {
-			i, j := pair[0], pair[1]
-			if got, want := lazy.at(i, j), dense.at(i, j); got != want {
-				t.Errorf("d=%d: at(%d,%d) lazy %x dense %x", d, i, j,
-					math.Float64bits(got), math.Float64bits(want))
+		dense := denseReference(ds, ids, sigma, 2)
+		for _, workers := range []int{1, 2} {
+			lazy := newKernelMatrix(ds, ids, sigma, workers)
+			if lazy.full != nil {
+				t.Fatalf("d=%d workers=%d: expected lazy storage at n=%d", d, workers, n)
 			}
-		}
-		// Full rows.
-		for _, i := range []int{0, 1, n / 3, n - 1} {
-			lr, dr := lazy.row(i), dense.row(i)
-			for j := 0; j < n; j++ {
-				if lr[j] != dr[j] {
-					t.Fatalf("d=%d: row %d entry %d lazy %x dense %x", d, i, j,
-						math.Float64bits(lr[j]), math.Float64bits(dr[j]))
+			// Scalar fallback before any row exists.
+			for _, pair := range [][2]int{{0, n - 1}, {7, 3}, {n / 2, n/2 + 1}} {
+				i, j := pair[0], pair[1]
+				if got, want := lazy.at(i, j), dense.at(i, j); got != want {
+					t.Errorf("d=%d: at(%d,%d) lazy %x dense %x", d, i, j,
+						math.Float64bits(got), math.Float64bits(want))
 				}
 			}
+			// Full rows.
+			for _, i := range []int{0, 1, n / 3, n - 1} {
+				lr, dr := lazy.row(i), dense.row(i)
+				for j := 0; j < n; j++ {
+					if lr[j] != dr[j] {
+						t.Fatalf("d=%d: row %d entry %d lazy %x dense %x", d, i, j,
+							math.Float64bits(lr[j]), math.Float64bits(dr[j]))
+					}
+				}
+			}
+			releaseMatrix(lazy)
 		}
-		releaseMatrix(lazy)
 		releaseMatrix(dense)
+	}
+}
+
+// TestPivotBatchMatchesSerialRows pins the pivot-row batch: rows cached by
+// fillRows across any worker count are bit-identical to the same rows
+// touched one at a time through row(), in both distance regimes and both
+// storage precisions, and the adaptive weights built on them are too.
+func TestPivotBatchMatchesSerialRows(t *testing.T) {
+	for _, n := range []int{300, 1024} {
+		for _, d := range []int{8, 24} { // below and above dist.NormCachedMinDim
+			for _, prec := range []vec.Precision{vec.F64, vec.F32} {
+				ds, err := gaussCloud(n, d, int64(n*d)).ToPrecision(prec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids := vec.Iota(n)
+				sigma := SigmaLowerBound(ds, ids)
+				times := make([]int, n)
+				for i := range times {
+					times[i] = i % 3
+				}
+				pivots := []int{0, 1, n / 7, n / 2, n - 2, n - 1}
+
+				serial := newKernelMatrix(ds, ids, sigma, 1)
+				for _, p := range pivots {
+					serial.row(p)
+				}
+				ref := newKernelMatrix(ds, ids, sigma, 1)
+				wantW := adaptiveWeights(ref, times, 1.5, 1)
+				releaseMatrix(ref)
+				for _, workers := range []int{1, 2, 8} {
+					km := newKernelMatrix(ds, ids, sigma, workers)
+					km.fillRows(pivots, workers)
+					for _, p := range pivots {
+						got, want := km.rows[p], serial.rows[p]
+						if got == nil {
+							t.Fatalf("n=%d d=%d %v workers=%d: pivot row %d not cached", n, d, prec, workers, p)
+						}
+						for j := range want {
+							if got[j] != want[j] {
+								t.Fatalf("n=%d d=%d %v workers=%d: row %d entry %d batch %x serial %x",
+									n, d, prec, workers, p, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+							}
+						}
+					}
+					releaseMatrix(km)
+
+					km = newKernelMatrix(ds, ids, sigma, workers)
+					for i, w := range adaptiveWeights(km, times, 1.5, workers) {
+						if w != wantW[i] {
+							t.Fatalf("n=%d d=%d %v workers=%d: weight %d = %x, serial %x",
+								n, d, prec, workers, i, math.Float64bits(w), math.Float64bits(wantW[i]))
+						}
+					}
+					releaseMatrix(km)
+				}
+				releaseMatrix(serial)
+			}
+		}
 	}
 }
 
@@ -322,19 +400,18 @@ func benchTrainConfig() Config {
 }
 
 // BenchmarkTrain512d8 is the acceptance micro-benchmark recorded in
-// internal/svdd/README.md. The serial baseline forces the non-adaptive
-// eager fill with a full-scan solver; the fast variants layer the adaptive
-// fill strategy, shrinking and parallel workers on top.
+// internal/svdd/README.md. The serial baseline trains on a fully dense
+// matrix with a full-scan solver — the strategy a non-adaptive
+// implementation would use; the fast variants use the lazy tier with the
+// pivot-row batch, shrinking and parallel workers.
 func BenchmarkTrain512d8(b *testing.B) {
 	ds := gaussCloud(512, 8, 3)
 	ids := vec.Iota(512)
-	run := func(b *testing.B, cfg Config, eager bool) {
-		forceEagerFill = eager
-		defer func() { forceEagerFill = false }()
+	run := func(b *testing.B, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Train(ds, ids, cfg); err != nil {
+			if _, err := train(ds, ids, cfg, build); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -342,32 +419,30 @@ func BenchmarkTrain512d8(b *testing.B) {
 	b.Run("baseline-eager-serial", func(b *testing.B) {
 		cfg := benchTrainConfig()
 		cfg.Workers, cfg.NoShrink = 1, true
-		run(b, cfg, true)
+		run(b, cfg, denseReference)
 	})
 	b.Run("fast-serial", func(b *testing.B) {
 		cfg := benchTrainConfig()
 		cfg.Workers = 1
-		run(b, cfg, false)
+		run(b, cfg, newKernelMatrix)
 	})
 	b.Run("fast-workers8", func(b *testing.B) {
 		cfg := benchTrainConfig()
 		cfg.Workers = 8
-		run(b, cfg, false)
+		run(b, cfg, newKernelMatrix)
 	})
 }
 
-// BenchmarkKernelFill512 isolates the dense fill the tentpole parallelizes.
+// BenchmarkKernelFill512 isolates the dense fill at a size above the dense
+// tier, the cost the lazy tier avoids.
 func BenchmarkKernelFill512(b *testing.B) {
 	ds := gaussCloud(512, 8, 3)
 	ids := vec.Iota(512)
 	sigma := SigmaLowerBound(ds, ids)
 	for _, workers := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			forceEagerFill = true
-			defer func() { forceEagerFill = false }()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				km := newKernelMatrix(ds, ids, sigma, workers)
+				km := denseReference(ds, ids, sigma, workers)
 				releaseMatrix(km)
 			}
 		})

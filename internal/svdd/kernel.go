@@ -15,15 +15,20 @@ func GaussianKernel(a, b []float64, sigma float64) float64 {
 	return math.Exp(-dist.SqDist(a, b) / (2 * sigma * sigma))
 }
 
-// kernelMatrix is a symmetric ñ×ñ Gaussian kernel matrix over a target set.
-// Small targets (ñ <= weightsExactCap, whose exact adaptive-weights pass
-// needs every row anyway) are materialized eagerly; with Workers > 1 the
-// eager fill extends to denseCap and fans out across the worker pool. All
-// other targets compute rows lazily and cache them, which keeps SMO at the
-// paper's O(ñ) per iteration (Section IV-D) — only the rows the solver
-// actually touches are evaluated, and with few support vectors that is a
-// small fraction of the matrix. Both representations produce bit-identical
-// entries (see at), so the storage choice never changes a trained model.
+// kernelMatrix is a symmetric ñ×ñ Gaussian kernel matrix over a target set,
+// stored in one of two tiers chosen by target size alone:
+//
+//   - dense for ñ <= weightsExactCap, whose exact adaptive-weights pass reads
+//     every row anyway; the fill fans out across the worker pool;
+//   - lazy above it: rows are computed on first touch and cached, which keeps
+//     SMO at the paper's O(ñ) per iteration (Section IV-D) — only the rows the
+//     solver actually touches are evaluated, and with few support vectors
+//     that is a small fraction of the matrix. The one batch of rows known in
+//     advance, the adaptive-weights pivots, is computed up front across the
+//     worker pool (fillRows).
+//
+// Both tiers produce bit-identical entries (see at), so neither the storage
+// choice nor the worker count ever changes a trained model.
 type kernelMatrix struct {
 	ds    *vec.Dataset
 	m     dist.Matrix
@@ -31,7 +36,7 @@ type kernelMatrix struct {
 	ids   []int32
 	gamma float64 // 1/(2σ²)
 	n     int
-	full  []float64   // dense storage when n <= denseCap
+	full  []float64   // dense storage when n <= weightsExactCap
 	rows  [][]float64 // lazy row cache otherwise
 	// norms caches ‖x_i‖² per target for the cached-norms distance identity;
 	// nil below dist.NormCachedMinDim, where the identity does not pay off,
@@ -42,30 +47,12 @@ type kernelMatrix struct {
 	norms []float64
 }
 
-// denseCap is the largest target size for which the ñ×ñ kernel matrix is
-// materialized eagerly when Workers > 1. It matches the default
-// MaxSVDDTarget cap, so parallel DBSVEC training rounds always take the
-// dense path: the eager fill is embarrassingly parallel (ForRanges across
-// the worker pool), while the lazy rows above serialize on the solver's
-// access order. With a single worker the eager fill has no parallelism to
-// exploit and computing the full matrix would waste work whenever the
-// solver touches only a fraction of the rows, so serial trainings stay lazy
-// above weightsExactCap.
-const denseCap = 1024
-
 // weightsExactCap is the largest target size for which the adaptive weights
 // (Eq. 7) use exact kernel row sums — which read every row, so matrices up
-// to this size are always filled eagerly. Beyond it the pivot-sampled
-// estimate is used even when the matrix is dense. The cutoff matches the
-// historical dense-storage bound so weight vectors — and hence trained
-// models — are unchanged by the widened parallel denseCap.
+// to this size are filled eagerly. Beyond it the pivot-sampled estimate is
+// used and rows stay lazy. The size_sweep rows of BENCH_svdd.json time
+// trainings on both sides of it.
 const weightsExactCap = 256
-
-// forceEagerFill makes newKernelMatrix materialize every target up to
-// denseCap eagerly even with one worker — the strategy a non-adaptive
-// serial implementation would use. Package benchmarks flip it to measure
-// the adaptive fill against that baseline; it is never set in production.
-var forceEagerFill = false
 
 // parallelFillMin is the smallest target size worth fanning the dense fill
 // across workers; below it goroutine startup dominates the O(ñ²) fill.
@@ -117,16 +104,15 @@ func releaseMatrix(km *kernelMatrix) {
 	km.rows = nil
 }
 
-// newKernelMatrix builds the kernel matrix for the target set, fanning the
-// dense fill across workers goroutines (<= 1 fills serially).
+// newKernelMatrix builds the kernel matrix for the target set: dense up to
+// weightsExactCap, with the fill fanned across workers goroutines (<= 1
+// fills serially), and an empty lazy row cache above it.
 func newKernelMatrix(ds *vec.Dataset, ids []int32, sigma float64, workers int) *kernelMatrix {
 	km := &kernelMatrix{ds: ds, m: ds.Matrix(), m32: ds.Matrix32(), ids: ids, gamma: 1 / (2 * sigma * sigma), n: len(ids)}
 	if ds.Precision() == vec.F64 && ds.Dim() >= dist.NormCachedMinDim {
 		km.norms = dist.NormsIDs(km.m, ids)
 	}
-	eager := km.n <= weightsExactCap ||
-		(km.n <= denseCap && (workers > 1 || forceEagerFill))
-	if eager {
+	if km.n <= weightsExactCap {
 		km.full = getMatrixBuf(km.n * km.n)
 		km.fillDense(workers)
 	} else {
@@ -208,14 +194,36 @@ func (km *kernelMatrix) row(i int) []float64 {
 	if r := km.rows[i]; r != nil {
 		return r
 	}
+	r := km.computeRow(i)
+	km.rows[i] = r
+	return r
+}
+
+// computeRow evaluates row i of the kernel matrix into a pooled buffer.
+func (km *kernelMatrix) computeRow(i int) []float64 {
 	r := getRowBuf(km.n)
 	km.sqRow(i, 0, r)
 	for j := range r {
 		r[j] = math.Exp(-r[j] * km.gamma)
 	}
 	r[i] = 1
-	km.rows[i] = r
 	return r
+}
+
+// fillRows computes and caches the lazy rows idx (distinct indices, none
+// cached yet) as one batch fanned across workers goroutines. Each range stores
+// only its own rows, so workers write disjoint km.rows entries, and every
+// row goes through computeRow — the arithmetic row() uses — so the cache
+// holds the same bits whichever path filled it. A no-op on dense storage.
+func (km *kernelMatrix) fillRows(idx []int, workers int) {
+	if km.full != nil {
+		return
+	}
+	engine.ForRanges(workers, len(idx), nil, func(lo, hi int) {
+		for _, i := range idx[lo:hi] {
+			km.rows[i] = km.computeRow(i)
+		}
+	})
 }
 
 // at returns K(i,j) without forcing a whole row when neither is cached. The

@@ -156,11 +156,11 @@ func TestSecondOrderSelection(t *testing.T) {
 }
 
 // The lazy (pivot-sampled) weight path and the dense path must agree on the
-// weight ordering for the same data. We exercise both by training once
-// below and once above the dense cap.
+// weight ordering for the same data. We exercise the lazy path with a
+// target above the default maximum SVDD target size of 1024.
 func TestLazyMatrixPathAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	big := denseCap + 50
+	const big = 1074
 	rows := make([][]float64, big)
 	for i := range rows {
 		rows[i] = []float64{rng.NormFloat64() * 2, rng.NormFloat64() * 2}

@@ -134,9 +134,10 @@ func TestTrainWorkerPanicContained(t *testing.T) {
 	restore := fault.Activate(fault.NewInjector(1).Arm(fault.WorkerPanic, fault.Nth(1)))
 	defer restore()
 	ds, _ := blobWithOutliers(300, 16)
-	// Workers > 1 routes the kernel fill through engine.ForRanges, whose
-	// spawned workers carry the injection site.
-	m, err := Train(ds, allIDs(300), Config{Nu: 0.1, Workers: 4})
+	// Above weightsExactCap, adaptive weights (Times set) compute the pivot
+	// rows as one batch through engine.ForRanges, whose spawned workers
+	// carry the injection site.
+	m, err := Train(ds, allIDs(300), Config{Nu: 0.1, Times: make([]int, 300), Workers: 4})
 	var wp *fault.WorkerPanicError
 	if !errors.As(err, &wp) {
 		t.Fatalf("err = %v, want *fault.WorkerPanicError", err)

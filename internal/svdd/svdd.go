@@ -18,8 +18,9 @@
 // optimized by repeatedly selecting the maximal-violating pair and moving
 // mass between its two multipliers in closed form. The training fast path
 // adds two layers on top (see internal/svdd/README.md and the "SVDD
-// solver internals" section of DESIGN.md): the dense kernel fill fans out
-// across a worker pool, and a shrinking heuristic drops bound-pinned
+// solver internals" section of DESIGN.md): the dense kernel fill of small
+// targets and the pivot-row batch of large ones fan out across a worker
+// pool, and a shrinking heuristic drops bound-pinned
 // multipliers from the working set (with a final full-pass KKT re-check so
 // converged models are unchanged). Config.WarmAlpha seeds the solver from
 // saved multipliers for warm restarts.
@@ -69,9 +70,10 @@ type Config struct {
 	// objective decrease. Usually converges in fewer iterations at a higher
 	// per-iteration cost.
 	SecondOrder bool
-	// Workers fans the dense kernel-matrix fill across this many goroutines
-	// with deterministic row-range partitioning (bit-identical to the
-	// serial fill for every value). <= 1 fills on the calling goroutine.
+	// Workers fans the dense fill and the pivot-row batch of the kernel
+	// matrix across this many goroutines with deterministic row-range
+	// partitioning (bit-identical to the serial fill for every value). <= 1
+	// fills on the calling goroutine.
 	Workers int
 	// WarmAlpha, when non-nil, warm-starts the solver from these Lagrange
 	// multipliers (aligned with the target ids; new points carry 0). The
@@ -177,7 +179,13 @@ const (
 // *with* a usable model; every other error returns a nil model. A panic
 // anywhere inside training (including worker goroutines of the parallel
 // kernel fill) is contained and returned as a *fault.WorkerPanicError.
-func Train(ds *vec.Dataset, ids []int32, cfg Config) (model *Model, err error) {
+func Train(ds *vec.Dataset, ids []int32, cfg Config) (*Model, error) {
+	return train(ds, ids, cfg, newKernelMatrix)
+}
+
+// train is Train with the kernel-matrix constructor as a parameter, so
+// package benchmarks can time a training on a fully dense matrix.
+func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix) (model *Model, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			model, err = nil, fault.AsWorkerPanic(v)
@@ -242,7 +250,7 @@ func Train(ds *vec.Dataset, ids []int32, cfg Config) (model *Model, err error) {
 	}
 
 	fill := engine.StartPhase()
-	km := newKernelMatrix(ds, ids, sigma, cfg.Workers)
+	km := build(ds, ids, sigma, cfg.Workers)
 
 	weights := cfg.Weights
 	if cfg.Times != nil {
@@ -250,7 +258,7 @@ func Train(ds *vec.Dataset, ids []int32, cfg Config) (model *Model, err error) {
 		if lambda == 0 {
 			lambda = 1.5
 		}
-		weights = adaptiveWeights(km, cfg.Times, lambda)
+		weights = adaptiveWeights(km, cfg.Times, lambda, cfg.Workers)
 	}
 
 	// Per-point upper bounds u_i = ω_i·C with C = 1/(ν·ñ). Guard
@@ -313,19 +321,19 @@ func Train(ds *vec.Dataset, ids []int32, cfg Config) (model *Model, err error) {
 }
 
 // adaptiveWeights evaluates Eq. 7 from a prepared kernel matrix. For small
-// dense matrices (ñ <= weightsExactCap) the kernel distance
+// targets (ñ <= weightsExactCap, stored dense) the kernel distance
 // D_i = c + 1 − (2/ñ)·Σ_j K_ij falls out of the exact row sums. For larger
 // targets it is estimated from a fixed set of evenly spaced pivot rows:
 // D̂_i = ĉ + 1 − (2/m)·Σ_{p∈pivots} K_ip. Only the *ranking* of distances
 // matters for the weights (they are normalized by the maximum), so the
 // estimate preserves the behaviour at a fraction of the O(ñ²) cost — this
 // keeps each SVDD training linear in ñ as the paper's cost analysis
-// assumes. The cutoff is independent of the storage layout so that the
-// widened dense cap leaves weight vectors unchanged.
-func adaptiveWeights(km *kernelMatrix, times []int, lambda float64) []float64 {
+// assumes. The pivot rows are the one set of lazy rows known before the
+// solver starts, so they are computed as a single batch across workers.
+func adaptiveWeights(km *kernelMatrix, times []int, lambda float64, workers int) []float64 {
 	n := km.n
 	dists := make([]float64, n)
-	if km.full != nil && n <= weightsExactCap {
+	if n <= weightsExactCap {
 		rowSums := make([]float64, n)
 		var double float64
 		for i := 0; i < n; i++ {
@@ -353,6 +361,7 @@ func adaptiveWeights(km *kernelMatrix, times []int, lambda float64) []float64 {
 		for p := 0; p < m; p++ {
 			pivotIdx[p] = int(float64(p) * stride)
 		}
+		km.fillRows(pivotIdx, workers)
 		sums := make([]float64, n)
 		var double float64
 		for _, p := range pivotIdx {

@@ -503,15 +503,6 @@ func RectOf(p []float64) Rect {
 	return Rect{Lo: lo, Hi: hi}
 }
 
-// Clone deep-copies the rectangle.
-func (r Rect) Clone() Rect {
-	lo := make([]float64, len(r.Lo))
-	hi := make([]float64, len(r.Hi))
-	copy(lo, r.Lo)
-	copy(hi, r.Hi)
-	return Rect{Lo: lo, Hi: hi}
-}
-
 // Extend grows r in place to cover point p.
 func (r *Rect) Extend(p []float64) {
 	for j, v := range p {
@@ -544,51 +535,6 @@ func (r Rect) Contains(p []float64) bool {
 		}
 	}
 	return true
-}
-
-// Margin returns the sum of the rectangle's edge lengths (the R*-tree margin
-// heuristic).
-func (r Rect) Margin() float64 {
-	var m float64
-	for j := range r.Lo {
-		m += r.Hi[j] - r.Lo[j]
-	}
-	return m
-}
-
-// Area returns the d-dimensional volume of the rectangle.
-func (r Rect) Area() float64 {
-	a := 1.0
-	for j := range r.Lo {
-		a *= r.Hi[j] - r.Lo[j]
-	}
-	return a
-}
-
-// EnlargedArea returns the volume r would have after absorbing o.
-func (r Rect) EnlargedArea(o Rect) float64 {
-	a := 1.0
-	for j := range r.Lo {
-		lo := math.Min(r.Lo[j], o.Lo[j])
-		hi := math.Max(r.Hi[j], o.Hi[j])
-		a *= hi - lo
-	}
-	return a
-}
-
-// OverlapArea returns the volume of the intersection of r and o, or 0 when
-// they are disjoint.
-func (r Rect) OverlapArea(o Rect) float64 {
-	a := 1.0
-	for j := range r.Lo {
-		lo := math.Max(r.Lo[j], o.Lo[j])
-		hi := math.Min(r.Hi[j], o.Hi[j])
-		if hi <= lo {
-			return 0
-		}
-		a *= hi - lo
-	}
-	return a
 }
 
 // MinDist2 returns the squared Euclidean distance from point q to the

@@ -198,24 +198,18 @@ func TestRectBasics(t *testing.T) {
 	if r.Contains([]float64{4, 1}) {
 		t.Error("rect should not contain exterior point")
 	}
-	if got := r.Area(); math.Abs(got-4) > 1e-12 {
-		t.Errorf("Area = %v, want 4", got)
-	}
-	if got := r.Margin(); math.Abs(got-4) > 1e-12 {
-		t.Errorf("Margin = %v, want 4", got)
-	}
 	c := r.Center(nil)
 	if c[0] != 2 || c[1] != 1 {
 		t.Errorf("Center = %v", c)
 	}
 }
 
-func TestRectOfClone(t *testing.T) {
-	r := RectOf([]float64{1, 2})
-	cl := r.Clone()
-	cl.Lo[0] = -5
-	if r.Lo[0] != 1 {
-		t.Error("Clone must not alias")
+func TestRectOf(t *testing.T) {
+	p := []float64{1, 2}
+	r := RectOf(p)
+	p[0] = -5
+	if r.Lo[0] != 1 || r.Hi[0] != 1 || r.Lo[1] != 2 || r.Hi[1] != 2 {
+		t.Errorf("RectOf must copy the point: %+v", r)
 	}
 }
 
@@ -232,23 +226,12 @@ func TestRectDistances(t *testing.T) {
 	}
 }
 
-func TestRectOverlapEnlarge(t *testing.T) {
+func TestRectExtendRect(t *testing.T) {
 	a := Rect{Lo: []float64{0, 0}, Hi: []float64{2, 2}}
-	b := Rect{Lo: []float64{1, 1}, Hi: []float64{3, 3}}
-	if got := a.OverlapArea(b); math.Abs(got-1) > 1e-12 {
-		t.Errorf("OverlapArea = %v, want 1", got)
-	}
-	c := Rect{Lo: []float64{5, 5}, Hi: []float64{6, 6}}
-	if got := a.OverlapArea(c); got != 0 {
-		t.Errorf("disjoint OverlapArea = %v, want 0", got)
-	}
-	if got := a.EnlargedArea(b); math.Abs(got-9) > 1e-12 {
-		t.Errorf("EnlargedArea = %v, want 9", got)
-	}
-	a2 := a.Clone()
-	a2.ExtendRect(b)
-	if a2.Lo[0] != 0 || a2.Hi[0] != 3 {
-		t.Errorf("ExtendRect wrong: %+v", a2)
+	b := Rect{Lo: []float64{1, -1}, Hi: []float64{3, 1}}
+	a.ExtendRect(b)
+	if a.Lo[0] != 0 || a.Hi[0] != 3 || a.Lo[1] != -1 || a.Hi[1] != 2 {
+		t.Errorf("ExtendRect wrong: %+v", a)
 	}
 }
 
