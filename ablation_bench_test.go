@@ -8,9 +8,6 @@ import (
 	"testing"
 
 	"dbsvec/internal/core"
-	"dbsvec/internal/index"
-	"dbsvec/internal/index/kdtree"
-	"dbsvec/internal/index/rtree"
 	"dbsvec/internal/svdd"
 	"dbsvec/internal/vec"
 )
@@ -20,19 +17,14 @@ import (
 // query time.
 func BenchmarkAblationIndexBackend(b *testing.B) {
 	ds := spreader(20000, 8)
-	backends := []struct {
-		name  string
-		build index.Builder
-	}{
-		{"linear", index.BuildLinear},
-		{"parallel", index.BuildParallel},
-		{"kdtree", kdtree.Build},
-		{"rtree", rtree.Build},
-	}
-	for _, be := range backends {
-		b.Run(be.name, func(b *testing.B) {
+	for _, kind := range []IndexKind{IndexLinear, IndexKDTree, IndexRTree} {
+		build, err := kind.Builder(5000, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Run(ds, core.Options{Eps: 5000, MinPts: 100, Seed: 1, IndexBuilderCtx: index.WithContext(be.build)}); err != nil {
+				if _, _, err := core.Run(ds, core.Options{Eps: 5000, MinPts: 100, Seed: 1, IndexBuilderCtx: build}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -57,10 +57,9 @@ func TestAllAlgorithmsAgreeOnEasyData(t *testing.T) {
 		{"dbsvec", func() (*Result, error) { return Cluster(ds, Options{Eps: 4, MinPts: 8}) }},
 		{"dbsvec-kdtree", func() (*Result, error) { return Cluster(ds, Options{Eps: 4, MinPts: 8, Index: IndexKDTree}) }},
 		{"dbsvec-grid", func() (*Result, error) { return Cluster(ds, Options{Eps: 4, MinPts: 8, Index: IndexGrid}) }},
-		{"dbsvec-pyramid", func() (*Result, error) { return Cluster(ds, Options{Eps: 4, MinPts: 8, Index: IndexPyramid}) }},
 		{"dbsvec-vptree", func() (*Result, error) { return Cluster(ds, Options{Eps: 4, MinPts: 8, Index: IndexVPTree}) }},
 		{"dbsvec-rproj", func() (*Result, error) { return Cluster(ds, Options{Eps: 4, MinPts: 8, Index: IndexRProj}) }},
-		{"dbscan-parallel", func() (*Result, error) { return DBSCANParallel(ds, 4, 8, IndexParallel, 0) }},
+		{"dbscan-parallel", func() (*Result, error) { return DBSCANParallel(ds, 4, 8, IndexLinear, 0) }},
 		{"rho", func() (*Result, error) { return RhoApproximate(ds, RhoOptions{Eps: 4, MinPts: 8}) }},
 		{"nq", func() (*Result, error) { return NQDBSCAN(ds, 4, 8) }},
 		{"dbscan-kd", func() (*Result, error) { return DBSCAN(ds, 4, 8, IndexKDTree) }},

@@ -13,6 +13,7 @@ import (
 	"dbsvec/internal/data"
 	"dbsvec/internal/dbscan"
 	"dbsvec/internal/eval"
+	"dbsvec/internal/index"
 	"dbsvec/internal/index/kdtree"
 	"dbsvec/internal/index/rtree"
 	"dbsvec/internal/kmeans"
@@ -42,7 +43,7 @@ func BenchmarkFig1_T48K(b *testing.B) {
 	b.Run("DBSCAN", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := dbscan.Run(ds, dbscan.Params{Eps: 8.5, MinPts: 20}, rtree.Build); err != nil {
+			if _, _, err := dbscan.Run(ds, dbscan.Params{Eps: 8.5, MinPts: 20}, index.Bind(rtree.New, 1)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -65,7 +66,7 @@ func BenchmarkTable3_Recall(b *testing.B) {
 		b.Fatal(err)
 	}
 	ds := e.Gen(1)
-	truth, _, err := dbscan.Run(ds, dbscan.Params{Eps: e.Eps, MinPts: e.MinPts}, rtree.Build)
+	truth, _, err := dbscan.Run(ds, dbscan.Params{Eps: e.Eps, MinPts: e.MinPts}, index.Bind(rtree.New, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func BenchmarkFig6a_Cardinality(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("kdDBSCAN/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := dbscan.Run(ds, dbscan.Params{Eps: 5000, MinPts: 100}, kdtree.Build); err != nil {
+				if _, _, err := dbscan.Run(ds, dbscan.Params{Eps: 5000, MinPts: 100}, index.Bind(kdtree.New, 1)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -226,7 +227,7 @@ func BenchmarkFig7_Radius(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("kdDBSCAN/eps=%.0f", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := dbscan.Run(ds, dbscan.Params{Eps: eps, MinPts: 100}, kdtree.Build); err != nil {
+				if _, _, err := dbscan.Run(ds, dbscan.Params{Eps: eps, MinPts: 100}, index.Bind(kdtree.New, 1)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -323,7 +324,7 @@ func BenchmarkParallelDBSCANWorkers(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := dbscan.RunParallel(ds, dbscan.Params{Eps: 5000, MinPts: 100}, kdtree.Build, workers); err != nil {
+				if _, _, err := dbscan.RunParallel(ds, dbscan.Params{Eps: 5000, MinPts: 100}, index.Bind(kdtree.New, 1), workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -91,6 +91,18 @@ func streamOut(w io.Writer, kind, format string, n, d int, seed int64, prec vec.
 		return err
 	}
 	emit := func(p []float64) error { return bw.WritePoints(p) }
+	if vec.DefaultPrecision() == vec.F32 {
+		// The f32 process default quantizes every dataset at construction,
+		// the materialized generators' output included. Quantize the
+		// streamed points the same way, so -stream writes the same bytes.
+		q := make([]float64, d)
+		emit = func(p []float64) error {
+			for j, v := range p {
+				q[j] = float64(float32(v))
+			}
+			return bw.WritePoints(q)
+		}
+	}
 	switch kind {
 	case "spreader":
 		err = data.SeedSpreader{N: n, D: d, Seed: seed}.Stream(emit)

@@ -77,12 +77,17 @@ func TestStreamMatchesInMemory(t *testing.T) {
 				t.Fatalf("%s/%v: streamed bytes differ from in-memory writer (%d vs %d bytes)",
 					kind, prec, got.Len(), want.Len())
 			}
-			// And the streamed file round-trips through the reader.
+			// And the streamed file round-trips through the reader, which
+			// loads float32 storage for an f32 file or an f32 process default.
 			back, err := data.ReadBinary(bytes.NewReader(got.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if back.Len() != 700 || back.Dim() != 3 || back.Precision() != prec {
+			wantPrec := prec
+			if vec.DefaultPrecision() == vec.F32 {
+				wantPrec = vec.F32
+			}
+			if back.Len() != 700 || back.Dim() != 3 || back.Precision() != wantPrec {
 				t.Fatalf("%s/%v: round trip got %dx%d %v", kind, prec, back.Len(), back.Dim(), back.Precision())
 			}
 		}

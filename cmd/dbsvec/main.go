@@ -42,10 +42,12 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"dbsvec"
 	"dbsvec/internal/data"
+	"dbsvec/internal/index/backend"
 )
 
 type budgetFlags struct {
@@ -80,7 +82,7 @@ func main() {
 		inPath    = flag.String("in", "", "input CSV (default stdin)")
 		outPath   = flag.String("out", "", "output CSV with labels (default stdout)")
 		normalize = flag.Float64("normalize", 0, "rescale every dimension to [0,S] before clustering (0 = off)")
-		indexKind = flag.String("index", "linear", "range-query index: linear|kdtree|rtree|grid|parallel|pyramid|vptree|rproj")
+		indexKind = flag.String("index", "linear", "range-query index: "+strings.Join(backend.Names(), "|"))
 		precision = flag.String("precision", "f64", "point-storage precision: f64 (exact) or f32 (half the scan bandwidth, one quantization at load)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "query-engine worker goroutines (0 = all CPUs)")
@@ -176,7 +178,7 @@ func run(algo string, eps float64, minPts, k int, nu float64, inPath, outPath st
 		return runAssign(ds, loaded, outPath, workers, stats)
 	}
 
-	idx, err := parseIndex(indexKind)
+	idx, err := backend.Parse(indexKind)
 	if err != nil {
 		return err
 	}
@@ -268,30 +270,6 @@ func run(algo string, eps float64, minPts, k int, nu float64, inPath, outPath st
 	return nil
 }
 
-// parseIndex maps the CLI spelling of an index kind to its IndexKind.
-func parseIndex(indexKind string) (dbsvec.IndexKind, error) {
-	switch indexKind {
-	case "linear":
-		return dbsvec.IndexLinear, nil
-	case "kdtree":
-		return dbsvec.IndexKDTree, nil
-	case "rtree":
-		return dbsvec.IndexRTree, nil
-	case "grid":
-		return dbsvec.IndexGrid, nil
-	case "parallel":
-		return dbsvec.IndexParallel, nil
-	case "pyramid":
-		return dbsvec.IndexPyramid, nil
-	case "vptree":
-		return dbsvec.IndexVPTree, nil
-	case "rproj":
-		return dbsvec.IndexRProj, nil
-	default:
-		return 0, fmt.Errorf("unknown index %q", indexKind)
-	}
-}
-
 // printStats writes the -stats report to stderr.
 func printStats(algo string, n, d int, res *dbsvec.Result, elapsed time.Duration, budgetErr *dbsvec.BudgetExceededError) {
 	fmt.Fprintf(os.Stderr, "algorithm=%s n=%d d=%d clusters=%d noise=%d time=%s\n",
@@ -328,7 +306,7 @@ func printStats(algo string, n, d int, res *dbsvec.Result, elapsed time.Duration
 // then the labeled CSV is streamed back from the same file block by block, so
 // the full dataset is never held in memory.
 func runShardedBinary(eps float64, minPts int, nu float64, inPath, outPath, indexKind string, seed int64, workers int, stats bool, budget budgetFlags, model modelFlags, sharding shardFlags) error {
-	idx, err := parseIndex(indexKind)
+	idx, err := backend.Parse(indexKind)
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"dbsvec"
+	"dbsvec/internal/index/backend"
+	"dbsvec/internal/vec"
 )
 
 func writeInput(t *testing.T) string {
@@ -104,7 +106,7 @@ func TestRunKMeans(t *testing.T) {
 
 func TestRunIndexKinds(t *testing.T) {
 	in := writeInput(t)
-	for _, idx := range []string{"linear", "kdtree", "rtree", "grid", "parallel", "pyramid", "vptree", "rproj"} {
+	for _, idx := range backend.Names() {
 		out := filepath.Join(t.TempDir(), "out.csv")
 		if err := run("dbscan", 5, 5, 0, 0, in, out, 0, idx, "f64", 1, 0, false, budgetFlags{}, modelFlags{}, shardFlags{}); err != nil {
 			t.Fatalf("index %s: %v", idx, err)
@@ -414,9 +416,15 @@ func TestRunShardMem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Precision() != prec || m.Clusters() != res.Clusters {
+		// -shardmem loads float32 storage for an f32 file or an f32
+		// process default (RunShardedFile matches ReadBinary).
+		wantPrec := prec
+		if vec.DefaultPrecision() == vec.F32 {
+			wantPrec = dbsvec.PrecisionF32
+		}
+		if m.Precision() != wantPrec || m.Clusters() != res.Clusters {
 			t.Fatalf("%v: saved model precision=%v clusters=%d, want %v/%d",
-				prec, m.Precision(), m.Clusters(), prec, res.Clusters)
+				prec, m.Precision(), m.Clusters(), wantPrec, res.Clusters)
 		}
 	}
 }

@@ -2,19 +2,11 @@ package dbsvec
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/core"
 	"dbsvec/internal/engine"
-	"dbsvec/internal/index"
-	"dbsvec/internal/index/grid"
-	"dbsvec/internal/index/kdtree"
-	"dbsvec/internal/index/pyramid"
-	"dbsvec/internal/index/rproj"
-	"dbsvec/internal/index/rtree"
-	"dbsvec/internal/index/vptree"
+	"dbsvec/internal/index/backend"
 	"dbsvec/internal/svdd"
 )
 
@@ -47,93 +39,31 @@ var ErrNotConverged = svdd.ErrNotConverged
 const Noise int32 = cluster.Noise
 
 // IndexKind selects the range-query backend for the algorithms that accept
-// one.
-type IndexKind int
+// one. Its String method returns the backend's CLI name.
+type IndexKind = backend.Kind
 
-// Supported index kinds.
+// Supported index kinds. Every backend builds a bit-identical structure for
+// every worker count, so Options.Workers only changes build wall-clock.
 const (
 	// IndexLinear is the brute-force scan — DBSVEC's default, since it
 	// needs no index structure.
-	IndexLinear IndexKind = iota
+	IndexLinear = backend.Linear
 	// IndexKDTree is a bulk-loaded kd-tree.
-	IndexKDTree
+	IndexKDTree = backend.KDTree
 	// IndexRTree is an STR bulk-loaded R*-tree (the paper's R-DBSCAN
 	// ground-truth configuration).
-	IndexRTree
+	IndexRTree = backend.RTree
 	// IndexGrid is a cell grid of width eps/√d with exact query semantics.
-	IndexGrid
-	// IndexParallel is a linear scan fanned out across all CPUs — exact
-	// semantics, zero build cost, lower wall-clock per query.
-	IndexParallel
-	// IndexPyramid is the Pyramid technique (cited by the paper via the
-	// P⁺-tree) — exact range queries that stay effective in high
-	// dimensional spaces.
-	IndexPyramid
+	IndexGrid = backend.Grid
 	// IndexVPTree is a vantage-point tree: metric pruning via the triangle
 	// inequality, a strong exact backend in high dimensions.
-	IndexVPTree
+	IndexVPTree = backend.VPTree
 	// IndexRProj is the random-projection cell backend: points are binned
 	// by quantized random projections at build time and cells are pruned at
 	// query time with exact centroid/radius ball bounds — exact query
 	// semantics, built for high-dimensional embedding-like data.
-	IndexRProj
+	IndexRProj = backend.RProj
 )
-
-// builder resolves the backend's construction function. workers sizes the
-// parallel bulk loads of the tree and grid backends (<= 0 selects all CPUs);
-// every backend builds bit-identical structures for every worker count, so
-// workers only affects build wall-clock, never clustering output.
-func (k IndexKind) builder(eps float64, dim, workers int) (index.Builder, error) {
-	switch k {
-	case IndexLinear:
-		return index.BuildLinear, nil
-	case IndexKDTree:
-		return kdtree.BuildWorkers(workers), nil
-	case IndexRTree:
-		return rtree.BuildWorkers(workers), nil
-	case IndexGrid:
-		w := eps
-		if dim > 0 && eps > 0 {
-			w = eps / math.Sqrt(float64(dim))
-		}
-		if w <= 0 {
-			return nil, fmt.Errorf("dbsvec: grid index requires eps > 0")
-		}
-		return grid.BuildWidthWorkers(w, workers), nil
-	case IndexParallel:
-		return index.BuildParallel, nil
-	case IndexPyramid:
-		return pyramid.Build, nil
-	case IndexVPTree:
-		return vptree.BuildWorkers(workers), nil
-	case IndexRProj:
-		return rproj.BuildWorkers(workers), nil
-	default:
-		return nil, fmt.Errorf("dbsvec: unknown index kind %d", k)
-	}
-}
-
-// ctxBuilder resolves the cancellable construction function: the tree
-// backends build natively under the context (a Budget deadline interrupts
-// the bulk load at subtree granularity); the rest adapt via entry/exit
-// checks.
-func (k IndexKind) ctxBuilder(eps float64, dim, workers int) (index.CtxBuilder, error) {
-	switch k {
-	case IndexKDTree:
-		return kdtree.BuildWorkersCtx(workers), nil
-	case IndexRTree:
-		return rtree.BuildWorkersCtx(workers), nil
-	case IndexVPTree:
-		return vptree.BuildWorkersCtx(workers), nil
-	case IndexRProj:
-		return rproj.BuildWorkersCtx(workers), nil
-	}
-	b, err := k.builder(eps, dim, workers)
-	if err != nil {
-		return nil, err
-	}
-	return index.WithContext(b), nil
-}
 
 // Options configures Cluster. Zero values of optional fields select the
 // paper's defaults.
@@ -285,7 +215,7 @@ func ClusterContext(ctx context.Context, d *Dataset, opts Options) (*Result, err
 	if d == nil {
 		return nil, core.ErrNilDataset
 	}
-	build, err := opts.Index.ctxBuilder(opts.Eps, d.Dim(), opts.Workers)
+	build, err := opts.Index.Builder(opts.Eps, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -63,3 +63,32 @@ func TestErrorTaxonomyThroughSharded(t *testing.T) {
 		t.Fatalf("sharded worker panic: err = %v, want *WorkerPanicError", err)
 	}
 }
+
+// TestIndexKindErrorsAreInvalidParams: an unknown index kind, and a grid
+// without a positive eps, are parameter errors on every entry point that
+// takes an IndexKind.
+func TestIndexKindErrorsAreInvalidParams(t *testing.T) {
+	ds := blobDataset(t, 200, 2, 2, 37)
+	for _, kind := range []IndexKind{99, -1} {
+		calls := map[string]func() error{
+			"Cluster": func() error { _, err := Cluster(ds, Options{Eps: 3, MinPts: 8, Index: kind}); return err },
+			"RunSharded": func() error {
+				_, err := RunSharded(ds, Options{Eps: 3, MinPts: 8, Shards: 2, Index: kind})
+				return err
+			},
+			"DBSCAN":         func() error { _, err := DBSCAN(ds, 3, 8, kind); return err },
+			"DBSCANParallel": func() error { _, err := DBSCANParallel(ds, 3, 8, kind, 2); return err },
+		}
+		for name, call := range calls {
+			if err := call(); !errors.Is(err, ErrInvalidParams) {
+				t.Errorf("%s with Index %d: err = %v, want ErrInvalidParams", name, kind, err)
+			}
+		}
+	}
+	if _, err := Cluster(ds, Options{Eps: 0, MinPts: 8, Index: IndexGrid}); !errors.Is(err, ErrInvalidParams) {
+		t.Errorf("Cluster with IndexGrid and Eps 0: err = %v, want ErrInvalidParams", err)
+	}
+	if _, err := DBSCAN(ds, 0, 8, IndexGrid); !errors.Is(err, ErrInvalidParams) {
+		t.Errorf("DBSCAN with IndexGrid and eps 0: err = %v, want ErrInvalidParams", err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dbsvec/internal/data"
+	"dbsvec/internal/index/backend"
 )
 
 // TestEndToEndPipeline drives the full public workflow: generate → cluster
@@ -130,9 +131,10 @@ func TestCrossAlgorithmARI(t *testing.T) {
 	}
 }
 
-// TestParallelIndexMatchesLinear ensures the parallel backend changes
-// nothing about DBSVEC's output.
-func TestParallelIndexMatchesLinear(t *testing.T) {
+// TestIndexBackendsMatchLinear ensures no backend of the table changes
+// DBSVEC's output: the same clusters and the same noise as the default
+// linear scan.
+func TestIndexBackendsMatchLinear(t *testing.T) {
 	raw := data.Blobs(800, 2, 2, 2, 100, 0.05, 5)
 	ds, err := FromFlat(append([]float64(nil), raw.Coords()...), 2)
 	if err != nil {
@@ -142,16 +144,18 @@ func TestParallelIndexMatchesLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cluster(ds, Options{Eps: 3, MinPts: 8, Seed: 5, Index: IndexParallel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Clusters != b.Clusters {
-		t.Fatalf("cluster counts differ: %d vs %d", a.Clusters, b.Clusters)
-	}
-	for i := range a.Labels {
-		if (a.Labels[i] == Noise) != (b.Labels[i] == Noise) {
-			t.Fatalf("noise status differs at %d", i)
+	for _, kind := range backend.Kinds() {
+		b, err := Cluster(ds, Options{Eps: 3, MinPts: 8, Seed: 5, Index: kind})
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if a.Clusters != b.Clusters {
+			t.Fatalf("%v: cluster counts differ: %d vs %d", kind, a.Clusters, b.Clusters)
+		}
+		for i := range a.Labels {
+			if (a.Labels[i] == Noise) != (b.Labels[i] == Noise) {
+				t.Fatalf("%v: noise status differs at %d", kind, i)
+			}
 		}
 	}
 }

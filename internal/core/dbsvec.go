@@ -76,8 +76,8 @@ type Options struct {
 	// IndexBuilderCtx supplies the range-query backend as a cancellable
 	// construction: a Budget deadline or a cancelled Context interrupts the
 	// build itself instead of waiting for it to finish. nil selects the
-	// linear scan — DBSVEC needs no index (Section III-D). The tree backends
-	// export native CtxBuilders; index.WithContext adapts any plain Builder.
+	// linear scan — DBSVEC needs no index (Section III-D). The backend
+	// table (internal/index/backend) resolves every backend to one.
 	IndexBuilderCtx index.CtxBuilder
 
 	// MaxSVDDTarget caps the SVDD target-set size; larger targets are
@@ -338,7 +338,7 @@ func run(ds *vec.Dataset, opts Options, retain bool) (res *cluster.Result, retai
 	}
 	buildCtx := opts.IndexBuilderCtx
 	if buildCtx == nil {
-		buildCtx = index.WithContext(index.BuildLinear)
+		buildCtx = index.Bind(index.NewLinear, 0)
 	}
 
 	parent := opts.Context

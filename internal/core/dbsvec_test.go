@@ -6,6 +6,7 @@ import (
 
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/dbscan"
+	"dbsvec/internal/index"
 	"dbsvec/internal/index/kdtree"
 	"dbsvec/internal/vec"
 )
@@ -123,7 +124,7 @@ func TestTheorem1Necessity(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		ds := gaussBlobs([][]float64{{0, 0}, {30, 0}, {15, 40}}, 200, 2, 30, 120, seed)
 		p := dbscan.Params{Eps: 3, MinPts: 8}
-		truth, _, err := dbscan.Run(ds, p, kdtree.Build)
+		truth, _, err := dbscan.Run(ds, p, index.Bind(kdtree.New, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestTheorem1Necessity(t *testing.T) {
 		// For each DBSVEC cluster, all its points must map to one DBSCAN
 		// cluster... except border points, which DBSCAN may legally assign
 		// to any adjacent cluster. Restrict the check to core points.
-		coreMask, err := dbscan.CoreMask(ds, p, kdtree.Build)
+		coreMask, err := dbscan.CoreMask(ds, p, index.Bind(kdtree.New, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +168,7 @@ func TestTheorem3NoiseEquality(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		ds := gaussBlobs([][]float64{{0, 0}, {25, 25}}, 150, 2, 40, 100, seed+10)
 		p := dbscan.Params{Eps: 3, MinPts: 6}
-		truth, _, err := dbscan.Run(ds, p, kdtree.Build)
+		truth, _, err := dbscan.Run(ds, p, index.Bind(kdtree.New, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +210,7 @@ func TestAblationsRun(t *testing.T) {
 		{Eps: 3, MinPts: 8, RandomKernel: true, Seed: 42},               // \OK
 		{Eps: 3, MinPts: 8, NuMin: true},                                // DBSVEC_min
 		{Eps: 3, MinPts: 8, Nu: 0.5, MemoryFactor: 2},                   // explicit knobs
-		{Eps: 3, MinPts: 8, IndexBuilderCtx: kdtree.BuildWorkersCtx(1)}, // indexed backend
+		{Eps: 3, MinPts: 8, IndexBuilderCtx: index.Bind(kdtree.New, 1)}, // indexed backend
 		{Eps: 3, MinPts: 8, MaxSVDDTarget: 64},                          // tiny target cap
 		{Eps: 3, MinPts: 8, LearnThreshold: 1},                          // aggressive IL
 	}

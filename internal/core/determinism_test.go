@@ -10,6 +10,7 @@ import (
 
 	"dbsvec/internal/engine"
 	"dbsvec/internal/index"
+	"dbsvec/internal/index/indextest"
 	"dbsvec/internal/vec"
 )
 
@@ -102,11 +103,11 @@ func TestCancellationMidExpansion(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ci *cancellingIndex
-	build := func(d *vec.Dataset) index.Index {
-		ci = &cancellingIndex{Index: index.NewLinear(d), cancel: cancel, after: 4}
-		return ci
+	build := func(_ context.Context, d *vec.Dataset) (index.Index, error) {
+		ci = &cancellingIndex{Index: indextest.Linear(d), cancel: cancel, after: 4}
+		return ci, nil
 	}
-	_, _, err := Run(ds, Options{Eps: 6, MinPts: 8, Seed: 1, Context: ctx, IndexBuilderCtx: index.WithContext(build), Workers: 4})
+	_, _, err := Run(ds, Options{Eps: 6, MinPts: 8, Seed: 1, Context: ctx, IndexBuilderCtx: build, Workers: 4})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -173,10 +174,10 @@ func TestCancellationMidNoiseVerification(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	build := func(d *vec.Dataset) index.Index {
-		return &countCancellingIndex{Index: index.NewLinear(d), cancel: cancel}
+	build := func(_ context.Context, d *vec.Dataset) (index.Index, error) {
+		return &countCancellingIndex{Index: indextest.Linear(d), cancel: cancel}, nil
 	}
-	opts.Context, opts.IndexBuilderCtx, opts.Workers = ctx, index.WithContext(build), 4
+	opts.Context, opts.IndexBuilderCtx, opts.Workers = ctx, build, 4
 	_, _, err = Run(ds, opts)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)

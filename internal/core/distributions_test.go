@@ -7,6 +7,7 @@ import (
 	"dbsvec/internal/data"
 	"dbsvec/internal/dbscan"
 	"dbsvec/internal/eval"
+	"dbsvec/internal/index"
 	"dbsvec/internal/index/kdtree"
 )
 
@@ -21,7 +22,7 @@ func TestTenDistributions(t *testing.T) {
 		t.Run(dist.Name, func(t *testing.T) {
 			ds := dist.Gen(n, 1)
 			p := dbscan.Params{Eps: dist.Eps, MinPts: dist.MinPts}
-			truth, _, err := dbscan.Run(ds, p, kdtree.Build)
+			truth, _, err := dbscan.Run(ds, p, index.Bind(kdtree.New, 1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package data
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,10 +53,17 @@ func TestEmbeddings(t *testing.T) {
 	if ds.Len() != 400 || ds.Dim() != 64 {
 		t.Fatalf("shape %dx%d", ds.Len(), ds.Dim())
 	}
+	// Unit norm is a property of the float64 points the generator computes;
+	// the dataset is those points at the construction precision.
+	coords := embeddingCoords(400, 64, 8, 0.3, 3)
 	for i := 0; i < ds.Len(); i++ {
-		if n := vec.Norm(ds.Point(i)); math.Abs(n-1) > 1e-9 {
+		if n := vec.Norm(coords[i*64 : (i+1)*64]); math.Abs(n-1) > 1e-9 {
 			t.Fatalf("point %d norm %v, want 1", i, n)
 		}
+	}
+	want, _ := vec.NewDatasetUnchecked(coords, 64)
+	if !slices.Equal(ds.Coords(), want.Coords()) || ds.Precision() != want.Precision() {
+		t.Fatal("Embeddings differs from the construction of its float64 points")
 	}
 	// Same seed reproduces; points assigned round-robin to the same center
 	// should be angularly closer on average than cross-cluster pairs.

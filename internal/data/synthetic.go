@@ -87,6 +87,13 @@ func clamp(v, lo, hi float64) float64 {
 // Centers are Gaussian directions redrawn until pairwise angles stay wide
 // (best effort, like Blobs' center spreading).
 func Embeddings(n, d, k int, noise float64, seed int64) *vec.Dataset {
+	ds, _ := vec.NewDatasetUnchecked(embeddingCoords(n, d, k, noise, seed), d)
+	return ds
+}
+
+// embeddingCoords computes Embeddings' unit-norm points in float64, before
+// construction applies the storage precision.
+func embeddingCoords(n, d, k int, noise float64, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	centers := make([][]float64, k)
 	for c := range centers {
@@ -117,8 +124,7 @@ func Embeddings(n, d, k int, noise float64, seed int64) *vec.Dataset {
 		normalize(g)
 		coords = append(coords, g...)
 	}
-	ds, _ := vec.NewDatasetUnchecked(coords, d)
-	return ds
+	return coords
 }
 
 // gaussianDir fills v with a uniformly random unit direction.

@@ -53,10 +53,10 @@ type Stats struct {
 }
 
 // Run clusters ds with the given parameters using the index produced by
-// build (index.BuildLinear when nil). A panic inside the run (index
+// build (the linear scan when nil). A panic inside the run (index
 // construction included) is contained and returned as a
-// *fault.WorkerPanicError.
-func Run(ds *vec.Dataset, p Params, build index.Builder) (res *cluster.Result, st Stats, err error) {
+// *fault.WorkerPanicError; a failed build returns its error.
+func Run(ds *vec.Dataset, p Params, build index.CtxBuilder) (res *cluster.Result, st Stats, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, fault.AsWorkerPanic(v)
@@ -68,9 +68,6 @@ func Run(ds *vec.Dataset, p Params, build index.Builder) (res *cluster.Result, s
 	if err := p.Validate(); err != nil {
 		return nil, st, err
 	}
-	if build == nil {
-		build = index.BuildLinear
-	}
 	n := ds.Len()
 	labels := make([]int32, n)
 	for i := range labels {
@@ -80,7 +77,10 @@ func Run(ds *vec.Dataset, p Params, build index.Builder) (res *cluster.Result, s
 	if n == 0 {
 		return res, st, nil
 	}
-	idx := build(ds)
+	idx, err := buildIndex(build, ds)
+	if err != nil {
+		return nil, st, err
+	}
 
 	isCore := make([]bool, n)
 	var cid int32 = -1
@@ -140,20 +140,29 @@ func Run(ds *vec.Dataset, p Params, build index.Builder) (res *cluster.Result, s
 	return res, st, nil
 }
 
+// buildIndex builds the run's index, the linear scan when build is nil.
+func buildIndex(build index.CtxBuilder, ds *vec.Dataset) (index.Index, error) {
+	if build == nil {
+		build = index.Bind(index.NewLinear, 1)
+	}
+	return build(context.Background(), ds)
+}
+
 // CoreMask runs only the core-point test for every point and returns the
 // boolean mask, batching the counting queries across all CPUs. Used by
 // tests and metrics.
-func CoreMask(ds *vec.Dataset, p Params, build index.Builder) ([]bool, error) {
+func CoreMask(ds *vec.Dataset, p Params, build index.CtxBuilder) ([]bool, error) {
 	if ds == nil {
 		return nil, ErrNilDataset
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if build == nil {
-		build = index.BuildLinear
+	idx, err := buildIndex(build, ds)
+	if err != nil {
+		return nil, err
 	}
-	eng := engine.New(ds, build(ds), p.Eps, 0)
+	eng := engine.New(ds, idx, p.Eps, 0)
 	counts, err := eng.AllCountsOwned(context.Background(), p.MinPts)
 	if err != nil {
 		return nil, err

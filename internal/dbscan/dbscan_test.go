@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"dbsvec/internal/cluster"
-	"dbsvec/internal/index"
-	"dbsvec/internal/index/kdtree"
-	"dbsvec/internal/index/rtree"
+	"dbsvec/internal/index/backend"
 	"dbsvec/internal/vec"
 )
 
@@ -165,28 +163,29 @@ func TestBorderPointAssignment(t *testing.T) {
 	}
 }
 
-// Labeling must be identical across index implementations.
+// Labeling must be identical across every backend of the table.
 func TestIndexAgnostic(t *testing.T) {
 	ds, _ := twoBlobs(600, 7)
 	p := Params{Eps: 2.5, MinPts: 8}
-	base, _, err := Run(ds, p, index.BuildLinear)
+	base, _, err := Run(ds, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, b := range map[string]index.Builder{
-		"kdtree": kdtree.Build,
-		"rtree":  rtree.Build,
-	} {
-		got, _, err := Run(ds, p, b)
+	for _, kind := range backend.Kinds() {
+		build, err := kind.Builder(p.Eps, 1)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
+		}
+		got, _, err := Run(ds, p, build)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
 		}
 		if got.Clusters != base.Clusters {
-			t.Fatalf("%s: clusters %d != %d", name, got.Clusters, base.Clusters)
+			t.Fatalf("%s: clusters %d != %d", kind, got.Clusters, base.Clusters)
 		}
 		for i := range got.Labels {
 			if (got.Labels[i] == cluster.Noise) != (base.Labels[i] == cluster.Noise) {
-				t.Fatalf("%s: noise disagreement at %d", name, i)
+				t.Fatalf("%s: noise disagreement at %d", kind, i)
 			}
 		}
 	}

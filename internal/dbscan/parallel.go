@@ -26,7 +26,7 @@ import (
 // and identical across worker counts (the engine returns neighborhoods in
 // point order and phases 2–3 are sequential). workers <= 0 selects
 // GOMAXPROCS.
-func RunParallel(ds *vec.Dataset, p Params, build index.Builder, workers int) (res *cluster.Result, st Stats, err error) {
+func RunParallel(ds *vec.Dataset, p Params, build index.CtxBuilder, workers int) (res *cluster.Result, st Stats, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, fault.AsWorkerPanic(v)
@@ -37,9 +37,6 @@ func RunParallel(ds *vec.Dataset, p Params, build index.Builder, workers int) (r
 	}
 	if err := p.Validate(); err != nil {
 		return nil, st, err
-	}
-	if build == nil {
-		build = index.BuildLinear
 	}
 	n := ds.Len()
 	labels := make([]int32, n)
@@ -52,7 +49,11 @@ func RunParallel(ds *vec.Dataset, p Params, build index.Builder, workers int) (r
 	}
 
 	// Phase 1: batched neighborhood materialization + core test.
-	eng := engine.New(ds, build(ds), p.Eps, workers)
+	idx, err := buildIndex(build, ds)
+	if err != nil {
+		return nil, st, err
+	}
+	eng := engine.New(ds, idx, p.Eps, workers)
 	sw := engine.StartPhase()
 	hoods, err := eng.AllNeighborhoodsOwned(context.Background())
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/eval"
+	"dbsvec/internal/index"
 	"dbsvec/internal/index/kdtree"
 	"dbsvec/internal/vec"
 )
@@ -14,12 +15,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		ds, _ := twoBlobs(500, seed)
 		p := Params{Eps: 3, MinPts: 6}
-		seq, _, err := Run(ds, p, kdtree.Build)
+		seq, _, err := Run(ds, p, index.Bind(kdtree.New, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			par, st, err := RunParallel(ds, p, kdtree.Build, workers)
+			par, st, err := RunParallel(ds, p, index.Bind(kdtree.New, 1), workers)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -97,12 +98,12 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 func TestParallelWorkersDeterminism(t *testing.T) {
 	ds, _ := twoBlobs(800, 3)
 	p := Params{Eps: 3, MinPts: 6}
-	base, baseStats, err := RunParallel(ds, p, kdtree.Build, 1)
+	base, baseStats, err := RunParallel(ds, p, index.Bind(kdtree.New, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		res, st, err := RunParallel(ds, p, kdtree.Build, workers)
+		res, st, err := RunParallel(ds, p, index.Bind(kdtree.New, 1), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -125,14 +126,14 @@ func BenchmarkParallelVsSequential(b *testing.B) {
 	p := Params{Eps: 3, MinPts: 10}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := Run(ds, p, kdtree.Build); err != nil {
+			if _, _, err := Run(ds, p, index.Bind(kdtree.New, 1)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := RunParallel(ds, p, kdtree.Build, 0); err != nil {
+			if _, _, err := RunParallel(ds, p, index.Bind(kdtree.New, 1), 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dbsvec/internal/index"
+	"dbsvec/internal/index/indextest"
 	"dbsvec/internal/vec"
 )
 
@@ -27,7 +28,7 @@ func testDataset(t *testing.T, n, d int, seed int64) *vec.Dataset {
 
 func TestNeighborhoodsMatchSequential(t *testing.T) {
 	ds := testDataset(t, 400, 3, 1)
-	lin := index.NewLinear(ds)
+	lin := indextest.Linear(ds)
 	ids := []int32{0, 7, 399, 123, 7} // duplicates allowed
 	for _, workers := range []int{1, 2, 8} {
 		eng := New(ds, lin, 9, workers)
@@ -54,8 +55,8 @@ func TestNeighborhoodsMatchSequential(t *testing.T) {
 
 func TestArenaReuseAcrossRounds(t *testing.T) {
 	ds := testDataset(t, 300, 2, 2)
-	eng := New(ds, index.NewLinear(ds), 8, 4)
-	lin := index.NewLinear(ds)
+	eng := New(ds, indextest.Linear(ds), 8, 4)
+	lin := indextest.Linear(ds)
 	// Varying round sizes exercise arena growth and shrink paths.
 	rounds := [][]int32{{1, 2, 3, 4, 5, 6, 7, 8}, {9}, {10, 11, 12}, {13, 14, 15, 16, 17, 18, 19, 20, 21, 22}}
 	for _, ids := range rounds {
@@ -84,7 +85,7 @@ func TestArenaReuseAcrossRounds(t *testing.T) {
 
 func TestAllNeighborhoodsOwned(t *testing.T) {
 	ds := testDataset(t, 250, 2, 3)
-	eng := New(ds, index.NewLinear(ds), 7, 0)
+	eng := New(ds, indextest.Linear(ds), 7, 0)
 	hoods, err := eng.AllNeighborhoodsOwned(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +138,7 @@ func TestCancellationInsideBatch(t *testing.T) {
 	ds := testDataset(t, 500, 2, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ci := &cancellingIndex{Index: index.NewLinear(ds), cancel: cancel, after: 20}
+	ci := &cancellingIndex{Index: indextest.Linear(ds), cancel: cancel, after: 20}
 	eng := New(ds, ci, 8, 4)
 	_, err := eng.AllNeighborhoodsOwned(ctx)
 	if err != context.Canceled {

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"dbsvec/internal/fault"
-	"dbsvec/internal/index"
+	"dbsvec/internal/index/indextest"
 	"dbsvec/internal/leakcheck"
 	"dbsvec/internal/vec"
 )
@@ -81,7 +81,7 @@ func TestTasksPanicSurfacesAtWait(t *testing.T) {
 func TestBatchEntryInjectedError(t *testing.T) {
 	rows := [][]float64{{0, 0}, {1, 0}, {0, 1}, {5, 5}}
 	ds, _ := vec.FromRows(rows)
-	eng := New(ds, index.NewLinear(ds), 2, 2)
+	eng := New(ds, indextest.Linear(ds), 2, 2)
 
 	restore := fault.Activate(fault.NewInjector(1).Arm(fault.IndexQueryError, fault.Always()))
 	defer restore()
@@ -106,7 +106,7 @@ func TestBatchWorkerPanicBecomesError(t *testing.T) {
 		rows[i] = []float64{float64(i), 0}
 	}
 	ds, _ := vec.FromRows(rows)
-	eng := New(ds, index.NewLinear(ds), 1.5, 4)
+	eng := New(ds, indextest.Linear(ds), 1.5, 4)
 
 	restore := fault.Activate(fault.NewInjector(1).Arm(fault.WorkerPanic, fault.Nth(1)))
 	defer restore()

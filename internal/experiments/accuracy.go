@@ -6,9 +6,8 @@ import (
 
 	"dbsvec/internal/core"
 	"dbsvec/internal/data"
-	"dbsvec/internal/dbscan"
 	"dbsvec/internal/eval"
-	"dbsvec/internal/index/rtree"
+	"dbsvec/internal/index/backend"
 	"dbsvec/internal/kmeans"
 )
 
@@ -176,7 +175,7 @@ func CoreMaskCheck(name string, cfg Config) (float64, error) {
 		return 0, err
 	}
 	ds := cfg.dataset(e.Gen(cfg.Seed))
-	truth, _, err := dbscan.Run(ds, dbscan.Params{Eps: e.Eps, MinPts: e.MinPts}, rtree.Build)
+	truth, err := exactDBSCAN(ds, e.Eps, e.MinPts, backend.RTree)
 	if err != nil {
 		return 0, err
 	}

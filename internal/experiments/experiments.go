@@ -17,8 +17,7 @@ import (
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/core"
 	"dbsvec/internal/dbscan"
-	"dbsvec/internal/index/kdtree"
-	"dbsvec/internal/index/rtree"
+	"dbsvec/internal/index/backend"
 	"dbsvec/internal/lshdbscan"
 	"dbsvec/internal/nqdbscan"
 	"dbsvec/internal/rhodbscan"
@@ -139,17 +138,25 @@ func runDBSVECOpts(ds *vec.Dataset, opts core.Options) func() (*cluster.Result, 
 	}
 }
 
+// exactDBSCAN runs exact DBSCAN over a serially built backend of the table.
+func exactDBSCAN(ds *vec.Dataset, eps float64, minPts int, kind backend.Kind) (*cluster.Result, error) {
+	build, err := kind.Builder(eps, 1)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := dbscan.Run(ds, dbscan.Params{Eps: eps, MinPts: minPts}, build)
+	return res, err
+}
+
 func runRDBSCAN(ds *vec.Dataset, eps float64, minPts int) func() (*cluster.Result, error) {
 	return func() (*cluster.Result, error) {
-		res, _, err := dbscan.Run(ds, dbscan.Params{Eps: eps, MinPts: minPts}, rtree.Build)
-		return res, err
+		return exactDBSCAN(ds, eps, minPts, backend.RTree)
 	}
 }
 
 func runKDDBSCAN(ds *vec.Dataset, eps float64, minPts int) func() (*cluster.Result, error) {
 	return func() (*cluster.Result, error) {
-		res, _, err := dbscan.Run(ds, dbscan.Params{Eps: eps, MinPts: minPts}, kdtree.Build)
-		return res, err
+		return exactDBSCAN(ds, eps, minPts, backend.KDTree)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"dbsvec/internal/engine"
 	"dbsvec/internal/eval"
 	"dbsvec/internal/index"
+	"dbsvec/internal/index/backend"
 	"dbsvec/internal/index/rproj"
 	"dbsvec/internal/vec"
 )
@@ -130,16 +132,17 @@ func RunHighdim(cfg Config) (*HighdimReport, error) {
 			}}
 
 			var linearNs int64
-			for _, backend := range []string{"linear", "rproj"} {
-				var idx index.Index
-				buildNs := int64(0)
-				if backend == "rproj" {
-					start := time.Now()
-					idx = rproj.NewWorkers(pv.ds, workers)
-					buildNs = time.Since(start).Nanoseconds()
-				} else {
-					idx = index.BuildLinear(pv.ds)
+			for _, kind := range []backend.Kind{backend.Linear, backend.RProj} {
+				build, err := kind.Builder(highdimEps, workers)
+				if err != nil {
+					return nil, err
 				}
+				start := time.Now()
+				idx, err := build(context.Background(), pv.ds)
+				if err != nil {
+					return nil, fmt.Errorf("highdim %s build: %w", kind, err)
+				}
+				buildNs := time.Since(start).Nanoseconds()
 				batch := index.Batch(idx)
 				var out [][]int32
 				best := int64(math.MaxInt64)
@@ -148,7 +151,7 @@ func RunHighdim(cfg Config) (*HighdimReport, error) {
 					start := time.Now()
 					out, err = batch.BatchRangeQuery(nil, qs, highdimEps, workers, out)
 					if err != nil {
-						return nil, fmt.Errorf("highdim %s batch: %w", backend, err)
+						return nil, fmt.Errorf("highdim %s batch: %w", kind, err)
 					}
 					if ns := time.Since(start).Nanoseconds(); ns < best {
 						best = ns
@@ -158,7 +161,7 @@ func RunHighdim(cfg Config) (*HighdimReport, error) {
 				for _, row := range out {
 					results += int64(len(row))
 				}
-				if backend == "linear" {
+				if kind == backend.Linear {
 					linearNs = best
 				}
 				qps := 0.0
@@ -166,7 +169,7 @@ func RunHighdim(cfg Config) (*HighdimReport, error) {
 					qps = float64(batchQ) / (float64(best) / 1e9)
 				}
 				e := HighdimQueryEntry{
-					Backend:         backend,
+					Backend:         kind.String(),
 					Precision:       pv.prec,
 					N:               n,
 					Dim:             dim,
@@ -197,19 +200,16 @@ func runHighdimARI(cfg Config, rep *HighdimReport) error {
 	ds := data.Embeddings(rep.ARIN, rep.ARIDim, highdimClusters, highdimNoise, cfg.Seed+1)
 	params := dbscan.Params{Eps: highdimEps, MinPts: highdimMinPts}
 
-	type run struct {
-		name  string
-		build index.Builder
-	}
 	var linear *clusterResult
-	for _, r := range []run{
-		{"linear", index.BuildLinear},
-		{"rproj", rproj.Build},
-	} {
-		start := time.Now()
-		res, _, err := dbscan.Run(ds, params, r.build)
+	for _, kind := range []backend.Kind{backend.Linear, backend.RProj} {
+		build, err := kind.Builder(highdimEps, 1)
 		if err != nil {
-			return fmt.Errorf("highdim ari %s: %w", r.name, err)
+			return err
+		}
+		start := time.Now()
+		res, _, err := dbscan.Run(ds, params, build)
+		if err != nil {
+			return fmt.Errorf("highdim ari %s: %w", kind, err)
 		}
 		elapsed := time.Since(start).Nanoseconds()
 		ari := 1.0
@@ -221,7 +221,7 @@ func runHighdimARI(cfg Config, rep *HighdimReport) error {
 			}
 		}
 		rep.ARI = append(rep.ARI, HighdimARIEntry{
-			Backend:     r.name,
+			Backend:     kind.String(),
 			ElapsedNs:   elapsed,
 			Clusters:    res.Clusters,
 			ARIVsLinear: ari,

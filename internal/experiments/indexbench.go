@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,10 +13,7 @@ import (
 	"dbsvec/internal/data"
 	"dbsvec/internal/engine"
 	"dbsvec/internal/index"
-	"dbsvec/internal/index/grid"
-	"dbsvec/internal/index/kdtree"
-	"dbsvec/internal/index/rtree"
-	"dbsvec/internal/index/vptree"
+	"dbsvec/internal/index/backend"
 	"dbsvec/internal/vec"
 )
 
@@ -92,20 +90,26 @@ type IndexBenchReport struct {
 	Scans        []IndexScanEntry  `json:"scans"`
 }
 
-// indexBenchBackend names one backend and its workers-parameterized builder.
-type indexBenchBackend struct {
-	name  string
-	build func(ds *vec.Dataset, workers int) index.Index
+// indexBenchKinds are the table's backends that build a structure at the
+// benchmark's low-dimensional shape: Linear builds nothing, and rproj is a
+// high-dimensional backend measured by the highdim experiment instead.
+func indexBenchKinds() []backend.Kind {
+	var kinds []backend.Kind
+	for _, k := range backend.Kinds() {
+		if k != backend.Linear && k != backend.RProj {
+			kinds = append(kinds, k)
+		}
+	}
+	return kinds
 }
 
-func indexBenchBackends() []indexBenchBackend {
-	gridWidth := indexBenchEps / math.Sqrt(float64(indexBenchDim))
-	return []indexBenchBackend{
-		{"kdtree", func(ds *vec.Dataset, w int) index.Index { return kdtree.NewWorkers(ds, w) }},
-		{"rtree", func(ds *vec.Dataset, w int) index.Index { return rtree.BulkWorkers(ds, w) }},
-		{"vptree", func(ds *vec.Dataset, w int) index.Index { return vptree.NewWorkers(ds, w) }},
-		{"grid", func(ds *vec.Dataset, w int) index.Index { return grid.NewWorkers(ds, gridWidth, w) }},
+// indexBenchBuild builds kind over ds with the given worker count.
+func indexBenchBuild(kind backend.Kind, ds *vec.Dataset, workers int) (index.Index, error) {
+	build, err := kind.Builder(indexBenchEps, workers)
+	if err != nil {
+		return nil, err
 	}
+	return build(context.Background(), ds)
 }
 
 // indexBenchWorkerCounts returns the deduplicated, ascending worker counts
@@ -145,13 +149,15 @@ func RunIndexBench(cfg Config) (*IndexBenchReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("index bench f32 conversion: %w", err)
 		}
-		for _, b := range indexBenchBackends() {
+		for _, kind := range indexBenchKinds() {
 			serialNs := int64(0)
 			for _, workers := range workerCounts {
 				best := int64(math.MaxInt64)
 				for r := 0; r < repeats; r++ {
 					start := time.Now()
-					b.build(ds, workers)
+					if _, err := indexBenchBuild(kind, ds, workers); err != nil {
+						return nil, err
+					}
 					if ns := time.Since(start).Nanoseconds(); ns < best {
 						best = ns
 					}
@@ -160,7 +166,7 @@ func RunIndexBench(cfg Config) (*IndexBenchReport, error) {
 					serialNs = best
 				}
 				rep.Builds = append(rep.Builds, IndexBuildEntry{
-					Backend: b.name,
+					Backend: kind.String(),
 					N:       n,
 					Workers: workers,
 					BuildNs: best,
@@ -176,7 +182,10 @@ func RunIndexBench(cfg Config) (*IndexBenchReport, error) {
 				prec string
 				ds   *vec.Dataset
 			}{{"f64", ds}, {"f32", ds32}} {
-				idx := b.build(pv.ds, 1)
+				idx, err := indexBenchBuild(kind, pv.ds, 1)
+				if err != nil {
+					return nil, err
+				}
 				stride := pv.ds.Len() / queries
 				if stride < 1 {
 					stride = 1
@@ -194,7 +203,7 @@ func RunIndexBench(cfg Config) (*IndexBenchReport, error) {
 					qps = float64(queries) / (float64(total) / 1e9)
 				}
 				rep.Queries = append(rep.Queries, IndexQueryEntry{
-					Backend:       b.name,
+					Backend:       kind.String(),
 					Precision:     pv.prec,
 					N:             n,
 					Queries:       queries,

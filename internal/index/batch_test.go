@@ -23,11 +23,11 @@ func batchTestDataset(t *testing.T) *vec.Dataset {
 
 func TestBatchReturnsNativeImplementation(t *testing.T) {
 	ds := batchTestDataset(t)
-	p := NewParallel(ds, 4)
-	if got := Batch(p); got != BatchIndex(p) {
-		t.Errorf("Batch(Parallel) = %T, want the native implementation", got)
+	c := &CountingIndex{Inner: linear(ds)}
+	if got := Batch(c); got != BatchIndex(c) {
+		t.Errorf("Batch(CountingIndex) = %T, want the native implementation", got)
 	}
-	lin := NewLinear(ds)
+	lin := linear(ds)
 	if _, ok := Batch(lin).(*fanout); !ok {
 		t.Errorf("Batch(Linear) = %T, want the fan-out adapter", Batch(lin))
 	}
@@ -35,7 +35,7 @@ func TestBatchReturnsNativeImplementation(t *testing.T) {
 
 func TestFanoutMatchesPerQuery(t *testing.T) {
 	ds := batchTestDataset(t)
-	lin := NewLinear(ds)
+	lin := linear(ds)
 	b := Batch(lin)
 	qs := Queries{N: ds.Len(), At: func(i int, _ []float64) []float64 { return ds.Point(i) }}
 	for _, workers := range []int{1, 2, 7, 100} {
@@ -59,7 +59,7 @@ func TestFanoutMatchesPerQuery(t *testing.T) {
 
 func TestFanoutEmptyBatch(t *testing.T) {
 	ds := batchTestDataset(t)
-	b := Batch(NewLinear(ds))
+	b := Batch(linear(ds))
 	out, err := b.BatchRangeQuery(context.Background(), Queries{N: 0}, 1, 4, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: out=%v err=%v", out, err)
@@ -72,7 +72,7 @@ func TestFanoutEmptyBatch(t *testing.T) {
 
 func TestFanoutNilContext(t *testing.T) {
 	ds := batchTestDataset(t)
-	b := Batch(NewLinear(ds))
+	b := Batch(linear(ds))
 	qs := Queries{N: 3, At: func(i int, _ []float64) []float64 { return ds.Point(i) }}
 	if _, err := b.BatchRangeQuery(nil, qs, 1, 2, nil); err != nil {
 		t.Fatalf("nil ctx: %v", err)
@@ -99,7 +99,7 @@ func TestFanoutCancelMidBatch(t *testing.T) {
 	ds := batchTestDataset(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ci := &cancellingIndex{Index: NewLinear(ds), cancel: cancel, after: 10}
+	ci := &cancellingIndex{Index: linear(ds), cancel: cancel, after: 10}
 	b := Batch(Index(ci))
 	qs := Queries{N: ds.Len(), At: func(i int, _ []float64) []float64 { return ds.Point(i) }}
 	if _, err := b.BatchRangeQuery(ctx, qs, 1.5, 4, nil); err != context.Canceled {
@@ -127,7 +127,7 @@ func TestClampWorkers(t *testing.T) {
 
 func TestCountingIndexBatch(t *testing.T) {
 	ds := batchTestDataset(t)
-	c := NewCounting(NewLinear(ds))
+	c := &CountingIndex{Inner: linear(ds)}
 	qs := Queries{N: 10, At: func(i int, _ []float64) []float64 { return ds.Point(i) }}
 	if _, err := Batch(Index(c)).BatchRangeQuery(context.Background(), qs, 1.5, 4, nil); err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@
 package grid
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"sync"
@@ -32,21 +33,23 @@ type Grid struct {
 	order  []string           // cell keys in first-encounter (ascending id) order
 }
 
-// New builds a grid over ds with the given cell width on the calling
-// goroutine. Width must be positive; callers typically pass eps/sqrt(d) so
-// that any two points in the same cell are within eps of each other. A
-// non-positive width is a caller bug and panics.
-func New(ds *vec.Dataset, width float64) *Grid { return NewWorkers(ds, width, 1) }
-
-// NewWorkers builds a grid using up to workers goroutines (<= 0 selects all
-// CPUs). Binning is a two-pass counting sort: pass one computes every
-// point's cell key in parallel (the float math dominates the build), pass
-// two bins ids serially in ascending order into one flat slice the cell map
-// slices into. Cell contents, directory and origin are bit-identical to the
-// serial build for every worker count.
-func NewWorkers(ds *vec.Dataset, width float64, workers int) *Grid {
+// New builds a grid over ds with the given cell width using up to workers
+// goroutines (<= 0 selects all CPUs). Width must be positive; callers
+// typically pass eps/sqrt(d) so that any two points in the same cell are
+// within eps of each other. A non-positive width is a caller bug and panics.
+//
+// Binning is a two-pass counting sort: pass one computes every point's cell
+// key in parallel (the float math dominates the build), pass two bins ids
+// serially in ascending order into one flat slice the cell map slices into.
+// Cell contents, directory and origin are bit-identical to the serial build
+// for every worker count. ctx is checked at entry and between the passes; a
+// cancelled build returns ctx's error.
+func New(ctx context.Context, ds *vec.Dataset, width float64, workers int) (*Grid, error) {
 	if width <= 0 {
 		panic("grid: cell width must be positive")
+	}
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
 	}
 	workers = engine.ResolveWorkers(workers)
 	g := &Grid{
@@ -61,7 +64,7 @@ func NewWorkers(ds *vec.Dataset, width float64, workers int) *Grid {
 	}
 	n, d := ds.Len(), ds.Dim()
 	if n == 0 {
-		return g
+		return g, nil
 	}
 	kw := 4 * d // key width in bytes
 	keys := make([]byte, n*kw)
@@ -74,6 +77,9 @@ func NewWorkers(ds *vec.Dataset, width float64, workers int) *Grid {
 			}
 		}
 	})
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
 	// Serial binning pass: assign cell slots in first-encounter order and
 	// count, then place ids ascending into a flat arena shared by all cells
 	// (one allocation instead of one append chain per cell).
@@ -111,7 +117,15 @@ func NewWorkers(ds *vec.Dataset, width float64, workers int) *Grid {
 		g.coords[k] = cc
 	}
 	g.order = slotKey
-	return g
+	return g, nil
+}
+
+// ctxErr is ctx.Err() for a possibly nil ctx.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
 }
 
 // boundsLo returns the per-dimension minimum over all points, computed over
@@ -154,18 +168,6 @@ func boundsLo(ds *vec.Dataset, workers int) []float64 {
 		}
 	}
 	return out
-}
-
-// BuildWidth returns an index.Builder that uses the given cell width
-// (serial build).
-func BuildWidth(width float64) index.Builder {
-	return func(ds *vec.Dataset) index.Index { return New(ds, width) }
-}
-
-// BuildWidthWorkers returns an index.Builder binning with the given worker
-// count (<= 0: all CPUs).
-func BuildWidthWorkers(width float64, workers int) index.Builder {
-	return func(ds *vec.Dataset) index.Index { return NewWorkers(ds, width, workers) }
 }
 
 // Width returns the cell side length.

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,40 +12,57 @@ import (
 	"dbsvec/internal/vec"
 )
 
-func TestConformance(t *testing.T) {
-	indextest.Run(t, "grid", func(ds *vec.Dataset) index.Index {
-		w := 10.0
-		if ds.Dim() > 0 {
-			w = 10 / math.Sqrt(float64(ds.Dim()))
+// mustNew builds a grid with the given width and worker count or fails t.
+func mustNew(t *testing.T, ds *vec.Dataset, width float64, workers int) *Grid {
+	t.Helper()
+	g, err := New(context.Background(), ds, width, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// gridBuilder builds grids whose cells are width wide for width > 0, and
+// 10/√d wide otherwise.
+func gridBuilder(width float64, workers int) index.CtxBuilder {
+	return func(ctx context.Context, ds *vec.Dataset) (index.Index, error) {
+		w := width
+		if w <= 0 {
+			w = 10
+			if ds.Dim() > 0 {
+				w = 10 / math.Sqrt(float64(ds.Dim()))
+			}
 		}
-		return New(ds, w)
-	})
+		g, err := New(ctx, ds, w, workers)
+		if err != nil {
+			return nil, err
+		}
+		return g, nil
+	}
+}
+
+func TestConformance(t *testing.T) {
+	indextest.Run(t, "grid", gridBuilder(0, 0))
 }
 
 func TestConformanceF32(t *testing.T) {
-	indextest.RunF32(t, "grid", func(ds *vec.Dataset) index.Index {
-		w := 10.0
-		if ds.Dim() > 0 {
-			w = 10 / math.Sqrt(float64(ds.Dim()))
-		}
-		return New(ds, w)
-	})
+	indextest.RunF32(t, "grid", gridBuilder(0, 0))
 }
 
 func TestConformanceParallelBuild(t *testing.T) {
-	indextest.Run(t, "grid-parallel", func(ds *vec.Dataset) index.Index {
-		w := 10.0
-		if ds.Dim() > 0 {
-			w = 10 / math.Sqrt(float64(ds.Dim()))
-		}
-		return NewWorkers(ds, w, 4)
-	})
+	indextest.Run(t, "grid-parallel", gridBuilder(0, 4))
 }
 
 func TestBuildDeterminism(t *testing.T) {
-	indextest.RunBuildDeterminism(t, "grid", func(ds *vec.Dataset, workers int) index.Index {
-		return NewWorkers(ds, 7.5, workers)
-	})
+	indextest.RunBuildDeterminism(t, "grid", func(workers int) index.CtxBuilder { return gridBuilder(7.5, workers) })
+}
+
+func TestBuildCancelledUpFront(t *testing.T) {
+	indextest.BuildCancelledUpFront(t, gridBuilder(7.5, 4))
+}
+
+func TestBuildCancelledMidBuild(t *testing.T) {
+	indextest.BuildCancelledMidBuild(t, gridBuilder(7.5, 4))
 }
 
 // TestParallelBinningIdentical: the two-pass counting-sort build must
@@ -61,9 +79,9 @@ func TestParallelBinningIdentical(t *testing.T) {
 		if n == 0 {
 			ds, _ = vec.NewDataset(nil, 2)
 		}
-		serial := NewWorkers(ds, 3, 1)
+		serial := mustNew(t, ds, 3, 1)
 		for _, workers := range []int{2, 8} {
-			par := NewWorkers(ds, 3, workers)
+			par := mustNew(t, ds, 3, workers)
 			if len(par.cells) != len(serial.cells) {
 				t.Fatalf("n=%d workers=%d: %d cells != %d", n, workers, len(par.cells), len(serial.cells))
 			}
@@ -85,7 +103,7 @@ func TestParallelBinningIdentical(t *testing.T) {
 
 func TestCellBucketing(t *testing.T) {
 	ds, _ := vec.FromRows([][]float64{{0.5, 0.5}, {0.6, 0.4}, {5.5, 5.5}})
-	g := New(ds, 1.0)
+	g := mustNew(t, ds, 1.0, 1)
 	if g.NumCells() != 2 {
 		t.Fatalf("NumCells = %d, want 2", g.NumCells())
 	}
@@ -97,7 +115,7 @@ func TestCellBucketing(t *testing.T) {
 
 func TestCellsIteration(t *testing.T) {
 	ds, _ := vec.FromRows([][]float64{{0, 0}, {10, 10}, {20, 20}})
-	g := New(ds, 1.0)
+	g := mustNew(t, ds, 1.0, 1)
 	total := 0
 	g.Cells(func(_ string, pts []int32) { total += len(pts) })
 	if total != 3 {
@@ -110,7 +128,7 @@ func TestApproxRangeCountSemantics(t *testing.T) {
 	// Exact in-eps points (d<=2) must always count; d=3 is optional; beyond
 	// outer must never count.
 	ds, _ := vec.FromRows([][]float64{{0}, {1}, {2}, {2.9}, {10}})
-	g := New(ds, 0.5)
+	g := mustNew(t, ds, 0.5, 1)
 	got := g.ApproxRangeCount([]float64{0}, 2, 0.5, 0)
 	if got < 3 {
 		t.Errorf("approx count %d must include the 3 points within eps", got)
@@ -127,8 +145,8 @@ func TestApproxRangeCountMatchesExactWhenRhoZero(t *testing.T) {
 		rows[i] = []float64{rng.Float64() * 100, rng.Float64() * 100}
 	}
 	ds, _ := vec.FromRows(rows)
-	g := New(ds, 3.0)
-	oracle := index.NewLinear(ds)
+	g := mustNew(t, ds, 3.0, 1)
+	oracle := indextest.Linear(ds)
 	for iter := 0; iter < 40; iter++ {
 		q := []float64{rng.Float64() * 100, rng.Float64() * 100}
 		eps := 2 + rng.Float64()*20
@@ -148,9 +166,9 @@ func TestApproxRangeCountBounds(t *testing.T) {
 		rows[i] = []float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
 	}
 	ds, _ := vec.FromRows(rows)
-	oracle := index.NewLinear(ds)
+	oracle := indextest.Linear(ds)
 	for _, rho := range []float64{0.001, 0.1, 0.5} {
-		g := New(ds, 5.0)
+		g := mustNew(t, ds, 5.0, 1)
 		for iter := 0; iter < 30; iter++ {
 			q := rows[rng.Intn(len(rows))]
 			eps := 5 + rng.Float64()*25
@@ -170,7 +188,7 @@ func TestApproxRangeCountLimit(t *testing.T) {
 		rows[i] = []float64{0, 0}
 	}
 	ds, _ := vec.FromRows(rows)
-	g := New(ds, 1.0)
+	g := mustNew(t, ds, 1.0, 1)
 	if got := g.ApproxRangeCount([]float64{0, 0}, 1, 0.001, 7); got != 7 {
 		t.Errorf("limited approx count = %d, want 7", got)
 	}
@@ -189,8 +207,8 @@ func TestHighDimDirectoryScanPath(t *testing.T) {
 		}
 	}
 	ds, _ := vec.FromRows(rows)
-	g := New(ds, 0.5)
-	oracle := index.NewLinear(ds)
+	g := mustNew(t, ds, 0.5, 1)
+	oracle := indextest.Linear(ds)
 	for iter := 0; iter < 20; iter++ {
 		q := rows[rng.Intn(len(rows))]
 		eps := 2 + rng.Float64()*8
@@ -207,12 +225,12 @@ func TestNonPositiveWidthPanics(t *testing.T) {
 			t.Error("expected panic for width 0")
 		}
 	}()
-	New(ds, 0)
+	mustNew(t, ds, 0, 1)
 }
 
 func TestNegativeCoordinates(t *testing.T) {
 	ds, _ := vec.FromRows([][]float64{{-5.5, -3.3}, {-5.4, -3.2}, {4, 4}})
-	g := New(ds, 1.0)
+	g := mustNew(t, ds, 1.0, 1)
 	got := g.RangeQuery([]float64{-5.45, -3.25}, 0.2, nil)
 	if len(got) != 2 {
 		t.Errorf("negative-coordinate query returned %v, want 2 ids", got)

@@ -32,36 +32,33 @@ type Index interface {
 	Len() int
 }
 
-// Builder constructs an Index over a dataset. Algorithms that accept a
-// pluggable index take a Builder so each run indexes its own data.
-type Builder func(ds *vec.Dataset) Index
-
-// CtxBuilder is the cancellable, error-returning construction contract: a
-// build observing ctx's cancellation abandons its partial structure and
-// returns ctx's error. The tree backends provide native CtxBuilders that
-// check the context at subtree granularity; WithContext adapts any plain
-// Builder with entry/exit checks.
+// CtxBuilder is the one construction contract every consumer accepts: it
+// builds an Index over ds, and a build observing ctx's cancellation abandons
+// its partial structure and returns ctx's error.
 type CtxBuilder func(ctx context.Context, ds *vec.Dataset) (Index, error)
 
-// WithContext adapts a plain Builder to the CtxBuilder contract. The build
-// itself is not interruptible — the context is checked before and after —
-// so backends with long builds should provide a native CtxBuilder instead.
-func WithContext(b Builder) CtxBuilder {
+// Bind turns a backend constructor of the shared form
+// New(ctx, ds, workers) (*T, error) into a CtxBuilder that builds with the
+// given worker count. A failed build yields a nil Index, never a typed nil.
+func Bind[T Index](build func(context.Context, *vec.Dataset, int) (T, error), workers int) CtxBuilder {
 	return func(ctx context.Context, ds *vec.Dataset) (Index, error) {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		idx := b(ds)
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		idx, err := build(ctx, ds, workers)
+		if err != nil {
+			return nil, err
 		}
 		return idx, nil
 	}
 }
+
+// BuildLinear builds a Linear index.
+//
+// Deprecated: kept for perfbench; remove with the next benchmark change.
+var BuildLinear = Bind(NewLinear, 0)
+
+// WithContext returns b unchanged: every builder already honours ctx.
+//
+// Deprecated: kept for perfbench; remove with the next benchmark change.
+func WithContext(b CtxBuilder) CtxBuilder { return b }
 
 // Linear is the exhaustive-scan index: O(n) per query, zero build cost,
 // no extra memory. It is the ground-truth oracle for all other indexes.
@@ -69,11 +66,17 @@ type Linear struct {
 	ds *vec.Dataset
 }
 
-// NewLinear wraps a dataset in a linear-scan index.
-func NewLinear(ds *vec.Dataset) *Linear { return &Linear{ds: ds} }
-
-// BuildLinear is a Builder for Linear.
-func BuildLinear(ds *vec.Dataset) Index { return NewLinear(ds) }
+// NewLinear wraps a dataset in a linear-scan index. There is nothing to
+// build, so workers is unused and ctx is checked once; batches fan across
+// workers in the batch executor instead.
+func NewLinear(ctx context.Context, ds *vec.Dataset, _ int) (*Linear, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return &Linear{ds: ds}, nil
+}
 
 // Len returns the number of indexed points.
 func (l *Linear) Len() int { return l.ds.Len() }
@@ -100,9 +103,6 @@ type CountingIndex struct {
 	Queries int64
 	Counts  int64
 }
-
-// NewCounting wraps inner.
-func NewCounting(inner Index) *CountingIndex { return &CountingIndex{Inner: inner} }
 
 // Len returns the number of indexed points.
 func (c *CountingIndex) Len() int { return c.Inner.Len() }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -21,9 +22,16 @@ func randomDataset(t testing.TB, n, d int, seed int64) *vec.Dataset {
 	return ds
 }
 
+// linear builds the Linear index over ds (NewLinear fails only on a
+// cancelled ctx).
+func linear(ds *vec.Dataset) *Linear {
+	lin, _ := NewLinear(context.Background(), ds, 1)
+	return lin
+}
+
 func TestLinearRangeQuery(t *testing.T) {
 	ds, _ := vec.FromRows([][]float64{{0, 0}, {1, 0}, {5, 5}, {0.5, 0.5}})
-	idx := NewLinear(ds)
+	idx := linear(ds)
 	got := idx.RangeQuery([]float64{0, 0}, 1.1, nil)
 	want := map[int32]bool{0: true, 1: true, 3: true}
 	if len(got) != len(want) {
@@ -39,7 +47,7 @@ func TestLinearRangeQuery(t *testing.T) {
 func TestLinearRangeQueryBoundary(t *testing.T) {
 	// Distance exactly eps must be included (<= in Definition 1).
 	ds, _ := vec.FromRows([][]float64{{0}, {2}})
-	idx := NewLinear(ds)
+	idx := linear(ds)
 	got := idx.RangeQuery([]float64{0}, 2, nil)
 	if len(got) != 2 {
 		t.Errorf("boundary point excluded: got %v", got)
@@ -48,7 +56,7 @@ func TestLinearRangeQueryBoundary(t *testing.T) {
 
 func TestLinearRangeCountLimit(t *testing.T) {
 	ds := randomDataset(t, 100, 2, 1)
-	idx := NewLinear(ds)
+	idx := linear(ds)
 	full := idx.RangeCount(ds.Point(0), 50, 0)
 	if full < 2 {
 		t.Fatalf("expected several points in range, got %d", full)
@@ -63,7 +71,7 @@ func TestLinearRangeCountLimit(t *testing.T) {
 
 func TestLinearEmpty(t *testing.T) {
 	ds, _ := vec.FromRows(nil)
-	idx := NewLinear(ds)
+	idx := linear(ds)
 	if idx.Len() != 0 {
 		t.Error("Len should be 0")
 	}
@@ -74,7 +82,7 @@ func TestLinearEmpty(t *testing.T) {
 
 func TestCountingIndex(t *testing.T) {
 	ds := randomDataset(t, 10, 2, 2)
-	c := NewCounting(NewLinear(ds))
+	c := &CountingIndex{Inner: linear(ds)}
 	c.RangeQuery(ds.Point(0), 1, nil)
 	c.RangeQuery(ds.Point(1), 1, nil)
 	c.RangeCount(ds.Point(2), 1, 0)

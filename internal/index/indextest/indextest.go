@@ -1,21 +1,28 @@
 // Package indextest provides a reusable conformance suite that validates any
 // index.Index implementation against the linear-scan oracle on randomized
-// workloads. Each index package's tests call Run with its Builder.
+// workloads. Each backend package runs its constructor through Run, RunF32,
+// RunBuildDeterminism, BuildCancelledUpFront, BuildCancelledMidBuild and
+// BuildersAgree; the backend table's conformance test runs every table row
+// through Run.
 package indextest
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"dbsvec/internal/index"
+	"dbsvec/internal/leakcheck"
 	"dbsvec/internal/vec"
 )
 
 // Run exercises the builder on a battery of datasets and query mixes and
 // fails the test on any divergence from the linear-scan oracle.
-func Run(t *testing.T, name string, build index.Builder) {
+func Run(t *testing.T, name string, build index.CtxBuilder) {
 	t.Helper()
 	t.Run(name+"/uniform2d", func(t *testing.T) { compare(t, build, uniform(400, 2, 1), 25, 2) })
 	t.Run(name+"/uniform5d", func(t *testing.T) { compare(t, build, uniform(400, 5, 2), 35, 3) })
@@ -26,7 +33,7 @@ func Run(t *testing.T, name string, build index.Builder) {
 	t.Run(name+"/single", func(t *testing.T) { compare(t, build, uniform(1, 4, 11), 50, 12) })
 	t.Run(name+"/empty", func(t *testing.T) {
 		ds, _ := vec.FromRows(nil)
-		idx := build(ds)
+		idx := mustBuild(t, build, ds)
 		if idx.Len() != 0 {
 			t.Errorf("Len = %d on empty dataset", idx.Len())
 		}
@@ -36,8 +43,8 @@ func Run(t *testing.T, name string, build index.Builder) {
 	t.Run(name+"/batch-cancel", func(t *testing.T) { batchCancel(t, build, uniform(200, 2, 17), 25) })
 	t.Run(name+"/zeroeps", func(t *testing.T) {
 		ds := duplicates(100, 2, 13)
-		idx := build(ds)
-		oracle := index.NewLinear(ds)
+		idx := mustBuild(t, build, ds)
+		oracle := Linear(ds)
 		for i := 0; i < ds.Len(); i += 7 {
 			got := sorted(idx.RangeQuery(ds.Point(i), 0, nil))
 			want := sorted(oracle.RangeQuery(ds.Point(i), 0, nil))
@@ -55,7 +62,7 @@ func Run(t *testing.T, name string, build index.Builder) {
 // widened-master check pins that an index built over F32 storage answers
 // bit-identically to one built over the F64 view of the same quantized
 // coordinates — i.e. that the f32 leaf scans are a pure bandwidth swap.
-func RunF32(t *testing.T, name string, build index.Builder) {
+func RunF32(t *testing.T, name string, build index.CtxBuilder) {
 	t.Helper()
 	corpus := []struct {
 		label string
@@ -82,8 +89,8 @@ func RunF32(t *testing.T, name string, build index.Builder) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx32 := build(ds32)
-			idx64 := build(master)
+			idx32 := mustBuild(t, build, ds32)
+			idx64 := mustBuild(t, build, master)
 			rng := rand.New(rand.NewSource(tc.seed + 100))
 			lo, hi := ds32.Bounds()
 			for iter := 0; iter < 40; iter++ {
@@ -111,10 +118,25 @@ func RunF32(t *testing.T, name string, build index.Builder) {
 	}
 }
 
-func compare(t *testing.T, build index.Builder, ds *vec.Dataset, eps float64, seed int64) {
+// Linear returns the linear-scan oracle over ds.
+func Linear(ds *vec.Dataset) *index.Linear {
+	lin, _ := index.NewLinear(context.Background(), ds, 1) // fails only on a cancelled ctx
+	return lin
+}
+
+func mustBuild(t *testing.T, build index.CtxBuilder, ds *vec.Dataset) index.Index {
 	t.Helper()
-	idx := build(ds)
-	oracle := index.NewLinear(ds)
+	idx, err := build(context.Background(), ds)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return idx
+}
+
+func compare(t *testing.T, build index.CtxBuilder, ds *vec.Dataset, eps float64, seed int64) {
+	t.Helper()
+	idx := mustBuild(t, build, ds)
+	oracle := Linear(ds)
 	if idx.Len() != ds.Len() {
 		t.Fatalf("Len = %d, want %d", idx.Len(), ds.Len())
 	}
@@ -153,9 +175,9 @@ func compare(t *testing.T, build index.Builder, ds *vec.Dataset, eps float64, se
 // per-query RangeQuery/RangeCount results, for several worker counts, in
 // both owned and buffer-reuse modes, including computed (scratch-backed)
 // query points.
-func batchCompare(t *testing.T, build index.Builder, ds *vec.Dataset, eps float64) {
+func batchCompare(t *testing.T, build index.CtxBuilder, ds *vec.Dataset, eps float64) {
 	t.Helper()
-	idx := build(ds)
+	idx := mustBuild(t, build, ds)
 	b := index.Batch(idx)
 	lo, hi := ds.Bounds()
 	d := ds.Dim()
@@ -241,9 +263,9 @@ func batchCompare(t *testing.T, build index.Builder, ds *vec.Dataset, eps float6
 
 // batchCancel checks that a cancelled context aborts the batch with the
 // context's error.
-func batchCancel(t *testing.T, build index.Builder, ds *vec.Dataset, eps float64) {
+func batchCancel(t *testing.T, build index.CtxBuilder, ds *vec.Dataset, eps float64) {
 	t.Helper()
-	b := index.Batch(build(ds))
+	b := index.Batch(mustBuild(t, build, ds))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	qs := index.Queries{N: ds.Len(), At: func(i int, _ []float64) []float64 { return ds.Point(i) }}
@@ -254,11 +276,6 @@ func batchCancel(t *testing.T, build index.Builder, ds *vec.Dataset, eps float64
 		t.Fatalf("BatchRangeCount on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
-
-// WorkersBuilder constructs an index over ds using up to workers
-// goroutines; it is the constructor shape shared by the parallel-build
-// backends (kdtree.NewWorkers, rtree.BulkWorkers, …).
-type WorkersBuilder func(ds *vec.Dataset, workers int) index.Index
 
 // nearester is the optional exact nearest-neighbor capability some backends
 // expose; when present it participates in the determinism comparison.
@@ -273,7 +290,7 @@ type nearester interface {
 // where exposed — on the fuzz corpus. Backends guarantee this by fixing the
 // work partition before any goroutine runs, so this check pins that no
 // scheduling dependence has crept into construction.
-func RunBuildDeterminism(t *testing.T, name string, build WorkersBuilder) {
+func RunBuildDeterminism(t *testing.T, name string, build func(workers int) index.CtxBuilder) {
 	t.Helper()
 	corpus := []struct {
 		label string
@@ -289,55 +306,126 @@ func RunBuildDeterminism(t *testing.T, name string, build WorkersBuilder) {
 	for _, tc := range corpus {
 		tc := tc
 		t.Run(name+"/build-determinism/"+tc.label, func(t *testing.T) {
-			serial := build(tc.ds, 1)
-			rng := rand.New(rand.NewSource(26))
-			lo, hi := tc.ds.Bounds()
-			for _, workers := range []int{2, 3, 8} {
-				par := build(tc.ds, workers)
-				if par.Len() != serial.Len() {
-					t.Fatalf("workers=%d: Len %d != %d", workers, par.Len(), serial.Len())
-				}
-				for iter := 0; iter < 40; iter++ {
-					var q []float64
-					if iter%2 == 0 {
-						q = tc.ds.Point(rng.Intn(tc.ds.Len()))
-					} else {
-						q = make([]float64, tc.ds.Dim())
-						for j := range q {
-							span := hi[j] - lo[j]
-							q[j] = lo[j] - 0.2*span + rng.Float64()*1.4*span
-						}
-					}
-					e := tc.eps * (0.2 + rng.Float64()*1.6)
-					got := par.RangeQuery(q, e, nil)
-					want := serial.RangeQuery(q, e, nil)
-					// Exact slice equality: parallel builds must preserve
-					// result *order*, not just the id set.
-					if !equal(got, want) {
-						t.Fatalf("workers=%d RangeQuery(q=%v eps=%g): got %v want %v", workers, q, e, got, want)
-					}
-					if g, w := par.RangeCount(q, e, 0), serial.RangeCount(q, e, 0); g != w {
-						t.Fatalf("workers=%d RangeCount = %d, want %d", workers, g, w)
-					}
-					if len(want) >= 3 {
-						if g, w := par.RangeCount(q, e, 3), serial.RangeCount(q, e, 3); g != w {
-							t.Fatalf("workers=%d RangeCount(limit=3) = %d, want %d", workers, g, w)
-						}
-					}
-					pn, pok := par.(nearester)
-					sn, sok := serial.(nearester)
-					if pok && sok {
-						gid, gd := pn.Nearest(q)
-						wid, wd := sn.Nearest(q)
-						if gid != wid || gd != wd {
-							t.Fatalf("workers=%d Nearest = (%d,%v), want (%d,%v)", workers, gid, gd, wid, wd)
-						}
-					}
-				}
+			serial := mustBuild(t, build(1), tc.ds)
+			for i, workers := range []int{2, 3, 8} {
+				par := mustBuild(t, build(workers), tc.ds)
+				sameAnswers(t, par, serial, tc.ds, tc.eps, 26+int64(i))
 			}
 		})
 	}
 }
+
+// BuildersAgree fails t unless the indexes a and b build over a 3000-point
+// clustered 4-d dataset answer the same queries identically.
+func BuildersAgree(t *testing.T, a, b index.CtxBuilder) {
+	t.Helper()
+	ds := clustered(3000, 4, 43)
+	sameAnswers(t, mustBuild(t, a, ds), mustBuild(t, b, ds), ds, 10, 44)
+}
+
+// sameAnswers fails t unless got and want answer 40 random queries over ds
+// (half on data points, half anywhere in a 1.4× box around it, radii 0.2–1.8
+// eps) identically: same ids in the same order from RangeQuery, same
+// RangeCount (limited and exhaustive), and the same Nearest id and squared
+// distance where both expose it.
+func sameAnswers(t *testing.T, got, want index.Index, ds *vec.Dataset, eps float64, seed int64) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("Len %d != %d", got.Len(), want.Len())
+	}
+	rng := rand.New(rand.NewSource(seed))
+	lo, hi := ds.Bounds()
+	for iter := 0; iter < 40; iter++ {
+		var q []float64
+		if iter%2 == 0 {
+			q = ds.Point(rng.Intn(ds.Len()))
+		} else {
+			q = make([]float64, ds.Dim())
+			for j := range q {
+				span := hi[j] - lo[j]
+				q[j] = lo[j] - 0.2*span + rng.Float64()*1.4*span
+			}
+		}
+		e := eps * (0.2 + rng.Float64()*1.6)
+		g := got.RangeQuery(q, e, nil)
+		w := want.RangeQuery(q, e, nil)
+		// Exact slice equality: result *order* must match, not just the id set.
+		if !equal(g, w) {
+			t.Fatalf("RangeQuery(q=%v eps=%g): got %v want %v", q, e, g, w)
+		}
+		if gc, wc := got.RangeCount(q, e, 0), want.RangeCount(q, e, 0); gc != wc {
+			t.Fatalf("RangeCount = %d, want %d", gc, wc)
+		}
+		if len(w) >= 3 {
+			if gc, wc := got.RangeCount(q, e, 3), want.RangeCount(q, e, 3); gc != wc {
+				t.Fatalf("RangeCount(limit=3) = %d, want %d", gc, wc)
+			}
+		}
+		gn, gok := got.(nearester)
+		wn, wok := want.(nearester)
+		if gok && wok {
+			gid, gd := gn.Nearest(q)
+			wid, wd := wn.Nearest(q)
+			if gid != wid || gd != wd {
+				t.Fatalf("Nearest = (%d,%v), want (%d,%v)", gid, gd, wid, wd)
+			}
+		}
+	}
+}
+
+// BuildCancelledUpFront is the first build-cancellation property: a build
+// under an already-cancelled context returns a nil index and
+// context.Canceled without leaking a goroutine.
+func BuildCancelledUpFront(t *testing.T, build index.CtxBuilder) {
+	t.Helper()
+	leakcheck.Check(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if idx, err := build(ctx, uniform(100, 3, 41)); !errors.Is(err, context.Canceled) || idx != nil {
+		t.Fatalf("idx=%v err=%v, want nil index and context.Canceled", idx, err)
+	}
+}
+
+// BuildCancelledMidBuild is the second build-cancellation property on a
+// 10000-point dataset: the build polls its context at least once after the
+// entry check, so a long build stays interruptible, and a context that
+// turns cancelled at any of those later polls yields a nil index and
+// context.Canceled without leaking a goroutine.
+func BuildCancelledMidBuild(t *testing.T, build index.CtxBuilder) {
+	t.Helper()
+	leakcheck.Check(t)
+	ds := uniform(10000, 3, 42)
+	count := &countingCtx{Context: context.Background(), after: math.MaxInt64}
+	if _, err := build(count, ds); err != nil {
+		t.Fatal(err)
+	}
+	polls := count.calls.Load()
+	if polls < 2 {
+		t.Fatalf("build polled ctx %d time(s); want a poll after the entry check", polls)
+	}
+	for after := int64(1); after < polls; after++ {
+		ctx := &countingCtx{Context: context.Background(), after: after}
+		if idx, err := build(ctx, ds); !errors.Is(err, context.Canceled) || idx != nil {
+			t.Fatalf("cancelled after %d of %d polls: idx=%v err=%v, want nil index and context.Canceled", after, polls, idx, err)
+		}
+	}
+}
+
+// countingCtx reports cancellation from its (after+1)-th Err call on.
+type countingCtx struct {
+	context.Context
+	after int64
+	calls atomic.Int64
+}
+
+func (c *countingCtx) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+func (c *countingCtx) Done() <-chan struct{} { return nil }
 
 func uniform(n, d int, seed int64) *vec.Dataset {
 	rng := rand.New(rand.NewSource(seed))

@@ -7,7 +7,7 @@
 // child immediately follows it and the right child follows the whole left
 // subtree, whose size is a pure function of the range length. That layout is
 // fixed before construction starts, so independent subtrees can be built
-// concurrently (see NewWorkers) and still produce a tree bit-identical to
+// concurrently (see New) and still produce a tree bit-identical to
 // the serial build. Leaves hold small runs of point ids that are scanned
 // linearly, which in practice beats splitting to single points.
 //
@@ -62,24 +62,16 @@ type node struct {
 	right    int32
 }
 
-// New bulk-loads a kd-tree over ds on the calling goroutine.
-func New(ds *vec.Dataset) *Tree { return NewWorkers(ds, 1) }
-
-// NewWorkers bulk-loads a kd-tree over ds using up to workers goroutines
-// (<= 0 selects all CPUs). The resulting tree — node layout, id permutation
-// and packed leaf matrix — is bit-identical for every worker count: median
+// New bulk-loads a kd-tree over ds using up to workers goroutines (<= 0
+// selects all CPUs). The resulting tree — node layout, id permutation and
+// packed leaf matrix — is bit-identical for every worker count: median
 // splitting is deterministic and the preorder node layout is computed ahead
 // of construction, so workers only pick up pre-assigned subtree slots.
-func NewWorkers(ds *vec.Dataset, workers int) *Tree {
-	t, _ := NewWorkersCtx(context.Background(), ds, workers)
-	return t
-}
-
-// NewWorkersCtx bulk-loads like NewWorkers but honours ctx: the build checks
-// for cancellation at the entry of every subtree of spawnMin points or more
-// and, when ctx is cancelled, abandons the partial structure and returns
-// ctx's error. An uncancelled build is bit-identical to NewWorkers.
-func NewWorkersCtx(ctx context.Context, ds *vec.Dataset, workers int) (*Tree, error) {
+//
+// The build checks ctx at entry and at every subtree of spawnMin points or
+// more; when ctx is cancelled it abandons the partial structure and returns
+// ctx's error.
+func New(ctx context.Context, ds *vec.Dataset, workers int) (*Tree, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -103,26 +95,15 @@ func NewWorkersCtx(ctx context.Context, ds *vec.Dataset, workers int) (*Tree, er
 	return t, nil
 }
 
-// Build is an index.Builder for Tree (serial build).
-func Build(ds *vec.Dataset) index.Index { return New(ds) }
+// BuildWorkers is index.Bind(New, workers).
+//
+// Deprecated: kept for perfbench; remove with the next benchmark change.
+func BuildWorkers(workers int) index.CtxBuilder { return index.Bind(New, workers) }
 
-// BuildWorkers returns an index.Builder that constructs the tree with the
-// given worker count (<= 0: all CPUs).
-func BuildWorkers(workers int) index.Builder {
-	return func(ds *vec.Dataset) index.Index { return NewWorkers(ds, workers) }
-}
-
-// BuildWorkersCtx returns an index.CtxBuilder with mid-build cancellation
-// (see NewWorkersCtx).
-func BuildWorkersCtx(workers int) index.CtxBuilder {
-	return func(ctx context.Context, ds *vec.Dataset) (index.Index, error) {
-		t, err := NewWorkersCtx(ctx, ds, workers)
-		if err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
-}
+// BuildWorkersCtx is index.Bind(New, workers).
+//
+// Deprecated: kept for perfbench; remove with the next benchmark change.
+func BuildWorkersCtx(workers int) index.CtxBuilder { return index.Bind(New, workers) }
 
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.ds.Len() }
@@ -172,8 +153,8 @@ func newBuildScratch(d int) *buildScratch {
 
 // buildState carries the shared read-only build inputs: the precomputed
 // subtree-size memo (frozen before any task spawns) and the task budget.
-// ctx and the sticky cancelled flag implement mid-build cancellation; both
-// are ignored on the plain NewWorkers path (Background is never cancelled).
+// ctx and the sticky cancelled flag implement mid-build cancellation; a nil
+// ctx disables both.
 type buildState struct {
 	t         *Tree
 	memo      map[int]int32

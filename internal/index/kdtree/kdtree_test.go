@@ -1,6 +1,7 @@
 package kdtree
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,26 +13,48 @@ import (
 	dbssrc "dbsvec/internal/vec"
 )
 
+// mustNew builds a tree with the given worker count or fails tb.
+func mustNew(tb testing.TB, ds *dbssrc.Dataset, workers int) *Tree {
+	tb.Helper()
+	tr, err := New(context.Background(), ds, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
 func TestConformance(t *testing.T) {
-	indextest.Run(t, "kdtree", Build)
+	indextest.Run(t, "kdtree", index.Bind(New, 0))
 }
 
 func TestConformanceF32(t *testing.T) {
-	indextest.RunF32(t, "kdtree", Build)
+	indextest.RunF32(t, "kdtree", index.Bind(New, 0))
 }
 
 func TestConformanceParallelBuild(t *testing.T) {
-	indextest.Run(t, "kdtree-parallel", BuildWorkers(4))
+	indextest.Run(t, "kdtree-parallel", index.Bind(New, 4))
 }
 
 func TestBuildDeterminism(t *testing.T) {
-	indextest.RunBuildDeterminism(t, "kdtree", func(ds *dbssrc.Dataset, workers int) index.Index {
-		return NewWorkers(ds, workers)
-	})
+	indextest.RunBuildDeterminism(t, "kdtree", func(workers int) index.CtxBuilder { return index.Bind(New, workers) })
+}
+
+func TestBuildCancelledUpFront(t *testing.T) {
+	indextest.BuildCancelledUpFront(t, index.Bind(New, 4))
+}
+
+func TestBuildCancelledMidBuild(t *testing.T) {
+	indextest.BuildCancelledMidBuild(t, index.Bind(New, 4))
+}
+
+// TestCtxBuilderMatchesPlainBuild: the BuildWorkersCtx shim builds the same
+// tree as New.
+func TestCtxBuilderMatchesPlainBuild(t *testing.T) {
+	indextest.BuildersAgree(t, BuildWorkersCtx(4), index.Bind(New, 1))
 }
 
 // TestParallelStructureIdentical pins the stronger internal property behind
-// RunBuildDeterminism: parallel builds produce the very same node array, id
+// indextest.RunBuildDeterminism: parallel builds produce the very same node array, id
 // permutation and packed matrix as the serial build, not merely the same
 // query answers.
 func TestParallelStructureIdentical(t *testing.T) {
@@ -42,9 +65,9 @@ func TestParallelStructureIdentical(t *testing.T) {
 			rows[i] = []float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
 		}
 		ds, _ := dbssrc.FromRows(rows)
-		serial := NewWorkers(ds, 1)
+		serial := mustNew(t, ds, 1)
 		for _, workers := range []int{2, 5, 16} {
-			par := NewWorkers(ds, workers)
+			par := mustNew(t, ds, workers)
 			if !slices.Equal(par.ids, serial.ids) {
 				t.Fatalf("n=%d workers=%d: id permutation differs", n, workers)
 			}
@@ -74,7 +97,7 @@ func TestPackedMatchesGather(t *testing.T) {
 			}
 		}
 		ds, _ := dbssrc.FromRows(rows)
-		packed := New(ds)
+		packed := mustNew(t, ds, 1)
 		gather := &Tree{ds: packed.ds, ids: packed.ids, nodes: packed.nodes} // packed matrix absent: leaf scans gather by id
 		for iter := 0; iter < 60; iter++ {
 			q := make([]float64, d)
@@ -99,7 +122,7 @@ func TestPackedMatchesGather(t *testing.T) {
 
 func TestNearest(t *testing.T) {
 	ds, _ := dbssrc.FromRows([][]float64{{0, 0}, {10, 10}, {3, 4}})
-	tr := New(ds)
+	tr := mustNew(t, ds, 1)
 	id, d2 := tr.Nearest([]float64{2.9, 4.1})
 	if id != 2 {
 		t.Errorf("Nearest id = %d, want 2", id)
@@ -111,7 +134,7 @@ func TestNearest(t *testing.T) {
 
 func TestNearestEmpty(t *testing.T) {
 	ds, _ := dbssrc.FromRows(nil)
-	tr := New(ds)
+	tr := mustNew(t, ds, 1)
 	id, d2 := tr.Nearest([]float64{0})
 	if id != -1 || !math.IsInf(d2, 1) {
 		t.Errorf("Nearest on empty = %d,%v", id, d2)
@@ -125,7 +148,7 @@ func TestNearestMatchesBrute(t *testing.T) {
 		rows[i] = []float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
 	}
 	ds, _ := dbssrc.FromRows(rows)
-	tr := New(ds)
+	tr := mustNew(t, ds, 1)
 	for iter := 0; iter < 100; iter++ {
 		q := []float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
 		_, gotD := tr.Nearest(q)
@@ -157,7 +180,7 @@ func BenchmarkBuild100k(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				NewWorkers(ds, workers)
+				mustNew(b, ds, workers)
 			}
 		})
 	}
@@ -168,7 +191,7 @@ func BenchmarkBuild100k(b *testing.B) {
 // bitwise-identical results; see TestPackedMatchesGather).
 func BenchmarkLeafScan100k(b *testing.B) {
 	ds := benchDataset(100000, 4)
-	packed := New(ds)
+	packed := mustNew(b, ds, 1)
 	gather := &Tree{ds: packed.ds, ids: packed.ids, nodes: packed.nodes}
 	variants := []struct {
 		name string
@@ -193,7 +216,7 @@ func TestBuildSortedInput(t *testing.T) {
 		rows[i] = []float64{float64(i), float64(i % 7)}
 	}
 	ds, _ := dbssrc.FromRows(rows)
-	tr := New(ds)
+	tr := mustNew(t, ds, 1)
 	got := tr.RangeQuery([]float64{1000, 3}, 5, nil)
 	if len(got) == 0 {
 		t.Error("expected hits near the middle of a sorted run")

@@ -45,8 +45,9 @@ import (
 	"dbsvec/internal/vec"
 )
 
-// Params configures the cell build.
-type Params struct {
+// params configures the cell build; New uses the zero value and the
+// package tests exercise the rest.
+type params struct {
 	// Projections is the number of random median-split directions — the
 	// seed key is the k-bit sign pattern, so up to 2^k refinement seeds
 	// (1..16); 0 derives it from TargetCells.
@@ -64,8 +65,8 @@ type Params struct {
 
 const maxProjections = 16
 
-// Validate checks parameter sanity (after zero-value defaulting).
-func (p Params) Validate() error {
+// validate checks parameter sanity (after zero-value defaulting).
+func (p params) validate() error {
 	if p.Projections < 0 || p.Projections > maxProjections {
 		return errors.New("rproj: Projections must be in [1, 16] (0 for default)")
 	}
@@ -76,7 +77,7 @@ func (p Params) Validate() error {
 }
 
 // projections resolves the split count for an n-point build.
-func (p Params) projections(n int) int {
+func (p params) projections(n int) int {
 	if p.Projections > 0 {
 		return p.Projections
 	}
@@ -127,30 +128,20 @@ type Index struct {
 	slackCoef float64
 }
 
-// New builds the index over ds with default parameters on the calling
-// goroutine.
-func New(ds *vec.Dataset) *Index { return NewWorkers(ds, 1) }
-
-// NewWorkers builds with up to workers goroutines (<= 0 selects all CPUs).
-// The built structure — cell order, packed layout, centroids and radii — is
-// bit-identical for every worker count: the projection and packing passes
-// write disjoint ranges whose contents do not depend on the partition, and
-// the quantization and binning passes are serial.
-func NewWorkers(ds *vec.Dataset, workers int) *Index {
-	x, _ := NewParams(context.Background(), ds, Params{}, workers)
-	return x
+// New builds the index over ds with default parameters using up to workers
+// goroutines (<= 0 selects all CPUs). The built structure — cell order,
+// packed layout, centroids and radii — is bit-identical for every worker
+// count: the projection and packing passes write disjoint ranges whose
+// contents do not depend on the partition, and the quantization and binning
+// passes are serial. ctx is checked between build phases; on cancellation
+// the partial structure is abandoned and ctx's error returned.
+func New(ctx context.Context, ds *vec.Dataset, workers int) (*Index, error) {
+	return newParams(ctx, ds, params{}, workers)
 }
 
-// NewWorkersCtx builds like NewWorkers but honours ctx between build
-// phases; on cancellation the partial structure is abandoned and ctx's
-// error returned.
-func NewWorkersCtx(ctx context.Context, ds *vec.Dataset, workers int) (*Index, error) {
-	return NewParams(ctx, ds, Params{}, workers)
-}
-
-// NewParams is the full-control constructor behind every other one.
-func NewParams(ctx context.Context, ds *vec.Dataset, p Params, workers int) (*Index, error) {
-	if err := p.Validate(); err != nil {
+// newParams is New with explicit, non-default parameters.
+func newParams(ctx context.Context, ds *vec.Dataset, p params, workers int) (*Index, error) {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
@@ -362,43 +353,6 @@ func (x *Index) binKeys(keys []uint64) {
 		s := slots[i]
 		x.idByPos[next[s]] = int32(i)
 		next[s]++
-	}
-}
-
-// Build is an index.Builder for Index (serial build, default parameters).
-func Build(ds *vec.Dataset) index.Index { return New(ds) }
-
-// BuildWorkers returns an index.Builder building with the given worker
-// count (<= 0: all CPUs).
-func BuildWorkers(workers int) index.Builder {
-	return func(ds *vec.Dataset) index.Index { return NewWorkers(ds, workers) }
-}
-
-// BuildWorkersCtx returns an index.CtxBuilder with between-phase
-// cancellation (see NewWorkersCtx).
-func BuildWorkersCtx(workers int) index.CtxBuilder {
-	return func(ctx context.Context, ds *vec.Dataset) (index.Index, error) {
-		x, err := NewWorkersCtx(ctx, ds, workers)
-		if err != nil {
-			return nil, err
-		}
-		return x, nil
-	}
-}
-
-// BuildParams returns an index.Builder with explicit parameters; invalid
-// parameters panic (builders have no error channel, and Params mistakes are
-// programming errors).
-func BuildParams(p Params, workers int) index.Builder {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	return func(ds *vec.Dataset) index.Index {
-		x, err := NewParams(context.Background(), ds, p, workers)
-		if err != nil {
-			panic(err) // unreachable: params pre-validated, ctx never cancels
-		}
-		return x
 	}
 }
 

@@ -2,72 +2,89 @@ package rproj
 
 import (
 	"context"
-	"errors"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"dbsvec/internal/index"
 	"dbsvec/internal/index/indextest"
-	"dbsvec/internal/leakcheck"
 	"dbsvec/internal/vec"
 )
 
 func TestConformance(t *testing.T) {
-	indextest.Run(t, "rproj", Build)
+	indextest.Run(t, "rproj", index.Bind(New, 0))
 }
 
 func TestConformanceF32(t *testing.T) {
-	indextest.RunF32(t, "rproj", Build)
+	indextest.RunF32(t, "rproj", index.Bind(New, 0))
 }
 
 func TestConformanceParallelBuild(t *testing.T) {
-	indextest.Run(t, "rproj-parallel", BuildWorkers(4))
-}
-
-func TestConformanceMoreProjections(t *testing.T) {
-	indextest.Run(t, "rproj-k6", BuildParams(Params{Projections: 6, TargetCells: 512, Seed: 42}, 2))
+	indextest.Run(t, "rproj-parallel", index.Bind(New, 4))
 }
 
 func TestBuildDeterminism(t *testing.T) {
-	indextest.RunBuildDeterminism(t, "rproj", func(ds *vec.Dataset, workers int) index.Index {
-		return NewWorkers(ds, workers)
+	indextest.RunBuildDeterminism(t, "rproj", func(workers int) index.CtxBuilder { return index.Bind(New, workers) })
+}
+
+func TestBuildCancelledUpFront(t *testing.T) {
+	indextest.BuildCancelledUpFront(t, index.Bind(New, 4))
+}
+
+func TestBuildCancelledMidBuild(t *testing.T) {
+	indextest.BuildCancelledMidBuild(t, index.Bind(New, 4))
+}
+
+// TestCtxBuilderMatchesPlainBuild: the context-builder form of New builds
+// the same index for any worker count.
+func TestCtxBuilderMatchesPlainBuild(t *testing.T) {
+	indextest.BuildersAgree(t, index.Bind(New, 4), index.Bind(New, 1))
+}
+
+// TestConformanceMoreProjections runs the shared suite on a non-default
+// partition (six projections, up to 512 cells, another seed, two workers);
+// TestConformance covers the default one.
+func TestConformanceMoreProjections(t *testing.T) {
+	p := params{Projections: 6, TargetCells: 512, Seed: 42}
+	indextest.Run(t, "rproj-k6", func(ctx context.Context, ds *vec.Dataset) (index.Index, error) {
+		x, err := newParams(ctx, ds, p, 2)
+		if err != nil {
+			return nil, err
+		}
+		return x, nil
 	})
 }
 
+// TestParamsValidation: out-of-range parameters fail validate, and a build
+// with them returns the error instead of an index.
 func TestParamsValidation(t *testing.T) {
-	for i, p := range []Params{
+	ds := randDS(10, 2, 4)
+	for i, p := range []params{
 		{Projections: -1},
 		{Projections: 17},
+		{Projections: 99},
 		{TargetCells: -5},
 	} {
-		if err := p.Validate(); err == nil {
+		if err := p.validate(); err == nil {
 			t.Errorf("case %d: want error for %+v", i, p)
 		}
+		if x, err := newParams(context.Background(), ds, p, 1); err == nil || x != nil {
+			t.Errorf("case %d: newParams(%+v) = %v, %v; want an error", i, p, x, err)
+		}
 	}
-	if err := (Params{}).Validate(); err != nil {
+	if err := (params{}).validate(); err != nil {
 		t.Errorf("zero params must validate: %v", err)
 	}
-}
-
-func TestBuildParamsPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BuildParams accepted invalid params")
-		}
-	}()
-	BuildParams(Params{Projections: 99}, 1)
 }
 
 // TestSeedInvariantResults pins the exactness claim directly: the seed
 // changes the partition, never what a query returns.
 func TestSeedInvariantResults(t *testing.T) {
 	ds := randDS(800, 8, 1)
-	a, err := NewParams(context.Background(), ds, Params{Seed: 1}, 2)
+	a, err := newParams(context.Background(), ds, params{Seed: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewParams(context.Background(), ds, Params{Seed: 99}, 2)
+	b, err := newParams(context.Background(), ds, params{Seed: 99}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +105,10 @@ func TestSeedInvariantResults(t *testing.T) {
 
 func TestCellsStats(t *testing.T) {
 	ds := randDS(2000, 6, 2)
-	x := New(ds)
+	x, err := New(context.Background(), ds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cells, maxSize := x.Cells()
 	if cells < 2 || cells > ds.Len() {
 		t.Fatalf("cells = %d out of range", cells)
@@ -105,21 +125,6 @@ func TestCellsStats(t *testing.T) {
 	}
 }
 
-type countingCtx struct {
-	context.Context
-	after int64
-	calls atomic.Int64
-}
-
-func (c *countingCtx) Err() error {
-	if c.calls.Add(1) > c.after {
-		return context.Canceled
-	}
-	return nil
-}
-
-func (c *countingCtx) Done() <-chan struct{} { return nil }
-
 func randDS(n, d int, seed int64) *vec.Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	rows := make([][]float64, n)
@@ -132,36 +137,4 @@ func randDS(n, d int, seed int64) *vec.Dataset {
 	}
 	ds, _ := vec.FromRows(rows)
 	return ds
-}
-
-func TestBuildCancelledUpFront(t *testing.T) {
-	leakcheck.Check(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	x, err := NewWorkersCtx(ctx, randDS(100, 3, 1), 4)
-	if !errors.Is(err, context.Canceled) || x != nil {
-		t.Fatalf("x=%v err=%v, want nil index and context.Canceled", x, err)
-	}
-}
-
-func TestBuildCancelledMidBuild(t *testing.T) {
-	leakcheck.Check(t)
-	// after=1 passes the entry check and cancels at the first between-phase
-	// poll: the build is abandoned strictly mid-construction.
-	ctx := &countingCtx{Context: context.Background(), after: 1}
-	x, err := NewWorkersCtx(ctx, randDS(5000, 4, 2), 4)
-	if !errors.Is(err, context.Canceled) || x != nil {
-		t.Fatalf("x=%v err=%v, want nil index and context.Canceled", x, err)
-	}
-}
-
-func TestCtxBuilderMatchesPlainBuild(t *testing.T) {
-	ds := randDS(3000, 5, 3)
-	x, err := BuildWorkersCtx(4)(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.Len() != ds.Len() {
-		t.Fatalf("Len = %d, want %d", x.Len(), ds.Len())
-	}
 }

@@ -41,26 +41,17 @@ type nodeT struct {
 	entries []entry
 }
 
-// Bulk STR-loads all points of ds on the calling goroutine and returns the
-// resulting tree.
-func Bulk(ds *vec.Dataset) *Tree { return BulkWorkers(ds, 1) }
-
-// BulkWorkers STR-loads all points of ds using up to workers goroutines
-// (<= 0 selects all CPUs): the per-tile slabs of the STR recursion are
-// sorted concurrently and the leaf nodes with their bounding rectangles are
+// New STR-loads all points of ds using up to workers goroutines (<= 0
+// selects all CPUs): the per-tile slabs of the STR recursion are sorted
+// concurrently and the leaf nodes with their bounding rectangles are
 // computed in parallel. Tile boundaries, sort keys (with an id tie-break)
 // and output slots are all fixed before any task runs, so the tree is
 // bit-identical for every worker count.
-func BulkWorkers(ds *vec.Dataset, workers int) *Tree {
-	t, _ := BulkWorkersCtx(context.Background(), ds, workers)
-	return t
-}
-
-// BulkWorkersCtx STR-loads like BulkWorkers but honours ctx: cancellation is
-// checked at the entry of every slab of spawnMin points or more, and a
-// cancelled build abandons its partial tiling and returns ctx's error. An
-// uncancelled build is bit-identical to BulkWorkers.
-func BulkWorkersCtx(ctx context.Context, ds *vec.Dataset, workers int) (*Tree, error) {
+//
+// The build checks ctx at entry and at every slab of spawnMin points or
+// more; a cancelled build abandons its partial tiling and returns ctx's
+// error.
+func New(ctx context.Context, ds *vec.Dataset, workers int) (*Tree, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -80,27 +71,6 @@ func BulkWorkersCtx(ctx context.Context, ds *vec.Dataset, workers int) (*Tree, e
 	t.size = n
 	t.root = t.buildUpward(leaves, workers)
 	return t, nil
-}
-
-// Build is an index.Builder using STR bulk loading (serial build).
-func Build(ds *vec.Dataset) index.Index { return Bulk(ds) }
-
-// BuildWorkers returns an index.Builder that STR bulk-loads with the given
-// worker count (<= 0: all CPUs).
-func BuildWorkers(workers int) index.Builder {
-	return func(ds *vec.Dataset) index.Index { return BulkWorkers(ds, workers) }
-}
-
-// BuildWorkersCtx returns an index.CtxBuilder with mid-build cancellation
-// (see BulkWorkersCtx).
-func BuildWorkersCtx(workers int) index.CtxBuilder {
-	return func(ctx context.Context, ds *vec.Dataset) (index.Index, error) {
-		t, err := BulkWorkersCtx(ctx, ds, workers)
-		if err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
 }
 
 // spawnMin is the smallest slab a parallel bulk load hands to another

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,22 +11,44 @@ import (
 	"dbsvec/internal/vec"
 )
 
+// mustNew builds a tree with the given worker count or fails tb.
+func mustNew(tb testing.TB, ds *vec.Dataset, workers int) *Tree {
+	tb.Helper()
+	tr, err := New(context.Background(), ds, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
 func TestConformanceBulk(t *testing.T) {
-	indextest.Run(t, "rtree-bulk", Build)
+	indextest.Run(t, "rtree-bulk", index.Bind(New, 0))
 }
 
 func TestConformanceF32(t *testing.T) {
-	indextest.RunF32(t, "rtree-bulk", Build)
+	indextest.RunF32(t, "rtree-bulk", index.Bind(New, 0))
 }
 
 func TestConformanceParallelBulk(t *testing.T) {
-	indextest.Run(t, "rtree-parallel", BuildWorkers(4))
+	indextest.Run(t, "rtree-parallel", index.Bind(New, 4))
 }
 
 func TestBuildDeterminism(t *testing.T) {
-	indextest.RunBuildDeterminism(t, "rtree", func(ds *vec.Dataset, workers int) index.Index {
-		return BulkWorkers(ds, workers)
-	})
+	indextest.RunBuildDeterminism(t, "rtree", func(workers int) index.CtxBuilder { return index.Bind(New, workers) })
+}
+
+func TestBulkCancelledUpFront(t *testing.T) {
+	indextest.BuildCancelledUpFront(t, index.Bind(New, 4))
+}
+
+func TestBulkCancelledMidBuild(t *testing.T) {
+	indextest.BuildCancelledMidBuild(t, index.Bind(New, 4))
+}
+
+// TestCtxBuilderMatchesPlainBuild: the context-builder form of New builds
+// the same index for any worker count.
+func TestCtxBuilderMatchesPlainBuild(t *testing.T) {
+	indextest.BuildersAgree(t, index.Bind(New, 4), index.Bind(New, 1))
 }
 
 // TestParallelStructureIdentical: STR tiling with the id tie-break is a
@@ -39,9 +62,9 @@ func TestParallelStructureIdentical(t *testing.T) {
 		rows[i] = []float64{float64(int(rng.Float64() * 40)), float64(int(rng.Float64() * 40)), rng.Float64() * 40}
 	}
 	ds, _ := vec.FromRows(rows)
-	serial := BulkWorkers(ds, 1)
+	serial := mustNew(t, ds, 1)
 	for _, workers := range []int{2, 5, 16} {
-		par := BulkWorkers(ds, workers)
+		par := mustNew(t, ds, workers)
 		if !sameTree(serial.root, par.root) {
 			t.Fatalf("workers=%d: tree structure differs from serial build", workers)
 		}
@@ -79,7 +102,7 @@ func TestInvariantsAfterBulk(t *testing.T) {
 		if n == 0 {
 			ds, _ = vec.NewDataset(nil, 3)
 		}
-		tr := Bulk(ds)
+		tr := mustNew(t, ds, 1)
 		if err := tr.checkInvariants(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -99,7 +122,7 @@ func BenchmarkBulkLoad100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Bulk(ds)
+		mustNew(b, ds, 1)
 	}
 }
 
@@ -110,7 +133,7 @@ func BenchmarkRangeQuery(b *testing.B) {
 		coords[i] = rng.Float64() * 1e5
 	}
 	ds, _ := vec.NewDataset(coords, 4)
-	tr := Bulk(ds)
+	tr := mustNew(b, ds, 1)
 	buf := make([]int32, 0, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()

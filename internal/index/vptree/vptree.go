@@ -10,7 +10,7 @@
 // preorder node layout — like the kd-tree's — is a pure function of the
 // input size. Vantage points are drawn from a per-node hash rather than a
 // sequential PRNG, which keeps the choice reproducible AND independent of
-// build order, so subtrees can be constructed concurrently (NewWorkers)
+// build order, so subtrees can be constructed concurrently (see New)
 // with bit-identical results for every worker count. Leaf points are packed
 // into a contiguous leaf-ordered matrix for cache-friendly leaf scans.
 package vptree
@@ -54,22 +54,14 @@ type node struct {
 	start, end int32
 }
 
-// New builds a VP-tree over ds on the calling goroutine. Vantage points are
-// chosen by a deterministic per-node hash so builds are reproducible.
-func New(ds *vec.Dataset) *Tree { return NewWorkers(ds, 1) }
-
-// NewWorkers builds a VP-tree over ds using up to workers goroutines (<= 0
-// selects all CPUs). The tree is bit-identical for every worker count.
-func NewWorkers(ds *vec.Dataset, workers int) *Tree {
-	t, _ := NewWorkersCtx(context.Background(), ds, workers)
-	return t
-}
-
-// NewWorkersCtx builds like NewWorkers but honours ctx: cancellation is
-// checked at the entry of every subtree of spawnMin points or more, and a
-// cancelled build abandons its partial structure and returns ctx's error.
-// An uncancelled build is bit-identical to NewWorkers.
-func NewWorkersCtx(ctx context.Context, ds *vec.Dataset, workers int) (*Tree, error) {
+// New builds a VP-tree over ds using up to workers goroutines (<= 0
+// selects all CPUs). Vantage points are chosen by a deterministic per-node
+// hash, so the tree is bit-identical for every worker count.
+//
+// The build checks ctx at entry and at every subtree of spawnMin points or
+// more; a cancelled build abandons its partial structure and returns ctx's
+// error.
+func New(ctx context.Context, ds *vec.Dataset, workers int) (*Tree, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -91,27 +83,6 @@ func NewWorkersCtx(ctx context.Context, ds *vec.Dataset, workers int) (*Tree, er
 	}
 	t.packLeaves(workers)
 	return t, nil
-}
-
-// Build is an index.Builder (serial build).
-func Build(ds *vec.Dataset) index.Index { return New(ds) }
-
-// BuildWorkers returns an index.Builder that constructs the tree with the
-// given worker count (<= 0: all CPUs).
-func BuildWorkers(workers int) index.Builder {
-	return func(ds *vec.Dataset) index.Index { return NewWorkers(ds, workers) }
-}
-
-// BuildWorkersCtx returns an index.CtxBuilder with mid-build cancellation
-// (see NewWorkersCtx).
-func BuildWorkersCtx(workers int) index.CtxBuilder {
-	return func(ctx context.Context, ds *vec.Dataset) (index.Index, error) {
-		t, err := NewWorkersCtx(ctx, ds, workers)
-		if err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
 }
 
 // sizeKey normalizes a range length for the subtree-size memo.

@@ -1,6 +1,7 @@
 package vptree
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,22 +11,44 @@ import (
 	"dbsvec/internal/vec"
 )
 
+// mustNew builds a tree with the given worker count or fails tb.
+func mustNew(tb testing.TB, ds *vec.Dataset, workers int) *Tree {
+	tb.Helper()
+	tr, err := New(context.Background(), ds, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
 func TestConformance(t *testing.T) {
-	indextest.Run(t, "vptree", Build)
+	indextest.Run(t, "vptree", index.Bind(New, 0))
 }
 
 func TestConformanceF32(t *testing.T) {
-	indextest.RunF32(t, "vptree", Build)
+	indextest.RunF32(t, "vptree", index.Bind(New, 0))
 }
 
 func TestConformanceParallelBuild(t *testing.T) {
-	indextest.Run(t, "vptree-parallel", BuildWorkers(4))
+	indextest.Run(t, "vptree-parallel", index.Bind(New, 4))
 }
 
 func TestBuildDeterminism(t *testing.T) {
-	indextest.RunBuildDeterminism(t, "vptree", func(ds *vec.Dataset, workers int) index.Index {
-		return NewWorkers(ds, workers)
-	})
+	indextest.RunBuildDeterminism(t, "vptree", func(workers int) index.CtxBuilder { return index.Bind(New, workers) })
+}
+
+func TestBuildCancelledUpFront(t *testing.T) {
+	indextest.BuildCancelledUpFront(t, index.Bind(New, 4))
+}
+
+func TestBuildCancelledMidBuild(t *testing.T) {
+	indextest.BuildCancelledMidBuild(t, index.Bind(New, 4))
+}
+
+// TestCtxBuilderMatchesPlainBuild: the context-builder form of New builds
+// the same index for any worker count.
+func TestCtxBuilderMatchesPlainBuild(t *testing.T) {
+	indextest.BuildersAgree(t, index.Bind(New, 4), index.Bind(New, 1))
 }
 
 // TestParallelStructureIdentical: parallel builds must reproduce the serial
@@ -38,9 +61,9 @@ func TestParallelStructureIdentical(t *testing.T) {
 		rows[i] = []float64{rng.Float64() * 100, rng.Float64() * 100}
 	}
 	ds, _ := vec.FromRows(rows)
-	serial := NewWorkers(ds, 1)
+	serial := mustNew(t, ds, 1)
 	for _, workers := range []int{2, 6, 16} {
-		par := NewWorkers(ds, workers)
+		par := mustNew(t, ds, workers)
 		if !slices.Equal(par.ids, serial.ids) {
 			t.Fatalf("workers=%d: id permutation differs", workers)
 		}
@@ -66,7 +89,7 @@ func TestPackedMatchesGather(t *testing.T) {
 		}
 	}
 	ds, _ := vec.FromRows(rows)
-	packed := New(ds)
+	packed := mustNew(t, ds, 1)
 	gather := &Tree{ds: packed.ds, ids: packed.ids, nodes: packed.nodes}
 	for iter := 0; iter < 60; iter++ {
 		q := make([]float64, d)
@@ -94,8 +117,8 @@ func TestHighDimensional(t *testing.T) {
 		}
 	}
 	ds, _ := vec.FromRows(rows)
-	tr := New(ds)
-	oracle := index.NewLinear(ds)
+	tr := mustNew(t, ds, 1)
+	oracle := indextest.Linear(ds)
 	for iter := 0; iter < 30; iter++ {
 		q := rows[rng.Intn(len(rows))]
 		eps := 500 + rng.Float64()*2000
@@ -112,7 +135,7 @@ func TestDepthBalanced(t *testing.T) {
 		rows[i] = []float64{rng.Float64() * 100, rng.Float64() * 100}
 	}
 	ds, _ := vec.FromRows(rows)
-	tr := New(ds)
+	tr := mustNew(t, ds, 1)
 	// Median splits give ~log2(4096/16) + 1 = 9 levels; allow slack for
 	// duplicate-distance ties.
 	if d := tr.Depth(); d > 20 {
@@ -126,7 +149,7 @@ func TestDuplicateHeavy(t *testing.T) {
 		rows[i] = []float64{float64(i % 3), 0}
 	}
 	ds, _ := vec.FromRows(rows)
-	tr := New(ds)
+	tr := mustNew(t, ds, 1)
 	got := tr.RangeQuery([]float64{0, 0}, 0.5, nil)
 	if len(got) != 100 {
 		t.Errorf("got %d duplicates, want 100", len(got))

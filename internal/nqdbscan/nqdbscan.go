@@ -20,6 +20,7 @@
 package nqdbscan
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -101,7 +102,9 @@ func newCellSearcher(ds *vec.Dataset, g *grid.Grid, eps float64, st *Stats) (*ce
 		return nil, err
 	}
 	cs.centerDS = centerDS
-	cs.centers = kdtree.New(centerDS)
+	if cs.centers, err = kdtree.New(context.Background(), centerDS, 1); err != nil {
+		return nil, err
+	}
 	// Two points within eps have cell centers within eps + 2·(diag/2);
 	// diag = width·√d = eps by construction.
 	cs.reach = 2 * eps
@@ -167,7 +170,10 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 	}
 
 	width := p.Eps / math.Sqrt(float64(ds.Dim()))
-	g := grid.New(ds, width)
+	g, err := grid.New(context.Background(), ds, width, 1)
+	if err != nil {
+		return nil, st, fmt.Errorf("nqdbscan: %w", err)
+	}
 	cs, err := newCellSearcher(ds, g, p.Eps, &st)
 	if err != nil {
 		return nil, st, fmt.Errorf("nqdbscan: %w", err)

@@ -16,6 +16,7 @@
 package rhodbscan
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -93,7 +94,10 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 
 	d := ds.Dim()
 	width := p.Eps / sqrtF(d)
-	g := grid.New(ds, width)
+	g, err := grid.New(context.Background(), ds, width, 1)
+	if err != nil {
+		return nil, st, fmt.Errorf("rhodbscan: %w", err)
+	}
 
 	// Materialize cells and build a kd-tree over their centers so neighbor
 	// lookup stays polynomial in d. Cells are sorted by key: map iteration
@@ -114,7 +118,10 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 	if err != nil {
 		return nil, st, fmt.Errorf("rhodbscan: %w", err)
 	}
-	centerTree := kdtree.New(centerDS)
+	centerTree, err := kdtree.New(context.Background(), centerDS, 1)
+	if err != nil {
+		return nil, st, fmt.Errorf("rhodbscan: %w", err)
+	}
 
 	outer := p.Eps * (1 + p.Rho)
 	outer2 := outer * outer

@@ -476,7 +476,7 @@ func runShard(ctx context.Context, src Source, o Options, p *plan, s int, rawLoc
 	// boundary core tests below reuse it.
 	build := o.Core.IndexBuilderCtx
 	if build == nil {
-		build = index.WithContext(index.BuildLinear)
+		build = index.Bind(index.NewLinear, 0)
 	}
 	idxStart := time.Now()
 	idx, err := build(ctx, slab)
@@ -555,7 +555,7 @@ func runShard(ctx context.Context, src Source, o Options, p *plan, s int, rawLoc
 		}
 		subSlab := slab.Subset(sub)
 		slab = nil // the sub-band copy is all the confirmation pass needs
-		bandIdx, err := index.WithContext(kdtree.Build)(ctx, subSlab)
+		bandIdx, err := kdtree.New(ctx, subSlab, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"dbsvec/internal/core"
 	"dbsvec/internal/data"
 	"dbsvec/internal/eval"
+	"dbsvec/internal/index"
 	"dbsvec/internal/index/kdtree"
 	"dbsvec/internal/vec"
 )
@@ -131,7 +132,7 @@ func TestShardedIndexKinds(t *testing.T) {
 	ds := strips(t, 5, 200, 3, 2)
 	want := singleShot(t, ds, 2)
 	opts := Options{
-		Core:       core.Options{Eps: boxEps, MinPts: boxMinPts, Workers: 2, IndexBuilderCtx: kdtree.BuildWorkersCtx(2)},
+		Core:       core.Options{Eps: boxEps, MinPts: boxMinPts, Workers: 2, IndexBuilderCtx: index.Bind(kdtree.New, 2)},
 		Shards:     4,
 		HeapSample: -1,
 	}

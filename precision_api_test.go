@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"dbsvec/internal/index/backend"
 )
 
 // gaussRows draws three well-separated Gaussian blobs with full-precision
@@ -85,7 +87,7 @@ func TestPrecisionModesAgree(t *testing.T) {
 	}
 
 	// Every index backend agrees with the default in f32 mode too.
-	for _, kind := range []IndexKind{IndexKDTree, IndexGrid, IndexParallel} {
+	for _, kind := range backend.Kinds() {
 		res, err := Cluster(ds32, Options{Eps: 4, MinPts: 8, Seed: 6, Index: kind})
 		if err != nil {
 			t.Fatalf("index %v: %v", kind, err)

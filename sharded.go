@@ -62,7 +62,7 @@ func runSharded(src shard.Source, dim int, prec Precision, opts Options) (*Resul
 	if opts.WarmFrom != nil {
 		return nil, fmt.Errorf("%w: WarmFrom is not supported in sharded mode", ErrInvalidParams)
 	}
-	build, err := opts.Index.ctxBuilder(opts.Eps, dim, opts.Workers)
+	build, err := opts.Index.Builder(opts.Eps, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dbsvec/internal/vec"
 )
 
 // stripRows generates line clusters spanning the full extent of axis 0 —
@@ -161,7 +163,13 @@ func TestRunShardedFile(t *testing.T) {
 				t.Fatalf("%v: file label[%d] = %d, want %d", prec, i, got.Labels[i], want.Labels[i])
 			}
 		}
-		if got.Model() == nil || got.Model().Precision() != prec {
+		// The file run and ReadBinary load float32 storage for an f32 file
+		// or an f32 process default, and the file's precision otherwise.
+		wantPrec := prec
+		if vec.DefaultPrecision() == vec.F32 {
+			wantPrec = PrecisionF32
+		}
+		if got.Model() == nil || got.Model().Precision() != wantPrec {
 			t.Fatalf("%v: file-run model precision wrong", prec)
 		}
 
@@ -175,7 +183,7 @@ func TestRunShardedFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Len() != ds.Len() || back.Precision() != prec {
+		if back.Len() != ds.Len() || back.Precision() != wantPrec {
 			t.Fatalf("%v: ReadBinary len=%d prec=%v", prec, back.Len(), back.Precision())
 		}
 	}
