@@ -28,14 +28,14 @@ func (m Matrix) Row(i int) []float64 {
 // workhorse call without materializing a full distance slice.
 const blockSize = 64
 
-// sqDistsRange writes ‖row(lo+k) − q‖² into out[k] for k in [0, hi-lo). The
-// unrolled body is written out inline (not delegated to sqDistGeneric) so
-// the whole batch runs in one call frame with q's bounds check hoisted; the
-// accumulation order per row is exactly SqDist's, keeping batched results
-// bit-identical to per-pair calls.
+// sqDistsRange writes ‖row(lo+k) − q‖² into out[k] for k in [0, hi-lo): the
+// contiguous-row workhorse behind FilterWithin(Range), CountWithin(Range),
+// SqDistsToAll and MinSqDistsToAll. d=2 and d=3 run their specializations;
+// d >= 4 runs the AVX kernels when the CPU has them, else the pure-Go loop.
+// Both perform SqDist's operations in SqDist's order, so batched results are
+// bit-identical to per-pair calls whichever path runs.
 func sqDistsRange(m Matrix, q []float64, lo, hi int, out []float64) {
-	dim := m.Dim
-	switch dim {
+	switch m.Dim {
 	case 2:
 		for i := lo; i < hi; i++ {
 			out[i-lo] = SqDist2(m.Row(i), q)
@@ -47,6 +47,20 @@ func sqDistsRange(m Matrix, q []float64, lo, hi int, out []float64) {
 		}
 		return
 	}
+	if hasAVX && m.Dim >= 4 {
+		sqDistsRangeAVX(m, q, lo, hi, out)
+		return
+	}
+	sqDistsRangeGo(m, q, lo, hi, out)
+}
+
+// sqDistsRangeGo is the pure-Go body of sqDistsRange for any d, and the
+// reference the AVX path is tested against. The unrolled body is written
+// out inline (not delegated to sqDistGeneric) so the whole batch runs in one
+// call frame with q's bounds check hoisted; the accumulation order per row
+// is exactly SqDist's.
+func sqDistsRangeGo(m Matrix, q []float64, lo, hi int, out []float64) {
+	dim := m.Dim
 	q = q[:dim]
 	base := lo * dim
 	for i := lo; i < hi; i++ {
@@ -70,6 +84,39 @@ func sqDistsRange(m Matrix, q []float64, lo, hi int, out []float64) {
 			s += dv * dv
 		}
 		out[i-lo] = s
+	}
+}
+
+// sqDistsRangeAVX is the assembly-dispatched body of sqDistsRange for
+// d >= 4: four-row blocks go through sqDistsRows4x64AVX, the up to three
+// straggler rows through the single-row kernel, and the Go loop adds each
+// row's d mod 4 tail to its (s0+s1)+(s2+s3) partial — the order SqDist
+// uses. The reslices below are the bounds checks the assembly cannot make.
+func sqDistsRangeAVX(m Matrix, q []float64, lo, hi int, out []float64) {
+	dim := m.Dim
+	g := dim >> 2
+	w := g << 2
+	q = q[:dim]
+	rows := m.Coords[lo*dim : hi*dim]
+	out = out[:hi-lo]
+	quads := len(out) >> 2
+	if quads > 0 {
+		sqDistsRows4x64AVX(&rows[0], &q[0], g, dim, quads, &out[0])
+	}
+	for k := quads << 2; k < len(out); k++ {
+		out[k] = sqDistGroups64AVX(&rows[k*dim], &q[0], g)
+	}
+	if w == dim {
+		return
+	}
+	for k := range out {
+		row := rows[k*dim : (k+1)*dim]
+		s := out[k]
+		for j := w; j < dim; j++ {
+			dv := row[j] - q[j]
+			s += dv * dv
+		}
+		out[k] = s
 	}
 }
 

@@ -17,6 +17,16 @@
 // floating-point operations in the exact same order as SqDist, so fused and
 // batched kernels are bit-identical to per-pair calls. Range-query backends
 // rely on this to stay bit-identical to the linear-scan oracle.
+//
+// The AVX kernels (avx_amd64.s) keep that contract through one lane
+// contract shared by both storage precisions: each lane of a YMM
+// accumulator is one of the scalar loop's four partial sums s0..s3, the
+// arithmetic is VSUBPD/VMULPD/VADDPD (never FMA), the lanes combine as
+// (s0+s1)+(s2+s3), and Go adds the d mod 4 tail. Where the CPU has AVX
+// (hasAVX), the contiguous-row scans for d >= 4 run them; the pure-Go loops
+// stay as the path everywhere else and as the reference the tests hold the
+// assembly to. The gather kernels (explicit id lists) stay in Go for
+// float64.
 package dist
 
 import "math"

@@ -4,7 +4,7 @@ package dist
 // every multiply and add runs in float64, and per row the operations match
 // Dot on the widened row exactly — same equivalence contract as f32.go. On
 // amd64 with AVX the bodies dispatch to assembly (dotGroups32AVX /
-// dotsRows4x32AVX in f32_amd64.s) that maps one YMM accumulator lane to each
+// dotsRows4x32AVX in avx_amd64.s) that maps one YMM accumulator lane to each
 // scalar partial sum, so the speedup never costs a ULP.
 //
 // The Cached eps-filters of dots.go are deliberately not mirrored here: the
@@ -18,7 +18,7 @@ func Dot32(a []float32, q []float64) float64 {
 	q = q[:n]
 	var s float64
 	i := 0
-	if hasAVX32 && n >= 4 {
+	if hasAVX && n >= 4 {
 		g := n >> 2
 		s = dotGroups32AVX(&a[0], &q[0], g)
 		i = g << 2
@@ -42,7 +42,7 @@ func Dot32(a []float32, q []float64) float64 {
 func dotsRange32(m Matrix32, q []float64, lo, hi int, out []float64) {
 	dim := m.Dim
 	q = q[:dim]
-	if hasAVX32 && dim >= 4 {
+	if hasAVX && dim >= 4 {
 		dotsRangeAVX32(m, q, lo, hi, out)
 		return
 	}
@@ -98,7 +98,7 @@ func dotsRangeAVX32(m Matrix32, q []float64, lo, hi int, out []float64) {
 func dotsGather32(m Matrix32, q []float64, ids []int32, out []float64) {
 	dim := m.Dim
 	q = q[:dim]
-	if hasAVX32 && dim >= 4 {
+	if hasAVX && dim >= 4 {
 		g := dim >> 2
 		w := g << 2
 		for k, id := range ids {

@@ -72,13 +72,13 @@ func sqDist332(a []float32, q []float64) float64 {
 // sqDistGeneric32 mirrors sqDistGeneric: same 4-way unroll, same
 // accumulator-combine order, float32 loads widened per element. On amd64
 // with AVX the unrolled body dispatches to assembly (one accumulator lane
-// per scalar partial sum — bit-identical, see f32_amd64.s).
+// per scalar partial sum — bit-identical, see avx_amd64.s).
 func sqDistGeneric32(a []float32, q []float64) float64 {
 	n := len(a)
 	q = q[:n]
 	var s float64
 	i := 0
-	if hasAVX32 && n >= 4 {
+	if hasAVX && n >= 4 {
 		g := n >> 2
 		s = sqDistGroups32AVX(&a[0], &q[0], g)
 		i = g << 2
@@ -119,7 +119,7 @@ func sqDistsRange32(m Matrix32, q []float64, lo, hi int, out []float64) {
 		return
 	}
 	q = q[:dim]
-	if hasAVX32 && dim >= 4 {
+	if hasAVX && dim >= 4 {
 		sqDistsRangeAVX32(m, q, lo, hi, out)
 		return
 	}
@@ -193,7 +193,7 @@ func sqDistsGather32(m Matrix32, q []float64, ids []int32, out []float64) {
 		return
 	}
 	q = q[:dim]
-	if hasAVX32 && dim >= 4 {
+	if hasAVX && dim >= 4 {
 		g := dim >> 2
 		w := g << 2
 		for k, id := range ids {

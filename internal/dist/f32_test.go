@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,7 +25,19 @@ func randMatrix32(rng *rand.Rand, n, d int) (Matrix32, Matrix) {
 // return bit-identical results to its f64 counterpart applied to the widened
 // rows — same ops, same order, float64 accumulation throughout. This is what
 // lets vec's F32 storage mode keep the repository's determinism guarantees.
+// The f64 side is always the pure-Go reference; the f32 side runs once with
+// the AVX dispatch and once without, so neither assembly path can vouch for
+// the other.
 func TestF32KernelsBitIdenticalToWidened(t *testing.T) {
+	for _, avx := range []bool{true, false} {
+		t.Run(fmt.Sprintf("avx=%v", avx), func(t *testing.T) {
+			setAVX(t, avx)
+			f32MatchesWidened(t)
+		})
+	}
+}
+
+func f32MatchesWidened(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 13, 32, 64} {
 		n := 50 + rng.Intn(200) // spans multiple blockSize windows
@@ -44,9 +57,8 @@ func TestF32KernelsBitIdenticalToWidened(t *testing.T) {
 		}
 
 		all32 := make([]float64, n)
-		all64 := make([]float64, n)
 		SqDistsToAll32(m32, q, all32)
-		SqDistsToAll(m64, q, all64)
+		all64 := pureGo(func() []float64 { o := make([]float64, n); SqDistsToAll(m64, q, o); return o })
 		for i := range all32 {
 			if all32[i] != all64[i] {
 				t.Fatalf("d=%d: SqDistsToAll32[%d] = %v, widened = %v", d, i, all32[i], all64[i])
@@ -54,9 +66,8 @@ func TestF32KernelsBitIdenticalToWidened(t *testing.T) {
 		}
 
 		to32 := make([]float64, len(ids))
-		to64 := make([]float64, len(ids))
 		SqDistsTo32(m32, q, ids, to32)
-		SqDistsTo(m64, q, ids, to64)
+		to64 := pureGo(func() []float64 { o := make([]float64, len(ids)); SqDistsTo(m64, q, ids, o); return o })
 		for k := range to32 {
 			if to32[k] != to64[k] {
 				t.Fatalf("d=%d: SqDistsTo32[%d] not bit-identical", d, k)
@@ -65,38 +76,36 @@ func TestF32KernelsBitIdenticalToWidened(t *testing.T) {
 
 		// eps2 near the median so both filter branches fire.
 		eps2 := all64[n/2]
-		if got, want := FilterWithin32(m32, q, eps2, nil), FilterWithin(m64, q, eps2, nil); !int32Equal(got, want) {
+		if got, want := FilterWithin32(m32, q, eps2, nil), pureGo(func() []int32 { return FilterWithin(m64, q, eps2, nil) }); !int32Equal(got, want) {
 			t.Fatalf("d=%d: FilterWithin32 = %v, want %v", d, got, want)
 		}
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo)
-		if got, want := FilterWithinRange32(m32, q, eps2, lo, hi, nil), FilterWithinRange(m64, q, eps2, lo, hi, nil); !int32Equal(got, want) {
+		if got, want := FilterWithinRange32(m32, q, eps2, lo, hi, nil), pureGo(func() []int32 { return FilterWithinRange(m64, q, eps2, lo, hi, nil) }); !int32Equal(got, want) {
 			t.Fatalf("d=%d: FilterWithinRange32 = %v, want %v", d, got, want)
 		}
-		if got, want := FilterWithinIDs32(m32, q, eps2, ids, nil), FilterWithinIDs(m64, q, eps2, ids, nil); !int32Equal(got, want) {
+		if got, want := FilterWithinIDs32(m32, q, eps2, ids, nil), pureGo(func() []int32 { return FilterWithinIDs(m64, q, eps2, ids, nil) }); !int32Equal(got, want) {
 			t.Fatalf("d=%d: FilterWithinIDs32 = %v, want %v", d, got, want)
 		}
-		if got, want := CountWithin32(m32, q, eps2, 0), CountWithin(m64, q, eps2, 0); got != want {
+		if got, want := CountWithin32(m32, q, eps2, 0), pureGo(func() int { return CountWithin(m64, q, eps2, 0) }); got != want {
 			t.Fatalf("d=%d: CountWithin32 = %d, want %d", d, got, want)
 		}
-		if got, want := CountWithin32(m32, q, eps2, 2), CountWithin(m64, q, eps2, 2); got != want {
+		if got, want := CountWithin32(m32, q, eps2, 2), pureGo(func() int { return CountWithin(m64, q, eps2, 2) }); got != want {
 			t.Fatalf("d=%d: CountWithin32(limit) = %d, want %d", d, got, want)
 		}
-		if got, want := CountWithinRange32(m32, q, eps2, lo, hi, 0), CountWithinRange(m64, q, eps2, lo, hi, 0); got != want {
+		if got, want := CountWithinRange32(m32, q, eps2, lo, hi, 0), pureGo(func() int { return CountWithinRange(m64, q, eps2, lo, hi, 0) }); got != want {
 			t.Fatalf("d=%d: CountWithinRange32 = %d, want %d", d, got, want)
 		}
-		if got, want := CountWithinIDs32(m32, q, eps2, ids, 0), CountWithinIDs(m64, q, eps2, ids, 0); got != want {
+		if got, want := CountWithinIDs32(m32, q, eps2, ids, 0), pureGo(func() int { return CountWithinIDs(m64, q, eps2, ids, 0) }); got != want {
 			t.Fatalf("d=%d: CountWithinIDs32 = %d, want %d", d, got, want)
 		}
 
 		cur32 := make([]float64, n)
-		cur64 := make([]float64, n)
 		for i := range cur32 {
 			cur32[i] = rng.Float64() * 100
-			cur64[i] = cur32[i]
 		}
+		cur64 := pureGo(func() []float64 { c := append([]float64(nil), cur32...); MinSqDistsToAll(m64, q, c); return c })
 		MinSqDistsToAll32(m32, q, cur32)
-		MinSqDistsToAll(m64, q, cur64)
 		for i := range cur32 {
 			if cur32[i] != cur64[i] {
 				t.Fatalf("d=%d: MinSqDistsToAll32[%d] not bit-identical", d, i)
