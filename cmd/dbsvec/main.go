@@ -28,10 +28,10 @@
 // budget is reported on stderr and the exit code stays 0.
 //
 // Model artifacts (-algo dbsvec only): -savemodel writes the run's retained
-// per-sub-cluster SVDD snapshots to a binary model file. -loadmodel reads
-// one back; combined with -assign the input points are classified against
-// the loaded model's boundaries (no clustering run), otherwise the loaded
-// model warm-restarts the SVDD training rounds of a fresh run.
+// per-sub-cluster SVDD snapshots to a binary model file. -loadmodel -assign
+// reads one back and classifies the input points against the loaded model's
+// boundaries (no clustering run); each flag without the other is a usage
+// error.
 package main
 
 import (
@@ -56,8 +56,8 @@ type budgetFlags struct {
 	maxQueries int64
 }
 
-// modelFlags groups the model-artifact options: save the trained model,
-// load a prior one (as warm-restart source), or assign against it.
+// modelFlags groups the model-artifact options: save the trained model, or
+// load a prior one and assign against it.
 type modelFlags struct {
 	save   string
 	load   string
@@ -91,7 +91,7 @@ func main() {
 		maxRound  = flag.Int("maxrounds", 0, "dbsvec: SVDD training budget (0 = unlimited)")
 		maxQuery  = flag.Int64("maxqueries", 0, "dbsvec: range-query budget (0 = unlimited)")
 		saveModel = flag.String("savemodel", "", "dbsvec: write the trained model artifact to this file")
-		loadModel = flag.String("loadmodel", "", "dbsvec: read a model artifact; warm-restarts the run, or scores with -assign")
+		loadModel = flag.String("loadmodel", "", "dbsvec: read a model artifact to score the input against (requires -assign)")
 		assign    = flag.Bool("assign", false, "classify the input points against -loadmodel instead of clustering")
 		shards    = flag.Int("shards", 0, "dbsvec: cluster in this many eps-halo spatial slabs with exact merge (0 = single-shot)")
 		shardPar  = flag.Int("shardpar", 0, "dbsvec: shards in flight at once; peak memory is O(shardpar × slab) (0 = 1, fully sequential)")
@@ -111,6 +111,9 @@ func main() {
 func run(algo string, eps float64, minPts, k int, nu float64, inPath, outPath string, normalize float64, indexKind, precision string, seed int64, workers int, stats bool, budget budgetFlags, model modelFlags, sharding shardFlags) error {
 	if model.assign && model.load == "" {
 		return fmt.Errorf("-assign requires -loadmodel")
+	}
+	if model.load != "" && !model.assign {
+		return fmt.Errorf("-loadmodel requires -assign")
 	}
 	prec, err := dbsvec.ParsePrecision(precision)
 	if err != nil {
@@ -162,19 +165,16 @@ func run(algo string, eps float64, minPts, k int, nu float64, inPath, outPath st
 		ds.Normalize(normalize)
 	}
 
-	var loaded *dbsvec.Model
-	if model.load != "" {
+	if model.assign {
 		f, err := os.Open(model.load)
 		if err != nil {
 			return err
 		}
-		loaded, err = dbsvec.LoadModel(f)
+		loaded, err := dbsvec.LoadModel(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
-	}
-	if model.assign {
 		return runAssign(ds, loaded, outPath, workers, stats)
 	}
 
@@ -190,7 +190,6 @@ func run(algo string, eps float64, minPts, k int, nu float64, inPath, outPath st
 	case "dbsvec":
 		opts := dbsvec.Options{
 			Eps: eps, MinPts: minPts, Nu: nu, Index: idx, Seed: seed, Workers: workers,
-			WarmFrom:         loaded,
 			Shards:           sharding.shards,
 			ShardConcurrency: sharding.par,
 			Budget: dbsvec.Budget{
@@ -276,8 +275,8 @@ func printStats(algo string, n, d int, res *dbsvec.Result, elapsed time.Duration
 		algo, n, d, res.Clusters, res.NoiseCount(), elapsed.Round(time.Millisecond))
 	if algo == "dbsvec" {
 		s := res.Stats
-		fmt.Fprintf(os.Stderr, "seeds=%d supportVectors=%d merges=%d noiseList=%d rangeQueries=%d rangeCounts=%d svddTrainings=%d svddIterations=%d degraded=%d retainedModels=%d warmRestarts=%d\n",
-			s.Seeds, s.SupportVectors, s.Merges, s.NoiseList, s.RangeQueries, s.RangeCounts, s.SVDDTrainings, s.SVDDIterations, s.Degraded, s.RetainedModels, s.WarmRestarts)
+		fmt.Fprintf(os.Stderr, "seeds=%d supportVectors=%d merges=%d noiseList=%d rangeQueries=%d rangeCounts=%d svddTrainings=%d svddIterations=%d degraded=%d retainedModels=%d\n",
+			s.Seeds, s.SupportVectors, s.Merges, s.NoiseList, s.RangeQueries, s.RangeCounts, s.SVDDTrainings, s.SVDDIterations, s.Degraded, s.RetainedModels)
 		if budgetErr != nil {
 			fmt.Fprintf(os.Stderr, "budgetExceeded=%s budgetElapsed=%s budgetRounds=%d budgetQueries=%d\n",
 				budgetErr.Limit, budgetErr.Elapsed.Round(time.Millisecond), budgetErr.SVDDRounds, budgetErr.RangeQueries)

@@ -177,8 +177,8 @@ func writeJitterInput(t *testing.T) string {
 
 // TestRunSaveLoadAssign drives the model-artifact lifecycle through the CLI:
 // cluster + -savemodel, then -loadmodel -assign on the same input must
-// reproduce the clustering's labels, and -loadmodel without -assign must
-// warm-restart a fresh run to the same labeling.
+// reproduce the clustering's labels, and -loadmodel without -assign is a
+// usage error.
 func TestRunSaveLoadAssign(t *testing.T) {
 	in := writeJitterInput(t)
 	dir := t.TempDir()
@@ -218,17 +218,13 @@ func TestRunSaveLoadAssign(t *testing.T) {
 		}
 	}
 
-	warmOut := filepath.Join(dir, "warm.csv")
-	if err := run("dbsvec", 5, 5, 0, 0, in, warmOut, 0, "linear", "f64", 1, 0, false,
-		budgetFlags{}, modelFlags{load: modelPath}, shardFlags{}); err != nil {
-		t.Fatalf("warm restart: %v", err)
+	loadOut := filepath.Join(dir, "load.csv")
+	if err := run("dbsvec", 5, 5, 0, 0, in, loadOut, 0, "linear", "f64", 1, 0, false,
+		budgetFlags{}, modelFlags{load: modelPath}, shardFlags{}); err == nil {
+		t.Fatal("-loadmodel without -assign should error")
 	}
-	warm, err := os.ReadFile(warmOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(warm) != string(want) {
-		t.Error("warm-restarted run labeled the input differently from the cold run")
+	if _, err := os.Stat(loadOut); !os.IsNotExist(err) {
+		t.Errorf("-loadmodel without -assign wrote %s (stat err %v)", loadOut, err)
 	}
 }
 
@@ -269,7 +265,7 @@ func TestRunStatsCounterLine(t *testing.T) {
 		t.Fatalf("no counter line in -stats output:\n%s", out)
 	}
 	for _, k := range []string{"seeds", "supportVectors", "merges", "noiseList", "rangeQueries", "rangeCounts",
-		"svddTrainings", "svddIterations", "degraded", "retainedModels", "warmRestarts"} {
+		"svddTrainings", "svddIterations", "degraded", "retainedModels"} {
 		if _, ok := counters[k]; !ok {
 			t.Errorf("counter line lacks %s=:\n%s", k, out)
 		}

@@ -113,14 +113,6 @@ type Options struct {
 	// MaxSVDDTarget caps the SVDD target-set size (default 1024).
 	MaxSVDDTarget int
 
-	// WarmFrom supplies a previously trained (or loaded) Model as the
-	// warm-restart source: the first SVDD round of every sub-cluster seeds
-	// the solver from the saved multipliers of overlapping points. On
-	// unchanged or mostly-overlapping data this reproduces the cold
-	// clustering within solver tolerance at strictly fewer SMO iterations
-	// (Stats.WarmRestarts counts the seeded rounds). nil cold-starts.
-	WarmFrom *Model
-
 	// Budget bounds the run's work (wall clock, SVDD rounds, range
 	// queries). When a limit fires, Cluster returns the best-effort partial
 	// clustering built so far together with a *BudgetExceededError: check
@@ -153,8 +145,8 @@ type SVDDTimes = engine.SVDDTimes
 // CoreStats is the work report of one DBSVEC run: every term of the paper's
 // θ = s + 1 + k + m + MinPts·l cost model (Seeds, SupportVectors, Merges,
 // NoiseList), the ε-queries, SVDD trainings and SMO iterations actually
-// spent, degradation and warm-restart counts, and the index-build, phase and
-// SVDD-stage wall clocks. See the field docs on the core type.
+// spent, the degradation count, and the index-build, phase and SVDD-stage
+// wall clocks. See the field docs on the core type.
 type CoreStats = core.Stats
 
 // Stats reports the work a DBSVEC run performed. The CoreStats fields are
@@ -219,10 +211,6 @@ func ClusterContext(ctx context.Context, d *Dataset, opts Options) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	var warm []*svdd.Snapshot
-	if opts.WarmFrom != nil {
-		warm = opts.WarmFrom.snapshots()
-	}
 	res, retained, st, err := core.RunRetained(d.ds, core.Options{
 		Context:         ctx,
 		Eps:             opts.Eps,
@@ -237,7 +225,6 @@ func ClusterContext(ctx context.Context, d *Dataset, opts Options) (*Result, err
 		IndexBuilderCtx: build,
 		Workers:         opts.Workers,
 		MaxSVDDTarget:   opts.MaxSVDDTarget,
-		WarmModels:      warm,
 		Budget:          opts.Budget,
 	})
 	if err != nil && res == nil {

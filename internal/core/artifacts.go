@@ -75,44 +75,3 @@ func (r *runner) finalizeRetained(labels []int32) []RetainedModel {
 	}
 	return out
 }
-
-// priorAlphas flattens a snapshot set into a point-id → multiplier map for
-// round-one warm restarts. When several snapshots carry the same point (a
-// support vector that sat on a shared frontier), the largest multiplier wins;
-// iterating the snapshots in slice order makes the tie-break deterministic.
-func priorAlphas(snaps []*svdd.Snapshot) map[int32]float64 {
-	prior := make(map[int32]float64)
-	for _, s := range snaps {
-		if s == nil {
-			continue
-		}
-		for i, id := range s.IDs {
-			if a := s.Alpha[i]; a > prior[id] {
-				prior[id] = a
-			}
-		}
-	}
-	if len(prior) == 0 {
-		return nil
-	}
-	return prior
-}
-
-// warmFromPrior maps the prior multipliers onto the target ids (0 for points
-// the prior does not carry; the solver clamps and renormalizes). It returns
-// nil when the target shares no point with the prior set — a cold start is
-// the better seed for genuinely new data.
-func warmFromPrior(ids []int32, prior map[int32]float64) []float64 {
-	warm := make([]float64, len(ids))
-	any := false
-	for i, id := range ids {
-		if a, ok := prior[id]; ok {
-			warm[i] = a
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return warm
-}

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"dbsvec/internal/eval"
-	"dbsvec/internal/svdd"
-)
+import "testing"
 
 // TestRunRetainedMatchesRun: retention must not perturb the clustering —
 // RunRetained's labels are bit-identical to Run's for the same options.
@@ -81,56 +76,5 @@ func TestRunRetainedClusterIDs(t *testing.T) {
 	}
 	if deg != st.Degraded {
 		t.Fatalf("degraded entries %d != Stats.Degraded %d", deg, st.Degraded)
-	}
-}
-
-// TestWarmRestartFromSnapshots pins the warm-restart acceptance criteria:
-// re-clustering the same data seeded from a previous run's retained
-// snapshots must reproduce the cold clustering at ARI >= 0.99 while spending
-// strictly fewer total SMO iterations.
-func TestWarmRestartFromSnapshots(t *testing.T) {
-	for _, spec := range []struct {
-		n, d int
-		seed int64
-	}{
-		{900, 2, 7},
-		{2000, 2, 13},
-	} {
-		ds := detBlobs(spec.n, spec.d, spec.seed)
-		opts := Options{Eps: 6, MinPts: 8, Seed: 3, Workers: 1}
-		cold, retained, coldStats, err := RunRetained(ds, opts)
-		if err != nil {
-			t.Fatalf("n=%d cold: %v", spec.n, err)
-		}
-		snaps := make([]*svdd.Snapshot, 0, len(retained))
-		for _, e := range retained {
-			if e.Snap != nil {
-				snaps = append(snaps, e.Snap)
-			}
-		}
-		if len(snaps) == 0 {
-			t.Fatalf("n=%d: cold run retained no snapshots", spec.n)
-		}
-
-		wopts := opts
-		wopts.WarmModels = snaps
-		warm, warmStats, err := Run(ds, wopts)
-		if err != nil {
-			t.Fatalf("n=%d warm: %v", spec.n, err)
-		}
-		if warmStats.WarmRestarts == 0 {
-			t.Fatalf("n=%d: no round was warm-restarted from the snapshots", spec.n)
-		}
-		ari, err := eval.AdjustedRandIndex(cold, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ari < 0.99 {
-			t.Errorf("n=%d: warm-restart ARI = %v, want >= 0.99", spec.n, ari)
-		}
-		if warmStats.SVDDIterations >= coldStats.SVDDIterations {
-			t.Errorf("n=%d: warm restart spent %d SMO iterations, cold run %d — want strictly fewer",
-				spec.n, warmStats.SVDDIterations, coldStats.SVDDIterations)
-		}
 	}
 }

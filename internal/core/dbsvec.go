@@ -86,16 +86,6 @@ type Options struct {
 	// keeps targets under it in normal operation.
 	MaxSVDDTarget int
 
-	// WarmModels supplies a previous run's retained SVDD snapshots as the
-	// warm-restart source: the FIRST training round of every sub-cluster
-	// seeds the solver from the saved multipliers of overlapping points;
-	// later rounds cold-start as in Algorithm 3. On unchanged or
-	// mostly-overlapping data the saved alphas sit near each round-one
-	// optimum, so a warm restart reproduces the cold clustering within
-	// solver tolerance at strictly fewer SMO iterations. nil cold-starts
-	// every round.
-	WarmModels []*svdd.Snapshot
-
 	// Workers is the query-execution worker count: each expansion round's
 	// support-vector query set and the noise list's pending core tests are
 	// submitted as one batch fanned across this many goroutines. <= 0
@@ -122,17 +112,19 @@ type Options struct {
 // specific violation from the message.
 var ErrInvalidParams = errors.New("dbsvec: invalid parameters")
 
+// validate rejects malformed Options. Every float check is written so that
+// NaN, which fails every comparison, fails it too.
 func (o Options) validate() error {
-	if o.Eps <= 0 {
+	if !(o.Eps > 0) {
 		return fmt.Errorf("%w: eps %g must be positive", ErrInvalidParams, o.Eps)
 	}
 	if o.MinPts < 1 {
 		return fmt.Errorf("%w: MinPts %d must be at least 1", ErrInvalidParams, o.MinPts)
 	}
-	if o.Nu < 0 || o.Nu > 1 {
+	if !(o.Nu >= 0 && o.Nu <= 1) {
 		return fmt.Errorf("%w: nu %g must be in (0,1] (0 selects the adaptive ν*)", ErrInvalidParams, o.Nu)
 	}
-	if o.MemoryFactor < 0 || (o.MemoryFactor > 0 && o.MemoryFactor <= 1) {
+	if !(o.MemoryFactor == 0 || o.MemoryFactor > 1) {
 		return fmt.Errorf("%w: memory factor λ %g must exceed 1", ErrInvalidParams, o.MemoryFactor)
 	}
 	if o.Workers < 0 {
@@ -174,9 +166,6 @@ type Stats struct {
 	// expansion fallback instead of support-vector expansion. A degraded
 	// sub-cluster loses the θ speedup but keeps DBSCAN-exact semantics.
 	Degraded int
-	// WarmRestarts counts the training rounds seeded from a prior run's
-	// snapshots (Options.WarmModels) rather than cold.
-	WarmRestarts int
 	// RetainedModels is the number of per-sub-cluster SVDD snapshots the run
 	// retained (RunRetained only; 0 for Run).
 	RetainedModels int
@@ -212,7 +201,6 @@ func (s *Stats) Add(o Stats) {
 	s.SVDDTrainings += o.SVDDTrainings
 	s.SVDDIterations += o.SVDDIterations
 	s.Degraded += o.Degraded
-	s.WarmRestarts += o.WarmRestarts
 	s.RetainedModels += o.RetainedModels
 	s.IndexBuild += o.IndexBuild
 	s.Phases.Init += o.Phases.Init
@@ -280,9 +268,6 @@ type runner struct {
 	// finalizeRetained rewrites the ids into the final dense label space.
 	retain   bool
 	retained []RetainedModel
-	// warmPrior is Options.WarmModels flattened to point id → multiplier;
-	// the first training round of each sub-cluster seeds the solver from it.
-	warmPrior map[int32]float64
 }
 
 // Run executes DBSVEC over ds and returns the clustering, run statistics,
@@ -305,8 +290,7 @@ func Run(ds *vec.Dataset, opts Options) (*cluster.Result, Stats, error) {
 // per-sub-cluster SVDD model (and every degradation event) is snapshotted
 // and returned as a RetainedModel list whose Cluster fields reference the
 // final compacted cluster ids of the result. The retained set is what the
-// top-level Model artifact serializes and what a later run's
-// Options.WarmModels consumes.
+// top-level Model artifact serializes.
 func RunRetained(ds *vec.Dataset, opts Options) (*cluster.Result, []RetainedModel, Stats, error) {
 	return run(ds, opts, true)
 }
@@ -365,9 +349,6 @@ func run(ds *vec.Dataset, opts Options, retain bool) (res *cluster.Result, retai
 		core:       make([]coreState, n),
 		rng:        rand.New(rand.NewSource(opts.Seed)),
 		retain:     retain,
-	}
-	if len(opts.WarmModels) > 0 {
-		r.warmPrior = priorAlphas(opts.WarmModels)
 	}
 	for i := range r.labels {
 		r.labels[i] = cluster.Unclassified
@@ -601,12 +582,12 @@ func (r *runner) svExpandCluster(initial []int32, cid int32) error {
 		r.counters[id] = 0
 	}
 
-	for first := true; len(targets) > 0; first = false {
+	for len(targets) > 0 {
 		if err := r.checkpoint(); err != nil {
 			return err
 		}
 		ids := r.sampleTargets(targets)
-		model, err := r.trainSVDD(ids, first)
+		model, err := r.trainSVDD(ids)
 		if model != nil {
 			r.stats.SVDDTrainings++
 			r.stats.SVDDIterations += int64(model.Iterations)
@@ -849,21 +830,13 @@ func (r *runner) effectiveNu(targetSize int) float64 {
 }
 
 // trainSVDD fits the (weighted) SVDD model for the current target ids. Every
-// round trains afresh (Algorithm 3), except that round one of a sub-cluster
-// (first) restarts from a previous run's snapshots when Options.WarmModels
-// supplied any.
-func (r *runner) trainSVDD(ids []int32, first bool) (*svdd.Model, error) {
+// round trains afresh (Algorithm 3).
+func (r *runner) trainSVDD(ids []int32) (*svdd.Model, error) {
 	cfg := svdd.Config{
 		Dim:     r.ds.Dim(),
 		MinPts:  r.opts.MinPts,
 		Workers: r.eng.Workers(),
 		Context: r.ctx,
-	}
-	if first && r.warmPrior != nil {
-		if w := warmFromPrior(ids, r.warmPrior); w != nil {
-			cfg.WarmAlpha = w
-			r.stats.WarmRestarts++
-		}
 	}
 	switch {
 	case r.opts.NuMin:

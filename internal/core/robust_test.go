@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -268,6 +269,9 @@ func TestInvalidParamsTaxonomy(t *testing.T) {
 		{Eps: 1, MinPts: 5, Budget: Budget{MaxDuration: -time.Second}},
 		{Eps: 1, MinPts: 5, Budget: Budget{MaxSVDDRounds: -1}},
 		{Eps: 1, MinPts: 5, Budget: Budget{MaxRangeQueries: -1}},
+		{Eps: math.NaN(), MinPts: 5},
+		{Eps: 1, MinPts: 5, Nu: math.NaN()},
+		{Eps: 1, MinPts: 5, MemoryFactor: math.NaN()},
 	}
 	for i, o := range cases {
 		_, _, err := Run(ds, o)

@@ -340,16 +340,22 @@ func (mr *modelReader) finite(name string) float64 {
 	return v
 }
 
+// readChunk caps the capacity a count-driven read allocates up front. The
+// count caps still let a few header bytes claim gigabytes of payload, so the
+// slices grow with the values actually read, not with the claim.
+const readChunk = 1 << 16
+
 func (mr *modelReader) i32s(n int) []int32 {
 	if mr.err != nil {
 		return nil
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(mr.u32())
+	out := make([]int32, 0, min(n, readChunk))
+	for i := 0; i < n; i++ {
+		v := int32(mr.u32())
 		if mr.err != nil {
 			return nil
 		}
+		out = append(out, v)
 	}
 	return out
 }
@@ -358,16 +364,17 @@ func (mr *modelReader) f64s(n int, name string) []float64 {
 	if mr.err != nil {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = mr.f64()
+	out := make([]float64, 0, min(n, readChunk))
+	for i := 0; i < n; i++ {
+		v := mr.f64()
 		if mr.err != nil {
 			return nil
 		}
-		if math.IsNaN(out[i]) || math.IsInf(out[i], 0) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
 			mr.fail("%s[%d] not finite", name, i)
 			return nil
 		}
+		out = append(out, v)
 	}
 	return out
 }

@@ -2,8 +2,10 @@ package data
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"dbsvec/internal/svdd"
@@ -246,6 +248,33 @@ func TestReadModelSizeOverflow(t *testing.T) {
 	}
 	if !errors.Is(err, ErrMalformed) {
 		t.Fatalf("overflow error %v does not wrap ErrMalformed", err)
+	}
+}
+
+// TestReadModelClaimedCountNeedsPayload: a snapshot header may claim up to
+// maxModelValues/dim support vectors in four bytes. A stream that then ends
+// must be rejected as truncated without first allocating for the claim.
+func TestReadModelClaimedCountNeedsPayload(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteModel(&buf, fuzzSeedArtifact()); err != nil {
+		t.Fatal(err)
+	}
+	in := buf.Bytes()
+	// Header (34 bytes), entry cluster id and flags (5), snapshot dim (4).
+	const kOff = 43
+	if k := binary.LittleEndian.Uint32(in[kOff:]); k != 3 {
+		t.Fatalf("support-vector count at offset %d = %d, want the seed's 3", kOff, k)
+	}
+	putU32(in[kOff:], 1<<28) // 1 GiB of int32 ids, 2 GiB of alphas
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadModel(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrMalformed) {
+		t.Fatalf("err = %v, want ErrMalformed", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("rejecting a %d-byte stream allocated %d bytes", len(in), grew)
 	}
 }
 

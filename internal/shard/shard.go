@@ -54,8 +54,6 @@ type Options struct {
 	// Core holds the per-shard DBSVEC options (Eps and MinPts required).
 	// Context and Budget apply per shard: a budget-tripped shard contributes
 	// its valid partial clustering and the run reports the first trip.
-	// WarmModels is not supported in sharded mode (snapshots reference
-	// whole-dataset point ids) and must be nil.
 	Core core.Options
 	// Shards is the slab count k (default 1 = single-shot semantics).
 	Shards int
@@ -149,11 +147,8 @@ func Run(src Source, o Options) (*cluster.Result, []Model, Stats, error) {
 	if conc < 0 {
 		return nil, nil, stats, fmt.Errorf("%w: Concurrency %d must be non-negative", core.ErrInvalidParams, o.Concurrency)
 	}
-	if o.Core.Eps < 0 {
+	if !(o.Core.Eps >= 0) {
 		return nil, nil, stats, fmt.Errorf("%w: Eps %g must be non-negative", core.ErrInvalidParams, o.Core.Eps)
-	}
-	if len(o.Core.WarmModels) > 0 {
-		return nil, nil, stats, fmt.Errorf("%w: WarmModels are not supported in sharded mode", core.ErrInvalidParams)
 	}
 	n := src.Len()
 	if n == 0 {

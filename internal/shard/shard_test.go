@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -297,6 +298,9 @@ func TestShardedEdgeCases(t *testing.T) {
 	}
 	if _, _, _, err := Run(NewMemSource(ds), Options{Core: core.Options{Eps: 1, MinPts: 2}, Concurrency: -1}); !errors.Is(err, core.ErrInvalidParams) {
 		t.Fatalf("negative concurrency: %v", err)
+	}
+	if _, _, _, err := Run(NewMemSource(ds), Options{Core: core.Options{Eps: math.NaN(), MinPts: 2}, Shards: 2}); !errors.Is(err, core.ErrInvalidParams) {
+		t.Fatalf("NaN eps: %v", err)
 	}
 
 	// Heap sampling on: the stat must come back non-zero.

@@ -242,7 +242,7 @@ func TestShrinkMatchesFullScan(t *testing.T) {
 		ds := gaussCloud(350, 6, seed)
 		ids := vec.Iota(350)
 		times := make([]int, 350)
-		full, err := Train(ds, ids, Config{Nu: 0.05, Times: times, NoShrink: true})
+		full, err := train(ds, ids, Config{Nu: 0.05, Times: times}, newKernelMatrix, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,50 +266,7 @@ func TestShrinkMatchesFullScan(t *testing.T) {
 	}
 }
 
-// TestWarmStartEquivalent verifies a warm-started training converges to the
-// same dual solution as a cold start at the same tolerance: equal objective
-// within tolerance, full KKT satisfied, feasible simplex mass.
-func TestWarmStartEquivalent(t *testing.T) {
-	ds := gaussCloud(500, 4, 9)
-	allIds := vec.Iota(500)
-	prev, err := Train(ds, allIds[:400], Config{Nu: 0.08, Times: make([]int, 400)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmAlpha := make([]float64, 500)
-	copy(warmAlpha, prev.Alpha)
-
-	cold, err := Train(ds, allIds, Config{Nu: 0.08, Times: make([]int, 500)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := Train(ds, allIds, Config{Nu: 0.08, Times: make([]int, 500), WarmAlpha: warmAlpha})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := kktViolation(t, ds, warm); g >= defaultTol {
-		t.Errorf("warm model violates KKT by %g", g)
-	}
-	if s := warm.SumAlpha(); math.Abs(s-1) > 1e-9 {
-		t.Errorf("warm sum alpha = %g", s)
-	}
-	// Identical minima up to the solver tolerance: the dual is convex, so
-	// both runs end within tol-induced distance of the optimum.
-	if diff := math.Abs(warm.ObjectiveValue() - cold.ObjectiveValue()); diff > 1e-3 {
-		t.Errorf("warm objective %g vs cold %g (diff %g)",
-			warm.ObjectiveValue(), cold.ObjectiveValue(), diff)
-	}
-}
-
-// TestWarmStartRejectsBadLength pins the config validation.
-func TestWarmStartRejectsBadLength(t *testing.T) {
-	ds := gaussCloud(20, 2, 1)
-	if _, err := Train(ds, vec.Iota(20), Config{Nu: 0.5, WarmAlpha: make([]float64, 7)}); err == nil {
-		t.Fatal("want error for mismatched WarmAlpha length")
-	}
-}
-
-// TestInitAlpha covers the warm-start normalization cases directly.
+// TestInitAlpha covers the greedy cap-respecting fill directly.
 func TestInitAlpha(t *testing.T) {
 	upper := []float64{0.5, 0.5, 0.5, 0.5}
 	sum := func(a []float64) float64 {
@@ -322,37 +279,17 @@ func TestInitAlpha(t *testing.T) {
 
 	// Cold start: greedy cap-respecting fill.
 	a := make([]float64, 4)
-	initAlpha(a, upper, nil)
+	initAlpha(a, upper)
 	if a[0] != 0.5 || a[1] != 0.5 || a[2] != 0 || sum(a) != 1 {
 		t.Errorf("cold fill = %v", a)
 	}
 
-	// Excess mass scales down inside the boxes.
+	// The mass spills over as many boxes as it needs; the remainder lands
+	// on the last one and later entries stay zero.
 	a = make([]float64, 4)
-	initAlpha(a, upper, []float64{0.5, 0.5, 0.5, 0.5})
-	if math.Abs(sum(a)-1) > 1e-12 || a[0] != 0.25 {
-		t.Errorf("scaled warm = %v", a)
-	}
-
-	// Deficit is pushed onto the nonzero entries first, keeping zeros zero.
-	a = make([]float64, 4)
-	initAlpha(a, upper, []float64{0.4, 0.2, 0, 0})
-	if math.Abs(sum(a)-1) > 1e-12 || a[2] != 0 || a[3] != 0 {
-		t.Errorf("sparse top-up = %v", a)
-	}
-
-	// Clamping: negatives and over-cap values land inside the box.
-	a = make([]float64, 4)
-	initAlpha(a, upper, []float64{2, -1, 0.25, 0})
-	if a[0] != 0.5 || a[1] != 0 || math.Abs(sum(a)-1) > 1e-12 {
-		t.Errorf("clamped warm = %v", a)
-	}
-
-	// All-zero warm vector falls back to the cold fill.
-	a = make([]float64, 4)
-	initAlpha(a, upper, []float64{0, 0, 0, 0})
-	if a[0] != 0.5 || a[1] != 0.5 || sum(a) != 1 {
-		t.Errorf("zero warm fill = %v", a)
+	initAlpha(a, []float64{0.3, 0.3, 0.3, 0.3})
+	if a[0] != 0.3 || a[1] != 0.3 || a[2] != 0.3 || math.Abs(a[3]-0.1) > 1e-15 || math.Abs(sum(a)-1) > 1e-15 {
+		t.Errorf("spill fill = %v", a)
 	}
 }
 
@@ -407,29 +344,29 @@ func benchTrainConfig() Config {
 func BenchmarkTrain512d8(b *testing.B) {
 	ds := gaussCloud(512, 8, 3)
 	ids := vec.Iota(512)
-	run := func(b *testing.B, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix) {
+	run := func(b *testing.B, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix, shrink bool) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := train(ds, ids, cfg, build); err != nil {
+			if _, err := train(ds, ids, cfg, build, shrink); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	b.Run("baseline-eager-serial", func(b *testing.B) {
 		cfg := benchTrainConfig()
-		cfg.Workers, cfg.NoShrink = 1, true
-		run(b, cfg, denseReference)
+		cfg.Workers = 1
+		run(b, cfg, denseReference, false)
 	})
 	b.Run("fast-serial", func(b *testing.B) {
 		cfg := benchTrainConfig()
 		cfg.Workers = 1
-		run(b, cfg, newKernelMatrix)
+		run(b, cfg, newKernelMatrix, true)
 	})
 	b.Run("fast-workers8", func(b *testing.B) {
 		cfg := benchTrainConfig()
 		cfg.Workers = 8
-		run(b, cfg, newKernelMatrix)
+		run(b, cfg, newKernelMatrix, true)
 	})
 }
 

@@ -9,7 +9,7 @@ import (
 	"dbsvec/internal/vec"
 )
 
-// Property: for random datasets, ν values and weight vectors, Train always
+// Property: for random datasets, ν values and participation counts, Train always
 // produces a feasible dual solution (Σα = 1, 0 ≤ α_i ≤ u_i) and a
 // non-negative radius.
 func TestQuickTrainFeasibility(t *testing.T) {
@@ -27,23 +27,13 @@ func TestQuickTrainFeasibility(t *testing.T) {
 		ds, _ := vec.FromRows(rows)
 		ids := allIDs(n)
 		cfg := Config{Nu: 0.01 + rng.Float64()*0.98}
-		switch rng.Intn(3) {
-		case 1:
-			w := make([]float64, n)
-			for i := range w {
-				w[i] = rng.Float64() * 5
-			}
-			cfg.Weights = w
-		case 2:
+		if rng.Intn(2) == 1 {
 			times := make([]int, n)
 			for i := range times {
 				times[i] = rng.Intn(5)
 			}
 			cfg.Times = times
 			cfg.Lambda = 1 + rng.Float64()
-		}
-		if rng.Intn(2) == 0 {
-			cfg.SecondOrder = true
 		}
 		m, err := Train(ds, ids, cfg)
 		if err != nil {

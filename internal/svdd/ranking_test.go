@@ -120,41 +120,6 @@ func TestTimesPathMatchesIntent(t *testing.T) {
 	}
 }
 
-// Second-order working-set selection must satisfy the same constraints and
-// describe the same boundary as first-order, typically in fewer iterations.
-func TestSecondOrderSelection(t *testing.T) {
-	ds, _ := blobWithOutliers(400, 31)
-	ids := allIDs(ds.Len())
-	first, err := Train(ds, ids, Config{Nu: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Train(ds, ids, Config{Nu: 0.1, SecondOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := second.SumAlpha(); s < 0.999 || s > 1.001 {
-		t.Fatalf("second-order sum alpha = %v", s)
-	}
-	for i, a := range second.Alpha {
-		if a < -1e-12 || a > second.Upper[i]+1e-12 {
-			t.Fatalf("second-order alpha[%d] out of bounds", i)
-		}
-	}
-	// The two solvers optimize the same dual: their objective values
-	// (αᵀKα, lower is better) must agree closely.
-	if d := second.alphaDot - first.alphaDot; d > 0.01*first.alphaDot+1e-9 {
-		t.Errorf("second-order objective %v notably worse than first-order %v", second.alphaDot, first.alphaDot)
-	}
-	t.Logf("iterations: first=%d second=%d", first.Iterations, second.Iterations)
-	// Boundary agreement: both models classify far outliers outside.
-	for _, probe := range [][]float64{{50, 50}, {-40, 10}} {
-		if (first.Eval(probe) > 0) != (second.Eval(probe) > 0) {
-			t.Errorf("solvers disagree on probe %v", probe)
-		}
-	}
-}
-
 // The lazy (pivot-sampled) weight path and the dense path must agree on the
 // weight ordering for the same data. We exercise the lazy path with a
 // target above the default maximum SVDD target size of 1024.

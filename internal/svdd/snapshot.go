@@ -9,7 +9,7 @@ import (
 )
 
 // Snapshot is the complete, minimal serializable state of a trained Model:
-// everything Eval, TopSupportVectors, and a warm restart need, and nothing
+// everything Eval and TopSupportVectors need, and nothing
 // the solver keeps for its own bookkeeping (kernel matrix, gradients,
 // per-point caps). Only support vectors are retained — non-SV multipliers
 // are zero and contribute nothing to Eq. 12 — together with their
@@ -32,9 +32,9 @@ type Snapshot struct {
 	// Iterations and Converged record the solve's outcome.
 	Iterations int
 	Converged  bool
-	// IDs are the support vectors' global training-dataset ids. They give a
-	// warm restart its alignment with a re-run's target sets; a detached
-	// evaluation never dereferences them.
+	// IDs are the support vectors' global training-dataset ids, which
+	// SupportVectors and TopSupportVectors report; a detached evaluation
+	// never dereferences them.
 	IDs []int32
 	// Alpha are the support vectors' Lagrange multipliers.
 	Alpha []float64
@@ -106,8 +106,8 @@ func (m *Model) Snapshot() *Snapshot {
 
 // FromSnapshot rebuilds an evaluable Model from a snapshot. The model is
 // *detached*: it carries its own copy of the support-vector coordinates and
-// needs no training dataset, so Eval, SupportVectors, TopSupportVectors and
-// warm-start extraction all work in a fresh process. Solver-only
+// needs no training dataset, so Eval, SupportVectors and TopSupportVectors
+// all work in a fresh process. Solver-only
 // capabilities are absent (BoundedSupportVectors returns nil).
 //
 // The model aliases the snapshot's slices; callers must not mutate the

@@ -16,14 +16,13 @@
 //	subject to  0 ≤ α_i ≤ ω_i·C,  Σ α_i = 1,
 //
 // optimized by repeatedly selecting the maximal-violating pair and moving
-// mass between its two multipliers in closed form. The training fast path
-// adds two layers on top (see internal/svdd/README.md and the "SVDD
-// solver internals" section of DESIGN.md): the dense kernel fill of small
-// targets and the pivot-row batch of large ones fan out across a worker
-// pool, and a shrinking heuristic drops bound-pinned
-// multipliers from the working set (with a final full-pass KKT re-check so
-// converged models are unchanged). Config.WarmAlpha seeds the solver from
-// saved multipliers for warm restarts.
+// mass between its two multipliers in closed form, starting every training
+// from the greedy cap-respecting fill. The training fast path adds two
+// layers on top (see internal/svdd/README.md and the "SVDD solver
+// internals" section of DESIGN.md): the dense kernel fill of small targets
+// and the pivot-row batch of large ones fan out across a worker pool, and a
+// shrinking heuristic drops bound-pinned multipliers from the working set
+// (with a final full-pass KKT re-check so converged models are unchanged).
 package svdd
 
 import (
@@ -47,13 +46,10 @@ type Config struct {
 	// Sigma is the Gaussian kernel RMS width. When 0 the σ = r/√2 rule is
 	// applied to the target set.
 	Sigma float64
-	// Weights are the penalty weights ω_i aligned with the target ids; nil
-	// means uniform weights of 1 (plain SVDD).
-	Weights []float64
 	// Times, when non-nil, activates the adaptive penalty weights of Eq. 7
 	// computed internally (reusing the kernel matrix, which is cheaper than
 	// a separate KernelDistances pass): ω_i = λ^{Times[i]}·(1 − D_i/max D)
-	// with λ = Lambda. Takes precedence over Weights.
+	// with λ = Lambda. nil means uniform weights of 1 (plain SVDD).
 	Times []int
 	// Lambda is the memory factor λ > 1 used with Times; 0 selects 1.5.
 	Lambda float64
@@ -64,29 +60,11 @@ type Config struct {
 	Tol float64
 	// MaxIter caps SMO iterations; 0 means 200·ñ + 10000.
 	MaxIter int
-	// SecondOrder switches working-set selection from the maximal-violating
-	// pair to libsvm-style second-order selection (WSS2): the up candidate
-	// is chosen by gradient and the down candidate by the largest predicted
-	// objective decrease. Usually converges in fewer iterations at a higher
-	// per-iteration cost.
-	SecondOrder bool
 	// Workers fans the dense fill and the pivot-row batch of the kernel
 	// matrix across this many goroutines with deterministic row-range
 	// partitioning (bit-identical to the serial fill for every value). <= 1
 	// fills on the calling goroutine.
 	Workers int
-	// WarmAlpha, when non-nil, warm-starts the solver from these Lagrange
-	// multipliers (aligned with the target ids; new points carry 0). The
-	// values are clamped into [0, ω_i·C] and renormalized to Σα = 1, so any
-	// previous round's multipliers are a valid start. nil cold-starts with
-	// the greedy cap-respecting fill.
-	WarmAlpha []float64
-	// NoShrink disables the shrinking working-set heuristic, restoring the
-	// full scan over every multiplier each iteration. Kept for A/B
-	// benchmarking and differential tests: converged models are the same
-	// either way, because shrinking always ends with a full-pass KKT
-	// re-check.
-	NoShrink bool
 	// Context, when non-nil, allows cancelling a long training: the solver
 	// checks it every ~1k SMO iterations and Train returns ctx's error with
 	// the partial model discarded. nil trainings run to completion.
@@ -180,12 +158,14 @@ const (
 // anywhere inside training (including worker goroutines of the parallel
 // kernel fill) is contained and returned as a *fault.WorkerPanicError.
 func Train(ds *vec.Dataset, ids []int32, cfg Config) (*Model, error) {
-	return train(ds, ids, cfg, newKernelMatrix)
+	return train(ds, ids, cfg, newKernelMatrix, true)
 }
 
-// train is Train with the kernel-matrix constructor as a parameter, so
-// package benchmarks can time a training on a fully dense matrix.
-func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix) (model *Model, err error) {
+// train is Train with the kernel-matrix constructor and the shrinking
+// heuristic as parameters, so package tests and benchmarks can run a
+// training on a fully dense matrix or with the full scan over every
+// multiplier as the reference the shrinking solver must match.
+func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix, shrink bool) (model *Model, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			model, err = nil, fault.AsWorkerPanic(v)
@@ -195,11 +175,8 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 	if n == 0 {
 		return nil, ErrEmptyTarget
 	}
-	if cfg.Nu < 0 || cfg.Nu > 1 {
+	if !(cfg.Nu >= 0 && cfg.Nu <= 1) {
 		return nil, fmt.Errorf("%w: %g", ErrBadNu, cfg.Nu)
-	}
-	if cfg.WarmAlpha != nil && len(cfg.WarmAlpha) != n {
-		return nil, fmt.Errorf("svdd: warm alphas length %d does not match target size %d", len(cfg.WarmAlpha), n)
 	}
 	if ctx := cfg.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -252,7 +229,7 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 	fill := engine.StartPhase()
 	km := build(ds, ids, sigma, cfg.Workers)
 
-	weights := cfg.Weights
+	var weights []float64
 	if cfg.Times != nil {
 		lambda := cfg.Lambda
 		if lambda == 0 {
@@ -289,7 +266,7 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 	fill.Stop(&m.Times.Fill)
 
 	solve := engine.StartPhase()
-	converged, solveErr := m.solveSMO(cfg.Context, km, tol, maxIter, cfg.SecondOrder, !cfg.NoShrink, cfg.WarmAlpha)
+	converged, solveErr := m.solveSMO(cfg.Context, km, tol, maxIter, shrink)
 	solve.Stop(&m.Times.Solve)
 	if solveErr != nil {
 		releaseMatrix(km)
@@ -400,79 +377,9 @@ func adaptiveWeights(km *kernelMatrix, times []int, lambda float64, workers int)
 	return w
 }
 
-// initAlpha establishes the feasible starting point: the warm-started
-// previous-round multipliers when supplied (clamped into the new boxes and
-// renormalized to Σα = 1 in a cap-aware way), else the greedy fill that
-// distributes the unit mass respecting caps.
-func initAlpha(alpha, upper, warm []float64) {
-	if warm != nil {
-		var sum float64
-		for i := range alpha {
-			a := warm[i]
-			if a < 0 {
-				a = 0
-			}
-			if a > upper[i] {
-				a = upper[i]
-			}
-			alpha[i] = a
-			sum += a
-		}
-		switch {
-		case sum > 1:
-			// Scaling down keeps every multiplier inside its box.
-			scale := 1 / sum
-			for i := range alpha {
-				alpha[i] *= scale
-			}
-			return
-		case sum > 0:
-			// Deficit: push the missing mass back onto the already-nonzero
-			// multipliers (the previous round's support vectors),
-			// proportionally to their remaining headroom. Keeping the start
-			// vector as sparse as the previous solution matters more than
-			// where exactly the mass lands — every nonzero multiplier costs
-			// a kernel row for the initial gradient and an SMO step to clear
-			// if misplaced. A greedy pass over the full target absorbs
-			// whatever the support vectors' boxes cannot take (feasibility
-			// Σ upper > 1 is guaranteed by the cap setup in Train).
-			rem := 1 - sum
-			for pass := 0; pass < 4 && rem > 1e-15; pass++ {
-				var headroom float64
-				for i := range alpha {
-					if alpha[i] > 0 {
-						headroom += upper[i] - alpha[i]
-					}
-				}
-				if headroom <= 0 {
-					break
-				}
-				scale := rem / headroom
-				if scale > 1 {
-					scale = 1
-				}
-				for i := range alpha {
-					if alpha[i] > 0 {
-						add := (upper[i] - alpha[i]) * scale
-						alpha[i] += add
-						rem -= add
-					}
-				}
-			}
-			for i := 0; i < len(alpha) && rem > 0; i++ {
-				add := upper[i] - alpha[i]
-				if add > rem {
-					add = rem
-				}
-				if add > 0 {
-					alpha[i] += add
-					rem -= add
-				}
-			}
-			return
-		}
-		// sum == 0 (all-new target or zeroed warm vector): cold start below.
-	}
+// initAlpha establishes the feasible starting point: the greedy fill that
+// distributes the unit mass in target order, each multiplier up to its cap.
+func initAlpha(alpha, upper []float64) {
 	remaining := 1.0
 	for i := 0; i < len(alpha) && remaining > 0; i++ {
 		a := math.Min(upper[i], remaining)
@@ -489,7 +396,7 @@ func initAlpha(alpha, upper, warm []float64) {
 const shrinkPeriod = 64
 
 // solveSMO runs SMO on the dual with first-order (maximal violating pair)
-// or second-order (WSS2) working-set selection.
+// working-set selection.
 //
 // With shrink set, the solver maintains an active working set: every
 // shrinkPeriod iterations, multipliers pinned at a bound that cannot
@@ -505,12 +412,12 @@ const shrinkPeriod = 64
 // The returned bool reports convergence: false means maxIter was exhausted
 // and the current iterate is the best found. A non-nil ctx is polled every
 // 1024 iterations; on cancellation the solve aborts with ctx's error.
-func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, tol float64, maxIter int, secondOrder, shrink bool, warm []float64) (bool, error) {
+func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, tol float64, maxIter int, shrink bool) (bool, error) {
 	n := len(m.IDs)
 	alpha := m.Alpha
 	upper := m.Upper
 
-	initAlpha(alpha, upper, warm)
+	initAlpha(alpha, upper)
 
 	// f_i = Σ_j α_j K_ij maintained incrementally. The gradient of αᵀKα is
 	// 2f; SMO moves mass from the max-gradient "down" candidate to the
@@ -584,29 +491,6 @@ func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, tol float64, max
 			// issued against the full KKT conditions.
 			unshrink()
 			continue
-		}
-		if secondOrder {
-			// WSS2: re-pick the down candidate to maximize the predicted
-			// objective decrease (f_j − f_up)² / η against up.
-			rowUp := km.row(up)
-			best, bestGain := -1, 0.0
-			for _, jj := range active {
-				j := int(jj)
-				if alpha[j] <= svThreshold || f[j]-upVal < tol {
-					continue
-				}
-				eta := 2 - 2*rowUp[j]
-				if eta < 1e-12 {
-					eta = 1e-12
-				}
-				diff := f[j] - upVal
-				if gain := diff * diff / eta; gain > bestGain {
-					best, bestGain = j, gain
-				}
-			}
-			if best >= 0 {
-				down = best
-			}
 		}
 		i, j := up, down
 		// Closed-form step: minimize along α_i += Δ, α_j -= Δ.
@@ -853,9 +737,9 @@ func (m *Model) Eval(x []float64) float64 {
 }
 
 // ObjectiveValue returns the dual objective αᵀKα at the trained solution —
-// the quantity SMO minimizes. Differential tests compare it across solver
-// configurations (shrinking on/off, warm vs cold start), which must agree
-// up to the convergence tolerance.
+// the quantity SMO minimizes. Differential tests compare it between the
+// shrinking solver and the full-scan reference, which must agree up to the
+// convergence tolerance.
 func (m *Model) ObjectiveValue() float64 { return m.alphaDot }
 
 // SumAlpha returns Σα (1 up to solver tolerance); exposed for tests.

@@ -1,6 +1,7 @@
 package svdd
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,6 +53,9 @@ func TestTrainBadNu(t *testing.T) {
 	}
 	if _, err := Train(ds, allIDs(2), Config{Nu: -0.1}); err == nil {
 		t.Error("want error for negative nu")
+	}
+	if _, err := Train(ds, allIDs(2), Config{Nu: math.NaN()}); !errors.Is(err, ErrBadNu) {
+		t.Errorf("NaN nu: err = %v, want ErrBadNu", err)
 	}
 }
 
@@ -185,22 +189,19 @@ func TestEvalSeparatesInteriorExterior(t *testing.T) {
 	}
 }
 
-// Weighted training: points with tiny weights (low caps) should be pushed
-// to their bound and become support vectors more readily than points with
-// huge weights.
+// Weighted training: points with small adaptive weights (low caps) should
+// be pushed to their bound and become support vectors more readily than
+// points with large ones. The participation counts of Eq. 7 set the
+// weights: t = 0 on the first ring half, t = 8 (ω scaled by λ⁸) on the
+// second.
 func TestWeightsSteerSupportVectors(t *testing.T) {
 	ds := ringDataset(120, 10, 0.3, 6)
 	n := ds.Len()
-	// Give the first half tiny weights and the second half huge ones.
-	w := make([]float64, n)
-	for i := range w {
-		if i < n/2 {
-			w[i] = 0.05
-		} else {
-			w[i] = 20
-		}
+	times := make([]int, n)
+	for i := n / 2; i < n; i++ {
+		times[i] = 8
 	}
-	m, err := Train(ds, allIDs(n), Config{Nu: 0.2, Weights: w})
+	m, err := Train(ds, allIDs(n), Config{Nu: 0.2, Times: times})
 	if err != nil {
 		t.Fatal(err)
 	}

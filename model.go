@@ -15,7 +15,6 @@ import (
 	"dbsvec/internal/dist"
 	"dbsvec/internal/engine"
 	"dbsvec/internal/fault"
-	"dbsvec/internal/svdd"
 )
 
 // ErrMalformed is wrapped by every rejection of a malformed model stream in
@@ -37,8 +36,8 @@ type Model struct {
 	plan     *assignPlan
 }
 
-// Model returns the run's retained model artifact: the input to Save,
-// Assign, and Options.WarmFrom. It is nil only when the Result was not
+// Model returns the run's retained model artifact: the input to Save and
+// Assign. It is nil only when the Result was not
 // produced by Cluster/ClusterContext (e.g. the zero Result).
 func (r *Result) Model() *Model { return r.model }
 
@@ -106,18 +105,6 @@ func (m *Model) DegradedClusters() []int32 {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// snapshots gathers the non-nil snapshots, the warm-restart source format
-// core.Options.WarmModels consumes.
-func (m *Model) snapshots() []*svdd.Snapshot {
-	var snaps []*svdd.Snapshot
-	for i := range m.art.Entries {
-		if s := m.art.Entries[i].Snap; s != nil {
-			snaps = append(snaps, s)
-		}
-	}
-	return snaps
 }
 
 // Save streams the model to w in the versioned binary model format. The

@@ -122,44 +122,6 @@ func TestAssignWorkerConformance(t *testing.T) {
 	}
 }
 
-// TestClusterWarmFrom drives the warm-restart path through the public API
-// and a full save/load cycle: re-clustering unchanged data from the loaded
-// model must reproduce the original clustering (ARI >= 0.99) and actually
-// seed SVDD rounds from the snapshots.
-func TestClusterWarmFrom(t *testing.T) {
-	ds := blobDataset(t, 1500, 2, 4, 3)
-	opts := Options{Eps: 3, MinPts: 8, Seed: 3}
-	cold, err := Cluster(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cold.Model().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wopts := opts
-	wopts.WarmFrom = loaded
-	warm, err := Cluster(ds, wopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Stats.WarmRestarts == 0 {
-		t.Fatal("no SVDD round was warm-restarted from the loaded model")
-	}
-	ari, err := ARI(cold, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ari < 0.99 {
-		t.Errorf("warm-from-loaded-model ARI = %v, want >= 0.99", ari)
-	}
-}
-
 // TestModelAssignRejectsMismatchedDim: dimension mismatches fail up front
 // instead of producing garbage labels.
 func TestModelAssignRejectsMismatchedDim(t *testing.T) {

@@ -32,6 +32,24 @@ type OneClassOptions struct {
 	Tol float64
 }
 
+// validate rejects malformed options with ErrInvalidParams. Every float
+// check is written so that NaN, which fails every comparison, fails it too.
+func (o OneClassOptions) validate() error {
+	if !(o.Nu >= 0 && o.Nu <= 1) {
+		return fmt.Errorf("%w: nu %g must be in (0,1] (0 selects 0.1)", ErrInvalidParams, o.Nu)
+	}
+	if !(o.Sigma >= 0) {
+		return fmt.Errorf("%w: sigma %g must be positive (0 selects the σ = r/√2 rule)", ErrInvalidParams, o.Sigma)
+	}
+	if !(o.Tol >= 0) {
+		return fmt.Errorf("%w: tol %g must be positive (0 selects 1e-4)", ErrInvalidParams, o.Tol)
+	}
+	if o.MaxIter < 0 {
+		return fmt.Errorf("%w: MaxIter %d must be non-negative (0 selects the solver default)", ErrInvalidParams, o.MaxIter)
+	}
+	return nil
+}
+
 // OneClassModel is a trained Support Vector Domain Description: a minimal
 // hypersphere (in Gaussian-kernel feature space) enclosing most of the
 // training data. It is the building block DBSVEC uses internally, exposed
@@ -47,10 +65,13 @@ type OneClassModel struct {
 // When the solver exhausts its iteration cap, the model is still returned —
 // it is the best feasible iterate — together with ErrNotConverged; check
 // Converged (or errors.Is against ErrNotConverged) to decide whether the
-// truncated boundary is acceptable.
+// truncated boundary is acceptable. Malformed options wrap ErrInvalidParams.
 func TrainOneClass(d *Dataset, opts OneClassOptions) (*OneClassModel, error) {
 	if d == nil || d.Len() == 0 {
 		return nil, fmt.Errorf("dbsvec: one-class training needs a non-empty dataset")
+	}
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	nu := opts.Nu
 	if nu == 0 {

@@ -61,9 +61,35 @@ func TestTrainOneClassErrors(t *testing.T) {
 	if _, err := TrainOneClass(empty, OneClassOptions{}); err == nil {
 		t.Error("empty dataset should error")
 	}
-	ds, _ := NewDataset([][]float64{{0, 0}, {1, 1}})
-	if _, err := TrainOneClass(ds, OneClassOptions{Nu: 2}); err == nil {
-		t.Error("nu > 1 should error")
+}
+
+// TestTrainOneClassRejectsInvalidOptions: every malformed option, NaN
+// included, is rejected up front with ErrInvalidParams instead of training
+// a NaN-scoring model, burning the iteration cap or returning an untrained
+// model.
+func TestTrainOneClassRejectsInvalidOptions(t *testing.T) {
+	ds, err := NewDataset(ringRows(400, 8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for name, opts := range map[string]OneClassOptions{
+		"nu>1":      {Nu: 2},
+		"nu<0":      {Nu: -0.1},
+		"nu NaN":    {Nu: nan},
+		"sigma<0":   {Sigma: -1},
+		"sigma NaN": {Sigma: nan},
+		"tol<0":     {Tol: -1},
+		"tol NaN":   {Tol: nan},
+		"maxiter<0": {MaxIter: -5},
+	} {
+		m, err := TrainOneClass(ds, opts)
+		if !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("%s: err = %v, want ErrInvalidParams", name, err)
+		}
+		if m != nil {
+			t.Errorf("%s: returned a model alongside the error", name)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package dbsvec
 
 import (
-	"fmt"
-
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/core"
 	"dbsvec/internal/data"
@@ -29,7 +27,7 @@ type ShardStat = shard.ShardStat
 //
 // Options.Budget applies per shard: a tripped shard contributes its valid
 // partial clustering and the merged Result comes back with a
-// *BudgetExceededError. Options.WarmFrom is not supported in sharded mode.
+// *BudgetExceededError.
 func RunSharded(d *Dataset, opts Options) (*Result, error) {
 	if d == nil {
 		return nil, core.ErrNilDataset
@@ -59,9 +57,6 @@ func RunShardedFile(path string, opts Options) (*Result, error) {
 }
 
 func runSharded(src shard.Source, dim int, prec Precision, opts Options) (*Result, error) {
-	if opts.WarmFrom != nil {
-		return nil, fmt.Errorf("%w: WarmFrom is not supported in sharded mode", ErrInvalidParams)
-	}
 	build, err := opts.Index.Builder(opts.Eps, opts.Workers)
 	if err != nil {
 		return nil, err

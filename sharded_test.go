@@ -2,6 +2,8 @@ package dbsvec
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -226,7 +228,6 @@ func TestRunShardedStatsSumShards(t *testing.T) {
 		want.SVDDTrainings += c.SVDDTrainings
 		want.SVDDIterations += c.SVDDIterations
 		want.Degraded += c.Degraded
-		want.WarmRestarts += c.WarmRestarts
 		want.RetainedModels += c.RetainedModels
 		want.IndexBuild += c.IndexBuild
 		want.Phases.Init += c.Phases.Init
@@ -246,19 +247,15 @@ func TestRunShardedStatsSumShards(t *testing.T) {
 	}
 }
 
-// TestRunShardedRejectsWarmFrom: warm restarts reference whole-dataset point
-// ids and are rejected up front in sharded mode.
-func TestRunShardedRejectsWarmFrom(t *testing.T) {
+// TestRunShardedRejectsNaNEps: a NaN ε fails every comparison, so the
+// up-front check must be written to reject it rather than to accept it.
+func TestRunShardedRejectsNaNEps(t *testing.T) {
 	ds, err := NewDataset(stripRows(2, 100, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Cluster(ds, Options{Eps: 3, MinPts: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunSharded(ds, Options{Eps: 3, MinPts: 10, Shards: 2, WarmFrom: res.Model()})
-	if err == nil {
-		t.Fatal("WarmFrom accepted in sharded mode")
+	_, err = RunSharded(ds, Options{Eps: math.NaN(), MinPts: 10, Shards: 2})
+	if !errors.Is(err, ErrInvalidParams) {
+		t.Fatalf("RunSharded with NaN Eps: err = %v, want ErrInvalidParams", err)
 	}
 }
