@@ -18,7 +18,7 @@ import (
 func BenchmarkAblationIndexBackend(b *testing.B) {
 	ds := spreader(20000, 8)
 	for _, kind := range []IndexKind{IndexLinear, IndexKDTree, IndexRTree} {
-		build, err := kind.Builder(5000, 1)
+		build, err := kind.Builder(1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func DBSCAN(d *Dataset, eps float64, minPts int, idx IndexKind) (*Result, error)
 	if d == nil {
 		return nil, dbscan.ErrNilDataset
 	}
-	build, err := idx.Builder(eps, 1)
+	build, err := idx.Builder(1)
 	if err != nil {
 		return nil, err
 	}
@@ -37,7 +37,7 @@ func DBSCANParallel(d *Dataset, eps float64, minPts int, idx IndexKind, workers 
 	if d == nil {
 		return nil, dbscan.ErrNilDataset
 	}
-	build, err := idx.Builder(eps, workers)
+	build, err := idx.Builder(workers)
 	if err != nil {
 		return nil, err
 	}

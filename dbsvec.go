@@ -42,8 +42,10 @@ const Noise int32 = cluster.Noise
 // one. Its String method returns the backend's CLI name.
 type IndexKind = backend.Kind
 
-// Supported index kinds. Every backend builds a bit-identical structure for
-// every worker count, so Options.Workers only changes build wall-clock.
+// Supported index kinds. Every backend is exact and builds the same
+// structure for every worker count, and no algorithm depends on the order
+// a backend returns neighbors in, so the kind changes only the speed of a
+// run: labels, Stats counters and saved models are the same for each.
 const (
 	// IndexLinear is the brute-force scan — DBSVEC's default, since it
 	// needs no index structure.
@@ -53,8 +55,6 @@ const (
 	// IndexRTree is an STR bulk-loaded R*-tree (the paper's R-DBSCAN
 	// ground-truth configuration).
 	IndexRTree = backend.RTree
-	// IndexGrid is a cell grid of width eps/√d with exact query semantics.
-	IndexGrid = backend.Grid
 	// IndexVPTree is a vantage-point tree: metric pruning via the triangle
 	// inequality, a strong exact backend in high dimensions.
 	IndexVPTree = backend.VPTree
@@ -86,7 +86,7 @@ type Options struct {
 	MemoryFactor float64
 
 	// LearnThreshold is the incremental-learning threshold T; 0 selects the
-	// paper's 3, negative disables incremental learning.
+	// paper's 3, -1 disables incremental learning.
 	LearnThreshold int
 
 	// DisableWeights turns off adaptive penalty weights (plain SVDD).
@@ -207,12 +207,30 @@ func ClusterContext(ctx context.Context, d *Dataset, opts Options) (*Result, err
 	if d == nil {
 		return nil, core.ErrNilDataset
 	}
-	build, err := opts.Index.Builder(opts.Eps, opts.Workers)
+	co, err := opts.coreOptions()
 	if err != nil {
 		return nil, err
 	}
-	res, retained, st, err := core.RunRetained(d.ds, core.Options{
-		Context:         ctx,
+	co.Context = ctx
+	res, retained, st, err := core.RunRetained(d.ds, co)
+	if err != nil && res == nil {
+		return nil, err
+	}
+	out := wrapResult(res)
+	out.model = newModel(d, opts, res, retained)
+	out.Stats = Stats{CoreStats: st}
+	return out, err
+}
+
+// coreOptions converts the options one DBSVEC run reads into core.Options,
+// with the index backend resolved to its builder. An unknown Index wraps
+// ErrInvalidParams.
+func (opts Options) coreOptions() (core.Options, error) {
+	build, err := opts.Index.Builder(opts.Workers)
+	if err != nil {
+		return core.Options{}, err
+	}
+	return core.Options{
 		Eps:             opts.Eps,
 		MinPts:          opts.MinPts,
 		Nu:              opts.Nu,
@@ -226,12 +244,5 @@ func ClusterContext(ctx context.Context, d *Dataset, opts Options) (*Result, err
 		Workers:         opts.Workers,
 		MaxSVDDTarget:   opts.MaxSVDDTarget,
 		Budget:          opts.Budget,
-	})
-	if err != nil && res == nil {
-		return nil, err
-	}
-	out := wrapResult(res)
-	out.model = newModel(d, opts, res, retained)
-	out.Stats = Stats{CoreStats: st}
-	return out, err
+	}, nil
 }

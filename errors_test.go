@@ -85,10 +85,7 @@ func TestIndexKindErrorsAreInvalidParams(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Cluster(ds, Options{Eps: 0, MinPts: 8, Index: IndexGrid}); !errors.Is(err, ErrInvalidParams) {
-		t.Errorf("Cluster with IndexGrid and Eps 0: err = %v, want ErrInvalidParams", err)
-	}
-	if _, err := DBSCAN(ds, 0, 8, IndexGrid); !errors.Is(err, ErrInvalidParams) {
-		t.Errorf("DBSCAN with IndexGrid and eps 0: err = %v, want ErrInvalidParams", err)
+	if _, err := Cluster(ds, Options{Eps: 0, MinPts: 8, Index: IndexLinear}); !errors.Is(err, ErrInvalidParams) {
+		t.Errorf("Cluster with IndexLinear and Eps 0: err = %v, want ErrInvalidParams", err)
 	}
 }

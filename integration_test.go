@@ -2,11 +2,13 @@ package dbsvec
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"dbsvec/internal/data"
 	"dbsvec/internal/index/backend"
+	"dbsvec/internal/vec"
 )
 
 // TestEndToEndPipeline drives the full public workflow: generate → cluster
@@ -131,31 +133,82 @@ func TestCrossAlgorithmARI(t *testing.T) {
 	}
 }
 
-// TestIndexBackendsMatchLinear ensures no backend of the table changes
-// DBSVEC's output: the same clusters and the same noise as the default
-// linear scan.
+// TestIndexBackendsMatchLinear pins that the index backend changes only the
+// speed of a run. For every kind of the table, DBSVEC's labels, every
+// deterministic Stats counter and the saved model bytes, and the labels of
+// DBSCAN and parallel DBSCAN, must equal the linear scan's. The two
+// SeedSpreader datasets are ones where DBSVEC's labels and parallel
+// DBSCAN's border labels change with the order an index returns neighbors
+// in, unless the algorithms fix that order themselves.
 func TestIndexBackendsMatchLinear(t *testing.T) {
-	raw := data.Blobs(800, 2, 2, 2, 100, 0.05, 5)
-	ds, err := FromFlat(append([]float64(nil), raw.Coords()...), 2)
-	if err != nil {
-		t.Fatal(err)
+	blobs := data.Blobs(800, 2, 2, 2, 100, 0.05, 5)
+	cases := []struct {
+		name   string
+		raw    *vec.Dataset
+		eps    float64
+		minPts int
+	}{
+		{"blobs2d", blobs, 3, 8},
+		{"spreader65", data.SeedSpreader{N: 20000, D: 8, Seed: 65}.Generate(), 2000, 100},
+		{"spreader66", data.SeedSpreader{N: 20000, D: 8, Seed: 66}.Generate(), 2000, 100},
 	}
-	a, err := Cluster(ds, Options{Eps: 3, MinPts: 8, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range backend.Kinds() {
-		b, err := Cluster(ds, Options{Eps: 3, MinPts: 8, Seed: 5, Index: kind})
+	for _, tc := range cases {
+		ds, err := FromFlat(tc.raw.Coords(), tc.raw.Dim())
 		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
+			t.Fatal(err)
 		}
-		if a.Clusters != b.Clusters {
-			t.Fatalf("%v: cluster counts differ: %d vs %d", kind, a.Clusters, b.Clusters)
-		}
-		for i := range a.Labels {
-			if (a.Labels[i] == Noise) != (b.Labels[i] == Noise) {
-				t.Fatalf("%v: noise status differs at %d", kind, i)
+		want := runBackend(t, ds, tc.eps, tc.minPts, IndexLinear)
+		for _, kind := range backend.Kinds() {
+			if kind == IndexLinear {
+				continue
+			}
+			got := runBackend(t, ds, tc.eps, tc.minPts, kind)
+			for _, c := range []struct {
+				what      string
+				got, want []int32
+			}{{"Cluster", got.labels, want.labels}, {"DBSCAN", got.dbscan, want.dbscan}, {"DBSCANParallel", got.pdbscan, want.pdbscan}} {
+				if !slices.Equal(c.got, c.want) {
+					t.Errorf("%s/%v: %s labels differ from linear", tc.name, kind, c.what)
+				}
+			}
+			if got.stats != want.stats {
+				t.Errorf("%s/%v: stats %+v, linear %+v", tc.name, kind, got.stats, want.stats)
+			}
+			if !bytes.Equal(got.model, want.model) {
+				t.Errorf("%s/%v: saved model differs from linear", tc.name, kind)
 			}
 		}
 	}
+}
+
+// backendOutput is what TestIndexBackendsMatchLinear compares across backends:
+// stats keeps only the deterministic counters.
+type backendOutput struct {
+	labels, dbscan, pdbscan []int32
+	stats                   CoreStats
+	model                   []byte
+}
+
+func runBackend(t *testing.T, ds *Dataset, eps float64, minPts int, kind IndexKind) backendOutput {
+	t.Helper()
+	res, err := Cluster(ds, Options{Eps: eps, MinPts: minPts, Seed: 5, Index: kind})
+	if err != nil {
+		t.Fatalf("%v: %v", kind, err)
+	}
+	var model bytes.Buffer
+	if err := res.Model().Save(&model); err != nil {
+		t.Fatalf("%v: %v", kind, err)
+	}
+	exact, err := DBSCAN(ds, eps, minPts, kind)
+	if err != nil {
+		t.Fatalf("%v: %v", kind, err)
+	}
+	par, err := DBSCANParallel(ds, eps, minPts, kind, 0)
+	if err != nil {
+		t.Fatalf("%v: %v", kind, err)
+	}
+	st := res.Stats.CoreStats
+	st.IndexBuild, st.Phases = 0, PhaseTimes{}
+	st.SVDD.Fill, st.SVDD.Solve, st.SVDD.Finish = 0, 0, 0
+	return backendOutput{labels: res.Labels, dbscan: exact.Labels, pdbscan: par.Labels, stats: st, model: model.Bytes()}
 }

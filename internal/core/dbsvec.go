@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"dbsvec/internal/cluster"
@@ -57,8 +58,8 @@ type Options struct {
 
 	// LearnThreshold is the incremental-learning threshold T: points that
 	// participated in more than T SVDD trainings leave the target set.
-	// 0 selects the paper's T = 3; negative disables incremental learning
-	// (the DBSVEC\IL ablation).
+	// 0 selects the paper's T = 3; -1 disables incremental learning (the
+	// DBSVEC\IL ablation).
 	LearnThreshold int
 
 	// DisableWeights turns off the adaptive penalty weights (the DBSVEC\WF
@@ -407,20 +408,8 @@ func run(ds *vec.Dataset, opts Options, retain bool) (res *cluster.Result, retai
 		cid := r.clusterSet.Add()
 		r.stats.Seeds++
 		r.labels[i] = cid
-		newClu := make([]int32, 0, len(hood))
-		newClu = append(newClu, int32(i))
-		for _, j := range hood {
-			if j == int32(i) {
-				continue
-			}
-			switch r.labels[j] {
-			case cluster.Unclassified, cluster.Noise:
-				r.labels[j] = cid
-				newClu = append(newClu, j)
-			default:
-				r.maybeMerge(j, cid)
-			}
-		}
+		newClu := append(make([]int32, 0, len(hood)), int32(i))
+		newClu = r.absorb(hood, cid, newClu)
 		expand := engine.StartPhase()
 		expandErr := r.svExpandCluster(newClu, cid)
 		expand.Stop(&r.stats.Phases.Expand)
@@ -524,11 +513,55 @@ func (r *runner) queryErr(err error) error {
 	return err
 }
 
-// rangeQuery materializes the ε-neighborhood of point id (shared buffer).
+// rangeQuery materializes the ε-neighborhood of point id in ascending id
+// order (shared buffer).
 func (r *runner) rangeQuery(id int32) []int32 {
 	r.stats.RangeQueries++
 	r.buf = r.idx.RangeQuery(r.ds.Point(int(id)), r.opts.Eps, r.buf[:0])
+	slices.Sort(r.buf)
 	return r.buf
+}
+
+// expandRound range-queries every point of cand as one engine batch, marks
+// each one core or not, and absorbs the neighborhoods of the core ones into
+// cluster cid in query order, returning the newly labeled points.
+func (r *runner) expandRound(cand []int32, cid int32) ([]int32, error) {
+	hoods, err := r.eng.Neighborhoods(r.ctx, cand)
+	if err != nil {
+		return nil, r.queryErr(err)
+	}
+	r.stats.RangeQueries += int64(len(cand))
+	var fresh []int32
+	for qi, id := range cand {
+		hood := hoods[qi]
+		if len(hood) < r.opts.MinPts {
+			r.core[id] = coreNo
+			continue
+		}
+		r.core[id] = coreYes
+		slices.Sort(hood)
+		fresh = r.absorb(hood, cid, fresh)
+	}
+	return fresh, nil
+}
+
+// absorb labels every unclassified or noise point of hood with cid and
+// appends it to fresh; a point another sub-cluster owns merges that
+// sub-cluster into cid when it is a core point. hood must be sorted: the
+// index leaves neighbor order unspecified, and the order in which points
+// are absorbed decides the SVDD targets, so sorting is what keeps the
+// output independent of the index backend.
+func (r *runner) absorb(hood []int32, cid int32, fresh []int32) []int32 {
+	for _, p := range hood {
+		switch r.labels[p] {
+		case cluster.Unclassified, cluster.Noise:
+			r.labels[p] = cid
+			fresh = append(fresh, p)
+		default:
+			r.maybeMerge(p, cid)
+		}
+	}
+	return fresh
 }
 
 // isCore answers the core-point test with caching; counting queries stop at
@@ -682,31 +715,7 @@ func (r *runner) expandFrom(svs []int32, cid int32, skip []int32) ([]int32, erro
 	if len(cand) == 0 {
 		return nil, nil
 	}
-	hoods, err := r.eng.Neighborhoods(r.ctx, cand)
-	if err != nil {
-		return nil, r.queryErr(err)
-	}
-	r.stats.RangeQueries += int64(len(cand))
-
-	var fresh []int32
-	for qi, sv := range cand {
-		hood := hoods[qi]
-		if len(hood) < r.opts.MinPts {
-			r.core[sv] = coreNo
-			continue
-		}
-		r.core[sv] = coreYes
-		for _, p := range hood {
-			switch r.labels[p] {
-			case cluster.Unclassified, cluster.Noise:
-				r.labels[p] = cid
-				fresh = append(fresh, p)
-			default:
-				r.maybeMerge(p, cid)
-			}
-		}
-	}
-	return fresh, nil
+	return r.expandRound(cand, cid)
 }
 
 // exactExpand is the degradation fallback: classic DBSCAN frontier
@@ -729,28 +738,9 @@ func (r *runner) exactExpand(frontier []int32, cid int32) error {
 		if len(cand) == 0 {
 			return nil
 		}
-		hoods, err := r.eng.Neighborhoods(r.ctx, cand)
+		fresh, err := r.expandRound(cand, cid)
 		if err != nil {
-			return r.queryErr(err)
-		}
-		r.stats.RangeQueries += int64(len(cand))
-		var fresh []int32
-		for qi, id := range cand {
-			hood := hoods[qi]
-			if len(hood) < r.opts.MinPts {
-				r.core[id] = coreNo
-				continue
-			}
-			r.core[id] = coreYes
-			for _, p := range hood {
-				switch r.labels[p] {
-				case cluster.Unclassified, cluster.Noise:
-					r.labels[p] = cid
-					fresh = append(fresh, p)
-				default:
-					r.maybeMerge(p, cid)
-				}
-			}
+			return err
 		}
 		frontier = fresh
 	}

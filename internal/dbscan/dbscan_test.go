@@ -172,7 +172,7 @@ func TestIndexAgnostic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range backend.Kinds() {
-		build, err := kind.Builder(p.Eps, 1)
+		build, err := kind.Builder(1)
 		if err != nil {
 			t.Fatal(err)
 		}

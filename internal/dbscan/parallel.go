@@ -17,15 +17,14 @@ import (
 //  1. every point's ε-neighborhood is materialized as one batch on the
 //     shared execution engine, deciding core membership;
 //  2. core points are unioned with their core neighbors (a connected-
-//     components pass over the core graph), then border points attach to
-//     an arbitrary adjacent core point, exactly as sequential DBSCAN would
-//     up to border-point tie-breaking.
+//     components pass over the core graph), then each border point attaches
+//     to its lowest-id core neighbor.
 //
 // The output is therefore identical to Run up to the usual border-point
-// ambiguity (a border point within ε of two clusters may land in either),
-// and identical across worker counts (the engine returns neighborhoods in
-// point order and phases 2–3 are sequential). workers <= 0 selects
-// GOMAXPROCS.
+// ambiguity (a border point within ε of two clusters may land in either).
+// It does not depend on the index backend (no phase reads neighbor order)
+// or on the worker count (the engine returns neighborhoods in point order
+// and phases 2–3 are sequential). workers <= 0 selects GOMAXPROCS.
 func RunParallel(ds *vec.Dataset, p Params, build index.CtxBuilder, workers int) (res *cluster.Result, st Stats, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -96,11 +95,15 @@ func RunParallel(ds *vec.Dataset, p Params, build index.CtxBuilder, workers int)
 		if isCore[i] || len(hoods[i]) == 0 {
 			continue
 		}
+		// The lowest-id core neighbor, whatever order the index returned.
+		best := int32(-1)
 		for _, nb := range hoods[i] {
-			if isCore[nb] {
-				labels[i] = labels[nb]
-				break
+			if isCore[nb] && (best < 0 || nb < best) {
+				best = nb
 			}
+		}
+		if best >= 0 {
+			labels[i] = labels[best]
 		}
 	}
 	res.Compact()

@@ -114,19 +114,29 @@ func f32MatchesWidened(t *testing.T) {
 	}
 }
 
-// quantBound returns an upper bound on |‖a32−q‖² − ‖a−q‖²| where a32 is the
-// round-to-nearest float32 quantization of a: per coordinate the storage
-// error is δj ≤ ε·|aj| (ε = 2⁻²⁴ relative rounding of float32), and the
-// squared-distance perturbation telescopes to Σ δj·(2|aj−qj| + δj). A factor
-// covers the f64 kernels' own reassociated accumulation.
-func quantBound(a, q []float64) float64 {
+// quantBound returns an upper bound on |got − exact|, where got is the
+// computed ‖a32−q‖² with a32 the round-to-nearest float32 quantization of
+// a, and exact the computed ‖a−q‖². Two errors add up:
+//   - quantization: per coordinate the storage error is δj ≤ ε·|aj|
+//     (ε = 2⁻²⁴ relative rounding of float32), and the squared-distance
+//     perturbation telescopes to Σ δj·(2|aj−qj| + δj), with a factor for
+//     the f64 kernels' own reassociated accumulation;
+//   - float64 rounding of each sum: one rounding of each difference, one of
+//     each square and at most d−1 of the accumulation leave the computed
+//     sum within γ_{d+2} = (d+2)u/(1−(d+2)u), u = 2⁻⁵³, of its exact value,
+//     and the exact sums exceed got+exact by at most a factor 1+γ_{d+2}
+//     (the 2 below covers it).
+func quantBound(a, q []float64, got, exact float64) float64 {
 	const eps32 = 1.0 / (1 << 24)
 	var bound float64
 	for j := range a {
 		delta := eps32 * math.Abs(a[j])
 		bound += delta * (2*math.Abs(a[j]-q[j]) + delta)
 	}
-	return 4*bound + 1e-12
+	const u = 1.0 / (1 << 53)
+	nu := float64(len(a)+2) * u
+	gamma := nu / (1 - nu)
+	return 4*bound + 2*gamma*(got+exact) + 1e-12
 }
 
 // TestF32QuantizationErrorBound is the differential fuzz of float32 storage
@@ -156,7 +166,7 @@ func TestF32QuantizationErrorBound(t *testing.T) {
 		SqDistsToAll(m64, q, exact)
 		SqDistsToAll32(m32, q, quant)
 		for i := 0; i < n; i++ {
-			if diff, bound := math.Abs(quant[i]-exact[i]), quantBound(m64.Row(i), q); diff > bound {
+			if diff, bound := math.Abs(quant[i]-exact[i]), quantBound(m64.Row(i), q, quant[i], exact[i]); diff > bound {
 				t.Fatalf("trial %d: row %d quantization error %v exceeds bound %v", trial, i, diff, bound)
 			}
 			if s := SqDist32(m32.Row(i), q); s != quant[i] {
@@ -201,7 +211,7 @@ func FuzzSqDist32(f *testing.F) {
 			t.Fatalf("SqDist32 = %v, widened SqDist = %v", got, want)
 		}
 		exact := SqDist(a, q)
-		if bound := quantBound(a, q); !math.IsInf(exact, 0) && math.Abs(got-exact) > bound {
+		if bound := quantBound(a, q, got, exact); !math.IsInf(exact, 0) && math.Abs(got-exact) > bound {
 			t.Fatalf("quantization error %v exceeds bound %v", math.Abs(got-exact), bound)
 		}
 	})

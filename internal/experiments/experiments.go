@@ -140,7 +140,7 @@ func runDBSVECOpts(ds *vec.Dataset, opts core.Options) func() (*cluster.Result, 
 
 // exactDBSCAN runs exact DBSCAN over a serially built backend of the table.
 func exactDBSCAN(ds *vec.Dataset, eps float64, minPts int, kind backend.Kind) (*cluster.Result, error) {
-	build, err := kind.Builder(eps, 1)
+	build, err := kind.Builder(1)
 	if err != nil {
 		return nil, err
 	}

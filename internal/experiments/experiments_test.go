@@ -80,7 +80,7 @@ func TestIndexPerfSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"kdtree", "rtree", "vptree", "grid", "speedup", "queries/s"} {
+	for _, want := range []string{"kdtree", "rtree", "vptree", "speedup", "queries/s"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("index bench output missing %q:\n%s", want, out)
 		}

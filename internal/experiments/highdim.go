@@ -133,7 +133,7 @@ func RunHighdim(cfg Config) (*HighdimReport, error) {
 
 			var linearNs int64
 			for _, kind := range []backend.Kind{backend.Linear, backend.RProj} {
-				build, err := kind.Builder(highdimEps, workers)
+				build, err := kind.Builder(workers)
 				if err != nil {
 					return nil, err
 				}
@@ -202,7 +202,7 @@ func runHighdimARI(cfg Config, rep *HighdimReport) error {
 
 	var linear *clusterResult
 	for _, kind := range []backend.Kind{backend.Linear, backend.RProj} {
-		build, err := kind.Builder(highdimEps, 1)
+		build, err := kind.Builder(1)
 		if err != nil {
 			return err
 		}

@@ -105,7 +105,7 @@ func indexBenchKinds() []backend.Kind {
 
 // indexBenchBuild builds kind over ds with the given worker count.
 func indexBenchBuild(kind backend.Kind, ds *vec.Dataset, workers int) (index.Index, error) {
-	build, err := kind.Builder(indexBenchEps, workers)
+	build, err := kind.Builder(workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,18 +1,18 @@
 // Package backend is the one table of range-query index backends. Each row
 // holds a Kind, its CLI name and the function that builds it. The public
 // API, the CLI and the experiments all resolve backends here, so adding,
-// removing or wrapping a backend is a change to one row.
+// removing or wrapping a backend is a change to one row. Every backend is
+// exact, and no algorithm depends on neighbor order, so a row changes only
+// the speed of a run, never its output.
 package backend
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"dbsvec/internal/core"
 	"dbsvec/internal/index"
-	"dbsvec/internal/index/grid"
 	"dbsvec/internal/index/kdtree"
 	"dbsvec/internal/index/rproj"
 	"dbsvec/internal/index/rtree"
@@ -28,49 +28,28 @@ const (
 	Linear Kind = iota
 	KDTree
 	RTree
-	Grid
 	VPTree
 	RProj
 )
 
-// table is indexed by Kind. build resolves the builder for a run with
-// radius eps and the given build worker count (<= 0 selects all CPUs);
-// every backend builds the same structure for every worker count.
+// table is indexed by Kind. build resolves the builder for a run with the
+// given build worker count (<= 0 selects all CPUs); every backend builds
+// the same structure for every worker count.
 var table = [...]struct {
 	name  string
-	build func(eps float64, workers int) (index.CtxBuilder, error)
+	build func(workers int) index.CtxBuilder
 }{
 	Linear: {"linear", bound(index.NewLinear)},
 	KDTree: {"kdtree", bound(kdtree.New)},
 	RTree:  {"rtree", bound(rtree.New)},
-	Grid:   {"grid", gridBuilder},
 	VPTree: {"vptree", bound(vptree.New)},
 	RProj:  {"rproj", bound(rproj.New)},
 }
 
 // bound adapts a constructor of the shared New(ctx, ds, workers) form to a
-// table row; only the grid needs eps.
-func bound[T index.Index](build func(context.Context, *vec.Dataset, int) (T, error)) func(float64, int) (index.CtxBuilder, error) {
-	return func(_ float64, workers int) (index.CtxBuilder, error) { return index.Bind(build, workers), nil }
-}
-
-// gridBuilder bins points into cells of width eps/√d, so any two points
-// sharing a cell are within eps of each other.
-func gridBuilder(eps float64, workers int) (index.CtxBuilder, error) {
-	if !(eps > 0) {
-		return nil, fmt.Errorf("%w: grid index requires eps > 0, got %g", core.ErrInvalidParams, eps)
-	}
-	return func(ctx context.Context, ds *vec.Dataset) (index.Index, error) {
-		width := eps
-		if d := ds.Dim(); d > 0 {
-			width = eps / math.Sqrt(float64(d))
-		}
-		g, err := grid.New(ctx, ds, width, workers)
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
-	}, nil
+// table row.
+func bound[T index.Index](build func(context.Context, *vec.Dataset, int) (T, error)) func(int) index.CtxBuilder {
+	return func(workers int) index.CtxBuilder { return index.Bind(build, workers) }
 }
 
 // Kinds returns every backend in table order.
@@ -110,14 +89,13 @@ func Names() []string {
 	return names
 }
 
-// Builder resolves k to the builder for a run with radius eps and the given
-// build worker count. An unknown kind, or a grid without a positive eps,
-// wraps core.ErrInvalidParams.
-func (k Kind) Builder(eps float64, workers int) (index.CtxBuilder, error) {
+// Builder resolves k to the builder for a run with the given build worker
+// count. An unknown kind wraps core.ErrInvalidParams.
+func (k Kind) Builder(workers int) (index.CtxBuilder, error) {
 	if !k.valid() {
 		return nil, fmt.Errorf("%w: unknown index kind %d", core.ErrInvalidParams, int(k))
 	}
-	return table[k].build(eps, workers)
+	return table[k].build(workers), nil
 }
 
 func (k Kind) valid() bool { return k >= 0 && int(k) < len(table) }

@@ -1,33 +1,58 @@
 package backend
 
 import (
+	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"dbsvec/internal/core"
+	"dbsvec/internal/index"
+	"dbsvec/internal/index/grid"
 	"dbsvec/internal/index/indextest"
+	"dbsvec/internal/vec"
 )
 
 // TestConformance runs every row of the table through the shared oracle
-// suite, so each kind's builder, including the grid's ε/√d cell width for
-// ε = 10, answers like a linear scan, and checks that each row's builder
-// honours a context cancelled up front. The backend packages run the
-// build-level checks (float32 storage, identical answers across build
-// worker counts, mid-build cancellation) on their own constructors.
+// suite, so each kind's builder answers like a linear scan, and checks that
+// each row's builder honours a context cancelled up front. The backend
+// packages run the build-level checks (float32 storage, identical answers
+// across build worker counts, mid-build cancellation) on their own
+// constructors. The grid is not a table row, but ρ-approximate DBSCAN and
+// NQ-DBSCAN still query it, so it runs the same suite here with the ε/√d
+// cell width those algorithms give it, for ε = 10.
 func TestConformance(t *testing.T) {
 	for _, k := range Kinds() {
-		b, err := k.Builder(10, 0)
+		b, err := k.Builder(0)
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
 		indextest.Run(t, k.String(), b)
 		t.Run(k.String()+"/cancel-up-front", func(t *testing.T) { indextest.BuildCancelledUpFront(t, b) })
 	}
+	g := gridBuilder(10)
+	indextest.Run(t, "grid", g)
+	t.Run("grid/cancel-up-front", func(t *testing.T) { indextest.BuildCancelledUpFront(t, g) })
+}
+
+// gridBuilder bins points into cells of width eps/√d, so any two points
+// sharing a cell are within eps of each other.
+func gridBuilder(eps float64) index.CtxBuilder {
+	return func(ctx context.Context, ds *vec.Dataset) (index.Index, error) {
+		width := eps
+		if d := ds.Dim(); d > 0 {
+			width = eps / math.Sqrt(float64(d))
+		}
+		g, err := grid.New(ctx, ds, width, 0)
+		if err != nil {
+			return nil, err
+		}
+		return g, nil
+	}
 }
 
 // TestKindNames: every kind survives String → Parse, the names are unique,
-// and unknown names, unknown kinds and a grid without a positive eps are
-// parameter errors.
+// and unknown names and unknown kinds are parameter errors.
 func TestKindNames(t *testing.T) {
 	if Linear != 0 {
 		t.Fatalf("Linear = %d, want the zero value", Linear)
@@ -38,17 +63,14 @@ func TestKindNames(t *testing.T) {
 			t.Errorf("Parse(%q) = %v, %v; want %v", k.String(), got, err, k)
 		}
 	}
-	for _, name := range []string{"", "pyramid", "parallel", "KDTree", "kd-tree"} {
+	for _, name := range []string{"", "pyramid", "parallel", "grid", "KDTree", "kd-tree"} {
 		if _, err := Parse(name); !errors.Is(err, core.ErrInvalidParams) {
 			t.Errorf("Parse(%q): err = %v, want ErrInvalidParams", name, err)
 		}
 	}
 	for _, k := range []Kind{-1, Kind(len(Kinds())), 99} {
-		if _, err := k.Builder(1, 1); !errors.Is(err, core.ErrInvalidParams) {
+		if _, err := k.Builder(1); !errors.Is(err, core.ErrInvalidParams) {
 			t.Errorf("%v.Builder: err = %v, want ErrInvalidParams", k, err)
 		}
-	}
-	if _, err := Grid.Builder(0, 1); !errors.Is(err, core.ErrInvalidParams) {
-		t.Errorf("Grid.Builder(eps=0): err = %v, want ErrInvalidParams", err)
 	}
 }

@@ -21,15 +21,23 @@ func batchTestDataset(t *testing.T) *vec.Dataset {
 	return ds
 }
 
+// nativeBatch is an index with its own batch methods, the shape of a
+// caller's timing or tracing wrapper.
+type nativeBatch struct{ *fanout }
+
 func TestBatchReturnsNativeImplementation(t *testing.T) {
 	ds := batchTestDataset(t)
-	c := &CountingIndex{Inner: linear(ds)}
-	if got := Batch(c); got != BatchIndex(c) {
-		t.Errorf("Batch(CountingIndex) = %T, want the native implementation", got)
-	}
 	lin := linear(ds)
-	if _, ok := Batch(lin).(*fanout); !ok {
-		t.Errorf("Batch(Linear) = %T, want the fan-out adapter", Batch(lin))
+	f, ok := Batch(lin).(*fanout)
+	if !ok {
+		t.Fatalf("Batch(Linear) = %T, want the fan-out adapter", Batch(lin))
+	}
+	if got := Batch(f); got != BatchIndex(f) {
+		t.Errorf("Batch(Batch(Linear)) = %T, want the same adapter", got)
+	}
+	n := nativeBatch{f}
+	if got := Batch(n); got != BatchIndex(n) {
+		t.Errorf("Batch(nativeBatch) = %T, want the native implementation", got)
 	}
 }
 
@@ -122,20 +130,5 @@ func TestClampWorkers(t *testing.T) {
 		if got < c.min || got > c.max {
 			t.Errorf("ClampWorkers(%d, %d) = %d, want in [%d,%d]", c.w, c.m, got, c.min, c.max)
 		}
-	}
-}
-
-func TestCountingIndexBatch(t *testing.T) {
-	ds := batchTestDataset(t)
-	c := &CountingIndex{Inner: linear(ds)}
-	qs := Queries{N: 10, At: func(i int, _ []float64) []float64 { return ds.Point(i) }}
-	if _, err := Batch(Index(c)).BatchRangeQuery(context.Background(), qs, 1.5, 4, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Batch(Index(c)).BatchRangeCount(context.Background(), qs, 1.5, 3, 4, nil); err != nil {
-		t.Fatal(err)
-	}
-	if c.Queries != 10 || c.Counts != 10 {
-		t.Errorf("counters = %d,%d want 10,10", c.Queries, c.Counts)
 	}
 }

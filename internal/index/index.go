@@ -7,7 +7,6 @@ package index
 
 import (
 	"context"
-	"sync/atomic"
 
 	"dbsvec/internal/vec"
 )
@@ -16,7 +15,10 @@ import (
 // are safe for concurrent readers after construction.
 //
 // Query results contain point ids (0..n-1) including the query point itself
-// when the query coincides with an indexed point; order is unspecified.
+// when the query coincides with an indexed point; order is unspecified, and
+// no algorithm in this repository depends on it: DBSVEC sorts every
+// neighborhood it receives, and DBSCAN's passes read only the id set, so the
+// backend changes speed, never labels.
 type Index interface {
 	// RangeQuery appends the ids of all points within distance eps of q to
 	// buf and returns the extended slice. Passing a reused buf[:0] keeps the
@@ -92,46 +94,3 @@ func (l *Linear) RangeCount(q []float64, eps float64, limit int) int {
 }
 
 var _ Index = (*Linear)(nil)
-
-// CountingIndex wraps another index and counts the number of range queries
-// and range counts issued through it. It is used by the experiment harness
-// to validate the paper's O(θn) cost analysis (Section III-D). Counters are
-// updated atomically so the index stays safe under the batch executor;
-// read them only after the queries of interest have completed.
-type CountingIndex struct {
-	Inner   Index
-	Queries int64
-	Counts  int64
-}
-
-// Len returns the number of indexed points.
-func (c *CountingIndex) Len() int { return c.Inner.Len() }
-
-// RangeQuery implements Index and increments the query counter.
-func (c *CountingIndex) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
-	atomic.AddInt64(&c.Queries, 1)
-	return c.Inner.RangeQuery(q, eps, buf)
-}
-
-// RangeCount implements Index and increments the count counter.
-func (c *CountingIndex) RangeCount(q []float64, eps float64, limit int) int {
-	atomic.AddInt64(&c.Counts, 1)
-	return c.Inner.RangeCount(q, eps, limit)
-}
-
-// BatchRangeQuery implements BatchIndex: the batch counts once as qs.N
-// queries, then runs on the inner index's batch path directly so the
-// per-query counting wrapper is not re-entered concurrently.
-func (c *CountingIndex) BatchRangeQuery(ctx context.Context, qs Queries, eps float64, workers int, out [][]int32) ([][]int32, error) {
-	atomic.AddInt64(&c.Queries, int64(qs.N))
-	return Batch(c.Inner).BatchRangeQuery(ctx, qs, eps, workers, out)
-}
-
-// BatchRangeCount implements BatchIndex (see BatchRangeQuery).
-func (c *CountingIndex) BatchRangeCount(ctx context.Context, qs Queries, eps float64, limit, workers int, out []int) ([]int, error) {
-	atomic.AddInt64(&c.Counts, int64(qs.N))
-	return Batch(c.Inner).BatchRangeCount(ctx, qs, eps, limit, workers, out)
-}
-
-var _ Index = (*CountingIndex)(nil)
-var _ BatchIndex = (*CountingIndex)(nil)

@@ -79,17 +79,3 @@ func TestLinearEmpty(t *testing.T) {
 		t.Errorf("query on empty index returned %v", got)
 	}
 }
-
-func TestCountingIndex(t *testing.T) {
-	ds := randomDataset(t, 10, 2, 2)
-	c := &CountingIndex{Inner: linear(ds)}
-	c.RangeQuery(ds.Point(0), 1, nil)
-	c.RangeQuery(ds.Point(1), 1, nil)
-	c.RangeCount(ds.Point(2), 1, 0)
-	if c.Queries != 2 || c.Counts != 1 {
-		t.Errorf("counters = %d,%d want 2,1", c.Queries, c.Counts)
-	}
-	if c.Len() != 10 {
-		t.Errorf("Len = %d", c.Len())
-	}
-}

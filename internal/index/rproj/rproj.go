@@ -25,10 +25,10 @@
 // would agree on every member. Scanned cells run the same FilterWithinRange
 // kernels as the Linear oracle over a packed coordinate block (the float32
 // storage mode packs the half-width mirror and scans through the widening
-// AVX kernels), and results are sorted ascending — the backend is exact and
-// bit-identical to Linear for any input, any precision and any worker
-// count; the projections only decide how well cells separate, never what a
-// query returns.
+// AVX kernels). The backend is exact: it returns the Linear oracle's id set
+// for any input, any precision and any worker count, in cell order; the
+// projections only decide how well cells separate, never which ids a query
+// returns.
 package rproj
 
 import (
@@ -40,8 +40,6 @@ import (
 
 	"dbsvec/internal/dist"
 	"dbsvec/internal/engine"
-	"dbsvec/internal/fault"
-	"dbsvec/internal/index"
 	"dbsvec/internal/vec"
 )
 
@@ -392,9 +390,9 @@ func (x *Index) centBounds(c int, q []float64, qNorm float64) (dLo, dUp float64)
 	return dLo, dUp
 }
 
-// RangeQuery appends the ids of every point within eps of q to buf, sorted
-// ascending — bit-identical to the Linear oracle: shortcut cells are taken
-// only when the exact predicate provably agrees on every member, and
+// RangeQuery appends the ids of every point within eps of q to buf, in
+// cell order. The id set is exactly the Linear oracle's: shortcut cells are
+// taken only when the exact predicate provably agrees on every member, and
 // scanned cells run the oracle's own kernels.
 func (x *Index) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
 	if len(x.idByPos) == 0 {
@@ -407,7 +405,6 @@ func (x *Index) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
 	qNorm := dist.Norm2(q)
 	pruneAt := eps * (1 + ballSlack)
 	includeAt := eps * (1 - ballSlack)
-	start := len(buf)
 	cells := len(x.offsets) - 1
 	for c := 0; c < cells; c++ {
 		dLo, dUp := x.centBounds(c, q, qNorm)
@@ -431,7 +428,6 @@ func (x *Index) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
 			buf[t] = x.idByPos[buf[t]]
 		}
 	}
-	slices.Sort(buf[start:])
 	return buf
 }
 
@@ -475,74 +471,4 @@ func (x *Index) RangeCount(q []float64, eps float64, limit int) int {
 		}
 	}
 	return count
-}
-
-// BatchRangeQuery is the native batched fan-out: deterministic contiguous
-// query ranges through engine.ForRanges (results are per-query, so output
-// is identical for every worker count), with the same panic containment
-// and cancellation contract as the generic index fan-out.
-func (x *Index) BatchRangeQuery(ctx context.Context, qs index.Queries, eps float64, workers int, out [][]int32) ([][]int32, error) {
-	out = growSlices(out, qs.N)
-	if err := x.batch(ctx, qs, workers, func(i int, q []float64) {
-		out[i] = x.RangeQuery(q, eps, out[i][:0])
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BatchRangeCount is the counting analogue of BatchRangeQuery.
-func (x *Index) BatchRangeCount(ctx context.Context, qs index.Queries, eps float64, limit, workers int, out []int) ([]int, error) {
-	if cap(out) < qs.N {
-		out = make([]int, qs.N)
-	}
-	out = out[:qs.N]
-	if err := x.batch(ctx, qs, workers, func(i int, q []float64) {
-		out[i] = x.RangeCount(q, eps, limit)
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// batch runs fn(i, At(i)) for every query index across deterministic
-// contiguous ranges. Worker panics surface as one *fault.WorkerPanicError
-// (ForRanges re-panics the lowest range's; the recover boundary here
-// converts it), and cancellation returns ctx's error with partial results
-// discarded by the callers.
-func (x *Index) batch(ctx context.Context, qs index.Queries, workers int, fn func(i int, q []float64)) (err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if qs.N == 0 {
-		return ctx.Err()
-	}
-	workers = index.ClampWorkers(workers, qs.N)
-	defer fault.RecoverTo(&err)
-	engine.ForRanges(workers, qs.N, nil, func(lo, hi int) {
-		fault.PanicNow(fault.WorkerPanic)
-		var scratch []float64
-		if qs.ScratchCap > 0 {
-			scratch = make([]float64, 0, qs.ScratchCap)
-		}
-		for i := lo; i < hi; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i, qs.At(i, scratch))
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// growSlices extends out to length m, preserving existing entries (whose
-// capacity the next batch reuses), mirroring the generic fan-out's helper.
-func growSlices(out [][]int32, m int) [][]int32 {
-	if cap(out) < m {
-		out = append(out[:cap(out)], make([][]int32, m-cap(out))...)
-	}
-	return out[:m]
 }

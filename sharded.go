@@ -57,26 +57,12 @@ func RunShardedFile(path string, opts Options) (*Result, error) {
 }
 
 func runSharded(src shard.Source, dim int, prec Precision, opts Options) (*Result, error) {
-	build, err := opts.Index.Builder(opts.Eps, opts.Workers)
+	co, err := opts.coreOptions()
 	if err != nil {
 		return nil, err
 	}
 	so := shard.Options{
-		Core: core.Options{
-			Eps:             opts.Eps,
-			MinPts:          opts.MinPts,
-			Nu:              opts.Nu,
-			NuMin:           opts.NuMin,
-			MemoryFactor:    opts.MemoryFactor,
-			LearnThreshold:  opts.LearnThreshold,
-			DisableWeights:  opts.DisableWeights,
-			RandomKernel:    opts.RandomKernel,
-			Seed:            opts.Seed,
-			IndexBuilderCtx: build,
-			Workers:         opts.Workers,
-			MaxSVDDTarget:   opts.MaxSVDDTarget,
-			Budget:          opts.Budget,
-		},
+		Core:        co,
 		Shards:      opts.Shards,
 		Concurrency: opts.ShardConcurrency,
 		Retain:      true,
