@@ -68,8 +68,9 @@ const (
 // Options configures Cluster. Zero values of optional fields select the
 // paper's defaults.
 type Options struct {
-	// Eps is the ε-neighborhood radius (required, > 0 for meaningful
-	// results).
+	// Eps is the ε-neighborhood radius (required). It must be > 0: zero,
+	// negative and NaN values are rejected with an error wrapping
+	// ErrInvalidParams.
 	Eps float64
 	// MinPts is the density threshold, counting the point itself
 	// (required, >= 1).
@@ -96,8 +97,9 @@ type Options struct {
 	// draw (ablation).
 	RandomKernel bool
 
-	// Seed drives all randomized choices; runs with equal seeds are
-	// reproducible.
+	// Seed feeds only the RandomKernel width draw. Every run is
+	// deterministic whatever the seed: without RandomKernel it changes
+	// nothing.
 	Seed int64
 
 	// Index selects the range-query backend (default IndexLinear).

@@ -42,7 +42,8 @@ import (
 // Options configures a DBSVEC run. The zero value of every optional field
 // selects the paper's default behaviour.
 type Options struct {
-	// Eps is the ε radius (required, >= 0).
+	// Eps is the ε radius (required). It must be > 0: zero, negative and
+	// NaN values are rejected with an error wrapping ErrInvalidParams.
 	Eps float64
 	// MinPts is the density threshold (required, >= 1).
 	MinPts int

@@ -165,7 +165,7 @@ func WriteBinary(w io.Writer, ds *vec.Dataset) error {
 	}
 	if version == binVersionF32 {
 		var buf [4]byte
-		for _, v := range ds.Matrix32().Coords {
+		for _, v := range ds.Matrix().Coords32 {
 			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
 			if _, err := bw.Write(buf[:]); err != nil {
 				return err

@@ -32,9 +32,9 @@ func TestBinaryF32RoundTrip(t *testing.T) {
 	if got.Precision() != vec.F32 {
 		t.Fatalf("read precision = %v, want F32", got.Precision())
 	}
-	gm, dm := got.Matrix32(), ds.Matrix32()
-	for i := range dm.Coords {
-		if gm.Coords[i] != dm.Coords[i] {
+	gm, dm := got.Matrix().Coords32, ds.Matrix().Coords32
+	for i := range dm {
+		if gm[i] != dm[i] {
 			t.Fatalf("mirror[%d] differs after round trip", i)
 		}
 		if got.Coords()[i] != ds.Coords()[i] {

@@ -91,11 +91,10 @@ func TestRangeKernelsMatchGoOracle(t *testing.T) {
 		for _, r := range [][2]int{{0, n}, {1, n}, {3, 70}, {5, 6}, {2, 5}, {63, 129}, {65, 67}, {7, 7}, {n - 3, n}, {61, 203}} {
 			lo, hi := r[0], r[1]
 			out := make([]float64, hi-lo)
-			sqDistsRange(m, q, lo, hi, out)
-			ref := make([]float64, hi-lo)
-			sqDistsRangeGo(m, q, lo, hi, ref)
+			sqDistsRange(m.Coords, d, q, lo, hi, out)
+			ref := pureGo(func() []float64 { o := make([]float64, hi-lo); sqDistsRange(m.Coords, d, q, lo, hi, o); return o })
 			if !sameBits(out, ref) {
-				t.Fatalf("d=%d [%d,%d): sqDistsRange differs from sqDistsRangeGo", d, lo, hi)
+				t.Fatalf("d=%d [%d,%d): sqDistsRange differs from the Go loop", d, lo, hi)
 			}
 			got := FilterWithinRange(m, q, eps2, lo, hi, nil)
 			if want := pureGo(func() []int32 { return FilterWithinRange(m, q, eps2, lo, hi, nil) }); !int32Equal(got, want) {
@@ -121,44 +120,47 @@ func TestRangeKernelsMatchGoOracle(t *testing.T) {
 
 // TestScanKernelsDoNotAllocate pins the stack-resident 64-row block of the
 // fused scans: with a pre-sized result buffer, no range kernel at either
-// precision may touch the heap. An assembly declaration without
+// storage precision may touch the heap. An assembly declaration without
 // //go:noescape makes the block escape and fails this test.
 func TestScanKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, d := range []int{2, 5, 8, 32} {
 		const n = 300
-		m32, m := randMatrix32(rng, n, d)
+		mirror, master := randMatrix32(rng, n, d)
 		q := randVec(rng, d)
 		out := make([]float64, n)
 		buf := make([]int32, 0, n)
 		eps2 := 1e9 // every row passes: the buffer is filled to its capacity
-		kernels := map[string]func(){
-			"FilterWithin":        func() { buf = FilterWithin(m, q, eps2, buf[:0]) },
-			"FilterWithinRange":   func() { buf = FilterWithinRange(m, q, eps2, 3, n-1, buf[:0]) },
-			"CountWithin":         func() { sinkI += CountWithin(m, q, eps2, 0) },
-			"CountWithinRange":    func() { sinkI += CountWithinRange(m, q, eps2, 3, n-1, 0) },
-			"SqDistsToAll":        func() { SqDistsToAll(m, q, out) },
-			"MinSqDistsToAll":     func() { MinSqDistsToAll(m, q, out) },
-			"FilterWithin32":      func() { buf = FilterWithin32(m32, q, eps2, buf[:0]) },
-			"FilterWithinRange32": func() { buf = FilterWithinRange32(m32, q, eps2, 3, n-1, buf[:0]) },
-			"CountWithin32":       func() { sinkI += CountWithin32(m32, q, eps2, 0) },
-			"CountWithinRange32":  func() { sinkI += CountWithinRange32(m32, q, eps2, 3, n-1, 0) },
-			"SqDistsToAll32":      func() { SqDistsToAll32(m32, q, out) },
-			"MinSqDistsToAll32":   func() { MinSqDistsToAll32(m32, q, out) },
-		}
-		for name, run := range kernels {
-			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-				t.Errorf("d=%d: %s allocates %v times per call, want 0", d, name, allocs)
+		for _, s := range []struct {
+			name string
+			m    Matrix
+		}{{"f64", master}, {"f32", mirror}} {
+			m := s.m
+			kernels := map[string]func(){
+				"FilterWithin":      func() { buf = FilterWithin(m, q, eps2, buf[:0]) },
+				"FilterWithinRange": func() { buf = FilterWithinRange(m, q, eps2, 3, n-1, buf[:0]) },
+				"CountWithin":       func() { sinkI += CountWithin(m, q, eps2, 0) },
+				"CountWithinRange":  func() { sinkI += CountWithinRange(m, q, eps2, 3, n-1, 0) },
+				"SqDistsToAll":      func() { SqDistsToAll(m, q, out) },
+				"MinSqDistsToAll":   func() { MinSqDistsToAll(m, q, out) },
+			}
+			for name, run := range kernels {
+				if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+					t.Errorf("d=%d %s: %s allocates %v times per call, want 0", d, s.name, name, allocs)
+				}
 			}
 		}
 	}
 }
 
-// FuzzSqDistsRange64 drives the float64 range kernels with fuzzer-chosen
-// bits — subnormals, −0 and large finite values included — and a
-// fuzzer-chosen row range. The batch (AVX where the CPU has it) must equal
-// the per-row SqDist bit for bit, and the fused filter and count must agree
-// with thresholding those per-row distances.
+// FuzzSqDistsRange64 drives the range kernels with fuzzer-chosen bits —
+// subnormals, −0 and large finite values included — and a fuzzer-chosen row
+// range, at both storage precisions: the float64 rows as given, and their
+// float32 mirror (values beyond the float32 range zeroed, as the vec layer
+// never admits them) next to its widened master. The batch (AVX where the
+// CPU has it) must equal the per-row SqDist of the master bit for bit, and
+// the fused filter and count must agree with thresholding those per-row
+// distances.
 func FuzzSqDistsRange64(f *testing.F) {
 	word := func(vs ...float64) []byte {
 		b := make([]byte, 0, 8*len(vs))
@@ -189,36 +191,53 @@ func FuzzSqDistsRange64(f *testing.F) {
 		}
 		q := vals[:d]
 		n := (len(vals) - d) / d
-		m := Matrix{Coords: vals[d : d+n*d], Dim: d}
 		lo := int(lo8) % (n + 1)
 		hi := lo + int(span8)%(n-lo+1)
-
-		out := make([]float64, hi-lo)
-		sqDistsRange(m, q, lo, hi, out)
-		for k := range out {
-			if want := SqDist(m.Row(lo+k), q); math.Float64bits(out[k]) != math.Float64bits(want) {
-				t.Fatalf("d=%d row %d: batch %v (%#x), SqDist %v (%#x)", d, lo+k, out[k], math.Float64bits(out[k]), want, math.Float64bits(want))
+		mirror := Matrix{Coords: make([]float64, n*d), Coords32: make([]float32, n*d), Dim: d}
+		for i, v := range vals[d : d+n*d] {
+			if math.Abs(v) > math.MaxFloat32 {
+				v = 0
 			}
+			mirror.Coords32[i] = float32(v)
+			mirror.Coords[i] = float64(mirror.Coords32[i])
 		}
-		eps2 := q[0] * q[0]
-		limit := int(limit8) % 8
-		var want []int32
-		for k, v := range out {
-			if v <= eps2 {
-				want = append(want, int32(lo+k))
-			}
-		}
-		if got := FilterWithinRange(m, q, eps2, lo, hi, nil); !int32Equal(got, want) {
-			t.Fatalf("d=%d: FilterWithinRange = %v, per-row = %v", d, got, want)
-		}
-		wantCount := len(want)
-		if limit > 0 && wantCount > limit {
-			wantCount = limit
-		}
-		if got := CountWithinRange(m, q, eps2, lo, hi, limit); got != wantCount {
-			t.Fatalf("d=%d limit %d: CountWithinRange = %d, per-row = %d", d, limit, got, wantCount)
-		}
+		checkRange64(t, Matrix{Coords: vals[d : d+n*d], Dim: d}, q, lo, hi, int(limit8)%8)
+		checkRange64(t, mirror, q, lo, hi, int(limit8)%8)
 	})
+}
+
+// checkRange64 is FuzzSqDistsRange64's property on one storage of rows.
+func checkRange64(t *testing.T, m Matrix, q []float64, lo, hi, limit int) {
+	d := m.Dim
+	// The batch over rows [lo, hi) is SqDistsToAll on those rows alone.
+	rows := Matrix{Coords: m.Coords[lo*d : hi*d], Dim: d}
+	if m.Coords32 != nil {
+		rows.Coords32 = m.Coords32[lo*d : hi*d]
+	}
+	out := make([]float64, hi-lo)
+	SqDistsToAll(rows, q, out)
+	for k := range out {
+		if want := SqDist(m.Row(lo+k), q); math.Float64bits(out[k]) != math.Float64bits(want) {
+			t.Fatalf("d=%d row %d: batch %v (%#x), SqDist %v (%#x)", d, lo+k, out[k], math.Float64bits(out[k]), want, math.Float64bits(want))
+		}
+	}
+	eps2 := q[0] * q[0]
+	var want []int32
+	for k, v := range out {
+		if v <= eps2 {
+			want = append(want, int32(lo+k))
+		}
+	}
+	if got := FilterWithinRange(m, q, eps2, lo, hi, nil); !int32Equal(got, want) {
+		t.Fatalf("d=%d: FilterWithinRange = %v, per-row = %v", d, got, want)
+	}
+	wantCount := len(want)
+	if limit > 0 && wantCount > limit {
+		wantCount = limit
+	}
+	if got := CountWithinRange(m, q, eps2, lo, hi, limit); got != wantCount {
+		t.Fatalf("d=%d limit %d: CountWithinRange = %d, per-row = %d", d, limit, got, wantCount)
+	}
 }
 
 // BenchmarkRangeScan64 is the float64 linear scan of the default index at

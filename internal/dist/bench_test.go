@@ -140,10 +140,10 @@ func BenchmarkCountWithin(b *testing.B) {
 func BenchmarkFilterWithinPrecision(b *testing.B) {
 	const n, d = 100_000, 32
 	m, q := benchMatrix(n, d)
-	m32 := Matrix32{Coords: make([]float32, len(m.Coords)), Dim: d}
+	m32 := Matrix{Coords: m.Coords, Coords32: make([]float32, len(m.Coords)), Dim: d}
 	for i, v := range m.Coords {
-		m32.Coords[i] = float32(v)
-		m.Coords[i] = float64(m32.Coords[i]) // widened master: both scans see identical points
+		m32.Coords32[i] = float32(v)
+		m.Coords[i] = float64(m32.Coords32[i]) // widened master: both scans see identical points
 	}
 	dists := make([]float64, n)
 	SqDistsToAll(m, q, dists)
@@ -164,7 +164,7 @@ func BenchmarkFilterWithinPrecision(b *testing.B) {
 		b.SetBytes(int64(n * d * 4))
 		var buf []int32
 		for i := 0; i < b.N; i++ {
-			buf = FilterWithin32(m32, q, eps2, buf[:0])
+			buf = FilterWithin(m32, q, eps2, buf[:0])
 		}
 		sinkS = buf
 	})
@@ -172,7 +172,7 @@ func BenchmarkFilterWithinPrecision(b *testing.B) {
 
 // BenchmarkSqDistsToCached compares the cached-norms identity against the
 // plain kernel on the id-subset path; the crossover motivating
-// NormCachedMinDim is visible in the d sweep.
+// normCachedMinDim is visible in the d sweep.
 func BenchmarkSqDistsToCached(b *testing.B) {
 	const n = 1024
 	for _, d := range benchDims {

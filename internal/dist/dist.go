@@ -18,15 +18,20 @@
 // batched kernels are bit-identical to per-pair calls. Range-query backends
 // rely on this to stay bit-identical to the linear-scan oracle.
 //
-// The AVX kernels (avx_amd64.s) keep that contract through one lane
-// contract shared by both storage precisions: each lane of a YMM
+// Storage precision is decided here and nowhere above: a Matrix may carry a
+// float32 mirror next to its float64 master, and every scan and dot kernel
+// is written once, generic over the element type, streaming the mirror
+// when it is present with bit-identical results (see f32.go).
+//
+// The AVX kernels (avx_amd64.s) keep the determinism contract through one
+// lane contract shared by both storage precisions: each lane of a YMM
 // accumulator is one of the scalar loop's four partial sums s0..s3, the
 // arithmetic is VSUBPD/VMULPD/VADDPD (never FMA), the lanes combine as
 // (s0+s1)+(s2+s3), and Go adds the d mod 4 tail. Where the CPU has AVX
-// (hasAVX), the contiguous-row scans for d >= 4 run them; the pure-Go loops
+// (hasAVX), the scan and dot kernels for d >= 4 run them (the float64
+// distance gathers excepted, see sqDistsGather); the pure-Go loops
 // stay as the path everywhere else and as the reference the tests hold the
-// assembly to. The gather kernels (explicit id lists) stay in Go for
-// float64.
+// assembly to.
 package dist
 
 import "math"
@@ -46,20 +51,11 @@ func SqDist(a, b []float64) float64 {
 
 // SqDist2 is the d=2 specialization of SqDist (the dominant case for the
 // paper's spatial workloads). Callers must pass slices of length >= 2.
-func SqDist2(a, b []float64) float64 {
-	d0 := a[0] - b[0]
-	d1 := a[1] - b[1]
-	return d0*d0 + d1*d1
-}
+func SqDist2(a, b []float64) float64 { return sqDist2(a, b) }
 
 // SqDist3 is the d=3 specialization of SqDist. Callers must pass slices of
 // length >= 3.
-func SqDist3(a, b []float64) float64 {
-	d0 := a[0] - b[0]
-	d1 := a[1] - b[1]
-	d2 := a[2] - b[2]
-	return d0*d0 + d1*d1 + d2*d2
-}
+func SqDist3(a, b []float64) float64 { return sqDist3(a, b) }
 
 // sqDistGeneric is the unrolled kernel behind SqDist for d not covered by a
 // specialization. Four independent accumulators give the out-of-order core
@@ -79,12 +75,7 @@ func sqDistGeneric(a, b []float64) float64 {
 		s2 += d2 * d2
 		s3 += d3 * d3
 	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; i < n; i++ {
-		dv := a[i] - b[i]
-		s += dv * dv
-	}
-	return s
+	return sqDistTail(a, b, i, (s0+s1)+(s2+s3))
 }
 
 // Dist returns the Euclidean distance ‖a−b‖ between two equal-length
@@ -93,23 +84,7 @@ func Dist(a, b []float64) float64 { return math.Sqrt(SqDist(a, b)) }
 
 // Dot returns the inner product a·b of two equal-length vectors, 4-way
 // unrolled like SqDist.
-func Dot(a, b []float64) float64 {
-	n := len(a)
-	b = b[:n]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; i < n; i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
+func Dot(a, b []float64) float64 { return dotRow(a, b) }
 
 // Norm2 returns the squared Euclidean norm ‖v‖².
 func Norm2(v []float64) float64 {

@@ -1,79 +1,24 @@
 package dist
 
-// Batched dot-product kernels and the fused eps-filters built on the
-// cached-norms identity ‖a−q‖² = ‖a‖² + ‖q‖² − 2·a·q.
-//
-// The dot kernels (DotsTo / DotsToAll / DotsToRange) follow the determinism
-// contract: per row they perform exactly the same float64 operations in the
-// same order as Dot, so batched projections are bit-identical to per-pair
-// calls — that is what lets parallel projection passes shard rows across
-// workers without changing a single bit of the result.
-//
-// The Cached filters at the bottom of this file do NOT follow that contract:
-// the identity reassociates the arithmetic (see norms.go), so their accept
-// sets can differ from FilterWithin at ULP scale near the eps boundary. They
-// are opt-in kernels for approximate candidate pipelines (the sDBSCAN-style
-// random-projection mode in internal/lsh) and for pruning passes that carry
-// their own conservative slack; they must never back an exact range-query
-// path. Like the rest of the cached-norms machinery they are float64-only —
-// float32 storage is the large-magnitude regime where the identity's
-// cancellation bites (see f32.go).
+import "unsafe"
 
-// dotsRange writes row(lo+k)·q into out[k] for k in [0, hi-lo). The unrolled
-// body is written out inline (not delegated to Dot) so the whole batch runs
-// in one call frame with q's bounds check hoisted; the accumulation order
-// per row is exactly Dot's, keeping batched results bit-identical to
-// per-pair calls.
-func dotsRange(m Matrix, q []float64, lo, hi int, out []float64) {
-	dim := m.Dim
-	q = q[:dim]
-	base := lo * dim
-	for i := lo; i < hi; i++ {
-		row := m.Coords[base : base+dim : base+dim]
-		base += dim
-		var s0, s1, s2, s3 float64
-		j := 0
-		for ; j+4 <= dim; j += 4 {
-			s0 += row[j] * q[j]
-			s1 += row[j+1] * q[j+1]
-			s2 += row[j+2] * q[j+2]
-			s3 += row[j+3] * q[j+3]
-		}
-		s := (s0 + s1) + (s2 + s3)
-		for ; j < dim; j++ {
-			s += row[j] * q[j]
-		}
-		out[i-lo] = s
-	}
-}
-
-// dotsGather is dotsRange for an explicit id list: out[k] = row(ids[k])·q.
-func dotsGather(m Matrix, q []float64, ids []int32, out []float64) {
-	dim := m.Dim
-	q = q[:dim]
-	for k, id := range ids {
-		base := int(id) * dim
-		row := m.Coords[base : base+dim : base+dim]
-		var s0, s1, s2, s3 float64
-		j := 0
-		for ; j+4 <= dim; j += 4 {
-			s0 += row[j] * q[j]
-			s1 += row[j+1] * q[j+1]
-			s2 += row[j+2] * q[j+2]
-			s3 += row[j+3] * q[j+3]
-		}
-		s := (s0 + s1) + (s2 + s3)
-		for ; j < dim; j++ {
-			s += row[j] * q[j]
-		}
-		out[k] = s
-	}
-}
+// Batched dot-product kernels: the projection layer of the rproj and lsh
+// backends. They follow the determinism contract: per row they perform
+// exactly the same float64 operations in the same order as Dot, so batched
+// projections are bit-identical to per-pair calls — that is what lets
+// parallel projection passes shard rows across workers without changing a
+// single bit of the result. Like the scan kernels they stream the float32
+// mirror when the matrix carries one, and run the AVX kernels for d >= 4
+// where the CPU has them.
 
 // DotsTo writes the dot product of each selected row with q into out:
 // out[k] = row(ids[k])·q. out must have length >= len(ids).
 func DotsTo(m Matrix, q []float64, ids []int32, out []float64) {
-	dotsGather(m, q, ids, out)
+	if m.Coords32 != nil {
+		dotsGather(m.Coords32, m.Dim, q, ids, out)
+		return
+	}
+	dotsGather(m.Coords, m.Dim, q, ids, out)
 }
 
 // DotsToAll writes the dot product of every row with q into out:
@@ -81,7 +26,7 @@ func DotsTo(m Matrix, q []float64, ids []int32, out []float64) {
 // matrix-vector product behind batch hashing: projecting a whole dataset
 // onto one direction is a single call.
 func DotsToAll(m Matrix, q []float64, out []float64) {
-	dotsRange(m, q, 0, m.Len(), out)
+	DotsToRange(m, q, 0, m.Len(), out)
 }
 
 // DotsToRange is DotsToAll restricted to rows [lo, hi), writing
@@ -89,12 +34,91 @@ func DotsToAll(m Matrix, q []float64, out []float64) {
 // workers own disjoint row ranges and disjoint out windows, and per-row
 // bit-identity to Dot makes the shard count invisible in the result.
 func DotsToRange(m Matrix, q []float64, lo, hi int, out []float64) {
-	dotsRange(m, q, lo, hi, out)
+	if m.Coords32 != nil {
+		dotsRange(m.Coords32, m.Dim, q, lo, hi, out)
+		return
+	}
+	dotsRange(m.Coords, m.Dim, q, lo, hi, out)
 }
 
-// Norms returns ‖row(i)‖² for every row: the per-dataset cache consumed by
-// the Cached kernels below and by SqDistsToCached-style callers that address
-// rows directly rather than through an id list.
+// dotRow is Dot over either storage, in Dot's accumulation order.
+func dotRow[E elem](a []E, q []float64) float64 {
+	q = q[:len(a)]
+	var s0, s1, s2, s3 float64
+	j := 0
+	for ; j+4 <= len(a); j += 4 {
+		s0 += float64(a[j]) * q[j]
+		s1 += float64(a[j+1]) * q[j+1]
+		s2 += float64(a[j+2]) * q[j+2]
+		s3 += float64(a[j+3]) * q[j+3]
+	}
+	s := (s0 + s1) + (s2 + s3)
+	for ; j < len(a); j++ {
+		s += float64(a[j]) * q[j]
+	}
+	return s
+}
+
+// dotTail adds the d mod 4 tail of row a (coordinates from w on) to the AVX
+// partial s, in Dot's order.
+func dotTail[E elem](a []E, q []float64, w int, s float64) float64 {
+	for j := w; j < len(a); j++ {
+		s += float64(a[j]) * q[j]
+	}
+	return s
+}
+
+// dotsRange writes row(lo+k)·q into out[k] for k in [0, hi-lo), with the
+// dispatch shape of sqDistsRange.
+func dotsRange[E elem](c []E, dim int, q []float64, lo, hi int, out []float64) {
+	if !hasAVX || dim < 4 {
+		for i := lo; i < hi; i++ {
+			out[i-lo] = dotRow(row(c, dim, i), q)
+		}
+		return
+	}
+	g := dim >> 2
+	w := g << 2
+	q = q[:dim]
+	rows := c[lo*dim : hi*dim]
+	out = out[:hi-lo]
+	quads := len(out) >> 2
+	if quads > 0 {
+		if is32[E]() {
+			dotsRows4x32AVX((*float32)(unsafe.Pointer(&rows[0])), &q[0], g, dim, quads, &out[0])
+		} else {
+			dotsRows4x64AVX((*float64)(unsafe.Pointer(&rows[0])), &q[0], g, dim, quads, &out[0])
+		}
+	}
+	for k := quads << 2; k < len(out); k++ {
+		out[k] = dotGroupsAVX(&rows[k*dim], &q[0], g)
+	}
+	if w == dim {
+		return
+	}
+	for k := range out {
+		out[k] = dotTail(row(rows, dim, k), q, w, out[k])
+	}
+}
+
+// dotsGather is dotsRange for an explicit id list: out[k] = row(ids[k])·q.
+func dotsGather[E elem](c []E, dim int, q []float64, ids []int32, out []float64) {
+	if !hasAVX || dim < 4 {
+		for k, id := range ids {
+			out[k] = dotRow(row(c, dim, int(id)), q)
+		}
+		return
+	}
+	g := dim >> 2
+	q = q[:dim]
+	for k, id := range ids {
+		r := row(c, dim, int(id))
+		out[k] = dotTail(r, q, g<<2, dotGroupsAVX(&r[0], &q[0], g))
+	}
+}
+
+// Norms returns ‖row(i)‖² for every row of the master: the cache behind
+// rproj's cell-centroid bounds.
 func Norms(m Matrix) []float64 {
 	n := m.Len()
 	out := make([]float64, n)
@@ -102,103 +126,4 @@ func Norms(m Matrix) []float64 {
 		out[i] = Norm2(m.Row(i))
 	}
 	return out
-}
-
-// SqDistsToAllCached writes ‖row(i) − q‖² for every row into out using the
-// cached-norms identity: one dot product per row instead of a
-// subtract-square-accumulate. norms must satisfy norms[i] = ‖row(i)‖² and
-// qNorm must equal Norm2(q). Negative results from cancellation are clamped
-// to 0. Reassociated arithmetic — ULP-divergent from SqDistsToAll, see the
-// file comment. out must have length >= m.Len().
-func SqDistsToAllCached(m Matrix, q []float64, qNorm float64, norms, out []float64) {
-	n := m.Len()
-	var block [blockSize]float64
-	for s := 0; s < n; s += blockSize {
-		e := s + blockSize
-		if e > n {
-			e = n
-		}
-		dotsRange(m, q, s, e, block[:e-s])
-		for k := 0; k < e-s; k++ {
-			d2 := norms[s+k] + qNorm - 2*block[k]
-			if d2 < 0 {
-				d2 = 0
-			}
-			out[s+k] = d2
-		}
-	}
-}
-
-// FilterWithinCached appends to buf the ids (ascending) of all rows within
-// squared distance eps2 of q, evaluating distances through the cached-norms
-// identity, and returns the extended slice. norms[i] = ‖row(i)‖², qNorm =
-// Norm2(q). The accept set can differ from FilterWithin at ULP scale near
-// the boundary — approximate pipelines only.
-func FilterWithinCached(m Matrix, q []float64, qNorm float64, norms []float64, eps2 float64, buf []int32) []int32 {
-	n := m.Len()
-	var block [blockSize]float64
-	for s := 0; s < n; s += blockSize {
-		e := s + blockSize
-		if e > n {
-			e = n
-		}
-		dotsRange(m, q, s, e, block[:e-s])
-		for k := 0; k < e-s; k++ {
-			d2 := norms[s+k] + qNorm - 2*block[k]
-			if d2 <= eps2 {
-				buf = append(buf, int32(s+k))
-			}
-		}
-	}
-	return buf
-}
-
-// FilterWithinCachedIDs is FilterWithinCached for an explicit candidate list:
-// it appends the members of ids (in given order) whose rows pass the cached
-// eps test. norms is indexed by row id (norms[id] = ‖row(id)‖²), unlike
-// SqDistsToCached's parallel-slice convention, because candidate lists are
-// arbitrary subsets of a dataset-wide cache.
-func FilterWithinCachedIDs(m Matrix, q []float64, qNorm float64, norms []float64, eps2 float64, ids, buf []int32) []int32 {
-	var block [blockSize]float64
-	for s := 0; s < len(ids); s += blockSize {
-		e := s + blockSize
-		if e > len(ids) {
-			e = len(ids)
-		}
-		dotsGather(m, q, ids[s:e], block[:e-s])
-		for k := 0; k < e-s; k++ {
-			id := ids[s+k]
-			d2 := norms[id] + qNorm - 2*block[k]
-			if d2 <= eps2 {
-				buf = append(buf, id)
-			}
-		}
-	}
-	return buf
-}
-
-// CountWithinCached counts rows within squared distance eps2 of q through
-// the cached-norms identity, with the same limit semantics as CountWithin
-// (limit > 0 stops the scan at limit; limit <= 0 counts exhaustively).
-func CountWithinCached(m Matrix, q []float64, qNorm float64, norms []float64, eps2 float64, limit int) int {
-	n := m.Len()
-	count := 0
-	var block [blockSize]float64
-	for s := 0; s < n; s += blockSize {
-		e := s + blockSize
-		if e > n {
-			e = n
-		}
-		dotsRange(m, q, s, e, block[:e-s])
-		for k := 0; k < e-s; k++ {
-			d2 := norms[s+k] + qNorm - 2*block[k]
-			if d2 <= eps2 {
-				count++
-				if limit > 0 && count >= limit {
-					return count
-				}
-			}
-		}
-	}
-	return count
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -54,41 +53,40 @@ func TestDotKernelsMatchDot(t *testing.T) {
 }
 
 // TestDot32BitIdenticalToWidened extends the f32 equivalence contract to the
-// dot kernels: on float32 storage whose float64 twin is the exact widening,
-// Dot32 and the batched variants must match the f64 kernels bit for bit —
-// including the AVX dispatch on amd64.
+// dot kernels: on a matrix carrying a float32 mirror whose float64 master is
+// the exact widening, the per-row dot over the mirror and the batched dot
+// kernels must match Dot on the master bit for bit, under whichever AVX
+// dispatch the host selects.
 func TestDot32BitIdenticalToWidened(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 13, 32, 64} {
 		n := 50 + rng.Intn(200)
-		m32, m64 := randMatrix32(rng, n, d)
+		mirror, master := randMatrix32(rng, n, d)
 		q := randVec(rng, d)
 
+		want := make([]float64, n)
 		for i := 0; i < n; i++ {
-			if Dot32(m32.Row(i), q) != Dot(m64.Row(i), q) {
-				t.Fatalf("d=%d: Dot32 row %d not bit-identical", d, i)
+			want[i] = Dot(master.Row(i), q)
+			if got := dotRow(mirror.Coords32[i*d:(i+1)*d], q); got != want[i] {
+				t.Fatalf("d=%d: float32 row %d dot = %v, widened = %v", d, i, got, want[i])
 			}
 		}
 
-		all32 := make([]float64, n)
-		all64 := make([]float64, n)
-		DotsToAll32(m32, q, all32)
-		DotsToAll(m64, q, all64)
-		for i := range all32 {
-			if all32[i] != all64[i] {
-				t.Fatalf("d=%d: DotsToAll32[%d] = %v, widened = %v", d, i, all32[i], all64[i])
+		all := make([]float64, n)
+		DotsToAll(mirror, q, all)
+		for i := range all {
+			if all[i] != want[i] {
+				t.Fatalf("d=%d: DotsToAll[%d] on the mirror = %v, widened = %v", d, i, all[i], want[i])
 			}
 		}
 
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo)
-		r32 := make([]float64, hi-lo)
-		r64 := make([]float64, hi-lo)
-		DotsToRange32(m32, q, lo, hi, r32)
-		DotsToRange(m64, q, lo, hi, r64)
-		for k := range r32 {
-			if r32[k] != r64[k] {
-				t.Fatalf("d=%d: DotsToRange32[%d] not bit-identical", d, k)
+		r := make([]float64, hi-lo)
+		DotsToRange(mirror, q, lo, hi, r)
+		for k := range r {
+			if r[k] != want[lo+k] {
+				t.Fatalf("d=%d: DotsToRange[%d] on the mirror not bit-identical", d, k)
 			}
 		}
 
@@ -96,13 +94,11 @@ func TestDot32BitIdenticalToWidened(t *testing.T) {
 		for k := range ids {
 			ids[k] = int32(rng.Intn(n))
 		}
-		to32 := make([]float64, len(ids))
-		to64 := make([]float64, len(ids))
-		DotsTo32(m32, q, ids, to32)
-		DotsTo(m64, q, ids, to64)
-		for k := range to32 {
-			if to32[k] != to64[k] {
-				t.Fatalf("d=%d: DotsTo32[%d] not bit-identical", d, k)
+		to := make([]float64, len(ids))
+		DotsTo(mirror, q, ids, to)
+		for k, id := range ids {
+			if to[k] != want[id] {
+				t.Fatalf("d=%d: DotsTo[%d] on the mirror not bit-identical", d, k)
 			}
 		}
 	}
@@ -122,73 +118,6 @@ func TestNorms(t *testing.T) {
 	for i := range norms {
 		if want := Norm2(m.Row(i)); norms[i] != want {
 			t.Fatalf("Norms[%d] = %v, want %v", i, norms[i], want)
-		}
-	}
-}
-
-// TestCachedFiltersMatchIdentity pins the fused Cached kernels against a
-// straight-line evaluation of the norms identity: same Dot per row, same
-// norms[i] + qNorm − 2·dot combination, so the fused block machinery must be
-// bit-identical to the reference loop (the approximation lives in the
-// identity itself, not in the fusion).
-func TestCachedFiltersMatchIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	for _, d := range []int{4, 16, 33, 64} {
-		n := 80 + rng.Intn(150)
-		m := Matrix{Coords: make([]float64, n*d), Dim: d}
-		for i := range m.Coords {
-			m.Coords[i] = (rng.Float64() - 0.5) * 10
-		}
-		q := randVec(rng, d)
-		qNorm := Norm2(q)
-		norms := Norms(m)
-
-		ref := make([]float64, n)
-		for i := 0; i < n; i++ {
-			d2 := norms[i] + qNorm - 2*Dot(m.Row(i), q)
-			if d2 < 0 {
-				d2 = 0
-			}
-			ref[i] = d2
-		}
-
-		got := make([]float64, n)
-		SqDistsToAllCached(m, q, qNorm, norms, got)
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("d=%d: SqDistsToAllCached[%d] = %v, reference = %v", d, i, got[i], ref[i])
-			}
-		}
-
-		eps2 := ref[n/2]
-		var want []int32
-		for i := 0; i < n; i++ {
-			if ref[i] <= eps2 {
-				want = append(want, int32(i))
-			}
-		}
-		if got := FilterWithinCached(m, q, qNorm, norms, eps2, nil); !int32Equal(got, want) {
-			t.Fatalf("d=%d: FilterWithinCached = %v, want %v", d, got, want)
-		}
-		if got := CountWithinCached(m, q, qNorm, norms, eps2, 0); got != len(want) {
-			t.Fatalf("d=%d: CountWithinCached = %d, want %d", d, got, len(want))
-		}
-		if got := CountWithinCached(m, q, qNorm, norms, eps2, 2); len(want) >= 2 && got != 2 {
-			t.Fatalf("d=%d: CountWithinCached(limit=2) = %d, want 2", d, got)
-		}
-
-		ids := make([]int32, rng.Intn(n)+1)
-		for k := range ids {
-			ids[k] = int32(rng.Intn(n))
-		}
-		var wantIDs []int32
-		for _, id := range ids {
-			if ref[id] <= eps2 {
-				wantIDs = append(wantIDs, id)
-			}
-		}
-		if got := FilterWithinCachedIDs(m, q, qNorm, norms, eps2, ids, nil); !int32Equal(got, wantIDs) {
-			t.Fatalf("d=%d: FilterWithinCachedIDs = %v, want %v", d, got, wantIDs)
 		}
 	}
 }
@@ -221,12 +150,16 @@ func TestCachedIdentityErrorBound(t *testing.T) {
 			q[j] = (rng.Float64() - 0.5) * scale
 		}
 		qNorm := Norm2(q)
-		norms := Norms(m)
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		norms := NormsIDs(m, ids)
 
 		exact := make([]float64, n)
 		cached := make([]float64, n)
 		SqDistsToAll(m, q, exact)
-		SqDistsToAllCached(m, q, qNorm, norms, cached)
+		SqDistsToCached(m, q, qNorm, ids, norms, cached)
 		for i := 0; i < n; i++ {
 			bound := cachedIdentityBound(norms[i], qNorm, Dot(m.Row(i), q), d)
 			if diff := math.Abs(cached[i] - exact[i]); diff > bound {
@@ -237,60 +170,40 @@ func TestCachedIdentityErrorBound(t *testing.T) {
 }
 
 // dotQuantBound bounds |a32·q − a·q| where a32 quantizes a to float32: per
-// coordinate the storage error is δj ≤ 2⁻²⁴·|aj| and perturbs the product by
-// δj·|qj|; the factor covers the kernels' own accumulation roundings.
+// coordinate the storage error is δj ≤ quant32Err(aj) and perturbs the
+// product by δj·|qj|, with a factor for the kernels' reassociation. Each of
+// the two computed dots also carries its own float64 rounding, within
+// γ_d·Σ|aj·qj| (u = 2⁻⁵³) of its exact value — the term that is left when
+// the aj are float32 subnormals and the relative quantization bound fails.
 func dotQuantBound(a, q []float64) float64 {
-	const eps32 = 1.0 / (1 << 24)
-	var bound float64
+	var bound, mag float64
 	for j := range a {
-		bound += eps32 * math.Abs(a[j]) * math.Abs(q[j])
+		bound += quant32Err(a[j]) * math.Abs(q[j])
+		mag += (math.Abs(a[j]) + quant32Err(a[j])) * math.Abs(q[j])
 	}
-	return 4*bound + 1e-12
+	const u = 1.0 / (1 << 53)
+	nu := float64(len(a)) * u
+	gamma := nu / (1 - nu)
+	return 4*bound + 2*gamma*mag + 1e-12
 }
 
 // FuzzDotKernels drives the dot kernels with fuzzer-chosen bytes: for any
-// pair of finite vectors, Dot32 must be bit-identical to Dot on the widened
-// row, the batched kernels must agree with the scalar ones, and the
-// quantized result must stay within the derived bound of the exact dot.
+// pair of finite vectors, the projection of a one-row matrix carrying the
+// float32 mirror must be bit-identical to Dot on the widened row, and stay
+// within the derived quantization bound of the exact dot.
 func FuzzDotKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(make([]byte, 64))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) < 16 {
+		a, q, m := fuzzMirrorRow(raw)
+		if m.Dim == 0 {
 			return
 		}
-		d := len(raw) / 16 // 8 bytes per coordinate, two vectors
-		a := make([]float64, d)
-		q := make([]float64, d)
-		for j := 0; j < d; j++ {
-			a[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[j*8:]))
-			q[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[(d+j)*8:]))
-			// Clamp to the finite float32-safe range the vec layer enforces.
-			if math.IsNaN(a[j]) || math.Abs(a[j]) > math.MaxFloat32/2 {
-				a[j] = 0
-			}
-			if math.IsNaN(q[j]) || math.Abs(q[j]) > math.MaxFloat32/2 {
-				q[j] = 0
-			}
-		}
-		a32 := make([]float32, d)
-		widened := make([]float64, d)
-		for j := range a {
-			a32[j] = float32(a[j])
-			widened[j] = float64(a32[j])
-		}
-		got := Dot32(a32, q)
-		if want := Dot(widened, q); got != want {
-			t.Fatalf("Dot32 = %v, widened Dot = %v", got, want)
-		}
 		var one [1]float64
-		DotsToAll32(Matrix32{Coords: a32, Dim: d}, q, one[:])
-		if one[0] != got {
-			t.Fatalf("DotsToAll32 = %v, Dot32 = %v", one[0], got)
-		}
-		DotsToAll(Matrix{Coords: widened, Dim: d}, q, one[:])
-		if one[0] != got {
-			t.Fatalf("DotsToAll = %v, widened Dot = %v", one[0], got)
+		DotsToAll(m, q, one[:])
+		got := one[0]
+		if want := Dot(m.Coords, q); got != want {
+			t.Fatalf("mirror DotsToAll = %v, widened Dot = %v", got, want)
 		}
 		exact := Dot(a, q)
 		if bound := dotQuantBound(a, q); !math.IsInf(exact, 0) && math.Abs(got-exact) > bound {
@@ -315,7 +228,7 @@ func BenchmarkDotsToAll(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("f32/d=%d", d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				DotsToAll32(m32, q, out)
+				DotsToAll(m32, q, out)
 			}
 		})
 		b.Run(fmt.Sprintf("naive/d=%d", d), func(b *testing.B) {
@@ -323,36 +236,6 @@ func BenchmarkDotsToAll(b *testing.B) {
 				for r := 0; r < n; r++ {
 					out[r] = Dot(m64.Row(r), q)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkFilterWithinCached compares the fused cached-identity filter with
-// the exact fused filter at projection-friendly widths.
-func BenchmarkFilterWithinCached(b *testing.B) {
-	rng := rand.New(rand.NewSource(32))
-	const n = 1024
-	for _, d := range []int{16, 32, 128, 256} {
-		m := Matrix{Coords: make([]float64, n*d), Dim: d}
-		for i := range m.Coords {
-			m.Coords[i] = (rng.Float64() - 0.5) * 2
-		}
-		q := randVec(rng, d)
-		qNorm := Norm2(q)
-		norms := Norms(m)
-		all := make([]float64, n)
-		SqDistsToAll(m, q, all)
-		eps2 := all[n/2] // ~half the rows pass
-		buf := make([]int32, 0, n)
-		b.Run(fmt.Sprintf("cached/d=%d", d), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				buf = FilterWithinCached(m, q, qNorm, norms, eps2, buf[:0])
-			}
-		})
-		b.Run(fmt.Sprintf("exact/d=%d", d), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				buf = FilterWithin(m, q, eps2, buf[:0])
 			}
 		})
 	}

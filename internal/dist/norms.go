@@ -11,11 +11,17 @@ package dist
 // results through exp() and a tolerance-based solver, use it for wide
 // dimensions.
 
-// NormCachedMinDim is the row width from which the cached-norms path is
+// normCachedMinDim is the row width from which the cached-norms path is
 // worth using. Below it the plain kernel is both faster (no extra norm
-// lookups, no clamping) and exact, so callers should gate on
-// m.Dim >= NormCachedMinDim.
-const NormCachedMinDim = 16
+// lookups, no clamping) and exact.
+const normCachedMinDim = 16
+
+// UseCachedNorms reports whether the cached-norms path pays on m: from
+// normCachedMinDim on, and never on a matrix carrying a float32 mirror (see
+// f32.go). Elsewhere callers use the plain kernels.
+func UseCachedNorms(m Matrix) bool {
+	return m.Dim >= normCachedMinDim && m.Coords32 == nil
+}
 
 // NormsIDs returns ‖row(id)‖² for each selected row, the per-dataset cache
 // consumed by SqDistsToCached.

@@ -7,7 +7,6 @@ import (
 	"dbsvec/internal/core"
 	"dbsvec/internal/data"
 	"dbsvec/internal/eval"
-	"dbsvec/internal/index/backend"
 	"dbsvec/internal/kmeans"
 )
 
@@ -164,24 +163,4 @@ func Fig9a(w io.Writer, cfg Config) error {
 		fmt.Fprintf(w, "%-10s | %s %s %s\n", e.Name, cols[0], cols[1], cols[2])
 	}
 	return nil
-}
-
-// CoreMaskCheck is a diagnostic (not in the paper) verifying Theorem 1/3 on
-// a suite entry: DBSVEC core points clustered identically and noise sets
-// equal. It returns the noise agreement fraction.
-func CoreMaskCheck(name string, cfg Config) (float64, error) {
-	e, err := data.SuiteByName(name)
-	if err != nil {
-		return 0, err
-	}
-	ds := cfg.dataset(e.Gen(cfg.Seed))
-	truth, err := exactDBSCAN(ds, e.Eps, e.MinPts, backend.RTree)
-	if err != nil {
-		return 0, err
-	}
-	got, _, err := core.Run(ds, core.Options{Eps: e.Eps, MinPts: e.MinPts, Seed: cfg.Seed, Workers: cfg.Workers})
-	if err != nil {
-		return 0, err
-	}
-	return eval.NoiseAgreement(truth, got)
 }

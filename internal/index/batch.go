@@ -28,11 +28,6 @@ type Queries struct {
 	At func(i int, scratch []float64) []float64
 }
 
-// PointQueries adapts a materialized query matrix.
-func PointQueries(pts [][]float64) Queries {
-	return Queries{N: len(pts), At: func(i int, _ []float64) []float64 { return pts[i] }}
-}
-
 // BatchIndex is the batched-query capability: a whole set of range queries
 // is submitted as one schedulable unit, fanned across a worker pool, with
 // results delivered in query order so callers stay deterministic regardless

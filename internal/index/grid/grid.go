@@ -320,38 +320,4 @@ func (g *Grid) RangeCount(q []float64, eps float64, limit int) int {
 	return count
 }
 
-// ApproxRangeCount counts with ρ-approximate semantics: points within eps
-// are always counted, points beyond eps*(1+rho) never, and points in
-// between may or may not be counted (they are, whenever their whole cell
-// fits inside eps*(1+rho)). This is the query primitive of ρ-approximate
-// DBSCAN.
-func (g *Grid) ApproxRangeCount(q []float64, eps, rho float64, limit int) int {
-	eps2 := eps * eps
-	outer := eps * (1 + rho)
-	outer2 := outer * outer
-	count := 0
-	g.NeighborCells(q, outer, func(_ string, pts []int32, minD2, maxD2 float64) {
-		if limit > 0 && count >= limit {
-			return
-		}
-		if minD2 > eps2 && minD2 > outer2 {
-			return
-		}
-		if maxD2 <= outer2 && minD2 <= eps2 {
-			// Whole cell inside the tolerance band: count wholesale.
-			count += len(pts)
-			return
-		}
-		rem := 0
-		if limit > 0 {
-			rem = limit - count
-		}
-		count += g.ds.CountWithinIDs(q, eps2, pts, rem)
-	})
-	if limit > 0 && count > limit {
-		count = limit
-	}
-	return count
-}
-
 var _ index.Index = (*Grid)(nil)

@@ -123,77 +123,6 @@ func TestCellsIteration(t *testing.T) {
 	}
 }
 
-func TestApproxRangeCountSemantics(t *testing.T) {
-	// Points at distances 1, 2, 3 from origin; eps=2, rho=0.5 -> outer=3.
-	// Exact in-eps points (d<=2) must always count; d=3 is optional; beyond
-	// outer must never count.
-	ds, _ := vec.FromRows([][]float64{{0}, {1}, {2}, {2.9}, {10}})
-	g := mustNew(t, ds, 0.5, 1)
-	got := g.ApproxRangeCount([]float64{0}, 2, 0.5, 0)
-	if got < 3 {
-		t.Errorf("approx count %d must include the 3 points within eps", got)
-	}
-	if got > 4 {
-		t.Errorf("approx count %d must exclude the point at distance 10", got)
-	}
-}
-
-func TestApproxRangeCountMatchesExactWhenRhoZero(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rows := make([][]float64, 500)
-	for i := range rows {
-		rows[i] = []float64{rng.Float64() * 100, rng.Float64() * 100}
-	}
-	ds, _ := vec.FromRows(rows)
-	g := mustNew(t, ds, 3.0, 1)
-	oracle := indextest.Linear(ds)
-	for iter := 0; iter < 40; iter++ {
-		q := []float64{rng.Float64() * 100, rng.Float64() * 100}
-		eps := 2 + rng.Float64()*20
-		got := g.ApproxRangeCount(q, eps, 0, 0)
-		want := oracle.RangeCount(q, eps, 0)
-		if got != want {
-			t.Fatalf("rho=0 approx=%d exact=%d (q=%v eps=%g)", got, want, q, eps)
-		}
-	}
-}
-
-func TestApproxRangeCountBounds(t *testing.T) {
-	// For any rho, exact(eps) <= approx <= exact(eps*(1+rho)).
-	rng := rand.New(rand.NewSource(6))
-	rows := make([][]float64, 600)
-	for i := range rows {
-		rows[i] = []float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-	}
-	ds, _ := vec.FromRows(rows)
-	oracle := indextest.Linear(ds)
-	for _, rho := range []float64{0.001, 0.1, 0.5} {
-		g := mustNew(t, ds, 5.0, 1)
-		for iter := 0; iter < 30; iter++ {
-			q := rows[rng.Intn(len(rows))]
-			eps := 5 + rng.Float64()*25
-			got := g.ApproxRangeCount(q, eps, rho, 0)
-			lo := oracle.RangeCount(q, eps, 0)
-			hi := oracle.RangeCount(q, eps*(1+rho), 0)
-			if got < lo || got > hi {
-				t.Fatalf("rho=%g: approx=%d outside [%d,%d]", rho, got, lo, hi)
-			}
-		}
-	}
-}
-
-func TestApproxRangeCountLimit(t *testing.T) {
-	rows := make([][]float64, 100)
-	for i := range rows {
-		rows[i] = []float64{0, 0}
-	}
-	ds, _ := vec.FromRows(rows)
-	g := mustNew(t, ds, 1.0, 1)
-	if got := g.ApproxRangeCount([]float64{0, 0}, 1, 0.001, 7); got != 7 {
-		t.Errorf("limited approx count = %d, want 7", got)
-	}
-}
-
 func TestHighDimDirectoryScanPath(t *testing.T) {
 	// d large enough that offset enumeration would explode; the directory
 	// scan must still answer exactly.

@@ -40,15 +40,12 @@ type Tree struct {
 	ds    *vec.Dataset
 	ids   []int32 // permutation of 0..n-1; leaves own contiguous runs
 	nodes []node
-	// packed holds the points in leaf order (Row(k) is the point with id
-	// ids[k]), so leaf scans stream contiguous memory. An empty matrix
-	// falls back to gathering rows by id; both paths are bit-identical.
-	// Datasets in float32 storage pack into packed32 instead — the same leaf
-	// order at half the bytes per scan, still bit-identical to the gather
-	// path because the f32 kernels accumulate in float64 over coordinates
-	// that equal the widened master exactly.
-	packed   dist.Matrix
-	packed32 dist.Matrix32
+	// packed holds the points in leaf order (row k is the point with id
+	// ids[k]), so leaf scans stream contiguous memory, in the storage the
+	// dataset's scans stream: its float32 mirror in F32 mode, half the bytes
+	// per scan. An empty matrix falls back to gathering rows by id; both
+	// paths are bit-identical (see internal/dist).
+	packed dist.Matrix
 }
 
 type node struct {
@@ -211,27 +208,13 @@ func (b *buildState) build(self int32, start, end int, sc *buildScratch) {
 }
 
 // packLeaves copies the points into leaf order so every leaf owns a
-// contiguous block of the packed matrix. Float32-storage datasets pack the
-// float32 mirror (same permutation, half the scan bandwidth).
+// contiguous block of the packed matrix.
 func (t *Tree) packLeaves(workers int) {
-	d := t.ds.Dim()
-	if m32 := t.ds.Matrix32(); m32.Coords != nil {
-		coords := make([]float32, len(t.ids)*d)
-		engine.ForRanges(workers, len(t.ids), nil, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				copy(coords[k*d:(k+1)*d], m32.Row(int(t.ids[k])))
-			}
-		})
-		t.packed32 = dist.Matrix32{Coords: coords, Dim: d}
-		return
-	}
-	coords := make([]float64, len(t.ids)*d)
+	m := t.ds.Matrix()
+	t.packed = m.Packed(len(t.ids))
 	engine.ForRanges(workers, len(t.ids), nil, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			copy(coords[k*d:(k+1)*d], t.ds.Point(int(t.ids[k])))
-		}
+		t.packed.CopyRows(m, t.ids, lo, hi)
 	})
-	t.packed = dist.Matrix{Coords: coords, Dim: d}
 }
 
 // widestDim returns the dimension with the largest coordinate spread over
@@ -309,15 +292,7 @@ func (t *Tree) selectNth(start, end, nth, dim int) {
 // ids; the gather path reads rows by id. Both visit the same points in the
 // same order with the same distance kernel, so output is bit-identical.
 func (t *Tree) scanLeaf(nd *node, q []float64, eps2 float64, buf []int32) []int32 {
-	if t.packed32.Coords != nil {
-		mark := len(buf)
-		buf = dist.FilterWithinRange32(t.packed32, q, eps2, int(nd.start), int(nd.end), buf)
-		for i := mark; i < len(buf); i++ {
-			buf[i] = t.ids[buf[i]]
-		}
-		return buf
-	}
-	if t.packed.Coords == nil {
+	if t.packed.Dim == 0 {
 		return t.ds.FilterWithinIDs(q, eps2, t.ids[nd.start:nd.end], buf)
 	}
 	mark := len(buf)
@@ -330,10 +305,7 @@ func (t *Tree) scanLeaf(nd *node, q []float64, eps2 float64, buf []int32) []int3
 
 // countLeaf counts leaf nd's points within eps2 of q (see scanLeaf).
 func (t *Tree) countLeaf(nd *node, q []float64, eps2 float64, limit int) int {
-	if t.packed32.Coords != nil {
-		return dist.CountWithinRange32(t.packed32, q, eps2, int(nd.start), int(nd.end), limit)
-	}
-	if t.packed.Coords == nil {
+	if t.packed.Dim == 0 {
 		return t.ds.CountWithinIDs(q, eps2, t.ids[nd.start:nd.end], limit)
 	}
 	return dist.CountWithinRange(t.packed, q, eps2, int(nd.start), int(nd.end), limit)

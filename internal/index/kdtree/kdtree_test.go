@@ -74,7 +74,7 @@ func TestParallelStructureIdentical(t *testing.T) {
 			if !slices.Equal(par.nodes, serial.nodes) {
 				t.Fatalf("n=%d workers=%d: node layout differs", n, workers)
 			}
-			if !slices.Equal(par.packed.Coords, serial.packed.Coords) {
+			if !slices.Equal(par.packed.Coords, serial.packed.Coords) || !slices.Equal(par.packed.Coords32, serial.packed.Coords32) {
 				t.Fatalf("n=%d workers=%d: packed matrix differs", n, workers)
 			}
 		}

@@ -23,9 +23,9 @@
 // identity's documented error bound plus a relative slack that dwarfs every
 // rounding effect, so both shortcuts are taken only when the exact kernels
 // would agree on every member. Scanned cells run the same FilterWithinRange
-// kernels as the Linear oracle over a packed coordinate block (the float32
-// storage mode packs the half-width mirror and scans through the widening
-// AVX kernels). The backend is exact: it returns the Linear oracle's id set
+// kernels as the Linear oracle over a packed coordinate block (in the
+// storage the dataset's scans stream: the half-width mirror in float32
+// mode). The backend is exact: it returns the Linear oracle's id set
 // for any input, any precision and any worker count, in cell order; the
 // projections only decide how well cells separate, never which ids a query
 // returns.
@@ -101,7 +101,6 @@ const ballSlack = 1e-9
 // Index is the built cell directory.
 type Index struct {
 	ds  *vec.Dataset
-	f32 bool
 	dim int
 
 	// Cell arena: cell c owns packed positions offsets[c]..offsets[c+1] and
@@ -110,10 +109,9 @@ type Index struct {
 	offsets []int32
 	idByPos []int32
 
-	// Packed coordinate block in position order — one contiguous matrix per
-	// storage precision, so a cell scan is a cache-linear FilterWithinRange.
-	packed   dist.Matrix
-	packed32 dist.Matrix32
+	// Packed coordinate block in position order, so a cell scan is a
+	// cache-linear FilterWithinRange.
+	packed dist.Matrix
 
 	// Per-cell ball bounds: exact centroids (always float64, computed from
 	// the master coordinates), their cached norms, and a conservative upper
@@ -151,7 +149,6 @@ func newParams(ctx context.Context, ds *vec.Dataset, p params, workers int) (*In
 	n, d := ds.Len(), ds.Dim()
 	x := &Index{
 		ds:        ds,
-		f32:       ds.Precision() == vec.F32,
 		dim:       d,
 		slackCoef: 4 * float64(d+8) * 0x1p-53,
 	}
@@ -165,22 +162,18 @@ func newParams(ctx context.Context, ds *vec.Dataset, p params, workers int) (*In
 	// Phase 1: project. One column of dots per direction, sharded over rows;
 	// each row's dot is independent of the shard boundaries, so the columns
 	// are bit-identical for every worker count (and across storage
-	// precisions: the widening f32 kernels match the widened master).
+	// precisions: the mirror's dots match the widened master's).
 	rng := rand.New(rand.NewSource(p.Seed))
 	proj := dist.Matrix{Coords: make([]float64, k*d), Dim: d}
 	for j := range proj.Coords {
 		proj.Coords[j] = rng.NormFloat64()
 	}
 	dots := make([]float64, k*n)
-	m, m32 := ds.Matrix(), ds.Matrix32()
+	m := ds.Matrix()
 	engine.ForRanges(workers, n, nil, func(lo, hi int) {
 		for j := 0; j < k; j++ {
 			col := dots[j*n : (j+1)*n]
-			if x.f32 {
-				dist.DotsToRange32(m32, proj.Row(j), lo, hi, col[lo:hi])
-			} else {
-				dist.DotsToRange(m, proj.Row(j), lo, hi, col[lo:hi])
-			}
+			dist.DotsToRange(m, proj.Row(j), lo, hi, col[lo:hi])
 		}
 	})
 	if err := ctx.Err(); err != nil {
@@ -273,24 +266,13 @@ func newParams(ctx context.Context, ds *vec.Dataset, p params, workers int) (*In
 		return nil, err
 	}
 
-	// Phase 4: pack coordinates in position order (disjoint row copies). The
-	// query-time scan precision mirrors the dataset's, so scanned cells run
-	// the exact same kernels as the Linear oracle.
-	if x.f32 {
-		x.packed32 = dist.Matrix32{Coords: make([]float32, n*d), Dim: d}
-		engine.ForRanges(workers, n, nil, func(lo, hi int) {
-			for pos := lo; pos < hi; pos++ {
-				copy(x.packed32.Coords[pos*d:(pos+1)*d], m32.Row(int(x.idByPos[pos])))
-			}
-		})
-	} else {
-		x.packed = dist.Matrix{Coords: make([]float64, n*d), Dim: d}
-		engine.ForRanges(workers, n, nil, func(lo, hi int) {
-			for pos := lo; pos < hi; pos++ {
-				copy(x.packed.Coords[pos*d:(pos+1)*d], m.Row(int(x.idByPos[pos])))
-			}
-		})
-	}
+	// Phase 4: pack coordinates in position order (disjoint row copies), in
+	// the storage the dataset's scans stream, so scanned cells run the exact
+	// same kernels as the Linear oracle.
+	x.packed = m.Packed(n)
+	engine.ForRanges(workers, n, nil, func(lo, hi int) {
+		x.packed.CopyRows(m, x.idByPos, lo, hi)
+	})
 	return x, nil
 }
 
@@ -418,11 +400,7 @@ func (x *Index) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
 			continue
 		}
 		cellStart := len(buf)
-		if x.f32 {
-			buf = dist.FilterWithinRange32(x.packed32, q, eps2, lo, hi, buf)
-		} else {
-			buf = dist.FilterWithinRange(x.packed, q, eps2, lo, hi, buf)
-		}
+		buf = dist.FilterWithinRange(x.packed, q, eps2, lo, hi, buf)
 		// The range kernels append packed positions; remap to dataset ids.
 		for t := cellStart; t < len(buf); t++ {
 			buf[t] = x.idByPos[buf[t]]
@@ -460,11 +438,7 @@ func (x *Index) RangeCount(q []float64, eps float64, limit int) int {
 			if limit > 0 {
 				rem = limit - count
 			}
-			if x.f32 {
-				count += dist.CountWithinRange32(x.packed32, q, eps2, lo, hi, rem)
-			} else {
-				count += dist.CountWithinRange(x.packed, q, eps2, lo, hi, rem)
-			}
+			count += dist.CountWithinRange(x.packed, q, eps2, lo, hi, rem)
 		}
 		if limit > 0 && count >= limit {
 			return limit

@@ -36,11 +36,10 @@ type Tree struct {
 	ds    *vec.Dataset
 	nodes []node
 	ids   []int32 // permutation of 0..n-1; every subtree owns a contiguous run
-	// packed holds the points in leaf order (Row(k) is the point with id
-	// ids[k]); see the kd-tree for the streaming-leaf-scan rationale.
-	// Float32-storage datasets pack into packed32 instead.
-	packed   dist.Matrix
-	packed32 dist.Matrix32
+	// packed holds the points in leaf order (row k is the point with id
+	// ids[k]), in the storage the dataset's scans stream; see the kd-tree
+	// for the streaming-leaf-scan rationale.
+	packed dist.Matrix
 }
 
 type node struct {
@@ -204,24 +203,11 @@ func (b *buildState) build(self int32, off, m int, dscratch []float64) {
 
 // packLeaves copies the points into leaf order (see kdtree.packLeaves).
 func (t *Tree) packLeaves(workers int) {
-	d := t.ds.Dim()
-	if m32 := t.ds.Matrix32(); m32.Coords != nil {
-		coords := make([]float32, len(t.ids)*d)
-		engine.ForRanges(workers, len(t.ids), nil, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				copy(coords[k*d:(k+1)*d], m32.Row(int(t.ids[k])))
-			}
-		})
-		t.packed32 = dist.Matrix32{Coords: coords, Dim: d}
-		return
-	}
-	coords := make([]float64, len(t.ids)*d)
+	m := t.ds.Matrix()
+	t.packed = m.Packed(len(t.ids))
 	engine.ForRanges(workers, len(t.ids), nil, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			copy(coords[k*d:(k+1)*d], t.ds.Point(int(t.ids[k])))
-		}
+		t.packed.CopyRows(m, t.ids, lo, hi)
 	})
-	t.packed = dist.Matrix{Coords: coords, Dim: d}
 }
 
 // quickselect partially sorts (ids, dists) so the element with rank nth is
@@ -261,15 +247,7 @@ func (t *Tree) Len() int { return t.ds.Len() }
 // scanLeaf appends leaf nd's points within eps2 of q, streaming the packed
 // block when available (bit-identical to the gather path; see kdtree).
 func (t *Tree) scanLeaf(nd *node, q []float64, eps2 float64, buf []int32) []int32 {
-	if t.packed32.Coords != nil {
-		mark := len(buf)
-		buf = dist.FilterWithinRange32(t.packed32, q, eps2, int(nd.start), int(nd.end), buf)
-		for i := mark; i < len(buf); i++ {
-			buf[i] = t.ids[buf[i]]
-		}
-		return buf
-	}
-	if t.packed.Coords == nil {
+	if t.packed.Dim == 0 {
 		return t.ds.FilterWithinIDs(q, eps2, t.ids[nd.start:nd.end], buf)
 	}
 	mark := len(buf)
@@ -282,10 +260,7 @@ func (t *Tree) scanLeaf(nd *node, q []float64, eps2 float64, buf []int32) []int3
 
 // countLeaf counts leaf nd's points within eps2 of q (see scanLeaf).
 func (t *Tree) countLeaf(nd *node, q []float64, eps2 float64, limit int) int {
-	if t.packed32.Coords != nil {
-		return dist.CountWithinRange32(t.packed32, q, eps2, int(nd.start), int(nd.end), limit)
-	}
-	if t.packed.Coords == nil {
+	if t.packed.Dim == 0 {
 		return t.ds.CountWithinIDs(q, eps2, t.ids[nd.start:nd.end], limit)
 	}
 	return dist.CountWithinRange(t.packed, q, eps2, int(nd.start), int(nd.end), limit)

@@ -70,7 +70,7 @@ func TestParallelStructureIdentical(t *testing.T) {
 		if !slices.Equal(par.nodes, serial.nodes) {
 			t.Fatalf("workers=%d: node layout differs", workers)
 		}
-		if !slices.Equal(par.packed.Coords, serial.packed.Coords) {
+		if !slices.Equal(par.packed.Coords, serial.packed.Coords) || !slices.Equal(par.packed.Coords32, serial.packed.Coords32) {
 			t.Fatalf("workers=%d: packed matrix differs", workers)
 		}
 	}

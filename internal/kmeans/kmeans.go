@@ -153,11 +153,7 @@ func seedPlusPlus(ds *vec.Dataset, k int, rng *rand.Rand) []float64 {
 		}
 		centers = append(centers, ds.Point(idx)...)
 		c := centers[len(centers)-d:]
-		if m32 := ds.Matrix32(); m32.Coords != nil {
-			dist.MinSqDistsToAll32(m32, c, dist2)
-		} else {
-			dist.MinSqDistsToAll(ds.Matrix(), c, dist2)
-		}
+		dist.MinSqDistsToAll(ds.Matrix(), c, dist2)
 	}
 	return centers
 }

@@ -1,14 +1,13 @@
 // Package lsh implements p-stable locality-sensitive hashing (Datar et al.,
 // SoCG 2004) for Euclidean space: h(x) = ⌊(a·x + b)/W⌋ with a drawn from a
 // standard Gaussian (2-stable) distribution and b uniform in [0, W). It
-// backs the DBSCAN-LSH baseline and, through the sDBSCAN-style candidate
-// mode in rp.go, the approximate high-dimensional pipelines.
+// backs the DBSCAN-LSH baseline.
 //
 // The hot structure is laid out for batch work: all Tables×Funcs projection
 // vectors live in one contiguous row-major matrix, so hashing the dataset is
 // a sequence of dense matrix-vector products through the dist dot kernels
-// (one DotsToAll per hash function — the float32 storage mode streams the
-// half-width mirror through the AVX path); buckets are flat counting-sort
+// (one DotsToAll per hash function — a float32-storage dataset streams its
+// half-width mirror); buckets are flat counting-sort
 // arenas in first-encounter order, like the grid backend's cells, rather
 // than per-table map[string][]int32. Bucket keys are a fixed uint64 mix
 // (splitmix64 finalizer) folded over the k concatenated hash integers, so
@@ -97,8 +96,6 @@ func New(ds *vec.Dataset, p Params) (*Hasher, error) {
 
 	n := ds.Len()
 	m := ds.Matrix()
-	m32 := ds.Matrix32()
-	f32 := ds.Precision() == vec.F32
 	// Batch hashing: one dense matrix-vector product per hash function
 	// fills dots, the mixed keys fold in per function, then a counting
 	// sort bins each table. keys/slots scratch is reused across tables.
@@ -111,11 +108,7 @@ func New(ds *vec.Dataset, p Params) (*Hasher, error) {
 		}
 		for f := 0; f < p.Funcs; f++ {
 			g := t*p.Funcs + f
-			if f32 {
-				dist.DotsToAll32(m32, h.proj.Row(g), dots)
-			} else {
-				dist.DotsToAll(m, h.proj.Row(g), dots)
-			}
+			dist.DotsToAll(m, h.proj.Row(g), dots)
 			b, w := h.offs[g], p.Width
 			for i, dot := range dots {
 				keys[i] = mixKey(keys[i], floor64((dot+b)/w))

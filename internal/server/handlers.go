@@ -78,12 +78,14 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	// Deadline propagation: the request-scoped deadline covers queueing AND
 	// the assign fan-out. r.Context() already ends when the client goes
 	// away, so an abandoned connection cancels its work too.
+	// The clamp compares milliseconds: converting an unclamped timeout_ms
+	// to a Duration first would overflow from 1e13 on and wrap negative.
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
+	switch {
+	case req.TimeoutMs > s.cfg.MaxTimeout.Milliseconds():
+		timeout = s.cfg.MaxTimeout
+	case req.TimeoutMs > 0:
 		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()

@@ -232,9 +232,6 @@ func (s *Server) BeginDrain() {
 	s.gate.Close()
 }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // DegradedMode reports whether sustained admission pressure currently has
 // assignment on the stepped-down path.
 func (s *Server) DegradedMode() bool { return s.gate.DegradedMode() }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -308,6 +309,21 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 	if ei := decodeError(t, body); ei.Code != CodeDeadlineExceeded {
 		t.Fatalf("code %q, want %q", ei.Code, CodeDeadlineExceeded)
+	}
+}
+
+// TestAssignTimeoutClampNoOverflow: a timeout_ms too large to convert to a
+// Duration clamps to MaxTimeout instead of wrapping to a negative deadline,
+// so an idle server answers 200 rather than 504.
+func TestAssignTimeoutClampNoOverflow(t *testing.T) {
+	m, ds := trainedModel(t, 800, 2, 2, 13)
+	_, url, client := newTestServer(t, Config{}, m)
+	for _, ms := range []int64{9e12, 1e13, math.MaxInt64 / 1000, math.MaxInt64} {
+		status, body, _ := postJSON(t, client, url+"/v1/assign",
+			map[string]any{"point": ds.Point(0), "timeout_ms": ms})
+		if status != http.StatusOK {
+			t.Fatalf("timeout_ms %d: status %d, want 200 (body %s)", ms, status, body)
+		}
 	}
 }
 

@@ -83,7 +83,7 @@ func TestParallelFillBitIdentical(t *testing.T) {
 // including the scalar at() fallback, in both the plain and cached-norms
 // distance regimes.
 func TestLazyRowsMatchDenseFill(t *testing.T) {
-	for _, d := range []int{8, 24} { // below and above dist.NormCachedMinDim
+	for _, d := range []int{8, 24} { // below and above the cached-norms threshold (16)
 		n := 300
 		ds := gaussCloud(n, d, int64(d))
 		ids := vec.Iota(n)
@@ -125,7 +125,7 @@ func TestLazyRowsMatchDenseFill(t *testing.T) {
 // storage precisions, and the adaptive weights built on them are too.
 func TestPivotBatchMatchesSerialRows(t *testing.T) {
 	for _, n := range []int{300, 1024} {
-		for _, d := range []int{8, 24} { // below and above dist.NormCachedMinDim
+		for _, d := range []int{8, 24} { // below and above the cached-norms threshold (16)
 			for _, prec := range []vec.Precision{vec.F64, vec.F32} {
 				ds, err := gaussCloud(n, d, int64(n*d)).ToPrecision(prec)
 				if err != nil {

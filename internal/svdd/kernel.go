@@ -31,16 +31,15 @@ func GaussianKernel(a, b []float64, sigma float64) float64 {
 // choice nor the worker count ever changes a trained model.
 type kernelMatrix struct {
 	ds    *vec.Dataset
-	m     dist.Matrix
-	m32   dist.Matrix32 // float32 mirror; Coords non-nil only in f32 storage mode
+	m     dist.Matrix // the dataset's, with its float32 mirror in F32 mode
 	ids   []int32
 	gamma float64 // 1/(2σ²)
 	n     int
 	full  []float64   // dense storage when n <= weightsExactCap
 	rows  [][]float64 // lazy row cache otherwise
 	// norms caches ‖x_i‖² per target for the cached-norms distance identity;
-	// nil below dist.NormCachedMinDim, where the identity does not pay off,
-	// and nil in float32 storage mode, where the identity's catastrophic
+	// nil where dist.UseCachedNorms says the identity does not pay: at low
+	// dimension, and in float32 storage mode, where its catastrophic
 	// cancellation on large-magnitude coordinates is not worth the speedup.
 	// The identity reassociates arithmetic (ULP-level error), which the
 	// tolerance-based SMO solver absorbs — range-query backends never use it.
@@ -108,8 +107,8 @@ func releaseMatrix(km *kernelMatrix) {
 // weightsExactCap, with the fill fanned across workers goroutines (<= 1
 // fills serially), and an empty lazy row cache above it.
 func newKernelMatrix(ds *vec.Dataset, ids []int32, sigma float64, workers int) *kernelMatrix {
-	km := &kernelMatrix{ds: ds, m: ds.Matrix(), m32: ds.Matrix32(), ids: ids, gamma: 1 / (2 * sigma * sigma), n: len(ids)}
-	if ds.Precision() == vec.F64 && ds.Dim() >= dist.NormCachedMinDim {
+	km := &kernelMatrix{ds: ds, m: ds.Matrix(), ids: ids, gamma: 1 / (2 * sigma * sigma), n: len(ids)}
+	if dist.UseCachedNorms(km.m) {
 		km.norms = dist.NormsIDs(km.m, ids)
 	}
 	if km.n <= weightsExactCap {
@@ -176,10 +175,6 @@ func (km *kernelMatrix) sqRow(i, off int, out []float64) {
 	sub := km.ids[off : off+len(out)]
 	if km.norms != nil {
 		dist.SqDistsToCached(km.m, q, km.norms[i], sub, km.norms[off:off+len(out)], out)
-		return
-	}
-	if km.m32.Coords != nil {
-		dist.SqDistsTo32(km.m32, q, sub, out)
 		return
 	}
 	dist.SqDistsTo(km.m, q, sub, out)
@@ -271,9 +266,8 @@ func KernelDistances(ds *vec.Dataset, ids []int32, sigma float64) []float64 {
 	}
 	gamma := 1 / (2 * sigma * sigma)
 	m := ds.Matrix()
-	m32 := ds.Matrix32()
 	var norms []float64
-	if ds.Precision() == vec.F64 && ds.Dim() >= dist.NormCachedMinDim {
+	if dist.UseCachedNorms(m) {
 		norms = dist.NormsIDs(m, ids)
 	}
 	// s[i] = Σ_j K(x_i, x_j); the double sum is Σ_i s[i].
@@ -283,12 +277,9 @@ func KernelDistances(ds *vec.Dataset, ids []int32, sigma float64) []float64 {
 	for i := 0; i < n; i++ {
 		s[i] += 1 // K(x_i,x_i)
 		row := scratch[:n-i-1]
-		switch {
-		case norms != nil:
+		if norms != nil {
 			dist.SqDistsToCached(m, ds.Point(int(ids[i])), norms[i], ids[i+1:], norms[i+1:], row)
-		case m32.Coords != nil:
-			dist.SqDistsTo32(m32, ds.Point(int(ids[i])), ids[i+1:], row)
-		default:
+		} else {
 			dist.SqDistsTo(m, ds.Point(int(ids[i])), ids[i+1:], row)
 		}
 		for k, d2 := range row {

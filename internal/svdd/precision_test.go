@@ -34,7 +34,7 @@ func TestFillDenseBlockedBitIdentical(t *testing.T) {
 		prec vec.Precision
 	}{
 		{"f64-small-dim", 6, vec.F64},
-		{"f64-norms", 24, vec.F64}, // d >= NormCachedMinDim: cached-norms rows
+		{"f64-norms", 24, vec.F64}, // d >= 16: cached-norms rows
 		{"f32", 6, vec.F32},
 		{"f32-large-dim", 24, vec.F32}, // norms stay off in f32 mode
 	} {
@@ -88,14 +88,14 @@ func TestFillDenseBlockedBitIdentical(t *testing.T) {
 // TestF32ModeDisablesNormsIdentity is the regression for the cached-norms
 // cancellation hazard: in float32 storage mode the kernel matrix and
 // KernelDistances must not route through the ‖a‖²+‖q‖²−2a·q identity even
-// above NormCachedMinDim, because on large-magnitude coordinates the
+// from d = 16 on, because on large-magnitude coordinates the
 // identity's cancellation error dwarfs the distances float32 mode cares
 // about. The plain f32 kernels keep full accuracy: their kernel distances
 // must agree with a direct SqDist evaluation to ULP precision where the
 // norms identity would be off by orders of magnitude more.
 func TestF32ModeDisablesNormsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	const n, d = 60, 24 // d >= NormCachedMinDim
+	const n, d = 60, 24 // d >= 16, the cached-norms threshold
 	// Coordinates near 1e6 with spread ~10: ‖a‖² ≈ 2.4e13 while distances are
 	// ~1e3, the regime where the identity loses ~10 digits.
 	ds64 := precTestDataset(t, rng, n, d, 1e6)
@@ -115,7 +115,7 @@ func TestF32ModeDisablesNormsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if km := newKernelMatrix(master, ids, sigma, 2); km.norms == nil {
-		t.Fatal("f64 kernel matrix at d>=NormCachedMinDim should cache norms")
+		t.Fatal("f64 kernel matrix at d >= 16 should cache norms")
 	}
 
 	got := KernelDistances(ds, ids, sigma)

@@ -73,15 +73,15 @@ func TestToPrecision(t *testing.T) {
 			t.Fatalf("source coordinate %d mutated by conversion", i)
 		}
 	}
-	m32 := ds32.Matrix32()
-	if m32.Coords == nil || len(m32.Coords) != ds.Len()*ds.Dim() {
+	m32 := ds32.Matrix().Coords32
+	if m32 == nil || len(m32) != ds.Len()*ds.Dim() {
 		t.Fatalf("F32 mirror missing or mis-sized")
 	}
 	for i, v := range ds32.Coords() {
-		if v != float64(m32.Coords[i]) {
-			t.Fatalf("master[%d] = %v is not the widening of mirror %v", i, v, m32.Coords[i])
+		if v != float64(m32[i]) {
+			t.Fatalf("master[%d] = %v is not the widening of mirror %v", i, v, m32[i])
 		}
-		if m32.Coords[i] != float32(orig[i]) {
+		if m32[i] != float32(orig[i]) {
 			t.Fatalf("mirror[%d] not the rounding of the source", i)
 		}
 	}
@@ -90,7 +90,7 @@ func TestToPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Precision() != F64 || back.Matrix32().Coords != nil {
+	if back.Precision() != F64 || back.Matrix().Coords32 != nil {
 		t.Fatal("F32→F64 must drop the mirror")
 	}
 	// Master is already quantized, so a second F32 conversion is lossless.
@@ -133,9 +133,9 @@ func TestCloneSubsetPreservePrecision(t *testing.T) {
 	if cl.Precision() != F32 {
 		t.Fatal("Clone dropped F32 precision")
 	}
-	clm := cl.Matrix32()
-	for i, v := range ds.Matrix32().Coords {
-		if clm.Coords[i] != v {
+	clm := cl.Matrix().Coords32
+	for i, v := range ds.Matrix().Coords32 {
+		if clm[i] != v {
 			t.Fatalf("Clone mirror[%d] differs", i)
 		}
 	}
@@ -143,13 +143,13 @@ func TestCloneSubsetPreservePrecision(t *testing.T) {
 	if sub.Precision() != F32 || sub.Len() != 3 {
 		t.Fatalf("Subset precision/len = %v/%d", sub.Precision(), sub.Len())
 	}
-	sm := sub.Matrix32()
+	sm, dm := sub.Matrix().Coords32, ds.Matrix().Coords32
 	for k, id := range []int{3, 1, 7} {
 		for j := 0; j < ds.Dim(); j++ {
-			if sm.Coords[k*ds.Dim()+j] != ds.Matrix32().Row(id)[j] {
+			if sm[k*ds.Dim()+j] != dm[id*ds.Dim()+j] {
 				t.Fatalf("Subset mirror row %d diverges from source row %d", k, id)
 			}
-			if sub.Point(k)[j] != float64(sm.Coords[k*ds.Dim()+j]) {
+			if sub.Point(k)[j] != float64(sm[k*ds.Dim()+j]) {
 				t.Fatalf("Subset master not the widening of its mirror")
 			}
 		}
@@ -165,10 +165,10 @@ func TestNormalizeToRequantizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.NormalizeTo(1e5)
-	m32 := ds.Matrix32()
+	m32 := ds.Matrix().Coords32
 	for i, v := range ds.Coords() {
-		if v != float64(m32.Coords[i]) {
-			t.Fatalf("after NormalizeTo, master[%d] = %v diverges from mirror %v", i, v, m32.Coords[i])
+		if v != float64(m32[i]) {
+			t.Fatalf("after NormalizeTo, master[%d] = %v diverges from mirror %v", i, v, m32[i])
 		}
 		if math.Abs(v) > 1e5 {
 			t.Fatalf("normalized coordinate %d out of range: %v", i, v)
@@ -176,10 +176,10 @@ func TestNormalizeToRequantizes(t *testing.T) {
 	}
 }
 
-// TestRoutingMethodsBitIdentical checks the precision-routing convenience
+// TestRoutingMethodsBitIdentical checks the dataset's kernel convenience
 // methods: on an F32 dataset they stream the mirror, yet must return exactly
-// what the f64 kernels compute on the widened master — the method-level face
-// of the kernel equivalence contract.
+// what the kernels compute on the widened master alone — the method-level
+// face of the kernel equivalence contract.
 func TestRoutingMethodsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, d := range []int{2, 3, 9} {
@@ -187,7 +187,7 @@ func TestRoutingMethodsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := ds.Matrix() // widened master
+		m := dist.Matrix{Coords: ds.Coords(), Dim: d} // widened master alone
 		q := make([]float64, d)
 		for j := range q {
 			q[j] = (rng.Float64() - 0.5) * 2000

@@ -14,10 +14,11 @@
 // views: a contiguous float32 mirror that the memory-bound batch kernels
 // stream (half the bytes per scan), and a float64 master holding the exact
 // widening of the mirror, which serves Point, geometry helpers and index
-// construction unchanged. Because the master equals the widened mirror and
-// the f32 kernels accumulate in float64 (see internal/dist), both views
-// yield bit-identical distances; the only rounding in F32 mode is the single
-// quantization at ingest.
+// construction unchanged. Matrix hands both views to internal/dist, whose
+// kernels stream the mirror when it is present and accumulate in float64,
+// so both views yield bit-identical distances; the only rounding in F32
+// mode is the single quantization at ingest. Which storage a scan streams
+// is decided there and here, never by a caller.
 package vec
 
 import (
@@ -287,76 +288,48 @@ func (ds *Dataset) Dist2To(i int, q []float64) float64 {
 	return SqDist(ds.Point(i), q)
 }
 
-// Matrix returns the dataset's flat float64 coordinate view for use with the
-// batched kernels in internal/dist. No copying occurs; the matrix aliases
-// the dataset's backing array. In F32 mode this is the widened master —
-// valid for every kernel, but callers on hot paths should prefer the
-// precision-routing Dataset methods (or Matrix32) to stream half the bytes.
+// Matrix returns the dataset's coordinates for the batched kernels in
+// internal/dist, without copying: the float64 master, plus the float32
+// mirror in F32 mode, which every scan and dot kernel then streams (half
+// the bytes, bit-identical results). The matrix aliases the dataset's
+// backing arrays.
 func (ds *Dataset) Matrix() dist.Matrix {
-	return dist.Matrix{Coords: ds.coords, Dim: ds.d}
-}
-
-// Matrix32 returns the float32 storage mirror for the batched f32 kernels.
-// It is the zero Matrix32 (nil Coords) unless Precision() is F32.
-func (ds *Dataset) Matrix32() dist.Matrix32 {
-	return dist.Matrix32{Coords: ds.coords32, Dim: ds.d}
+	return dist.Matrix{Coords: ds.coords, Coords32: ds.coords32, Dim: ds.d}
 }
 
 // SqDistsTo writes the squared distance from each of the points in ids to q
-// into out (out[k] = dist²(ids[k], q); len(out) >= len(ids)). Like every
-// convenience method below it routes to the f32 storage kernels in F32 mode;
-// results are bit-identical to the float64 master either way.
+// into out (out[k] = dist²(ids[k], q); len(out) >= len(ids)).
 func (ds *Dataset) SqDistsTo(q []float64, ids []int32, out []float64) {
-	if ds.prec == F32 {
-		dist.SqDistsTo32(ds.Matrix32(), q, ids, out)
-		return
-	}
 	dist.SqDistsTo(ds.Matrix(), q, ids, out)
 }
 
 // SqDistsToAll writes the squared distance from every point to q into out
 // (len(out) >= Len()).
 func (ds *Dataset) SqDistsToAll(q []float64, out []float64) {
-	if ds.prec == F32 {
-		dist.SqDistsToAll32(ds.Matrix32(), q, out)
-		return
-	}
 	dist.SqDistsToAll(ds.Matrix(), q, out)
 }
 
 // FilterWithin appends the ids of all points within squared distance eps2
 // of q to buf, ascending, and returns the extended slice.
 func (ds *Dataset) FilterWithin(q []float64, eps2 float64, buf []int32) []int32 {
-	if ds.prec == F32 {
-		return dist.FilterWithin32(ds.Matrix32(), q, eps2, buf)
-	}
 	return dist.FilterWithin(ds.Matrix(), q, eps2, buf)
 }
 
 // FilterWithinIDs appends the members of ids (in given order) within
 // squared distance eps2 of q to buf and returns the extended slice.
 func (ds *Dataset) FilterWithinIDs(q []float64, eps2 float64, ids, buf []int32) []int32 {
-	if ds.prec == F32 {
-		return dist.FilterWithinIDs32(ds.Matrix32(), q, eps2, ids, buf)
-	}
 	return dist.FilterWithinIDs(ds.Matrix(), q, eps2, ids, buf)
 }
 
 // CountWithin returns the number of points within squared distance eps2 of
 // q; limit > 0 stops the scan early once reached.
 func (ds *Dataset) CountWithin(q []float64, eps2 float64, limit int) int {
-	if ds.prec == F32 {
-		return dist.CountWithin32(ds.Matrix32(), q, eps2, limit)
-	}
 	return dist.CountWithin(ds.Matrix(), q, eps2, limit)
 }
 
 // CountWithinIDs counts the members of ids within squared distance eps2 of
 // q, with the same limit semantics as CountWithin.
 func (ds *Dataset) CountWithinIDs(q []float64, eps2 float64, ids []int32, limit int) int {
-	if ds.prec == F32 {
-		return dist.CountWithinIDs32(ds.Matrix32(), q, eps2, ids, limit)
-	}
 	return dist.CountWithinIDs(ds.Matrix(), q, eps2, ids, limit)
 }
 
