@@ -2,6 +2,7 @@ package dbsvec
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"dbsvec/internal/fault"
@@ -87,5 +88,45 @@ func TestIndexKindErrorsAreInvalidParams(t *testing.T) {
 	}
 	if _, err := Cluster(ds, Options{Eps: 0, MinPts: 8, Index: IndexLinear}); !errors.Is(err, ErrInvalidParams) {
 		t.Errorf("Cluster with IndexLinear and Eps 0: err = %v, want ErrInvalidParams", err)
+	}
+}
+
+// TestBaselineErrorsAreInvalidParams: every baseline entry point rejects a
+// malformed parameter (negative or NaN eps, MinPts 0, negative ρ, k 0, an
+// empty LSH table) with an error wrapping ErrInvalidParams, never with a
+// bare error or, for NaN eps, a silent all-noise result.
+func TestBaselineErrorsAreInvalidParams(t *testing.T) {
+	ds := blobDataset(t, 200, 2, 2, 39)
+	nan := math.NaN()
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"DBSCAN eps -1", func() error { _, err := DBSCAN(ds, -1, 8, IndexLinear); return err }},
+		{"DBSCAN eps NaN", func() error { _, err := DBSCAN(ds, nan, 2, IndexLinear); return err }},
+		{"DBSCAN MinPts 0", func() error { _, err := DBSCAN(ds, 3, 0, IndexKDTree); return err }},
+		{"DBSCANParallel eps -1", func() error { _, err := DBSCANParallel(ds, -1, 8, IndexLinear, 2); return err }},
+		{"DBSCANParallel eps NaN", func() error { _, err := DBSCANParallel(ds, nan, 8, IndexLinear, 2); return err }},
+		{"DBSCANParallel MinPts 0", func() error { _, err := DBSCANParallel(ds, 3, 0, IndexLinear, 2); return err }},
+		{"NQDBSCAN eps -1", func() error { _, err := NQDBSCAN(ds, -1, 8); return err }},
+		{"NQDBSCAN eps NaN", func() error { _, err := NQDBSCAN(ds, nan, 8); return err }},
+		{"NQDBSCAN MinPts 0", func() error { _, err := NQDBSCAN(ds, 3, 0); return err }},
+		{"RhoApproximate eps -1", func() error { _, err := RhoApproximate(ds, RhoOptions{Eps: -1, MinPts: 8}); return err }},
+		{"RhoApproximate eps NaN", func() error { _, err := RhoApproximate(ds, RhoOptions{Eps: nan, MinPts: 8}); return err }},
+		{"RhoApproximate MinPts 0", func() error { _, err := RhoApproximate(ds, RhoOptions{Eps: 3}); return err }},
+		{"RhoApproximate rho -0.5", func() error {
+			_, err := RhoApproximate(ds, RhoOptions{Eps: 3, MinPts: 8, Rho: -0.5})
+			return err
+		}},
+		{"DBSCANLSH eps -1", func() error { _, err := DBSCANLSH(ds, LSHOptions{Eps: -1, MinPts: 8}); return err }},
+		{"DBSCANLSH MinPts 0", func() error { _, err := DBSCANLSH(ds, LSHOptions{Eps: 3}); return err }},
+		{"DBSCANLSH Tables -1", func() error { _, err := DBSCANLSH(ds, LSHOptions{Eps: 3, MinPts: 8, Tables: -1}); return err }},
+		{"KMeans k 0", func() error { _, err := KMeans(ds, 0, 1); return err }},
+		{"KMeans k > n", func() error { _, err := KMeans(ds, ds.Len()+1, 1); return err }},
+	}
+	for _, c := range calls {
+		if err := c.call(); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("%s: err = %v, want ErrInvalidParams", c.name, err)
+		}
 	}
 }

@@ -108,11 +108,9 @@ type Options struct {
 	Budget Budget
 }
 
-// ErrInvalidParams is the root of the parameter-validation taxonomy: every
-// rejection of malformed Options wraps it, so callers can classify any
-// up-front failure with errors.Is(err, ErrInvalidParams) and read the
-// specific violation from the message.
-var ErrInvalidParams = errors.New("dbsvec: invalid parameters")
+// ErrInvalidParams is wrapped by every rejection of malformed Options; it
+// is the sentinel the baselines wrap too.
+var ErrInvalidParams = fault.ErrInvalidParams
 
 // validate rejects malformed Options. Every float check is written so that
 // NaN, which fails every comparison, fails it too.

@@ -25,13 +25,14 @@ type Params struct {
 	MinPts int
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. Every rejection wraps
+// fault.ErrInvalidParams, and a NaN eps fails the check.
 func (p Params) Validate() error {
-	if p.Eps < 0 {
-		return fmt.Errorf("dbscan: eps %g must be non-negative", p.Eps)
+	if !(p.Eps >= 0) {
+		return fmt.Errorf("%w: dbscan: eps %g must be non-negative", fault.ErrInvalidParams, p.Eps)
 	}
 	if p.MinPts < 1 {
-		return fmt.Errorf("dbscan: MinPts %d must be at least 1", p.MinPts)
+		return fmt.Errorf("%w: dbscan: MinPts %d must be at least 1", fault.ErrInvalidParams, p.MinPts)
 	}
 	return nil
 }
@@ -68,47 +69,54 @@ func Run(ds *vec.Dataset, p Params, build index.CtxBuilder) (res *cluster.Result
 	if err := p.Validate(); err != nil {
 		return nil, st, err
 	}
-	n := ds.Len()
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = cluster.Unclassified
-	}
-	res = &cluster.Result{Labels: labels}
-	if n == 0 {
-		return res, st, nil
+	if ds.Len() == 0 {
+		return &cluster.Result{Labels: []int32{}}, st, nil
 	}
 	idx, err := buildIndex(build, ds)
 	if err != nil {
 		return nil, st, err
 	}
+	res, st.CorePoints = Expand(ds.Len(), p.MinPts, func(id int32, buf []int32) []int32 {
+		st.RangeQueries++
+		return idx.RangeQuery(ds.Point(int(id)), p.Eps, buf)
+	})
+	return res, st, nil
+}
 
-	isCore := make([]bool, n)
+// Hood materializes the ε-neighborhood of point id, the point itself
+// included, appended to buf (which arrives empty), and returns it. The
+// returned slice is read before the next call and never retained.
+type Hood func(id int32, buf []int32) []int32
+
+// Expand is Algorithm 1's loop over points 0..n-1 with neighborhoods from
+// hood: an unclassified point whose neighborhood holds at least minPts
+// points seeds a new cluster, which grows through the seed stack S (lines
+// 6-12) until no core point is left to expand. Points first judged noise
+// become border points when a later cluster reaches them. It returns the
+// labeling and the number of core points found. Exact DBSCAN, NQ-DBSCAN
+// and DBSCAN-LSH differ only in their hood.
+func Expand(n, minPts int, hood Hood) (res *cluster.Result, corePoints int) {
+	labels := make([]int32, n)
+	for i := range labels {
+		labels[i] = cluster.Unclassified
+	}
 	var cid int32 = -1
-	var buf []int32
-	// seeds is the expansion frontier S of the current cluster (Algorithm 1
-	// lines 6-12), holding point ids still awaiting their range query.
-	var seeds []int32
-
+	var buf, seeds []int32
 	for i := 0; i < n; i++ {
 		if labels[i] != cluster.Unclassified {
 			continue
 		}
-		buf = idx.RangeQuery(ds.Point(i), p.Eps, buf[:0])
-		st.RangeQueries++
-		if len(buf) < p.MinPts {
+		buf = hood(int32(i), buf[:0])
+		if len(buf) < minPts {
 			labels[i] = cluster.Noise
 			continue
 		}
 		// New cluster seeded at i.
 		cid++
-		isCore[i] = true
-		st.CorePoints++
+		corePoints++
 		labels[i] = cid
 		seeds = seeds[:0]
 		for _, nb := range buf {
-			if nb == int32(i) {
-				continue
-			}
 			if labels[nb] == cluster.Unclassified || labels[nb] == cluster.Noise {
 				labels[nb] = cid
 				seeds = append(seeds, nb)
@@ -117,13 +125,11 @@ func Run(ds *vec.Dataset, p Params, build index.CtxBuilder) (res *cluster.Result
 		for len(seeds) > 0 {
 			j := seeds[len(seeds)-1]
 			seeds = seeds[:len(seeds)-1]
-			buf = idx.RangeQuery(ds.Point(int(j)), p.Eps, buf[:0])
-			st.RangeQueries++
-			if len(buf) < p.MinPts {
+			buf = hood(j, buf[:0])
+			if len(buf) < minPts {
 				continue // j is a border point of cid
 			}
-			isCore[j] = true
-			st.CorePoints++
+			corePoints++
 			for _, nb := range buf {
 				switch labels[nb] {
 				case cluster.Unclassified:
@@ -136,8 +142,7 @@ func Run(ds *vec.Dataset, p Params, build index.CtxBuilder) (res *cluster.Result
 			}
 		}
 	}
-	res.Clusters = int(cid) + 1
-	return res, st, nil
+	return &cluster.Result{Labels: labels, Clusters: int(cid) + 1}, corePoints
 }
 
 // buildIndex builds the run's index, the linear scan when build is nil.

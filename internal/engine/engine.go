@@ -65,14 +65,14 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) Index() index.Index { return e.idx }
 
 // idQueries addresses the points of ids as a query batch; coordinates are
-// views into the dataset, so no scratch is needed.
+// views into the dataset.
 func (e *Engine) idQueries(ids []int32) index.Queries {
-	return index.Queries{N: len(ids), At: func(i int, _ []float64) []float64 { return e.ds.Point(int(ids[i])) }}
+	return index.Queries{N: len(ids), At: func(i int) []float64 { return e.ds.Point(int(ids[i])) }}
 }
 
 // allQueries addresses every dataset point as a query batch.
 func (e *Engine) allQueries() index.Queries {
-	return index.Queries{N: e.ds.Len(), At: func(i int, _ []float64) []float64 { return e.ds.Point(i) }}
+	return index.Queries{N: e.ds.Len(), At: func(i int) []float64 { return e.ds.Point(i) }}
 }
 
 // Neighborhoods materializes the ε-neighborhood of each id, in id order.

@@ -65,23 +65,6 @@ func ForRanges(workers, n int, weight func(i int) int64, fn func(lo, hi int)) {
 	}
 }
 
-// Ranges returns the deterministic boundaries ForRanges(workers, n, nil, fn)
-// would use: bounds[r], bounds[r+1] delimit range r, half-open. Exposed for
-// callers that fan work out themselves but must merge per-range results in
-// a fixed order (e.g. the grid's parallel bounds pass).
-func Ranges(workers, n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return []int{0, n}
-	}
-	return splitWeighted(n, workers, nil)
-}
-
 // Tasks is a bounded spawner for recursive divide-and-conquer work such as
 // the parallel index builds: at a fork the caller offers one branch to Try
 // and descends into the other itself, so at most `workers` goroutines

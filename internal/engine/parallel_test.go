@@ -122,33 +122,6 @@ func TestForRangesDisjointWrites(t *testing.T) {
 	}
 }
 
-// Ranges must agree with the partition ForRanges executes, cover [0, n)
-// exactly, and stay monotone for every (workers, n) pair.
-func TestRangesBoundaries(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-		for _, workers := range []int{0, 1, 2, 3, 8, 2000} {
-			bounds := Ranges(workers, n)
-			if n == 0 {
-				if bounds != nil {
-					t.Fatalf("Ranges(%d, 0) = %v, want nil", workers, bounds)
-				}
-				continue
-			}
-			if bounds[0] != 0 || bounds[len(bounds)-1] != n {
-				t.Fatalf("Ranges(%d, %d) = %v: does not span [0, %d)", workers, n, bounds, n)
-			}
-			for r := 0; r+1 < len(bounds); r++ {
-				if bounds[r] >= bounds[r+1] {
-					t.Fatalf("Ranges(%d, %d) = %v: range %d empty or non-monotone", workers, n, bounds, r)
-				}
-			}
-			if got := len(bounds) - 1; workers >= 1 && got > workers {
-				t.Fatalf("Ranges(%d, %d) produced %d ranges", workers, n, got)
-			}
-		}
-	}
-}
-
 // Tasks must run every offered closure exactly once — whether spawned or
 // declined — and Wait must not return before spawned work finishes.
 func TestTasksRunsAllWork(t *testing.T) {

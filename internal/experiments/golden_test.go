@@ -1,0 +1,77 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"testing"
+
+	"dbsvec/internal/cluster"
+	"dbsvec/internal/data"
+	"dbsvec/internal/dbscan"
+	"dbsvec/internal/index/backend"
+	"dbsvec/internal/lsh"
+	"dbsvec/internal/lshdbscan"
+	"dbsvec/internal/nqdbscan"
+	"dbsvec/internal/rhodbscan"
+	"dbsvec/internal/vec"
+)
+
+// TestBaselineLabelsGolden pins the labels of the paper's DBSCAN baselines
+// over the whole open suite: one SHA-256 per algorithm over every label of
+// every entry (built with seed 1 at the entry's Eps and MinPts), written as
+// little-endian int32 in suite order. A digest change means a baseline's
+// output changed, which shifts every accuracy column it feeds.
+func TestBaselineLabelsGolden(t *testing.T) {
+	if vec.DefaultPrecision() != vec.F64 {
+		t.Skip("golden labels are pinned for float64 storage")
+	}
+	build, err := backend.KDTree.Builder(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		name string
+		want string
+		run  func(ds *vec.Dataset, e data.SuiteEntry) (*cluster.Result, error)
+	}{
+		{"dbscan", "f06e1ecfc2cb922b", func(ds *vec.Dataset, e data.SuiteEntry) (*cluster.Result, error) {
+			res, _, err := dbscan.Run(ds, dbscan.Params{Eps: e.Eps, MinPts: e.MinPts}, build)
+			return res, err
+		}},
+		{"nqdbscan", "f06e1ecfc2cb922b", func(ds *vec.Dataset, e data.SuiteEntry) (*cluster.Result, error) {
+			res, _, err := nqdbscan.Run(ds, nqdbscan.Params{Eps: e.Eps, MinPts: e.MinPts})
+			return res, err
+		}},
+		{"rhodbscan", "6b900e9634e116be", func(ds *vec.Dataset, e data.SuiteEntry) (*cluster.Result, error) {
+			res, _, err := rhodbscan.Run(ds, rhodbscan.Params{Eps: e.Eps, MinPts: e.MinPts, Rho: 0.001})
+			return res, err
+		}},
+		{"lshdbscan", "79a69a6ba1be9e03", func(ds *vec.Dataset, e data.SuiteEntry) (*cluster.Result, error) {
+			res, _, err := lshdbscan.Run(ds, lshdbscan.Params{Eps: e.Eps, MinPts: e.MinPts, Hash: lsh.Params{Seed: 1}})
+			return res, err
+		}},
+	}
+	digests := make([]hash.Hash, len(runs))
+	for i := range digests {
+		digests[i] = sha256.New()
+	}
+	for _, e := range data.OpenSuite() {
+		ds := e.Gen(1)
+		for i, r := range runs {
+			res, err := r.run(ds, e)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", r.name, e.Name, err)
+			}
+			for _, l := range res.Labels {
+				digests[i].Write(binary.LittleEndian.AppendUint32(nil, uint32(l)))
+			}
+		}
+	}
+	for i, r := range runs {
+		if got := hex.EncodeToString(digests[i].Sum(nil)[:8]); got != r.want {
+			t.Errorf("%s: labels digest %s, want %s", r.name, got, r.want)
+		}
+	}
+}

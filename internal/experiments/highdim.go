@@ -127,7 +127,7 @@ func RunHighdim(cfg Config) (*HighdimReport, error) {
 			for i := range qids {
 				qids[i] = int32(i * stride)
 			}
-			qs := index.Queries{N: batchQ, At: func(i int, _ []float64) []float64 {
+			qs := index.Queries{N: batchQ, At: func(i int) []float64 {
 				return pv.ds.Point(int(qids[i]))
 			}}
 

@@ -1,6 +1,7 @@
 // Package fault is the leaf dependency of the robustness layer: it defines
-// the typed worker-panic error shared by the engine and the index fan-out
-// (which cannot import each other's packages without a cycle) and a
+// the error taxonomy shared across packages that cannot import each other
+// without a cycle (the parameter-validation sentinel every algorithm wraps,
+// and the typed worker-panic error of the engine and the index fan-out) and a
 // deterministic, seed-driven fault injector that CI uses to exercise every
 // recovery path of the pipeline reproducibly.
 //
@@ -17,6 +18,12 @@ import (
 	"runtime"
 	"sync/atomic"
 )
+
+// ErrInvalidParams is the root of the parameter-validation taxonomy: every
+// rejection of malformed parameters, by DBSVEC and by every baseline, wraps
+// it, so callers can classify any up-front failure with
+// errors.Is(err, ErrInvalidParams) and read the violation from the message.
+var ErrInvalidParams = errors.New("dbsvec: invalid parameters")
 
 // WorkerPanicError is a panic recovered from a worker goroutine, converted
 // to an error so batch APIs can propagate it and recover boundaries can

@@ -1,16 +1,11 @@
 package backend
 
 import (
-	"context"
 	"errors"
-	"math"
 	"testing"
 
 	"dbsvec/internal/core"
-	"dbsvec/internal/index"
-	"dbsvec/internal/index/grid"
 	"dbsvec/internal/index/indextest"
-	"dbsvec/internal/vec"
 )
 
 // TestConformance runs every row of the table through the shared oracle
@@ -18,9 +13,7 @@ import (
 // each row's builder honours a context cancelled up front. The backend
 // packages run the build-level checks (float32 storage, identical answers
 // across build worker counts, mid-build cancellation) on their own
-// constructors. The grid is not a table row, but ρ-approximate DBSCAN and
-// NQ-DBSCAN still query it, so it runs the same suite here with the ε/√d
-// cell width those algorithms give it, for ε = 10.
+// constructors.
 func TestConformance(t *testing.T) {
 	for _, k := range Kinds() {
 		b, err := k.Builder(0)
@@ -29,25 +22,6 @@ func TestConformance(t *testing.T) {
 		}
 		indextest.Run(t, k.String(), b)
 		t.Run(k.String()+"/cancel-up-front", func(t *testing.T) { indextest.BuildCancelledUpFront(t, b) })
-	}
-	g := gridBuilder(10)
-	indextest.Run(t, "grid", g)
-	t.Run("grid/cancel-up-front", func(t *testing.T) { indextest.BuildCancelledUpFront(t, g) })
-}
-
-// gridBuilder bins points into cells of width eps/√d, so any two points
-// sharing a cell are within eps of each other.
-func gridBuilder(eps float64) index.CtxBuilder {
-	return func(ctx context.Context, ds *vec.Dataset) (index.Index, error) {
-		width := eps
-		if d := ds.Dim(); d > 0 {
-			width = eps / math.Sqrt(float64(d))
-		}
-		g, err := grid.New(ctx, ds, width, 0)
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
 	}
 }
 

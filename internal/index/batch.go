@@ -11,21 +11,12 @@ import (
 
 // Queries addresses a batch of query points by position. The batch executor
 // calls At from multiple goroutines, so At must be safe for concurrent use.
-//
-// At receives a per-worker scratch slice of capacity ScratchCap: sources
-// that must materialize coordinates (rather than return a view into
-// existing storage) append into scratch[:0], keeping the fan-out
-// allocation-free. Sources that only return views leave ScratchCap zero and
-// ignore scratch.
 type Queries struct {
 	// N is the number of queries in the batch.
 	N int
-	// ScratchCap is the float64 scratch capacity each worker provisions for
-	// At; zero when At returns views into existing storage.
-	ScratchCap int
 	// At returns the coordinates of query i. The result is read before the
 	// next At call by the same worker, never retained.
-	At func(i int, scratch []float64) []float64
+	At func(i int) []float64
 }
 
 // BatchIndex is the batched-query capability: a whole set of range queries
@@ -135,12 +126,11 @@ func (f *fanout) run(ctx context.Context, qs Queries, workers int, fn func(i int
 		return func() (err error) {
 			defer fault.RecoverTo(&err)
 			fault.PanicNow(fault.WorkerPanic)
-			scratch := scratchFor(qs)
 			for i := 0; i < m; i++ {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				fn(i, qs.At(i, scratch))
+				fn(i, qs.At(i))
 			}
 			return nil
 		}()
@@ -168,7 +158,6 @@ func (f *fanout) run(ctx context.Context, qs Queries, workers int, fn func(i int
 				}
 			}()
 			fault.PanicNow(fault.WorkerPanic)
-			scratch := scratchFor(qs)
 			for {
 				start := int(next.Add(batchStride)) - batchStride
 				if start >= m || stop.Load() || ctx.Err() != nil {
@@ -180,7 +169,7 @@ func (f *fanout) run(ctx context.Context, qs Queries, workers int, fn func(i int
 				}
 				for i := start; i < end; i++ {
 					cur = i
-					fn(i, qs.At(i, scratch))
+					fn(i, qs.At(i))
 				}
 			}
 		}()
@@ -190,14 +179,6 @@ func (f *fanout) run(ctx context.Context, qs Queries, workers int, fn func(i int
 		return panicErr
 	}
 	return ctx.Err()
-}
-
-// scratchFor provisions one worker's query scratch.
-func scratchFor(qs Queries) []float64 {
-	if qs.ScratchCap <= 0 {
-		return nil
-	}
-	return make([]float64, 0, qs.ScratchCap)
 }
 
 // growSlices extends out to length m, preserving existing entries (whose

@@ -45,7 +45,7 @@ func TestFanoutMatchesPerQuery(t *testing.T) {
 	ds := batchTestDataset(t)
 	lin := linear(ds)
 	b := Batch(lin)
-	qs := Queries{N: ds.Len(), At: func(i int, _ []float64) []float64 { return ds.Point(i) }}
+	qs := Queries{N: ds.Len(), At: func(i int) []float64 { return ds.Point(i) }}
 	for _, workers := range []int{1, 2, 7, 100} {
 		got, err := b.BatchRangeQuery(context.Background(), qs, 1.5, workers, nil)
 		if err != nil {
@@ -81,7 +81,7 @@ func TestFanoutEmptyBatch(t *testing.T) {
 func TestFanoutNilContext(t *testing.T) {
 	ds := batchTestDataset(t)
 	b := Batch(linear(ds))
-	qs := Queries{N: 3, At: func(i int, _ []float64) []float64 { return ds.Point(i) }}
+	qs := Queries{N: 3, At: func(i int) []float64 { return ds.Point(i) }}
 	if _, err := b.BatchRangeQuery(nil, qs, 1, 2, nil); err != nil {
 		t.Fatalf("nil ctx: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestFanoutCancelMidBatch(t *testing.T) {
 	defer cancel()
 	ci := &cancellingIndex{Index: linear(ds), cancel: cancel, after: 10}
 	b := Batch(Index(ci))
-	qs := Queries{N: ds.Len(), At: func(i int, _ []float64) []float64 { return ds.Point(i) }}
+	qs := Queries{N: ds.Len(), At: func(i int) []float64 { return ds.Point(i) }}
 	if _, err := b.BatchRangeQuery(ctx, qs, 1.5, 4, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

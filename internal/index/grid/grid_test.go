@@ -1,149 +1,74 @@
 package grid
 
 import (
-	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
-	"dbsvec/internal/index"
-	"dbsvec/internal/index/indextest"
 	"dbsvec/internal/vec"
 )
 
-// mustNew builds a grid with the given width and worker count or fails t.
-func mustNew(t *testing.T, ds *vec.Dataset, width float64, workers int) *Grid {
+// mustNew builds a grid with the given width or fails t.
+func mustNew(t *testing.T, ds *vec.Dataset, width float64) *Grid {
 	t.Helper()
-	g, err := New(context.Background(), ds, width, workers)
+	g, err := New(ds, width)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-// gridBuilder builds grids whose cells are width wide for width > 0, and
-// 10/√d wide otherwise.
-func gridBuilder(width float64, workers int) index.CtxBuilder {
-	return func(ctx context.Context, ds *vec.Dataset) (index.Index, error) {
-		w := width
-		if w <= 0 {
-			w = 10
-			if ds.Dim() > 0 {
-				w = 10 / math.Sqrt(float64(ds.Dim()))
-			}
-		}
-		g, err := New(ctx, ds, w, workers)
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
-	}
-}
-
-func TestConformance(t *testing.T) {
-	indextest.Run(t, "grid", gridBuilder(0, 0))
-}
-
-func TestConformanceF32(t *testing.T) {
-	indextest.RunF32(t, "grid", gridBuilder(0, 0))
-}
-
-func TestConformanceParallelBuild(t *testing.T) {
-	indextest.Run(t, "grid-parallel", gridBuilder(0, 4))
-}
-
-func TestBuildDeterminism(t *testing.T) {
-	indextest.RunBuildDeterminism(t, "grid", func(workers int) index.CtxBuilder { return gridBuilder(7.5, workers) })
-}
-
-func TestBuildCancelledUpFront(t *testing.T) {
-	indextest.BuildCancelledUpFront(t, gridBuilder(7.5, 4))
-}
-
-func TestBuildCancelledMidBuild(t *testing.T) {
-	indextest.BuildCancelledMidBuild(t, gridBuilder(7.5, 4))
-}
-
-// TestParallelBinningIdentical: the two-pass counting-sort build must
-// reproduce the serial build's cell directory exactly — same keys, same
-// coordinates, same ascending id runs.
-func TestParallelBinningIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, n := range []int{0, 1, 3, 4096} {
-		rows := make([][]float64, n)
-		for i := range rows {
-			rows[i] = []float64{rng.Float64() * 200, rng.Float64() * 200}
-		}
-		ds, _ := vec.FromRows(rows)
-		if n == 0 {
-			ds, _ = vec.NewDataset(nil, 2)
-		}
-		serial := mustNew(t, ds, 3, 1)
-		for _, workers := range []int{2, 8} {
-			par := mustNew(t, ds, 3, workers)
-			if len(par.cells) != len(serial.cells) {
-				t.Fatalf("n=%d workers=%d: %d cells != %d", n, workers, len(par.cells), len(serial.cells))
-			}
-			for k, want := range serial.cells {
-				got, ok := par.cells[k]
-				if !ok || !slices.Equal(got, want) {
-					t.Fatalf("n=%d workers=%d: cell %q ids %v != %v", n, workers, k, got, want)
-				}
-				if !slices.Equal(par.coords[k], serial.coords[k]) {
-					t.Fatalf("n=%d workers=%d: cell %q coords differ", n, workers, k)
-				}
-			}
-			if !slices.Equal(par.origin, serial.origin) {
-				t.Fatalf("n=%d workers=%d: origin %v != %v", n, workers, par.origin, serial.origin)
-			}
+// randomDataset draws n points uniformly from [0, span)^d.
+func randomDataset(t *testing.T, n, d int, span float64, seed int64) *vec.Dataset {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, d)
+		for j := range rows[i] {
+			rows[i][j] = rng.Float64() * span
 		}
 	}
+	ds, err := vec.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
 }
 
 func TestCellBucketing(t *testing.T) {
 	ds, _ := vec.FromRows([][]float64{{0.5, 0.5}, {0.6, 0.4}, {5.5, 5.5}})
-	g := mustNew(t, ds, 1.0, 1)
-	if g.NumCells() != 2 {
-		t.Fatalf("NumCells = %d, want 2", g.NumCells())
+	g := mustNew(t, ds, 1.0)
+	if len(g.Cells) != 2 {
+		t.Fatalf("%d cells, want 2", len(g.Cells))
 	}
-	k := g.CellOf([]float64{0.5, 0.5})
-	if got := g.Points(k); len(got) != 2 {
-		t.Errorf("cell should hold 2 points, got %v", got)
+	if c := g.CellOf[0]; !slices.Equal(g.Cells[c], []int32{0, 1}) {
+		t.Errorf("cell of point 0 holds %v, want [0 1]", g.Cells[c])
 	}
 }
 
 func TestCellsIteration(t *testing.T) {
 	ds, _ := vec.FromRows([][]float64{{0, 0}, {10, 10}, {20, 20}})
-	g := mustNew(t, ds, 1.0, 1)
+	g := mustNew(t, ds, 1.0)
 	total := 0
-	g.Cells(func(_ string, pts []int32) { total += len(pts) })
+	for _, pts := range g.Cells {
+		total += len(pts)
+	}
 	if total != 3 {
-		t.Errorf("iterated %d points, want 3", total)
+		t.Errorf("cells hold %d points, want 3", total)
 	}
 }
 
-func TestHighDimDirectoryScanPath(t *testing.T) {
-	// d large enough that offset enumeration would explode; the directory
-	// scan must still answer exactly.
-	rng := rand.New(rand.NewSource(8))
-	d := 20
-	rows := make([][]float64, 300)
-	for i := range rows {
-		rows[i] = make([]float64, d)
-		for j := range rows[i] {
-			rows[i][j] = rng.Float64() * 10
-		}
+func TestNegativeCoordinates(t *testing.T) {
+	ds, _ := vec.FromRows([][]float64{{-5.5, -3.3}, {-5.4, -3.2}, {4, 4}})
+	g := mustNew(t, ds, 1.0)
+	if g.CellOf[0] != g.CellOf[1] || g.CellOf[0] == g.CellOf[2] {
+		t.Errorf("CellOf = %v, want the first two points alone in one cell", g.CellOf)
 	}
-	ds, _ := vec.FromRows(rows)
-	g := mustNew(t, ds, 0.5, 1)
-	oracle := indextest.Linear(ds)
-	for iter := 0; iter < 20; iter++ {
-		q := rows[rng.Intn(len(rows))]
-		eps := 2 + rng.Float64()*8
-		if got, want := g.RangeCount(q, eps, 0), oracle.RangeCount(q, eps, 0); got != want {
-			t.Fatalf("high-dim count %d != %d", got, want)
-		}
+	if got, lo := g.Rects[g.CellOf[0]], ds.Point(0); !slices.Equal(got.Lo, lo) {
+		t.Errorf("cell rectangle %v, want it anchored at the dataset minimum", got)
 	}
 }
 
@@ -154,14 +79,78 @@ func TestNonPositiveWidthPanics(t *testing.T) {
 			t.Error("expected panic for width 0")
 		}
 	}()
-	mustNew(t, ds, 0, 1)
+	mustNew(t, ds, 0)
 }
 
-func TestNegativeCoordinates(t *testing.T) {
-	ds, _ := vec.FromRows([][]float64{{-5.5, -3.3}, {-5.4, -3.2}, {4, 4}})
-	g := mustNew(t, ds, 1.0, 1)
-	got := g.RangeQuery([]float64{-5.45, -3.25}, 0.2, nil)
-	if len(got) != 2 {
-		t.Errorf("negative-coordinate query returned %v, want 2 ids", got)
+// TestCellLayout: cells partition the ids, each cell's ids ascend, CellOf
+// inverts the partition, every member lies in its cell's rectangle, and
+// the cells are in ascending order of their integer coordinates' byte keys.
+func TestCellLayout(t *testing.T) {
+	for _, d := range []int{1, 2, 5} {
+		ds := randomDataset(t, 2000, d, 100, int64(d))
+		width := 7.5 / math.Sqrt(float64(d))
+		g := mustNew(t, ds, width)
+		seen := make([]bool, ds.Len())
+		for c, pts := range g.Cells {
+			if len(pts) == 0 || !slices.IsSorted(pts) {
+				t.Fatalf("d=%d: cell %d ids %v empty or not ascending", d, c, pts)
+			}
+			r := g.Rects[c]
+			for _, id := range pts {
+				if seen[id] || g.CellOf[id] != int32(c) {
+					t.Fatalf("d=%d: point %d in cell %d, CellOf says %d", d, id, c, g.CellOf[id])
+				}
+				seen[id] = true
+				if r.MinDist2(ds.Point(int(id))) != 0 {
+					t.Fatalf("d=%d: point %d outside its cell's rectangle %v", d, id, r)
+				}
+			}
+			for j := range r.Lo {
+				if got := r.Hi[j] - r.Lo[j]; math.Abs(got-width) > 1e-9*width {
+					t.Fatalf("d=%d: cell %d side %g, want %g", d, c, got, width)
+				}
+			}
+		}
+		if slices.Contains(seen, false) {
+			t.Fatalf("d=%d: some point is in no cell", d)
+		}
+		origin, _ := ds.Bounds()
+		for c := 1; c < len(g.Cells); c++ {
+			if key(g, c-1, origin, width) >= key(g, c, origin, width) {
+				t.Fatalf("d=%d: cells %d and %d out of byte-key order", d, c-1, c)
+			}
+		}
+	}
+}
+
+// key re-derives cell c's byte key, its little-endian int32 coordinates,
+// from its rectangle and the grid's origin.
+func key(g *Grid, c int, origin []float64, width float64) string {
+	var b []byte
+	for j, lo := range g.Rects[c].Lo {
+		b = binary.LittleEndian.AppendUint32(b, uint32(int32(math.Round((lo-origin[j])/width))))
+	}
+	return string(b)
+}
+
+// TestNearMatchesBruteForce: Near returns exactly the cells whose center
+// lies within reach of the query cell's center, checked against a full
+// scan of the centers, in low and high dimensions.
+func TestNearMatchesBruteForce(t *testing.T) {
+	for _, d := range []int{2, 3, 8, 20} {
+		ds := randomDataset(t, 600, d, 10, int64(40+d))
+		eps := 2.0
+		g := mustNew(t, ds, eps/math.Sqrt(float64(d)))
+		for _, reach := range []float64{0, eps, 2 * eps, 3.5 * eps} {
+			var got []int32
+			for c := range g.Cells {
+				got = g.Near(int32(c), reach, got[:0])
+				want := g.centers.FilterWithin(g.centers.Point(c), reach*reach, nil)
+				slices.Sort(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("d=%d reach=%g cell %d: Near = %v, want %v", d, reach, c, got, want)
+				}
+			}
+		}
 	}
 }

@@ -173,8 +173,7 @@ func compare(t *testing.T, build index.CtxBuilder, ds *vec.Dataset, eps float64,
 // batchCompare is the BatchIndex conformance property: for every backend,
 // BatchRangeQuery/BatchRangeCount over a random query mix must equal the
 // per-query RangeQuery/RangeCount results, for several worker counts, in
-// both owned and buffer-reuse modes, including computed (scratch-backed)
-// query points.
+// both owned and buffer-reuse modes, including off-dataset query points.
 func batchCompare(t *testing.T, build index.CtxBuilder, ds *vec.Dataset, eps float64) {
 	t.Helper()
 	idx := mustBuild(t, build, ds)
@@ -183,29 +182,24 @@ func batchCompare(t *testing.T, build index.CtxBuilder, ds *vec.Dataset, eps flo
 	d := ds.Dim()
 
 	const m = 120
-	// Queries mix on-point views with perturbed points materialized into the
-	// per-worker scratch (exercising the ScratchCap path).
-	qs := index.Queries{
-		N:          m,
-		ScratchCap: d,
-		At: func(i int, scratch []float64) []float64 {
-			if i%2 == 0 {
-				return ds.Point((i * 7) % ds.Len())
-			}
-			q := scratch[:0]
-			for j := 0; j < d; j++ {
-				span := hi[j] - lo[j]
-				frac := float64((i*13+j*5)%97) / 96
-				q = append(q, lo[j]-0.1*span+1.2*span*frac)
-			}
-			return q
-		},
+	// Queries mix on-point views with perturbed points spread over (and a
+	// little beyond) the bounding box.
+	points := make([][]float64, m)
+	for i := range points {
+		if i%2 == 0 {
+			points[i] = ds.Point((i * 7) % ds.Len())
+			continue
+		}
+		for j := 0; j < d; j++ {
+			span := hi[j] - lo[j]
+			frac := float64((i*13+j*5)%97) / 96
+			points[i] = append(points[i], lo[j]-0.1*span+1.2*span*frac)
+		}
 	}
+	qs := index.Queries{N: m, At: func(i int) []float64 { return points[i] }}
 	want := make([][]int32, m)
 	wantN := make([]int, m)
-	scratch := make([]float64, 0, d)
-	for i := 0; i < m; i++ {
-		q := qs.At(i, scratch)
+	for i, q := range points {
 		want[i] = sorted(idx.RangeQuery(q, eps, nil))
 		wantN[i] = idx.RangeCount(q, eps, 0)
 	}
@@ -268,7 +262,7 @@ func batchCancel(t *testing.T, build index.CtxBuilder, ds *vec.Dataset, eps floa
 	b := index.Batch(mustBuild(t, build, ds))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	qs := index.Queries{N: ds.Len(), At: func(i int, _ []float64) []float64 { return ds.Point(i) }}
+	qs := index.Queries{N: ds.Len(), At: func(i int) []float64 { return ds.Point(i) }}
 	if _, err := b.BatchRangeQuery(ctx, qs, eps, 4, nil); err != context.Canceled {
 		t.Fatalf("BatchRangeQuery on cancelled ctx: err = %v, want context.Canceled", err)
 	}

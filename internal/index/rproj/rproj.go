@@ -6,7 +6,7 @@
 // patterns seed a one-pass Lloyd refinement that reassigns every point to
 // its nearest seed centroid, and the refined assignment is counting-sorted
 // into flat cells in first-encounter order — the same arena layout as the
-// grid's cells and the lsh buckets, but Voronoi-coherent in the original
+// lsh buckets, but Voronoi-coherent in the original
 // space, so the partition stays compact at dimensions where a spatial grid
 // degenerates.
 //
@@ -306,8 +306,7 @@ func (x *Index) computeCentroids(m dist.Matrix, workers int) dist.Matrix {
 }
 
 // binKeys counting-sorts point ids by cell key, assigning cells in
-// first-encounter order (the same layout as the grid's cells and the lsh
-// bucket arenas).
+// first-encounter order (the same layout as the lsh bucket arenas).
 func (x *Index) binKeys(keys []uint64) {
 	slotOf := make(map[uint64]int32)
 	slots := make([]int32, len(keys))

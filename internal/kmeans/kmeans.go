@@ -11,6 +11,7 @@ import (
 
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/dist"
+	"dbsvec/internal/fault"
 	"dbsvec/internal/vec"
 )
 
@@ -35,11 +36,8 @@ type Stats struct {
 	Inertia float64
 }
 
-// Errors.
-var (
-	ErrNilDataset = errors.New("kmeans: nil dataset")
-	ErrBadK       = errors.New("kmeans: k out of range")
-)
+// ErrNilDataset is returned when Run receives a nil dataset.
+var ErrNilDataset = errors.New("kmeans: nil dataset")
 
 // Run clusters ds into K groups and returns labels, the final centers, and
 // statistics.
@@ -50,7 +48,7 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, [][]float64, Stats, error)
 	}
 	n, d := ds.Len(), ds.Dim()
 	if p.K < 1 || p.K > n {
-		return nil, nil, st, fmt.Errorf("%w: k=%d n=%d", ErrBadK, p.K, n)
+		return nil, nil, st, fmt.Errorf("%w: kmeans: k %d outside [1, %d]", fault.ErrInvalidParams, p.K, n)
 	}
 	maxIter := p.MaxIter
 	if maxIter == 0 {

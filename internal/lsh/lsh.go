@@ -8,8 +8,8 @@
 // a sequence of dense matrix-vector products through the dist dot kernels
 // (one DotsToAll per hash function — a float32-storage dataset streams its
 // half-width mirror); buckets are flat counting-sort
-// arenas in first-encounter order, like the grid backend's cells, rather
-// than per-table map[string][]int32. Bucket keys are a fixed uint64 mix
+// arenas in first-encounter order rather than per-table
+// map[string][]int32. Bucket keys are a fixed uint64 mix
 // (splitmix64 finalizer) folded over the k concatenated hash integers, so
 // probing a query allocates nothing; a key collision merges two buckets,
 // which can only ever add candidates — callers exact-filter candidates, so
@@ -17,10 +17,11 @@
 package lsh
 
 import (
-	"errors"
+	"fmt"
 	"math/rand"
 
 	"dbsvec/internal/dist"
+	"dbsvec/internal/fault"
 	"dbsvec/internal/vec"
 )
 
@@ -37,13 +38,14 @@ type Params struct {
 	Seed int64
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. Every rejection wraps
+// fault.ErrInvalidParams.
 func (p Params) Validate() error {
 	if p.Tables < 1 || p.Funcs < 1 {
-		return errors.New("lsh: Tables and Funcs must be at least 1")
+		return fmt.Errorf("%w: lsh: Tables %d and Funcs %d must be at least 1", fault.ErrInvalidParams, p.Tables, p.Funcs)
 	}
-	if p.Width <= 0 {
-		return errors.New("lsh: Width must be positive")
+	if !(p.Width > 0) {
+		return fmt.Errorf("%w: lsh: Width %g must be positive", fault.ErrInvalidParams, p.Width)
 	}
 	return nil
 }

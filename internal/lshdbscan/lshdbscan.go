@@ -4,6 +4,8 @@
 // bucket with the query across L tables, filtered by an exact distance
 // check; neighbors that never collide with the query are missed, which is
 // the source of the recall loss the DBSVEC paper reports for this method.
+// The clustering loop is dbscan.Expand over those approximate
+// neighborhoods.
 package lshdbscan
 
 import (
@@ -56,14 +58,8 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 			hp.Width = 1
 		}
 	}
-	n := ds.Len()
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = cluster.Unclassified
-	}
-	res := &cluster.Result{Labels: labels}
-	if n == 0 {
-		return res, st, nil
+	if ds.Len() == 0 {
+		return &cluster.Result{Labels: []int32{}}, st, nil
 	}
 	h, err := lsh.New(ds, hp)
 	if err != nil {
@@ -71,59 +67,14 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 	}
 
 	eps2 := p.Eps * p.Eps
-	seen := make([]bool, n)
-	var cand, hood []int32
-
-	// query materializes the approximate ε-neighborhood of point id.
-	query := func(id int32) []int32 {
+	seen := make([]bool, ds.Len())
+	var cand []int32
+	res, _ := dbscan.Expand(ds.Len(), p.MinPts, func(id int32, buf []int32) []int32 {
 		st.RangeQueries++
-		cand = h.Candidates(ds.Point(int(id)), cand[:0], seen)
+		q := ds.Point(int(id))
+		cand = h.Candidates(q, cand[:0], seen)
 		st.CandidateSum += int64(len(cand))
-		hood = ds.FilterWithinIDs(ds.Point(int(id)), eps2, cand, hood[:0])
-		return hood
-	}
-
-	var cid int32 = -1
-	var seeds []int32
-	for i := 0; i < n; i++ {
-		if labels[i] != cluster.Unclassified {
-			continue
-		}
-		nb := query(int32(i))
-		if len(nb) < p.MinPts {
-			labels[i] = cluster.Noise
-			continue
-		}
-		cid++
-		labels[i] = cid
-		seeds = seeds[:0]
-		for _, j := range nb {
-			if j == int32(i) {
-				continue
-			}
-			if labels[j] == cluster.Unclassified || labels[j] == cluster.Noise {
-				labels[j] = cid
-				seeds = append(seeds, j)
-			}
-		}
-		for len(seeds) > 0 {
-			j := seeds[len(seeds)-1]
-			seeds = seeds[:len(seeds)-1]
-			nb := query(j)
-			if len(nb) < p.MinPts {
-				continue
-			}
-			for _, q := range nb {
-				switch labels[q] {
-				case cluster.Unclassified:
-					labels[q] = cid
-					seeds = append(seeds, q)
-				case cluster.Noise:
-					labels[q] = cid
-				}
-			}
-		}
-	}
-	res.Clusters = int(cid) + 1
+		return ds.FilterWithinIDs(q, eps2, cand, buf)
+	})
 	return res, st, nil
 }

@@ -7,28 +7,27 @@
 // Three NQ-style prunings are applied:
 //
 //  1. cells of width ε/√d with at least MinPts points are dense by
-//     construction (cell diameter ≤ ε), so every member is a core point
-//     without any counting query;
-//  2. each cell's candidate neighbor cells are located once through a
-//     kd-tree over cell centers and cached, so a range query only inspects
-//     the local neighborhood instead of the whole grid directory;
+//     construction (cell diameter ≤ ε), so every member is a core point;
+//     the run counts these cells in Stats.DenseCells but still issues every
+//     member's range query, as the expansion loop needs its neighborhood;
+//  2. each cell's candidate neighbor cells are located once through the
+//     grid's kd-tree over cell centers and cached, so a range query only
+//     inspects the local neighborhood instead of the whole grid;
 //  3. range queries count whole cells wholesale when the cell rectangle
 //     lies entirely within the query ball, computing point distances only
 //     for straddling cells.
 //
-// The output is exactly DBSCAN's clustering.
+// The output is exactly DBSCAN's clustering: the run is dbscan.Expand over
+// the cell searcher's neighborhoods.
 package nqdbscan
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/dbscan"
 	"dbsvec/internal/index/grid"
-	"dbsvec/internal/index/kdtree"
 	"dbsvec/internal/vec"
 )
 
@@ -43,8 +42,8 @@ type Stats struct {
 	// RangeQueries counts neighborhood materializations (one per point, as
 	// in DBSCAN — NQ-DBSCAN does not reduce their number).
 	RangeQueries int64
-	// DenseCells is the number of cells whose members were marked core
-	// wholesale.
+	// DenseCells is the number of cells holding at least MinPts points,
+	// whose members are core by construction.
 	DenseCells int
 	// DistanceComputations counts point-to-point distance evaluations; the
 	// quantity NQ-DBSCAN is designed to minimize.
@@ -55,86 +54,30 @@ type Stats struct {
 // candidate lists.
 type cellSearcher struct {
 	ds        *vec.Dataset
+	g         *grid.Grid
 	eps2      float64
-	cells     [][]int32  // point ids per cell
-	rects     []vec.Rect // cell rectangles
-	pointCell []int32    // point id -> cell index
-	centers   *kdtree.Tree
-	centerDS  *vec.Dataset
-	reach     float64 // center-to-center search radius
-	neighbors [][]int32
+	reach     float64   // center-to-center search radius
+	neighbors [][]int32 // per-cell candidate cells, filled on first use
 	stats     *Stats
-}
-
-func newCellSearcher(ds *vec.Dataset, g *grid.Grid, eps float64, st *Stats) (*cellSearcher, error) {
-	cs := &cellSearcher{
-		ds:        ds,
-		eps2:      eps * eps,
-		pointCell: make([]int32, ds.Len()),
-		stats:     st,
-	}
-	d := ds.Dim()
-	// Collect and key-sort cells: map iteration order must not leak into
-	// query result order (border-point ties would become nondeterministic).
-	type keyed struct {
-		key string
-		pts []int32
-	}
-	var collected []keyed
-	g.Cells(func(key string, pts []int32) {
-		collected = append(collected, keyed{key: key, pts: pts})
-	})
-	sort.Slice(collected, func(a, b int) bool { return collected[a].key < collected[b].key })
-	var centers []float64
-	buf := make([]float64, d)
-	for _, kc := range collected {
-		idx := int32(len(cs.cells))
-		cs.cells = append(cs.cells, kc.pts)
-		rect := g.RectOfKey(kc.key)
-		cs.rects = append(cs.rects, rect)
-		centers = append(centers, rect.Center(buf)...)
-		for _, id := range kc.pts {
-			cs.pointCell[id] = idx
-		}
-	}
-	centerDS, err := vec.NewDatasetUnchecked(centers, d)
-	if err != nil {
-		return nil, err
-	}
-	cs.centerDS = centerDS
-	if cs.centers, err = kdtree.New(context.Background(), centerDS, 1); err != nil {
-		return nil, err
-	}
-	// Two points within eps have cell centers within eps + 2·(diag/2);
-	// diag = width·√d = eps by construction.
-	cs.reach = 2 * eps
-	cs.neighbors = make([][]int32, len(cs.cells))
-	return cs, nil
-}
-
-// neighborCells returns (computing and caching on first use) the candidate
-// cells for queries from cell ci.
-func (cs *cellSearcher) neighborCells(ci int32) []int32 {
-	if nb := cs.neighbors[ci]; nb != nil {
-		return nb
-	}
-	nb := cs.centers.RangeQuery(cs.centerDS.Point(int(ci)), cs.reach, nil)
-	if nb == nil {
-		nb = []int32{}
-	}
-	cs.neighbors[ci] = nb
-	return nb
 }
 
 // query materializes the exact ε-neighborhood of point id into buf.
 func (cs *cellSearcher) query(id int32, buf []int32) []int32 {
+	cs.stats.RangeQueries++
+	ci := cs.g.CellOf[id]
+	nbs := cs.neighbors[ci]
+	if nbs == nil {
+		nbs = cs.g.Near(ci, cs.reach, nil)
+		cs.neighbors[ci] = nbs
+	}
 	q := cs.ds.Point(int(id))
-	for _, nb := range cs.neighborCells(cs.pointCell[id]) {
-		rect := cs.rects[nb]
+	rects, cells := cs.g.Rects, cs.g.Cells
+	for _, nb := range nbs {
+		rect := rects[nb]
 		if rect.MinDist2(q) > cs.eps2 {
 			continue
 		}
-		pts := cs.cells[nb]
+		pts := cells[nb]
 		if rect.MaxDist2(q) <= cs.eps2 {
 			buf = append(buf, pts...) // wholesale: no distance computations
 			continue
@@ -155,13 +98,8 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 		return nil, st, fmt.Errorf("nqdbscan: %w", err)
 	}
 	n := ds.Len()
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = cluster.Unclassified
-	}
-	res := &cluster.Result{Labels: labels}
 	if n == 0 {
-		return res, st, nil
+		return &cluster.Result{Labels: []int32{}}, st, nil
 	}
 	if p.Eps == 0 {
 		// Degenerate grid width; fall back to plain exact DBSCAN.
@@ -169,75 +107,26 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 		return r, st, err
 	}
 
-	width := p.Eps / math.Sqrt(float64(ds.Dim()))
-	g, err := grid.New(context.Background(), ds, width, 1)
+	g, err := grid.New(ds, p.Eps/math.Sqrt(float64(ds.Dim())))
 	if err != nil {
 		return nil, st, fmt.Errorf("nqdbscan: %w", err)
 	}
-	cs, err := newCellSearcher(ds, g, p.Eps, &st)
-	if err != nil {
-		return nil, st, fmt.Errorf("nqdbscan: %w", err)
-	}
-
 	// Pruning 1: dense cells are all-core.
-	isCore := make([]bool, n)
-	for _, pts := range cs.cells {
+	for _, pts := range g.Cells {
 		if len(pts) >= p.MinPts {
 			st.DenseCells++
-			for _, id := range pts {
-				isCore[id] = true
-			}
 		}
 	}
-
-	var buf []int32
-	query := func(id int32) []int32 {
-		st.RangeQueries++
-		buf = cs.query(id, buf[:0])
-		return buf
+	cs := &cellSearcher{
+		ds:   ds,
+		g:    g,
+		eps2: p.Eps * p.Eps,
+		// Two points within eps have cell centers within eps + 2·(diag/2);
+		// diag = width·√d = eps by construction.
+		reach:     2 * p.Eps,
+		neighbors: make([][]int32, len(g.Cells)),
+		stats:     &st,
 	}
-
-	var cid int32 = -1
-	var seeds []int32
-	for i := 0; i < n; i++ {
-		if labels[i] != cluster.Unclassified {
-			continue
-		}
-		nb := query(int32(i))
-		if len(nb) < p.MinPts {
-			labels[i] = cluster.Noise
-			continue
-		}
-		cid++
-		labels[i] = cid
-		seeds = seeds[:0]
-		for _, j := range nb {
-			if j == int32(i) {
-				continue
-			}
-			if labels[j] == cluster.Unclassified || labels[j] == cluster.Noise {
-				labels[j] = cid
-				seeds = append(seeds, j)
-			}
-		}
-		for len(seeds) > 0 {
-			j := seeds[len(seeds)-1]
-			seeds = seeds[:len(seeds)-1]
-			nb := query(j)
-			if len(nb) < p.MinPts {
-				continue
-			}
-			for _, q := range nb {
-				switch labels[q] {
-				case cluster.Unclassified:
-					labels[q] = cid
-					seeds = append(seeds, q)
-				case cluster.Noise:
-					labels[q] = cid
-				}
-			}
-		}
-	}
-	res.Clusters = int(cid) + 1
+	res, _ := dbscan.Expand(n, p.MinPts, cs.query)
 	return res, st, nil
 }

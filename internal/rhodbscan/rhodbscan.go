@@ -10,21 +10,20 @@
 // cells are connected into clusters through approximate bichromatic
 // closest-pair tests, and border points attach to any in-range core point.
 //
-// Neighbor cells are located through a kd-tree over cell centers; this
-// keeps the structure functional in higher dimensions, where the original
-// quadtree formulation exhausts memory (the behaviour Figure 6b reports).
+// Neighbor cells are located through the grid's kd-tree over cell centers;
+// this keeps the structure functional in higher dimensions, where the
+// original quadtree formulation exhausts memory (the behaviour Figure 6b
+// reports).
 package rhodbscan
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/dbscan"
+	"dbsvec/internal/fault"
 	"dbsvec/internal/index/grid"
-	"dbsvec/internal/index/kdtree"
 	"dbsvec/internal/unionfind"
 	"dbsvec/internal/vec"
 )
@@ -44,11 +43,11 @@ func (p Params) Validate() error {
 	if err := (dbscan.Params{Eps: p.Eps, MinPts: p.MinPts}).Validate(); err != nil {
 		return fmt.Errorf("rhodbscan: %w", err)
 	}
-	if p.Rho < 0 {
-		return fmt.Errorf("rhodbscan: rho %g must be non-negative", p.Rho)
+	if !(p.Rho >= 0) {
+		return fmt.Errorf("%w: rhodbscan: rho %g must be non-negative", fault.ErrInvalidParams, p.Rho)
 	}
 	if p.Eps == 0 {
-		return fmt.Errorf("rhodbscan: eps must be positive (grid width is eps/sqrt(d))")
+		return fmt.Errorf("%w: rhodbscan: eps must be positive (grid width is eps/sqrt(d))", fault.ErrInvalidParams)
 	}
 	return nil
 }
@@ -64,13 +63,6 @@ type Stats struct {
 	WholesaleCells int64
 	// DistanceComputations counts point-to-point distance evaluations.
 	DistanceComputations int64
-}
-
-type cellInfo struct {
-	key  string
-	pts  []int32
-	rect vec.Rect
-	core bool // contains at least one core point
 }
 
 // Run clusters ds with ρ-approximate DBSCAN.
@@ -92,36 +84,13 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 		return res, st, nil
 	}
 
-	d := ds.Dim()
-	width := p.Eps / sqrtF(d)
-	g, err := grid.New(context.Background(), ds, width, 1)
+	g, err := grid.New(ds, p.Eps/sqrtF(ds.Dim()))
 	if err != nil {
 		return nil, st, fmt.Errorf("rhodbscan: %w", err)
 	}
-
-	// Materialize cells and build a kd-tree over their centers so neighbor
-	// lookup stays polynomial in d. Cells are sorted by key: map iteration
-	// order would otherwise leak into border-point assignment and make runs
-	// nondeterministic.
-	var cells []cellInfo
-	g.Cells(func(key string, pts []int32) {
-		cells = append(cells, cellInfo{key: key, pts: pts, rect: g.RectOfKey(key)})
-	})
-	sort.Slice(cells, func(a, b int) bool { return cells[a].key < cells[b].key })
+	cells, rects := g.Cells, g.Rects
 	st.Cells = len(cells)
-	centers := make([]float64, 0, len(cells)*d)
-	buf := make([]float64, d)
-	for i := range cells {
-		centers = append(centers, cells[i].rect.Center(buf)...)
-	}
-	centerDS, err := vec.NewDatasetUnchecked(centers, d)
-	if err != nil {
-		return nil, st, fmt.Errorf("rhodbscan: %w", err)
-	}
-	centerTree, err := kdtree.New(context.Background(), centerDS, 1)
-	if err != nil {
-		return nil, st, fmt.Errorf("rhodbscan: %w", err)
-	}
+	coreCell := make([]bool, len(cells)) // cell holds at least one core point
 
 	outer := p.Eps * (1 + p.Rho)
 	outer2 := outer * outer
@@ -133,39 +102,37 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 	// neighborsOf returns the cell indices within reach of cell ci.
 	var nbuf []int32
 	neighborsOf := func(ci int) []int32 {
-		nbuf = centerTree.RangeQuery(centerDS.Point(ci), reach, nbuf[:0])
+		nbuf = g.Near(int32(ci), reach, nbuf[:0])
 		return nbuf
 	}
 
 	// Phase 1: core-point marking with ρ-approximate counting.
 	isCore := make([]bool, n)
-	for ci := range cells {
-		c := &cells[ci]
-		if len(c.pts) >= p.MinPts {
+	for ci, pts := range cells {
+		if len(pts) >= p.MinPts {
 			// Cell diameter <= eps: every member sees the whole cell.
-			for _, id := range c.pts {
+			for _, id := range pts {
 				isCore[id] = true
 			}
-			c.core = true
+			coreCell[ci] = true
 			st.WholesaleCells++
 			continue
 		}
 		nbs := neighborsOf(ci)
-		for _, id := range c.pts {
+		for _, id := range pts {
 			q := ds.Point(int(id))
 			count := 0
 			for _, nb := range nbs {
-				oc := &cells[nb]
-				minD2 := oc.rect.MinDist2(q)
+				minD2 := rects[nb].MinDist2(q)
 				if minD2 > eps2 {
 					continue
 				}
-				if oc.rect.MaxDist2(q) <= outer2 {
-					count += len(oc.pts) // tolerance-band wholesale count
+				if rects[nb].MaxDist2(q) <= outer2 {
+					count += len(cells[nb]) // tolerance-band wholesale count
 					st.WholesaleCells++
 				} else {
-					st.DistanceComputations += int64(len(oc.pts))
-					count += ds.CountWithinIDs(q, eps2, oc.pts, 0)
+					st.DistanceComputations += int64(len(cells[nb]))
+					count += ds.CountWithinIDs(q, eps2, cells[nb], 0)
 				}
 				if count >= p.MinPts {
 					break
@@ -173,7 +140,7 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 			}
 			if count >= p.MinPts {
 				isCore[id] = true
-				c.core = true
+				coreCell[ci] = true
 			}
 		}
 	}
@@ -181,42 +148,41 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 	// Phase 2: connect core cells through approximate closest-pair tests.
 	dsu := unionfind.New(len(cells))
 	for ci := range cells {
-		if !cells[ci].core {
+		if !coreCell[ci] {
 			continue
 		}
 		nbs := neighborsOf(ci)
 		for _, nb := range nbs {
 			cj := int(nb)
-			if cj <= ci || !cells[cj].core || dsu.Same(int32(ci), int32(cj)) {
+			if cj <= ci || !coreCell[cj] || dsu.Same(int32(ci), int32(cj)) {
 				continue
 			}
-			if coreCellsConnected(ds, &cells[ci], &cells[cj], isCore, outer2, &st) {
+			if coreCellsConnected(ds, g, ci, cj, isCore, outer2, &st) {
 				dsu.Union(int32(ci), int32(cj))
 			}
 		}
 	}
-	for ci := range cells {
-		if cells[ci].core {
+	for _, core := range coreCell {
+		if core {
 			st.CoreCells++
 		}
 	}
 
 	// Phase 3: label core points by their cell's component; attach border
 	// points to any in-range core point.
-	for ci := range cells {
-		if !cells[ci].core {
+	for ci, pts := range cells {
+		if !coreCell[ci] {
 			continue
 		}
 		root := dsu.Find(int32(ci))
-		for _, id := range cells[ci].pts {
+		for _, id := range pts {
 			if isCore[id] {
 				labels[id] = root
 			}
 		}
 	}
-	for ci := range cells {
-		c := &cells[ci]
-		for _, id := range c.pts {
+	for ci, pts := range cells {
+		for _, id := range pts {
 			if isCore[id] || labels[id] != cluster.Noise {
 				continue
 			}
@@ -224,11 +190,10 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 			nbs := neighborsOf(ci)
 		attach:
 			for _, nb := range nbs {
-				oc := &cells[nb]
-				if !oc.core || oc.rect.MinDist2(q) > outer2 {
+				if !coreCell[nb] || rects[nb].MinDist2(q) > outer2 {
 					continue
 				}
-				for _, o := range oc.pts {
+				for _, o := range cells[nb] {
 					if !isCore[o] {
 						continue
 					}
@@ -246,21 +211,21 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 	return res, st, nil
 }
 
-// coreCellsConnected reports whether two core cells contain core points
+// coreCellsConnected reports whether core cells a and b contain core points
 // within the ρ-tolerance radius of each other.
-func coreCellsConnected(ds *vec.Dataset, a, b *cellInfo, isCore []bool, outer2 float64, st *Stats) bool {
-	if a.rect.MinDist2Rect(b.rect) > outer2 {
+func coreCellsConnected(ds *vec.Dataset, g *grid.Grid, a, b int, isCore []bool, outer2 float64, st *Stats) bool {
+	if g.Rects[a].MinDist2Rect(g.Rects[b]) > outer2 {
 		return false
 	}
-	for _, p := range a.pts {
+	for _, p := range g.Cells[a] {
 		if !isCore[p] {
 			continue
 		}
 		pp := ds.Point(int(p))
-		if b.rect.MinDist2(pp) > outer2 {
+		if g.Rects[b].MinDist2(pp) > outer2 {
 			continue
 		}
-		for _, q := range b.pts {
+		for _, q := range g.Cells[b] {
 			if !isCore[q] {
 				continue
 			}
