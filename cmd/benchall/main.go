@@ -18,15 +18,18 @@
 // -json redirects one experiment's machine-readable report: it is
 // repeatable, takes exp=path pairs (exp ∈ svdd, index, highdim, shard), and
 // an empty path skips the report. Unredirected reports go to their default
-// BENCH_<exp>.json.
+// BENCH_<exp>.json. A report's rows are merged into the file by key (the
+// experiment id and params), so rows of other runs, such as -full ones,
+// stay.
 // -budget skips runs predicted (from prior samples) to be too slow, while
 // -runtimeout arms a hard in-flight wall-clock budget on each DBSVEC run:
 // a run that trips it contributes its best-effort partial clustering.
 // -cpuprofile and -memprofile write pprof profiles covering the whole
 // harness run, for feeding into `go tool pprof`.
 // -baseline points at a directory holding committed BENCH_*.json snapshots;
-// every report written by the run is shape-diffed against its committed
-// counterpart (schema drift fails the run; values and lengths are free).
+// every row of every report written by the run must have a committed row
+// with the same params and exactly equal counts (wall clocks and heap are
+// never compared).
 package main
 
 import (
@@ -85,7 +88,7 @@ func main() {
 		precision  = flag.String("precision", "f64", "point-storage precision for experiment datasets: f64 | f32")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the harness run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at harness exit to this file")
-		baseline   = flag.String("baseline", "", "directory holding committed BENCH_*.json baselines; written reports are shape-diffed against them")
+		baseline   = flag.String("baseline", "", "directory holding committed BENCH_*.json baselines; written rows must match their counts exactly")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	jsonOverrides := jsonFlag{}
@@ -130,11 +133,7 @@ func main() {
 
 	cfg := experiments.Config{
 		Quick: !*full, Seed: *seed, Budget: *budget, RunTimeout: *runTimeout,
-		Workers: *workers, Precision: prec,
-		SVDDJSONPath:    reports["svdd"],
-		IndexJSONPath:   reports["index"],
-		HighdimJSONPath: reports["highdim"],
-		ShardJSONPath:   reports["shard"],
+		Workers: *workers, Precision: prec, Reports: reports,
 	}
 	start := time.Now()
 	if *exp == "" {
@@ -175,12 +174,12 @@ func main() {
 	}
 }
 
-// checkBaselines shape-diffs each report the run actually wrote against its
+// checkBaselines gates each report the run actually wrote against its
 // committed counterpart in dir. A report path that was skipped (empty) or
 // not produced by the selected experiment is ignored, so `-exp index
 // -baseline .` checks only the index report.
 func checkBaselines(dir string, reports map[string]string) error {
-	checked := 0
+	checked, rows := 0, 0
 	for _, exp := range reportExps {
 		report := reports[exp]
 		if report == "" {
@@ -194,15 +193,17 @@ func checkBaselines(dir string, reports map[string]string) error {
 		if same, err := sameFile(report, basePath); err == nil && same {
 			return fmt.Errorf("-baseline %s: report %s IS the baseline; write the report elsewhere (e.g. -json %s=/tmp/%s)", dir, report, exp, name)
 		}
-		if err := experiments.CheckBaseline(report, basePath); err != nil {
+		n, err := experiments.CheckBaseline(report, basePath)
+		if err != nil {
 			return err
 		}
 		checked++
+		rows += n
 	}
 	if checked == 0 {
 		return fmt.Errorf("-baseline %s: no reports were written to check", dir)
 	}
-	fmt.Printf("baseline check: %d report(s) match %s schemas\n", checked, dir)
+	fmt.Printf("baseline check: %d row(s) in %d report(s) match the counts in %s\n", rows, checked, dir)
 	return nil
 }
 

@@ -48,18 +48,10 @@ type Config struct {
 	// skips runs predicted to be slow — a tripped RunTimeout stops the run
 	// in flight and the experiment proceeds with the partial clustering.
 	RunTimeout time.Duration
-	// SVDDJSONPath, when non-empty, makes the "svdd" experiment write its
-	// machine-readable report (SVDDBenchReport) to this file.
-	SVDDJSONPath string
-	// IndexJSONPath, when non-empty, makes the "index" experiment write its
-	// machine-readable report (IndexBenchReport) to this file.
-	IndexJSONPath string
-	// HighdimJSONPath, when non-empty, makes the "highdim" experiment write
-	// its machine-readable report (HighdimReport) to this file.
-	HighdimJSONPath string
-	// ShardJSONPath, when non-empty, makes the "shard" experiment write its
-	// machine-readable report (ShardReport) to this file.
-	ShardJSONPath string
+	// Reports maps a report experiment's id ("svdd", "index", "highdim",
+	// "shard") to the file its rows are merged into (see writeReport); an
+	// id with no path writes no report.
+	Reports map[string]string
 	// Precision selects the point-storage mode datasets are generated in
 	// (vec.F64 default). The precision-dimension sections of the svdd and
 	// index benchmarks measure both modes regardless; this knob converts the

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -66,8 +67,10 @@ func TestTable2Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "theta/n") {
-		t.Errorf("table2 output missing theta column:\n%s", out)
+	for _, want := range []string{"theta/n", "queries", "real/n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table2 output missing %q column:\n%s", want, out)
+		}
 	}
 }
 
@@ -80,7 +83,7 @@ func TestIndexPerfSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"kdtree", "rtree", "vptree", "speedup", "queries/s"} {
+	for _, want := range []string{"kdtree", "rtree", "vptree", "build_ns", "results", "scan"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("index bench output missing %q:\n%s", want, out)
 		}
@@ -92,14 +95,40 @@ func TestHighdimSmoke(t *testing.T) {
 		t.Skip("highdim bench builds several large structures")
 	}
 	var buf bytes.Buffer
-	if err := Highdim(&buf, tinyCfg()); err != nil {
+	cfg := tinyCfg()
+	cfg.Reports = map[string]string{"highdim": t.TempDir() + "/BENCH_highdim.json"}
+	if err := Highdim(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"rproj", "linear", "speedup", "ARI vs linear", "1.0000"} {
+	for _, want := range []string{"rproj", "linear", "max_cell", "ari_vs_linear"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("highdim output missing %q:\n%s", want, out)
 		}
+	}
+	rows, err := readReport(cfg.Reports["highdim"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// rproj is exact: every batch returns the linear oracle's result total
+	// and the clustering agrees with the linear one perfectly.
+	results := map[string]float64{}
+	for _, r := range rows {
+		switch r.Params["section"] {
+		case "query":
+			k := fmt.Sprint(r.Params["precision"], r.Params["dim"])
+			if prev, ok := results[k]; ok && prev != r.Counts["results"] {
+				t.Errorf("%s: results %v, linear %v", r.Key(), r.Counts["results"], prev)
+			}
+			results[k] = r.Counts["results"]
+		case "ari":
+			if r.Counts["ari_vs_linear"] != 1 {
+				t.Errorf("%s: ARI vs linear = %v, want 1", r.Key(), r.Counts["ari_vs_linear"])
+			}
+		}
+	}
+	if len(results) != 8 {
+		t.Errorf("query rows cover %d dim x precision cells, want 8", len(results))
 	}
 }
 
@@ -139,37 +168,45 @@ func TestShardBenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shard bench runs several clusterings")
 	}
-	rep := &ShardReport{
-		Seed: 1, Eps: shardBenchEps, MinPts: shardBenchMinPts, Dim: shardBenchDim,
-		Ns: []int{4000}, Shards: []int{2},
-	}
-	if err := runShardBenchPoint(tinyCfg(), rep, 4000, vec.F64); err != nil {
+	rows, err := runShardBenchPoint(tinyCfg(), 4000, []int{2}, vec.F64)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Entries) != 3 {
-		t.Fatalf("expected single+sharded+outofcore entries, got %d", len(rep.Entries))
+	if len(rows) != 3 {
+		t.Fatalf("expected single+sharded+outofcore rows, got %d", len(rows))
 	}
 	modes := []string{"single", "sharded", "outofcore"}
-	for i, e := range rep.Entries {
-		if e.Mode != modes[i] {
-			t.Errorf("entry %d mode = %q, want %q", i, e.Mode, modes[i])
+	for i, r := range rows {
+		if r.Params["section"] != modes[i] {
+			t.Errorf("row %d section = %v, want %q", i, r.Params["section"], modes[i])
 		}
-		if e.ElapsedNs <= 0 || e.Clusters == 0 {
-			t.Errorf("%s entry not populated: %+v", e.Mode, e)
+		if r.Measured["elapsed_ns"] <= 0 || r.Counts["clusters"] == 0 {
+			t.Errorf("%s row not populated: %+v", modes[i], r)
 		}
-		if e.ARIVsSingle < 0.99 {
-			t.Errorf("%s ARI vs single = %v, want ~1", e.Mode, e.ARIVsSingle)
+		if r.Counts["ari_vs_single"] < 0.99 {
+			t.Errorf("%s ARI vs single = %v, want ~1", modes[i], r.Counts["ari_vs_single"])
 		}
-		if e.DatasetBytes != 4000*shardBenchDim*8 {
-			t.Errorf("%s dataset bytes = %d", e.Mode, e.DatasetBytes)
+		if r.Counts["dataset_bytes"] != 4000*shardBenchDim*8 {
+			t.Errorf("%s dataset bytes = %v", modes[i], r.Counts["dataset_bytes"])
 		}
 	}
 
-	path := t.TempDir() + "/shard.json"
-	if err := WriteShardJSON(path, rep); err != nil {
+	// A report of these rows passes the baseline check against itself and
+	// fails it once a counter moves.
+	dir := t.TempDir()
+	path := dir + "/BENCH_shard.json"
+	if err := writeReport(path, rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckBaseline(path, path); err != nil {
-		t.Errorf("report does not match its own schema: %v", err)
+	if n, err := CheckBaseline(path, path); err != nil || n != 3 {
+		t.Errorf("report against itself: %d rows, %v", n, err)
+	}
+	rows[1].Counts["cross_merges"]++
+	moved := dir + "/moved.json"
+	if err := writeReport(moved, rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CheckBaseline(moved, path); err == nil || !strings.Contains(err.Error(), "cross_merges") {
+		t.Errorf("moved counter: err = %v", err)
 	}
 }

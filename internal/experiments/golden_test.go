@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dbsvec/internal/cluster"
+	"dbsvec/internal/core"
 	"dbsvec/internal/data"
 	"dbsvec/internal/dbscan"
 	"dbsvec/internal/index/backend"
@@ -72,6 +73,53 @@ func TestBaselineLabelsGolden(t *testing.T) {
 	for i, r := range runs {
 		if got := hex.EncodeToString(digests[i].Sum(nil)[:8]); got != r.want {
 			t.Errorf("%s: labels digest %s, want %s", r.name, got, r.want)
+		}
+	}
+}
+
+// TestDBSVECGolden pins DBSVEC's output over the whole open suite: one
+// SHA-256 over every label of every entry (little-endian uint32, suite
+// order) and one over the run counters (Seeds, SupportVectors, Merges,
+// NoiseList, RangeQueries, RangeCounts, SVDDTrainings, SVDDIterations and
+// Degraded, little-endian uint64 each, per entry). Every backend and worker
+// count gives the same digests, so two configurations stand in for all of
+// them. The digests differ per storage precision: float32 storage rounds
+// the coordinates once, which moves borderline neighbourhoods.
+func TestDBSVECGolden(t *testing.T) {
+	want := map[vec.Precision][2]string{
+		vec.F64: {"f1c7b13e7ea79105", "d904279dc601bec4"},
+		vec.F32: {"55a6b56271fb9e1c", "8cd22fe62c9213ce"},
+	}[vec.DefaultPrecision()]
+	for _, c := range []struct {
+		kind    backend.Kind
+		workers int
+	}{{backend.Linear, 2}, {backend.KDTree, 1}} {
+		build, err := c.kind.Builder(c.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels, counters := sha256.New(), sha256.New()
+		for _, e := range data.OpenSuite() {
+			res, st, err := core.Run(e.Gen(1), core.Options{
+				Eps: e.Eps, MinPts: e.MinPts, IndexBuilderCtx: build, Workers: c.workers,
+			})
+			if err != nil {
+				t.Fatalf("%s/%d on %s: %v", c.kind, c.workers, e.Name, err)
+			}
+			for _, l := range res.Labels {
+				labels.Write(binary.LittleEndian.AppendUint32(nil, uint32(l)))
+			}
+			for _, v := range []int64{
+				int64(st.Seeds), st.SupportVectors, int64(st.Merges), int64(st.NoiseList),
+				st.RangeQueries, st.RangeCounts, int64(st.SVDDTrainings), st.SVDDIterations,
+				int64(st.Degraded),
+			} {
+				counters.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
+			}
+		}
+		got := [2]string{hex.EncodeToString(labels.Sum(nil)[:8]), hex.EncodeToString(counters.Sum(nil)[:8])}
+		if got != want {
+			t.Errorf("%s/%d: labels, counters digests = %v, want %v", c.kind, c.workers, got, want)
 		}
 	}
 }

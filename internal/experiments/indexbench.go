@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"sort"
 	"time"
 
 	"dbsvec/internal/data"
-	"dbsvec/internal/engine"
 	"dbsvec/internal/index"
 	"dbsvec/internal/index/backend"
 	"dbsvec/internal/vec"
@@ -31,64 +27,6 @@ const (
 	indexBenchDim = 3
 	indexBenchEps = 25.0
 )
-
-// IndexBuildEntry is one backend's build time at one cardinality and worker
-// count, best of Repeats runs.
-type IndexBuildEntry struct {
-	Backend string `json:"backend"`
-	N       int    `json:"n"`
-	Workers int    `json:"workers"`
-	BuildNs int64  `json:"build_ns"`
-	// Speedup is the serial (workers=1) build time of the same backend and
-	// cardinality divided by this entry's; 1.0 for the serial rows.
-	Speedup float64 `json:"speedup_vs_serial"`
-}
-
-// IndexQueryEntry is one backend's range-query throughput at one
-// cardinality and storage precision, measured on the serial-built structure
-// (parallel builds are bit-identical, so query cost does not depend on the
-// build worker count).
-type IndexQueryEntry struct {
-	Backend       string  `json:"backend"`
-	Precision     string  `json:"precision"`
-	N             int     `json:"n"`
-	Queries       int     `json:"queries"`
-	TotalNs       int64   `json:"total_ns"`
-	QueriesPerSec float64 `json:"queries_per_sec"`
-	AvgResultSize float64 `json:"avg_result_size"`
-}
-
-// IndexScanEntry is one storage precision's batch linear-scan throughput at
-// the embeddings-like shape (scanN × scanDim): the memory-bound regime the
-// float32 storage mode targets. Queries are fused whole-dataset FilterWithin
-// scans, so bytes streamed per query is exactly n·d·(8 or 4).
-type IndexScanEntry struct {
-	Precision     string  `json:"precision"`
-	N             int     `json:"n"`
-	Dim           int     `json:"dim"`
-	Queries       int     `json:"queries"`
-	TotalNs       int64   `json:"total_ns"`
-	QueriesPerSec float64 `json:"queries_per_sec"`
-	// SpeedupVsF64 is the f64 entry's TotalNs divided by this entry's; 1.0
-	// for the f64 row itself.
-	SpeedupVsF64 float64 `json:"speedup_vs_f64"`
-}
-
-// IndexBenchReport is the machine-readable result benchall writes to
-// BENCH_index.json.
-type IndexBenchReport struct {
-	Dim          int               `json:"dim"`
-	Eps          float64           `json:"eps"`
-	Seed         int64             `json:"seed"`
-	Repeats      int               `json:"repeats"`
-	Sizes        []int             `json:"sizes"`
-	WorkerCounts []int             `json:"worker_counts"`
-	Builds       []IndexBuildEntry `json:"builds"`
-	Queries      []IndexQueryEntry `json:"queries"`
-	ScanN        int               `json:"scan_n"`
-	ScanDim      int               `json:"scan_dim"`
-	Scans        []IndexScanEntry  `json:"scans"`
-}
 
 // indexBenchKinds are the table's backends that build a structure at the
 // benchmark's low-dimensional shape: Linear builds nothing, and rproj is a
@@ -112,37 +50,23 @@ func indexBenchBuild(kind backend.Kind, ds *vec.Dataset, workers int) (index.Ind
 	return build(context.Background(), ds)
 }
 
-// indexBenchWorkerCounts returns the deduplicated, ascending worker counts
-// to sweep: serial, 2, and the resolved session worker count.
-func indexBenchWorkerCounts(cfg Config) []int {
-	set := map[int]bool{1: true, 2: true, engine.ResolveWorkers(cfg.Workers): true}
-	counts := make([]int, 0, len(set))
-	for w := range set {
-		counts = append(counts, w)
-	}
-	sort.Ints(counts)
-	return counts
-}
+// indexBenchWorkers are the build worker counts swept: fixed, so row keys
+// are the same on every machine.
+var indexBenchWorkers = []int{1, 2}
 
-// RunIndexBench executes the micro-benchmark and returns the report.
-func RunIndexBench(cfg Config) (*IndexBenchReport, error) {
+// RunIndexBench executes the micro-benchmark and returns its rows: build
+// time per backend, cardinality and worker count ("build"), range-query
+// time per backend, cardinality and storage precision ("query"), and the
+// batch linear scans ("scan").
+func RunIndexBench(cfg Config) ([]Row, error) {
 	sizes := []int{100_000, 500_000}
 	repeats, queries := 5, 1000
 	if cfg.Quick {
 		sizes = []int{20_000, 50_000}
 		repeats, queries = 3, 400
 	}
-	workerCounts := indexBenchWorkerCounts(cfg)
 
-	rep := &IndexBenchReport{
-		Dim:          indexBenchDim,
-		Eps:          indexBenchEps,
-		Seed:         cfg.Seed,
-		Repeats:      repeats,
-		Sizes:        sizes,
-		WorkerCounts: workerCounts,
-	}
-
+	var builds, queryRows []Row
 	for _, n := range sizes {
 		ds := data.Blobs(n, indexBenchDim, 16, 30, 1000, 0.02, cfg.Seed)
 		ds32, err := ds.ToPrecision(vec.F32)
@@ -150,31 +74,27 @@ func RunIndexBench(cfg Config) (*IndexBenchReport, error) {
 			return nil, fmt.Errorf("index bench f32 conversion: %w", err)
 		}
 		for _, kind := range indexBenchKinds() {
-			serialNs := int64(0)
-			for _, workers := range workerCounts {
+			for _, workers := range indexBenchWorkers {
 				best := int64(math.MaxInt64)
 				for r := 0; r < repeats; r++ {
 					start := time.Now()
 					if _, err := indexBenchBuild(kind, ds, workers); err != nil {
 						return nil, err
 					}
-					if ns := time.Since(start).Nanoseconds(); ns < best {
-						best = ns
-					}
+					best = min(best, time.Since(start).Nanoseconds())
 				}
-				if workers == 1 {
-					serialNs = best
-				}
-				rep.Builds = append(rep.Builds, IndexBuildEntry{
-					Backend: kind.String(),
-					N:       n,
-					Workers: workers,
-					BuildNs: best,
-					Speedup: speedup(serialNs, best),
+				builds = append(builds, Row{
+					Exp: "index",
+					Params: map[string]any{
+						"section": "build", "backend": kind.String(), "n": n, "dim": indexBenchDim,
+						"workers": workers, "repeats": repeats, "seed": cfg.Seed,
+					},
+					Counts:   map[string]float64{},
+					Measured: map[string]float64{"build_ns": float64(best)},
 				})
 			}
 
-			// Query throughput on the serial-built structure; parallel builds
+			// Query time on the serial-built structure; parallel builds
 			// produce bit-identical trees, so one measurement covers them all.
 			// Both storage precisions are measured — identical result sets,
 			// different leaf-scan bandwidth.
@@ -186,39 +106,33 @@ func RunIndexBench(cfg Config) (*IndexBenchReport, error) {
 				if err != nil {
 					return nil, err
 				}
-				stride := pv.ds.Len() / queries
-				if stride < 1 {
-					stride = 1
-				}
-				var results int64
+				stride := max(pv.ds.Len()/queries, 1)
+				var results int
 				buf := make([]int32, 0, 4096)
 				start := time.Now()
 				for q := 0; q < queries; q++ {
 					buf = idx.RangeQuery(pv.ds.Point(q*stride%pv.ds.Len()), indexBenchEps, buf[:0])
-					results += int64(len(buf))
+					results += len(buf)
 				}
 				total := time.Since(start).Nanoseconds()
-				qps := 0.0
-				if total > 0 {
-					qps = float64(queries) / (float64(total) / 1e9)
-				}
-				rep.Queries = append(rep.Queries, IndexQueryEntry{
-					Backend:       kind.String(),
-					Precision:     pv.prec,
-					N:             n,
-					Queries:       queries,
-					TotalNs:       total,
-					QueriesPerSec: qps,
-					AvgResultSize: float64(results) / float64(queries),
+				queryRows = append(queryRows, Row{
+					Exp: "index",
+					Params: map[string]any{
+						"section": "query", "backend": kind.String(), "precision": pv.prec,
+						"n": n, "dim": indexBenchDim, "queries": queries, "seed": cfg.Seed,
+					},
+					Counts:   map[string]float64{"results": float64(results)},
+					Measured: map[string]float64{"total_ns": float64(total)},
 				})
 			}
 		}
 	}
 
-	if err := runScanBench(cfg, rep); err != nil {
+	scans, err := runScanBench(cfg, repeats)
+	if err != nil {
 		return nil, err
 	}
-	return rep, nil
+	return append(append(builds, queryRows...), scans...), nil
 }
 
 // scanBenchN and scanBenchDim pin the batch-scan section's shape: an
@@ -233,20 +147,18 @@ const (
 )
 
 // runScanBench measures fused whole-dataset FilterWithin scans at the
-// embeddings shape for both storage precisions and appends the section to
-// rep. Best-of-repeats over a fixed query batch.
-func runScanBench(cfg Config, rep *IndexBenchReport) error {
+// embeddings shape for both storage precisions and returns one "scan" row
+// per precision: best of repeats over a fixed query batch.
+func runScanBench(cfg Config, repeats int) ([]Row, error) {
 	queries := 64
 	if cfg.Quick {
 		queries = 24
 	}
-	rep.ScanN = scanBenchN
-	rep.ScanDim = scanBenchDim
 
 	ds := data.Uniform(scanBenchN, scanBenchDim, 1000, cfg.Seed)
 	ds32, err := ds.ToPrecision(vec.F32)
 	if err != nil {
-		return fmt.Errorf("scan bench f32 conversion: %w", err)
+		return nil, fmt.Errorf("scan bench f32 conversion: %w", err)
 	}
 	// eps sized to catch a small neighborhood: scan cost is n·d regardless of
 	// the hit count (the fused kernels never early-exit), so the radius only
@@ -254,81 +166,44 @@ func runScanBench(cfg Config, rep *IndexBenchReport) error {
 	const scanEps = 300.0
 	eps2 := scanEps * scanEps
 
-	var f64Total int64
+	var rows []Row
 	for _, pv := range []struct {
 		prec string
 		ds   *vec.Dataset
 	}{{"f64", ds}, {"f32", ds32}} {
 		stride := pv.ds.Len() / queries
 		best := int64(math.MaxInt64)
+		var results int
 		buf := make([]int32, 0, 4096)
-		for r := 0; r < rep.Repeats; r++ {
+		for r := 0; r < repeats; r++ {
+			results = 0
 			start := time.Now()
 			for q := 0; q < queries; q++ {
 				buf = pv.ds.FilterWithin(pv.ds.Point(q*stride), eps2, buf[:0])
+				results += len(buf)
 			}
-			if ns := time.Since(start).Nanoseconds(); ns < best {
-				best = ns
-			}
+			best = min(best, time.Since(start).Nanoseconds())
 		}
-		if pv.prec == "f64" {
-			f64Total = best
-		}
-		qps := 0.0
-		if best > 0 {
-			qps = float64(queries) / (float64(best) / 1e9)
-		}
-		rep.Scans = append(rep.Scans, IndexScanEntry{
-			Precision:     pv.prec,
-			N:             scanBenchN,
-			Dim:           scanBenchDim,
-			Queries:       queries,
-			TotalNs:       best,
-			QueriesPerSec: qps,
-			SpeedupVsF64:  speedup(f64Total, best),
+		rows = append(rows, Row{
+			Exp: "index",
+			Params: map[string]any{
+				"section": "scan", "precision": pv.prec, "n": scanBenchN, "dim": scanBenchDim,
+				"queries": queries, "repeats": repeats, "seed": cfg.Seed,
+			},
+			Counts:   map[string]float64{"results": float64(results)},
+			Measured: map[string]float64{"total_ns": float64(best)},
 		})
 	}
-	return nil
+	return rows, nil
 }
 
-// IndexPerf is the registry entry: it prints the build and query tables and,
-// when cfg.IndexJSONPath is set, writes the machine-readable report there.
+// IndexPerf is the registry entry: it prints the rows and, when cfg.Reports
+// names a path for "index", merges them into that report.
 func IndexPerf(w io.Writer, cfg Config) error {
 	header(w, "Index construction: parallel bulk loads + packed leaf blocks")
-	rep, err := RunIndexBench(cfg)
+	rows, err := RunIndexBench(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-8s %9s %8s %12s %9s\n", "backend", "n", "workers", "build", "speedup")
-	for _, e := range rep.Builds {
-		fmt.Fprintf(w, "%-8s %9d %8d %11.3fms %8.2fx\n",
-			e.Backend, e.N, e.Workers, float64(e.BuildNs)/1e6, e.Speedup)
-	}
-	fmt.Fprintf(w, "\n%-8s %5s %9s %8s %12s %14s %10s\n", "backend", "prec", "n", "queries", "total", "queries/s", "avg|hood|")
-	for _, e := range rep.Queries {
-		fmt.Fprintf(w, "%-8s %5s %9d %8d %11.3fms %14.0f %10.1f\n",
-			e.Backend, e.Precision, e.N, e.Queries, float64(e.TotalNs)/1e6, e.QueriesPerSec, e.AvgResultSize)
-	}
-	fmt.Fprintf(w, "\nbatch linear scans (n=%d, d=%d):\n", rep.ScanN, rep.ScanDim)
-	fmt.Fprintf(w, "%-5s %8s %12s %14s %9s\n", "prec", "queries", "total", "queries/s", "speedup")
-	for _, e := range rep.Scans {
-		fmt.Fprintf(w, "%-5s %8d %11.3fms %14.1f %8.2fx\n",
-			e.Precision, e.Queries, float64(e.TotalNs)/1e6, e.QueriesPerSec, e.SpeedupVsF64)
-	}
-	if cfg.IndexJSONPath != "" {
-		if err := WriteIndexBenchJSON(cfg.IndexJSONPath, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", cfg.IndexJSONPath)
-	}
-	return nil
-}
-
-// WriteIndexBenchJSON writes the report as indented JSON.
-func WriteIndexBenchJSON(path string, rep *IndexBenchReport) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return emitReport(w, cfg, "index", rows)
 }

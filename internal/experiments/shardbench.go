@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -42,44 +41,6 @@ const (
 	shardBenchMinPts = 100
 )
 
-// ShardEntry is one timed run of one mode.
-type ShardEntry struct {
-	Mode      string `json:"mode"` // single | sharded | outofcore
-	Precision string `json:"precision"`
-	N         int    `json:"n"`
-	Dim       int    `json:"dim"`
-	Shards    int    `json:"shards"`
-	ElapsedNs int64  `json:"elapsed_ns"`
-	Clusters  int    `json:"clusters"`
-	// ARIVsSingle compares against the same-precision single run (1.0 for
-	// the single rows themselves).
-	ARIVsSingle float64 `json:"ari_vs_single"`
-	// SpeedupVsSingle is the single run's wall clock divided by this one's.
-	SpeedupVsSingle float64 `json:"speedup_vs_single"`
-	// PeakHeapBytes is the sampled peak live heap during the run;
-	// DatasetBytes the dataset's in-RAM coordinate footprint (f32 storage
-	// carries a float64 master plus the float32 mirror). Their ratio is the
-	// out-of-core story: outofcore rows stay well below 1.
-	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
-	DatasetBytes  int64  `json:"dataset_bytes"`
-	// BoundaryPoints / CrossMerges report the halo-merge work (0 for single).
-	BoundaryPoints int `json:"boundary_points"`
-	CrossMerges    int `json:"cross_merges"`
-}
-
-// ShardReport is the machine-readable result benchall writes to
-// BENCH_shard.json.
-type ShardReport struct {
-	Seed    int64        `json:"seed"`
-	Eps     float64      `json:"eps"`
-	MinPts  int          `json:"min_pts"`
-	Dim     int          `json:"dim"`
-	Ns      []int        `json:"ns"`
-	Shards  []int        `json:"shards"`
-	Workers int          `json:"workers"`
-	Entries []ShardEntry `json:"entries"`
-}
-
 // datasetBytes is the in-RAM coordinate footprint of n points in d
 // dimensions at the given precision: a float64 master always, plus the
 // float32 mirror in F32 storage.
@@ -91,52 +52,70 @@ func datasetBytes(n, d int, prec vec.Precision) int64 {
 	return int64(n) * int64(d) * per
 }
 
-// RunShardBench executes the benchmark and returns the report.
-func RunShardBench(cfg Config) (*ShardReport, error) {
+// RunShardBench executes the benchmark and returns its rows, one per mode
+// ("single", "sharded", "outofcore"), cardinality, storage precision and
+// shard count.
+func RunShardBench(cfg Config) ([]Row, error) {
 	ns := []int{100_000, 300_000, 1_000_000}
 	shardCounts := []int{4, 8}
 	if cfg.Quick {
 		ns = []int{10_000, 30_000}
 		shardCounts = []int{2, 4}
 	}
-	rep := &ShardReport{
-		Seed:    cfg.Seed,
-		Eps:     shardBenchEps,
-		MinPts:  shardBenchMinPts,
-		Dim:     shardBenchDim,
-		Ns:      ns,
-		Shards:  shardCounts,
-		Workers: cfg.Workers,
-	}
+	var rows []Row
 	for _, n := range ns {
 		for _, prec := range []vec.Precision{vec.F64, vec.F32} {
-			if err := runShardBenchPoint(cfg, rep, n, prec); err != nil {
+			point, err := runShardBenchPoint(cfg, n, shardCounts, prec)
+			if err != nil {
 				return nil, err
 			}
+			rows = append(rows, point...)
 		}
 	}
-	return rep, nil
+	return rows, nil
 }
 
 // runShardBenchPoint measures every mode at one cardinality and precision.
-func runShardBenchPoint(cfg Config, rep *ShardReport, n int, prec vec.Precision) error {
+func runShardBenchPoint(cfg Config, n int, shardCounts []int, prec vec.Precision) ([]Row, error) {
 	copts := core.Options{
 		Eps: shardBenchEps, MinPts: shardBenchMinPts, Seed: cfg.Seed, Workers: cfg.Workers,
 		Budget: core.Budget{MaxDuration: cfg.RunTimeout},
 	}
-	footprint := datasetBytes(n, shardBenchDim, prec)
 	precName := "f64"
 	if prec == vec.F32 {
 		precName = "f32"
+	}
+	// row folds one run into a report row. Every non-single row carries its
+	// ARI against the same-precision single run.
+	var single *clusterResult
+	row := func(mode string, k int, elapsedNs int64, res *clusterResult, sst shard.Stats) (Row, error) {
+		ari, err := eval.AdjustedRandIndex(single, res)
+		if err != nil {
+			return Row{}, fmt.Errorf("shard bench ari: %w", err)
+		}
+		return Row{
+			Exp: "shard",
+			Params: map[string]any{
+				"section": mode, "precision": precName, "n": n, "dim": shardBenchDim,
+				"shards": k, "seed": cfg.Seed,
+			},
+			Counts: map[string]float64{
+				"clusters": float64(res.Clusters), "ari_vs_single": ari,
+				"boundary_points": float64(sst.BoundaryPoints), "cross_merges": float64(sst.CrossMerges),
+				"dataset_bytes": float64(datasetBytes(n, shardBenchDim, prec)),
+			},
+			Measured: map[string]float64{
+				"elapsed_ns": float64(elapsedNs), "peak_heap_bytes": float64(sst.PeakHeapBytes),
+			},
+		}, nil
 	}
 
 	// Generate, run the in-memory modes, and spill the binary file — inside a
 	// closure so the dataset itself becomes collectible before the
 	// out-of-core run measures its peak heap.
 	var (
-		single   *clusterResult
-		singleNs int64
-		binPath  string
+		rows    []Row
+		binPath string
 	)
 	err := func() error {
 		ds := data.SeedSpreader{N: n, D: shardBenchDim, Seed: cfg.Seed}.Generate()
@@ -153,15 +132,13 @@ func runShardBenchPoint(cfg Config, rep *ShardReport, n int, prec vec.Precision)
 		if err != nil {
 			return fmt.Errorf("shard bench single n=%d: %w", n, err)
 		}
-		singleNs = time.Since(start).Nanoseconds()
-		rep.Entries = append(rep.Entries, ShardEntry{
-			Mode: "single", Precision: precName, N: n, Dim: shardBenchDim, Shards: 1,
-			ElapsedNs: singleNs, Clusters: single.Clusters,
-			ARIVsSingle: 1, SpeedupVsSingle: 1,
-			PeakHeapBytes: peak, DatasetBytes: footprint,
-		})
+		r, err := row("single", 1, time.Since(start).Nanoseconds(), single, shard.Stats{PeakHeapBytes: peak})
+		if err != nil {
+			return err
+		}
+		rows = append(rows, r)
 
-		for _, k := range rep.Shards {
+		for _, k := range shardCounts {
 			start := time.Now()
 			res, _, sst, err := shard.Run(shard.NewMemSource(ds), shard.Options{
 				Core: copts, Shards: k, Concurrency: 1,
@@ -169,11 +146,11 @@ func runShardBenchPoint(cfg Config, rep *ShardReport, n int, prec vec.Precision)
 			if err != nil {
 				return fmt.Errorf("shard bench sharded k=%d n=%d: %w", k, n, err)
 			}
-			e, err := shardEntry("sharded", precName, n, k, time.Since(start).Nanoseconds(), res, &sst, single, singleNs, footprint)
+			r, err := row("sharded", k, time.Since(start).Nanoseconds(), res, sst)
 			if err != nil {
 				return err
 			}
-			rep.Entries = append(rep.Entries, e)
+			rows = append(rows, r)
 		}
 
 		f, err := os.CreateTemp("", "dbsvec-shardbench-*.bin")
@@ -191,7 +168,7 @@ func runShardBenchPoint(cfg Config, rep *ShardReport, n int, prec vec.Precision)
 		if binPath != "" {
 			os.Remove(binPath)
 		}
-		return err
+		return nil, err
 	}
 	defer os.Remove(binPath)
 
@@ -203,71 +180,33 @@ func runShardBenchPoint(cfg Config, rep *ShardReport, n int, prec vec.Precision)
 	runtime.GC()
 	fs, err := shard.OpenFile(binPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer fs.Close()
-	for _, k := range rep.Shards {
+	for _, k := range shardCounts {
 		start := time.Now()
 		res, _, sst, err := shard.Run(fs, shard.Options{Core: copts, Shards: k, Concurrency: 1})
 		if err != nil {
-			return fmt.Errorf("shard bench outofcore n=%d: %w", n, err)
+			return nil, fmt.Errorf("shard bench outofcore n=%d: %w", n, err)
 		}
-		e, err := shardEntry("outofcore", precName, n, k, time.Since(start).Nanoseconds(), res, &sst, single, singleNs, footprint)
+		r, err := row("outofcore", k, time.Since(start).Nanoseconds(), res, sst)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rep.Entries = append(rep.Entries, e)
+		rows = append(rows, r)
 		runtime.GC()
 	}
-	return nil
+	return rows, nil
 }
 
-// shardEntry folds one sharded run into a report row.
-func shardEntry(mode, prec string, n, k int, elapsedNs int64, res *clusterResult, sst *shard.Stats, single *clusterResult, singleNs int64, footprint int64) (ShardEntry, error) {
-	ari, err := eval.AdjustedRandIndex(single, res)
-	if err != nil {
-		return ShardEntry{}, fmt.Errorf("shard bench ari: %w", err)
-	}
-	return ShardEntry{
-		Mode: mode, Precision: prec, N: n, Dim: shardBenchDim, Shards: k,
-		ElapsedNs: elapsedNs, Clusters: res.Clusters,
-		ARIVsSingle: ari, SpeedupVsSingle: speedup(singleNs, elapsedNs),
-		PeakHeapBytes: sst.PeakHeapBytes, DatasetBytes: footprint,
-		BoundaryPoints: sst.BoundaryPoints, CrossMerges: sst.CrossMerges,
-	}, nil
-}
-
-// ShardBench is the registry entry: it prints the comparison table and, when
-// cfg.ShardJSONPath is set, writes the machine-readable report there.
+// ShardBench is the registry entry: it prints the rows and, when
+// cfg.Reports names a path for "shard", merges them into that report.
 func ShardBench(w io.Writer, cfg Config) error {
-	header(w, "Sharded out-of-core execution: slabs vs single-shot")
-	rep, err := RunShardBench(cfg)
+	header(w, fmt.Sprintf("Sharded out-of-core execution: slabs vs single-shot (SeedSpreader, eps=%d, minPts=%d)",
+		shardBenchEps, shardBenchMinPts))
+	rows, err := RunShardBench(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "eps=%g minPts=%d d=%d (SeedSpreader)\n\n", rep.Eps, rep.MinPts, rep.Dim)
-	fmt.Fprintf(w, "%-10s %5s %9s %7s %11s %9s %8s %8s %10s %10s\n",
-		"mode", "prec", "n", "shards", "elapsed", "clusters", "ARI", "speedup", "peakheap", "dataset")
-	for _, e := range rep.Entries {
-		fmt.Fprintf(w, "%-10s %5s %9d %7d %10.3fs %9d %8.4f %7.2fx %9.1fM %9.1fM\n",
-			e.Mode, e.Precision, e.N, e.Shards, float64(e.ElapsedNs)/1e9, e.Clusters,
-			e.ARIVsSingle, e.SpeedupVsSingle,
-			float64(e.PeakHeapBytes)/1e6, float64(e.DatasetBytes)/1e6)
-	}
-	if cfg.ShardJSONPath != "" {
-		if err := WriteShardJSON(cfg.ShardJSONPath, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", cfg.ShardJSONPath)
-	}
-	return nil
-}
-
-// WriteShardJSON writes the report as indented JSON.
-func WriteShardJSON(path string, rep *ShardReport) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return emitReport(w, cfg, "shard", rows)
 }
