@@ -56,7 +56,6 @@ func TestAllAlgorithmsAgreeOnEasyData(t *testing.T) {
 	runners := []runner{
 		{"dbsvec", func() (*Result, error) { return Cluster(ds, Options{Eps: 4, MinPts: 8}) }},
 		{"dbsvec-kdtree", func() (*Result, error) { return Cluster(ds, Options{Eps: 4, MinPts: 8, Index: IndexKDTree}) }},
-		{"dbsvec-vptree", func() (*Result, error) { return Cluster(ds, Options{Eps: 4, MinPts: 8, Index: IndexVPTree}) }},
 		{"dbsvec-rproj", func() (*Result, error) { return Cluster(ds, Options{Eps: 4, MinPts: 8, Index: IndexRProj}) }},
 		{"dbscan-parallel", func() (*Result, error) { return DBSCANParallel(ds, 4, 8, IndexLinear, 0) }},
 		{"rho", func() (*Result, error) { return RhoApproximate(ds, RhoOptions{Eps: 4, MinPts: 8}) }},

@@ -55,9 +55,6 @@ const (
 	// IndexRTree is an STR bulk-loaded R*-tree (the paper's R-DBSCAN
 	// ground-truth configuration).
 	IndexRTree = backend.RTree
-	// IndexVPTree is a vantage-point tree: metric pruning via the triangle
-	// inequality, a strong exact backend in high dimensions.
-	IndexVPTree = backend.VPTree
 	// IndexRProj is the random-projection cell backend: points are binned
 	// by quantized random projections at build time and cells are pruned at
 	// query time with exact centroid/radius ball bounds — exact query

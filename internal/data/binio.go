@@ -65,12 +65,6 @@ func (h BinHeader) valueWidth() int {
 	return 8
 }
 
-// PointBytes returns the byte length of one row-major point record.
-func (h BinHeader) PointBytes() int64 { return int64(h.D) * int64(h.valueWidth()) }
-
-// DataOffset returns the file offset of point 0.
-func (h BinHeader) DataOffset() int64 { return binHeaderSize }
-
 // parseBinHeader validates a raw header block. Shared by the streaming
 // ReadBinary path and the io.ReaderAt probe so both enforce identical bounds.
 func parseBinHeader(head []byte) (BinHeader, error) {
@@ -123,7 +117,7 @@ func ReadBinaryBlock(r io.ReaderAt, h BinHeader, start, count int, out []float64
 	}
 	width := h.valueWidth()
 	raw := make([]byte, count*h.D*width)
-	off := h.DataOffset() + int64(start)*h.PointBytes()
+	off := binHeaderSize + int64(start)*int64(h.D*width)
 	if _, err := r.ReadAt(raw, off); err != nil {
 		return fmt.Errorf("%w: truncated coordinates: %w", ErrMalformed, err)
 	}

@@ -450,20 +450,6 @@ func countIDs[E elem](c []E, dim int, q []float64, eps2 float64, ids []int32, li
 	return count
 }
 
-// NearestIDs scans the selected rows for the one strictly closer to q than
-// bestD and returns its id and squared distance, or (-1, bestD) when none
-// beats the bound. Ties keep the earliest candidate, matching the
-// deterministic leaf scans of the tree backends.
-func NearestIDs(m Matrix, q []float64, ids []int32, bestD float64) (int32, float64) {
-	best := int32(-1)
-	for _, id := range ids {
-		if d2 := SqDist(m.Row(int(id)), q); d2 < bestD {
-			best, bestD = id, d2
-		}
-	}
-	return best, bestD
-}
-
 // Nearest returns the index of the row closest to q and its squared
 // distance, scanning rows in ascending order with strict-improvement ties
 // (the first minimum wins). It returns (-1, 0) for an empty matrix.

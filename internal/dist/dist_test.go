@@ -210,21 +210,13 @@ func TestNormCachedAgainstNaive(t *testing.T) {
 }
 
 // TestNearestKernels pins the tie-breaking contract: the earliest candidate
-// at the minimum distance wins, and the bound in NearestIDs is strict.
+// at the minimum distance wins.
 func TestNearestKernels(t *testing.T) {
 	m := Matrix{Coords: []float64{0, 0, 1, 0, 1, 0, 2, 2}, Dim: 2}
 	q := []float64{1, 0}
 	// Rows 1 and 2 are duplicates at distance 0; row 1 comes first.
 	if best, d2 := Nearest(m, q); best != 1 || d2 != 0 {
 		t.Fatalf("Nearest = (%d, %v), want (1, 0)", best, d2)
-	}
-	ids := []int32{3, 2, 1}
-	if best, d2 := NearestIDs(m, q, ids, math.Inf(1)); best != 2 || d2 != 0 {
-		t.Fatalf("NearestIDs = (%d, %v), want (2, 0)", best, d2)
-	}
-	// Strict bound: nothing strictly closer than 0.
-	if best, _ := NearestIDs(m, q, ids, 0); best != -1 {
-		t.Fatalf("NearestIDs with bound 0 found %d, want -1", best)
 	}
 	if best, _ := Nearest(Matrix{Dim: 2}, q); best != -1 {
 		t.Fatalf("Nearest on empty matrix = %d, want -1", best)

@@ -11,16 +11,6 @@ import "unsafe"
 // mirror when the matrix carries one, and run the AVX kernels for d >= 4
 // where the CPU has them.
 
-// DotsTo writes the dot product of each selected row with q into out:
-// out[k] = row(ids[k])·q. out must have length >= len(ids).
-func DotsTo(m Matrix, q []float64, ids []int32, out []float64) {
-	if m.Coords32 != nil {
-		dotsGather(m.Coords32, m.Dim, q, ids, out)
-		return
-	}
-	dotsGather(m.Coords, m.Dim, q, ids, out)
-}
-
 // DotsToAll writes the dot product of every row with q into out:
 // out[i] = row(i)·q. out must have length >= m.Len(). This is the dense
 // matrix-vector product behind batch hashing: projecting a whole dataset
@@ -98,22 +88,6 @@ func dotsRange[E elem](c []E, dim int, q []float64, lo, hi int, out []float64) {
 	}
 	for k := range out {
 		out[k] = dotTail(row(rows, dim, k), q, w, out[k])
-	}
-}
-
-// dotsGather is dotsRange for an explicit id list: out[k] = row(ids[k])·q.
-func dotsGather[E elem](c []E, dim int, q []float64, ids []int32, out []float64) {
-	if !hasAVX || dim < 4 {
-		for k, id := range ids {
-			out[k] = dotRow(row(c, dim, int(id)), q)
-		}
-		return
-	}
-	g := dim >> 2
-	q = q[:dim]
-	for k, id := range ids {
-		r := row(c, dim, int(id))
-		out[k] = dotTail(r, q, g<<2, dotGroupsAVX(&r[0], &q[0], g))
 	}
 }
 

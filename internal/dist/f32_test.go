@@ -98,7 +98,6 @@ func f32MatchesWidened(t *testing.T) {
 			{"CountWithinIDs", func(m Matrix) []uint64 {
 				return []uint64{uint64(CountWithinIDs(m, q, eps2, ids, 0)), uint64(CountWithinIDs(m, q, eps2, ids, 3))}
 			}},
-			{"DotsTo", func(m Matrix) []uint64 { o := make([]float64, len(ids)); DotsTo(m, q, ids, o); return f64Bits(o) }},
 			{"DotsToAll", func(m Matrix) []uint64 { o := make([]float64, n); DotsToAll(m, q, o); return f64Bits(o) }},
 			{"DotsToRange", func(m Matrix) []uint64 { o := make([]float64, hi-lo); DotsToRange(m, q, lo, hi, o); return f64Bits(o) }},
 		}

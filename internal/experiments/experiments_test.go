@@ -83,7 +83,7 @@ func TestIndexPerfSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"kdtree", "rtree", "vptree", "build_ns", "results", "scan"} {
+	for _, want := range []string{"kdtree", "rtree", "build_ns", "results", "scan"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("index bench output missing %q:\n%s", want, out)
 		}

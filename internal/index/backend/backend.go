@@ -16,7 +16,6 @@ import (
 	"dbsvec/internal/index/kdtree"
 	"dbsvec/internal/index/rproj"
 	"dbsvec/internal/index/rtree"
-	"dbsvec/internal/index/vptree"
 	"dbsvec/internal/vec"
 )
 
@@ -28,7 +27,6 @@ const (
 	Linear Kind = iota
 	KDTree
 	RTree
-	VPTree
 	RProj
 )
 
@@ -42,7 +40,6 @@ var table = [...]struct {
 	Linear: {"linear", bound(index.NewLinear)},
 	KDTree: {"kdtree", bound(kdtree.New)},
 	RTree:  {"rtree", bound(rtree.New)},
-	VPTree: {"vptree", bound(vptree.New)},
 	RProj:  {"rproj", bound(rproj.New)},
 }
 

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"dbsvec/internal/core"
@@ -25,11 +26,18 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestKindNames: every kind survives String → Parse, the names are unique,
-// and unknown names and unknown kinds are parameter errors.
+// TestKindNames pins the table: its names and order, and the public Kind
+// values (dbsvec.IndexKind re-exports them, so renumbering is an API change).
+// Every kind survives String → Parse, and unknown names (including deleted
+// backends) and unknown kinds are parameter errors.
 func TestKindNames(t *testing.T) {
-	if Linear != 0 {
-		t.Fatalf("Linear = %d, want the zero value", Linear)
+	if got, want := Names(), []string{"linear", "kdtree", "rtree", "rproj"}; !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
+	}
+	for want, k := range []Kind{Linear, KDTree, RTree, RProj} {
+		if int(k) != want {
+			t.Errorf("%v = %d, want %d", k, int(k), want)
+		}
 	}
 	for _, k := range Kinds() {
 		got, err := Parse(k.String())
@@ -37,7 +45,7 @@ func TestKindNames(t *testing.T) {
 			t.Errorf("Parse(%q) = %v, %v; want %v", k.String(), got, err, k)
 		}
 	}
-	for _, name := range []string{"", "pyramid", "parallel", "grid", "KDTree", "kd-tree"} {
+	for _, name := range []string{"", "pyramid", "parallel", "grid", "vptree", "KDTree", "kd-tree"} {
 		if _, err := Parse(name); !errors.Is(err, core.ErrInvalidParams) {
 			t.Errorf("Parse(%q): err = %v, want ErrInvalidParams", name, err)
 		}

@@ -271,19 +271,12 @@ func batchCancel(t *testing.T, build index.CtxBuilder, ds *vec.Dataset, eps floa
 	}
 }
 
-// nearester is the optional exact nearest-neighbor capability some backends
-// expose; when present it participates in the determinism comparison.
-type nearester interface {
-	Nearest(q []float64) (int32, float64)
-}
-
 // RunBuildDeterminism is the parallel-build conformance property: an index
 // built with workers=1 and one built with workers=N must answer every query
 // bit-identically — same ids in the same order from RangeQuery, same
-// RangeCount (limited and exhaustive), same Nearest id and squared distance
-// where exposed — on the fuzz corpus. Backends guarantee this by fixing the
-// work partition before any goroutine runs, so this check pins that no
-// scheduling dependence has crept into construction.
+// RangeCount (limited and exhaustive) — on the fuzz corpus. Backends
+// guarantee this by fixing the work partition before any goroutine runs, so
+// this check pins that no scheduling dependence has crept into construction.
 func RunBuildDeterminism(t *testing.T, name string, build func(workers int) index.CtxBuilder) {
 	t.Helper()
 	corpus := []struct {
@@ -319,9 +312,8 @@ func BuildersAgree(t *testing.T, a, b index.CtxBuilder) {
 
 // sameAnswers fails t unless got and want answer 40 random queries over ds
 // (half on data points, half anywhere in a 1.4× box around it, radii 0.2–1.8
-// eps) identically: same ids in the same order from RangeQuery, same
-// RangeCount (limited and exhaustive), and the same Nearest id and squared
-// distance where both expose it.
+// eps) identically: same ids in the same order from RangeQuery and the same
+// RangeCount (limited and exhaustive).
 func sameAnswers(t *testing.T, got, want index.Index, ds *vec.Dataset, eps float64, seed int64) {
 	t.Helper()
 	if got.Len() != want.Len() {
@@ -353,15 +345,6 @@ func sameAnswers(t *testing.T, got, want index.Index, ds *vec.Dataset, eps float
 		if len(w) >= 3 {
 			if gc, wc := got.RangeCount(q, e, 3), want.RangeCount(q, e, 3); gc != wc {
 				t.Fatalf("RangeCount(limit=3) = %d, want %d", gc, wc)
-			}
-		}
-		gn, gok := got.(nearester)
-		wn, wok := want.(nearester)
-		if gok && wok {
-			gid, gd := gn.Nearest(q)
-			wid, wd := wn.Nearest(q)
-			if gid != wid || gd != wd {
-				t.Fatalf("Nearest = (%d,%v), want (%d,%v)", gid, gd, wid, wd)
 			}
 		}
 	}

@@ -13,13 +13,12 @@
 //
 // After the structure is built the leaf points are additionally packed into
 // a contiguous leaf-ordered matrix, so range queries stream each leaf as one
-// cache-friendly block scan instead of gathering rows by id; hits are
-// remapped to original ids through the leaf permutation.
+// cache-friendly block scan; hits are remapped to original ids through the
+// leaf permutation.
 package kdtree
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 
 	"dbsvec/internal/dist"
@@ -43,8 +42,7 @@ type Tree struct {
 	// packed holds the points in leaf order (row k is the point with id
 	// ids[k]), so leaf scans stream contiguous memory, in the storage the
 	// dataset's scans stream: its float32 mirror in F32 mode, half the bytes
-	// per scan. An empty matrix falls back to gathering rows by id; both
-	// paths are bit-identical (see internal/dist).
+	// per scan.
 	packed dist.Matrix
 }
 
@@ -287,14 +285,9 @@ func (t *Tree) selectNth(start, end, nth, dim int) {
 	}
 }
 
-// scanLeaf appends the ids of leaf nd's points within eps2 of q. The packed
-// path streams the leaf's contiguous block and remaps positions to original
-// ids; the gather path reads rows by id. Both visit the same points in the
-// same order with the same distance kernel, so output is bit-identical.
+// scanLeaf appends the ids of leaf nd's points within eps2 of q: it streams
+// the leaf's contiguous block and remaps positions to original ids.
 func (t *Tree) scanLeaf(nd *node, q []float64, eps2 float64, buf []int32) []int32 {
-	if t.packed.Dim == 0 {
-		return t.ds.FilterWithinIDs(q, eps2, t.ids[nd.start:nd.end], buf)
-	}
 	mark := len(buf)
 	buf = dist.FilterWithinRange(t.packed, q, eps2, int(nd.start), int(nd.end), buf)
 	for i := mark; i < len(buf); i++ {
@@ -305,9 +298,6 @@ func (t *Tree) scanLeaf(nd *node, q []float64, eps2 float64, buf []int32) []int3
 
 // countLeaf counts leaf nd's points within eps2 of q (see scanLeaf).
 func (t *Tree) countLeaf(nd *node, q []float64, eps2 float64, limit int) int {
-	if t.packed.Dim == 0 {
-		return t.ds.CountWithinIDs(q, eps2, t.ids[nd.start:nd.end], limit)
-	}
 	return dist.CountWithinRange(t.packed, q, eps2, int(nd.start), int(nd.end), limit)
 }
 
@@ -365,38 +355,6 @@ func (t *Tree) RangeCount(q []float64, eps float64, limit int) int {
 	}
 	rec(0)
 	return count
-}
-
-// Nearest returns the id of the indexed point closest to q and the squared
-// distance to it. It returns (-1, +Inf) on an empty tree. Ties break toward
-// the lower id encountered first in traversal order.
-func (t *Tree) Nearest(q []float64) (int32, float64) {
-	if t.ds.Len() == 0 {
-		return -1, math.Inf(1)
-	}
-	best := int32(-1)
-	bestD := math.Inf(1)
-	var rec func(ni int32)
-	rec = func(ni int32) {
-		nd := &t.nodes[ni]
-		if nd.left < 0 {
-			if id, d := dist.NearestIDs(t.ds.Matrix(), q, t.ids[nd.start:nd.end], bestD); id >= 0 {
-				best, bestD = id, d
-			}
-			return
-		}
-		diff := q[nd.splitDim] - nd.splitVal
-		near, far := nd.left, nd.right
-		if diff > 0 {
-			near, far = far, near
-		}
-		rec(near)
-		if diff*diff < bestD {
-			rec(far)
-		}
-	}
-	rec(0)
-	return best, bestD
 }
 
 var _ index.Index = (*Tree)(nil)

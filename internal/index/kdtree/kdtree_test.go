@@ -3,7 +3,6 @@ package kdtree
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -81,89 +80,6 @@ func TestParallelStructureIdentical(t *testing.T) {
 	}
 }
 
-// TestPackedMatchesGather pins the acceptance property of the packed-leaf
-// layout: streaming the contiguous leaf blocks must yield bitwise-identical
-// results — same ids, same order, same counts — as the historical
-// gather-by-id leaf scan.
-func TestPackedMatchesGather(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, d := range []int{2, 3, 5, 9} {
-		n := 3000
-		rows := make([][]float64, n)
-		for i := range rows {
-			rows[i] = make([]float64, d)
-			for j := range rows[i] {
-				rows[i][j] = rng.Float64() * 100
-			}
-		}
-		ds, _ := dbssrc.FromRows(rows)
-		packed := mustNew(t, ds, 1)
-		gather := &Tree{ds: packed.ds, ids: packed.ids, nodes: packed.nodes} // packed matrix absent: leaf scans gather by id
-		for iter := 0; iter < 60; iter++ {
-			q := make([]float64, d)
-			for j := range q {
-				q[j] = rng.Float64() * 100
-			}
-			eps := 5 + rng.Float64()*30
-			got := packed.RangeQuery(q, eps, nil)
-			want := gather.RangeQuery(q, eps, nil)
-			if !slices.Equal(got, want) {
-				t.Fatalf("d=%d eps=%g: packed %v != gather %v", d, eps, got, want)
-			}
-			if g, w := packed.RangeCount(q, eps, 0), gather.RangeCount(q, eps, 0); g != w {
-				t.Fatalf("d=%d: packed count %d != gather %d", d, g, w)
-			}
-			if g, w := packed.RangeCount(q, eps, 7), gather.RangeCount(q, eps, 7); g != w {
-				t.Fatalf("d=%d: packed limited count %d != gather %d", d, g, w)
-			}
-		}
-	}
-}
-
-func TestNearest(t *testing.T) {
-	ds, _ := dbssrc.FromRows([][]float64{{0, 0}, {10, 10}, {3, 4}})
-	tr := mustNew(t, ds, 1)
-	id, d2 := tr.Nearest([]float64{2.9, 4.1})
-	if id != 2 {
-		t.Errorf("Nearest id = %d, want 2", id)
-	}
-	if math.Abs(d2-(0.1*0.1+0.1*0.1)) > 1e-9 {
-		t.Errorf("Nearest d2 = %v", d2)
-	}
-}
-
-func TestNearestEmpty(t *testing.T) {
-	ds, _ := dbssrc.FromRows(nil)
-	tr := mustNew(t, ds, 1)
-	id, d2 := tr.Nearest([]float64{0})
-	if id != -1 || !math.IsInf(d2, 1) {
-		t.Errorf("Nearest on empty = %d,%v", id, d2)
-	}
-}
-
-func TestNearestMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	rows := make([][]float64, 500)
-	for i := range rows {
-		rows[i] = []float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-	}
-	ds, _ := dbssrc.FromRows(rows)
-	tr := mustNew(t, ds, 1)
-	for iter := 0; iter < 100; iter++ {
-		q := []float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-		_, gotD := tr.Nearest(q)
-		bestD := math.Inf(1)
-		for i := 0; i < ds.Len(); i++ {
-			if d := ds.Dist2To(i, q); d < bestD {
-				bestD = d
-			}
-		}
-		if math.Abs(gotD-bestD) > 1e-9 {
-			t.Fatalf("Nearest distance %v, brute force %v", gotD, bestD)
-		}
-	}
-}
-
 func benchDataset(n, d int) *dbssrc.Dataset {
 	rng := rand.New(rand.NewSource(9))
 	coords := make([]float64, n*d)
@@ -186,27 +102,19 @@ func BenchmarkBuild100k(b *testing.B) {
 	}
 }
 
-// BenchmarkLeafScan100k contrasts the packed contiguous leaf blocks against
-// the historical gather-by-id leaf scan on the same tree (both paths return
-// bitwise-identical results; see TestPackedMatchesGather).
+// BenchmarkLeafScan100k times range queries over the packed contiguous leaf
+// blocks.
 func BenchmarkLeafScan100k(b *testing.B) {
 	ds := benchDataset(100000, 4)
-	packed := mustNew(b, ds, 1)
-	gather := &Tree{ds: packed.ds, ids: packed.ids, nodes: packed.nodes}
-	variants := []struct {
-		name string
-		tr   *Tree
-	}{{"packed", packed}, {"gather", gather}}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			buf := make([]int32, 0, 1024)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf = v.tr.RangeQuery(ds.Point(i%ds.Len()), 100, buf[:0])
-			}
-			_ = buf
-		})
-	}
+	tr := mustNew(b, ds, 1)
+	b.Run("packed", func(b *testing.B) {
+		buf := make([]int32, 0, 1024)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = tr.RangeQuery(ds.Point(i%ds.Len()), 100, buf[:0])
+		}
+		_ = buf
+	})
 }
 
 func TestBuildSortedInput(t *testing.T) {

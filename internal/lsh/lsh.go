@@ -211,18 +211,3 @@ func (h *Hasher) Candidates(q []float64, buf []int32, seen []bool) []int32 {
 
 // Len returns the number of hashed points.
 func (h *Hasher) Len() int { return h.ds.Len() }
-
-// BucketStats returns the number of buckets and the largest bucket size
-// across all tables; useful for diagnosing collision behaviour.
-func (h *Hasher) BucketStats() (buckets, maxSize int) {
-	for t := range h.tables {
-		tb := &h.tables[t]
-		buckets += len(tb.offsets) - 1
-		for s := 0; s+1 < len(tb.offsets); s++ {
-			if size := int(tb.offsets[s+1] - tb.offsets[s]); size > maxSize {
-				maxSize = size
-			}
-		}
-	}
-	return buckets, maxSize
-}

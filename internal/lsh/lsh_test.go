@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dbsvec/internal/vec"
@@ -108,15 +109,17 @@ func TestCandidatesDeduplicated(t *testing.T) {
 	}
 }
 
-func TestBucketStats(t *testing.T) {
+// TestDuplicatesShareBucket: identical points hash to the same bucket in
+// every table, so each is a candidate of the other.
+func TestDuplicatesShareBucket(t *testing.T) {
 	ds, _ := vec.FromRows([][]float64{{0, 0}, {0, 0}, {100, 100}})
 	h, err := New(ds, Params{Tables: 2, Funcs: 2, Width: 1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buckets, maxSize := h.BucketStats()
-	if buckets == 0 || maxSize < 2 {
-		t.Errorf("BucketStats = %d,%d; duplicates must share a bucket", buckets, maxSize)
+	cand := h.Candidates(ds.Point(0), nil, make([]bool, ds.Len()))
+	if !slices.Contains(cand, 0) || !slices.Contains(cand, 1) {
+		t.Errorf("Candidates(point 0) = %v; duplicates must share a bucket", cand)
 	}
 	if h.Len() != 3 {
 		t.Errorf("Len = %d", h.Len())

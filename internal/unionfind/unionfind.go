@@ -6,7 +6,7 @@
 package unionfind
 
 // DSU is a disjoint-set forest over elements 0..n-1. The zero value is an
-// empty forest; use New or Grow.
+// empty forest; use New or Add.
 type DSU struct {
 	parent []int32
 	rank   []int8
@@ -15,8 +15,10 @@ type DSU struct {
 
 // New returns a forest of n singleton sets.
 func New(n int) *DSU {
-	d := &DSU{}
-	d.Grow(n)
+	d := &DSU{parent: make([]int32, n), rank: make([]int8, n), sets: n}
+	for i := range d.parent {
+		d.parent[i] = int32(i)
+	}
 	return d
 }
 
@@ -25,15 +27,6 @@ func (d *DSU) Len() int { return len(d.parent) }
 
 // Sets returns the current number of disjoint sets.
 func (d *DSU) Sets() int { return d.sets }
-
-// Grow extends the forest to n elements, adding singletons.
-func (d *DSU) Grow(n int) {
-	for len(d.parent) < n {
-		d.parent = append(d.parent, int32(len(d.parent)))
-		d.rank = append(d.rank, 0)
-		d.sets++
-	}
-}
 
 // Add appends one new singleton element and returns its id.
 func (d *DSU) Add() int32 {

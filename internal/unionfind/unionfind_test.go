@@ -31,13 +31,13 @@ func TestAddGrow(t *testing.T) {
 	if id != 0 || d.Len() != 1 {
 		t.Fatalf("Add returned %d, len %d", id, d.Len())
 	}
-	d.Grow(10)
-	if d.Len() != 10 || d.Sets() != 10 {
-		t.Fatalf("after Grow: len=%d sets=%d", d.Len(), d.Sets())
+	for i := 1; i < 10; i++ {
+		if id := d.Add(); id != int32(i) {
+			t.Fatalf("Add returned %d, want %d", id, i)
+		}
 	}
-	d.Grow(5) // shrink request is a no-op
-	if d.Len() != 10 {
-		t.Error("Grow must never shrink")
+	if d.Len() != 10 || d.Sets() != 10 {
+		t.Fatalf("after ten Adds: len=%d sets=%d", d.Len(), d.Sets())
 	}
 }
 

@@ -456,7 +456,7 @@ type Rect struct {
 }
 
 // NewRect allocates a rectangle of dimensionality d initialized to the
-// empty (inverted) state so that Extend works incrementally.
+// empty (inverted) state so that ExtendRect works incrementally.
 func NewRect(d int) Rect {
 	lo := make([]float64, d)
 	hi := make([]float64, d)
@@ -474,18 +474,6 @@ func RectOf(p []float64) Rect {
 	copy(lo, p)
 	copy(hi, p)
 	return Rect{Lo: lo, Hi: hi}
-}
-
-// Extend grows r in place to cover point p.
-func (r *Rect) Extend(p []float64) {
-	for j, v := range p {
-		if v < r.Lo[j] {
-			r.Lo[j] = v
-		}
-		if v > r.Hi[j] {
-			r.Hi[j] = v
-		}
-	}
 }
 
 // ExtendRect grows r in place to cover another rectangle.

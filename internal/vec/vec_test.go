@@ -190,8 +190,8 @@ func TestNormalizeEmptyNoop(t *testing.T) {
 
 func TestRectBasics(t *testing.T) {
 	r := NewRect(2)
-	r.Extend([]float64{1, 2})
-	r.Extend([]float64{3, 0})
+	r.ExtendRect(RectOf([]float64{1, 2}))
+	r.ExtendRect(RectOf([]float64{3, 0}))
 	if !r.Contains([]float64{2, 1}) {
 		t.Error("rect should contain interior point")
 	}
