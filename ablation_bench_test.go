@@ -76,7 +76,7 @@ func BenchmarkAblationSVDDTrain(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if m, err := svdd.Train(ds, ids, svdd.Config{Dim: 8, MinPts: 100, Times: times}); err != nil && m == nil {
+				if m, err := svdd.Train(ds, ids, svdd.Config{Nu: svdd.NuStar(8, 100, n), Times: times}); err != nil && m == nil {
 					b.Fatal(err)
 				}
 			}

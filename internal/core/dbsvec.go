@@ -54,7 +54,7 @@ type Options struct {
 	NuMin bool
 
 	// MemoryFactor is the λ > 1 coefficient of the penalty weights (Eq. 7).
-	// 0 selects 1.5.
+	// 0 selects the SVDD solver's default λ = 1.5.
 	MemoryFactor float64
 
 	// LearnThreshold is the incremental-learning threshold T: points that
@@ -213,7 +213,6 @@ func (s *Stats) Add(o Stats) {
 var ErrNilDataset = errors.New("dbsvec: nil dataset")
 
 const (
-	defaultMemoryFactor  = 1.5
 	defaultLearnThresh   = 3
 	defaultMaxSVDDTarget = 1024
 )
@@ -240,11 +239,15 @@ type runner struct {
 	start  time.Time
 	// budgetErr records the first Budget limit that fired (see trip).
 	budgetErr *BudgetExceededError
-	idx       index.Index
-	// eng fans each round's SV query set and the noise list's core tests
-	// across the worker pool; the sequential seed queries go through idx.
-	eng    *engine.Engine
-	labels []int32
+	// idx serves the sequential seed queries and, as whole batches fanned
+	// across workers goroutines, each round's SV query set and the noise
+	// list's core tests. hoods and counts are the batch result arenas,
+	// reused across rounds.
+	idx     index.BatchIndex
+	workers int
+	hoods   [][]int32
+	counts  []int
+	labels  []int32
 	// clusterSet maps raw cluster ids (one per seed) to merged sets.
 	clusterSet *unionfind.DSU
 	core       []coreState
@@ -311,9 +314,6 @@ func run(ds *vec.Dataset, opts Options, retain bool) (res *cluster.Result, retai
 	if err := opts.validate(); err != nil {
 		return nil, nil, Stats{}, err
 	}
-	if opts.MemoryFactor == 0 {
-		opts.MemoryFactor = defaultMemoryFactor
-	}
 	if opts.LearnThreshold == 0 {
 		opts.LearnThreshold = defaultLearnThresh
 	}
@@ -373,8 +373,8 @@ func run(ds *vec.Dataset, opts Options, retain bool) (res *cluster.Result, retai
 		}
 		return nil, nil, r.stats, buildErr
 	}
-	r.idx = idx
-	r.eng = engine.New(ds, idx, opts.Eps, opts.Workers)
+	r.idx = index.Batch(idx)
+	r.workers = engine.ResolveWorkers(opts.Workers)
 
 	if n == 0 {
 		return &cluster.Result{Labels: r.labels}, nil, r.stats, nil
@@ -382,7 +382,7 @@ func run(ds *vec.Dataset, opts Options, retain bool) (res *cluster.Result, retai
 
 	// Initialization sweep (Algorithm 2). Seed queries are inherently
 	// sequential (each depends on the labels the previous expansion wrote);
-	// the expansions they trigger run their rounds on the engine.
+	// the expansions they trigger run their rounds as query batches.
 	var runErr error
 	sweep := engine.StartPhase()
 	for i := 0; i < n; i++ {
@@ -521,14 +521,15 @@ func (r *runner) rangeQuery(id int32) []int32 {
 	return r.buf
 }
 
-// expandRound range-queries every point of cand as one engine batch, marks
+// expandRound range-queries every point of cand as one batch, marks
 // each one core or not, and absorbs the neighborhoods of the core ones into
 // cluster cid in query order, returning the newly labeled points.
 func (r *runner) expandRound(cand []int32, cid int32) ([]int32, error) {
-	hoods, err := r.eng.Neighborhoods(r.ctx, cand)
+	hoods, err := r.idx.BatchRangeQuery(r.ctx, index.PointQueries(r.ds, cand), r.opts.Eps, r.workers, r.hoods)
 	if err != nil {
 		return nil, r.queryErr(err)
 	}
+	r.hoods = hoods
 	r.stats.RangeQueries += int64(len(cand))
 	var fresh []int32
 	for qi, id := range cand {
@@ -822,16 +823,9 @@ func (r *runner) effectiveNu(targetSize int) float64 {
 // round trains afresh (Algorithm 3).
 func (r *runner) trainSVDD(ids []int32) (*svdd.Model, error) {
 	cfg := svdd.Config{
-		Dim:     r.ds.Dim(),
-		MinPts:  r.opts.MinPts,
-		Workers: r.eng.Workers(),
+		Nu:      r.effectiveNu(len(ids)),
+		Workers: r.workers,
 		Context: r.ctx,
-	}
-	switch {
-	case r.opts.NuMin:
-		cfg.Nu = 1 / float64(len(ids))
-	case r.opts.Nu > 0:
-		cfg.Nu = r.opts.Nu
 	}
 
 	if r.opts.RandomKernel {

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"dbsvec/internal/cluster"
+	"dbsvec/internal/index"
 )
 
 // noiseVerification is the final DBSVEC phase (Algorithm 2 line 16): every
@@ -13,9 +14,9 @@ import (
 // the (fewer than MinPts) neighbors of each candidate — the paper's
 // O(MinPts·l·n) term. Those tests have no ordering dependency, so they are
 // collected up front (deduplicated, first-seen order) and submitted as one
-// counting-query batch on the engine; the attach pass below then runs
-// sequentially against the warmed core cache, keeping labels and stats
-// identical to the sequential formulation for every worker count.
+// counting-query batch; the attach pass below then runs sequentially
+// against the warmed core cache, keeping labels and stats identical to the
+// sequential formulation for every worker count.
 func (r *runner) noiseVerification() error {
 	if err := r.checkpoint(); err != nil {
 		return err
@@ -36,13 +37,14 @@ func (r *runner) noiseVerification() error {
 		}
 	}
 	if len(cand) > 0 {
-		counts, err := r.eng.Counts(r.ctx, cand, r.opts.MinPts)
+		counts, err := r.idx.BatchRangeCount(r.ctx, index.PointQueries(r.ds, cand), r.opts.Eps, r.opts.MinPts, r.workers, r.counts)
 		if err != nil {
 			for _, q := range cand {
 				r.core[q] = coreUnknown
 			}
 			return r.queryErr(err)
 		}
+		r.counts = counts
 		r.stats.RangeCounts += int64(len(cand))
 		for i, q := range cand {
 			if counts[i] >= r.opts.MinPts {

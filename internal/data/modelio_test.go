@@ -16,7 +16,7 @@ import (
 func testSnapshot(t *testing.T, n, d int, seed int64) *svdd.Snapshot {
 	t.Helper()
 	ds := Blobs(n, d, 2, 15, 300, 0.02, seed)
-	m, err := svdd.Train(ds, vec.Iota(ds.Len()), svdd.Config{Nu: 0.1, Dim: d, MinPts: 8})
+	m, err := svdd.Train(ds, vec.Iota(ds.Len()), svdd.Config{Nu: 0.1})
 	if err != nil {
 		t.Fatalf("train: %v", err)
 	}

@@ -167,8 +167,7 @@ func CoreMask(ds *vec.Dataset, p Params, build index.CtxBuilder) ([]bool, error)
 	if err != nil {
 		return nil, err
 	}
-	eng := engine.New(ds, idx, p.Eps, 0)
-	counts, err := eng.AllCountsOwned(context.Background(), p.MinPts)
+	counts, err := index.Batch(idx).BatchRangeCount(context.Background(), index.PointQueries(ds, nil), p.Eps, p.MinPts, 0, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -52,9 +52,8 @@ func RunParallel(ds *vec.Dataset, p Params, build index.CtxBuilder, workers int)
 	if err != nil {
 		return nil, st, err
 	}
-	eng := engine.New(ds, idx, p.Eps, workers)
 	sw := engine.StartPhase()
-	hoods, err := eng.AllNeighborhoodsOwned(context.Background())
+	hoods, err := index.Batch(idx).BatchRangeQuery(context.Background(), index.PointQueries(ds, nil), p.Eps, workers, nil)
 	if err != nil {
 		return nil, st, err
 	}

@@ -1,52 +1,29 @@
-// Package engine is the shared query-execution engine under DBSVEC and the
-// baseline algorithms. The paper's cost model (Section III-D) makes range
-// queries the dominant term, and every phase of every algorithm in this
-// repository issues them in batches with no ordering dependency inside a
-// batch — a round's core-support-vector set, a noise list's pending core
-// tests, parallel DBSCAN's phase-1 materialization. The engine treats each
-// such batch as the schedulable unit: it fans the queries of a batch across
-// a configurable worker pool via the index layer's BatchIndex capability
-// and returns results in query-index order, so callers that merge results
-// sequentially produce bit-identical output for every worker count.
+// Package engine is the worker machinery and the run statistics shared by
+// DBSVEC and the baseline algorithms. The paper's cost model (Section III-D)
+// makes range queries the dominant term, and every phase of every algorithm
+// in this repository issues them in batches with no ordering dependency
+// inside a batch — a round's core-support-vector set, a noise list's pending
+// core tests, parallel DBSCAN's phase-1 materialization. For is the one flat
+// loop those batches (and every other flat fan-out) run on: workers claim
+// fixed chunks in order and write only state their chunk owns, so callers
+// that merge results sequentially produce bit-identical output for every
+// worker count. Tasks is the fork-join spawner of the recursive index
+// builds. The package imports nothing of the repository but internal/fault,
+// so the index layer can run its batches on For.
 package engine
 
 import (
-	"context"
 	"runtime"
 	"time"
 
 	"dbsvec/internal/fault"
-	"dbsvec/internal/index"
-	"dbsvec/internal/vec"
 )
 
 // WorkerPanicError is a panic recovered from a worker goroutine spawned by
-// ForRanges, Tasks or the index batch fan-out, converted to a typed error.
-// It is defined in internal/fault (the leaf package both the engine and the
-// index layer can import) and aliased here as the engine is the public face
-// of the worker machinery.
+// For or Tasks, converted to a typed error. It is defined in internal/fault
+// (the leaf package every recover boundary imports) and aliased here as the
+// engine is the public face of the worker machinery.
 type WorkerPanicError = fault.WorkerPanicError
-
-// Engine schedules batches of ε-range queries over one dataset and index.
-// An Engine is owned by a single algorithm run; its batch methods reuse
-// internal arenas, so results of a call are valid only until the next call
-// (the *Owned variants hand ownership to the caller instead).
-type Engine struct {
-	ds      *vec.Dataset
-	idx     index.BatchIndex
-	eps     float64
-	workers int
-
-	hoods  [][]int32 // neighborhood arena reused across rounds
-	counts []int     // count arena reused across rounds
-}
-
-// New builds an engine over ds serving queries from idx with the given
-// ε radius. workers <= 0 selects GOMAXPROCS; workers == 1 executes batches
-// on the calling goroutine.
-func New(ds *vec.Dataset, idx index.Index, eps float64, workers int) *Engine {
-	return &Engine{ds: ds, idx: index.Batch(idx), eps: eps, workers: ResolveWorkers(workers)}
-}
 
 // ResolveWorkers maps the Workers option convention (<= 0: all CPUs) to a
 // concrete worker count.
@@ -55,72 +32,6 @@ func ResolveWorkers(w int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return w
-}
-
-// Workers returns the resolved worker count.
-func (e *Engine) Workers() int { return e.workers }
-
-// Index returns the engine's (batch-upgraded) index for callers that also
-// issue individual queries.
-func (e *Engine) Index() index.Index { return e.idx }
-
-// idQueries addresses the points of ids as a query batch; coordinates are
-// views into the dataset.
-func (e *Engine) idQueries(ids []int32) index.Queries {
-	return index.Queries{N: len(ids), At: func(i int) []float64 { return e.ds.Point(int(ids[i])) }}
-}
-
-// allQueries addresses every dataset point as a query batch.
-func (e *Engine) allQueries() index.Queries {
-	return index.Queries{N: e.ds.Len(), At: func(i int) []float64 { return e.ds.Point(i) }}
-}
-
-// Neighborhoods materializes the ε-neighborhood of each id, in id order.
-// The returned slices live in the engine's arena and are valid until the
-// next batch call. ctx is honored inside the batch.
-func (e *Engine) Neighborhoods(ctx context.Context, ids []int32) ([][]int32, error) {
-	if err := fault.Error(fault.IndexQueryError); err != nil {
-		return nil, err
-	}
-	hoods, err := e.idx.BatchRangeQuery(ctx, e.idQueries(ids), e.eps, e.workers, e.hoods)
-	if err != nil {
-		return nil, err
-	}
-	e.hoods = hoods
-	return hoods, nil
-}
-
-// AllNeighborhoodsOwned materializes the ε-neighborhood of every dataset
-// point; the caller owns the result (nothing is reused).
-func (e *Engine) AllNeighborhoodsOwned(ctx context.Context) ([][]int32, error) {
-	if err := fault.Error(fault.IndexQueryError); err != nil {
-		return nil, err
-	}
-	return e.idx.BatchRangeQuery(ctx, e.allQueries(), e.eps, e.workers, nil)
-}
-
-// Counts runs a counting query per id with the given early-exit limit
-// (RangeCount semantics), in id order. The returned slice lives in the
-// engine's arena and is valid until the next batch call.
-func (e *Engine) Counts(ctx context.Context, ids []int32, limit int) ([]int, error) {
-	if err := fault.Error(fault.IndexQueryError); err != nil {
-		return nil, err
-	}
-	counts, err := e.idx.BatchRangeCount(ctx, e.idQueries(ids), e.eps, limit, e.workers, e.counts)
-	if err != nil {
-		return nil, err
-	}
-	e.counts = counts
-	return counts, nil
-}
-
-// AllCountsOwned runs a counting query for every dataset point; the caller
-// owns the result.
-func (e *Engine) AllCountsOwned(ctx context.Context, limit int) ([]int, error) {
-	if err := fault.Error(fault.IndexQueryError); err != nil {
-		return nil, err
-	}
-	return e.idx.BatchRangeCount(ctx, e.allQueries(), e.eps, limit, e.workers, nil)
 }
 
 // PhaseTimes is the unified per-phase wall-clock breakdown reported by the
@@ -145,17 +56,15 @@ func (p PhaseTimes) Total() time.Duration { return p.Init + p.Expand + p.Verify 
 // accumulated across every training round of a run: Fill covers the kernel
 // matrix construction (including the adaptive-weight pass), Solve the SMO
 // optimization, Finish the radius/score extraction. Like PhaseTimes it is
-// wall-clock and must be ignored by determinism comparisons. Rounds and
-// NotConverged are deterministic counters riding along: Rounds counts the
-// trainings accumulated, NotConverged the subset that exhausted MaxIter
-// before reaching the KKT tolerance (previously indistinguishable from
-// converged models — see svdd.ErrNotConverged).
+// wall-clock and must be ignored by determinism comparisons. NotConverged
+// is a deterministic counter riding along: the trainings that exhausted
+// MaxIter before reaching the KKT tolerance (see svdd.ErrNotConverged); the
+// number of trainings itself is core's Stats.SVDDTrainings.
 type SVDDTimes struct {
 	Fill   time.Duration
 	Solve  time.Duration
 	Finish time.Duration
 
-	Rounds       int
 	NotConverged int
 }
 
@@ -167,7 +76,6 @@ func (s *SVDDTimes) Add(o SVDDTimes) {
 	s.Fill += o.Fill
 	s.Solve += o.Solve
 	s.Finish += o.Finish
-	s.Rounds += o.Rounds
 	s.NotConverged += o.NotConverged
 }
 

@@ -1,68 +1,103 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
 	"dbsvec/internal/fault"
 )
 
-// ForRanges partitions [0, n) into at most workers contiguous ranges of
-// approximately equal total weight and runs fn once per non-empty range,
-// concurrently when more than one range results. weight(i) is the relative
-// cost of index i; nil selects uniform weights. The partition depends only
-// on (workers, n, weight) — never on scheduling — so callers whose ranges
-// write disjoint output produce bit-identical results for every worker
-// count. This is the compute-side sibling of the query fan-out in
-// internal/index: the SVDD kernel-matrix fill uses it to parallelize the
-// dense triangular fill, whose per-row cost shrinks linearly with the row
-// index (hence the weights).
+// For runs fn over [0, n) in chunks of stride consecutive indexes — chunk c
+// is [c·stride, min((c+1)·stride, n)) — and is the one flat parallel loop of
+// the repository: the query batches of the index fan-out, the kernel-matrix
+// fills, the index builds' per-point and per-cell passes, Model.Assign and
+// the shard fan-out all run on it. The chunk boundaries depend only on
+// (n, stride), so callers whose chunks write disjoint output produce
+// bit-identical results for every worker count and schedule.
 //
-// fn is called with half-open bounds [lo, hi). workers <= 1 or n <= 0 runs
-// everything on the calling goroutine.
-func ForRanges(workers, n int, weight func(i int) int64, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
+// workers <= 0 selects GOMAXPROCS, and the count is clamped to the number
+// of chunks. One worker runs every chunk inline on the caller, with no
+// goroutine, and a panic unwinds raw. Otherwise the workers claim chunks in
+// order from one atomic counter, so a skewed chunk cost balances itself.
+// A worker checks the stop flag and ctx (nil never cancels) before each
+// claim, never after one, so a claimed chunk always runs: when chunks panic,
+// every chunk below the lowest panicking one ran too, and that lowest panic
+// is re-panicked on the caller as a typed *WorkerPanicError whatever the
+// schedule, so an outer recover boundary sees one deterministic error
+// instead of a crashed process. Each spawned worker fires
+// fault.WorkerPanic.
+//
+// For returns ctx's error when ctx is cancelled before it returns, even if
+// every chunk ran; callers then discard the partial output. With a nil ctx
+// it always returns nil, so callers without a context ignore the result.
+func For(ctx context.Context, workers, n, stride int, fn func(lo, hi int)) error {
+	if stride < 1 {
+		stride = 1
 	}
-	if workers > n {
-		workers = n
+	chunks := 0
+	if n > 0 {
+		chunks = (n-1)/stride + 1
 	}
-	if workers <= 1 {
-		fn(0, n)
-		return
+	if workers = min(ResolveWorkers(workers), chunks); workers <= 1 {
+		for lo := 0; lo < n; lo += stride {
+			if err := ctxErr(ctx); err != nil {
+				return err
+			}
+			fn(lo, min(lo+stride, n))
+		}
+		return ctxErr(ctx)
 	}
-	bounds := splitWeighted(n, workers, weight)
-	if len(bounds) == 2 {
-		fn(bounds[0], bounds[1])
-		return
-	}
-	// Every spawned range recovers its own panic; after the barrier the
-	// panic of the lowest range index — a pure function of the partition,
-	// not of scheduling — is re-panicked on the caller as a typed
-	// *WorkerPanicError, so an outer recover boundary sees one deterministic
-	// error instead of a crashed process.
+	var next atomic.Int64
+	var stop atomic.Bool
 	var wg sync.WaitGroup
-	panics := make([]*fault.WorkerPanicError, len(bounds)-1)
-	for r := 0; r+1 < len(bounds); r++ {
-		r, lo, hi := r, bounds[r], bounds[r+1]
+	// Each worker records its own panic with the chunk it was running; a
+	// panic before the first claim (an injected one) ranks after every chunk.
+	panics := make([]*fault.WorkerPanicError, workers)
+	at := make([]int, workers)
+	for w := range panics {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			at[w] = chunks
 			defer func() {
 				if v := recover(); v != nil {
-					panics[r] = fault.AsWorkerPanic(v)
+					panics[w] = fault.AsWorkerPanic(v)
+					stop.Store(true)
 				}
 			}()
 			fault.PanicNow(fault.WorkerPanic)
-			fn(lo, hi)
+			for !stop.Load() && ctxErr(ctx) == nil {
+				c := int(next.Add(1)) - 1
+				if c >= chunks {
+					return
+				}
+				at[w] = c
+				lo := c * stride
+				fn(lo, min(lo+stride, n))
+			}
 		}()
 	}
 	wg.Wait()
-	for _, pe := range panics {
-		if pe != nil {
-			panic(pe)
+	var first *fault.WorkerPanicError
+	low := chunks + 1
+	for w, pe := range panics {
+		if pe != nil && at[w] < low {
+			first, low = pe, at[w]
 		}
 	}
+	if first != nil {
+		panic(first)
+	}
+	return ctxErr(ctx)
+}
+
+// ctxErr is ctx.Err() with nil standing for a context that never cancels.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
 }
 
 // Tasks is a bounded spawner for recursive divide-and-conquer work such as
@@ -146,45 +181,4 @@ func (g *Tasks) Wait() {
 	if pe != nil {
 		panic(pe)
 	}
-}
-
-// splitWeighted returns parts+1 monotone boundaries over [0, n): range r is
-// [bounds[r], bounds[r+1]). Ranges are chosen greedily so each carries
-// roughly total/parts weight; empty trailing ranges are dropped, so every
-// returned range is non-empty.
-func splitWeighted(n, parts int, weight func(i int) int64) []int {
-	var total int64
-	if weight == nil {
-		total = int64(n)
-	} else {
-		for i := 0; i < n; i++ {
-			total += weight(i)
-		}
-	}
-	if total <= 0 {
-		// Degenerate weights: fall back to uniform splitting.
-		total = int64(n)
-		weight = nil
-	}
-	bounds := make([]int, 1, parts+1)
-	bounds[0] = 0
-	var acc int64
-	next := 1
-	for i := 0; i < n && next < parts; i++ {
-		if weight == nil {
-			acc++
-		} else {
-			acc += weight(i)
-		}
-		// Close the current range once it reaches its proportional share of
-		// the remaining weight.
-		if acc*int64(parts) >= total*int64(next) {
-			bounds = append(bounds, i+1)
-			next++
-		}
-	}
-	if bounds[len(bounds)-1] < n {
-		bounds = append(bounds, n)
-	}
-	return bounds
 }

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,24 +12,16 @@ import (
 )
 
 // Every index of [0, n) must be visited exactly once, for any worker count
-// and weight function.
+// and stride, and every chunk must be non-empty and at most stride long.
 func TestForRangesCoversExactlyOnce(t *testing.T) {
-	weights := []func(i int) int64{
-		nil,
-		func(i int) int64 { return 1 },
-		func(i int) int64 { return int64(i) }, // ascending
-		func(i int) int64 { return int64(100 - i) }, // descending (triangular fill shape)
-		func(i int) int64 { return int64(i % 3) },   // zeros interleaved
-		func(i int) int64 { return 0 },              // all-zero: uniform fallback
-	}
 	for _, n := range []int{0, 1, 2, 7, 64, 100} {
-		for _, workers := range []int{1, 2, 3, 8, 200} {
-			for wi, weight := range weights {
+		for _, workers := range []int{0, 1, 2, 3, 8, 200} {
+			for _, stride := range []int{0, 1, 3, 8, 1000} {
 				var mu sync.Mutex
 				visits := make([]int, n)
-				ForRanges(workers, n, weight, func(lo, hi int) {
-					if lo >= hi {
-						t.Errorf("n=%d workers=%d weight#%d: empty range [%d,%d)", n, workers, wi, lo, hi)
+				err := For(context.Background(), workers, n, stride, func(lo, hi int) {
+					if lo >= hi || hi-lo > max(stride, 1) {
+						t.Errorf("n=%d workers=%d stride=%d: bad chunk [%d,%d)", n, workers, stride, lo, hi)
 					}
 					mu.Lock()
 					for i := lo; i < hi; i++ {
@@ -35,9 +29,12 @@ func TestForRangesCoversExactlyOnce(t *testing.T) {
 					}
 					mu.Unlock()
 				})
+				if err != nil {
+					t.Fatalf("n=%d workers=%d stride=%d: %v", n, workers, stride, err)
+				}
 				for i, v := range visits {
 					if v != 1 {
-						t.Fatalf("n=%d workers=%d weight#%d: index %d visited %d times", n, workers, wi, i, v)
+						t.Fatalf("n=%d workers=%d stride=%d: index %d visited %d times", n, workers, stride, i, v)
 					}
 				}
 			}
@@ -45,61 +42,31 @@ func TestForRangesCoversExactlyOnce(t *testing.T) {
 	}
 }
 
-// The partition must depend only on (workers, n, weight), never on
-// scheduling: repeated runs collect identical range sets.
+// The chunk boundaries must depend only on (n, stride), never on the worker
+// count or the schedule: every run collects the same chunk set.
 func TestForRangesDeterministicPartition(t *testing.T) {
-	weight := func(i int) int64 { return int64(512 - i) }
-	collect := func() map[[2]int]bool {
+	collect := func(workers int) map[[2]int]bool {
 		var mu sync.Mutex
 		got := map[[2]int]bool{}
-		ForRanges(8, 512, weight, func(lo, hi int) {
+		For(nil, workers, 517, 16, func(lo, hi int) {
 			mu.Lock()
 			got[[2]int{lo, hi}] = true
 			mu.Unlock()
 		})
 		return got
 	}
-	first := collect()
-	for r := 0; r < 5; r++ {
-		if got := collect(); !reflect.DeepEqual(got, first) {
-			t.Fatalf("partition changed across runs: %v vs %v", got, first)
+	first := collect(1)
+	if len(first) != 33 || !first[[2]int{512, 517}] {
+		t.Fatalf("serial chunks %v, want 33 chunks ending in [512,517)", first)
+	}
+	for _, workers := range []int{2, 4, 8, 8, 8} {
+		if got := collect(workers); !reflect.DeepEqual(got, first) {
+			t.Fatalf("workers=%d: chunks changed: %v vs %v", workers, got, first)
 		}
 	}
 }
 
-// Weighted splitting must roughly balance total weight across ranges: for
-// the triangular fill workload no range may carry more than twice the ideal
-// share (the greedy split can overshoot by at most one heavy row).
-func TestForRangesWeightedBalance(t *testing.T) {
-	n, workers := 1024, 8
-	weight := func(i int) int64 { return int64(n - i - 1) }
-	var total int64
-	for i := 0; i < n; i++ {
-		total += weight(i)
-	}
-	ideal := total / int64(workers)
-	var mu sync.Mutex
-	var ranges [][2]int
-	ForRanges(workers, n, weight, func(lo, hi int) {
-		mu.Lock()
-		ranges = append(ranges, [2]int{lo, hi})
-		mu.Unlock()
-	})
-	if len(ranges) < 2 {
-		t.Fatalf("expected a multi-range partition, got %v", ranges)
-	}
-	for _, r := range ranges {
-		var w int64
-		for i := r[0]; i < r[1]; i++ {
-			w += weight(i)
-		}
-		if w > 2*ideal {
-			t.Errorf("range %v carries weight %d, more than 2x the ideal share %d", r, w, ideal)
-		}
-	}
-}
-
-// Disjoint range writes must be race-free and ordering-independent: filling
+// Disjoint chunk writes must be race-free and ordering-independent: filling
 // a slice in parallel matches the serial fill exactly.
 func TestForRangesDisjointWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -108,17 +75,33 @@ func TestForRangesDisjointWrites(t *testing.T) {
 	for i := range want {
 		want[i] = rng.Float64()
 	}
-	fill := func(workers int) []float64 {
+	fill := func(workers, stride int) []float64 {
 		out := make([]float64, n)
-		ForRanges(workers, n, nil, func(lo, hi int) {
+		For(nil, workers, n, stride, func(lo, hi int) {
 			copy(out[lo:hi], want[lo:hi])
 		})
 		return out
 	}
 	for _, workers := range []int{1, 2, 8, 16} {
-		if got := fill(workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: parallel fill diverged", workers)
+		for _, stride := range []int{1, 7, 512} {
+			if got := fill(workers, stride); !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d stride=%d: parallel fill diverged", workers, stride)
+			}
 		}
+	}
+}
+
+// A worker count above the chunk count is clamped: For spawns no more
+// goroutines than there are chunks.
+func TestForClampsWorkersToChunks(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var peak atomic.Int64
+	For(nil, 64, 40, 10, func(lo, hi int) {
+		for g, p := int64(runtime.NumGoroutine()), peak.Load(); g > p && !peak.CompareAndSwap(p, g); p = peak.Load() {
+		}
+	})
+	if extra := peak.Load() - int64(base); extra > 4 {
+		t.Fatalf("For ran %d extra goroutines for 4 chunks", extra)
 	}
 }
 

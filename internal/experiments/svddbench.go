@@ -28,11 +28,9 @@ const (
 // real DBSVEC round) with fresh zero counts.
 func svddBenchConfig(n int) svdd.Config {
 	return svdd.Config{
-		Nu:     0.1,
-		Times:  make([]int, n),
-		Tol:    1e-4,
-		Dim:    svddBenchD,
-		MinPts: 100,
+		Nu:    0.1,
+		Times: make([]int, n),
+		Tol:   1e-4,
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package fault is the leaf dependency of the robustness layer: it defines
 // the error taxonomy shared across packages that cannot import each other
 // without a cycle (the parameter-validation sentinel every algorithm wraps,
-// and the typed worker-panic error of the engine and the index fan-out) and a
+// and the typed worker-panic error of the engine's worker loops) and a
 // deterministic, seed-driven fault injector that CI uses to exercise every
 // recovery path of the pipeline reproducibly.
 //
@@ -72,11 +72,12 @@ const (
 	// SolverNonConverge forces svdd.Train to exhaust MaxIter after a single
 	// iteration, exercising the ErrNotConverged degradation path.
 	SolverNonConverge Point = iota
-	// WorkerPanic panics inside a spawned worker goroutine (engine.ForRanges,
-	// engine.Tasks, index batch fan-out), exercising panic containment.
+	// WorkerPanic panics inside a spawned worker goroutine (engine.For,
+	// which runs every flat fan-out, and engine.Tasks), exercising panic
+	// containment.
 	WorkerPanic
-	// IndexQueryError makes an engine query batch return an injected error,
-	// exercising error propagation out of expansion rounds.
+	// IndexQueryError makes an index.Batch query batch return an injected
+	// error, exercising error propagation out of expansion rounds.
 	IndexQueryError
 	// DeadlineFire makes a budget checkpoint behave as if the wall-clock
 	// deadline had fired, exercising the partial-result path without waiting.

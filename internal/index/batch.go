@@ -2,11 +2,10 @@ package index
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"dbsvec/internal/engine"
 	"dbsvec/internal/fault"
+	"dbsvec/internal/vec"
 )
 
 // Queries addresses a batch of query points by position. The batch executor
@@ -17,6 +16,16 @@ type Queries struct {
 	// At returns the coordinates of query i. The result is read before the
 	// next At call by the same worker, never retained.
 	At func(i int) []float64
+}
+
+// PointQueries addresses the dataset points ids as a query batch, in ids
+// order; nil ids addresses every point of ds. Coordinates are views into
+// the dataset.
+func PointQueries(ds *vec.Dataset, ids []int32) Queries {
+	if ids == nil {
+		return Queries{N: ds.Len(), At: ds.Point}
+	}
+	return Queries{N: len(ids), At: func(i int) []float64 { return ds.Point(int(ids[i])) }}
 }
 
 // BatchIndex is the batched-query capability: a whole set of range queries
@@ -50,37 +59,30 @@ func Batch(idx Index) BatchIndex {
 	return &fanout{Index: idx}
 }
 
-// ClampWorkers resolves a worker-count option against a batch of m queries:
-// non-positive selects GOMAXPROCS, and the result never exceeds m.
-func ClampWorkers(workers, m int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m {
-		workers = m
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // batchStride is the number of consecutive queries a worker claims per
-// work-stealing step: large enough to amortize the shared counter and the
+// step of engine.For: large enough to amortize the shared counter and the
 // context check, small enough to balance skewed neighborhoods.
 const batchStride = 8
 
-// fanout serves batches on any Index by fanning the per-query calls across
-// workers that claim strides of query indexes from a shared atomic counter.
-// Results are keyed by query index, so output is independent of scheduling.
+// fanout serves batches on any Index by running the per-query calls on
+// engine.For. Results are keyed by query index, so output is independent of
+// scheduling. Both methods are recover boundaries: a panicking query or an
+// injected worker panic comes back as a *fault.WorkerPanicError (the lowest
+// panicking chunk's), never as a crash of the caller.
 type fanout struct {
 	Index
 }
 
-func (f *fanout) BatchRangeQuery(ctx context.Context, qs Queries, eps float64, workers int, out [][]int32) ([][]int32, error) {
+func (f *fanout) BatchRangeQuery(ctx context.Context, qs Queries, eps float64, workers int, out [][]int32) (_ [][]int32, err error) {
+	if err := fault.Error(fault.IndexQueryError); err != nil {
+		return nil, err
+	}
+	defer fault.RecoverTo(&err)
 	out = growSlices(out, qs.N)
-	err := f.run(ctx, qs, workers, func(i int, q []float64) {
-		out[i] = f.Index.RangeQuery(q, eps, out[i][:0])
+	err = engine.For(ctx, workers, qs.N, batchStride, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = f.Index.RangeQuery(qs.At(i), eps, out[i][:0])
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -88,97 +90,24 @@ func (f *fanout) BatchRangeQuery(ctx context.Context, qs Queries, eps float64, w
 	return out, nil
 }
 
-func (f *fanout) BatchRangeCount(ctx context.Context, qs Queries, eps float64, limit, workers int, out []int) ([]int, error) {
+func (f *fanout) BatchRangeCount(ctx context.Context, qs Queries, eps float64, limit, workers int, out []int) (_ []int, err error) {
+	if err := fault.Error(fault.IndexQueryError); err != nil {
+		return nil, err
+	}
+	defer fault.RecoverTo(&err)
 	if cap(out) < qs.N {
 		out = make([]int, qs.N)
 	}
 	out = out[:qs.N]
-	err := f.run(ctx, qs, workers, func(i int, q []float64) {
-		out[i] = f.Index.RangeCount(q, eps, limit)
+	err = engine.For(ctx, workers, qs.N, batchStride, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = f.Index.RangeCount(qs.At(i), eps, limit)
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// run executes fn(i, At(i)) for every query index, fanned across workers.
-//
-// Worker panics are contained: each worker recovers its own panic, records
-// it keyed by the query index being processed, and raises a stop flag so the
-// remaining workers abandon the batch at their next stride claim. After the
-// barrier the panic with the lowest query index is returned as a typed
-// *fault.WorkerPanicError — a deterministic choice when one query
-// deterministically panics, independent of which worker claimed it. The
-// sequential path converts a panic the same way, so both paths report
-// batch failures as errors rather than crashing the caller.
-func (f *fanout) run(ctx context.Context, qs Queries, workers int, fn func(i int, q []float64)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	m := qs.N
-	if m == 0 {
-		return ctx.Err()
-	}
-	workers = ClampWorkers(workers, m)
-	if workers == 1 {
-		// Sequential fast path on the calling goroutine.
-		return func() (err error) {
-			defer fault.RecoverTo(&err)
-			fault.PanicNow(fault.WorkerPanic)
-			for i := 0; i < m; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				fn(i, qs.At(i))
-			}
-			return nil
-		}()
-	}
-	var next atomic.Int64
-	var stop atomic.Bool
-	var mu sync.Mutex
-	panicIdx := -1
-	var panicErr *fault.WorkerPanicError
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			cur := -1
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					pe := fault.AsWorkerPanic(v)
-					mu.Lock()
-					if panicErr == nil || (cur >= 0 && cur < panicIdx) {
-						panicErr, panicIdx = pe, cur
-					}
-					mu.Unlock()
-					stop.Store(true)
-				}
-			}()
-			fault.PanicNow(fault.WorkerPanic)
-			for {
-				start := int(next.Add(batchStride)) - batchStride
-				if start >= m || stop.Load() || ctx.Err() != nil {
-					return
-				}
-				end := start + batchStride
-				if end > m {
-					end = m
-				}
-				for i := start; i < end; i++ {
-					cur = i
-					fn(i, qs.At(i))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if panicErr != nil {
-		return panicErr
-	}
-	return ctx.Err()
 }
 
 // growSlices extends out to length m, preserving existing entries (whose

@@ -2,9 +2,13 @@ package index
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"dbsvec/internal/fault"
+	"dbsvec/internal/leakcheck"
 	"dbsvec/internal/vec"
 )
 
@@ -118,17 +122,133 @@ func TestFanoutCancelMidBatch(t *testing.T) {
 	}
 }
 
-func TestClampWorkers(t *testing.T) {
-	cases := []struct{ w, m, min, max int }{
-		{0, 100, 1, 10000}, // GOMAXPROCS, whatever it is
-		{5, 100, 5, 5},
-		{5, 3, 3, 3},
-		{-1, 0, 1, 1},
-	}
-	for _, c := range cases {
-		got := ClampWorkers(c.w, c.m)
-		if got < c.min || got > c.max {
-			t.Errorf("ClampWorkers(%d, %d) = %d, want in [%d,%d]", c.w, c.m, got, c.min, c.max)
+// Steady-state rounds pass the previous round's results back in: the arenas
+// grow and shrink with the round size (duplicate ids included) and every
+// round still answers exactly.
+func TestArenaReuseAcrossRounds(t *testing.T) {
+	ds := batchTestDataset(t)
+	lin := linear(ds)
+	b := Batch(lin)
+	rounds := [][]int32{{1, 2, 3, 4, 5, 6, 7, 8}, {9}, {10, 11, 12, 10}, {13, 14, 15, 16, 17, 18, 19, 20, 21, 199}}
+	var hoods [][]int32
+	var counts []int
+	for _, workers := range []int{1, 4} {
+		for _, ids := range rounds {
+			var err error
+			hoods, err = b.BatchRangeQuery(context.Background(), PointQueries(ds, ids), 1.5, workers, hoods)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts, err = b.BatchRangeCount(context.Background(), PointQueries(ds, ids), 1.5, 3, workers, counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hoods) != len(ids) || len(counts) != len(ids) {
+				t.Fatalf("round %v: %d hoods, %d counts", ids, len(hoods), len(counts))
+			}
+			for i, id := range ids {
+				want := lin.RangeQuery(ds.Point(int(id)), 1.5, nil)
+				if !slices.Equal(hoods[i], want) {
+					t.Fatalf("workers=%d round %v id %d: got %v want %v", workers, ids, id, hoods[i], want)
+				}
+				if wantN := lin.RangeCount(ds.Point(int(id)), 1.5, 3); counts[i] != wantN {
+					t.Fatalf("workers=%d round %v id %d: count %d want %d", workers, ids, id, counts[i], wantN)
+				}
+			}
 		}
+	}
+}
+
+// PointQueries(ds, nil) addresses every point; results passed no arena are
+// the caller's and survive later batches.
+func TestBatchAllPoints(t *testing.T) {
+	ds := batchTestDataset(t)
+	lin := linear(ds)
+	b := Batch(lin)
+	hoods, err := b.BatchRangeQuery(context.Background(), PointQueries(ds, nil), 1.5, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hoods) != ds.Len() {
+		t.Fatalf("got %d hoods, want %d", len(hoods), ds.Len())
+	}
+	snapshot := slices.Clone(hoods[0])
+	if _, err := b.BatchRangeQuery(context.Background(), PointQueries(ds, []int32{5, 6, 7}), 1.5, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(hoods[0], snapshot) {
+		t.Fatal("owned neighborhood mutated by a later batch")
+	}
+	counts, err := b.BatchRangeCount(context.Background(), PointQueries(ds, nil), 1.5, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hoods {
+		if want := lin.RangeQuery(ds.Point(i), 1.5, nil); !slices.Equal(h, want) || counts[i] != len(want) {
+			t.Fatalf("point %d: hood %v count %d, want %v", i, h, counts[i], want)
+		}
+	}
+}
+
+func TestBatchEntryInjectedError(t *testing.T) {
+	ds := batchTestDataset(t)
+	b := Batch(linear(ds))
+	restore := fault.Activate(fault.NewInjector(1).Arm(fault.IndexQueryError, fault.Always()))
+	defer restore()
+	for _, ids := range [][]int32{{0, 1}, nil} {
+		if _, err := b.BatchRangeQuery(context.Background(), PointQueries(ds, ids), 1.5, 2, nil); !errors.Is(err, fault.ErrInjected) {
+			t.Errorf("BatchRangeQuery(%v) err = %v, want injected", ids, err)
+		}
+		if _, err := b.BatchRangeCount(context.Background(), PointQueries(ds, ids), 1.5, 2, 2, nil); !errors.Is(err, fault.ErrInjected) {
+			t.Errorf("BatchRangeCount(%v) err = %v, want injected", ids, err)
+		}
+	}
+}
+
+// panickingIndex panics on one query point, as a faulty backend would.
+type panickingIndex struct {
+	Index
+	at []float64
+}
+
+func (p *panickingIndex) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
+	if slices.Equal(q, p.at) {
+		panic("bad query")
+	}
+	return p.Index.RangeQuery(q, eps, buf)
+}
+
+func (p *panickingIndex) RangeCount(q []float64, eps float64, limit int) int {
+	if slices.Equal(q, p.at) {
+		panic("bad query")
+	}
+	return p.Index.RangeCount(q, eps, limit)
+}
+
+// A panic inside a batch is an error on the 1-worker path (where the query
+// runs on the caller) and on the parallel path, never a crash; an injected
+// worker panic is one too.
+func TestBatchWorkerPanicBecomesError(t *testing.T) {
+	leakcheck.Check(t)
+	ds := batchTestDataset(t)
+	b := Batch(Index(&panickingIndex{Index: linear(ds), at: ds.Point(37)}))
+	for _, workers := range []int{1, 4} {
+		_, err := b.BatchRangeQuery(context.Background(), PointQueries(ds, nil), 1.5, workers, nil)
+		var wp *fault.WorkerPanicError
+		if !errors.As(err, &wp) || wp.Value != "bad query" {
+			t.Fatalf("BatchRangeQuery workers=%d: err = %v, want the query's worker panic", workers, err)
+		}
+		_, err = b.BatchRangeCount(context.Background(), PointQueries(ds, nil), 1.5, 0, workers, nil)
+		if !errors.As(err, &wp) || wp.Value != "bad query" {
+			t.Fatalf("BatchRangeCount workers=%d: err = %v, want the query's worker panic", workers, err)
+		}
+	}
+
+	restore := fault.Activate(fault.NewInjector(1).Arm(fault.WorkerPanic, fault.Nth(1)))
+	defer restore()
+	_, err := Batch(linear(ds)).BatchRangeQuery(context.Background(), PointQueries(ds, nil), 1.5, 4, nil)
+	var wp *fault.WorkerPanicError
+	if !errors.As(err, &wp) || !errors.Is(wp.Value.(error), fault.ErrInjected) {
+		t.Fatalf("err = %v, want the injected worker panic", err)
 	}
 }

@@ -206,11 +206,12 @@ func (b *buildState) build(self int32, start, end int, sc *buildScratch) {
 }
 
 // packLeaves copies the points into leaf order so every leaf owns a
-// contiguous block of the packed matrix.
+// contiguous block of the packed matrix; workers copy disjoint chunks of
+// 1024 rows.
 func (t *Tree) packLeaves(workers int) {
 	m := t.ds.Matrix()
 	t.packed = m.Packed(len(t.ids))
-	engine.ForRanges(workers, len(t.ids), nil, func(lo, hi int) {
+	engine.For(nil, workers, len(t.ids), 1024, func(lo, hi int) {
 		t.packed.CopyRows(m, t.ids, lo, hi)
 	})
 }

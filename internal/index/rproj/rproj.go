@@ -98,6 +98,10 @@ func (p params) projections(n int) int {
 // never depends on it — only the shortcut rate does.
 const ballSlack = 1e-9
 
+// pointStride is the number of points a build worker claims at a time in
+// the per-point passes (projection, refinement, packing).
+const pointStride = 1024
+
 // Index is the built cell directory.
 type Index struct {
 	ds  *vec.Dataset
@@ -159,8 +163,8 @@ func newParams(ctx context.Context, ds *vec.Dataset, p params, workers int) (*In
 	workers = engine.ResolveWorkers(workers)
 	k := p.projections(n)
 
-	// Phase 1: project. One column of dots per direction, sharded over rows;
-	// each row's dot is independent of the shard boundaries, so the columns
+	// Phase 1: project. One column of dots per direction, in chunks of rows;
+	// each row's dot is independent of the chunk boundaries, so the columns
 	// are bit-identical for every worker count (and across storage
 	// precisions: the mirror's dots match the widened master's).
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -170,7 +174,7 @@ func newParams(ctx context.Context, ds *vec.Dataset, p params, workers int) (*In
 	}
 	dots := make([]float64, k*n)
 	m := ds.Matrix()
-	engine.ForRanges(workers, n, nil, func(lo, hi int) {
+	engine.For(nil, workers, n, pointStride, func(lo, hi int) {
 		for j := 0; j < k; j++ {
 			col := dots[j*n : (j+1)*n]
 			dist.DotsToRange(m, proj.Row(j), lo, hi, col[lo:hi])
@@ -216,12 +220,12 @@ func newParams(ctx context.Context, ds *vec.Dataset, p params, workers int) (*In
 	// ‖c‖² − 2·p·c via one DotsToAll against the centroid matrix), making
 	// the final cells Voronoi-coherent. Mixed seeds sit between clusters
 	// with shrunken norms, so cluster-pure centroids win their own points
-	// back and the mixed cells empty out. The pass is sharded over points
+	// back and the mixed cells empty out. The pass runs in chunks of points
 	// with a fixed centroid matrix, so the assignment — and everything
 	// downstream — stays bit-identical for every worker count.
 	seeds := x.computeCentroids(m, workers)
 	seedNorms := dist.Norms(seeds)
-	engine.ForRanges(workers, n, nil, func(lo, hi int) {
+	engine.For(nil, workers, n, pointStride, func(lo, hi int) {
 		scores := make([]float64, seeds.Len())
 		for i := lo; i < hi; i++ {
 			dist.DotsToAll(seeds, m.Row(i), scores)
@@ -239,17 +243,16 @@ func newParams(ctx context.Context, ds *vec.Dataset, p params, workers int) (*In
 		return nil, err
 	}
 
-	// Phase 3: per-cell centroids and radii, sharded over cells weighted by
-	// occupancy. Both come from the float64 master coordinates for either
-	// storage precision, so the float32 build prunes identically to its
-	// widened twin. The radius upper bound absorbs the (relative, the sums
-	// are cancellation-free) rounding of SqDist and the sqrt.
+	// Phase 3: per-cell centroids and radii, one cell per chunk so workers
+	// balance uneven occupancy. Both come from the float64 master
+	// coordinates for either storage precision, so the float32 build prunes
+	// identically to its widened twin. The radius upper bound absorbs the
+	// (relative, the sums are cancellation-free) rounding of SqDist and the
+	// sqrt.
 	cells := len(x.offsets) - 1
 	x.cent = x.computeCentroids(m, workers)
 	x.radii = make([]float64, cells)
-	engine.ForRanges(workers, cells, func(c int) int64 {
-		return int64(x.offsets[c+1]-x.offsets[c]) + 1
-	}, func(lo, hi int) {
+	engine.For(nil, workers, cells, 1, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			crow := x.cent.Row(c)
 			maxSq := 0.0
@@ -270,7 +273,7 @@ func newParams(ctx context.Context, ds *vec.Dataset, p params, workers int) (*In
 	// the storage the dataset's scans stream, so scanned cells run the exact
 	// same kernels as the Linear oracle.
 	x.packed = m.Packed(n)
-	engine.ForRanges(workers, n, nil, func(lo, hi int) {
+	engine.For(nil, workers, n, pointStride, func(lo, hi int) {
 		x.packed.CopyRows(m, x.idByPos, lo, hi)
 	})
 	return x, nil
@@ -278,15 +281,14 @@ func newParams(ctx context.Context, ds *vec.Dataset, p params, workers int) (*In
 
 // computeCentroids returns the exact centroid of every cell in the current
 // arena, accumulated from the float64 master coordinates in member order
-// (ascending ids — the arena's layout), sharded over cells weighted by
-// occupancy. The per-cell sums are independent of the sharding, so the
-// result is bit-identical for every worker count and storage precision.
+// (ascending ids — the arena's layout), one cell per chunk so workers
+// balance uneven occupancy. The per-cell sums are independent of the
+// chunking, so the result is bit-identical for every worker count and
+// storage precision.
 func (x *Index) computeCentroids(m dist.Matrix, workers int) dist.Matrix {
 	cells := len(x.offsets) - 1
 	cent := dist.Matrix{Coords: make([]float64, cells*x.dim), Dim: x.dim}
-	engine.ForRanges(workers, cells, func(c int) int64 {
-		return int64(x.offsets[c+1]-x.offsets[c]) + 1
-	}, func(lo, hi int) {
+	engine.For(nil, workers, cells, 1, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			members := x.idByPos[x.offsets[c]:x.offsets[c+1]]
 			crow := cent.Row(c)

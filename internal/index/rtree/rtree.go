@@ -175,10 +175,10 @@ func (t *Tree) strPack(ids []int32, workers int, ctx context.Context) ([]entry, 
 		return nil, true
 	}
 
-	// Materialize leaf nodes and their MBRs in parallel; leaves[i] depends
-	// only on groups[i].
+	// Materialize leaf nodes and their MBRs in parallel, 64 groups per
+	// chunk; leaves[i] depends only on groups[i].
 	leaves := make([]entry, len(groups))
-	engine.ForRanges(workers, len(groups), nil, func(lo, hi int) {
+	engine.For(nil, workers, len(groups), 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g := groups[i]
 			nd := &nodeT{leaf: true, entries: make([]entry, 0, len(g))}
@@ -198,7 +198,7 @@ func (t *Tree) buildUpward(children []entry, workers int) *nodeT {
 	for len(children) > 1 {
 		chunks := (len(children) + MaxEntries - 1) / MaxEntries
 		next := make([]entry, chunks)
-		engine.ForRanges(workers, chunks, nil, func(lo, hi int) {
+		engine.For(nil, workers, chunks, 64, func(lo, hi int) {
 			for c := lo; c < hi; c++ {
 				s := c * MaxEntries
 				e := s + MaxEntries

@@ -11,7 +11,7 @@
 //   - Deadline propagation: every request carries a deadline (its own
 //     timeout_ms, clamped to the server maximum, or the server default)
 //     threaded as a context through admission queueing and the assign
-//     fan-out (Model.AssignContext polls it mid-batch), so an expired
+//     fan-out (Model.AssignContext checks it between chunks), so an expired
 //     request returns a typed 504 instead of a hung connection.
 //   - Graceful degradation: sustained admission pressure flips the server
 //     into degraded mode — assignment steps down to one worker and to the

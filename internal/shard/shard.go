@@ -30,12 +30,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/core"
 	"dbsvec/internal/engine"
+	"dbsvec/internal/fault"
 	"dbsvec/internal/index"
 	"dbsvec/internal/index/kdtree"
 	"dbsvec/internal/unionfind"
@@ -128,8 +128,16 @@ type plan struct {
 // merged labels are a permutation of the single-shot labels whenever the
 // per-shard runs are DBSCAN-exact on their working sets (see the package
 // comment). The retained model list is nil unless Options.Retain is set.
-func Run(src Source, o Options) (*cluster.Result, []Model, Stats, error) {
-	var stats Stats
+//
+// Run is a recover boundary like core.Run: a panic anywhere in it, the
+// shard fan-out's workers included, returns a *fault.WorkerPanicError and no
+// result.
+func Run(src Source, o Options) (res *cluster.Result, models []Model, stats Stats, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, models, err = nil, nil, fault.AsWorkerPanic(v)
+		}
+	}()
 	if src == nil {
 		return nil, nil, stats, fmt.Errorf("%w: nil source", core.ErrInvalidParams)
 	}
@@ -181,10 +189,11 @@ func Run(src Source, o Options) (*cluster.Result, []Model, Stats, error) {
 	stats.BoundaryPoints = p.bN
 	k = len(p.work)
 
-	// Per-shard execution. Shard goroutines write owner-local labels into
-	// disjoint rawLocal entries and reduce everything else to a boundary
-	// summary before releasing the slab; merging below is sequential in
-	// shard order, so results do not depend on completion order.
+	// Per-shard execution: up to conc workers claim shards in order, one
+	// shard per chunk. A shard writes owner-local labels into disjoint
+	// rawLocal entries and reduces everything else to a boundary summary
+	// before releasing the slab; merging below is sequential in shard order,
+	// so results do not depend on completion order.
 	rawLocal := make([]int32, n)
 	outs := make([]*shardOut, k)
 	errs := make([]error, k)
@@ -194,29 +203,20 @@ func Run(src Source, o Options) (*cluster.Result, []Model, Stats, error) {
 	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
-	sem := make(chan struct{}, conc)
-	var wg sync.WaitGroup
-	for s := 0; s < k; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				errs[s] = err
-				return
-			}
-			out, err := runShard(ctx, src, o, p, s, rawLocal)
-			p.work[s] = nil // merge only needs bIdx/ownerOf; release the id list
-			if err != nil {
-				errs[s] = err
-				cancel() // hard failure: stop remaining shards
-				return
-			}
-			outs[s] = out
-		}(s)
-	}
-	wg.Wait()
+	engine.For(nil, conc, k, 1, func(s, _ int) {
+		if err := ctx.Err(); err != nil {
+			errs[s] = err
+			return
+		}
+		out, err := runShard(ctx, src, o, p, s, rawLocal)
+		p.work[s] = nil // merge only needs bIdx/ownerOf; release the id list
+		if err != nil {
+			errs[s] = err
+			cancel() // hard failure: stop remaining shards
+			return
+		}
+		outs[s] = out
+	})
 	// Prefer the shard error that caused the cancellation over the
 	// context.Canceled echoes of the shards it stopped.
 	var firstErr error
@@ -558,8 +558,7 @@ func runShard(ctx context.Context, src Source, o Options, p *plan, s int, rawLoc
 		for i, li := range ownedBandLocal {
 			qs[i] = subPos[li]
 		}
-		eng := engine.New(subSlab, bandIdx, o.Core.Eps, o.Core.Workers)
-		counts, err := eng.Counts(ctx, qs, o.Core.MinPts)
+		counts, err := index.Batch(bandIdx).BatchRangeCount(ctx, index.PointQueries(subSlab, qs), o.Core.Eps, o.Core.MinPts, o.Core.Workers, nil)
 		if err != nil {
 			return nil, err
 		}

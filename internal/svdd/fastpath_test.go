@@ -333,7 +333,7 @@ func TestTopSupportVectorsTieBreak(t *testing.T) {
 // benchTrainConfig mirrors a DBSVEC training round at the acceptance shape
 // ñ=512, d=8.
 func benchTrainConfig() Config {
-	return Config{Nu: 0.1, Times: make([]int, 512), Dim: 8, MinPts: 100}
+	return Config{Nu: 0.1, Times: make([]int, 512)}
 }
 
 // BenchmarkTrain512d8 is the acceptance micro-benchmark recorded in

@@ -126,15 +126,21 @@ func newKernelMatrix(ds *vec.Dataset, ids []int32, sigma float64, workers int) *
 // streaming the whole remainder of the matrix once per row.
 const fillBlock = 128
 
+// fillStride is the number of rows a worker of the parallel dense fill
+// claims at a time: enough rows to reuse each column tile, few enough that
+// the triangle's shrinking rows spread evenly over the workers.
+const fillStride = 16
+
 // fillDense computes the dense matrix: the upper triangle via the batched
 // distance kernels in cache-blocked column tiles, mirrored into the lower
-// triangle. With workers > 1 the rows are partitioned into contiguous ranges
-// of equal entry count (row i contributes n−i−1 upper-triangle entries) and
-// filled concurrently. Each unordered pair (i,j) is written exactly once — by
-// the range owning min(i,j) — so ranges touch disjoint matrix entries, and
-// every entry is a per-pair-independent kernel evaluation, so neither the
-// tiling nor the partitioning changes a single bit: the result is identical
-// for every worker count and tile width.
+// triangle. With workers > 1 the rows run on engine.For in chunks of
+// fillStride rows; workers claim the chunks in order, so the heaviest rows
+// (row i contributes n−i−1 upper-triangle entries) start first and the
+// triangle balances itself. Each unordered pair (i,j) is written exactly
+// once — by the chunk owning min(i,j) — so chunks touch disjoint matrix
+// entries, and every entry is a per-pair-independent kernel evaluation, so
+// neither the tiling nor the chunking changes a single bit: the result is
+// identical for every worker count and tile width.
 func (km *kernelMatrix) fillDense(workers int) {
 	n := km.n
 	fill := func(lo, hi int) {
@@ -164,7 +170,7 @@ func (km *kernelMatrix) fillDense(workers int) {
 		fill(0, n)
 		return
 	}
-	engine.ForRanges(workers, n, func(i int) int64 { return int64(n - i - 1) }, fill)
+	engine.For(nil, workers, n, fillStride, fill)
 }
 
 // sqRow writes the squared distances from target i to targets
@@ -206,15 +212,16 @@ func (km *kernelMatrix) computeRow(i int) []float64 {
 }
 
 // fillRows computes and caches the lazy rows idx (distinct indices, none
-// cached yet) as one batch fanned across workers goroutines. Each range stores
-// only its own rows, so workers write disjoint km.rows entries, and every
-// row goes through computeRow — the arithmetic row() uses — so the cache
-// holds the same bits whichever path filled it. A no-op on dense storage.
+// cached yet) as one batch fanned across workers goroutines. Each row is its
+// own chunk of engine.For, so workers write disjoint km.rows entries, and
+// every row goes through computeRow — the arithmetic row() uses — so the
+// cache holds the same bits whichever path filled it. A no-op on dense
+// storage.
 func (km *kernelMatrix) fillRows(idx []int, workers int) {
 	if km.full != nil {
 		return
 	}
-	engine.ForRanges(workers, len(idx), nil, func(lo, hi int) {
+	engine.For(nil, max(workers, 1), len(idx), 1, func(lo, hi int) {
 		for _, i := range idx[lo:hi] {
 			km.rows[i] = km.computeRow(i)
 		}

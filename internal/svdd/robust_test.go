@@ -45,8 +45,8 @@ func TestTrainNotConvergedReturnsBestIterate(t *testing.T) {
 	if m.Iterations == 0 || m.Iterations > 3 {
 		t.Errorf("Iterations = %d, want in (0, 3]", m.Iterations)
 	}
-	if m.Times.NotConverged != 1 || m.Times.Rounds != 1 {
-		t.Errorf("Times counters = %+v, want Rounds=1 NotConverged=1", m.Times)
+	if m.Times.NotConverged != 1 {
+		t.Errorf("Times counters = %+v, want NotConverged=1", m.Times)
 	}
 	// The truncated iterate must still be dual-feasible: box constraints
 	// and Σα = 1.
@@ -71,8 +71,8 @@ func TestTrainConvergedSetsFlag(t *testing.T) {
 	if !m.Converged {
 		t.Error("Converged = false on an uncapped solve")
 	}
-	if m.Times.Rounds != 1 || m.Times.NotConverged != 0 {
-		t.Errorf("Times counters = %+v, want Rounds=1 NotConverged=0", m.Times)
+	if m.Times.NotConverged != 0 {
+		t.Errorf("Times counters = %+v, want NotConverged=0", m.Times)
 	}
 }
 
@@ -135,7 +135,7 @@ func TestTrainWorkerPanicContained(t *testing.T) {
 	defer restore()
 	ds, _ := blobWithOutliers(300, 16)
 	// Above weightsExactCap, adaptive weights (Times set) compute the pivot
-	// rows as one batch through engine.ForRanges, whose spawned workers
+	// rows as one batch through engine.For, whose spawned workers
 	// carry the injection site.
 	m, err := Train(ds, allIDs(300), Config{Nu: 0.1, Times: make([]int, 300), Workers: 4})
 	var wp *fault.WorkerPanicError

@@ -37,7 +37,7 @@ func testBlobs(t *testing.T, n, d int, seed int64) *vec.Dataset {
 func trainedModel(t *testing.T, n, d int, seed int64) (*vec.Dataset, *Model) {
 	t.Helper()
 	ds := testBlobs(t, n, d, seed)
-	m, err := Train(ds, vec.Iota(ds.Len()), Config{Nu: 0.1, Dim: d, MinPts: 10})
+	m, err := Train(ds, vec.Iota(ds.Len()), Config{Nu: 0.1})
 	if err != nil {
 		t.Fatalf("train: %v", err)
 	}
@@ -172,23 +172,24 @@ func TestFromSnapshotRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestTrainRecordsNu: Train records the ν it actually used, including the
-// adaptive ν* resolution.
+// TestTrainRecordsNu: Train records the ν it used, including an adaptive ν*
+// the caller resolved.
 func TestTrainRecordsNu(t *testing.T) {
 	ds := testBlobs(t, 128, 3, 3)
 	ids := vec.Iota(ds.Len())
-	m, err := Train(ds, ids, Config{Nu: 0.2, Dim: 3, MinPts: 8})
+	m, err := Train(ds, ids, Config{Nu: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Nu != 0.2 {
 		t.Fatalf("explicit nu not recorded: %v", m.Nu)
 	}
-	m, err = Train(ds, ids, Config{Dim: 3, MinPts: 8})
+	want := NuStar(3, 8, ds.Len())
+	m, err = Train(ds, ids, Config{Nu: want})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := NuStar(3, 8, ds.Len()); m.Nu != want {
+	if m.Nu != want {
 		t.Fatalf("adaptive nu* not recorded: got %v want %v", m.Nu, want)
 	}
 }

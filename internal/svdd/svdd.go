@@ -41,7 +41,7 @@ import (
 type Config struct {
 	// Nu in (0,1]: upper bound on the fraction of boundary support vectors
 	// and lower bound on the fraction of support vectors (Schölkopf et al.).
-	// When 0, ν* from Eq. 20 requires Dim and MinPts below.
+	// The adaptive choice of Eq. 20 is NuStar; the caller resolves it.
 	Nu float64
 	// Sigma is the Gaussian kernel RMS width. When 0 the σ = r/√2 rule is
 	// applied to the target set.
@@ -53,16 +53,13 @@ type Config struct {
 	Times []int
 	// Lambda is the memory factor λ > 1 used with Times; 0 selects 1.5.
 	Lambda float64
-	// Dim and MinPts feed the ν* rule when Nu == 0.
-	Dim    int
-	MinPts int
 	// Tol is the KKT violation tolerance; 0 means 1e-4.
 	Tol float64
 	// MaxIter caps SMO iterations; 0 means 200·ñ + 10000.
 	MaxIter int
 	// Workers fans the dense fill and the pivot-row batch of the kernel
-	// matrix across this many goroutines with deterministic row-range
-	// partitioning (bit-identical to the serial fill for every value). <= 1
+	// matrix across this many goroutines on engine.For, whose workers write
+	// disjoint rows (bit-identical to the serial fill for every value). <= 1
 	// fills on the calling goroutine.
 	Workers int
 	// Context, when non-nil, allows cancelling a long training: the solver
@@ -82,8 +79,7 @@ type Model struct {
 	Upper []float64
 	// Sigma is the kernel width used.
 	Sigma float64
-	// Nu is the penalty factor the training actually used (Config.Nu, or
-	// the adaptive ν* of Eq. 20 when that was 0).
+	// Nu is the penalty factor the training used (Config.Nu).
 	Nu float64
 	// R2 is the squared sphere radius in feature space.
 	R2 float64
@@ -95,8 +91,8 @@ type Model struct {
 	// cannot mistake a truncated model for a converged one).
 	Converged bool
 	// Times is the per-stage wall-clock of this training (kernel fill /
-	// SMO solve / radius extraction), for the engine's run statistics; its
-	// Rounds/NotConverged counters record this training's outcome.
+	// SMO solve / radius extraction), for the run statistics; its
+	// NotConverged counter records whether this training hit MaxIter.
 	Times engine.SVDDTimes
 
 	ds       *vec.Dataset
@@ -145,7 +141,10 @@ const (
 )
 
 const (
-	defaultTol = 1e-4
+	// defaultLambda is the memory factor λ of the adaptive weights when
+	// Config.Lambda is 0.
+	defaultLambda = 1.5
+	defaultTol    = 1e-4
 	// svThreshold: multipliers below this fraction of the uniform value are
 	// treated as zero when extracting support vectors.
 	svThreshold = 1e-8
@@ -175,17 +174,14 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 	if n == 0 {
 		return nil, ErrEmptyTarget
 	}
-	if !(cfg.Nu >= 0 && cfg.Nu <= 1) {
-		return nil, fmt.Errorf("%w: %g", ErrBadNu, cfg.Nu)
+	nu := cfg.Nu
+	if !(nu > 0 && nu <= 1) {
+		return nil, fmt.Errorf("%w: %g", ErrBadNu, nu)
 	}
 	if ctx := cfg.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	}
-	nu := cfg.Nu
-	if nu == 0 {
-		nu = NuStar(cfg.Dim, cfg.MinPts, n)
 	}
 	sigma := cfg.Sigma
 	if sigma == 0 {
@@ -213,7 +209,6 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 		Nu:    nu,
 		ds:    ds,
 	}
-	m.Times.Rounds = 1
 	if n == 1 {
 		m.Upper = []float64{1}
 		m.Alpha[0] = 1
@@ -233,7 +228,7 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 	if cfg.Times != nil {
 		lambda := cfg.Lambda
 		if lambda == 0 {
-			lambda = 1.5
+			lambda = defaultLambda
 		}
 		weights = adaptiveWeights(km, cfg.Times, lambda, cfg.Workers)
 	}

@@ -57,6 +57,9 @@ func TestTrainBadNu(t *testing.T) {
 	if _, err := Train(ds, allIDs(2), Config{Nu: math.NaN()}); !errors.Is(err, ErrBadNu) {
 		t.Errorf("NaN nu: err = %v, want ErrBadNu", err)
 	}
+	if _, err := Train(ds, allIDs(2), Config{}); !errors.Is(err, ErrBadNu) {
+		t.Errorf("zero nu: err = %v, want ErrBadNu (the caller resolves nu*)", err)
+	}
 }
 
 func TestSinglePoint(t *testing.T) {

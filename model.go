@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/core"
@@ -208,22 +207,22 @@ func (m *Model) CheckAssignable(d *Dataset) error {
 // Noise.
 //
 // The batch fans across workers goroutines (0 selects all CPUs, 1 runs
-// sequentially) with deterministic range partitioning and per-point
-// independent work, so the labels are bit-identical for every worker count.
+// sequentially) that claim fixed chunks of points, and the work is
+// independent per point, so the labels are bit-identical for every worker
+// count.
 func (m *Model) Assign(d *Dataset, workers int) ([]int32, error) {
 	return m.AssignContext(context.Background(), d, workers)
 }
 
-// assignCtxMask is the per-worker cancellation poll interval of the assign
-// fan-out: ctx.Err() is checked every assignCtxMask+1 points, so a deadline
-// or cancel aborts a batch within a bounded slice of work instead of after
-// it. Must be a power of two minus one.
-const assignCtxMask = 63
+// assignStride is the chunk of points an assign worker claims at a time.
+// Workers check ctx before every claim, so a deadline or cancel aborts a
+// batch within a bounded slice of work instead of after it.
+const assignStride = 64
 
 // AssignContext is Assign with cancellation: when ctx is cancelled or its
-// deadline fires mid-batch, every worker stops within its next poll window
-// (64 points), the fan-out drains, and ctx's error is returned with nil
-// labels. No goroutines outlive the call.
+// deadline fires mid-batch, every worker stops before its next chunk
+// (assignStride points), the fan-out drains, and ctx's error is returned
+// with nil labels. No goroutines outlive the call.
 func (m *Model) AssignContext(ctx context.Context, d *Dataset, workers int) ([]int32, error) {
 	return m.assignContext(ctx, d, workers, (*assignPlan).assign)
 }
@@ -249,19 +248,14 @@ func (m *Model) assignContext(ctx context.Context, d *Dataset, workers int, scor
 	plan := m.assignPlan()
 	labels := make([]int32, d.Len())
 	mat := d.ds.Matrix()
-	var stop atomic.Bool
-	engine.ForRanges(engine.ResolveWorkers(workers), d.Len(), nil, func(lo, hi int) {
+	err := engine.For(ctx, workers, d.Len(), assignStride, func(lo, hi int) {
 		fault.PanicNow(fault.AssignPanic)
 		d2 := make([]float64, plan.svs.Len())
 		for i := lo; i < hi; i++ {
-			if (i-lo)&assignCtxMask == 0 && (stop.Load() || ctx.Err() != nil) {
-				stop.Store(true)
-				return
-			}
 			labels[i] = score(plan, mat.Row(i), d2)
 		}
 	})
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return labels, nil

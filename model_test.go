@@ -94,7 +94,7 @@ func TestModelSaveLoadAssign(t *testing.T) {
 
 // TestAssignWorkerConformance pins the determinism discipline on the scoring
 // path: a 100k-point batch assigned with any worker count produces
-// bit-identical labels, because the range partition is deterministic and
+// bit-identical labels, because the chunk boundaries are fixed and
 // every point's work is independent.
 func TestAssignWorkerConformance(t *testing.T) {
 	train := blobDataset(t, 4000, 2, 4, 7)

@@ -236,7 +236,6 @@ func TestRunShardedStatsSumShards(t *testing.T) {
 		want.SVDD.Fill += c.SVDD.Fill
 		want.SVDD.Solve += c.SVDD.Solve
 		want.SVDD.Finish += c.SVDD.Finish
-		want.SVDD.Rounds += c.SVDD.Rounds
 		want.SVDD.NotConverged += c.SVDD.NotConverged
 	}
 	if want.SVDDIterations == 0 || want.SVDD.Total() == 0 || want.Phases.Total() == 0 {
