@@ -15,13 +15,17 @@
 // -precision switches dataset generation to float32 point storage (f32);
 // the svdd and index experiments additionally measure both storage modes
 // regardless of the flag.
-// -json redirects one experiment's machine-readable report: it is
-// repeatable, takes exp=path pairs (exp ∈ svdd, index, highdim, shard), and
-// an empty path skips the report. Unredirected reports go to their default
-// BENCH_<exp>.json. A report's rows are merged into the file by key (the
-// experiment id and params), so rows of other runs, such as -full ones,
-// stay.
-// -budget skips runs predicted (from prior samples) to be too slow, while
+// Every experiment prints its rows as they are measured; each row can also
+// be written to a machine-readable report.
+// -json names one experiment's report file: it is repeatable, takes
+// exp=path pairs for any experiment id, and an empty path skips the report.
+// The experiments with a committed baseline (svdd, index, highdim, shard,
+// table2, table3) write to their default BENCH_<exp>.json unless
+// redirected; the others write a report only when -json names one. A
+// report's rows are merged into the file by key (the experiment id and
+// params), so rows of other runs, such as -full ones, stay.
+// -budget drops an algorithm from the rest of a sweep once one of its runs
+// exceeds it, and the runs it skips emit no row, while
 // -runtimeout arms a hard in-flight wall-clock budget on each DBSVEC run:
 // a run that trips it contributes its best-effort partial clustering.
 // -cpuprofile and -memprofile write pprof profiles covering the whole
@@ -47,9 +51,9 @@ import (
 	"dbsvec/internal/vec"
 )
 
-// reportExps lists the experiments with machine-readable reports, in the
-// order the baseline check walks them.
-var reportExps = []string{"svdd", "index", "highdim", "shard"}
+// baselineExps lists the experiments with a committed BENCH_<exp>.json
+// baseline: their reports default to that file.
+var baselineExps = []string{"svdd", "index", "highdim", "shard", "table2", "table3"}
 
 // jsonFlag accumulates repeatable -json exp=path overrides.
 type jsonFlag map[string]string
@@ -68,13 +72,11 @@ func (j jsonFlag) Set(v string) error {
 	if !ok {
 		return fmt.Errorf("want exp=path, got %q", v)
 	}
-	for _, e := range reportExps {
-		if e == k {
-			j[k] = path
-			return nil
-		}
+	if _, err := experiments.ByID(k); err != nil {
+		return err
 	}
-	return fmt.Errorf("unknown report experiment %q (have %v)", k, reportExps)
+	j[k] = path
+	return nil
 }
 
 func main() {
@@ -92,16 +94,22 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	jsonOverrides := jsonFlag{}
-	flag.Var(jsonOverrides, "json", "redirect one report: exp=path with exp in svdd|index|highdim|shard (repeatable, empty path = skip)")
+	flag.Var(jsonOverrides, "json", "write one experiment's report: exp=path for any experiment id (repeatable, empty path = skip)")
 	flag.Parse()
 
-	// Report paths: the default BENCH_<exp>.json, then any -json overrides.
-	reports := make(map[string]string, len(reportExps))
-	for _, e := range reportExps {
+	// Report paths: the default BENCH_<exp>.json of the baselined
+	// experiments, then any -json overrides. A single-experiment run keeps
+	// only its own path, so the baseline check below sees only the report
+	// this run could have written.
+	reports := make(map[string]string, len(baselineExps))
+	for _, e := range baselineExps {
 		reports[e] = "BENCH_" + e + ".json"
 	}
 	for k, v := range jsonOverrides {
 		reports[k] = v
+	}
+	if *exp != "" {
+		reports = map[string]string{*exp: reports[*exp]}
 	}
 
 	if *list {
@@ -142,7 +150,7 @@ func main() {
 		var e experiments.Experiment
 		e, err = experiments.ByID(*exp)
 		if err == nil {
-			err = e.Run(os.Stdout, cfg)
+			err = e.Execute(os.Stdout, cfg)
 		}
 	}
 	if err != nil {
@@ -152,17 +160,6 @@ func main() {
 	fmt.Printf("\ntotal harness time: %s\n", time.Since(start).Round(time.Millisecond))
 
 	if *baseline != "" {
-		// A single-experiment run writes at most its own report; the other
-		// default report paths may still name files that exist (the committed
-		// baselines themselves when running from the repo root), so restrict
-		// the check to reports this run could actually have produced.
-		if *exp != "" {
-			for _, e := range reportExps {
-				if e != *exp {
-					reports[e] = ""
-				}
-			}
-		}
 		if err := checkBaselines(*baseline, reports); err != nil {
 			fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
 			os.Exit(1)
@@ -180,8 +177,8 @@ func main() {
 // -baseline .` checks only the index report.
 func checkBaselines(dir string, reports map[string]string) error {
 	checked, rows := 0, 0
-	for _, exp := range reportExps {
-		report := reports[exp]
+	for _, e := range experiments.All() {
+		exp, report := e.ID, reports[e.ID]
 		if report == "" {
 			continue
 		}

@@ -112,9 +112,11 @@ type Options struct {
 // is the sentinel the baselines wrap too.
 var ErrInvalidParams = fault.ErrInvalidParams
 
-// validate rejects malformed Options. Every float check is written so that
-// NaN, which fails every comparison, fails it too.
-func (o Options) validate() error {
+// Validate rejects malformed Options with an error wrapping
+// ErrInvalidParams. Every float check is written so that NaN, which fails
+// every comparison, fails it too. Run calls it first; a caller that does
+// work before its first Run (the sharded planner) calls it itself.
+func (o Options) Validate() error {
 	if !(o.Eps > 0) {
 		return fmt.Errorf("%w: eps %g must be positive", ErrInvalidParams, o.Eps)
 	}
@@ -311,7 +313,7 @@ func run(ds *vec.Dataset, opts Options, retain bool) (res *cluster.Result, retai
 	if ds == nil {
 		return nil, nil, Stats{}, ErrNilDataset
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, nil, Stats{}, err
 	}
 	if opts.LearnThreshold == 0 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dbsvec/internal/cluster"
+	"dbsvec/internal/dist"
 	"dbsvec/internal/vec"
 )
 
@@ -57,7 +58,7 @@ func TestEmbeddings(t *testing.T) {
 	// the dataset is those points at the construction precision.
 	coords := embeddingCoords(400, 64, 8, 0.3, 3)
 	for i := 0; i < ds.Len(); i++ {
-		if n := vec.Norm(coords[i*64 : (i+1)*64]); math.Abs(n-1) > 1e-9 {
+		if n := dist.Norm(coords[i*64 : (i+1)*64]); math.Abs(n-1) > 1e-9 {
 			t.Fatalf("point %d norm %v, want 1", i, n)
 		}
 	}
@@ -69,14 +70,14 @@ func TestEmbeddings(t *testing.T) {
 	// should be angularly closer on average than cross-cluster pairs.
 	ds2 := Embeddings(400, 64, 8, 0.3, 3)
 	for i := 0; i < ds.Len(); i += 41 {
-		if vec.Dist(ds.Point(i), ds2.Point(i)) != 0 {
+		if dist.Dist(ds.Point(i), ds2.Point(i)) != 0 {
 			t.Fatalf("point %d not reproducible", i)
 		}
 	}
 	var same, cross float64
 	for i := 0; i+9 < ds.Len(); i += 8 {
-		same += vec.Dot(ds.Point(i), ds.Point(i+8))
-		cross += vec.Dot(ds.Point(i), ds.Point(i+9))
+		same += dist.Dot(ds.Point(i), ds.Point(i+8))
+		cross += dist.Dot(ds.Point(i), ds.Point(i+9))
 	}
 	if same <= cross {
 		t.Fatalf("same-cluster mean dot %v not above cross-cluster %v", same, cross)

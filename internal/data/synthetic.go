@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 
+	"dbsvec/internal/dist"
 	"dbsvec/internal/vec"
 )
 
@@ -50,7 +51,7 @@ func spreadCenters(rng *rand.Rand, k, d int, span, minSep float64) [][]float64 {
 		for tries := 0; tries < 100; tries++ {
 			ok = true
 			for _, o := range centers {
-				if vec.Dist(c, o) < minSep {
+				if dist.Dist(c, o) < minSep {
 					ok = false
 					break
 				}
@@ -102,7 +103,7 @@ func embeddingCoords(n, d, k int, noise float64, seed int64) []float64 {
 			gaussianDir(rng, v)
 			ok := true
 			for _, o := range centers[:c] {
-				if vec.Dot(v, o) > 0.5 { // within 60°: too close
+				if dist.Dot(v, o) > 0.5 { // within 60°: too close
 					ok = false
 					break
 				}

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"dbsvec/internal/cluster"
+	"dbsvec/internal/dist"
 	"dbsvec/internal/vec"
 )
 
@@ -115,7 +116,7 @@ func Silhouette(ds *vec.Dataset, res *cluster.Result) (float64, error) {
 		for c := range sums {
 			sums[c] = 0
 		}
-		ds.SqDistsToAll(ds.Point(i), dists)
+		dist.SqDistsToAll(ds.Matrix(), ds.Point(i), dists)
 		for j := 0; j < n; j++ {
 			lj := res.Labels[j]
 			if lj < 0 || j == i {
@@ -172,7 +173,7 @@ func DaviesBouldin(ds *vec.Dataset, res *cluster.Result) (float64, error) {
 			scratch = make([]float64, len(ids))
 		}
 		row := scratch[:len(ids)]
-		ds.SqDistsTo(c, ids, row)
+		dist.SqDistsTo(ds.Matrix(), c, ids, row)
 		var s float64
 		for _, d2 := range row {
 			s += math.Sqrt(d2)
@@ -191,7 +192,7 @@ func DaviesBouldin(ds *vec.Dataset, res *cluster.Result) (float64, error) {
 			if i == j {
 				continue
 			}
-			sep := vec.Dist(cents[i], cents[j])
+			sep := dist.Dist(cents[i], cents[j])
 			if sep == 0 {
 				continue // coincident centroids: skip the degenerate pair
 			}

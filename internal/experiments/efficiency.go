@@ -2,8 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"time"
+	"maps"
 
 	"dbsvec/internal/core"
 	"dbsvec/internal/data"
@@ -19,165 +18,103 @@ const (
 	effMinPts = 100
 )
 
-// sweepAlgo is one competitor in an efficiency sweep. disabled latches true
-// once a run exceeds the budget, standing in for the paper's 10-hour cap.
-type sweepAlgo struct {
-	name     string
-	run      func(ds *vec.Dataset) func() (*clusterResult, error)
-	disabled bool
+// effAlgos are the competitors of the efficiency sweeps.
+var effAlgos = []namedAlgo{
+	{"DBSVEC", runDBSVEC},
+	{"R-DBSCAN", runRDBSCAN},
+	{"kd-DBSCAN", runKDDBSCAN},
+	{"rho-Appr", runRho},
+	{"DBSCAN-LSH", runLSH},
+	{"NQ-DBSCAN", runNQ},
 }
 
-func effAlgos(cfg Config) []*sweepAlgo {
-	return []*sweepAlgo{
-		{name: "DBSVEC", run: func(ds *vec.Dataset) func() (*clusterResult, error) {
-			return runDBSVEC(ds, effEps, effMinPts, cfg)
-		}},
-		{name: "R-DBSCAN", run: func(ds *vec.Dataset) func() (*clusterResult, error) {
-			return runRDBSCAN(ds, effEps, effMinPts)
-		}},
-		{name: "kd-DBSCAN", run: func(ds *vec.Dataset) func() (*clusterResult, error) {
-			return runKDDBSCAN(ds, effEps, effMinPts)
-		}},
-		{name: "rho-Appr", run: func(ds *vec.Dataset) func() (*clusterResult, error) {
-			return runRho(ds, effEps, effMinPts)
-		}},
-		{name: "DBSCAN-LSH", run: func(ds *vec.Dataset) func() (*clusterResult, error) {
-			return runLSH(ds, effEps, effMinPts, cfg.Seed)
-		}},
-		{name: "NQ-DBSCAN", run: func(ds *vec.Dataset) func() (*clusterResult, error) {
-			return runNQ(ds, effEps, effMinPts)
-		}},
-	}
-}
-
-// runSweep times every algorithm on every dataset of the sweep, printing a
-// row per dataset. Algorithms whose previous run blew the budget are
-// skipped for the remaining (larger) inputs.
-func runSweep(w io.Writer, algos []*sweepAlgo, labels []string, gen func(i int) *vec.Dataset, budget time.Duration) error {
-	fmt.Fprintf(w, "%-12s", "")
-	for _, a := range algos {
-		fmt.Fprintf(w, " %12s", a.name)
-	}
-	fmt.Fprintln(w)
-	for i, label := range labels {
-		ds := gen(i)
-		fmt.Fprintf(w, "%-12s", label)
-		for _, a := range algos {
-			if a.disabled {
-				fmt.Fprintf(w, " %12s", "-")
+// runSweep runs every algorithm on every point of a sweep, emitting one row
+// per run: the point's params plus the algorithm. at(i) gives point i's
+// dataset and radius. An algorithm whose run exceeds cfg's budget skips the
+// remaining (larger) points and emits no row for them, standing in for the
+// paper's 10-hour cap.
+func runSweep(cfg Config, exp string, emit func(Row), algos []namedAlgo, points []map[string]any, at func(i int) (*vec.Dataset, float64)) error {
+	budget := float64(cfg.budget().Nanoseconds())
+	disabled := make([]bool, len(algos))
+	for i, params := range points {
+		ds, eps := at(i)
+		for j, a := range algos {
+			if disabled[j] {
 				continue
 			}
-			run, err := timed(a.run(ds))
+			p := maps.Clone(params)
+			p["algo"] = a.name
+			row, _, err := measure(cfg, exp, p, a.run, ds, eps, effMinPts)
 			if err != nil {
-				return fmt.Errorf("%s on %s: %w", a.name, label, err)
+				return fmt.Errorf("%s at %v: %w", a.name, params, err)
 			}
-			if run.elapsed > budget {
-				a.disabled = true
-			}
-			fmt.Fprintf(w, " %12s", fmtDur(run))
+			disabled[j] = row.Measured["elapsed_ns"] > budget
+			emit(row)
 		}
-		fmt.Fprintln(w)
 	}
 	return nil
 }
 
+// spreader generates the sweeps' synthetic SeedSpreader dataset.
+func spreader(cfg Config, n, d int) *vec.Dataset {
+	return cfg.dataset(data.SeedSpreader{N: n, D: d, Seed: cfg.Seed}.Generate())
+}
+
+// spreaderPoints names the points of a sweep over SeedSpreader data.
+func spreaderPoints(n int) []map[string]any {
+	points := make([]map[string]any, n)
+	for i := range points {
+		points[i] = map[string]any{"dataset": "spreader"}
+	}
+	return points
+}
+
 // Fig6a reproduces Figure 6a: runtime vs cardinality on 8-dimensional
 // synthetic data (paper: 100k..10M; quick mode: 5k..100k).
-func Fig6a(w io.Writer, cfg Config) error {
-	header(w, "Figure 6a: effect of cardinality n (d=8, MinPts=100, eps=5000)")
+func Fig6a(cfg Config, emit func(Row)) error {
 	sizes := []int{100000, 500000, 1000000, 2000000, 5000000, 10000000}
 	if cfg.Quick {
 		sizes = []int{5000, 10000, 20000, 50000, 100000}
 	}
-	labels := make([]string, len(sizes))
-	for i, n := range sizes {
-		labels[i] = fmt.Sprintf("n=%d", n)
-	}
-	return runSweep(w, effAlgos(cfg), labels, func(i int) *vec.Dataset {
-		return cfg.dataset(data.SeedSpreader{N: sizes[i], D: 8, Seed: cfg.Seed}.Generate())
-	}, cfg.budget())
+	return runSweep(cfg, "fig6a", emit, effAlgos, spreaderPoints(len(sizes)), func(i int) (*vec.Dataset, float64) {
+		return spreader(cfg, sizes[i], 8), effEps
+	})
 }
 
 // Fig6b reproduces Figure 6b: runtime vs dimensionality at fixed
 // cardinality (paper: d=2..24 at n=2M; quick mode n=20k).
-func Fig6b(w io.Writer, cfg Config) error {
-	header(w, "Figure 6b: effect of dimensionality d (MinPts=100, eps=5000)")
+func Fig6b(cfg Config, emit func(Row)) error {
 	n := 2000000
 	if cfg.Quick {
 		n = 20000
 	}
 	dims := []int{2, 4, 8, 16, 24}
-	labels := make([]string, len(dims))
-	for i, d := range dims {
-		labels[i] = fmt.Sprintf("d=%d", d)
-	}
-	return runSweep(w, effAlgos(cfg), labels, func(i int) *vec.Dataset {
-		return cfg.dataset(data.SeedSpreader{N: n, D: dims[i], Seed: cfg.Seed}.Generate())
-	}, cfg.budget())
+	return runSweep(cfg, "fig6b", emit, effAlgos, spreaderPoints(len(dims)), func(i int) (*vec.Dataset, float64) {
+		return spreader(cfg, n, dims[i]), effEps
+	})
 }
 
 // Fig7 reproduces Figure 7: runtime vs radius eps on the synthetic dataset
 // (a) and the three real-world stand-ins (b: PAMAP2, c: Sensors,
-// d: Corel-Image).
-func Fig7(w io.Writer, cfg Config) error {
+// d: Corel-Image). Each dataset is its own sweep, so the budget latch
+// resets between them.
+func Fig7(cfg Config, emit func(Row)) error {
 	radii := []float64{5000, 15000, 25000, 35000, 45000, 55000}
 	nSynth, nReal := 2000000, 0 // real suites use their full cardinality
 	if cfg.Quick {
 		nSynth, nReal = 20000, 20000
 	}
-
-	sweepEps := func(title string, ds *vec.Dataset) error {
-		header(w, title)
-		algos := effAlgos(cfg)
-		labels := make([]string, len(radii))
+	sweepEps := func(name string, ds *vec.Dataset) error {
+		points := make([]map[string]any, len(radii))
 		for i, r := range radii {
-			labels[i] = fmt.Sprintf("eps=%.0f", r)
+			points[i] = map[string]any{"dataset": name, "eps": r}
 		}
-		fmt.Fprintf(w, "%-12s", "")
-		for _, a := range algos {
-			fmt.Fprintf(w, " %12s", a.name)
-		}
-		fmt.Fprintln(w)
-		for i, label := range labels {
-			eps := radii[i]
-			fmt.Fprintf(w, "%-12s", label)
-			for _, a := range algos {
-				if a.disabled {
-					fmt.Fprintf(w, " %12s", "-")
-					continue
-				}
-				// Re-bind eps by shadowing the standard runners.
-				var fn func() (*clusterResult, error)
-				switch a.name {
-				case "DBSVEC":
-					fn = runDBSVEC(ds, eps, effMinPts, cfg)
-				case "R-DBSCAN":
-					fn = runRDBSCAN(ds, eps, effMinPts)
-				case "kd-DBSCAN":
-					fn = runKDDBSCAN(ds, eps, effMinPts)
-				case "rho-Appr":
-					fn = runRho(ds, eps, effMinPts)
-				case "DBSCAN-LSH":
-					fn = runLSH(ds, eps, effMinPts, cfg.Seed)
-				case "NQ-DBSCAN":
-					fn = runNQ(ds, eps, effMinPts)
-				}
-				run, err := timed(fn)
-				if err != nil {
-					return fmt.Errorf("%s at %s: %w", a.name, label, err)
-				}
-				if run.elapsed > cfg.budget() {
-					a.disabled = true
-				}
-				fmt.Fprintf(w, " %12s", fmtDur(run))
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
+		return runSweep(cfg, "fig7", emit, effAlgos, points, func(i int) (*vec.Dataset, float64) {
+			return ds, radii[i]
+		})
 	}
 
-	synth := cfg.dataset(data.SeedSpreader{N: nSynth, D: 8, Seed: cfg.Seed}.Generate())
-	if err := sweepEps("Figure 7a: effect of eps (synthetic, d=8)", synth); err != nil {
+	if err := sweepEps("spreader", spreader(cfg, nSynth, 8)); err != nil {
 		return err
 	}
 	for _, e := range data.RealWorldSuite() {
@@ -185,8 +122,7 @@ func Fig7(w io.Writer, cfg Config) error {
 		if nReal > 0 && n > nReal {
 			n = nReal
 		}
-		ds := cfg.dataset(e.Gen(n, cfg.Seed).NormalizeTo(1e5))
-		if err := sweepEps(fmt.Sprintf("Figure 7: effect of eps (%s stand-in, n=%d, d=%d)", e.Name, n, e.D), ds); err != nil {
+		if err := sweepEps(e.Name, cfg.dataset(e.Gen(n, cfg.Seed).NormalizeTo(1e5))); err != nil {
 			return err
 		}
 	}
@@ -194,75 +130,59 @@ func Fig7(w io.Writer, cfg Config) error {
 }
 
 // Fig8 reproduces Figure 8: DBSVEC runtime as the penalty factor ν grows
-// (multiples of ν*), on synthetic data and a real-world stand-in.
-func Fig8(w io.Writer, cfg Config) error {
-	header(w, "Figure 8: effect of penalty factor nu (multiples of nu*)")
+// in multiples of ν* (taken at a 1024-point target), on synthetic data.
+// Each row holds the ν it ran with.
+func Fig8(cfg Config, emit func(Row)) error {
 	n := 2000000
 	if cfg.Quick {
 		n = 20000
 	}
-	ds := cfg.dataset(data.SeedSpreader{N: n, D: 8, Seed: cfg.Seed}.Generate())
-	mults := []float64{1, 2, 4, 8, 16}
-	// Estimate the typical target size from MinPts-scale neighborhoods to
-	// report nu* context.
+	ds := spreader(cfg, n, 8)
 	nuStar := svdd.NuStar(8, effMinPts, 1024)
-	fmt.Fprintf(w, "(nu* at a 1024-point target: %.4f)\n", nuStar)
-	fmt.Fprintf(w, "%-12s %12s %12s\n", "nu", "time", "clusters")
-	for _, m := range mults {
-		nu := nuStar * m
-		if nu > 1 {
-			nu = 1
-		}
-		run, err := timed(runDBSVECOpts(ds, core.Options{Eps: effEps, MinPts: effMinPts, Nu: nu, Seed: cfg.Seed, Workers: cfg.Workers}))
+	for _, m := range []float64{1, 2, 4, 8, 16} {
+		nu := min(nuStar*m, 1)
+		run := dbsvecWith(func(o *core.Options) { o.Nu = nu })
+		row, _, err := measure(cfg, "fig8", map[string]any{"dataset": "spreader", "nu_mult": m}, run, ds, effEps, effMinPts)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-12s %12s %12d\n", fmt.Sprintf("%.1fx nu*", m), fmtDur(run), run.res.Clusters)
+		row.Counts["nu"] = nu
+		emit(row)
 	}
 	return nil
 }
 
 // Fig9b reproduces Figure 9b: the efficiency effect of incremental learning
 // (\IL disables it) and kernel parameter selection (\OK randomizes σ) on
-// 8-dimensional synthetic data.
-func Fig9b(w io.Writer, cfg Config) error {
-	header(w, "Figure 9b: effect of SVDD improvements on efficiency")
+// 8-dimensional synthetic data. Each row's recall is its pair recall
+// against the full DBSVEC, which runs first as the reference.
+func Fig9b(cfg Config, emit func(Row)) error {
 	n := 2000000
 	if cfg.Quick {
 		n = 20000
 	}
-	ds := cfg.dataset(data.SeedSpreader{N: n, D: 8, Seed: cfg.Seed}.Generate())
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"DBSVEC\\IL", core.Options{Eps: effEps, MinPts: effMinPts, LearnThreshold: -1, Seed: cfg.Seed, Workers: cfg.Workers}},
-		{"DBSVEC\\OK", core.Options{Eps: effEps, MinPts: effMinPts, RandomKernel: true, Seed: cfg.Seed, Workers: cfg.Workers}},
-		{"DBSVEC", core.Options{Eps: effEps, MinPts: effMinPts, Seed: cfg.Seed, Workers: cfg.Workers}},
+	ds := spreader(cfg, n, 8)
+	params := func(variant string) map[string]any {
+		return map[string]any{"dataset": "spreader", "algo": variant}
 	}
-	fmt.Fprintf(w, "%-12s %12s %12s %12s\n", "variant", "time", "clusters", "recallVsFull")
-	var full *clusterResult
-	// Run the full variant first to serve as the reference.
-	ref, err := timed(runDBSVECOpts(ds, variants[2].opts))
+	fullRow, full, err := measure(cfg, "fig9b", params("DBSVEC"), runDBSVEC, ds, effEps, effMinPts)
 	if err != nil {
 		return err
 	}
-	full = ref.res
-	for _, v := range variants {
-		var run algoResult
-		if v.name == "DBSVEC" {
-			run = ref
-		} else {
-			run, err = timed(runDBSVECOpts(ds, v.opts))
-			if err != nil {
-				return err
-			}
-		}
-		rec, err := eval.PairRecall(full, run.res)
+	fullRow.Counts["recall"] = 1
+	emit(fullRow)
+	for _, v := range []namedAlgo{
+		{"DBSVEC\\IL", dbsvecWith(func(o *core.Options) { o.LearnThreshold = -1 })},
+		{"DBSVEC\\OK", dbsvecWith(func(o *core.Options) { o.RandomKernel = true })},
+	} {
+		row, res, err := measure(cfg, "fig9b", params(v.name), v.run, ds, effEps, effMinPts)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-12s %12s %12d %12.3f\n", v.name, fmtDur(run), run.res.Clusters, rec)
+		if row.Counts["recall"], err = eval.PairRecall(full, res); err != nil {
+			return err
+		}
+		emit(row)
 	}
 	return nil
 }

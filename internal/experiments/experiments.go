@@ -1,16 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section V) on this repository's implementations and synthetic
-// dataset stand-ins. Each experiment prints the same rows/series the paper
-// reports; EXPERIMENTS.md records paper-vs-measured values.
-//
-// The package is shared between cmd/benchall (human-facing runs) and the
-// repository-level testing.B benchmarks.
+// dataset stand-ins, plus the component benchmarks behind the committed
+// BENCH_*.json reports. Every experiment emits Rows, the one result format:
+// Experiment.Execute prints them as they arrive and merges them into the
+// experiment's report file. EXPERIMENTS.md records paper-vs-measured values;
+// cmd/benchall is the command-line front end.
 package experiments
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -24,10 +23,6 @@ import (
 	"dbsvec/internal/vec"
 )
 
-// clusterResult aliases the shared result type so experiment tables can
-// name it without importing the cluster package everywhere.
-type clusterResult = cluster.Result
-
 // Config steers experiment scale.
 type Config struct {
 	// Quick selects reduced cardinalities so the whole harness finishes in
@@ -36,9 +31,9 @@ type Config struct {
 	// Seed drives all dataset generation and randomized algorithms.
 	Seed int64
 	// Budget is a soft per-algorithm-run time limit standing in for the
-	// paper's 10-hour cap: runs predicted (by prior samples) to exceed it
-	// are skipped and reported as "-". 0 selects 30s in quick mode, 10min
-	// otherwise.
+	// paper's 10-hour cap: once an algorithm's run in a sweep exceeds it,
+	// the algorithm skips the rest of the sweep and emits no more rows. 0
+	// selects 30s in quick mode, 10min otherwise.
 	Budget time.Duration
 	// Workers sets the query-engine worker count for DBSVEC runs
 	// (core.Options.Workers); 0 selects all CPUs.
@@ -48,9 +43,8 @@ type Config struct {
 	// skips runs predicted to be slow — a tripped RunTimeout stops the run
 	// in flight and the experiment proceeds with the partial clustering.
 	RunTimeout time.Duration
-	// Reports maps a report experiment's id ("svdd", "index", "highdim",
-	// "shard") to the file its rows are merged into (see writeReport); an
-	// id with no path writes no report.
+	// Reports maps an experiment's id to the file its rows are merged into
+	// (see writeReport); an id with no path writes no report.
 	Reports map[string]string
 	// Precision selects the point-storage mode datasets are generated in
 	// (vec.F64 default). The precision-dimension sections of the svdd and
@@ -80,55 +74,72 @@ func (c Config) budget() time.Duration {
 	return 10 * time.Minute
 }
 
-// algoResult is one timed clustering run.
-type algoResult struct {
-	res     *cluster.Result
-	elapsed time.Duration
-	skipped bool
+// dbsvecOptions are the harness's DBSVEC options at one (eps, minPts).
+func (c Config) dbsvecOptions(eps float64, minPts int) core.Options {
+	return core.Options{
+		Eps: eps, MinPts: minPts, Seed: c.Seed, Workers: c.Workers,
+		Budget: core.Budget{MaxDuration: c.RunTimeout},
+	}
 }
 
-// timed runs fn and captures elapsed wall time.
-func timed(fn func() (*cluster.Result, error)) (algoResult, error) {
+// measure runs one clustering of ds at (eps, minPts) and returns its result
+// with its row: exp and params as given plus the dataset's n and d, the
+// storage precision and the seed, the clusters and noise of the result as
+// counts, and the wall clock as elapsed_ns.
+func measure(cfg Config, exp string, params map[string]any, run algo, ds *vec.Dataset, eps float64, minPts int) (Row, *cluster.Result, error) {
 	start := time.Now()
-	res, err := fn()
+	res, err := run(cfg, ds, eps, minPts)
 	if err != nil {
-		return algoResult{}, err
+		return Row{}, nil, err
 	}
-	return algoResult{res: res, elapsed: time.Since(start)}, nil
+	elapsed := time.Since(start)
+	params["n"], params["d"] = ds.Len(), ds.Dim()
+	params["precision"], params["seed"] = cfg.Precision.String(), cfg.Seed
+	return Row{
+		Exp:      exp,
+		Params:   params,
+		Counts:   map[string]float64{"clusters": float64(res.Clusters), "noise": float64(res.NoiseCount())},
+		Measured: map[string]float64{"elapsed_ns": float64(elapsed.Nanoseconds())},
+	}, res, nil
 }
 
-// skipped is the placeholder for runs beyond the budget.
-func skipped() algoResult { return algoResult{skipped: true} }
+// Algorithms. Each runs one clustering of ds at (eps, minPts), so every
+// experiment can sweep any of them the same way.
 
-func fmtDur(a algoResult) string {
-	if a.skipped {
-		return "-"
+// algo is one competitor of the evaluation.
+type algo func(cfg Config, ds *vec.Dataset, eps float64, minPts int) (*cluster.Result, error)
+
+// namedAlgo is an algorithm under its table label.
+type namedAlgo struct {
+	name string
+	run  algo
+}
+
+// runCore runs DBSVEC with the given options. A tripped run budget still
+// carries a valid partial clustering; experiments report it rather than
+// aborting the whole table.
+func runCore(ds *vec.Dataset, opts core.Options) (*cluster.Result, core.Stats, error) {
+	res, st, err := core.Run(ds, opts)
+	var be *core.BudgetExceededError
+	if errors.As(err, &be) && res != nil {
+		return res, st, nil
 	}
-	return fmt.Sprintf("%.3fs", a.elapsed.Seconds())
+	return res, st, err
 }
 
-// Algorithms. Each returns a runnable closure for the given dataset and
-// parameters, used uniformly across experiments.
-
-func runDBSVEC(ds *vec.Dataset, eps float64, minPts int, cfg Config) func() (*cluster.Result, error) {
-	return runDBSVECOpts(ds, core.Options{
-		Eps: eps, MinPts: minPts, Seed: cfg.Seed, Workers: cfg.Workers,
-		Budget: core.Budget{MaxDuration: cfg.RunTimeout},
-	})
-}
-
-func runDBSVECOpts(ds *vec.Dataset, opts core.Options) func() (*cluster.Result, error) {
-	return func() (*cluster.Result, error) {
-		res, _, err := core.Run(ds, opts)
-		// A tripped run budget still carries a valid partial clustering;
-		// experiments report it rather than aborting the whole table.
-		var be *core.BudgetExceededError
-		if errors.As(err, &be) && res != nil {
-			return res, nil
-		}
+// dbsvecWith returns DBSVEC with set applied to the harness options: the
+// paper's variants (ν_min, a fixed ν, each SVDD improvement removed).
+func dbsvecWith(set func(*core.Options)) algo {
+	return func(cfg Config, ds *vec.Dataset, eps float64, minPts int) (*cluster.Result, error) {
+		opts := cfg.dbsvecOptions(eps, minPts)
+		set(&opts)
+		res, _, err := runCore(ds, opts)
 		return res, err
 	}
 }
+
+// runDBSVEC is DBSVEC with the harness options.
+var runDBSVEC = dbsvecWith(func(*core.Options) {})
 
 // exactDBSCAN runs exact DBSCAN over a serially built backend of the table.
 func exactDBSCAN(ds *vec.Dataset, eps float64, minPts int, kind backend.Kind) (*cluster.Result, error) {
@@ -140,39 +151,29 @@ func exactDBSCAN(ds *vec.Dataset, eps float64, minPts int, kind backend.Kind) (*
 	return res, err
 }
 
-func runRDBSCAN(ds *vec.Dataset, eps float64, minPts int) func() (*cluster.Result, error) {
-	return func() (*cluster.Result, error) {
-		return exactDBSCAN(ds, eps, minPts, backend.RTree)
-	}
+func runRDBSCAN(_ Config, ds *vec.Dataset, eps float64, minPts int) (*cluster.Result, error) {
+	return exactDBSCAN(ds, eps, minPts, backend.RTree)
 }
 
-func runKDDBSCAN(ds *vec.Dataset, eps float64, minPts int) func() (*cluster.Result, error) {
-	return func() (*cluster.Result, error) {
-		return exactDBSCAN(ds, eps, minPts, backend.KDTree)
-	}
+func runKDDBSCAN(_ Config, ds *vec.Dataset, eps float64, minPts int) (*cluster.Result, error) {
+	return exactDBSCAN(ds, eps, minPts, backend.KDTree)
 }
 
-func runRho(ds *vec.Dataset, eps float64, minPts int) func() (*cluster.Result, error) {
-	return func() (*cluster.Result, error) {
-		res, _, err := rhodbscan.Run(ds, rhodbscan.Params{Eps: eps, MinPts: minPts, Rho: 0.001})
-		return res, err
-	}
+func runRho(_ Config, ds *vec.Dataset, eps float64, minPts int) (*cluster.Result, error) {
+	res, _, err := rhodbscan.Run(ds, rhodbscan.Params{Eps: eps, MinPts: minPts, Rho: 0.001})
+	return res, err
 }
 
-func runLSH(ds *vec.Dataset, eps float64, minPts int, seed int64) func() (*cluster.Result, error) {
-	return func() (*cluster.Result, error) {
-		p := lshdbscan.Params{Eps: eps, MinPts: minPts}
-		p.Hash.Seed = seed
-		res, _, err := lshdbscan.Run(ds, p)
-		return res, err
-	}
+func runLSH(cfg Config, ds *vec.Dataset, eps float64, minPts int) (*cluster.Result, error) {
+	p := lshdbscan.Params{Eps: eps, MinPts: minPts}
+	p.Hash.Seed = cfg.Seed
+	res, _, err := lshdbscan.Run(ds, p)
+	return res, err
 }
 
-func runNQ(ds *vec.Dataset, eps float64, minPts int) func() (*cluster.Result, error) {
-	return func() (*cluster.Result, error) {
-		res, _, err := nqdbscan.Run(ds, nqdbscan.Params{Eps: eps, MinPts: minPts})
-		return res, err
-	}
+func runNQ(_ Config, ds *vec.Dataset, eps float64, minPts int) (*cluster.Result, error) {
+	res, _, err := nqdbscan.Run(ds, nqdbscan.Params{Eps: eps, MinPts: minPts})
+	return res, err
 }
 
 // sampleForMetrics returns up to cap point ids drawn without replacement,
@@ -198,9 +199,4 @@ func subResult(res *cluster.Result, ids []int32) *cluster.Result {
 	}
 	out := &cluster.Result{Labels: labels}
 	return out.Compact()
-}
-
-// header prints an experiment banner.
-func header(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n=== %s ===\n", title)
 }

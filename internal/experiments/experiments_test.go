@@ -7,12 +7,47 @@ import (
 	"testing"
 	"time"
 
+	"dbsvec/internal/cluster"
 	"dbsvec/internal/vec"
 )
 
 // tinyCfg keeps experiment smoke tests fast.
 func tinyCfg() Config {
 	return Config{Quick: true, Seed: 1, Budget: 5 * time.Second}
+}
+
+// collect runs an experiment body and returns every row it emitted.
+func collect(t *testing.T, run func(Config, func(Row)) error, cfg Config) []Row {
+	t.Helper()
+	var rows []Row
+	if err := run(cfg, func(r Row) { rows = append(rows, r) }); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// stopAfterFirst is the panic value firstRow's emit stops an experiment
+// with.
+type stopAfterFirst struct{}
+
+// firstRow runs e until it emits its first row and returns that row: the
+// emit panics with stopAfterFirst, which firstRow recovers, so every
+// experiment of the registry can be checked without running it whole.
+func firstRow(t *testing.T, e Experiment, cfg Config) (row Row) {
+	t.Helper()
+	defer func() {
+		if v := recover(); v != nil {
+			if _, ok := v.(stopAfterFirst); !ok {
+				panic(v)
+			}
+		}
+	}()
+	err := e.Run(cfg, func(r Row) {
+		row = r
+		panic(stopAfterFirst{})
+	})
+	t.Fatalf("%s returned %v without emitting a row", e.ID, err)
+	return row
 }
 
 func TestRegistry(t *testing.T) {
@@ -32,29 +67,79 @@ func TestRegistry(t *testing.T) {
 	if _, err := ByID("nope"); err == nil {
 		t.Error("want error for unknown id")
 	}
-}
-
-func TestFig1Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig1(&buf, tinyCfg()); err != nil {
-		t.Fatal(err)
+	if testing.Short() {
+		t.Skip("the first row of every experiment runs a clustering or benchmark")
 	}
-	out := buf.String()
-	for _, want := range []string{"DBSCAN", "DBSVEC", "pair recall"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	for _, e := range all {
+		r := firstRow(t, e, tinyCfg())
+		if r.Exp != e.ID {
+			t.Errorf("%s emitted a row with exp %q", e.ID, r.Exp)
+		}
+		if len(r.Params) == 0 || len(r.Counts)+len(r.Measured) == 0 {
+			t.Errorf("%s emitted an empty row %+v", e.ID, r)
 		}
 	}
 }
 
-func TestFig8Smoke(t *testing.T) {
+// Execute prints the banner and every row, and merges the rows into the
+// report its config names.
+func TestExecutePrintsAndWrites(t *testing.T) {
+	path := t.TempDir() + "/BENCH_x.json"
+	e := Experiment{ID: "x", Title: "banner title", Run: func(_ Config, emit func(Row)) error {
+		for n := 1; n <= 3; n++ {
+			emit(Row{Exp: "x", Params: map[string]any{"n": n}, Counts: map[string]float64{"clusters": 2},
+				Measured: map[string]float64{"elapsed_ns": 1.5e6}})
+		}
+		return nil
+	}}
 	var buf bytes.Buffer
-	cfg := tinyCfg()
-	if err := Fig8(&buf, cfg); err != nil {
+	if err := e.Execute(&buf, Config{Reports: map[string]string{"x": path}}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "nu*") {
-		t.Errorf("fig8 output unexpected:\n%s", buf.String())
+	out := buf.String()
+	for _, want := range []string{"=== banner title ===", "elapsed_ns", "1.500ms", "wrote 3 rows to " + path} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	if c := strings.Count(out, "clusters"); c != 1 {
+		t.Errorf("one column set printed %d headers:\n%s", c, out)
+	}
+	if n, err := CheckBaseline(path, path); err != nil || n != 3 {
+		t.Errorf("report has %d rows, %v", n, err)
+	}
+}
+
+func TestFig1Smoke(t *testing.T) {
+	rows := collect(t, Fig1, tinyCfg())
+	if len(rows) != 2 || rows[0].Params["algo"] != "DBSCAN" || rows[1].Params["algo"] != "DBSVEC" {
+		t.Fatalf("fig1 rows = %+v", rows)
+	}
+	for _, r := range rows {
+		if r.Counts["clusters"] == 0 || r.Params["n"] != 8000 || r.Measured["elapsed_ns"] <= 0 {
+			t.Errorf("row not populated: %+v", r)
+		}
+	}
+	if rows[0].Counts["recall"] != 1 {
+		t.Errorf("DBSCAN recall against itself = %v", rows[0].Counts["recall"])
+	}
+	if rec := rows[1].Counts["recall"]; rec < 0.9 || rec > 1 {
+		t.Errorf("DBSVEC pair recall = %v, want ~1 (paper: identical clusters)", rec)
+	}
+}
+
+func TestFig8Smoke(t *testing.T) {
+	rows := collect(t, Fig8, tinyCfg())
+	if len(rows) != 5 {
+		t.Fatalf("fig8 emitted %d rows, want one per nu multiple", len(rows))
+	}
+	prev := 0.0
+	for _, r := range rows {
+		nu := r.Counts["nu"]
+		if !(nu > prev && nu <= 1) || r.Counts["clusters"] == 0 {
+			t.Errorf("row %+v: nu %v after %v", r.Params, nu, prev)
+		}
+		prev = nu
 	}
 }
 
@@ -62,14 +147,19 @@ func TestTable2Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table2 runs several clusterings")
 	}
-	var buf bytes.Buffer
-	if err := Table2(&buf, tinyCfg()); err != nil {
-		t.Fatal(err)
+	rows := collect(t, Table2, tinyCfg())
+	if len(rows) != 4 {
+		t.Fatalf("table2 emitted %d rows, want 4 sizes", len(rows))
 	}
-	out := buf.String()
-	for _, want := range []string{"theta/n", "queries", "real/n"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table2 output missing %q column:\n%s", want, out)
+	for _, r := range rows {
+		c := r.Counts
+		theta := c["seeds"] + 1 + c["support_vectors"] + c["merges"] + effMinPts*c["noise_list"]
+		if c["theta"] != theta {
+			t.Errorf("%s: theta %v, terms sum to %v", r.Key(), c["theta"], theta)
+		}
+		n := float64(r.Params["n"].(int))
+		if !(c["theta"] < n) || c["range_queries"] == 0 || c["svdd_trainings"] == 0 || c["svdd_iterations"] == 0 {
+			t.Errorf("%s: counts %v", r.Key(), c)
 		}
 	}
 }
@@ -78,8 +168,12 @@ func TestIndexPerfSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("index bench builds several large structures")
 	}
+	e, err := ByID("index")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := IndexPerf(&buf, tinyCfg()); err != nil {
+	if err := e.Execute(&buf, tinyCfg()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -94,10 +188,14 @@ func TestHighdimSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("highdim bench builds several large structures")
 	}
+	e, err := ByID("highdim")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	cfg := tinyCfg()
 	cfg.Reports = map[string]string{"highdim": t.TempDir() + "/BENCH_highdim.json"}
-	if err := Highdim(&buf, cfg); err != nil {
+	if err := e.Execute(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -154,7 +252,7 @@ func TestSampleForMetrics(t *testing.T) {
 }
 
 func TestSubResult(t *testing.T) {
-	res := &clusterResult{Labels: []int32{5, 5, -1, 7}}
+	res := &cluster.Result{Labels: []int32{5, 5, -1, 7}}
 	sub := subResult(res, []int32{0, 3, 2})
 	if sub.Labels[0] != 0 || sub.Labels[1] != 1 || sub.Labels[2] != -1 {
 		t.Errorf("subResult labels = %v", sub.Labels)
@@ -168,10 +266,9 @@ func TestShardBenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shard bench runs several clusterings")
 	}
-	rows, err := runShardBenchPoint(tinyCfg(), 4000, []int{2}, vec.F64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := collect(t, func(cfg Config, emit func(Row)) error {
+		return runShardBenchPoint(cfg, 4000, []int{2}, vec.F64, emit)
+	}, tinyCfg())
 	if len(rows) != 3 {
 		t.Fatalf("expected single+sharded+outofcore rows, got %d", len(rows))
 	}

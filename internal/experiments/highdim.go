@@ -3,10 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
+	"dbsvec/internal/cluster"
 	"dbsvec/internal/data"
 	"dbsvec/internal/dbscan"
 	"dbsvec/internal/eval"
@@ -40,10 +40,10 @@ const (
 // keys are the same on every machine.
 const highdimWorkers = 2
 
-// RunHighdim executes the benchmark and returns its rows: batched range
+// RunHighdim executes the benchmark and emits its rows: batched range
 // queries per backend, dimension and storage precision ("query"), then the
 // end-to-end DBSCAN agreement runs ("ari").
-func RunHighdim(cfg Config) ([]Row, error) {
+func RunHighdim(cfg Config, emit func(Row)) error {
 	n, batchQ, repeats := 100_000, 64, 3
 	ariN, ariDim := 30_000, 64
 	if cfg.Quick {
@@ -51,12 +51,11 @@ func RunHighdim(cfg Config) ([]Row, error) {
 		ariN = 4_000
 	}
 
-	var rows []Row
 	for _, dim := range []int{64, 128, 256, 512} {
 		ds := data.Embeddings(n, dim, highdimClusters, highdimNoise, cfg.Seed)
 		ds32, err := ds.ToPrecision(vec.F32)
 		if err != nil {
-			return nil, fmt.Errorf("highdim f32 conversion: %w", err)
+			return fmt.Errorf("highdim f32 conversion: %w", err)
 		}
 		for _, pv := range []struct {
 			prec string
@@ -75,12 +74,12 @@ func RunHighdim(cfg Config) ([]Row, error) {
 			for _, kind := range []backend.Kind{backend.Linear, backend.RProj} {
 				build, err := kind.Builder(highdimWorkers)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				start := time.Now()
 				idx, err := build(context.Background(), pv.ds)
 				if err != nil {
-					return nil, fmt.Errorf("highdim %s build: %w", kind, err)
+					return fmt.Errorf("highdim %s build: %w", kind, err)
 				}
 				buildNs := time.Since(start).Nanoseconds()
 				batch := index.Batch(idx)
@@ -90,7 +89,7 @@ func RunHighdim(cfg Config) ([]Row, error) {
 					start := time.Now()
 					out, err = batch.BatchRangeQuery(nil, qs, highdimEps, highdimWorkers, out)
 					if err != nil {
-						return nil, fmt.Errorf("highdim %s batch: %w", kind, err)
+						return fmt.Errorf("highdim %s batch: %w", kind, err)
 					}
 					best = min(best, time.Since(start).Nanoseconds())
 				}
@@ -104,7 +103,7 @@ func RunHighdim(cfg Config) ([]Row, error) {
 				if x, ok := idx.(*rproj.Index); ok {
 					cells, maxCell = x.Cells()
 				}
-				rows = append(rows, Row{
+				emit(Row{
 					Exp: "highdim",
 					Params: map[string]any{
 						"section": "query", "backend": kind.String(), "precision": pv.prec,
@@ -120,39 +119,34 @@ func RunHighdim(cfg Config) ([]Row, error) {
 		}
 	}
 
-	ari, err := runHighdimARI(cfg, ariN, ariDim)
-	if err != nil {
-		return nil, err
-	}
-	return append(rows, ari...), nil
+	return runHighdimARI(cfg, ariN, ariDim, emit)
 }
 
 // runHighdimARI clusters the embeddings dataset end to end with the linear
-// oracle and with rproj and returns both runs with their label agreement.
-func runHighdimARI(cfg Config, n, dim int) ([]Row, error) {
+// oracle and with rproj and emits both runs with their label agreement.
+func runHighdimARI(cfg Config, n, dim int, emit func(Row)) error {
 	ds := data.Embeddings(n, dim, highdimClusters, highdimNoise, cfg.Seed+1)
 	params := dbscan.Params{Eps: highdimEps, MinPts: highdimMinPts}
 
-	var linear *clusterResult
-	var rows []Row
+	var linear *cluster.Result
 	for _, kind := range []backend.Kind{backend.Linear, backend.RProj} {
 		build, err := kind.Builder(1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		start := time.Now()
 		res, _, err := dbscan.Run(ds, params, build)
 		if err != nil {
-			return nil, fmt.Errorf("highdim ari %s: %w", kind, err)
+			return fmt.Errorf("highdim ari %s: %w", kind, err)
 		}
 		elapsed := time.Since(start).Nanoseconds()
 		ari := 1.0
 		if linear == nil {
 			linear = res
 		} else if ari, err = eval.AdjustedRandIndex(linear, res); err != nil {
-			return nil, fmt.Errorf("highdim ari: %w", err)
+			return fmt.Errorf("highdim ari: %w", err)
 		}
-		rows = append(rows, Row{
+		emit(Row{
 			Exp: "highdim",
 			Params: map[string]any{
 				"section": "ari", "backend": kind.String(), "n": n, "dim": dim, "seed": cfg.Seed,
@@ -161,17 +155,5 @@ func runHighdimARI(cfg Config, n, dim int) ([]Row, error) {
 			Measured: map[string]float64{"elapsed_ns": float64(elapsed)},
 		})
 	}
-	return rows, nil
-}
-
-// Highdim is the registry entry: it prints the rows and, when cfg.Reports
-// names a path for "highdim", merges them into that report.
-func Highdim(w io.Writer, cfg Config) error {
-	header(w, fmt.Sprintf("High-dimensional neighborhoods: rproj vs linear on embeddings (eps=%g, minPts=%d)",
-		highdimEps, highdimMinPts))
-	rows, err := RunHighdim(cfg)
-	if err != nil {
-		return err
-	}
-	return emitReport(w, cfg, "highdim", rows)
+	return nil
 }

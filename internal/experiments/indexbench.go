@@ -3,11 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
 	"dbsvec/internal/data"
+	"dbsvec/internal/dist"
 	"dbsvec/internal/index"
 	"dbsvec/internal/index/backend"
 	"dbsvec/internal/vec"
@@ -54,11 +54,11 @@ func indexBenchBuild(kind backend.Kind, ds *vec.Dataset, workers int) (index.Ind
 // are the same on every machine.
 var indexBenchWorkers = []int{1, 2}
 
-// RunIndexBench executes the micro-benchmark and returns its rows: build
+// RunIndexBench executes the micro-benchmark and emits its rows: build
 // time per backend, cardinality and worker count ("build"), range-query
 // time per backend, cardinality and storage precision ("query"), and the
 // batch linear scans ("scan").
-func RunIndexBench(cfg Config) ([]Row, error) {
+func RunIndexBench(cfg Config, emit func(Row)) error {
 	sizes := []int{100_000, 500_000}
 	repeats, queries := 5, 1000
 	if cfg.Quick {
@@ -66,12 +66,13 @@ func RunIndexBench(cfg Config) ([]Row, error) {
 		repeats, queries = 3, 400
 	}
 
-	var builds, queryRows []Row
+	// Query rows are held back so every build row prints first.
+	var queryRows []Row
 	for _, n := range sizes {
 		ds := data.Blobs(n, indexBenchDim, 16, 30, 1000, 0.02, cfg.Seed)
 		ds32, err := ds.ToPrecision(vec.F32)
 		if err != nil {
-			return nil, fmt.Errorf("index bench f32 conversion: %w", err)
+			return fmt.Errorf("index bench f32 conversion: %w", err)
 		}
 		for _, kind := range indexBenchKinds() {
 			for _, workers := range indexBenchWorkers {
@@ -79,11 +80,11 @@ func RunIndexBench(cfg Config) ([]Row, error) {
 				for r := 0; r < repeats; r++ {
 					start := time.Now()
 					if _, err := indexBenchBuild(kind, ds, workers); err != nil {
-						return nil, err
+						return err
 					}
 					best = min(best, time.Since(start).Nanoseconds())
 				}
-				builds = append(builds, Row{
+				emit(Row{
 					Exp: "index",
 					Params: map[string]any{
 						"section": "build", "backend": kind.String(), "n": n, "dim": indexBenchDim,
@@ -104,7 +105,7 @@ func RunIndexBench(cfg Config) ([]Row, error) {
 			}{{"f64", ds}, {"f32", ds32}} {
 				idx, err := indexBenchBuild(kind, pv.ds, 1)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				stride := max(pv.ds.Len()/queries, 1)
 				var results int
@@ -128,11 +129,10 @@ func RunIndexBench(cfg Config) ([]Row, error) {
 		}
 	}
 
-	scans, err := runScanBench(cfg, repeats)
-	if err != nil {
-		return nil, err
+	for _, r := range queryRows {
+		emit(r)
 	}
-	return append(append(builds, queryRows...), scans...), nil
+	return runScanBench(cfg, repeats, emit)
 }
 
 // scanBenchN and scanBenchDim pin the batch-scan section's shape: an
@@ -147,9 +147,9 @@ const (
 )
 
 // runScanBench measures fused whole-dataset FilterWithin scans at the
-// embeddings shape for both storage precisions and returns one "scan" row
-// per precision: best of repeats over a fixed query batch.
-func runScanBench(cfg Config, repeats int) ([]Row, error) {
+// embeddings shape for both storage precisions and emits one "scan" row per
+// precision: best of repeats over a fixed query batch.
+func runScanBench(cfg Config, repeats int, emit func(Row)) error {
 	queries := 64
 	if cfg.Quick {
 		queries = 24
@@ -158,7 +158,7 @@ func runScanBench(cfg Config, repeats int) ([]Row, error) {
 	ds := data.Uniform(scanBenchN, scanBenchDim, 1000, cfg.Seed)
 	ds32, err := ds.ToPrecision(vec.F32)
 	if err != nil {
-		return nil, fmt.Errorf("scan bench f32 conversion: %w", err)
+		return fmt.Errorf("scan bench f32 conversion: %w", err)
 	}
 	// eps sized to catch a small neighborhood: scan cost is n·d regardless of
 	// the hit count (the fused kernels never early-exit), so the radius only
@@ -166,7 +166,6 @@ func runScanBench(cfg Config, repeats int) ([]Row, error) {
 	const scanEps = 300.0
 	eps2 := scanEps * scanEps
 
-	var rows []Row
 	for _, pv := range []struct {
 		prec string
 		ds   *vec.Dataset
@@ -179,12 +178,12 @@ func runScanBench(cfg Config, repeats int) ([]Row, error) {
 			results = 0
 			start := time.Now()
 			for q := 0; q < queries; q++ {
-				buf = pv.ds.FilterWithin(pv.ds.Point(q*stride), eps2, buf[:0])
+				buf = dist.FilterWithin(pv.ds.Matrix(), pv.ds.Point(q*stride), eps2, buf[:0])
 				results += len(buf)
 			}
 			best = min(best, time.Since(start).Nanoseconds())
 		}
-		rows = append(rows, Row{
+		emit(Row{
 			Exp: "index",
 			Params: map[string]any{
 				"section": "scan", "precision": pv.prec, "n": scanBenchN, "dim": scanBenchDim,
@@ -194,16 +193,5 @@ func runScanBench(cfg Config, repeats int) ([]Row, error) {
 			Measured: map[string]float64{"total_ns": float64(best)},
 		})
 	}
-	return rows, nil
-}
-
-// IndexPerf is the registry entry: it prints the rows and, when cfg.Reports
-// names a path for "index", merges them into that report.
-func IndexPerf(w io.Writer, cfg Config) error {
-	header(w, "Index construction: parallel bulk loads + packed leaf blocks")
-	rows, err := RunIndexBench(cfg)
-	if err != nil {
-		return err
-	}
-	return emitReport(w, cfg, "index", rows)
+	return nil
 }

@@ -15,17 +15,19 @@ import (
 	"strings"
 )
 
-// Row is one line of a machine-readable benchmark report (BENCH_<exp>.json).
-// Every report experiment writes rows of this one shape.
+// Row is one measurement of an experiment: one line of its printed table and
+// of its machine-readable report (BENCH_<exp>.json). Every experiment emits
+// rows of this one shape.
 type Row struct {
-	// Exp is the experiment id ("svdd", "index", "highdim", "shard").
+	// Exp is the id of the experiment that emitted the row.
 	Exp string `json:"exp"`
-	// Params identify the row within its experiment: the section, backend,
-	// precision, sizes, worker count, repeats and seed. Values are strings
-	// or numbers.
+	// Params identify the row within its experiment: the dataset, algorithm
+	// or section, backend, precision, sweep value, sizes, worker count,
+	// repeats and seed. Values are strings or numbers.
 	Params map[string]any `json:"params"`
 	// Counts are deterministic quantities (SMO iterations, result totals,
-	// clusters, ARI, ...). The baseline check compares them exactly.
+	// clusters, noise, recall, ARI, θ terms, ...). The baseline check
+	// compares them exactly.
 	Counts map[string]float64 `json:"counts"`
 	// Measured are machine-dependent values: wall clocks (*_ns) and peak
 	// heap (*_bytes). No check compares them.
@@ -39,7 +41,7 @@ func (r Row) Key() string {
 	var b strings.Builder
 	b.WriteString(r.Exp)
 	for _, name := range sortedKeys(r.Params) {
-		fmt.Fprintf(&b, " %s=%s", name, paramString(r.Params[name]))
+		b.WriteString(" " + name + "=" + paramString(r.Params[name]))
 	}
 	return b.String()
 }
@@ -186,58 +188,47 @@ func countString(v float64, ok bool) string {
 	return strconv.FormatFloat(v, 'f', -1, 64)
 }
 
-// emitReport prints rows as tables and, when cfg.Reports names a path for
-// exp, merges them into that file.
-func emitReport(w io.Writer, cfg Config, exp string, rows []Row) error {
-	printRows(w, rows)
-	path := cfg.Reports[exp]
-	if path == "" {
-		return nil
-	}
-	if err := writeReport(path, rows); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %d rows to %s\n", len(rows), path)
-	return nil
+// colWidth is the narrowest column of a printed table.
+const colWidth = 10
+
+// printer prints what an experiment emits: its banner, then each row as it
+// arrives as one line of a table, so a long sweep shows its progress. A
+// header line opens a new table whenever the set of columns changes: params,
+// then counts, then measured values, each in name order.
+type printer struct {
+	w    io.Writer
+	cols []string
 }
 
-// printRows prints rows as aligned tables, starting a new table (with its
-// own header) whenever the set of columns changes: params, then counts, then
-// measured values, each in name order.
-func printRows(w io.Writer, rows []Row) {
-	var cols []string
-	var table [][]string
-	flush := func() {
-		if len(table) == 0 {
-			return
-		}
-		widths := make([]int, len(cols))
-		for _, line := range table {
-			for i, c := range line {
-				widths[i] = max(widths[i], len(c))
-			}
-		}
-		fmt.Fprintln(w)
-		for _, line := range table {
-			for i, c := range line {
-				line[i] = fmt.Sprintf("%*s", widths[i], c)
-			}
-			fmt.Fprintln(w, strings.Join(line, " "))
-		}
+func (p *printer) banner(title string) {
+	fmt.Fprintf(p.w, "\n=== %s ===\n", title)
+}
+
+func (p *printer) row(r Row) {
+	cols := append(append(sortedKeys(r.Params), sortedKeys(r.Counts)...), sortedKeys(r.Measured)...)
+	if !slices.Equal(cols, p.cols) {
+		p.cols = cols
+		fmt.Fprintln(p.w)
+		p.line(cols)
 	}
-	for _, r := range rows {
-		rc := append(append(sortedKeys(r.Params), sortedKeys(r.Counts)...), sortedKeys(r.Measured)...)
-		if !slices.Equal(rc, cols) {
-			flush()
-			cols, table = rc, [][]string{slices.Clone(rc)}
-		}
-		line := make([]string, len(cols))
-		for i, name := range cols {
-			line[i] = cell(r, name)
-		}
-		table = append(table, line)
+	cells := make([]string, len(cols))
+	for i, name := range cols {
+		cells[i] = cell(r, name)
 	}
-	flush()
+	p.line(cells)
+}
+
+// line prints cells right-aligned, each to the wider of its column name and
+// colWidth; a longer cell shifts the rest of its line.
+func (p *printer) line(cells []string) {
+	for i, c := range cells {
+		fmt.Fprintf(p.w, " %*s", max(len(p.cols[i]), colWidth), c)
+	}
+	fmt.Fprintln(p.w)
+}
+
+func (p *printer) wrote(n int, path string) {
+	fmt.Fprintf(p.w, "wrote %d rows to %s\n", n, path)
 }
 
 // cell renders one value of r for the table: wall clocks in ms, heap in MB.
@@ -254,9 +245,9 @@ func cell(r Row, name string) string {
 	v := r.Measured[name]
 	switch {
 	case strings.HasSuffix(name, "_ns"):
-		return fmt.Sprintf("%.3fms", v/1e6)
+		return strconv.FormatFloat(v/1e6, 'f', 3, 64) + "ms"
 	case strings.HasSuffix(name, "_bytes"):
-		return fmt.Sprintf("%.1fMB", v/1e6)
+		return strconv.FormatFloat(v/1e6, 'f', 1, 64) + "MB"
 	}
 	return strconv.FormatFloat(v, 'f', -1, 64)
 }

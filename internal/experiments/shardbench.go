@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"time"
 
+	"dbsvec/internal/cluster"
 	"dbsvec/internal/core"
 	"dbsvec/internal/data"
 	"dbsvec/internal/eval"
@@ -52,51 +52,44 @@ func datasetBytes(n, d int, prec vec.Precision) int64 {
 	return int64(n) * int64(d) * per
 }
 
-// RunShardBench executes the benchmark and returns its rows, one per mode
+// RunShardBench executes the benchmark and emits its rows, one per mode
 // ("single", "sharded", "outofcore"), cardinality, storage precision and
 // shard count.
-func RunShardBench(cfg Config) ([]Row, error) {
+func RunShardBench(cfg Config, emit func(Row)) error {
 	ns := []int{100_000, 300_000, 1_000_000}
 	shardCounts := []int{4, 8}
 	if cfg.Quick {
 		ns = []int{10_000, 30_000}
 		shardCounts = []int{2, 4}
 	}
-	var rows []Row
 	for _, n := range ns {
 		for _, prec := range []vec.Precision{vec.F64, vec.F32} {
-			point, err := runShardBenchPoint(cfg, n, shardCounts, prec)
-			if err != nil {
-				return nil, err
+			if err := runShardBenchPoint(cfg, n, shardCounts, prec, emit); err != nil {
+				return err
 			}
-			rows = append(rows, point...)
 		}
 	}
-	return rows, nil
+	return nil
 }
 
 // runShardBenchPoint measures every mode at one cardinality and precision.
-func runShardBenchPoint(cfg Config, n int, shardCounts []int, prec vec.Precision) ([]Row, error) {
+func runShardBenchPoint(cfg Config, n int, shardCounts []int, prec vec.Precision, emit func(Row)) error {
 	copts := core.Options{
 		Eps: shardBenchEps, MinPts: shardBenchMinPts, Seed: cfg.Seed, Workers: cfg.Workers,
 		Budget: core.Budget{MaxDuration: cfg.RunTimeout},
 	}
-	precName := "f64"
-	if prec == vec.F32 {
-		precName = "f32"
-	}
-	// row folds one run into a report row. Every non-single row carries its
-	// ARI against the same-precision single run.
-	var single *clusterResult
-	row := func(mode string, k int, elapsedNs int64, res *clusterResult, sst shard.Stats) (Row, error) {
+	// emitRun folds one run into a report row and emits it. Every row
+	// carries its ARI against the same-precision single run.
+	var single *cluster.Result
+	emitRun := func(mode string, k int, elapsedNs int64, res *cluster.Result, sst shard.Stats) error {
 		ari, err := eval.AdjustedRandIndex(single, res)
 		if err != nil {
-			return Row{}, fmt.Errorf("shard bench ari: %w", err)
+			return fmt.Errorf("shard bench ari: %w", err)
 		}
-		return Row{
+		emit(Row{
 			Exp: "shard",
 			Params: map[string]any{
-				"section": mode, "precision": precName, "n": n, "dim": shardBenchDim,
+				"section": mode, "precision": prec.String(), "n": n, "dim": shardBenchDim,
 				"shards": k, "seed": cfg.Seed,
 			},
 			Counts: map[string]float64{
@@ -107,16 +100,14 @@ func runShardBenchPoint(cfg Config, n int, shardCounts []int, prec vec.Precision
 			Measured: map[string]float64{
 				"elapsed_ns": float64(elapsedNs), "peak_heap_bytes": float64(sst.PeakHeapBytes),
 			},
-		}, nil
+		})
+		return nil
 	}
 
 	// Generate, run the in-memory modes, and spill the binary file — inside a
 	// closure so the dataset itself becomes collectible before the
 	// out-of-core run measures its peak heap.
-	var (
-		rows    []Row
-		binPath string
-	)
+	var binPath string
 	err := func() error {
 		ds := data.SeedSpreader{N: n, D: shardBenchDim, Seed: cfg.Seed}.Generate()
 		ds, err := ds.ToPrecision(prec)
@@ -125,18 +116,16 @@ func runShardBenchPoint(cfg Config, n int, shardCounts []int, prec vec.Precision
 		}
 
 		start := time.Now()
-		peak, err := shard.MeasurePeakHeap(0, func() error {
+		peak, err := shard.MeasurePeakHeap(func() error {
 			single, _, err = core.Run(ds, copts)
 			return err
 		})
 		if err != nil {
 			return fmt.Errorf("shard bench single n=%d: %w", n, err)
 		}
-		r, err := row("single", 1, time.Since(start).Nanoseconds(), single, shard.Stats{PeakHeapBytes: peak})
-		if err != nil {
+		if err := emitRun("single", 1, time.Since(start).Nanoseconds(), single, shard.Stats{PeakHeapBytes: peak}); err != nil {
 			return err
 		}
-		rows = append(rows, r)
 
 		for _, k := range shardCounts {
 			start := time.Now()
@@ -146,11 +135,9 @@ func runShardBenchPoint(cfg Config, n int, shardCounts []int, prec vec.Precision
 			if err != nil {
 				return fmt.Errorf("shard bench sharded k=%d n=%d: %w", k, n, err)
 			}
-			r, err := row("sharded", k, time.Since(start).Nanoseconds(), res, sst)
-			if err != nil {
+			if err := emitRun("sharded", k, time.Since(start).Nanoseconds(), res, sst); err != nil {
 				return err
 			}
-			rows = append(rows, r)
 		}
 
 		f, err := os.CreateTemp("", "dbsvec-shardbench-*.bin")
@@ -168,7 +155,7 @@ func runShardBenchPoint(cfg Config, n int, shardCounts []int, prec vec.Precision
 		if binPath != "" {
 			os.Remove(binPath)
 		}
-		return nil, err
+		return err
 	}
 	defer os.Remove(binPath)
 
@@ -180,33 +167,19 @@ func runShardBenchPoint(cfg Config, n int, shardCounts []int, prec vec.Precision
 	runtime.GC()
 	fs, err := shard.OpenFile(binPath)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer fs.Close()
 	for _, k := range shardCounts {
 		start := time.Now()
 		res, _, sst, err := shard.Run(fs, shard.Options{Core: copts, Shards: k, Concurrency: 1})
 		if err != nil {
-			return nil, fmt.Errorf("shard bench outofcore n=%d: %w", n, err)
+			return fmt.Errorf("shard bench outofcore n=%d: %w", n, err)
 		}
-		r, err := row("outofcore", k, time.Since(start).Nanoseconds(), res, sst)
-		if err != nil {
-			return nil, err
+		if err := emitRun("outofcore", k, time.Since(start).Nanoseconds(), res, sst); err != nil {
+			return err
 		}
-		rows = append(rows, r)
 		runtime.GC()
 	}
-	return rows, nil
-}
-
-// ShardBench is the registry entry: it prints the rows and, when
-// cfg.Reports names a path for "shard", merges them into that report.
-func ShardBench(w io.Writer, cfg Config) error {
-	header(w, fmt.Sprintf("Sharded out-of-core execution: slabs vs single-shot (SeedSpreader, eps=%d, minPts=%d)",
-		shardBenchEps, shardBenchMinPts))
-	rows, err := RunShardBench(cfg)
-	if err != nil {
-		return err
-	}
-	return emitReport(w, cfg, "shard", rows)
+	return nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"dbsvec/internal/data"
 	"dbsvec/internal/svdd"
@@ -38,18 +37,18 @@ func svddBenchConfig(n int) svdd.Config {
 // keys are the same on every machine.
 const svddBenchWorkers = 2
 
-// RunSVDDBench executes the micro-benchmark and returns its rows: the
+// RunSVDDBench executes the micro-benchmark and emits its rows: the
 // 512-point target trained serially, in parallel and in parallel over
 // float32 storage ("variant" rows), then the target-size sweep ("size"
 // rows). Repeats scale with cfg.Quick.
-func RunSVDDBench(cfg Config) ([]Row, error) {
+func RunSVDDBench(cfg Config, emit func(Row)) error {
 	repeats := 20
 	if cfg.Quick {
 		repeats = 5
 	}
 
 	// train times repeats trainings of the whole of ds into one row.
-	train := func(params map[string]any, ds *vec.Dataset, workers int) (Row, error) {
+	train := func(params map[string]any, ds *vec.Dataset, workers int) error {
 		n := ds.Len()
 		ids := vec.Iota(n)
 		var rounds, iters float64
@@ -59,7 +58,7 @@ func RunSVDDBench(cfg Config) ([]Row, error) {
 			c.Workers = workers
 			m, err := svdd.Train(ds, ids, c)
 			if err != nil && m == nil {
-				return Row{}, fmt.Errorf("svdd bench %v: %w", params, err)
+				return fmt.Errorf("svdd bench %v: %w", params, err)
 			}
 			rounds++
 			iters += float64(m.Iterations)
@@ -70,12 +69,13 @@ func RunSVDDBench(cfg Config) ([]Row, error) {
 		}
 		params["n"], params["dim"], params["workers"] = n, svddBenchD, workers
 		params["repeats"], params["seed"] = repeats, cfg.Seed
-		return Row{
+		emit(Row{
 			Exp:      "svdd",
 			Params:   params,
 			Counts:   map[string]float64{"rounds": rounds, "smo_iterations": iters},
 			Measured: map[string]float64{"fill_ns": fill, "solve_ns": solve, "finish_ns": finish, "total_ns": total},
-		}, nil
+		})
+		return nil
 	}
 
 	// Float32-storage twin of the dataset: one quantization, then bit-exact
@@ -84,19 +84,16 @@ func RunSVDDBench(cfg Config) ([]Row, error) {
 	ds := data.Blobs(svddBenchN, svddBenchD, 4, 30, 1000, 0.02, cfg.Seed)
 	ds32, err := ds.ToPrecision(vec.F32)
 	if err != nil {
-		return nil, fmt.Errorf("svdd bench f32 conversion: %w", err)
+		return fmt.Errorf("svdd bench f32 conversion: %w", err)
 	}
-	var rows []Row
 	for _, v := range []struct {
 		ds      *vec.Dataset
 		prec    string
 		workers int
 	}{{ds, "f64", 1}, {ds, "f64", svddBenchWorkers}, {ds32, "f32", svddBenchWorkers}} {
-		row, err := train(map[string]any{"section": "variant", "precision": v.prec}, v.ds, v.workers)
-		if err != nil {
-			return nil, err
+		if err := train(map[string]any{"section": "variant", "precision": v.prec}, v.ds, v.workers); err != nil {
+			return err
 		}
-		rows = append(rows, row)
 	}
 
 	// Size sweep: one Blobs dataset per target size, same family as above —
@@ -108,22 +105,9 @@ func RunSVDDBench(cfg Config) ([]Row, error) {
 			storage = "dense"
 		}
 		sds := data.Blobs(n, svddBenchD, 4, 30, 1000, 0.02, cfg.Seed)
-		row, err := train(map[string]any{"section": "size", "precision": "f64", "storage": storage}, sds, svddBenchWorkers)
-		if err != nil {
-			return nil, err
+		if err := train(map[string]any{"section": "size", "precision": "f64", "storage": storage}, sds, svddBenchWorkers); err != nil {
+			return err
 		}
-		rows = append(rows, row)
 	}
-	return rows, nil
-}
-
-// SVDDPerf is the registry entry: it prints the rows and, when cfg.Reports
-// names a path for "svdd", merges them into that report.
-func SVDDPerf(w io.Writer, cfg Config) error {
-	header(w, "SVDD training (n=512, d=8): serial, parallel and float32 storage; target-size sweep")
-	rows, err := RunSVDDBench(cfg)
-	if err != nil {
-		return err
-	}
-	return emitReport(w, cfg, "svdd", rows)
+	return nil
 }

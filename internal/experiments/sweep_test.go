@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,56 +10,33 @@ import (
 )
 
 // The sweep budget must latch: once an algorithm exceeds it, later (larger)
-// inputs print "-" instead of running.
+// inputs emit no row for it instead of running.
 func TestRunSweepBudgetLatches(t *testing.T) {
 	calls := 0
-	slow := &sweepAlgo{
-		name: "slow",
-		run: func(ds *vec.Dataset) func() (*clusterResult, error) {
-			return func() (*clusterResult, error) {
-				calls++
-				// Burn measurable wall time so budget 1ns is exceeded.
-				deadline := time.Now().Add(2 * time.Millisecond)
-				for time.Now().Before(deadline) {
-				}
-				return &cluster.Result{Labels: make([]int32, ds.Len())}, nil
-			}
-		},
+	slow := func(_ Config, ds *vec.Dataset, _ float64, _ int) (*cluster.Result, error) {
+		calls++
+		// Burn measurable wall time so budget 1ms is exceeded.
+		deadline := time.Now().Add(2 * time.Millisecond)
+		for time.Now().Before(deadline) {
+		}
+		return &cluster.Result{Labels: make([]int32, ds.Len())}, nil
 	}
-	fast := &sweepAlgo{
-		name: "fast",
-		run: func(ds *vec.Dataset) func() (*clusterResult, error) {
-			return func() (*clusterResult, error) {
-				return &cluster.Result{Labels: make([]int32, ds.Len())}, nil
-			}
-		},
+	fast := func(_ Config, ds *vec.Dataset, _ float64, _ int) (*cluster.Result, error) {
+		return &cluster.Result{Labels: make([]int32, ds.Len())}, nil
 	}
-	var buf bytes.Buffer
-	gen := func(i int) *vec.Dataset { return data.Uniform(10, 2, 1, int64(i)) }
-	err := runSweep(&buf, []*sweepAlgo{slow, fast}, []string{"a", "b", "c"}, gen, time.Millisecond)
+	points := []map[string]any{{"point": "a"}, {"point": "b"}, {"point": "c"}}
+	at := func(i int) (*vec.Dataset, float64) { return data.Uniform(10, 2, 1, int64(i)), 1 }
+	emitted := map[string]int{}
+	cfg := Config{Budget: time.Millisecond}
+	err := runSweep(cfg, "sweep", func(r Row) { emitted[r.Params["algo"].(string)]++ },
+		[]namedAlgo{{"slow", slow}, {"fast", fast}}, points, at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 {
-		t.Errorf("slow algorithm ran %d times, want 1 (budget latch)", calls)
+	if calls != 1 || emitted["slow"] != 1 {
+		t.Errorf("slow algorithm ran %d times and emitted %d rows, want 1 and 1 (budget latch)", calls, emitted["slow"])
 	}
-	out := buf.String()
-	if strings.Count(out, "-") < 2 {
-		t.Errorf("expected skip markers for rows b and c:\n%s", out)
-	}
-	if !slow.disabled {
-		t.Error("slow algorithm should be disabled")
-	}
-	if fast.disabled {
-		t.Error("fast algorithm should not be disabled")
-	}
-}
-
-func TestFmtDur(t *testing.T) {
-	if got := fmtDur(skipped()); got != "-" {
-		t.Errorf("skipped duration = %q", got)
-	}
-	if got := fmtDur(algoResult{elapsed: 1500 * time.Millisecond}); got != "1.500s" {
-		t.Errorf("duration format = %q", got)
+	if emitted["fast"] != 3 {
+		t.Errorf("fast algorithm emitted %d rows, want 3", emitted["fast"])
 	}
 }

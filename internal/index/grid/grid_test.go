@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"dbsvec/internal/dist"
 	"dbsvec/internal/vec"
 )
 
@@ -145,7 +146,7 @@ func TestNearMatchesBruteForce(t *testing.T) {
 			var got []int32
 			for c := range g.Cells {
 				got = g.Near(int32(c), reach, got[:0])
-				want := g.centers.FilterWithin(g.centers.Point(c), reach*reach, nil)
+				want := dist.FilterWithin(g.centers.Matrix(), g.centers.Point(c), reach*reach, nil)
 				slices.Sort(got)
 				if !slices.Equal(got, want) {
 					t.Fatalf("d=%d reach=%g cell %d: Near = %v, want %v", d, reach, c, got, want)

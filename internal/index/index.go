@@ -8,6 +8,7 @@ package index
 import (
 	"context"
 
+	"dbsvec/internal/dist"
 	"dbsvec/internal/vec"
 )
 
@@ -85,12 +86,12 @@ func (l *Linear) Len() int { return l.ds.Len() }
 
 // RangeQuery implements Index via the fused filter kernel.
 func (l *Linear) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
-	return l.ds.FilterWithin(q, eps*eps, buf)
+	return dist.FilterWithin(l.ds.Matrix(), q, eps*eps, buf)
 }
 
 // RangeCount implements Index via the fused count kernel.
 func (l *Linear) RangeCount(q []float64, eps float64, limit int) int {
-	return l.ds.CountWithin(q, eps*eps, limit)
+	return dist.CountWithin(l.ds.Matrix(), q, eps*eps, limit)
 }
 
 var _ Index = (*Linear)(nil)

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dbsvec/internal/dist"
 	"dbsvec/internal/engine"
 	"dbsvec/internal/index"
 	"dbsvec/internal/vec"
@@ -242,7 +243,7 @@ func (t *Tree) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
 			for i := range nd.entries {
 				scratch = append(scratch, nd.entries[i].id)
 			}
-			buf = t.ds.FilterWithinIDs(q, eps2, scratch, buf)
+			buf = dist.FilterWithinIDs(t.ds.Matrix(), q, eps2, scratch, buf)
 			return
 		}
 		for i := range nd.entries {
@@ -272,7 +273,7 @@ func (t *Tree) RangeCount(q []float64, eps float64, limit int) int {
 			if limit > 0 {
 				rem = limit - count
 			}
-			count += t.ds.CountWithinIDs(q, eps2, scratch, rem)
+			count += dist.CountWithinIDs(t.ds.Matrix(), q, eps2, scratch, rem)
 			return limit > 0 && count >= limit
 		}
 		for i := range nd.entries {

@@ -128,7 +128,7 @@ func seedPlusPlus(ds *vec.Dataset, k int, rng *rand.Rand) []float64 {
 	centers = append(centers, ds.Point(rng.Intn(n))...)
 
 	dist2 := make([]float64, n)
-	ds.SqDistsToAll(centers[:d], dist2)
+	dist.SqDistsToAll(ds.Matrix(), centers[:d], dist2)
 	for len(centers) < k*d {
 		var total float64
 		for _, dd := range dist2 {

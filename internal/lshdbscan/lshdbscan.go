@@ -13,6 +13,7 @@ import (
 
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/dbscan"
+	"dbsvec/internal/dist"
 	"dbsvec/internal/lsh"
 	"dbsvec/internal/vec"
 )
@@ -74,7 +75,7 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 		q := ds.Point(int(id))
 		cand = h.Candidates(q, cand[:0], seen)
 		st.CandidateSum += int64(len(cand))
-		return ds.FilterWithinIDs(q, eps2, cand, buf)
+		return dist.FilterWithinIDs(ds.Matrix(), q, eps2, cand, buf)
 	})
 	return res, st, nil
 }

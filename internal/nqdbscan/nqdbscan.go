@@ -27,6 +27,7 @@ import (
 
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/dbscan"
+	"dbsvec/internal/dist"
 	"dbsvec/internal/index/grid"
 	"dbsvec/internal/vec"
 )
@@ -83,7 +84,7 @@ func (cs *cellSearcher) query(id int32, buf []int32) []int32 {
 			continue
 		}
 		cs.stats.DistanceComputations += int64(len(pts))
-		buf = cs.ds.FilterWithinIDs(q, cs.eps2, pts, buf)
+		buf = dist.FilterWithinIDs(cs.ds.Matrix(), q, cs.eps2, pts, buf)
 	}
 	return buf
 }

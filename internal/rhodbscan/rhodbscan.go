@@ -22,6 +22,7 @@ import (
 
 	"dbsvec/internal/cluster"
 	"dbsvec/internal/dbscan"
+	"dbsvec/internal/dist"
 	"dbsvec/internal/fault"
 	"dbsvec/internal/index/grid"
 	"dbsvec/internal/unionfind"
@@ -132,7 +133,7 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, Stats, error) {
 					st.WholesaleCells++
 				} else {
 					st.DistanceComputations += int64(len(cells[nb]))
-					count += ds.CountWithinIDs(q, eps2, cells[nb], 0)
+					count += dist.CountWithinIDs(ds.Matrix(), q, eps2, cells[nb], 0)
 				}
 				if count >= p.MinPts {
 					break

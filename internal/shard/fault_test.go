@@ -31,9 +31,8 @@ func TestShardedDegradationExact(t *testing.T) {
 			restore := fault.Activate(fault.NewInjector(7).Arm(fault.SolverNonConverge, m.mode))
 			defer restore()
 			opts := Options{
-				Core:       core.Options{Eps: boxEps, MinPts: boxMinPts},
-				Shards:     4,
-				HeapSample: -1,
+				Core:   core.Options{Eps: boxEps, MinPts: boxMinPts},
+				Shards: 4,
 			}
 			res, _, st, err := Run(NewMemSource(ds), opts)
 			if err != nil {
@@ -71,7 +70,6 @@ func TestShardedFaultContainment(t *testing.T) {
 					Core:        core.Options{Eps: boxEps, MinPts: boxMinPts, Workers: 2},
 					Shards:      4,
 					Concurrency: 2,
-					HeapSample:  -1,
 				}
 				res, _, _, err := Run(NewMemSource(ds), opts)
 				switch {

@@ -33,12 +33,15 @@ func readLiveHeap(sample []metrics.Sample) uint64 {
 	return sample[0].Value.Uint64()
 }
 
-// startHeapSampler begins polling at the given interval.
-func startHeapSampler(interval time.Duration) *heapSampler {
+// heapSampleInterval is the sampler's polling interval.
+const heapSampleInterval = 10 * time.Millisecond
+
+// startHeapSampler begins polling.
+func startHeapSampler() *heapSampler {
 	s := &heapSampler{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(heapSampleInterval)
 		defer ticker.Stop()
 		sample := []metrics.Sample{{Name: liveHeapMetric}}
 		for {
@@ -71,15 +74,12 @@ func (s *heapSampler) Stop() uint64 {
 	return s.peak
 }
 
-// MeasurePeakHeap runs fn while sampling the live heap at the given interval
-// (0 selects the 10ms default) and returns the observed peak alongside fn's
-// error — the same measurement a sharded run reports in Stats.PeakHeapBytes,
-// usable for single-shot comparison baselines.
-func MeasurePeakHeap(interval time.Duration, fn func() error) (uint64, error) {
-	if interval == 0 {
-		interval = 10 * time.Millisecond
-	}
-	s := startHeapSampler(interval)
+// MeasurePeakHeap runs fn while sampling the live heap and returns the
+// observed peak alongside fn's error — the same measurement a sharded run
+// reports in Stats.PeakHeapBytes, usable for single-shot comparison
+// baselines.
+func MeasurePeakHeap(fn func() error) (uint64, error) {
+	s := startHeapSampler()
 	err := fn()
 	return s.Stop(), err
 }

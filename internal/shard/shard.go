@@ -63,9 +63,6 @@ type Options struct {
 	// Retain keeps each shard's per-sub-cluster SVDD snapshots
 	// (core.RunRetained), remapped to final global cluster ids.
 	Retain bool
-	// HeapSample sets the peak-heap polling interval (0 = 10ms, negative
-	// disables sampling and leaves Stats.PeakHeapBytes zero).
-	HeapSample time.Duration
 }
 
 // ShardStat reports one shard's execution.
@@ -97,8 +94,7 @@ type Stats struct {
 	// Plan and Merge are the wall clocks of the planning scans and of the
 	// boundary merge + final relabeling.
 	Plan, Merge time.Duration
-	// PeakHeapBytes is the sampled peak live heap across the run (0 when
-	// sampling is disabled).
+	// PeakHeapBytes is the sampled peak live heap across the run.
 	PeakHeapBytes uint64
 }
 
@@ -155,8 +151,8 @@ func Run(src Source, o Options) (res *cluster.Result, models []Model, stats Stat
 	if conc < 0 {
 		return nil, nil, stats, fmt.Errorf("%w: Concurrency %d must be non-negative", core.ErrInvalidParams, o.Concurrency)
 	}
-	if !(o.Core.Eps >= 0) {
-		return nil, nil, stats, fmt.Errorf("%w: Eps %g must be non-negative", core.ErrInvalidParams, o.Core.Eps)
+	if err := o.Core.Validate(); err != nil {
+		return nil, nil, stats, err
 	}
 	n := src.Len()
 	if n == 0 {
@@ -164,19 +160,8 @@ func Run(src Source, o Options) (res *cluster.Result, models []Model, stats Stat
 		return &cluster.Result{Labels: []int32{}}, nil, stats, nil
 	}
 
-	var sampler *heapSampler
-	if o.HeapSample >= 0 {
-		interval := o.HeapSample
-		if interval == 0 {
-			interval = 10 * time.Millisecond
-		}
-		sampler = startHeapSampler(interval)
-		defer func() {
-			if sampler != nil {
-				stats.PeakHeapBytes = sampler.Stop()
-			}
-		}()
-	}
+	sampler := startHeapSampler()
+	defer func() { stats.PeakHeapBytes = sampler.Stop() }()
 
 	planStart := time.Now()
 	p, err := buildPlan(src, o.Core.Eps, k)
@@ -240,10 +225,6 @@ func Run(src Source, o Options) (res *cluster.Result, models []Model, stats Stat
 	mergeStart := time.Now()
 	res, models, budgetErr := merge(p, outs, rawLocal, o.Retain, &stats)
 	stats.Merge = time.Since(mergeStart)
-	if sampler != nil {
-		stats.PeakHeapBytes = sampler.Stop()
-		sampler = nil
-	}
 	return res, models, stats, budgetErr
 }
 
@@ -467,22 +448,8 @@ func runShard(ctx context.Context, src Source, o Options, p *plan, s int, rawLoc
 		return nil, err
 	}
 
-	// Build the index once, timed, and inject it into the core run so the
-	// boundary core tests below reuse it.
-	build := o.Core.IndexBuilderCtx
-	if build == nil {
-		build = index.Bind(index.NewLinear, 0)
-	}
-	idxStart := time.Now()
-	idx, err := build(ctx, slab)
-	if err != nil {
-		return nil, err
-	}
-	idxBuild := time.Since(idxStart)
-
 	copts := o.Core
 	copts.Context = ctx
-	copts.IndexBuilderCtx = func(context.Context, *vec.Dataset) (index.Index, error) { return idx, nil }
 	var res *cluster.Result
 	var st core.Stats
 	if o.Retain {
@@ -497,12 +464,8 @@ func runShard(ctx context.Context, src Source, o Options, p *plan, s int, rawLoc
 		}
 		out.budgetErr = err // valid partial clustering: keep going
 	}
-	idx = nil
-	copts.IndexBuilderCtx = nil // drop the captured index: only labels matter now
 	out.clusters = res.Clusters
 	out.stat.Clusters = res.Clusters
-	// The core run only picked up the prebuilt index; report the real build.
-	st.IndexBuild = idxBuild
 	out.stat.Core = st
 
 	// Boundary summary: every non-noise label a halo-band point received in

@@ -104,9 +104,8 @@ func TestShardedMatchesSingleShot(t *testing.T) {
 			}
 			for _, shards := range []int{1, 2, 4, 8} {
 				opts := Options{
-					Core:       core.Options{Eps: boxEps, MinPts: boxMinPts, Workers: workers},
-					Shards:     shards,
-					HeapSample: -1,
+					Core:   core.Options{Eps: boxEps, MinPts: boxMinPts, Workers: workers},
+					Shards: shards,
 				}
 				res, _, st, err := Run(NewMemSource(ds), opts)
 				if err != nil {
@@ -133,9 +132,8 @@ func TestShardedIndexKinds(t *testing.T) {
 	ds := strips(t, 5, 200, 3, 2)
 	want := singleShot(t, ds, 2)
 	opts := Options{
-		Core:       core.Options{Eps: boxEps, MinPts: boxMinPts, Workers: 2, IndexBuilderCtx: index.Bind(kdtree.New, 2)},
-		Shards:     4,
-		HeapSample: -1,
+		Core:   core.Options{Eps: boxEps, MinPts: boxMinPts, Workers: 2, IndexBuilderCtx: index.Bind(kdtree.New, 2)},
+		Shards: 4,
 	}
 	res, _, _, err := Run(NewMemSource(ds), opts)
 	if err != nil {
@@ -155,7 +153,6 @@ func TestShardedConcurrencyDeterminism(t *testing.T) {
 			Core:        core.Options{Eps: boxEps, MinPts: boxMinPts, Workers: 2},
 			Shards:      8,
 			Concurrency: conc,
-			HeapSample:  -1,
 		}
 		res, _, st, err := Run(NewMemSource(ds), opts)
 		if err != nil {
@@ -198,7 +195,6 @@ func TestShardedFileMatchesMem(t *testing.T) {
 			Core:        core.Options{Eps: boxEps, MinPts: boxMinPts, Workers: 1},
 			Shards:      4,
 			Concurrency: 2,
-			HeapSample:  -1,
 		}
 		memRes, _, _, err := Run(NewMemSource(ds), opts)
 		if err != nil {
@@ -224,10 +220,9 @@ func TestShardedFileMatchesMem(t *testing.T) {
 func TestShardedRetainedModels(t *testing.T) {
 	ds := strips(t, 4, 200, 2, 5)
 	opts := Options{
-		Core:       core.Options{Eps: boxEps, MinPts: boxMinPts},
-		Shards:     4,
-		Retain:     true,
-		HeapSample: -1,
+		Core:   core.Options{Eps: boxEps, MinPts: boxMinPts},
+		Shards: 4,
+		Retain: true,
 	}
 	res, models, _, err := Run(NewMemSource(ds), opts)
 	if err != nil {
@@ -260,8 +255,7 @@ func TestShardedBudgetPartial(t *testing.T) {
 			Eps: boxEps, MinPts: boxMinPts,
 			Budget: core.Budget{MaxRangeQueries: 5},
 		},
-		Shards:     4,
-		HeapSample: -1,
+		Shards: 4,
 	}
 	res, _, _, err := Run(NewMemSource(ds), opts)
 	var be *core.BudgetExceededError
@@ -284,7 +278,7 @@ func TestShardedEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, _, err := Run(NewMemSource(empty), Options{Core: core.Options{Eps: 1, MinPts: 2}, Shards: 4, HeapSample: -1})
+	res, _, _, err := Run(NewMemSource(empty), Options{Core: core.Options{Eps: 1, MinPts: 2}, Shards: 4})
 	if err != nil || len(res.Labels) != 0 {
 		t.Fatalf("empty source: res=%v err=%v", res, err)
 	}
@@ -303,7 +297,7 @@ func TestShardedEdgeCases(t *testing.T) {
 		t.Fatalf("NaN eps: %v", err)
 	}
 
-	// Heap sampling on: the stat must come back non-zero.
+	// The heap sampler always runs: the stat must come back non-zero.
 	_, _, st, err := Run(NewMemSource(ds), Options{Core: core.Options{Eps: boxEps, MinPts: boxMinPts}, Shards: 2})
 	if err != nil {
 		t.Fatal(err)

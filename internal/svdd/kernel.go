@@ -322,7 +322,7 @@ func SigmaLowerBound(ds *vec.Dataset, ids []int32) float64 {
 	mean := ds.Mean(ids)
 	var maxD2 float64
 	for _, id := range ids {
-		if d2 := vec.SqDist(ds.Point(int(id)), mean); d2 > maxD2 {
+		if d2 := dist.SqDist(ds.Point(int(id)), mean); d2 > maxD2 {
 			maxD2 = d2
 		}
 	}

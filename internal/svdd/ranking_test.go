@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dbsvec/internal/dist"
 	"dbsvec/internal/vec"
 )
 
@@ -65,7 +66,7 @@ func TestTopSupportVectorsAreOutermost(t *testing.T) {
 	avg := func(ids []int32) float64 {
 		var s float64
 		for _, id := range ids {
-			s += vec.Dist(ds.Point(int(id)), mean)
+			s += dist.Dist(ds.Point(int(id)), mean)
 		}
 		return s / float64(len(ids))
 	}
@@ -149,7 +150,7 @@ func TestLazyMatrixPathAgrees(t *testing.T) {
 	top := m.TopSupportVectors(10)
 	beyond := 0
 	for _, id := range top {
-		if vec.Dist(ds.Point(int(id)), mean) > 2 {
+		if dist.Dist(ds.Point(int(id)), mean) > 2 {
 			beyond++
 		}
 	}

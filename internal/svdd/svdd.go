@@ -32,6 +32,7 @@ import (
 	"math"
 	"sort"
 
+	"dbsvec/internal/dist"
 	"dbsvec/internal/engine"
 	"dbsvec/internal/fault"
 	"dbsvec/internal/vec"
@@ -726,7 +727,7 @@ func (m *Model) Eval(x []float64) float64 {
 		if a <= svThreshold {
 			continue
 		}
-		s += a * math.Exp(-vec.SqDist(m.point(i), x)*gamma)
+		s += a * math.Exp(-dist.SqDist(m.point(i), x)*gamma)
 	}
 	return 1 - 2*s + m.alphaDot - m.R2
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dbsvec/internal/dist"
 	"dbsvec/internal/vec"
 )
 
@@ -147,7 +148,7 @@ func TestSupportVectorsOnBoundary(t *testing.T) {
 	mean := ds.Mean(allIDs(n))
 	dists := make([]float64, n)
 	for i := 0; i < n; i++ {
-		dists[i] = vec.Dist(ds.Point(i), mean)
+		dists[i] = dist.Dist(ds.Point(i), mean)
 	}
 	sorted := append([]float64(nil), dists...)
 	for i := range sorted {

@@ -176,10 +176,10 @@ func TestNormalizeToRequantizes(t *testing.T) {
 	}
 }
 
-// TestRoutingMethodsBitIdentical checks the dataset's kernel convenience
-// methods: on an F32 dataset they stream the mirror, yet must return exactly
-// what the kernels compute on the widened master alone — the method-level
-// face of the kernel equivalence contract.
+// TestRoutingMethodsBitIdentical checks the dataset's Matrix: on an F32
+// dataset it carries the mirror, which every kernel then streams, yet each
+// kernel must return exactly what it computes on the widened master alone —
+// the dataset-level face of the kernel equivalence contract.
 func TestRoutingMethodsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, d := range []int{2, 3, 9} {
@@ -196,36 +196,36 @@ func TestRoutingMethodsBitIdentical(t *testing.T) {
 
 		got := make([]float64, ds.Len())
 		want := make([]float64, ds.Len())
-		ds.SqDistsToAll(q, got)
+		dist.SqDistsToAll(ds.Matrix(), q, got)
 		dist.SqDistsToAll(m, q, want)
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("d=%d: SqDistsToAll[%d] routed result not bit-identical", d, i)
+				t.Fatalf("d=%d: SqDistsToAll[%d] over the mirror not bit-identical", d, i)
 			}
 		}
 		eps2 := want[ds.Len()/2]
 
 		gi := make([]float64, len(ids))
 		wi := make([]float64, len(ids))
-		ds.SqDistsTo(q, ids, gi)
+		dist.SqDistsTo(ds.Matrix(), q, ids, gi)
 		dist.SqDistsTo(m, q, ids, wi)
 		for k := range gi {
 			if gi[k] != wi[k] {
-				t.Fatalf("d=%d: SqDistsTo routed result not bit-identical", d)
+				t.Fatalf("d=%d: SqDistsTo over the mirror not bit-identical", d)
 			}
 		}
 
-		if g, w := ds.FilterWithin(q, eps2, nil), dist.FilterWithin(m, q, eps2, nil); !equalIDs(g, w) {
-			t.Fatalf("d=%d: FilterWithin routed %v, want %v", d, g, w)
+		if g, w := dist.FilterWithin(ds.Matrix(), q, eps2, nil), dist.FilterWithin(m, q, eps2, nil); !equalIDs(g, w) {
+			t.Fatalf("d=%d: FilterWithin over the mirror %v, want %v", d, g, w)
 		}
-		if g, w := ds.FilterWithinIDs(q, eps2, ids, nil), dist.FilterWithinIDs(m, q, eps2, ids, nil); !equalIDs(g, w) {
-			t.Fatalf("d=%d: FilterWithinIDs routed %v, want %v", d, g, w)
+		if g, w := dist.FilterWithinIDs(ds.Matrix(), q, eps2, ids, nil), dist.FilterWithinIDs(m, q, eps2, ids, nil); !equalIDs(g, w) {
+			t.Fatalf("d=%d: FilterWithinIDs over the mirror %v, want %v", d, g, w)
 		}
-		if g, w := ds.CountWithin(q, eps2, 0), dist.CountWithin(m, q, eps2, 0); g != w {
-			t.Fatalf("d=%d: CountWithin routed %d, want %d", d, g, w)
+		if g, w := dist.CountWithin(ds.Matrix(), q, eps2, 0), dist.CountWithin(m, q, eps2, 0); g != w {
+			t.Fatalf("d=%d: CountWithin over the mirror %d, want %d", d, g, w)
 		}
-		if g, w := ds.CountWithinIDs(q, eps2, ids, 0), dist.CountWithinIDs(m, q, eps2, ids, 0); g != w {
-			t.Fatalf("d=%d: CountWithinIDs routed %d, want %d", d, g, w)
+		if g, w := dist.CountWithinIDs(ds.Matrix(), q, eps2, ids, 0), dist.CountWithinIDs(m, q, eps2, ids, 0); g != w {
+			t.Fatalf("d=%d: CountWithinIDs over the mirror %d, want %d", d, g, w)
 		}
 	}
 }

@@ -274,7 +274,7 @@ func (ds *Dataset) Subset(ids []int32) *Dataset {
 
 // Dist2 returns the squared Euclidean distance between points i and j.
 func (ds *Dataset) Dist2(i, j int) float64 {
-	return SqDist(ds.Point(i), ds.Point(j))
+	return dist.SqDist(ds.Point(i), ds.Point(j))
 }
 
 // Dist returns the Euclidean distance between points i and j.
@@ -285,7 +285,7 @@ func (ds *Dataset) Dist(i, j int) float64 {
 // Dist2To returns the squared Euclidean distance between point i and an
 // arbitrary query vector q (len(q) must equal Dim()).
 func (ds *Dataset) Dist2To(i int, q []float64) float64 {
-	return SqDist(ds.Point(i), q)
+	return dist.SqDist(ds.Point(i), q)
 }
 
 // Matrix returns the dataset's coordinates for the batched kernels in
@@ -296,58 +296,6 @@ func (ds *Dataset) Dist2To(i int, q []float64) float64 {
 func (ds *Dataset) Matrix() dist.Matrix {
 	return dist.Matrix{Coords: ds.coords, Coords32: ds.coords32, Dim: ds.d}
 }
-
-// SqDistsTo writes the squared distance from each of the points in ids to q
-// into out (out[k] = dist²(ids[k], q); len(out) >= len(ids)).
-func (ds *Dataset) SqDistsTo(q []float64, ids []int32, out []float64) {
-	dist.SqDistsTo(ds.Matrix(), q, ids, out)
-}
-
-// SqDistsToAll writes the squared distance from every point to q into out
-// (len(out) >= Len()).
-func (ds *Dataset) SqDistsToAll(q []float64, out []float64) {
-	dist.SqDistsToAll(ds.Matrix(), q, out)
-}
-
-// FilterWithin appends the ids of all points within squared distance eps2
-// of q to buf, ascending, and returns the extended slice.
-func (ds *Dataset) FilterWithin(q []float64, eps2 float64, buf []int32) []int32 {
-	return dist.FilterWithin(ds.Matrix(), q, eps2, buf)
-}
-
-// FilterWithinIDs appends the members of ids (in given order) within
-// squared distance eps2 of q to buf and returns the extended slice.
-func (ds *Dataset) FilterWithinIDs(q []float64, eps2 float64, ids, buf []int32) []int32 {
-	return dist.FilterWithinIDs(ds.Matrix(), q, eps2, ids, buf)
-}
-
-// CountWithin returns the number of points within squared distance eps2 of
-// q; limit > 0 stops the scan early once reached.
-func (ds *Dataset) CountWithin(q []float64, eps2 float64, limit int) int {
-	return dist.CountWithin(ds.Matrix(), q, eps2, limit)
-}
-
-// CountWithinIDs counts the members of ids within squared distance eps2 of
-// q, with the same limit semantics as CountWithin.
-func (ds *Dataset) CountWithinIDs(q []float64, eps2 float64, ids []int32, limit int) int {
-	return dist.CountWithinIDs(ds.Matrix(), q, eps2, ids, limit)
-}
-
-// SqDist returns the squared Euclidean distance between two equal-length
-// vectors. It delegates to the shared kernel layer in internal/dist.
-func SqDist(a, b []float64) float64 { return dist.SqDist(a, b) }
-
-// Dist returns the Euclidean distance between two equal-length vectors.
-func Dist(a, b []float64) float64 { return dist.Dist(a, b) }
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 { return dist.Dot(a, b) }
-
-// Norm2 returns the squared Euclidean norm of v.
-func Norm2(v []float64) float64 { return dist.Norm2(v) }
-
-// Norm returns the Euclidean norm of v.
-func Norm(v []float64) float64 { return dist.Norm(v) }
 
 // Iota returns the identity id slice [0, 1, …, n-1]: the full-dataset id
 // set consumed by index builders and whole-dataset SVDD training.

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"dbsvec/internal/dist"
 )
 
 func TestNewDataset(t *testing.T) {
@@ -119,13 +121,13 @@ func TestDistances(t *testing.T) {
 }
 
 func TestDotNorm(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
+	if got := dist.Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Errorf("Dot = %v, want 32", got)
 	}
-	if got := Norm([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
+	if got := dist.Norm([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Norm = %v, want 5", got)
 	}
-	if got := Norm2([]float64{3, 4}); got != 25 {
+	if got := dist.Norm2([]float64{3, 4}); got != 25 {
 		t.Errorf("Norm2 = %v, want 25", got)
 	}
 }
@@ -249,8 +251,8 @@ func TestSqDistProperties(t *testing.T) {
 				bv[i] = 0
 			}
 		}
-		d1 := SqDist(av, bv)
-		d2 := SqDist(bv, av)
+		d1 := dist.SqDist(av, bv)
+		d2 := dist.SqDist(bv, av)
 		return d1 >= 0 && math.Abs(d1-d2) <= 1e-9*(1+d1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -269,7 +271,7 @@ func TestTriangleInequality(t *testing.T) {
 		for j := 0; j < d; j++ {
 			a[j], b[j], c[j] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
 		}
-		if Dist(a, c) > Dist(a, b)+Dist(b, c)+1e-9 {
+		if dist.Dist(a, c) > dist.Dist(a, b)+dist.Dist(b, c)+1e-9 {
 			t.Fatalf("triangle inequality violated: %v %v %v", a, b, c)
 		}
 	}
@@ -293,10 +295,10 @@ func TestRectMinDistProperty(t *testing.T) {
 		for j := 0; j < d; j++ {
 			q[j] = rng.NormFloat64() * 20
 		}
-		if r.MinDist2(q) > SqDist(q, inside)+1e-9 {
+		if r.MinDist2(q) > dist.SqDist(q, inside)+1e-9 {
 			t.Fatalf("MinDist2 exceeded actual distance: rect=%+v q=%v p=%v", r, q, inside)
 		}
-		if r.MaxDist2(q)+1e-9 < SqDist(q, inside) {
+		if r.MaxDist2(q)+1e-9 < dist.SqDist(q, inside) {
 			t.Fatalf("MaxDist2 below actual distance")
 		}
 	}
@@ -341,7 +343,7 @@ func TestMinDist2RectProperty(t *testing.T) {
 		}
 		ra, pa := mk()
 		rb, pb := mk()
-		if ra.MinDist2Rect(rb) > SqDist(pa, pb)+1e-9 {
+		if ra.MinDist2Rect(rb) > dist.SqDist(pa, pb)+1e-9 {
 			t.Fatalf("rect min distance exceeds contained pair distance")
 		}
 	}
@@ -357,7 +359,7 @@ func BenchmarkSqDist8(b *testing.B) {
 	b.ReportAllocs()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += SqDist(x, y)
+		sink += dist.SqDist(x, y)
 	}
 	_ = sink
 }

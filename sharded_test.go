@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dbsvec/internal/vec"
@@ -256,5 +257,47 @@ func TestRunShardedRejectsNaNEps(t *testing.T) {
 	_, err = RunSharded(ds, Options{Eps: math.NaN(), MinPts: 10, Shards: 2})
 	if !errors.Is(err, ErrInvalidParams) {
 		t.Fatalf("RunSharded with NaN Eps: err = %v, want ErrInvalidParams", err)
+	}
+}
+
+// TestRunShardedRejectsBadOptions: sharded runs validate their options as
+// Cluster does, before any planning scan, so empty input is rejected too and
+// no error carries a shard prefix.
+func TestRunShardedRejectsBadOptions(t *testing.T) {
+	empty, err := FromFlat(nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := NewDataset(stripRows(2, 100, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, ds := range map[string]*Dataset{"empty": empty, "non-empty": full} {
+		var buf bytes.Buffer
+		if err := ds.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name+".bin")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []Options{{Eps: 0, MinPts: 10}, {Eps: 3, MinPts: 0}, {Eps: 3, MinPts: 10, Nu: 2}} {
+			for _, shards := range []int{0, 4} {
+				o := bad
+				o.Shards = shards
+				if _, err := Cluster(ds, o); !errors.Is(err, ErrInvalidParams) {
+					t.Fatalf("%s %+v: Cluster err = %v, want ErrInvalidParams", name, o, err)
+				}
+				_, err := RunSharded(ds, o)
+				if !errors.Is(err, ErrInvalidParams) || strings.Contains(err.Error(), "shard ") {
+					t.Errorf("%s %+v: RunSharded err = %v, want an unprefixed ErrInvalidParams", name, o, err)
+				}
+				_, err = RunShardedFile(path, o)
+				if !errors.Is(err, ErrInvalidParams) || strings.Contains(err.Error(), "shard ") {
+					t.Errorf("%s %+v: RunShardedFile err = %v, want an unprefixed ErrInvalidParams", name, o, err)
+				}
+			}
+		}
 	}
 }
