@@ -324,7 +324,9 @@ func run(ds *vec.Dataset, opts Options, retain bool) (res *cluster.Result, retai
 	}
 	buildCtx := opts.IndexBuilderCtx
 	if buildCtx == nil {
-		buildCtx = index.Bind(index.NewLinear, 0)
+		// The linear scan splits single queries across its workers, so it
+		// takes Workers too: 1 stays fully sequential.
+		buildCtx = index.Bind(index.NewLinear, opts.Workers)
 	}
 
 	parent := opts.Context

@@ -54,9 +54,15 @@ type Config struct {
 }
 
 // dataset applies the configured storage precision to a generated dataset.
-// Conversion to F32 cannot fail for the bounded synthetic generators, so the
-// error path collapses to a panic guard.
+// Data the generator already quantized (the DBSVEC_PRECISION=f32 process
+// default) stays F32: widening it would keep the quantized values but drop
+// the precision measure labels rows with. Conversion to F32 cannot fail for
+// the bounded synthetic generators, so the error path collapses to a panic
+// guard.
 func (c Config) dataset(ds *vec.Dataset) *vec.Dataset {
+	if ds.Precision() == vec.F32 {
+		return ds
+	}
 	out, err := ds.ToPrecision(c.Precision)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: precision conversion: %v", err))
@@ -83,7 +89,7 @@ func (c Config) dbsvecOptions(eps float64, minPts int) core.Options {
 }
 
 // measure runs one clustering of ds at (eps, minPts) and returns its result
-// with its row: exp and params as given plus the dataset's n and d, the
+// with its row: exp and params as given plus the dataset's n and d, its
 // storage precision and the seed, the clusters and noise of the result as
 // counts, and the wall clock as elapsed_ns.
 func measure(cfg Config, exp string, params map[string]any, run algo, ds *vec.Dataset, eps float64, minPts int) (Row, *cluster.Result, error) {
@@ -94,7 +100,7 @@ func measure(cfg Config, exp string, params map[string]any, run algo, ds *vec.Da
 	}
 	elapsed := time.Since(start)
 	params["n"], params["d"] = ds.Len(), ds.Dim()
-	params["precision"], params["seed"] = cfg.Precision.String(), cfg.Seed
+	params["precision"], params["seed"] = ds.Precision().String(), cfg.Seed
 	return Row{
 		Exp:      exp,
 		Params:   params,

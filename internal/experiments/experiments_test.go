@@ -143,6 +143,46 @@ func TestFig8Smoke(t *testing.T) {
 	}
 }
 
+// Rows carry the precision the points were quantized to: data the process
+// default already quantized stays F32 under the default -precision f64 and
+// is labelled f32, not f64.
+func TestMeasureLabelsDataPrecision(t *testing.T) {
+	ds, err := vec.NewDataset([]float64{0.1, 0.2, 0.3, 0.4}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds64, err := ds.ToPrecision(vec.F64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds32, err := ds.ToPrecision(vec.F32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := func(_ Config, ds *vec.Dataset, _ float64, _ int) (*cluster.Result, error) {
+		return &cluster.Result{Labels: make([]int32, ds.Len())}, nil
+	}
+	for _, tc := range []struct {
+		cfg  vec.Precision
+		ds   *vec.Dataset
+		want string
+	}{
+		{vec.F64, ds64, "f64"},
+		{vec.F32, ds64, "f32"},
+		{vec.F64, ds32, "f32"},
+	} {
+		cfg := tinyCfg()
+		cfg.Precision = tc.cfg
+		row, _, err := measure(cfg, "x", map[string]any{}, none, cfg.dataset(tc.ds), 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := row.Params["precision"]; got != tc.want {
+			t.Errorf("-precision %v over %v data: row labelled %v, want %s", tc.cfg, tc.ds.Precision(), got, tc.want)
+		}
+	}
+}
+
 func TestTable2Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table2 runs several clusterings")

@@ -56,8 +56,9 @@ var indexBenchWorkers = []int{1, 2}
 
 // RunIndexBench executes the micro-benchmark and emits its rows: build
 // time per backend, cardinality and worker count ("build"), range-query
-// time per backend, cardinality and storage precision ("query"), and the
-// batch linear scans ("scan").
+// time per backend, cardinality and storage precision ("query"), the
+// batch linear scans ("scan") and the linear scan's row-block split
+// ("split").
 func RunIndexBench(cfg Config, emit func(Row)) error {
 	sizes := []int{100_000, 500_000}
 	repeats, queries := 5, 1000
@@ -132,7 +133,10 @@ func RunIndexBench(cfg Config, emit func(Row)) error {
 	for _, r := range queryRows {
 		emit(r)
 	}
-	return runScanBench(cfg, repeats, emit)
+	if err := runScanBench(cfg, repeats, emit); err != nil {
+		return err
+	}
+	return runSplitBench(cfg, emit)
 }
 
 // scanBenchN and scanBenchDim pin the batch-scan section's shape: an
@@ -192,6 +196,66 @@ func runScanBench(cfg Config, repeats int, emit func(Row)) error {
 			Counts:   map[string]float64{"results": float64(results)},
 			Measured: map[string]float64{"total_ns": float64(best)},
 		})
+	}
+	return nil
+}
+
+// The split section pins perfbench's cluster-default shape (SeedSpreader
+// n=40k, d=8, ε=2000), where most of DBSVEC's support-vector batches hold
+// 2–16 queries and every seed query is a single call. Batches of 1 and 6
+// queries run on index.Linear at 1 and 2 workers; the worker count changes
+// only the time, so the results totals are equal across it. The shape is
+// identical in quick and full mode.
+const (
+	splitBenchN       = 40_000
+	splitBenchDim     = 8
+	splitBenchEps     = 2000.0
+	splitBenchRounds  = 100
+	splitBenchRepeats = 3
+)
+
+var splitBenchBatches = []int{1, 6}
+
+// runSplitBench emits one "split" row per batch size and worker count:
+// the results total over splitBenchRounds batches and their best-of-repeats
+// wall clock.
+func runSplitBench(cfg Config, emit func(Row)) error {
+	ds := data.SeedSpreader{N: splitBenchN, D: splitBenchDim, Seed: cfg.Seed}.Generate()
+	ctx := context.Background()
+	for _, batch := range splitBenchBatches {
+		stride := ds.Len() / (splitBenchRounds * batch)
+		for _, workers := range indexBenchWorkers {
+			lin, err := index.NewLinear(ctx, ds, workers)
+			if err != nil {
+				return err
+			}
+			var out [][]int32
+			var results int
+			best := int64(math.MaxInt64)
+			for r := 0; r < splitBenchRepeats; r++ {
+				results = 0
+				start := time.Now()
+				for round := 0; round < splitBenchRounds; round++ {
+					qs := index.Queries{N: batch, At: func(i int) []float64 { return ds.Point((round*batch + i) * stride) }}
+					if out, err = lin.BatchRangeQuery(ctx, qs, splitBenchEps, workers, out); err != nil {
+						return err
+					}
+					for _, hood := range out {
+						results += len(hood)
+					}
+				}
+				best = min(best, time.Since(start).Nanoseconds())
+			}
+			emit(Row{
+				Exp: "index",
+				Params: map[string]any{
+					"section": "split", "n": splitBenchN, "dim": splitBenchDim, "batch": batch,
+					"workers": workers, "rounds": splitBenchRounds, "repeats": splitBenchRepeats, "seed": cfg.Seed,
+				},
+				Counts:   map[string]float64{"results": float64(results)},
+				Measured: map[string]float64{"total_ns": float64(best)},
+			})
+		}
 	}
 	return nil
 }

@@ -38,9 +38,11 @@ type BatchIndex interface {
 
 	// BatchRangeQuery answers query i into out[i] (appending to out[i][:0],
 	// so passing the previous batch's out makes steady-state rounds
-	// allocation-free). A nil out allocates. workers <= 0 selects
-	// GOMAXPROCS. ctx is checked throughout the batch; on cancellation the
-	// partial results are discarded and ctx's error is returned.
+	// allocation-free). The batch owns out's whole backing array: entries
+	// past the batch's length may serve as scratch. A nil out allocates.
+	// workers <= 0 selects GOMAXPROCS. ctx is checked throughout the batch;
+	// on cancellation the partial results are discarded and ctx's error is
+	// returned.
 	BatchRangeQuery(ctx context.Context, qs Queries, eps float64, workers int, out [][]int32) ([][]int32, error)
 
 	// BatchRangeCount is the counting analogue: out[i] receives the
@@ -59,16 +61,14 @@ func Batch(idx Index) BatchIndex {
 	return &fanout{Index: idx}
 }
 
-// batchStride is the number of consecutive queries a worker claims per
-// step of engine.For: large enough to amortize the shared counter and the
-// context check, small enough to balance skewed neighborhoods.
-const batchStride = 8
-
 // fanout serves batches on any Index by running the per-query calls on
-// engine.For. Results are keyed by query index, so output is independent of
-// scheduling. Both methods are recover boundaries: a panicking query or an
-// injected worker panic comes back as a *fault.WorkerPanicError (the lowest
-// panicking chunk's), never as a crash of the caller.
+// engine.For, one query per step: a query costs far more than a claim, and
+// most batches DBSVEC issues hold 2–16 queries, which longer steps would
+// leave on one worker. Results are keyed by query index, so output is
+// independent of scheduling. Both methods are recover boundaries: a
+// panicking query or an injected worker panic comes back as a
+// *fault.WorkerPanicError (the lowest panicking chunk's), never as a crash
+// of the caller.
 type fanout struct {
 	Index
 }
@@ -79,7 +79,7 @@ func (f *fanout) BatchRangeQuery(ctx context.Context, qs Queries, eps float64, w
 	}
 	defer fault.RecoverTo(&err)
 	out = growSlices(out, qs.N)
-	err = engine.For(ctx, workers, qs.N, batchStride, func(lo, hi int) {
+	err = engine.For(ctx, workers, qs.N, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = f.Index.RangeQuery(qs.At(i), eps, out[i][:0])
 		}
@@ -99,7 +99,7 @@ func (f *fanout) BatchRangeCount(ctx context.Context, qs Queries, eps float64, l
 		out = make([]int, qs.N)
 	}
 	out = out[:qs.N]
-	err = engine.For(ctx, workers, qs.N, batchStride, func(lo, hi int) {
+	err = engine.For(ctx, workers, qs.N, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = f.Index.RangeCount(qs.At(i), eps, limit)
 		}

@@ -29,15 +29,21 @@ func batchTestDataset(t *testing.T) *vec.Dataset {
 // caller's timing or tracing wrapper.
 type nativeBatch struct{ *fanout }
 
+// plain hides a backend's batch methods, as any index without them.
+type plain struct{ Index }
+
 func TestBatchReturnsNativeImplementation(t *testing.T) {
 	ds := batchTestDataset(t)
 	lin := linear(ds)
-	f, ok := Batch(lin).(*fanout)
+	if got := Batch(lin); got != BatchIndex(lin) {
+		t.Fatalf("Batch(Linear) = %T, want the Linear itself", got)
+	}
+	f, ok := Batch(plain{lin}).(*fanout)
 	if !ok {
-		t.Fatalf("Batch(Linear) = %T, want the fan-out adapter", Batch(lin))
+		t.Fatalf("Batch(plain) = %T, want the fan-out adapter", Batch(plain{lin}))
 	}
 	if got := Batch(f); got != BatchIndex(f) {
-		t.Errorf("Batch(Batch(Linear)) = %T, want the same adapter", got)
+		t.Errorf("Batch(Batch(plain)) = %T, want the same adapter", got)
 	}
 	n := nativeBatch{f}
 	if got := Batch(n); got != BatchIndex(n) {
@@ -45,24 +51,31 @@ func TestBatchReturnsNativeImplementation(t *testing.T) {
 	}
 }
 
+// batchImpls are the two batch executors over the linear scan: its native
+// batch path and the fan-out adapter every other backend uses.
+func batchImpls(lin *Linear) map[string]BatchIndex {
+	return map[string]BatchIndex{"native": lin, "fanout": Batch(plain{lin})}
+}
+
 func TestFanoutMatchesPerQuery(t *testing.T) {
 	ds := batchTestDataset(t)
 	lin := linear(ds)
-	b := Batch(lin)
-	qs := Queries{N: ds.Len(), At: func(i int) []float64 { return ds.Point(i) }}
-	for _, workers := range []int{1, 2, 7, 100} {
-		got, err := b.BatchRangeQuery(context.Background(), qs, 1.5, workers, nil)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range got {
-			want := lin.RangeQuery(ds.Point(i), 1.5, nil)
-			if len(got[i]) != len(want) {
-				t.Fatalf("workers=%d query %d: got %v want %v", workers, i, got[i], want)
+	for name, b := range batchImpls(lin) {
+		qs := Queries{N: ds.Len(), At: func(i int) []float64 { return ds.Point(i) }}
+		for _, workers := range []int{1, 2, 7, 100} {
+			got, err := b.BatchRangeQuery(context.Background(), qs, 1.5, workers, nil)
+			if err != nil {
+				t.Fatalf("%s: workers=%d: %v", name, workers, err)
 			}
-			for j := range want {
-				if got[i][j] != want[j] {
-					t.Fatalf("workers=%d query %d: got %v want %v (order must match the per-query call)", workers, i, got[i], want)
+			for i := range got {
+				want := lin.RangeQuery(ds.Point(i), 1.5, nil)
+				if len(got[i]) != len(want) {
+					t.Fatalf("%s: workers=%d query %d: got %v want %v", name, workers, i, got[i], want)
+				}
+				for j := range want {
+					if got[i][j] != want[j] {
+						t.Fatalf("%s: workers=%d query %d: got %v want %v (order must match the per-query call)", name, workers, i, got[i], want)
+					}
 				}
 			}
 		}
@@ -71,23 +84,25 @@ func TestFanoutMatchesPerQuery(t *testing.T) {
 
 func TestFanoutEmptyBatch(t *testing.T) {
 	ds := batchTestDataset(t)
-	b := Batch(linear(ds))
-	out, err := b.BatchRangeQuery(context.Background(), Queries{N: 0}, 1, 4, nil)
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty batch: out=%v err=%v", out, err)
-	}
-	counts, err := b.BatchRangeCount(context.Background(), Queries{N: 0}, 1, 0, 4, nil)
-	if err != nil || len(counts) != 0 {
-		t.Fatalf("empty count batch: out=%v err=%v", counts, err)
+	for name, b := range batchImpls(linear(ds)) {
+		out, err := b.BatchRangeQuery(context.Background(), Queries{N: 0}, 1, 4, nil)
+		if err != nil || len(out) != 0 {
+			t.Fatalf("%s: empty batch: out=%v err=%v", name, out, err)
+		}
+		counts, err := b.BatchRangeCount(context.Background(), Queries{N: 0}, 1, 0, 4, nil)
+		if err != nil || len(counts) != 0 {
+			t.Fatalf("%s: empty count batch: out=%v err=%v", name, counts, err)
+		}
 	}
 }
 
 func TestFanoutNilContext(t *testing.T) {
 	ds := batchTestDataset(t)
-	b := Batch(linear(ds))
-	qs := Queries{N: 3, At: func(i int) []float64 { return ds.Point(i) }}
-	if _, err := b.BatchRangeQuery(nil, qs, 1, 2, nil); err != nil {
-		t.Fatalf("nil ctx: %v", err)
+	for name, b := range batchImpls(linear(ds)) {
+		qs := Queries{N: 3, At: func(i int) []float64 { return ds.Point(i) }}
+		if _, err := b.BatchRangeQuery(nil, qs, 1, 2, nil); err != nil {
+			t.Fatalf("%s: nil ctx: %v", name, err)
+		}
 	}
 }
 
@@ -128,31 +143,32 @@ func TestFanoutCancelMidBatch(t *testing.T) {
 func TestArenaReuseAcrossRounds(t *testing.T) {
 	ds := batchTestDataset(t)
 	lin := linear(ds)
-	b := Batch(lin)
-	rounds := [][]int32{{1, 2, 3, 4, 5, 6, 7, 8}, {9}, {10, 11, 12, 10}, {13, 14, 15, 16, 17, 18, 19, 20, 21, 199}}
-	var hoods [][]int32
-	var counts []int
-	for _, workers := range []int{1, 4} {
-		for _, ids := range rounds {
-			var err error
-			hoods, err = b.BatchRangeQuery(context.Background(), PointQueries(ds, ids), 1.5, workers, hoods)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts, err = b.BatchRangeCount(context.Background(), PointQueries(ds, ids), 1.5, 3, workers, counts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(hoods) != len(ids) || len(counts) != len(ids) {
-				t.Fatalf("round %v: %d hoods, %d counts", ids, len(hoods), len(counts))
-			}
-			for i, id := range ids {
-				want := lin.RangeQuery(ds.Point(int(id)), 1.5, nil)
-				if !slices.Equal(hoods[i], want) {
-					t.Fatalf("workers=%d round %v id %d: got %v want %v", workers, ids, id, hoods[i], want)
+	for name, b := range batchImpls(lin) {
+		rounds := [][]int32{{1, 2, 3, 4, 5, 6, 7, 8}, {9}, {10, 11, 12, 10}, {13, 14, 15, 16, 17, 18, 19, 20, 21, 199}}
+		var hoods [][]int32
+		var counts []int
+		for _, workers := range []int{1, 4} {
+			for _, ids := range rounds {
+				var err error
+				hoods, err = b.BatchRangeQuery(context.Background(), PointQueries(ds, ids), 1.5, workers, hoods)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				if wantN := lin.RangeCount(ds.Point(int(id)), 1.5, 3); counts[i] != wantN {
-					t.Fatalf("workers=%d round %v id %d: count %d want %d", workers, ids, id, counts[i], wantN)
+				counts, err = b.BatchRangeCount(context.Background(), PointQueries(ds, ids), 1.5, 3, workers, counts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if len(hoods) != len(ids) || len(counts) != len(ids) {
+					t.Fatalf("%s: round %v: %d hoods, %d counts", name, ids, len(hoods), len(counts))
+				}
+				for i, id := range ids {
+					want := lin.RangeQuery(ds.Point(int(id)), 1.5, nil)
+					if !slices.Equal(hoods[i], want) {
+						t.Fatalf("%s: workers=%d round %v id %d: got %v want %v", name, workers, ids, id, hoods[i], want)
+					}
+					if wantN := lin.RangeCount(ds.Point(int(id)), 1.5, 3); counts[i] != wantN {
+						t.Fatalf("%s: workers=%d round %v id %d: count %d want %d", name, workers, ids, id, counts[i], wantN)
+					}
 				}
 			}
 		}
@@ -164,43 +180,45 @@ func TestArenaReuseAcrossRounds(t *testing.T) {
 func TestBatchAllPoints(t *testing.T) {
 	ds := batchTestDataset(t)
 	lin := linear(ds)
-	b := Batch(lin)
-	hoods, err := b.BatchRangeQuery(context.Background(), PointQueries(ds, nil), 1.5, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hoods) != ds.Len() {
-		t.Fatalf("got %d hoods, want %d", len(hoods), ds.Len())
-	}
-	snapshot := slices.Clone(hoods[0])
-	if _, err := b.BatchRangeQuery(context.Background(), PointQueries(ds, []int32{5, 6, 7}), 1.5, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(hoods[0], snapshot) {
-		t.Fatal("owned neighborhood mutated by a later batch")
-	}
-	counts, err := b.BatchRangeCount(context.Background(), PointQueries(ds, nil), 1.5, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hoods {
-		if want := lin.RangeQuery(ds.Point(i), 1.5, nil); !slices.Equal(h, want) || counts[i] != len(want) {
-			t.Fatalf("point %d: hood %v count %d, want %v", i, h, counts[i], want)
+	for name, b := range batchImpls(lin) {
+		hoods, err := b.BatchRangeQuery(context.Background(), PointQueries(ds, nil), 1.5, 0, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(hoods) != ds.Len() {
+			t.Fatalf("%s: got %d hoods, want %d", name, len(hoods), ds.Len())
+		}
+		snapshot := slices.Clone(hoods[0])
+		if _, err := b.BatchRangeQuery(context.Background(), PointQueries(ds, []int32{5, 6, 7}), 1.5, 2, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(hoods[0], snapshot) {
+			t.Fatalf("%s: owned neighborhood mutated by a later batch", name)
+		}
+		counts, err := b.BatchRangeCount(context.Background(), PointQueries(ds, nil), 1.5, 0, 0, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, h := range hoods {
+			if want := lin.RangeQuery(ds.Point(i), 1.5, nil); !slices.Equal(h, want) || counts[i] != len(want) {
+				t.Fatalf("%s: point %d: hood %v count %d, want %v", name, i, h, counts[i], want)
+			}
 		}
 	}
 }
 
 func TestBatchEntryInjectedError(t *testing.T) {
 	ds := batchTestDataset(t)
-	b := Batch(linear(ds))
 	restore := fault.Activate(fault.NewInjector(1).Arm(fault.IndexQueryError, fault.Always()))
 	defer restore()
-	for _, ids := range [][]int32{{0, 1}, nil} {
-		if _, err := b.BatchRangeQuery(context.Background(), PointQueries(ds, ids), 1.5, 2, nil); !errors.Is(err, fault.ErrInjected) {
-			t.Errorf("BatchRangeQuery(%v) err = %v, want injected", ids, err)
-		}
-		if _, err := b.BatchRangeCount(context.Background(), PointQueries(ds, ids), 1.5, 2, 2, nil); !errors.Is(err, fault.ErrInjected) {
-			t.Errorf("BatchRangeCount(%v) err = %v, want injected", ids, err)
+	for name, b := range batchImpls(linear(ds)) {
+		for _, ids := range [][]int32{{0, 1}, nil} {
+			if _, err := b.BatchRangeQuery(context.Background(), PointQueries(ds, ids), 1.5, 2, nil); !errors.Is(err, fault.ErrInjected) {
+				t.Errorf("%s: BatchRangeQuery(%v) err = %v, want injected", name, ids, err)
+			}
+			if _, err := b.BatchRangeCount(context.Background(), PointQueries(ds, ids), 1.5, 2, 2, nil); !errors.Is(err, fault.ErrInjected) {
+				t.Errorf("%s: BatchRangeCount(%v) err = %v, want injected", name, ids, err)
+			}
 		}
 	}
 }

@@ -8,7 +8,6 @@ package index
 import (
 	"context"
 
-	"dbsvec/internal/dist"
 	"dbsvec/internal/vec"
 )
 
@@ -62,36 +61,3 @@ var BuildLinear = Bind(NewLinear, 0)
 //
 // Deprecated: kept for perfbench; remove with the next benchmark change.
 func WithContext(b CtxBuilder) CtxBuilder { return b }
-
-// Linear is the exhaustive-scan index: O(n) per query, zero build cost,
-// no extra memory. It is the ground-truth oracle for all other indexes.
-type Linear struct {
-	ds *vec.Dataset
-}
-
-// NewLinear wraps a dataset in a linear-scan index. There is nothing to
-// build, so workers is unused and ctx is checked once; batches fan across
-// workers in the batch executor instead.
-func NewLinear(ctx context.Context, ds *vec.Dataset, _ int) (*Linear, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return &Linear{ds: ds}, nil
-}
-
-// Len returns the number of indexed points.
-func (l *Linear) Len() int { return l.ds.Len() }
-
-// RangeQuery implements Index via the fused filter kernel.
-func (l *Linear) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
-	return dist.FilterWithin(l.ds.Matrix(), q, eps*eps, buf)
-}
-
-// RangeCount implements Index via the fused count kernel.
-func (l *Linear) RangeCount(q []float64, eps float64, limit int) int {
-	return dist.CountWithin(l.ds.Matrix(), q, eps*eps, limit)
-}
-
-var _ Index = (*Linear)(nil)

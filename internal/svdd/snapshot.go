@@ -88,17 +88,30 @@ func (m *Model) Snapshot() *Snapshot {
 		Iterations: m.Iterations,
 		Converged:  m.Converged,
 	}
+	// Exact-size slices: a retained snapshot lives as long as its Result,
+	// so append's spare capacity would be held for that whole time.
+	k := 0
+	for _, a := range m.Alpha {
+		if a > svThreshold {
+			k++
+		}
+	}
+	if k == 0 {
+		return s
+	}
+	s.IDs = make([]int32, 0, k)
+	s.Alpha = make([]float64, 0, k)
+	s.Score = make([]float64, k)
+	s.Coords = make([]float64, 0, k*dim)
 	for i, a := range m.Alpha {
 		if a <= svThreshold {
 			continue
 		}
+		if m.svScore != nil {
+			s.Score[len(s.IDs)] = m.svScore[i]
+		}
 		s.IDs = append(s.IDs, m.IDs[i])
 		s.Alpha = append(s.Alpha, a)
-		sc := 0.0
-		if m.svScore != nil {
-			sc = m.svScore[i]
-		}
-		s.Score = append(s.Score, sc)
 		s.Coords = append(s.Coords, m.point(i)...)
 	}
 	return s

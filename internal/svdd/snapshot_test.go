@@ -137,6 +137,13 @@ func TestSnapshotOfDetachedModel(t *testing.T) {
 	if s1.Sigma != s2.Sigma || s1.R2 != s2.R2 || s1.AlphaDot != s2.AlphaDot || s1.Nu != s2.Nu {
 		t.Fatal("scalar terms drifted")
 	}
+	// A retained snapshot lives as long as its Result: no spare capacity.
+	for i, s := range []*Snapshot{s1, s2} {
+		if cap(s.IDs) != len(s.IDs) || cap(s.Alpha) != len(s.Alpha) || cap(s.Score) != len(s.Score) || cap(s.Coords) != len(s.Coords) {
+			t.Errorf("snapshot %d: caps ids %d/%d alpha %d/%d score %d/%d coords %d/%d, want cap == len", i,
+				cap(s.IDs), len(s.IDs), cap(s.Alpha), len(s.Alpha), cap(s.Score), len(s.Score), cap(s.Coords), len(s.Coords))
+		}
+	}
 }
 
 // TestFromSnapshotRejectsInvalid exercises the validation taxonomy.
