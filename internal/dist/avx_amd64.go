@@ -2,6 +2,8 @@
 
 package dist
 
+import "math"
+
 // hasAVX gates every assembly fast path of this package, at both storage
 // precisions. The AVX kernels perform the same float64 operations in the
 // same per-accumulator order as the pure-Go loops, so this is purely a
@@ -67,3 +69,25 @@ func dotsRows4x64AVX(a, q *float64, groups, stride, quads int, out *float64)
 //
 //go:noescape
 func dotsRows4x32AVX(a *float32, q *float64, groups, stride, quads int, out *float64)
+
+// hasExpAVX gates ExpInPlace's four-lane kernel: the CPU must have AVX2 and
+// FMA, and the kernel must reproduce math.Exp bit for bit on a fixed probe
+// table (expSelfCheck). The check is what keeps the contract when math.Exp
+// itself takes its non-FMA branch (GODEBUG=cpu.fma=off), which rounds
+// differently. A variable so the tests can switch the kernel off.
+var hasExpAVX = hasAVX && cpuHasAVX2FMA() && expSelfCheck(math.Exp)
+
+// cpuHasAVX2FMA reports CPUID AVX2 and FMA support; the OS's YMM state is
+// hasAVX's check.
+//
+//go:noescape
+func cpuHasAVX2FMA() bool
+
+// expQuadsAVX replaces x[0:4*quads] with math.Exp of each value, four lanes
+// at a time, and returns the number of quads it wrote. It stops before the
+// first quad with a lane whose result math.Exp does not compute on its
+// normal path (NaN, ±Inf, overflow, a subnormal result), leaving that quad
+// untouched. quads must be >= 1.
+//
+//go:noescape
+func expQuadsAVX(x *float64, quads int) int

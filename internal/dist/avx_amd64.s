@@ -167,3 +167,124 @@ TEXT ·dotsRows4x64AVX(SB), NOSPLIT, $0-48
 // func dotsRows4x32AVX(a *float32, q *float64, groups, stride, quads int, out *float64)
 TEXT ·dotsRows4x32AVX(SB), NOSPLIT, $0-48
 	ROWS4(LOAD32, 2, 4, DOTTERM4)
+
+// Four-lane exp: Go's math.Exp (exp_amd64.s, its FMA branch) run on four
+// lanes of a YMM register.
+//
+// Lane contract: each lane performs exactly the instructions math.Exp's
+// avxfma branch performs on one value, with the same constants, in the same
+// order: k = round(x·LOG2E) (CVTPD2DQ, round to nearest even like CVTSD2SL),
+// r = x − k·LN2U − k·LN2L (two fused VFNMADD231), r·1/16, the seven fused
+// Horner steps, r·p, three rounds of y·(y+2) and a fused y·(y+2)+1, then the
+// multiply by 2^k built from the exponent bits. The scalar code's special
+// cases (NaN, ±Inf, overflow, a subnormal result) are exactly the inputs
+// whose biased exponent k+1023 falls outside [1, 2046]; the kernel checks
+// that range for all four lanes before it stores anything and stops at the
+// first quad that fails, returning the number of quads written, so the Go
+// caller runs math.Exp on that quad. Where math.Exp takes its non-FMA branch
+// the lanes differ, which the init-time self-check in exp.go detects.
+
+#define EXP4(off, v) \
+	DATA expconst<>+(off)(SB)/8, v;    \
+	DATA expconst<>+(off+8)(SB)/8, v;  \
+	DATA expconst<>+(off+16)(SB)/8, v; \
+	DATA expconst<>+(off+24)(SB)/8, v
+
+EXP4(0, $1.4426950408889634073599246810018920)       // LOG2E
+EXP4(32, $0.69314718055966295651160180568695068359375) // LN2U
+EXP4(64, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+EXP4(96, $0.0625)
+EXP4(128, $2.0)
+EXP4(160, $1.0)
+EXP4(192, $0.5)
+EXP4(224, $1.6666666666666666667e-1)
+EXP4(256, $4.1666666666666666667e-2)
+EXP4(288, $8.3333333333333333333e-3)
+EXP4(320, $1.3888888888888888889e-3)
+EXP4(352, $1.9841269841269841270e-4)
+EXP4(384, $2.4801587301587301587e-5)
+DATA expconst<>+416(SB)/4, $1023 // exponent bias, four int32 lanes
+DATA expconst<>+420(SB)/4, $1023
+DATA expconst<>+424(SB)/4, $1023
+DATA expconst<>+428(SB)/4, $1023
+DATA expconst<>+432(SB)/4, $2047 // first biased exponent out of range
+DATA expconst<>+436(SB)/4, $2047
+DATA expconst<>+440(SB)/4, $2047
+DATA expconst<>+444(SB)/4, $2047
+GLOBL expconst<>(SB), RODATA|NOPTR, $448
+
+// func cpuHasAVX2FMA() bool
+TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	CPUID
+	ANDL $0x1000, CX // FMA (leaf 1, ECX bit 12)
+	JZ   nofma
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x20, BX   // AVX2 (leaf 7, EBX bit 5)
+	JZ   nofma
+	MOVB $1, ret+0(FP)
+	RET
+nofma:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func expQuadsAVX(x *float64, quads int) int
+TEXT ·expQuadsAVX(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), SI
+	MOVQ quads+8(FP), CX
+	XORQ AX, AX
+	VMOVUPD expconst<>+0(SB), Y7   // LOG2E
+	VMOVUPD expconst<>+32(SB), Y8  // LN2U
+	VMOVUPD expconst<>+64(SB), Y9  // LN2L
+	VMOVUPD expconst<>+96(SB), Y10 // 1/16
+	VMOVUPD expconst<>+128(SB), Y11 // 2
+	VMOVUPD expconst<>+160(SB), Y12 // 1
+	VMOVDQU expconst<>+416(SB), X13 // 1023
+	VMOVDQU expconst<>+432(SB), X14 // 2047
+	VPXOR X6, X6, X6
+exploop:
+	VMOVUPD (SI), Y0
+	VMULPD Y7, Y0, Y1
+	VCVTPD2DQY Y1, X2              // k
+	VCVTDQ2PD X2, Y1
+	VFNMADD231PD Y8, Y1, Y0        // r = x − k·LN2U
+	VFNMADD231PD Y9, Y1, Y0        // r −= k·LN2L
+	VMULPD Y10, Y0, Y0
+	VMOVUPD expconst<>+384(SB), Y3
+	VFMADD213PD expconst<>+352(SB), Y0, Y3
+	VFMADD213PD expconst<>+320(SB), Y0, Y3
+	VFMADD213PD expconst<>+288(SB), Y0, Y3
+	VFMADD213PD expconst<>+256(SB), Y0, Y3
+	VFMADD213PD expconst<>+224(SB), Y0, Y3
+	VFMADD213PD expconst<>+192(SB), Y0, Y3
+	VFMADD213PD Y12, Y0, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y11, Y0, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y11, Y0, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y11, Y0, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y11, Y0, Y3
+	VFMADD213PD Y12, Y3, Y0        // y·(y+2) + 1
+	VPADDD X13, X2, X2             // biased exponent
+	VPCMPGTD X6, X2, X4            // > 0
+	VPCMPGTD X2, X14, X5           // < 2047
+	VPAND X5, X4, X4
+	VMOVMSKPS X4, DX
+	CMPQ DX, $15
+	JNE  expdone
+	VPMOVSXDQ X2, Y2
+	VPSLLQ $52, Y2, Y2             // 2^k
+	VMULPD Y2, Y0, Y0
+	VMOVUPD Y0, (SI)
+	ADDQ $32, SI
+	INCQ AX
+	CMPQ AX, CX
+	JLT  exploop
+expdone:
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
+	RET

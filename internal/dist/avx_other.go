@@ -8,6 +8,9 @@ package dist
 // below exist only so the dispatch code compiles.
 var hasAVX = false
 
+// hasExpAVX is false off amd64: ExpInPlace calls math.Exp per value.
+var hasExpAVX = false
+
 func sqDistGroups64AVX(a, q *float64, groups int) float64 { panic(noAVX) }
 
 func sqDistGroups32AVX(a *float32, q *float64, groups int) float64 { panic(noAVX) }
@@ -25,5 +28,9 @@ func dotGroups32AVX(a *float32, q *float64, groups int) float64 { panic(noAVX) }
 func dotsRows4x64AVX(a, q *float64, groups, stride, quads int, out *float64) { panic(noAVX) }
 
 func dotsRows4x32AVX(a *float32, q *float64, groups, stride, quads int, out *float64) { panic(noAVX) }
+
+func cpuHasAVX2FMA() bool { return false }
+
+func expQuadsAVX(x *float64, quads int) int { panic(noAVX) }
 
 const noAVX = "dist: AVX kernel called without amd64 support"

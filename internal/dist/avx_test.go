@@ -59,7 +59,8 @@ func awkwardMatrix(rng *rand.Rand, n, d int, q []float64) Matrix {
 // AVX range kernels: with the dispatch on, every contiguous-row kernel must
 // equal the pure-Go loop bit for bit, across dims on both sides of every
 // multiple of four, ranges whose ends sit off the four-row quads and the
-// 64-row blocks, and count limits that stop inside a quad.
+// 64-row blocks, ranges on both sides of the 16-row leaf block, and count
+// limits that stop inside a quad.
 func TestRangeKernelsMatchGoOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 32, 64} {
@@ -88,7 +89,7 @@ func TestRangeKernelsMatchGoOracle(t *testing.T) {
 		}
 
 		eps2 := all[n/3]
-		for _, r := range [][2]int{{0, n}, {1, n}, {3, 70}, {5, 6}, {2, 5}, {63, 129}, {65, 67}, {7, 7}, {n - 3, n}, {61, 203}} {
+		for _, r := range [][2]int{{0, n}, {1, n}, {3, 70}, {5, 6}, {2, 5}, {63, 129}, {65, 67}, {7, 7}, {n - 3, n}, {61, 203}, {10, 26}, {10, 27}} {
 			lo, hi := r[0], r[1]
 			out := make([]float64, hi-lo)
 			sqDistsRange(m.Coords, d, q, lo, hi, out)

@@ -40,6 +40,22 @@ func (m Matrix) Packed(n int) Matrix {
 	return Matrix{Coords: make([]float64, n*m.Dim), Dim: m.Dim}
 }
 
+// PackedReuse is Packed backed by spare's array when spare holds the same
+// storage with room for n rows, so a pool of packed copies allocates only
+// when a copy outgrows every buffer it has seen. Only the storage m's
+// kernels stream is kept; spare's other slice, if any, is dropped.
+func (m Matrix) PackedReuse(n int, spare Matrix) Matrix {
+	size := n * m.Dim
+	if m.Coords32 != nil {
+		if cap(spare.Coords32) >= size {
+			return Matrix{Coords32: spare.Coords32[:size], Dim: m.Dim}
+		}
+	} else if cap(spare.Coords) >= size {
+		return Matrix{Coords: spare.Coords[:size], Dim: m.Dim}
+	}
+	return m.Packed(n)
+}
+
 // CopyRows copies src's rows order[lo:hi] into rows [lo, hi) of m, a
 // matrix from src.Packed. Disjoint ranges may be filled concurrently.
 func (m Matrix) CopyRows(src Matrix, order []int32, lo, hi int) {
@@ -77,11 +93,18 @@ func SqDistsTo(m Matrix, q []float64, ids []int32, out []float64) {
 // SqDistsToAll writes the squared distance from every row to q into out:
 // out[i] = ‖row(i) − q‖². out must have length >= m.Len().
 func SqDistsToAll(m Matrix, q []float64, out []float64) {
+	SqDistsToRange(m, q, 0, m.Len(), out)
+}
+
+// SqDistsToRange is SqDistsToAll restricted to rows [lo, hi), writing
+// ‖row(lo+k) − q‖² into out[k]: the packed-row kernel behind SVDD kernel
+// rows, bit-identical to SqDistsTo over the same rows gathered by id.
+func SqDistsToRange(m Matrix, q []float64, lo, hi int, out []float64) {
 	if m.Coords32 != nil {
-		sqDistsRange(m.Coords32, m.Dim, q, 0, m.Len(), out)
+		sqDistsRange(m.Coords32, m.Dim, q, lo, hi, out)
 		return
 	}
-	sqDistsRange(m.Coords, m.Dim, q, 0, m.Len(), out)
+	sqDistsRange(m.Coords, m.Dim, q, lo, hi, out)
 }
 
 // MinSqDistsToAll lowers cur[i] to ‖row(i) − q‖² wherever that distance is
@@ -149,6 +172,12 @@ func CountWithinIDs(m Matrix, q []float64, eps2 float64, ids []int32, limit int)
 // a stack buffer, then thresholded. The block amortizes the (non-inlinable)
 // workhorse call without materializing a full distance slice.
 const blockSize = 64
+
+// leafBlock is the stack block of a range scan over at most that many rows:
+// the leaf scans of the packed tree backends, whose leaves hold up to 16
+// rows. Go zeroes a stack array where it is declared, so a leaf scan on the
+// 64-row block would clear 512 B to use a quarter of them.
+const leafBlock = 16
 
 // sqDist2 and sqDist3 are SqDist2 and SqDist3 over either storage. They are
 // leaf functions and inline, which is why the d=2 and d=3 scans below run
@@ -327,9 +356,18 @@ func filterRange[E elem](c []E, dim int, q []float64, eps2 float64, lo, hi int, 
 		}
 		return buf
 	}
+	if hi-lo <= leafBlock {
+		var block [leafBlock]float64
+		return filterBlocks(c, dim, q, eps2, lo, hi, block[:], buf)
+	}
 	var block [blockSize]float64
-	for s := lo; s < hi; s += blockSize {
-		e := min(s+blockSize, hi)
+	return filterBlocks(c, dim, q, eps2, lo, hi, block[:], buf)
+}
+
+// filterBlocks is filterRange's d >= 4 body over the caller's stack block.
+func filterBlocks[E elem](c []E, dim int, q []float64, eps2 float64, lo, hi int, block []float64, buf []int32) []int32 {
+	for s := lo; s < hi; s += len(block) {
+		e := min(s+len(block), hi)
 		sqDistsRange(c, dim, q, s, e, block[:e-s])
 		for k, d2 := range block[:e-s] {
 			if d2 <= eps2 {
@@ -394,9 +432,19 @@ func countRange[E elem](c []E, dim int, q []float64, eps2 float64, lo, hi, limit
 		}
 		return count
 	}
+	if hi-lo <= leafBlock {
+		var block [leafBlock]float64
+		return countBlocks(c, dim, q, eps2, lo, hi, limit, block[:])
+	}
 	var block [blockSize]float64
-	for s := lo; s < hi; s += blockSize {
-		e := min(s+blockSize, hi)
+	return countBlocks(c, dim, q, eps2, lo, hi, limit, block[:])
+}
+
+// countBlocks is countRange's d >= 4 body over the caller's stack block.
+func countBlocks[E elem](c []E, dim int, q []float64, eps2 float64, lo, hi, limit int, block []float64) int {
+	count := 0
+	for s := lo; s < hi; s += len(block) {
+		e := min(s+len(block), hi)
 		sqDistsRange(c, dim, q, s, e, block[:e-s])
 		for _, d2 := range block[:e-s] {
 			if d2 <= eps2 {

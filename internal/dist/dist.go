@@ -32,6 +32,9 @@
 // distance gathers excepted, see sqDistsGather); the pure-Go loops
 // stay as the path everywhere else and as the reference the tests hold the
 // assembly to.
+//
+// One kernel here is not a distance: ExpInPlace (exp.go), math.Exp over a
+// batch, four lanes at a time where the CPU allows, bit for bit math.Exp.
 package dist
 
 import "math"

@@ -40,10 +40,27 @@ func NormsIDs(m Matrix, ids []int32) []float64 {
 // length >= len(ids).
 func SqDistsToCached(m Matrix, q []float64, qNorm float64, ids []int32, norms, out []float64) {
 	for k, id := range ids {
-		d2 := norms[k] + qNorm - 2*Dot(m.Row(int(id)), q)
-		if d2 < 0 {
-			d2 = 0
-		}
-		out[k] = d2
+		out[k] = cachedSqDist(norms[k], qNorm, Dot(m.Row(int(id)), q))
 	}
+}
+
+// SqDistsToRangeCached is SqDistsToCached over the contiguous rows [lo, hi)
+// of m, norms[k] = ‖row(lo+k)‖²: one batched DotsToRange pass, bit-identical
+// to Dot per row, then the identity. Its results equal SqDistsToCached's
+// over the same rows gathered by id.
+func SqDistsToRangeCached(m Matrix, q []float64, qNorm float64, lo, hi int, norms, out []float64) {
+	out = out[:hi-lo]
+	DotsToRange(m, q, lo, hi, out)
+	for k, dot := range out {
+		out[k] = cachedSqDist(norms[k], qNorm, dot)
+	}
+}
+
+// cachedSqDist is the identity ‖a‖² + ‖q‖² − 2a·q, clamped at 0.
+func cachedSqDist(norm, qNorm, dot float64) float64 {
+	d2 := norm + qNorm - 2*dot
+	if d2 < 0 {
+		d2 = 0
+	}
+	return d2
 }

@@ -29,14 +29,22 @@ func GaussianKernel(a, b []float64, sigma float64) float64 {
 //
 // Both tiers produce bit-identical entries (see at), so neither the storage
 // choice nor the worker count ever changes a trained model.
+//
+// Every row is computed from packed, a copy of the target rows in target
+// order made once per training: the row kernels then stream contiguous rows
+// through the four-row AVX kernels instead of gathering each target by id
+// from the whole dataset, and dist.ExpInPlace exponentiates each row
+// segment four lanes at a time. Both kernels are bit-identical to their
+// per-pair forms, so the packing changes no entry.
 type kernelMatrix struct {
-	ds    *vec.Dataset
-	m     dist.Matrix // the dataset's, with its float32 mirror in F32 mode
-	ids   []int32
-	gamma float64 // 1/(2σ²)
-	n     int
-	full  []float64   // dense storage when n <= weightsExactCap
-	rows  [][]float64 // lazy row cache otherwise
+	ds     *vec.Dataset
+	m      dist.Matrix  // the dataset's, with its float32 mirror in F32 mode
+	packed *dist.Matrix // pooled copy of the target rows, in the storage m streams
+	ids    []int32
+	gamma  float64 // 1/(2σ²)
+	n      int
+	full   []float64   // dense storage when n <= weightsExactCap
+	rows   [][]float64 // lazy row cache otherwise
 	// norms caches ‖x_i‖² per target for the cached-norms distance identity;
 	// nil where dist.UseCachedNorms says the identity does not pay: at low
 	// dimension, and in float32 storage mode, where its catastrophic
@@ -72,6 +80,21 @@ func getMatrixBuf(n int) []float64 {
 	return make([]float64, n)
 }
 
+// packPool recycles the packed target copies (*dist.Matrix); like the
+// matrix buffers they are sized by ñ, so consecutive trainings reuse them.
+var packPool sync.Pool
+
+// packTargets copies the rows ids of m, in order, into a pooled matrix.
+func packTargets(m dist.Matrix, ids []int32) *dist.Matrix {
+	p, _ := packPool.Get().(*dist.Matrix)
+	if p == nil {
+		p = new(dist.Matrix)
+	}
+	*p = m.PackedReuse(len(ids), *p)
+	p.CopyRows(m, ids, 0, len(ids))
+	return p
+}
+
 // rowPool recycles lazy kernel rows the same way: SMO materializes a row per
 // touched target, and consecutive trainings touch similar row counts at
 // similar lengths.
@@ -87,9 +110,14 @@ func getRowBuf(n int) []float64 {
 	return make([]float64, n)
 }
 
-// releaseMatrix returns the model's dense matrix and any materialized lazy
-// rows to their pools; called by Train once the solver is done with them.
+// releaseMatrix returns the model's packed targets, dense matrix and any
+// materialized lazy rows to their pools; called by Train once the solver is
+// done with them.
 func releaseMatrix(km *kernelMatrix) {
+	if km.packed != nil {
+		packPool.Put(km.packed)
+		km.packed = nil
+	}
 	if km.full != nil {
 		matrixPool.Put(km.full) //nolint:staticcheck // slice reuse is the point
 		km.full = nil
@@ -108,6 +136,7 @@ func releaseMatrix(km *kernelMatrix) {
 // fills serially), and an empty lazy row cache above it.
 func newKernelMatrix(ds *vec.Dataset, ids []int32, sigma float64, workers int) *kernelMatrix {
 	km := &kernelMatrix{ds: ds, m: ds.Matrix(), ids: ids, gamma: 1 / (2 * sigma * sigma), n: len(ids)}
+	km.packed = packTargets(km.m, ids)
 	if dist.UseCachedNorms(km.m) {
 		km.norms = dist.NormsIDs(km.m, ids)
 	}
@@ -132,11 +161,11 @@ const fillBlock = 128
 const fillStride = 16
 
 // fillDense computes the dense matrix: the upper triangle via the batched
-// distance kernels in cache-blocked column tiles, mirrored into the lower
-// triangle. With workers > 1 the rows run on engine.For in chunks of
-// fillStride rows; workers claim the chunks in order, so the heaviest rows
-// (row i contributes n−i−1 upper-triangle entries) start first and the
-// triangle balances itself. Each unordered pair (i,j) is written exactly
+// distance and exp kernels in cache-blocked column tiles, each row segment
+// computed in place and mirrored into the lower triangle. With workers > 1
+// the rows run on engine.For in chunks of fillStride rows; workers claim
+// the chunks in order, so the heaviest rows (row i contributes n−i−1
+// upper-triangle entries) start first and the triangle balances itself. Each unordered pair (i,j) is written exactly
 // once — by the chunk owning min(i,j) — so chunks touch disjoint matrix
 // entries, and every entry is a per-pair-independent kernel evaluation, so
 // neither the tiling nor the chunking changes a single bit: the result is
@@ -144,7 +173,6 @@ const fillStride = 16
 func (km *kernelMatrix) fillDense(workers int) {
 	n := km.n
 	fill := func(lo, hi int) {
-		scratch := make([]float64, fillBlock)
 		for i := lo; i < hi; i++ {
 			km.full[i*n+i] = 1
 		}
@@ -155,13 +183,10 @@ func (km *kernelMatrix) fillDense(workers int) {
 				if s >= j1 {
 					continue
 				}
-				seg := scratch[:j1-s]
-				km.sqRow(i, s, seg)
-				for k, d2 := range seg {
-					v := math.Exp(-d2 * km.gamma)
-					j := s + k
-					km.full[i*n+j] = v
-					km.full[j*n+i] = v
+				seg := km.full[i*n+s : i*n+j1]
+				km.kernelRow(i, s, seg)
+				for k, v := range seg {
+					km.full[(s+k)*n+i] = v
 				}
 			}
 		}
@@ -173,17 +198,23 @@ func (km *kernelMatrix) fillDense(workers int) {
 	engine.For(nil, workers, n, fillStride, fill)
 }
 
-// sqRow writes the squared distances from target i to targets
-// [off, off+len(out)) into out via the batched one-to-many kernel, routing
-// through the cached-norms identity when it is enabled for this matrix.
-func (km *kernelMatrix) sqRow(i, off int, out []float64) {
+// kernelRow writes K(i, j) for the targets j in [off, off+len(out)) into
+// out: the squared distances from the packed rows (through the cached-norms
+// identity when it is enabled for this matrix), then −d²·γ, then one
+// ExpInPlace over the segment. Each entry is math.Exp(−d²·γ) of the d²
+// that SqDistsTo and SqDistsToCached give, bit for bit.
+func (km *kernelMatrix) kernelRow(i, off int, out []float64) {
 	q := km.ds.Point(int(km.ids[i]))
-	sub := km.ids[off : off+len(out)]
+	hi := off + len(out)
 	if km.norms != nil {
-		dist.SqDistsToCached(km.m, q, km.norms[i], sub, km.norms[off:off+len(out)], out)
-		return
+		dist.SqDistsToRangeCached(*km.packed, q, km.norms[i], off, hi, km.norms[off:hi], out)
+	} else {
+		dist.SqDistsToRange(*km.packed, q, off, hi, out)
 	}
-	dist.SqDistsTo(km.m, q, sub, out)
+	for k, d2 := range out {
+		out[k] = -d2 * km.gamma
+	}
+	dist.ExpInPlace(out)
 }
 
 // row returns row i of the kernel matrix (length ñ), computing and caching
@@ -203,10 +234,7 @@ func (km *kernelMatrix) row(i int) []float64 {
 // computeRow evaluates row i of the kernel matrix into a pooled buffer.
 func (km *kernelMatrix) computeRow(i int) []float64 {
 	r := getRowBuf(km.n)
-	km.sqRow(i, 0, r)
-	for j := range r {
-		r[j] = math.Exp(-r[j] * km.gamma)
-	}
+	km.kernelRow(i, 0, r)
 	r[i] = 1
 	return r
 }

@@ -50,8 +50,8 @@ func TestFillDenseBlockedBitIdentical(t *testing.T) {
 			ids := vec.Iota(n)
 			sigma := SigmaLowerBound(ds, ids)
 
-			// Reference: same sqRow routing, one full row remainder at a time
-			// (the pre-blocking fill order).
+			// Reference: same kernelRow routing, one full row remainder at a
+			// time (the pre-blocking fill order).
 			ref := newKernelMatrix(ds, ids, sigma, 1)
 			want := make([]float64, n*n)
 			row := make([]float64, n)
@@ -59,9 +59,8 @@ func TestFillDenseBlockedBitIdentical(t *testing.T) {
 				want[i*n+i] = 1
 				if i+1 < n {
 					seg := row[:n-i-1]
-					ref.sqRow(i, i+1, seg)
-					for k, d2 := range seg {
-						v := math.Exp(-d2 * ref.gamma)
+					ref.kernelRow(i, i+1, seg)
+					for k, v := range seg {
 						j := i + 1 + k
 						want[i*n+j] = v
 						want[j*n+i] = v

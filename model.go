@@ -250,9 +250,10 @@ func (m *Model) assignContext(ctx context.Context, d *Dataset, workers int, scor
 	mat := d.ds.Matrix()
 	err := engine.For(ctx, workers, d.Len(), assignStride, func(lo, hi int) {
 		fault.PanicNow(fault.AssignPanic)
-		d2 := make([]float64, plan.svs.Len())
+		scratch := getAssignScratch(2 * plan.svs.Len())
+		defer assignScratchPool.Put(scratch)
 		for i := lo; i < hi; i++ {
-			labels[i] = score(plan, mat.Row(i), d2)
+			labels[i] = score(plan, mat.Row(i), *scratch)
 		}
 	})
 	if err != nil {
@@ -261,22 +262,36 @@ func (m *Model) assignContext(ctx context.Context, d *Dataset, workers int, scor
 	return labels, nil
 }
 
-// assign scores one point. d2 is the caller's scratch buffer for the squared
-// distances to every support vector (one batched pass serves all boundary
-// evaluations and the fallback).
-func (p *assignPlan) assign(q []float64, d2 []float64) int32 {
-	if len(d2) == 0 {
+// assignScratchPool recycles the per-chunk assign scratch (*[]float64, two
+// slots per support vector): a served request assigns a batch of a few
+// points, often one, so without it each request would allocate twice the
+// model's support-vector count.
+var assignScratchPool sync.Pool
+
+func getAssignScratch(n int) *[]float64 {
+	if p, _ := assignScratchPool.Get().(*[]float64); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	buf := make([]float64, n)
+	return &buf
+}
+
+// assign scores one point. scratch is the caller's buffer of twice the
+// support-vector count: its first half takes the squared distances to every
+// support vector (one batched pass serves all boundary evaluations and the
+// fallback), its second half each entry's kernel values (see
+// planEntry.score).
+func (p *assignPlan) assign(q []float64, scratch []float64) int32 {
+	if len(scratch) == 0 {
 		return Noise
 	}
+	d2, k := splitScratch(scratch)
 	dist.SqDistsToAll(p.svs, q, d2)
 	best := math.Inf(1)
 	bestCluster := cluster.Noise
 	for _, e := range p.entries {
-		var s float64
-		for i := e.lo; i < e.hi; i++ {
-			s += p.alpha[i] * math.Exp(-d2[i]*e.gamma)
-		}
-		score := e.bias - 2*s
+		score := e.score(p.alpha, d2, k)
 		if score < best || (score == best && e.cluster < bestCluster) {
 			best = score
 			bestCluster = e.cluster
@@ -289,14 +304,38 @@ func (p *assignPlan) assign(q []float64, d2 []float64) int32 {
 }
 
 // assignNearest scores one point on the degraded path: the nearest-SV
-// fallback alone, no boundary evaluations. d2 is the caller's scratch buffer
-// as in assign.
-func (p *assignPlan) assignNearest(q []float64, d2 []float64) int32 {
-	if len(d2) == 0 {
+// fallback alone, no boundary evaluations. scratch is the caller's buffer
+// as in assign; only its distance half is used.
+func (p *assignPlan) assignNearest(q []float64, scratch []float64) int32 {
+	if len(scratch) == 0 {
 		return cluster.Noise
 	}
+	d2, _ := splitScratch(scratch)
 	dist.SqDistsToAll(p.svs, q, d2)
 	return p.nearestWithinEps(d2)
+}
+
+// score is e's boundary score bias − 2Σαᵢ·exp(−d²ᵢ·γ) over its support
+// vectors [lo, hi), given every support vector's squared distance d2; k is
+// the scratch half its exponentials are written to.
+func (e planEntry) score(alpha, d2, k []float64) float64 {
+	seg := k[e.lo:e.hi]
+	for i, v := range d2[e.lo:e.hi] {
+		seg[i] = -v * e.gamma
+	}
+	dist.ExpInPlace(seg)
+	var s float64
+	for i, v := range seg {
+		s += alpha[e.lo+i] * v
+	}
+	return e.bias - 2*s
+}
+
+// splitScratch splits an assign scratch buffer into its squared-distance and
+// kernel-value halves, one slot per support vector each.
+func splitScratch(scratch []float64) (d2, k []float64) {
+	n := len(scratch) / 2
+	return scratch[:n], scratch[n:]
 }
 
 // nearestWithinEps attaches to the cluster of the nearest support vector if

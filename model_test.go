@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
 	"dbsvec/internal/data"
+	"dbsvec/internal/dist"
 	"dbsvec/internal/leakcheck"
 )
 
@@ -117,6 +119,42 @@ func TestAssignWorkerConformance(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: label %d differs (%d != %d)", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAssignScoresMatchPerTermExp pins every boundary score of Assign to
+// the per-term arithmetic bias − 2Σαᵢ·math.Exp(−d²ᵢ·γ), summed in
+// support-vector order, bit for bit: the batched exp must not move a
+// single score, so no label can move either.
+func TestAssignScoresMatchPerTermExp(t *testing.T) {
+	for _, d := range []int{2, 5} {
+		res, err := Cluster(blobDataset(t, 3000, d, 4, 11), Options{Eps: 3, MinPts: 8, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Model().assignPlan()
+		if len(p.entries) == 0 {
+			t.Fatalf("d=%d: model retained no boundaries", d)
+		}
+		batch := blobDataset(t, 500, d, 4, 12)
+		scratch := make([]float64, 2*p.svs.Len())
+		d2, k := splitScratch(scratch)
+		for i := 0; i < batch.Len(); i++ {
+			q := batch.ds.Point(i)
+			for j := range d2 {
+				d2[j] = dist.SqDist(p.svs.Row(j), q)
+			}
+			for _, e := range p.entries {
+				var s float64
+				for j := e.lo; j < e.hi; j++ {
+					s += p.alpha[j] * math.Exp(-d2[j]*e.gamma)
+				}
+				want := e.bias - 2*s
+				if got := e.score(p.alpha, d2, k); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("d=%d point %d cluster %d: score %v, per-term exp %v", d, i, e.cluster, got, want)
+				}
 			}
 		}
 	}
