@@ -50,6 +50,19 @@ func sqDistsRows4x64AVX(a, q *float64, groups, stride, quads int, out *float64)
 //go:noescape
 func sqDistsRows4x32AVX(a *float32, q *float64, groups, stride, quads int, out *float64)
 
+// sqDistsMask4x64AVX is sqDistsRows4x64AVX with the radius test fused in:
+// for each quad it writes one byte to mask whose bit k is set when row k's
+// distance is <= eps2 (false on NaN, as Go's <=). Callers use it only when
+// stride == 4*groups, where the partials are the full distances.
+//
+//go:noescape
+func sqDistsMask4x64AVX(a, q *float64, groups, stride, quads int, eps2 float64, mask *uint8)
+
+// sqDistsMask4x32AVX is sqDistsMask4x64AVX over float32 rows.
+//
+//go:noescape
+func sqDistsMask4x32AVX(a *float32, q *float64, groups, stride, quads int, eps2 float64, mask *uint8)
+
 // dotGroups64AVX is sqDistGroups64AVX for the dot product a·q.
 //
 //go:noescape

@@ -13,12 +13,22 @@
 // instruction count changes. The four-row kernels interleave four rows with
 // one accumulator each, which hides the FP-add latency without changing any
 // row's order of operations; rows sit stride elements apart, so a caller
-// whose d is not a multiple of four adds each row's tail itself. Every
-// kernel that touches YMM state ends with VZEROUPPER.
+// whose d is not a multiple of four adds each row's tail itself. They
+// combine the four rows at once (COMBINE4: two VHADDPD, two VPERM2F128, one
+// VADDPD), which adds the same pairs as the single-row HSUM and may swap
+// only the operands of a commutative add, so every bit stays. Every kernel
+// that touches YMM state ends with VZEROUPPER.
+//
+// Mask contract: the mask kernels run the four-row loop and, instead of
+// storing the four distances, compare them with eps2 (VCMPPD LE_OQ: true
+// for <=, false on NaN, exactly Go's <=) and store VMOVMSKPD's four bits as
+// one byte per quad, bit k for row k. Only full distances may be tested, so
+// the Go callers use them when d is a multiple of four.
 //
 // The kernels are written once as macros over the load instruction
-// (LOAD64/LOAD32), the element width and the per-coordinate terms
-// (SQTERM/DOTTERM); the TEXT blocks below only instantiate them.
+// (LOAD64/LOAD32), the element width, the per-coordinate terms
+// (SQTERM/DOTTERM) and the per-quad output (STORE4/MASK4); the TEXT blocks
+// below only instantiate them.
 
 #include "textflag.h"
 
@@ -65,16 +75,32 @@ grouploop:                  \
 	MOVSD X0, ret+24(FP);   \
 	RET
 
-// ROWS4 is the four-row kernel: func(a *E, q *float64, groups, stride,
-// quads int, out *float64), rows esize bytes per element. R10, R11 and R12
-// hold the row stride, three strides and one quad of rows, in bytes.
-#define ROWS4(LOAD, shift, esize, TERM4) \
+// COMBINE4 leaves row k's (s0+s1)+(s2+s3) in lane k of Y0, from the
+// accumulators Y0..Y3 of rows 0..3 (a, b, c, d), using Y1 and Y3 as scratch:
+// VHADDPD pairs lanes within each 128-bit half, Y0 = [a01, b01, a23, b23]
+// and Y2 = [c01, d01, c23, d23]; VPERM2F128 gathers the low halves,
+// Y1 = [a01, b01, c01, d01], and the high halves, Y3 = [a23, b23, c23, d23];
+// one VADDPD adds them. Every sum has HSUM's operands, so only the order
+// within a commutative add may differ, which leaves every result's bits as
+// they are.
+#define COMBINE4 \
+	VHADDPD Y1, Y0, Y0;           \
+	VHADDPD Y3, Y2, Y2;           \
+	VPERM2F128 $0x20, Y2, Y0, Y1; \
+	VPERM2F128 $0x31, Y2, Y0, Y3; \
+	VADDPD Y3, Y1, Y0
+
+// ROWS4 is the four-row loop: func(a *E, q *float64, groups, stride, quads
+// int, ...), rows esize bytes per element. R10, R11 and R12 hold the row
+// stride, three strides and one quad of rows, in bytes. EMIT consumes each
+// quad's four results in Y0 and advances the output cursor DI, which the
+// TEXT block sets up.
+#define ROWS4(LOAD, shift, esize, TERM4, EMIT) \
 	MOVQ a+0(FP), SI;                  \
 	MOVQ q+8(FP), DX;                  \
 	MOVQ groups+16(FP), R8;            \
 	MOVQ stride+24(FP), R10;           \
 	MOVQ quads+32(FP), R9;             \
-	MOVQ out+40(FP), DI;               \
 	SHLQ $shift, R10;                  \
 	LEAQ (R10)(R10*2), R11;            \
 	MOVQ R10, R12;                     \
@@ -103,19 +129,24 @@ grouploop:                             \
 	DECQ CX;                           \
 	JNZ grouploop;                     \
 	ADDQ R12, SI;                      \
-	HSUM(Y0, X0, X5, X6);              \
-	MOVSD X0, (DI);                    \
-	HSUM(Y1, X1, X5, X6);              \
-	MOVSD X1, 8(DI);                   \
-	HSUM(Y2, X2, X5, X6);              \
-	MOVSD X2, 16(DI);                  \
-	HSUM(Y3, X3, X5, X6);              \
-	MOVSD X3, 24(DI);                  \
-	ADDQ $32, DI;                      \
+	COMBINE4;                          \
+	EMIT;                              \
 	DECQ R9;                           \
 	JNZ quadloop;                      \
 	VZEROUPPER;                        \
 	RET
+
+// STORE4 writes the quad's four results to out.
+#define STORE4 VMOVUPD Y0, (DI); ADDQ $32, DI
+
+// MASK4 writes one byte per quad to mask: bit k is set when row k's result
+// is <= eps2, held broadcast in Y9. The predicate is LE_OQ: false on NaN,
+// like Go's <=, and quiet.
+#define MASK4 \
+	VCMPPD $0x12, Y9, Y0, Y0; \
+	VMOVMSKPD Y0, AX;         \
+	MOVB AX, (DI);            \
+	INCQ DI
 
 // func cpuHasAVX() bool
 TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
@@ -154,19 +185,35 @@ TEXT ·dotGroups32AVX(SB), NOSPLIT, $0-32
 
 // func sqDistsRows4x64AVX(a, q *float64, groups, stride, quads int, out *float64)
 TEXT ·sqDistsRows4x64AVX(SB), NOSPLIT, $0-48
-	ROWS4(LOAD64, 3, 8, SQTERM4)
+	MOVQ out+40(FP), DI
+	ROWS4(LOAD64, 3, 8, SQTERM4, STORE4)
 
 // func sqDistsRows4x32AVX(a *float32, q *float64, groups, stride, quads int, out *float64)
 TEXT ·sqDistsRows4x32AVX(SB), NOSPLIT, $0-48
-	ROWS4(LOAD32, 2, 4, SQTERM4)
+	MOVQ out+40(FP), DI
+	ROWS4(LOAD32, 2, 4, SQTERM4, STORE4)
 
 // func dotsRows4x64AVX(a, q *float64, groups, stride, quads int, out *float64)
 TEXT ·dotsRows4x64AVX(SB), NOSPLIT, $0-48
-	ROWS4(LOAD64, 3, 8, DOTTERM4)
+	MOVQ out+40(FP), DI
+	ROWS4(LOAD64, 3, 8, DOTTERM4, STORE4)
 
 // func dotsRows4x32AVX(a *float32, q *float64, groups, stride, quads int, out *float64)
 TEXT ·dotsRows4x32AVX(SB), NOSPLIT, $0-48
-	ROWS4(LOAD32, 2, 4, DOTTERM4)
+	MOVQ out+40(FP), DI
+	ROWS4(LOAD32, 2, 4, DOTTERM4, STORE4)
+
+// func sqDistsMask4x64AVX(a, q *float64, groups, stride, quads int, eps2 float64, mask *uint8)
+TEXT ·sqDistsMask4x64AVX(SB), NOSPLIT, $0-56
+	MOVQ mask+48(FP), DI
+	VBROADCASTSD eps2+40(FP), Y9
+	ROWS4(LOAD64, 3, 8, SQTERM4, MASK4)
+
+// func sqDistsMask4x32AVX(a *float32, q *float64, groups, stride, quads int, eps2 float64, mask *uint8)
+TEXT ·sqDistsMask4x32AVX(SB), NOSPLIT, $0-56
+	MOVQ mask+48(FP), DI
+	VBROADCASTSD eps2+40(FP), Y9
+	ROWS4(LOAD32, 2, 4, SQTERM4, MASK4)
 
 // Four-lane exp: Go's math.Exp (exp_amd64.s, its FMA branch) run on four
 // lanes of a YMM register.

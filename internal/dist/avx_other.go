@@ -21,6 +21,14 @@ func sqDistsRows4x32AVX(a *float32, q *float64, groups, stride, quads int, out *
 	panic(noAVX)
 }
 
+func sqDistsMask4x64AVX(a, q *float64, groups, stride, quads int, eps2 float64, mask *uint8) {
+	panic(noAVX)
+}
+
+func sqDistsMask4x32AVX(a *float32, q *float64, groups, stride, quads int, eps2 float64, mask *uint8) {
+	panic(noAVX)
+}
+
 func dotGroups64AVX(a, q *float64, groups int) float64 { panic(noAVX) }
 
 func dotGroups32AVX(a *float32, q *float64, groups int) float64 { panic(noAVX) }

@@ -119,6 +119,95 @@ func TestRangeKernelsMatchGoOracle(t *testing.T) {
 	}
 }
 
+// TestFusedScanMatchesPerRow is the differential test of the mask kernels
+// behind FilterWithinRange and CountWithinRange at d % 4 == 0: with AVX on
+// and off, at both storage precisions, every range starting off the
+// four-row quads, of every length from 0 to one mask call plus nine rows,
+// must return exactly the rows whose SqDist is <= eps2, and every count
+// the limit-clamped number of them. The rows hold ±0 coordinates and
+// copies of one row whose distance is eps2 exactly (they must be in); in
+// float64 some rows overflow to +Inf, and a far query makes every distance
+// +Inf, tested against eps2 = +Inf (all in) and MaxFloat64 (none).
+func TestFusedScanMatchesPerRow(t *testing.T) {
+	const n = maskRows + 16
+	rng := rand.New(rand.NewSource(27))
+	negZero := math.Copysign(0, -1)
+	for _, d := range []int{4, 8, 12, 16, 32} {
+		mirror, _ := randMatrix32(rng, n, d)
+		for i, v := range mirror.Coords32 {
+			switch rng.Intn(8) {
+			case 0:
+				v = 0
+			case 1:
+				v = float32(negZero)
+			}
+			mirror.Coords32[i], mirror.Coords[i] = v, float64(v)
+		}
+		q := mirror.Row(0)
+		const exact = 40 // its copies sit at distance eps2 exactly
+		for i := 1; i < n; i++ {
+			if i < 4 || i%37 == 1 {
+				copy(mirror.Coords32[i*d:(i+1)*d], mirror.Coords32[exact*d:(exact+1)*d])
+				copy(mirror.Row(i), mirror.Row(exact))
+			}
+		}
+		master := Matrix{Coords: append([]float64(nil), mirror.Coords...), Dim: d}
+		for _, i := range []int{6, 133, n - 2} {
+			master.Row(i)[d-1] = 1e200
+		}
+		far := make([]float64, d)
+		far[0] = 1e300
+		for _, s := range []struct {
+			name string
+			m    Matrix
+		}{{"f64", master}, {"f32", mirror}} {
+			for _, c := range []struct {
+				q    []float64
+				eps2 float64
+			}{{q, SqDist(mirror.Row(exact), q)}, {far, math.Inf(1)}, {far, math.MaxFloat64}} {
+				per := make([]float64, n)
+				for i := range per {
+					per[i] = SqDist(s.m.Row(i), c.q)
+				}
+				for _, avx := range []bool{true, false} {
+					t.Run(fmt.Sprintf("d=%d/%s/eps2=%g/avx=%v", d, s.name, c.eps2, avx && hasAVX), func(t *testing.T) {
+						setAVX(t, avx)
+						checkFusedRanges(t, s.m, c.q, c.eps2, per)
+					})
+				}
+			}
+		}
+	}
+}
+
+// checkFusedRanges runs the filter and count over rows [lo, lo+k) for lo
+// off the quads and every k up to maskRows+9, against per-row distances.
+func checkFusedRanges(t *testing.T, m Matrix, q []float64, eps2 float64, per []float64) {
+	for _, lo := range []int{1, 2, 3, 5} {
+		for hi := lo; hi <= lo+maskRows+9; hi++ {
+			var want []int32
+			for i := lo; i < hi; i++ {
+				if per[i] <= eps2 {
+					want = append(want, int32(i))
+				}
+			}
+			if got := FilterWithinRange(m, q, eps2, lo, hi, nil); !int32Equal(got, want) {
+				t.Fatalf("[%d,%d): FilterWithinRange = %v, per-row = %v", lo, hi, got, want)
+			}
+			total := len(want)
+			for _, limit := range []int{0, 1, total, total + 1} {
+				wantN := total
+				if limit > 0 {
+					wantN = min(total, limit)
+				}
+				if got := CountWithinRange(m, q, eps2, lo, hi, limit); got != wantN {
+					t.Fatalf("[%d,%d) limit %d: CountWithinRange = %d, want %d", lo, hi, limit, got, wantN)
+				}
+			}
+		}
+	}
+}
+
 // TestScanKernelsDoNotAllocate pins the stack-resident 64-row block of the
 // fused scans: with a pre-sized result buffer, no range kernel at either
 // storage precision may touch the heap. An assembly declaration without

@@ -1,6 +1,10 @@
 package dist
 
-import "unsafe"
+import (
+	"encoding/binary"
+	"math/bits"
+	"unsafe"
+)
 
 // Matrix is a flat row-major view of n points in Dim dimensions: the
 // zero-cost bridge between vec.Dataset and the batched kernels below
@@ -168,8 +172,8 @@ func CountWithinIDs(m Matrix, q []float64, eps2 float64, ids []int32, limit int)
 }
 
 // blockSize is the row-block width used by the fused filter/count kernels
-// for d >= 4: distances for a block are computed by one workhorse call into
-// a stack buffer, then thresholded. The block amortizes the (non-inlinable)
+// for d >= 4 off the mask path: distances for a block are computed by one
+// workhorse call into a stack buffer, then thresholded. The block amortizes the (non-inlinable)
 // workhorse call without materializing a full distance slice.
 const blockSize = 64
 
@@ -356,6 +360,9 @@ func filterRange[E elem](c []E, dim int, q []float64, eps2 float64, lo, hi int, 
 		}
 		return buf
 	}
+	if hasAVX && dim&3 == 0 {
+		return filterMasks(c, dim, q, eps2, lo, hi, buf)
+	}
 	if hi-lo <= leafBlock {
 		var block [leafBlock]float64
 		return filterBlocks(c, dim, q, eps2, lo, hi, block[:], buf)
@@ -376,6 +383,55 @@ func filterBlocks[E elem](c []E, dim int, q []float64, eps2 float64, lo, hi int,
 		}
 	}
 	return buf
+}
+
+// maskRows is the most rows one call of a mask kernel tests: its masks,
+// one byte per quad, fill a 64-byte stack buffer, eight 8-byte words.
+const maskRows = 256
+
+// sqDistsMaskAVX runs E's mask kernel over quads quads of rows from
+// rows[0], writing one mask byte per quad to mask (see sqDistsMask4x64AVX).
+func sqDistsMaskAVX[E elem](rows []E, q []float64, dim, quads int, eps2 float64, mask *uint8) {
+	if is32[E]() {
+		sqDistsMask4x32AVX((*float32)(unsafe.Pointer(&rows[0])), &q[0], dim>>2, dim, quads, eps2, mask)
+	} else {
+		sqDistsMask4x64AVX((*float64)(unsafe.Pointer(&rows[0])), &q[0], dim>>2, dim, quads, eps2, mask)
+	}
+}
+
+// maskWord returns the mask bytes of quads [w, w+8) of masks as one word,
+// byte j holding quad w+j, with the bytes past quads cleared: bit t of the
+// word is row 4*(w + t>>3) + t&7 of the call.
+func maskWord(masks *[maskRows / 4]uint8, w, quads int) uint64 {
+	word := binary.LittleEndian.Uint64(masks[w : w+8])
+	if left := quads - w; left < 8 {
+		word &= 1<<(8*left) - 1
+	}
+	return word
+}
+
+// filterMasks is filterRange's body for d % 4 == 0 on the AVX path: the
+// mask kernel tests up to maskRows rows per call in registers, the set bits
+// are walked in ascending order, and filterBlocks tests the up to three
+// rows past the last quad. A distance compares as it does in filterBlocks,
+// so the ids are the same.
+func filterMasks[E elem](c []E, dim int, q []float64, eps2 float64, lo, hi int, buf []int32) []int32 {
+	var masks [maskRows / 4]uint8
+	q = q[:dim]
+	s := lo
+	for hi-s >= 4 {
+		quads := min(hi-s, maskRows) >> 2
+		sqDistsMaskAVX(c[s*dim:hi*dim], q, dim, quads, eps2, &masks[0])
+		for w := 0; w < quads; w += 8 {
+			for word := maskWord(&masks, w, quads); word != 0; word &= word - 1 {
+				t := bits.TrailingZeros64(word)
+				buf = append(buf, int32(s+4*(w+t>>3)+t&7))
+			}
+		}
+		s += quads << 2
+	}
+	var tail [3]float64
+	return filterBlocks(c, dim, q, eps2, s, hi, tail[:], buf)
 }
 
 func filterIDs[E elem](c []E, dim int, q []float64, eps2 float64, ids, buf []int32) []int32 {
@@ -432,6 +488,9 @@ func countRange[E elem](c []E, dim int, q []float64, eps2 float64, lo, hi, limit
 		}
 		return count
 	}
+	if hasAVX && dim&3 == 0 {
+		return countMasks(c, dim, q, eps2, lo, hi, limit)
+	}
 	if hi-lo <= leafBlock {
 		var block [leafBlock]float64
 		return countBlocks(c, dim, q, eps2, lo, hi, limit, block[:])
@@ -456,6 +515,32 @@ func countBlocks[E elem](c []E, dim int, q []float64, eps2 float64, lo, hi, limi
 		}
 	}
 	return count
+}
+
+// countMasks is filterMasks counting: each word's set bits are added by
+// popcount, and once the count reaches limit (> 0) the scan returns limit,
+// which is where countBlocks stops too.
+func countMasks[E elem](c []E, dim int, q []float64, eps2 float64, lo, hi, limit int) int {
+	var masks [maskRows / 4]uint8
+	q = q[:dim]
+	count := 0
+	s := lo
+	for hi-s >= 4 {
+		quads := min(hi-s, maskRows) >> 2
+		sqDistsMaskAVX(c[s*dim:hi*dim], q, dim, quads, eps2, &masks[0])
+		for w := 0; w < quads; w += 8 {
+			count += bits.OnesCount64(maskWord(&masks, w, quads))
+		}
+		if limit > 0 && count >= limit {
+			return limit
+		}
+		s += quads << 2
+	}
+	if limit > 0 {
+		limit -= count
+	}
+	var tail [3]float64
+	return count + countBlocks(c, dim, q, eps2, s, hi, limit, tail[:])
 }
 
 func countIDs[E elem](c []E, dim int, q []float64, eps2 float64, ids []int32, limit int) int {

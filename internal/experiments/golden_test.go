@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"math"
 	"testing"
 
 	"dbsvec/internal/cluster"
@@ -84,12 +85,21 @@ func TestBaselineLabelsGolden(t *testing.T) {
 // Degraded, little-endian uint64 each, per entry). Every backend and worker
 // count gives the same digests, so two configurations stand in for all of
 // them. The digests differ per storage precision: float32 storage rounds
-// the coordinates once, which moves borderline neighbourhoods.
+// the coordinates once, which moves borderline neighbourhoods. They differ
+// per math.Exp branch too: amd64's FMA branch and its non-FMA branch (a CPU
+// without FMA, or GODEBUG=cpu.fma=off) round some SVDD kernel values one
+// ulp apart, which moves the solver's iterations.
 func TestDBSVECGolden(t *testing.T) {
-	want := map[vec.Precision][2]string{
-		vec.F64: {"f1c7b13e7ea79105", "d904279dc601bec4"},
-		vec.F32: {"55a6b56271fb9e1c", "8cd22fe62c9213ce"},
-	}[vec.DefaultPrecision()]
+	type key struct {
+		prec vec.Precision
+		fma  bool
+	}
+	want := map[key][2]string{
+		{vec.F64, true}:  {"f1c7b13e7ea79105", "d904279dc601bec4"},
+		{vec.F32, true}:  {"55a6b56271fb9e1c", "8cd22fe62c9213ce"},
+		{vec.F64, false}: {"55a6b56271fb9e1c", "4845dc9dc912122d"},
+		{vec.F32, false}: {"f1c7b13e7ea79105", "26a739883d9e18bd"},
+	}[key{vec.DefaultPrecision(), expFMABranch()}]
 	for _, c := range []struct {
 		kind    backend.Kind
 		workers int
@@ -122,4 +132,10 @@ func TestDBSVECGolden(t *testing.T) {
 			t.Errorf("%s/%d: labels, counters digests = %v, want %v", c.kind, c.workers, got, want)
 		}
 	}
+}
+
+// expFMABranch reports whether math.Exp takes amd64's FMA branch, from a
+// probe argument on which the two branches differ in the last bit.
+func expFMABranch() bool {
+	return math.Float64bits(math.Exp(math.Float64frombits(0xbfca9e7e1c3efd70))) == 0x3fe9fddaa93bfd21
 }

@@ -201,61 +201,90 @@ func runScanBench(cfg Config, repeats int, emit func(Row)) error {
 }
 
 // The split section pins perfbench's cluster-default shape (SeedSpreader
-// n=40k, d=8, ε=2000), where most of DBSVEC's support-vector batches hold
-// 2–16 queries and every seed query is a single call. Batches of 1 and 6
-// queries run on index.Linear at 1 and 2 workers; the worker count changes
-// only the time, so the results totals are equal across it. The shape is
-// identical in quick and full mode.
+// n=40k, d=8, ε=2000), where every seed query is a single call and
+// DBSVEC's support-vector batches hold 9.5 queries on average (26,238
+// points in 2,765 batches). Batches of 1, 6 and 12 queries run on
+// index.Linear at 1 and 2 workers, and so does a count batch of 512
+// queries with limit 100, the shape of noise verification's MinPts test.
+// The worker count changes only the time, so the results totals are equal
+// across it. The shape is identical in quick and full mode.
 const (
 	splitBenchN       = 40_000
 	splitBenchDim     = 8
 	splitBenchEps     = 2000.0
-	splitBenchRounds  = 100
 	splitBenchRepeats = 3
 )
 
-var splitBenchBatches = []int{1, 6}
+// splitBenchShapes are the split rows' batches: range queries (limit 0)
+// or counts clamped at limit, rounds batches each.
+var splitBenchShapes = []struct{ batch, rounds, limit int }{
+	{1, 100, 0}, {6, 100, 0}, {12, 100, 0}, {512, 20, 100},
+}
 
-// runSplitBench emits one "split" row per batch size and worker count:
-// the results total over splitBenchRounds batches and their best-of-repeats
-// wall clock.
+// runSplitBench emits one "split" row per batch shape and worker count.
 func runSplitBench(cfg Config, emit func(Row)) error {
 	ds := data.SeedSpreader{N: splitBenchN, D: splitBenchDim, Seed: cfg.Seed}.Generate()
-	ctx := context.Background()
-	for _, batch := range splitBenchBatches {
-		stride := ds.Len() / (splitBenchRounds * batch)
+	for _, s := range splitBenchShapes {
 		for _, workers := range indexBenchWorkers {
-			lin, err := index.NewLinear(ctx, ds, workers)
+			row, err := splitRow(cfg, ds, s.batch, s.rounds, s.limit, workers)
 			if err != nil {
 				return err
 			}
-			var out [][]int32
-			var results int
-			best := int64(math.MaxInt64)
-			for r := 0; r < splitBenchRepeats; r++ {
-				results = 0
-				start := time.Now()
-				for round := 0; round < splitBenchRounds; round++ {
-					qs := index.Queries{N: batch, At: func(i int) []float64 { return ds.Point((round*batch + i) * stride) }}
-					if out, err = lin.BatchRangeQuery(ctx, qs, splitBenchEps, workers, out); err != nil {
-						return err
-					}
-					for _, hood := range out {
-						results += len(hood)
-					}
-				}
-				best = min(best, time.Since(start).Nanoseconds())
-			}
-			emit(Row{
-				Exp: "index",
-				Params: map[string]any{
-					"section": "split", "n": splitBenchN, "dim": splitBenchDim, "batch": batch,
-					"workers": workers, "rounds": splitBenchRounds, "repeats": splitBenchRepeats, "seed": cfg.Seed,
-				},
-				Counts:   map[string]float64{"results": float64(results)},
-				Measured: map[string]float64{"total_ns": float64(best)},
-			})
+			emit(row)
 		}
 	}
 	return nil
+}
+
+// splitRow times rounds batches of batch queries, spread evenly over ds,
+// on a linear scan over workers: range queries, or with limit > 0 counts.
+// Its count is the results total over the rounds (ids returned, or counts
+// summed), its timing the best of splitBenchRepeats.
+func splitRow(cfg Config, ds *vec.Dataset, batch, rounds, limit, workers int) (Row, error) {
+	ctx := context.Background()
+	lin, err := index.NewLinear(ctx, ds, workers)
+	if err != nil {
+		return Row{}, err
+	}
+	stride := ds.Len() / (rounds * batch)
+	var hoods [][]int32
+	var counts []int
+	var results int
+	best := int64(math.MaxInt64)
+	for r := 0; r < splitBenchRepeats; r++ {
+		results = 0
+		start := time.Now()
+		for round := 0; round < rounds; round++ {
+			qs := index.Queries{N: batch, At: func(i int) []float64 { return ds.Point((round*batch + i) * stride) }}
+			if limit > 0 {
+				if counts, err = lin.BatchRangeCount(ctx, qs, splitBenchEps, limit, workers, counts); err != nil {
+					return Row{}, err
+				}
+				for _, c := range counts {
+					results += c
+				}
+				continue
+			}
+			if hoods, err = lin.BatchRangeQuery(ctx, qs, splitBenchEps, workers, hoods); err != nil {
+				return Row{}, err
+			}
+			for _, hood := range hoods {
+				results += len(hood)
+			}
+		}
+		best = min(best, time.Since(start).Nanoseconds())
+	}
+	params := map[string]any{
+		"section": "split", "n": splitBenchN, "dim": splitBenchDim, "batch": batch,
+		"workers": workers, "rounds": rounds, "repeats": splitBenchRepeats, "seed": cfg.Seed,
+	}
+	if limit > 0 {
+		params["limit"] = limit
+	}
+	return Row{
+		Exp:      "index",
+		Params:   params,
+		Counts:   map[string]float64{"results": float64(results)},
+		Measured: map[string]float64{"total_ns": float64(best)},
+	}, nil
 }

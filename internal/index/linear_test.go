@@ -14,11 +14,11 @@ import (
 // splitQueries returns a few on-point and off-point query points over ds.
 func splitQueries(ds *vec.Dataset, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
-	qs := make([][]float64, 0, 16)
-	for len(qs) < 8 {
+	qs := make([][]float64, 0, 40)
+	for len(qs) < 20 {
 		qs = append(qs, ds.Point(rng.Intn(ds.Len())))
 	}
-	for len(qs) < 16 {
+	for len(qs) < 40 {
 		q := make([]float64, ds.Dim())
 		for j := range q {
 			q[j] = rng.Float64() * 100
@@ -30,9 +30,13 @@ func splitQueries(ds *vec.Dataset, seed int64) [][]float64 {
 
 // The split scan answers exactly what the whole scan answers: the same
 // ascending ids and the same limit-clamped counts, for single queries and
-// for batches on either side of the 2·workers cut-over, at cardinalities
-// around the block-count thresholds, in both storage precisions.
+// for batches of every size the block-major schedule treats alike (one
+// query, one chunk, chunks on several blocks, more chunks than blocks), at
+// cardinalities around the block-count thresholds, in both storage
+// precisions; and a count whose limit is reached in an early tile of a
+// later block stops there with the whole scan's value.
 func TestSplitScanMatchesWholeScan(t *testing.T) {
+	t.Run("limit-in-later-block", checkLimitInLaterBlock)
 	const m = minBlockRows
 	for _, d := range []int{2, 3, 8, 13} {
 		// eps reaches a sizeable share of the unit-100 cube, so every hood
@@ -97,7 +101,7 @@ func checkSplitScan(t *testing.T, ds *vec.Dataset, eps float64) {
 		}
 		var hoods [][]int32
 		var counts []int
-		for _, size := range []int{2 * workers, 0, 1, 2*workers - 1, 2 * workers} {
+		for _, size := range []int{2 * workers, 0, 1, 2*workers - 1, 2 * workers, queryChunk + 1, 2 * queryChunk, len(points)} {
 			qs := Queries{N: size, At: func(i int) []float64 { return points[i] }}
 			hoods, err = lin.BatchRangeQuery(context.Background(), qs, eps, workers, hoods)
 			if err != nil || len(hoods) != size {
@@ -128,6 +132,62 @@ func checkSplitScan(t *testing.T, ds *vec.Dataset, eps float64) {
 	}
 }
 
+// checkLimitInLaterBlock counts around a tight cluster that sits in an
+// early tile of the second of three row blocks, far from every other row:
+// block 0 counts nothing, block 1 reaches each limit in that tile and
+// skips its later tiles, and the batch's clamped sums are the whole scan's
+// counts.
+func checkLimitInLaterBlock(t *testing.T) {
+	const n, d, members = 3 * minBlockRows, 8, 40
+	rng := rand.New(rand.NewSource(5))
+	coords := make([]float64, n*d)
+	for i := range coords {
+		coords[i] = rng.Float64() * 100
+	}
+	// Three blocks of minBlockRows rows; the cluster starts three rows into
+	// block 1's second 256-row float64 tile (the first 512-row float32 one).
+	first := minBlockRows + 256 + 3
+	for i := first + 1; i < first+members; i++ {
+		for j := 0; j < d; j++ {
+			coords[i*d+j] = coords[first*d+j] + 0.005*float64(i-first)
+		}
+	}
+	ds, err := vec.NewDataset(coords, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin, err := NewLinear(context.Background(), ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, _ := block(n, lin.blocks, 1)
+	if tile := (first - lo) / lin.tile; lin.blocks != 3 || tile > 1 || (first+members-1-lo)/lin.tile != tile {
+		t.Fatalf("%d blocks, block 1 at row %d, %d-row tiles: the cluster is not inside one early tile of block 1", lin.blocks, lo, lin.tile)
+	}
+	center := ds.Point(first)
+	const eps = 1.0 // the cluster spans 0.2·√8 ≈ 0.55; random rows lie ~100 apart
+	whole := linear(ds)
+	if got := whole.RangeCount(center, eps, 0); got != members {
+		t.Fatalf("the cluster counts %d rows, want %d", got, members)
+	}
+	qs := Queries{N: 3, At: func(i int) []float64 { return ds.Point(first + i) }}
+	var counts []int
+	for _, limit := range []int{0, 1, 7, members, members + 1} {
+		counts, err = lin.BatchRangeCount(context.Background(), qs, eps, limit, 2, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range counts {
+			if want := whole.RangeCount(qs.At(i), eps, limit); c != want {
+				t.Fatalf("limit %d query %d: count %d, whole scan %d", limit, i, c, want)
+			}
+		}
+		if got, want := lin.RangeCount(center, eps, limit), whole.RangeCount(center, eps, limit); got != want {
+			t.Fatalf("limit %d: split RangeCount %d, whole scan %d", limit, got, want)
+		}
+	}
+}
+
 // A steady-state split batch allocates only engine.For's per-call
 // bookkeeping: the block results live in the reused out arena.
 func TestSplitBatchSteadyStateAllocs(t *testing.T) {
@@ -135,7 +195,7 @@ func TestSplitBatchSteadyStateAllocs(t *testing.T) {
 	lin, _ := NewLinear(context.Background(), ds, 2)
 	qs := PointQueries(ds, []int32{1, 2, 3})
 	ctx := context.Background()
-	if nb := lin.batchBlocks(qs.N, 2); nb != 2 {
+	if nb := blocksFor(ds.Len(), qs.N, 2); nb != 2 {
 		t.Fatalf("a %d-query batch on 2 workers splits into %d blocks, want 2", qs.N, nb)
 	}
 	hoods, _ := lin.BatchRangeQuery(ctx, qs, 60, 2, nil)
