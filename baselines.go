@@ -55,20 +55,19 @@ func DBSCANParallel(d *Dataset, eps float64, minPts int, idx IndexKind, workers 
 type RhoOptions struct {
 	Eps    float64
 	MinPts int
-	// Rho is the approximation tolerance; 0 selects the paper's recommended
-	// 0.001.
-	Rho float64
 }
 
-// RhoApproximate runs ρ-approximate DBSCAN (Gan & Tao, SIGMOD 2015).
+// rho is RhoApproximate's approximation tolerance, the value Gan & Tao
+// recommend.
+const rho = 0.001
+
+// RhoApproximate runs ρ-approximate DBSCAN (Gan & Tao, SIGMOD 2015) with
+// ρ = 0.001.
 func RhoApproximate(d *Dataset, opts RhoOptions) (*Result, error) {
 	if d == nil {
 		return nil, dbscan.ErrNilDataset
 	}
-	if opts.Rho == 0 {
-		opts.Rho = 0.001
-	}
-	res, _, err := rhodbscan.Run(d.ds, rhodbscan.Params{Eps: opts.Eps, MinPts: opts.MinPts, Rho: opts.Rho})
+	res, _, err := rhodbscan.Run(d.ds, rhodbscan.Params{Eps: opts.Eps, MinPts: opts.MinPts, Rho: rho})
 	if err != nil {
 		return nil, err
 	}
@@ -79,15 +78,13 @@ func RhoApproximate(d *Dataset, opts RhoOptions) (*Result, error) {
 type LSHOptions struct {
 	Eps    float64
 	MinPts int
-	// Tables (L) and Funcs (k) size the hash structure; zero selects 8
-	// tables of 2 functions. Width 0 selects eps.
-	Tables, Funcs int
-	Width         float64
-	Seed          int64
+	// Seed drives the random projections of the hash functions.
+	Seed int64
 }
 
 // DBSCANLSH runs the hashing-based approximate DBSCAN baseline (Li, Heinis
-// & Luk, ADBIS 2016) on p-stable LSH.
+// & Luk, ADBIS 2016) on p-stable LSH: 8 tables of 2 hash functions each,
+// quantized at width ε.
 func DBSCANLSH(d *Dataset, opts LSHOptions) (*Result, error) {
 	if d == nil {
 		return nil, dbscan.ErrNilDataset
@@ -95,7 +92,7 @@ func DBSCANLSH(d *Dataset, opts LSHOptions) (*Result, error) {
 	res, _, err := lshdbscan.Run(d.ds, lshdbscan.Params{
 		Eps:    opts.Eps,
 		MinPts: opts.MinPts,
-		Hash:   lsh.Params{Tables: opts.Tables, Funcs: opts.Funcs, Width: opts.Width, Seed: opts.Seed},
+		Hash:   lsh.Params{Seed: opts.Seed},
 	})
 	if err != nil {
 		return nil, err

@@ -10,7 +10,8 @@
 //	       [-shards 0] [-shardpar 1] [-shardmem]
 //
 // Algorithms: dbsvec (default), dbscan, pdbscan, rho, lsh, nq, kmeans
-// (with -k).
+// (with -k). -seed drives the random draws of lsh and kmeans; the other
+// algorithms draw none.
 // Reading from stdin and writing to stdout are the defaults.
 //
 // Sharded execution (-algo dbsvec only): -shards k clusters the input in k
@@ -84,7 +85,7 @@ func main() {
 		normalize = flag.Float64("normalize", 0, "rescale every dimension to [0,S] before clustering (0 = off)")
 		indexKind = flag.String("index", "linear", "range-query index: "+strings.Join(backend.Names(), "|"))
 		precision = flag.String("precision", "f64", "point-storage precision: f64 (exact) or f32 (half the scan bandwidth, one quantization at load)")
-		seed      = flag.Int64("seed", 1, "random seed")
+		seed      = flag.Int64("seed", 1, "random seed for -algo lsh and kmeans (dbsvec draws none)")
 		workers   = flag.Int("workers", 0, "query-engine worker goroutines (0 = all CPUs)")
 		stats     = flag.Bool("stats", false, "print run statistics to stderr")
 		timeout   = flag.Duration("timeout", 0, "dbsvec: wall-clock budget; on expiry the partial clustering is written (0 = unlimited)")
@@ -130,6 +131,10 @@ func run(algo string, eps float64, minPts, k int, nu float64, inPath, outPath st
 			return fmt.Errorf("-loadmodel is not supported in sharded mode")
 		}
 	}
+	idx, err := backend.Parse(indexKind)
+	if err != nil {
+		return err
+	}
 	if sharding.mem {
 		if sharding.shards == 0 {
 			return fmt.Errorf("-shardmem requires -shards")
@@ -143,7 +148,7 @@ func run(algo string, eps float64, minPts, k int, nu float64, inPath, outPath st
 		if prec != dbsvec.PrecisionF64 {
 			return fmt.Errorf("-shardmem takes the precision from the binary file header; leave -precision at f64")
 		}
-		return runShardedBinary(eps, minPts, nu, inPath, outPath, indexKind, seed, workers, stats, budget, model, sharding)
+		return runShardedBinary(dbsvecOptions(eps, minPts, nu, idx, workers, budget, sharding), inPath, outPath, stats, model.save)
 	}
 	var in io.Reader = os.Stdin
 	if inPath != "" {
@@ -178,37 +183,18 @@ func run(algo string, eps float64, minPts, k int, nu float64, inPath, outPath st
 		return runAssign(ds, loaded, outPath, workers, stats)
 	}
 
-	idx, err := backend.Parse(indexKind)
-	if err != nil {
-		return err
-	}
-
 	start := time.Now()
 	var res *dbsvec.Result
 	var budgetErr *dbsvec.BudgetExceededError
 	switch algo {
 	case "dbsvec":
-		opts := dbsvec.Options{
-			Eps: eps, MinPts: minPts, Nu: nu, Index: idx, Seed: seed, Workers: workers,
-			Shards:           sharding.shards,
-			ShardConcurrency: sharding.par,
-			Budget: dbsvec.Budget{
-				MaxDuration:     budget.timeout,
-				MaxSVDDRounds:   budget.maxRounds,
-				MaxRangeQueries: budget.maxQueries,
-			},
-		}
+		opts := dbsvecOptions(eps, minPts, nu, idx, workers, budget, sharding)
 		if sharding.shards > 0 {
 			res, err = dbsvec.RunSharded(ds, opts)
 		} else {
 			res, err = dbsvec.Cluster(ds, opts)
 		}
-		// A tripped budget still yields a valid partial clustering: warn and
-		// keep going so the labels reach -out.
-		if errors.As(err, &budgetErr) && res != nil {
-			fmt.Fprintf(os.Stderr, "dbsvec: %v (writing partial clustering)\n", budgetErr)
-			err = nil
-		}
+		budgetErr, err = partialOnBudget(res, err)
 	case "dbscan":
 		res, err = dbsvec.DBSCAN(ds, eps, minPts, idx)
 	case "pdbscan":
@@ -233,40 +219,80 @@ func run(algo string, eps float64, minPts, k int, nu float64, inPath, outPath st
 	}
 	elapsed := time.Since(start)
 
-	if model.save != "" {
-		m := res.Model()
-		if m == nil {
-			return fmt.Errorf("algorithm %q retained no model to save", algo)
-		}
-		f, err := os.Create(model.save)
-		if err != nil {
-			return err
-		}
-		if err := m.Save(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := saveModel(model.save, res); err != nil {
+		return err
 	}
-
-	var out io.Writer = os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := ds.WriteCSV(out, res); err != nil {
+	if err := writeOut(outPath, func(w io.Writer) error { return ds.WriteCSV(w, res) }); err != nil {
 		return err
 	}
 	if stats {
 		printStats(algo, ds.Len(), ds.Dim(), res, elapsed, budgetErr)
 	}
 	return nil
+}
+
+// dbsvecOptions builds the options of an -algo dbsvec run, in memory or
+// sharded.
+func dbsvecOptions(eps float64, minPts int, nu float64, idx dbsvec.IndexKind, workers int, budget budgetFlags, sharding shardFlags) dbsvec.Options {
+	return dbsvec.Options{
+		Eps: eps, MinPts: minPts, Nu: nu, Index: idx, Workers: workers,
+		Shards:           sharding.shards,
+		ShardConcurrency: sharding.par,
+		Budget: dbsvec.Budget{
+			MaxDuration:     budget.timeout,
+			MaxSVDDRounds:   budget.maxRounds,
+			MaxRangeQueries: budget.maxQueries,
+		},
+	}
+}
+
+// partialOnBudget lets a tripped budget through: the run still returned a
+// valid partial clustering, so it warns and clears err so the labels reach
+// -out. It returns the budget error for the -stats report.
+func partialOnBudget(res *dbsvec.Result, err error) (*dbsvec.BudgetExceededError, error) {
+	var budgetErr *dbsvec.BudgetExceededError
+	if errors.As(err, &budgetErr) && res != nil {
+		fmt.Fprintf(os.Stderr, "dbsvec: %v (writing partial clustering)\n", budgetErr)
+		return budgetErr, nil
+	}
+	return nil, err
+}
+
+// saveModel writes the run's model artifact to path (-savemodel); an empty
+// path saves nothing.
+func saveModel(path string, res *dbsvec.Result) error {
+	if path == "" {
+		return nil
+	}
+	m := res.Model()
+	if m == nil {
+		return fmt.Errorf("the run retained no model to save")
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := m.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeOut runs write on the file at path, or on stdout when path is empty.
+func writeOut(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printStats writes the -stats report to stderr.
@@ -304,61 +330,23 @@ func printStats(algo string, n, d int, res *dbsvec.Result, elapsed time.Duration
 // clustered out-of-core through RunShardedFile (one slab resident at a time),
 // then the labeled CSV is streamed back from the same file block by block, so
 // the full dataset is never held in memory.
-func runShardedBinary(eps float64, minPts int, nu float64, inPath, outPath, indexKind string, seed int64, workers int, stats bool, budget budgetFlags, model modelFlags, sharding shardFlags) error {
-	idx, err := backend.Parse(indexKind)
-	if err != nil {
-		return err
-	}
+func runShardedBinary(opts dbsvec.Options, inPath, outPath string, stats bool, modelPath string) error {
 	start := time.Now()
-	res, err := dbsvec.RunShardedFile(inPath, dbsvec.Options{
-		Eps: eps, MinPts: minPts, Nu: nu, Index: idx, Seed: seed, Workers: workers,
-		Shards:           sharding.shards,
-		ShardConcurrency: sharding.par,
-		Budget: dbsvec.Budget{
-			MaxDuration:     budget.timeout,
-			MaxSVDDRounds:   budget.maxRounds,
-			MaxRangeQueries: budget.maxQueries,
-		},
-	})
-	var budgetErr *dbsvec.BudgetExceededError
-	if errors.As(err, &budgetErr) && res != nil {
-		fmt.Fprintf(os.Stderr, "dbsvec: %v (writing partial clustering)\n", budgetErr)
-		err = nil
-	}
+	res, err := dbsvec.RunShardedFile(inPath, opts)
+	budgetErr, err := partialOnBudget(res, err)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 
-	if model.save != "" {
-		m := res.Model()
-		if m == nil {
-			return fmt.Errorf("sharded run retained no model to save")
-		}
-		f, err := os.Create(model.save)
-		if err != nil {
-			return err
-		}
-		if err := m.Save(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := saveModel(modelPath, res); err != nil {
+		return err
 	}
-
-	var out io.Writer = os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	d, err := writeLabeledBinaryCSV(inPath, out, res)
-	if err != nil {
+	var d int
+	if err := writeOut(outPath, func(w io.Writer) (err error) {
+		d, err = writeLabeledBinaryCSV(inPath, w, res)
+		return err
+	}); err != nil {
 		return err
 	}
 	if stats {
@@ -434,16 +422,7 @@ func runAssign(ds *dbsvec.Dataset, m *dbsvec.Model, outPath string, workers int,
 	res := dbsvec.NewResult(labels, m.Clusters())
 	elapsed := time.Since(start)
 
-	var out io.Writer = os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := ds.WriteCSV(out, res); err != nil {
+	if err := writeOut(outPath, func(w io.Writer) error { return ds.WriteCSV(w, res) }); err != nil {
 		return err
 	}
 	if stats {

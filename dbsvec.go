@@ -63,7 +63,10 @@ const (
 )
 
 // Options configures Cluster. Zero values of optional fields select the
-// paper's defaults.
+// paper's defaults. The paper's fixed design choices (the penalty weights
+// with memory factor λ = 1.5, incremental learning with T = 3, the
+// σ = r/√2 kernel width) and the 1024-point SVDD target cap are not
+// options; the Figure 9 ablations switch them off through core.Options.
 type Options struct {
 	// Eps is the ε-neighborhood radius (required). It must be > 0: zero,
 	// negative and NaN values are rejected with an error wrapping
@@ -79,24 +82,10 @@ type Options struct {
 	Nu    float64
 	NuMin bool
 
-	// MemoryFactor is the λ > 1 of the adaptive penalty weights; 0 selects
-	// 1.5.
-	MemoryFactor float64
-
-	// LearnThreshold is the incremental-learning threshold T; 0 selects the
-	// paper's 3, -1 disables incremental learning.
-	LearnThreshold int
-
-	// DisableWeights turns off adaptive penalty weights (plain SVDD).
-	DisableWeights bool
-
-	// RandomKernel replaces the σ = r/√2 kernel width rule with a random
-	// draw (ablation).
-	RandomKernel bool
-
-	// Seed feeds only the RandomKernel width draw. Every run is
-	// deterministic whatever the seed: without RandomKernel it changes
-	// nothing.
+	// Seed is ignored: no DBSVEC run draws random numbers, so every run is
+	// deterministic whatever its value.
+	//
+	// Deprecated: kept for perfbench; remove with the next benchmark change.
 	Seed int64
 
 	// Index selects the range-query backend (default IndexLinear).
@@ -106,11 +95,8 @@ type Options struct {
 	// support-vector queries and the noise-verification core tests run as
 	// batches fanned across this many goroutines. 0 selects all CPUs, 1
 	// runs sequentially. Labels, Clusters and the θ-term Stats are
-	// identical for every worker count given a fixed seed.
+	// identical for every worker count.
 	Workers int
-
-	// MaxSVDDTarget caps the SVDD target-set size (default 1024).
-	MaxSVDDTarget int
 
 	// Budget bounds the run's work (wall clock, SVDD rounds, range
 	// queries). When a limit fires, Cluster returns the best-effort partial
@@ -234,14 +220,8 @@ func (opts Options) coreOptions() (core.Options, error) {
 		MinPts:          opts.MinPts,
 		Nu:              opts.Nu,
 		NuMin:           opts.NuMin,
-		MemoryFactor:    opts.MemoryFactor,
-		LearnThreshold:  opts.LearnThreshold,
-		DisableWeights:  opts.DisableWeights,
-		RandomKernel:    opts.RandomKernel,
-		Seed:            opts.Seed,
 		IndexBuilderCtx: build,
 		Workers:         opts.Workers,
-		MaxSVDDTarget:   opts.MaxSVDDTarget,
 		Budget:          opts.Budget,
 	}, nil
 }

@@ -92,8 +92,7 @@ func TestIndexKindErrorsAreInvalidParams(t *testing.T) {
 }
 
 // TestBaselineErrorsAreInvalidParams: every baseline entry point rejects a
-// malformed parameter (negative or NaN eps, MinPts 0, negative ρ, k 0, an
-// empty LSH table) with an error wrapping ErrInvalidParams, never with a
+// malformed parameter (negative or NaN eps, MinPts 0, k 0) with an error wrapping ErrInvalidParams, never with a
 // bare error or, for NaN eps, a silent all-noise result.
 func TestBaselineErrorsAreInvalidParams(t *testing.T) {
 	ds := blobDataset(t, 200, 2, 2, 39)
@@ -114,13 +113,8 @@ func TestBaselineErrorsAreInvalidParams(t *testing.T) {
 		{"RhoApproximate eps -1", func() error { _, err := RhoApproximate(ds, RhoOptions{Eps: -1, MinPts: 8}); return err }},
 		{"RhoApproximate eps NaN", func() error { _, err := RhoApproximate(ds, RhoOptions{Eps: nan, MinPts: 8}); return err }},
 		{"RhoApproximate MinPts 0", func() error { _, err := RhoApproximate(ds, RhoOptions{Eps: 3}); return err }},
-		{"RhoApproximate rho -0.5", func() error {
-			_, err := RhoApproximate(ds, RhoOptions{Eps: 3, MinPts: 8, Rho: -0.5})
-			return err
-		}},
 		{"DBSCANLSH eps -1", func() error { _, err := DBSCANLSH(ds, LSHOptions{Eps: -1, MinPts: 8}); return err }},
 		{"DBSCANLSH MinPts 0", func() error { _, err := DBSCANLSH(ds, LSHOptions{Eps: 3}); return err }},
-		{"DBSCANLSH Tables -1", func() error { _, err := DBSCANLSH(ds, LSHOptions{Eps: 3, MinPts: 8, Tables: -1}); return err }},
 		{"KMeans k 0", func() error { _, err := KMeans(ds, 0, 1); return err }},
 		{"KMeans k > n", func() error { _, err := KMeans(ds, ds.Len()+1, 1); return err }},
 	}

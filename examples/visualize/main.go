@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	approx, err := dbsvec.Cluster(ds, dbsvec.Options{Eps: eps, MinPts: minPts, Seed: 1})
+	approx, err := dbsvec.Cluster(ds, dbsvec.Options{Eps: eps, MinPts: minPts})
 	if err != nil {
 		log.Fatal(err)
 	}

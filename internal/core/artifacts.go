@@ -1,27 +1,22 @@
 package core
 
-import "dbsvec/internal/svdd"
+import (
+	"dbsvec/internal/data"
+	"dbsvec/internal/svdd"
+)
 
-// RetainedModel records one SVDD training event of a retained run. A
+// RetainedModel records one SVDD training event of a retained run: the
+// final compacted cluster id it resolved to after merging, whether the
+// round degraded onto the exact range-query fallback, and the snapshot (nil
+// only on degraded entries whose solve produced no usable model). It is the
+// model file's entry type, so a retained run saves without a copy. A
 // sub-cluster that trained over several expansion rounds contributes one
 // entry per round, so the retained set covers the full lifetime of each
 // boundary — the final round's support vectors sit only on the final
 // frontier, while earlier rounds cover the interior the frontier moved
 // through. Entries are appended in training order, which is deterministic
-// for a fixed seed and independent of the worker count.
-type RetainedModel struct {
-	// Cluster is the final compacted cluster id (an index into the result's
-	// dense label space) the sub-cluster resolved to after merging.
-	Cluster int32
-	// Degraded marks a training round that failed recoverably and pushed
-	// the sub-cluster onto the exact range-query fallback.
-	Degraded bool
-	// Snap is the model snapshot. It is nil only on degraded entries whose
-	// solve produced no usable model (degenerate kernel width, empty
-	// target); non-convergence and all-SV blowups still carry their
-	// best-effort model.
-	Snap *svdd.Snapshot
-}
+// and independent of the worker count.
+type RetainedModel = data.ModelEntry
 
 // retainModel snapshots a training round's model under the raw seed cluster
 // id. finalizeRetained remaps the ids once merging has settled. Models whose

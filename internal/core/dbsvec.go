@@ -53,10 +53,6 @@ type Options struct {
 	Nu    float64
 	NuMin bool
 
-	// MemoryFactor is the λ > 1 coefficient of the penalty weights (Eq. 7).
-	// 0 selects the SVDD solver's default λ = 1.5.
-	MemoryFactor float64
-
 	// LearnThreshold is the incremental-learning threshold T: points that
 	// participated in more than T SVDD trainings leave the target set.
 	// 0 selects the paper's T = 3; -1 disables incremental learning (the
@@ -125,9 +121,6 @@ func (o Options) Validate() error {
 	}
 	if !(o.Nu >= 0 && o.Nu <= 1) {
 		return fmt.Errorf("%w: nu %g must be in (0,1] (0 selects the adaptive ν*)", ErrInvalidParams, o.Nu)
-	}
-	if !(o.MemoryFactor == 0 || o.MemoryFactor > 1) {
-		return fmt.Errorf("%w: memory factor λ %g must exceed 1", ErrInvalidParams, o.MemoryFactor)
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("%w: Workers %d must be non-negative (0 selects GOMAXPROCS)", ErrInvalidParams, o.Workers)
@@ -847,7 +840,6 @@ func (r *runner) trainSVDD(ids []int32) (*svdd.Model, error) {
 			times[i] = r.counters[id]
 		}
 		cfg.Times = times
-		cfg.Lambda = r.opts.MemoryFactor
 	}
 	model, err := svdd.Train(r.ds, ids, cfg)
 	if model != nil {

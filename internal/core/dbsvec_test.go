@@ -63,7 +63,6 @@ func TestValidation(t *testing.T) {
 		{Eps: 1, MinPts: 0},
 		{Eps: 1, MinPts: 5, Nu: 2},
 		{Eps: 1, MinPts: 5, Nu: -0.5},
-		{Eps: 1, MinPts: 5, MemoryFactor: 0.5},
 	}
 	for i, o := range cases {
 		if _, _, err := Run(ds, o); err == nil {
@@ -209,7 +208,7 @@ func TestAblationsRun(t *testing.T) {
 		{Eps: 3, MinPts: 8, LearnThreshold: -1},                         // \IL
 		{Eps: 3, MinPts: 8, RandomKernel: true, Seed: 42},               // \OK
 		{Eps: 3, MinPts: 8, NuMin: true},                                // DBSVEC_min
-		{Eps: 3, MinPts: 8, Nu: 0.5, MemoryFactor: 2},                   // explicit knobs
+		{Eps: 3, MinPts: 8, Nu: 0.5},                                    // explicit ν
 		{Eps: 3, MinPts: 8, IndexBuilderCtx: index.Bind(kdtree.New, 1)}, // indexed backend
 		{Eps: 3, MinPts: 8, MaxSVDDTarget: 64},                          // tiny target cap
 		{Eps: 3, MinPts: 8, LearnThreshold: 1},                          // aggressive IL

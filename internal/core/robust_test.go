@@ -262,7 +262,6 @@ func TestInvalidParamsTaxonomy(t *testing.T) {
 		{Eps: -1, MinPts: 5},
 		{Eps: 1, MinPts: 0},
 		{Eps: 1, MinPts: 5, Nu: 2},
-		{Eps: 1, MinPts: 5, MemoryFactor: 0.5},
 		{Eps: 1, MinPts: 5, Workers: -1},
 		{Eps: 1, MinPts: 5, MaxSVDDTarget: -1},
 		{Eps: 1, MinPts: 5, LearnThreshold: -2},
@@ -271,7 +270,6 @@ func TestInvalidParamsTaxonomy(t *testing.T) {
 		{Eps: 1, MinPts: 5, Budget: Budget{MaxRangeQueries: -1}},
 		{Eps: math.NaN(), MinPts: 5},
 		{Eps: 1, MinPts: 5, Nu: math.NaN()},
-		{Eps: 1, MinPts: 5, MemoryFactor: math.NaN()},
 	}
 	for i, o := range cases {
 		_, _, err := Run(ds, o)

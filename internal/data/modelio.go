@@ -76,10 +76,11 @@ const (
 
 	// maxModelDim / maxModelEntries / maxModelValues bound hostile headers
 	// before any count-driven allocation. maxModelValues matches binio's
-	// 1 TiB cap on the coordinate payload.
-	maxModelDim     = 1 << 20
-	maxModelEntries = 1 << 24
-	maxModelValues  = (1 << 40) / 8
+	// 1 TiB cap on the coordinate payload; it is an int64 so the package
+	// builds where int is 32 bits.
+	maxModelDim           = 1 << 20
+	maxModelEntries       = 1 << 24
+	maxModelValues  int64 = (1 << 40) / 8
 )
 
 // ModelEntry is one retained sub-cluster model inside a ModelArtifact.
@@ -161,7 +162,7 @@ func (a *ModelArtifact) validate() error {
 // reader enforces.
 func snapshotWritable(s *svdd.Snapshot) error {
 	k := len(s.IDs)
-	if k == 0 || k > maxModelValues/max(1, s.Dim) {
+	if k == 0 || int64(k) > maxModelValues/int64(max(1, s.Dim)) {
 		return fmt.Errorf("snapshot with %d support vectors out of range", k)
 	}
 	if len(s.Alpha) != k || len(s.Score) != k || len(s.Coords) != k*s.Dim {
@@ -484,7 +485,7 @@ func (mr *modelReader) readSnapshot(wantDim int) (*svdd.Snapshot, error) {
 	// Reject oversized counts before computing k*dim: the product can wrap
 	// for hostile pairs and sneak past a cap checked only on the product
 	// (the same guard binio applies to n×d).
-	if k <= 0 || k > maxModelValues/dim {
+	if k <= 0 || int64(k) > maxModelValues/int64(dim) {
 		return nil, fmt.Errorf("%w: implausible support-vector count %d (dim %d)", ErrMalformed, k, dim)
 	}
 	s := &svdd.Snapshot{Dim: dim}

@@ -29,7 +29,6 @@ func svddBenchConfig(n int) svdd.Config {
 	return svdd.Config{
 		Nu:    0.1,
 		Times: make([]int, n),
-		Tol:   1e-4,
 	}
 }
 

@@ -19,14 +19,17 @@ import (
 type Params struct {
 	// K is the number of clusters. Must be >= 1 and <= n.
 	K int
-	// MaxIter caps Lloyd iterations; 0 selects 100.
-	MaxIter int
-	// Tol stops iteration when total center movement falls below it;
-	// 0 selects 1e-6.
-	Tol float64
 	// Seed drives k-means++ seeding.
 	Seed int64
 }
+
+const (
+	// maxIter caps the Lloyd iterations of one run.
+	maxIter = 100
+	// tol stops iteration once the total center movement of a round falls
+	// below it.
+	tol = 1e-6
+)
 
 // Stats reports work performed.
 type Stats struct {
@@ -49,14 +52,6 @@ func Run(ds *vec.Dataset, p Params) (*cluster.Result, [][]float64, Stats, error)
 	n, d := ds.Len(), ds.Dim()
 	if p.K < 1 || p.K > n {
 		return nil, nil, st, fmt.Errorf("%w: kmeans: k %d outside [1, %d]", fault.ErrInvalidParams, p.K, n)
-	}
-	maxIter := p.MaxIter
-	if maxIter == 0 {
-		maxIter = 100
-	}
-	tol := p.Tol
-	if tol == 0 {
-		tol = 1e-6
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 

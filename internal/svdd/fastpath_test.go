@@ -144,7 +144,7 @@ func TestPivotBatchMatchesSerialRows(t *testing.T) {
 					serial.row(p)
 				}
 				ref := newKernelMatrix(ds, ids, sigma, 1)
-				wantW := adaptiveWeights(ref, times, 1.5, 1)
+				wantW := adaptiveWeights(ref, times, 1)
 				releaseMatrix(ref)
 				for _, workers := range []int{1, 2, 8} {
 					km := newKernelMatrix(ds, ids, sigma, workers)
@@ -164,7 +164,7 @@ func TestPivotBatchMatchesSerialRows(t *testing.T) {
 					releaseMatrix(km)
 
 					km = newKernelMatrix(ds, ids, sigma, workers)
-					for i, w := range adaptiveWeights(km, times, 1.5, workers) {
+					for i, w := range adaptiveWeights(km, times, workers) {
 						if w != wantW[i] {
 							t.Fatalf("n=%d d=%d %v workers=%d: weight %d = %x, serial %x",
 								n, d, prec, workers, i, math.Float64bits(w), math.Float64bits(wantW[i]))
@@ -250,7 +250,7 @@ func TestShrinkMatchesFullScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g := kktViolation(t, ds, shrunk); g >= defaultTol {
+		if g := kktViolation(t, ds, shrunk); g >= tol {
 			t.Errorf("seed %d: shrunk model violates KKT by %g", seed, g)
 		}
 		// Shrinking may select different pairs after the first prune, so the

@@ -160,7 +160,7 @@ func TestTrainF32MatchesWidenedMaster(t *testing.T) {
 	}
 	ids := vec.Iota(n)
 	cfg := func() Config {
-		return Config{Nu: 0.1, Times: make([]int, n), Tol: 1e-4, Workers: 3}
+		return Config{Nu: 0.1, Times: make([]int, n), Workers: 3}
 	}
 	m32, err := Train(ds32, ids, cfg())
 	if err != nil {

@@ -33,7 +33,6 @@ func TestQuickTrainFeasibility(t *testing.T) {
 				times[i] = rng.Intn(5)
 			}
 			cfg.Times = times
-			cfg.Lambda = 1 + rng.Float64()
 		}
 		m, err := Train(ds, ids, cfg)
 		if err != nil {

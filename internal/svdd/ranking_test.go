@@ -105,7 +105,7 @@ func TestTimesPathMatchesIntent(t *testing.T) {
 	for i := 0; i < n; i++ {
 		times[i] = 3 // old points
 	}
-	m, err := Train(ds, ids, Config{Nu: 0.1, Times: times, Lambda: 1.5})
+	m, err := Train(ds, ids, Config{Nu: 0.1, Times: times})
 	if err != nil {
 		t.Fatal(err)
 	}

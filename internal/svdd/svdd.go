@@ -50,12 +50,9 @@ type Config struct {
 	// Times, when non-nil, activates the adaptive penalty weights of Eq. 7
 	// computed internally (reusing the kernel matrix, which is cheaper than
 	// a separate KernelDistances pass): ω_i = λ^{Times[i]}·(1 − D_i/max D)
-	// with λ = Lambda. nil means uniform weights of 1 (plain SVDD).
+	// with the memory factor λ = 1.5. nil means uniform weights of 1 (plain
+	// SVDD).
 	Times []int
-	// Lambda is the memory factor λ > 1 used with Times; 0 selects 1.5.
-	Lambda float64
-	// Tol is the KKT violation tolerance; 0 means 1e-4.
-	Tol float64
 	// MaxIter caps SMO iterations; 0 means 200·ñ + 10000.
 	MaxIter int
 	// Workers fans the dense fill and the pivot-row batch of the kernel
@@ -142,10 +139,10 @@ const (
 )
 
 const (
-	// defaultLambda is the memory factor λ of the adaptive weights when
-	// Config.Lambda is 0.
-	defaultLambda = 1.5
-	defaultTol    = 1e-4
+	// lambda is the memory factor λ > 1 of the adaptive weights (Eq. 7).
+	lambda = 1.5
+	// tol is the KKT violation tolerance at which the SMO solve stops.
+	tol = 1e-4
 	// svThreshold: multipliers below this fraction of the uniform value are
 	// treated as zero when extracting support vectors.
 	svThreshold = 1e-8
@@ -188,10 +185,6 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 	if sigma == 0 {
 		sigma = SigmaLowerBound(ds, ids)
 	}
-	tol := cfg.Tol
-	if tol == 0 {
-		tol = defaultTol
-	}
 	maxIter := cfg.MaxIter
 	if maxIter == 0 {
 		maxIter = 200*n + 10000
@@ -227,11 +220,7 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 
 	var weights []float64
 	if cfg.Times != nil {
-		lambda := cfg.Lambda
-		if lambda == 0 {
-			lambda = defaultLambda
-		}
-		weights = adaptiveWeights(km, cfg.Times, lambda, cfg.Workers)
+		weights = adaptiveWeights(km, cfg.Times, cfg.Workers)
 	}
 
 	// Per-point upper bounds u_i = ω_i·C with C = 1/(ν·ñ). Guard
@@ -262,7 +251,7 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 	fill.Stop(&m.Times.Fill)
 
 	solve := engine.StartPhase()
-	converged, solveErr := m.solveSMO(cfg.Context, km, tol, maxIter, shrink)
+	converged, solveErr := m.solveSMO(cfg.Context, km, maxIter, shrink)
 	solve.Stop(&m.Times.Solve)
 	if solveErr != nil {
 		releaseMatrix(km)
@@ -303,7 +292,7 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 // keeps each SVDD training linear in ñ as the paper's cost analysis
 // assumes. The pivot rows are the one set of lazy rows known before the
 // solver starts, so they are computed as a single batch across workers.
-func adaptiveWeights(km *kernelMatrix, times []int, lambda float64, workers int) []float64 {
+func adaptiveWeights(km *kernelMatrix, times []int, workers int) []float64 {
 	n := km.n
 	dists := make([]float64, n)
 	if n <= weightsExactCap {
@@ -408,7 +397,7 @@ const shrinkPeriod = 64
 // The returned bool reports convergence: false means maxIter was exhausted
 // and the current iterate is the best found. A non-nil ctx is polled every
 // 1024 iterations; on cancellation the solve aborts with ctx's error.
-func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, tol float64, maxIter int, shrink bool) (bool, error) {
+func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, maxIter int, shrink bool) (bool, error) {
 	n := len(m.IDs)
 	alpha := m.Alpha
 	upper := m.Upper

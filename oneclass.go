@@ -28,8 +28,6 @@ type OneClassOptions struct {
 	// (200·n + 10000). A truncated solve returns the best iterate together
 	// with ErrNotConverged.
 	MaxIter int
-	// Tol is the KKT violation tolerance; 0 selects 1e-4.
-	Tol float64
 }
 
 // validate rejects malformed options with ErrInvalidParams. Every float
@@ -40,9 +38,6 @@ func (o OneClassOptions) validate() error {
 	}
 	if !(o.Sigma >= 0) {
 		return fmt.Errorf("%w: sigma %g must be positive (0 selects the σ = r/√2 rule)", ErrInvalidParams, o.Sigma)
-	}
-	if !(o.Tol >= 0) {
-		return fmt.Errorf("%w: tol %g must be positive (0 selects 1e-4)", ErrInvalidParams, o.Tol)
 	}
 	if o.MaxIter < 0 {
 		return fmt.Errorf("%w: MaxIter %d must be non-negative (0 selects the solver default)", ErrInvalidParams, o.MaxIter)
@@ -82,7 +77,6 @@ func TrainOneClass(d *Dataset, opts OneClassOptions) (*OneClassModel, error) {
 		Sigma:   opts.Sigma,
 		Workers: engine.ResolveWorkers(opts.Workers),
 		MaxIter: opts.MaxIter,
-		Tol:     opts.Tol,
 	})
 	if err != nil && !errors.Is(err, svdd.ErrNotConverged) && !errors.Is(err, svdd.ErrAllSupportVectors) {
 		return nil, err

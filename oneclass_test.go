@@ -79,8 +79,6 @@ func TestTrainOneClassRejectsInvalidOptions(t *testing.T) {
 		"nu NaN":    {Nu: nan},
 		"sigma<0":   {Sigma: -1},
 		"sigma NaN": {Sigma: nan},
-		"tol<0":     {Tol: -1},
-		"tol NaN":   {Tol: nan},
 		"maxiter<0": {MaxIter: -5},
 	} {
 		m, err := TrainOneClass(ds, opts)

@@ -7,17 +7,10 @@ import (
 	"dbsvec/internal/plot"
 )
 
-// PlotOptions controls WriteSVG rendering.
-type PlotOptions struct {
-	// Width and Height set the canvas in pixels (default 800×600).
-	Width, Height int
-	// PointRadius sets the marker size (default 1.5).
-	PointRadius float64
-	// Title is drawn at the top when non-empty.
-	Title string
-	// XDim and YDim pick the projected dimensions (default 0 and 1).
-	XDim, YDim int
-}
+// PlotOptions controls WriteSVG and WriteDecisionSVG rendering: canvas size
+// (default 800×600), marker radius (default 1.5), an optional title and the
+// two projected dimensions (default 0 and 1).
+type PlotOptions = plot.Options
 
 // WriteDecisionSVG renders the dataset scatter over a shaded background
 // marking where inField reports true — e.g. the interior of a one-class
@@ -25,19 +18,11 @@ type PlotOptions struct {
 // than two dimensions, the non-plotted coordinates of the probe points are
 // fixed at the dataset mean.
 func WriteDecisionSVG(w io.Writer, d *Dataset, res *Result, inField func(p []float64) bool, opts PlotOptions) error {
-	po := plot.Options{
-		Width:       opts.Width,
-		Height:      opts.Height,
-		PointRadius: opts.PointRadius,
-		Title:       opts.Title,
-		XDim:        opts.XDim,
-		YDim:        opts.YDim,
-	}
 	var inner *cluster.Result
 	if res != nil {
 		inner = res.inner
 	}
-	return plot.DecisionSVG(w, d.ds, inner, inField, 0, po)
+	return plot.DecisionSVG(w, d.ds, inner, inField, 0, opts)
 }
 
 // WriteSVG renders a 2-D scatter plot of the dataset on w, colored by the
@@ -45,16 +30,8 @@ func WriteDecisionSVG(w io.Writer, d *Dataset, res *Result, inField func(p []flo
 // is projected onto the XDim/YDim axes. This is how the repository
 // regenerates the paper's Figure 1.
 func WriteSVG(w io.Writer, d *Dataset, res *Result, opts PlotOptions) error {
-	po := plot.Options{
-		Width:       opts.Width,
-		Height:      opts.Height,
-		PointRadius: opts.PointRadius,
-		Title:       opts.Title,
-		XDim:        opts.XDim,
-		YDim:        opts.YDim,
-	}
 	if res == nil {
-		return plot.SVG(w, d.ds, nil, po)
+		return plot.SVG(w, d.ds, nil, opts)
 	}
-	return plot.SVG(w, d.ds, res.inner, po)
+	return plot.SVG(w, d.ds, res.inner, opts)
 }

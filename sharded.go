@@ -57,15 +57,9 @@ func RunShardedFile(path string, opts Options) (*Result, error) {
 }
 
 func runSharded(src shard.Source, dim int, prec Precision, opts Options) (*Result, error) {
-	co, err := opts.coreOptions()
+	so, err := opts.shardOptions()
 	if err != nil {
 		return nil, err
-	}
-	so := shard.Options{
-		Core:        co,
-		Shards:      opts.Shards,
-		Concurrency: opts.ShardConcurrency,
-		Retain:      true,
 	}
 	res, models, sst, err := shard.Run(src, so)
 	if err != nil && res == nil {
@@ -81,6 +75,21 @@ func runSharded(src shard.Source, dim int, prec Precision, opts Options) (*Resul
 	return out, err
 }
 
+// shardOptions converts the options into the sharded runner's: every shard
+// runs coreOptions() and retains its models.
+func (opts Options) shardOptions() (shard.Options, error) {
+	co, err := opts.coreOptions()
+	if err != nil {
+		return shard.Options{}, err
+	}
+	return shard.Options{
+		Core:        co,
+		Shards:      opts.Shards,
+		Concurrency: opts.ShardConcurrency,
+		Retain:      true,
+	}, nil
+}
+
 // aggregateShardStats sums the per-shard core stats into the top-level Stats
 // and attaches the full sharding report.
 func aggregateShardStats(sst *ShardStats) Stats {
@@ -94,10 +103,6 @@ func aggregateShardStats(sst *ShardStats) Stats {
 // newModelDims builds the model artifact when no Dataset object exists (the
 // out-of-core path knows only the file's shape and precision).
 func newModelDims(dim int, prec Precision, opts Options, res *cluster.Result, retained []core.RetainedModel) *Model {
-	entries := make([]data.ModelEntry, len(retained))
-	for i, e := range retained {
-		entries[i] = data.ModelEntry{Cluster: e.Cluster, Degraded: e.Degraded, Snap: e.Snap}
-	}
 	mp := data.ModelPrecisionF64
 	if prec == PrecisionF32 {
 		mp = data.ModelPrecisionF32
@@ -109,6 +114,6 @@ func newModelDims(dim int, prec Precision, opts Options, res *cluster.Result, re
 		MinPts:    opts.MinPts,
 		Dim:       dim,
 		Clusters:  res.Clusters,
-		Entries:   entries,
+		Entries:   retained,
 	}}
 }
