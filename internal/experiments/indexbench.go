@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"time"
 
 	"dbsvec/internal/data"
@@ -57,8 +58,8 @@ var indexBenchWorkers = []int{1, 2}
 // RunIndexBench executes the micro-benchmark and emits its rows: build
 // time per backend, cardinality and worker count ("build"), range-query
 // time per backend, cardinality and storage precision ("query"), the
-// batch linear scans ("scan") and the linear scan's row-block split
-// ("split").
+// batch linear scans ("scan"), the linear scan's row-block split
+// ("split") and its zone map on ordered and shuffled rows ("zones").
 func RunIndexBench(cfg Config, emit func(Row)) error {
 	sizes := []int{100_000, 500_000}
 	repeats, queries := 5, 1000
@@ -136,7 +137,10 @@ func RunIndexBench(cfg Config, emit func(Row)) error {
 	if err := runScanBench(cfg, repeats, emit); err != nil {
 		return err
 	}
-	return runSplitBench(cfg, emit)
+	if err := runSplitBench(cfg, emit); err != nil {
+		return err
+	}
+	return runZonesBench(cfg, emit)
 }
 
 // scanBenchN and scanBenchDim pin the batch-scan section's shape: an
@@ -241,38 +245,13 @@ func runSplitBench(cfg Config, emit func(Row)) error {
 // Its count is the results total over the rounds (ids returned, or counts
 // summed), its timing the best of splitBenchRepeats.
 func splitRow(cfg Config, ds *vec.Dataset, batch, rounds, limit, workers int) (Row, error) {
-	ctx := context.Background()
-	lin, err := index.NewLinear(ctx, ds, workers)
+	lin, err := index.NewLinear(context.Background(), ds, workers)
 	if err != nil {
 		return Row{}, err
 	}
-	stride := ds.Len() / (rounds * batch)
-	var hoods [][]int32
-	var counts []int
-	var results int
-	best := int64(math.MaxInt64)
-	for r := 0; r < splitBenchRepeats; r++ {
-		results = 0
-		start := time.Now()
-		for round := 0; round < rounds; round++ {
-			qs := index.Queries{N: batch, At: func(i int) []float64 { return ds.Point((round*batch + i) * stride) }}
-			if limit > 0 {
-				if counts, err = lin.BatchRangeCount(ctx, qs, splitBenchEps, limit, workers, counts); err != nil {
-					return Row{}, err
-				}
-				for _, c := range counts {
-					results += c
-				}
-				continue
-			}
-			if hoods, err = lin.BatchRangeQuery(ctx, qs, splitBenchEps, workers, hoods); err != nil {
-				return Row{}, err
-			}
-			for _, hood := range hoods {
-				results += len(hood)
-			}
-		}
-		best = min(best, time.Since(start).Nanoseconds())
+	results, best, err := timeLinear(lin, splitQueries(ds, batch, rounds), limit, workers, false)
+	if err != nil {
+		return Row{}, err
 	}
 	params := map[string]any{
 		"section": "split", "n": splitBenchN, "dim": splitBenchDim, "batch": batch,
@@ -287,4 +266,140 @@ func splitRow(cfg Config, ds *vec.Dataset, batch, rounds, limit, workers int) (R
 		Counts:   map[string]float64{"results": float64(results)},
 		Measured: map[string]float64{"total_ns": float64(best)},
 	}, nil
+}
+
+// splitQueries returns rounds batches of batch queries spread evenly over
+// ds.
+func splitQueries(ds *vec.Dataset, batch, rounds int) []index.Queries {
+	stride := ds.Len() / (rounds * batch)
+	qs := make([]index.Queries, rounds)
+	for round := range qs {
+		qs[round] = index.Queries{N: batch, At: func(i int) []float64 { return ds.Point((round*batch + i) * stride) }}
+	}
+	return qs
+}
+
+// timeLinear runs the batches on lin over workers: range queries, or with
+// limit > 0 counts; with single, one RangeQuery or RangeCount call per
+// query. It returns the results total over the batches (ids returned, or
+// counts summed) and the best wall clock of splitBenchRepeats passes.
+func timeLinear(lin *index.Linear, batches []index.Queries, limit, workers int, single bool) (results int, best int64, err error) {
+	ctx := context.Background()
+	var hoods [][]int32
+	var counts []int
+	var buf []int32
+	best = math.MaxInt64
+	for r := 0; r < splitBenchRepeats; r++ {
+		results = 0
+		start := time.Now()
+		for _, qs := range batches {
+			switch {
+			case single:
+				for i := range qs.N {
+					if limit > 0 {
+						results += lin.RangeCount(qs.At(i), splitBenchEps, limit)
+						continue
+					}
+					buf = lin.RangeQuery(qs.At(i), splitBenchEps, buf[:0])
+					results += len(buf)
+				}
+			case limit > 0:
+				if counts, err = lin.BatchRangeCount(ctx, qs, splitBenchEps, limit, workers, counts); err != nil {
+					return 0, 0, err
+				}
+				for _, c := range counts {
+					results += c
+				}
+			default:
+				if hoods, err = lin.BatchRangeQuery(ctx, qs, splitBenchEps, workers, hoods); err != nil {
+					return 0, 0, err
+				}
+				for _, hood := range hoods {
+					results += len(hood)
+				}
+			}
+		}
+		best = min(best, time.Since(start).Nanoseconds())
+	}
+	return results, best, nil
+}
+
+// The zones section measures the linear scan's zone map on the split
+// section's data in both of its cases: rows in generation order, where
+// each SeedSpreader region's random walk is one run of rows and a query
+// reads ~3 % of them, and the same rows shuffled by a fixed permutation,
+// where every zone's box spans the data and a query reads every row. Each
+// order runs single queries (one RangeQuery call per query), a 12-query
+// batch and a 512-query count batch with limit 100, on 2 workers. Besides
+// results, each row counts rows_scanned: the rows in the zones each
+// query's ε-ball reaches, summed over its queries. The shape is identical
+// in quick and full mode.
+const (
+	zonesBenchWorkers     = 2
+	zonesBenchShuffleSeed = 1
+)
+
+// zonesBenchShapes are the zones rows' calls: single queries, or batches
+// of batch range queries (limit 0) or counts clamped at limit.
+var zonesBenchShapes = []struct {
+	batch, rounds, limit int
+	single               bool
+}{
+	{1, 100, 0, true}, {12, 100, 0, false}, {512, 20, 100, false},
+}
+
+// runZonesBench emits one "zones" row per row order and call shape.
+func runZonesBench(cfg Config, emit func(Row)) error {
+	ordered := data.SeedSpreader{N: splitBenchN, D: splitBenchDim, Seed: cfg.Seed}.Generate()
+	perm := rand.New(rand.NewSource(zonesBenchShuffleSeed)).Perm(ordered.Len())
+	shuffled := ordered.Subset(int32s(perm))
+	for _, o := range []struct {
+		name string
+		ds   *vec.Dataset
+	}{{"generation", ordered}, {"shuffled", shuffled}} {
+		lin, err := index.NewLinear(context.Background(), o.ds, zonesBenchWorkers)
+		if err != nil {
+			return err
+		}
+		for _, s := range zonesBenchShapes {
+			batches := splitQueries(o.ds, s.batch, s.rounds)
+			rows := 0
+			for _, qs := range batches {
+				for i := range qs.N {
+					rows += lin.ReachRows(qs.At(i), splitBenchEps)
+				}
+			}
+			results, best, err := timeLinear(lin, batches, s.limit, zonesBenchWorkers, s.single)
+			if err != nil {
+				return err
+			}
+			params := map[string]any{
+				"section": "zones", "order": o.name, "n": splitBenchN, "dim": splitBenchDim,
+				"batch": s.batch, "workers": zonesBenchWorkers, "rounds": s.rounds,
+				"repeats": splitBenchRepeats, "seed": cfg.Seed,
+			}
+			if s.single {
+				params["batch"] = "single"
+			}
+			if s.limit > 0 {
+				params["limit"] = s.limit
+			}
+			emit(Row{
+				Exp:      "index",
+				Params:   params,
+				Counts:   map[string]float64{"results": float64(results), "rows_scanned": float64(rows)},
+				Measured: map[string]float64{"total_ns": float64(best)},
+			})
+		}
+	}
+	return nil
+}
+
+// int32s converts a permutation to dataset ids.
+func int32s(perm []int) []int32 {
+	ids := make([]int32, len(perm))
+	for i, p := range perm {
+		ids[i] = int32(p)
+	}
+	return ids
 }

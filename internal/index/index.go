@@ -1,8 +1,9 @@
 // Package index defines the spatial-index contract shared by every
-// clustering algorithm in this repository and provides the brute-force
-// linear-scan implementation that serves both as the correctness oracle in
-// property tests and as DBSVEC's default backend (the paper's DBSVEC needs
-// no extra index structure).
+// clustering algorithm in this repository and provides the linear scan,
+// DBSVEC's default backend (the paper's DBSVEC needs no extra index
+// structure): an exhaustive scan that reads only the row zones whose
+// bounding boxes a query's ε-ball reaches. Property tests check it, like
+// every backend, against the unpruned fused kernels of internal/dist.
 package index
 
 import (

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dbsvec/internal/dist"
 	"dbsvec/internal/vec"
 )
 
@@ -20,6 +21,19 @@ func randomDataset(t testing.TB, n, d int, seed int64) *vec.Dataset {
 		t.Fatalf("NewDataset: %v", err)
 	}
 	return ds
+}
+
+// unpruned is the oracle the linear scan is checked against: the fused
+// kernels over every row, with no zone map or split in front of them
+// (indextest.Oracle, which this package's tests cannot import).
+type unpruned struct{ ds *vec.Dataset }
+
+func (u unpruned) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
+	return dist.FilterWithin(u.ds.Matrix(), q, eps*eps, buf)
+}
+
+func (u unpruned) RangeCount(q []float64, eps float64, limit int) int {
+	return dist.CountWithin(u.ds.Matrix(), q, eps*eps, limit)
 }
 
 // linear builds the Linear index over ds (NewLinear fails only on a

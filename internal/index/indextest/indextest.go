@@ -1,9 +1,10 @@
 // Package indextest provides a reusable conformance suite that validates any
-// index.Index implementation against the linear-scan oracle on randomized
-// workloads. Each backend package runs its constructor through Run, RunF32,
-// RunBuildDeterminism, BuildCancelledUpFront, BuildCancelledMidBuild and
-// BuildersAgree; the backend table's conformance test runs every table row
-// through Run.
+// index.Index implementation against an oracle of the unpruned fused
+// kernels (dist.FilterWithin and dist.CountWithin over every row) on
+// randomized workloads. Each backend package runs its constructor through
+// Run, RunF32, RunBuildDeterminism, BuildCancelledUpFront,
+// BuildCancelledMidBuild and BuildersAgree; the backend table's conformance
+// test runs every table row through Run.
 package indextest
 
 import (
@@ -15,13 +16,14 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dbsvec/internal/dist"
 	"dbsvec/internal/index"
 	"dbsvec/internal/leakcheck"
 	"dbsvec/internal/vec"
 )
 
 // Run exercises the builder on a battery of datasets and query mixes and
-// fails the test on any divergence from the linear-scan oracle.
+// fails the test on any divergence from the oracle.
 func Run(t *testing.T, name string, build index.CtxBuilder) {
 	t.Helper()
 	t.Run(name+"/uniform2d", func(t *testing.T) { compare(t, build, uniform(400, 2, 1), 25, 2) })
@@ -44,7 +46,7 @@ func Run(t *testing.T, name string, build index.CtxBuilder) {
 	t.Run(name+"/zeroeps", func(t *testing.T) {
 		ds := duplicates(100, 2, 13)
 		idx := mustBuild(t, build, ds)
-		oracle := Linear(ds)
+		oracle := Oracle(ds)
 		for i := 0; i < ds.Len(); i += 7 {
 			got := sorted(idx.RangeQuery(ds.Point(i), 0, nil))
 			want := sorted(oracle.RangeQuery(ds.Point(i), 0, nil))
@@ -58,7 +60,7 @@ func Run(t *testing.T, name string, build index.CtxBuilder) {
 // RunF32 is the float32-storage conformance suite: the same battery as Run
 // but with every dataset converted to F32 storage, plus the cross-precision
 // determinism property. The oracle comparison inside compare already runs on
-// the converted dataset (linear routes to the f32 kernels too); the extra
+// the converted dataset (the oracle streams the f32 mirror too); the extra
 // widened-master check pins that an index built over F32 storage answers
 // bit-identically to one built over the F64 view of the same quantized
 // coordinates — i.e. that the f32 leaf scans are a pure bandwidth swap.
@@ -118,11 +120,28 @@ func RunF32(t *testing.T, name string, build index.CtxBuilder) {
 	}
 }
 
-// Linear returns the linear-scan oracle over ds.
+// Linear returns the default backend, a one-worker linear scan, over ds.
 func Linear(ds *vec.Dataset) *index.Linear {
 	lin, _ := index.NewLinear(context.Background(), ds, 1) // fails only on a cancelled ctx
 	return lin
 }
+
+// Oracle returns the ground truth over ds: the fused kernels run over
+// every row, with no zone map, tree or split in front of them, so the
+// linear scan is checked against it too. Its ids come out ascending.
+func Oracle(ds *vec.Dataset) index.Index { return oracle{ds} }
+
+type oracle struct{ ds *vec.Dataset }
+
+func (o oracle) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
+	return dist.FilterWithin(o.ds.Matrix(), q, eps*eps, buf)
+}
+
+func (o oracle) RangeCount(q []float64, eps float64, limit int) int {
+	return dist.CountWithin(o.ds.Matrix(), q, eps*eps, limit)
+}
+
+func (o oracle) Len() int { return o.ds.Len() }
 
 func mustBuild(t *testing.T, build index.CtxBuilder, ds *vec.Dataset) index.Index {
 	t.Helper()
@@ -136,7 +155,7 @@ func mustBuild(t *testing.T, build index.CtxBuilder, ds *vec.Dataset) index.Inde
 func compare(t *testing.T, build index.CtxBuilder, ds *vec.Dataset, eps float64, seed int64) {
 	t.Helper()
 	idx := mustBuild(t, build, ds)
-	oracle := Linear(ds)
+	oracle := Oracle(ds)
 	if idx.Len() != ds.Len() {
 		t.Fatalf("Len = %d, want %d", idx.Len(), ds.Len())
 	}

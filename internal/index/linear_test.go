@@ -34,9 +34,11 @@ func splitQueries(ds *vec.Dataset, seed int64) [][]float64 {
 // query, one chunk, chunks on several blocks, more chunks than blocks), at
 // cardinalities around the block-count thresholds, in both storage
 // precisions; and a count whose limit is reached in an early tile of a
-// later block stops there with the whole scan's value.
+// later block, or only by two blocks together, stops with the whole
+// scan's value. The whole scan is the unpruned kernels' answer.
 func TestSplitScanMatchesWholeScan(t *testing.T) {
 	t.Run("limit-in-later-block", checkLimitInLaterBlock)
+	t.Run("limit-across-blocks", checkLimitAcrossBlocks)
 	const m = minBlockRows
 	for _, d := range []int{2, 3, 8, 13} {
 		// eps reaches a sizeable share of the unit-100 cube, so every hood
@@ -62,7 +64,7 @@ func TestSplitScanMatchesWholeScan(t *testing.T) {
 }
 
 func checkSplitScan(t *testing.T, ds *vec.Dataset, eps float64) {
-	whole := linear(ds)
+	whole := unpruned{ds}
 	points := splitQueries(ds, int64(ds.Len()))
 	want := make([][]int32, len(points))
 	// Limits: exhaustive, stopping early (in the first block or a later
@@ -138,16 +140,44 @@ func checkSplitScan(t *testing.T, ds *vec.Dataset, eps float64) {
 // skips its later tiles, and the batch's clamped sums are the whole scan's
 // counts.
 func checkLimitInLaterBlock(t *testing.T) {
-	const n, d, members = 3 * minBlockRows, 8, 40
+	// The cluster starts three rows into block 1's second 256-row float64
+	// tile (the first 512-row float32 one).
+	lin, ds, first := clusterAt(t, minBlockRows+256+3)
+	lo, _ := block(ds.Len(), lin.blocks, 1, wordRows)
+	if tile := (first - lo) / lin.tile; lin.blocks != 3 || tile > 1 || (first+clusterRows-1-lo)/lin.tile != tile {
+		t.Fatalf("%d blocks, block 1 at row %d, %d-row tiles: the cluster is not inside one early tile of block 1", lin.blocks, lo, lin.tile)
+	}
+	checkClusterCounts(t, lin, ds, first)
+}
+
+// checkLimitAcrossBlocks counts around a cluster whose first half ends
+// block 0 and whose second half starts block 1: neither block alone
+// reaches a limit past half the cluster, the two together do, and the
+// shared running total gives the whole scan's count.
+func checkLimitAcrossBlocks(t *testing.T) {
+	lin, ds, first := clusterAt(t, minBlockRows-clusterRows/2)
+	if _, hi := block(ds.Len(), lin.blocks, 0, wordRows); lin.blocks != 3 || hi != first+clusterRows/2 {
+		t.Fatalf("%d blocks, block 0 ends at row %d: the cluster does not straddle blocks 0 and 1", lin.blocks, hi)
+	}
+	checkClusterCounts(t, lin, ds, first)
+}
+
+// clusterRows is the size of clusterAt's cluster.
+const clusterRows = 40
+
+// clusterAt returns a 2-worker Linear over three blocks of minBlockRows
+// uniform rows in the unit-100 cube (d=8), except that rows [first,
+// first+clusterRows) form a tight cluster. The uniform rows make every
+// zone reachable, so a single query of the cluster splits. At this n a
+// single query's equal blocks and a batch's word-aligned ones coincide.
+func clusterAt(t *testing.T, first int) (*Linear, *vec.Dataset, int) {
+	const n, d = 3 * minBlockRows, 8
 	rng := rand.New(rand.NewSource(5))
 	coords := make([]float64, n*d)
 	for i := range coords {
 		coords[i] = rng.Float64() * 100
 	}
-	// Three blocks of minBlockRows rows; the cluster starts three rows into
-	// block 1's second 256-row float64 tile (the first 512-row float32 one).
-	first := minBlockRows + 256 + 3
-	for i := first + 1; i < first+members; i++ {
+	for i := first + 1; i < first+clusterRows; i++ {
 		for j := 0; j < d; j++ {
 			coords[i*d+j] = coords[first*d+j] + 0.005*float64(i-first)
 		}
@@ -160,19 +190,27 @@ func checkLimitInLaterBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, _ := block(n, lin.blocks, 1)
-	if tile := (first - lo) / lin.tile; lin.blocks != 3 || tile > 1 || (first+members-1-lo)/lin.tile != tile {
-		t.Fatalf("%d blocks, block 1 at row %d, %d-row tiles: the cluster is not inside one early tile of block 1", lin.blocks, lo, lin.tile)
-	}
+	return lin, ds, first
+}
+
+// checkClusterCounts checks clusterAt's counts around the cluster, single
+// and batched, against the whole scan at limits below, inside, at and past
+// the cluster's size.
+func checkClusterCounts(t *testing.T, lin *Linear, ds *vec.Dataset, first int) {
+	t.Helper()
 	center := ds.Point(first)
 	const eps = 1.0 // the cluster spans 0.2·√8 ≈ 0.55; random rows lie ~100 apart
-	whole := linear(ds)
-	if got := whole.RangeCount(center, eps, 0); got != members {
-		t.Fatalf("the cluster counts %d rows, want %d", got, members)
+	whole := unpruned{ds}
+	if got := whole.RangeCount(center, eps, 0); got != clusterRows {
+		t.Fatalf("the cluster counts %d rows, want %d", got, clusterRows)
+	}
+	if rows := lin.ReachRows(center, eps); !lin.splits(rows) {
+		t.Fatalf("a query of the cluster reads %d rows and does not split", rows)
 	}
 	qs := Queries{N: 3, At: func(i int) []float64 { return ds.Point(first + i) }}
 	var counts []int
-	for _, limit := range []int{0, 1, 7, members, members + 1} {
+	var err error
+	for _, limit := range []int{0, 1, 7, clusterRows/2 + 1, clusterRows, clusterRows + 1} {
 		counts, err = lin.BatchRangeCount(context.Background(), qs, eps, limit, 2, counts)
 		if err != nil {
 			t.Fatal(err)
