@@ -96,9 +96,13 @@ type Linear struct {
 	// reaches the word reaches nearly all their zones, so reach takes them
 	// all instead of testing each.
 	wide []bool
-	// scratch holds *scanScratch: a Linear is shared by concurrent
-	// readers, so scans cannot share one buffer.
-	scratch sync.Pool
+	// free holds the idle scans' buffers, under mu: a Linear is shared by
+	// concurrent readers, so scans cannot share one buffer. It is not a
+	// sync.Pool because a pool drops a quarter of its puts under the race
+	// detector, so a steady-state batch there would allocate its buffers
+	// again and again.
+	mu   sync.Mutex
+	free []*scanScratch
 }
 
 // scanScratch is one scan's per-query state: each query's reach bitset,
@@ -211,7 +215,8 @@ func tileRows(m dist.Matrix) int {
 // rows on workers splits into: 1 on one worker, else as many as give each
 // block at least minBlockRows rows, divided among the query chunks. A
 // batch thus runs about as many items as a single query, and never fewer
-// than its chunks. It also keeps a many-query batch's block arena small.
+// than its chunks. Fewer blocks for a many-query batch also keep its
+// (query × block) result arena small.
 func blocksFor(n, queries, workers int) int {
 	if workers <= 1 {
 		return 1
@@ -244,7 +249,8 @@ func zones(lo, hi int) (z0, z1 int) { return lo / zoneRows, (hi + zoneRows - 1) 
 // multiply-adds where the compiler fuses), so the two roundings may differ
 // by a few units in the last place per term; the relative slack covers
 // that many times over, and the absolute one the terms that underflow. A
-// NaN eps2 stays NaN and reaches nothing, as it matches nothing.
+// NaN eps2 stays NaN, which keeps every zone; the kernel, which accepts
+// nothing against a NaN eps2, then decides.
 func reachBound(eps2 float64, d int) float64 {
 	return eps2 + eps2*float64(d+4)*0x1p-48 + float64(2*d+2)*math.SmallestNonzeroFloat64
 }
@@ -347,12 +353,9 @@ func nextBit(reach []uint64, z, end int, flip uint64) int {
 }
 
 // filterRuns appends the ids within eps2 of q among the rows [r0, r1) of
-// m in the zones set in reach (every zone when reach is nil), one
-// FilterWithinRange call per run of zones, so the ids come out ascending.
+// m in the zones set in reach, one FilterWithinRange call per run of
+// zones, so the ids come out ascending.
 func filterRuns(m dist.Matrix, q []float64, eps2 float64, reach []uint64, r0, r1 int, buf []int32) []int32 {
-	if reach == nil {
-		return dist.FilterWithinRange(m, q, eps2, r0, r1, buf)
-	}
 	for z, end := zones(r0, r1); ; {
 		a, b := nextRun(reach, z, end)
 		if a == end {
@@ -366,9 +369,6 @@ func filterRuns(m dist.Matrix, q []float64, eps2 float64, reach []uint64, r0, r1
 // countRuns is filterRuns counting, with CountWithinRange's limit: once
 // the count reaches limit > 0 it returns limit.
 func countRuns(m dist.Matrix, q []float64, eps2 float64, reach []uint64, r0, r1, limit int) int {
-	if reach == nil {
-		return dist.CountWithinRange(m, q, eps2, r0, r1, limit)
-	}
 	count := 0
 	for z, end := zones(r0, r1); ; {
 		a, b := nextRun(reach, z, end)
@@ -397,11 +397,11 @@ func (l *Linear) words() int { return (l.ds.Len() + wordRows - 1) / wordRows }
 // reads: the rows of the zones whose boxes the ε-ball reaches.
 func (l *Linear) ReachRows(q []float64, eps float64) int {
 	s, rows := l.prepare(q, eps*eps)
-	l.scratch.Put(s)
+	l.putScratch(s)
 	return rows
 }
 
-// prepare sets a single query's reach bitset in a pooled scratch and
+// prepare sets a single query's reach bitset in an idle scan's buffers and
 // returns the rows it reads.
 func (l *Linear) prepare(q []float64, eps2 float64) (*scanScratch, int) {
 	s := l.getScratch(1, l.blocks)
@@ -427,7 +427,7 @@ func (l *Linear) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
 			buf = append(buf, part...)
 		}
 	}
-	l.scratch.Put(s)
+	l.putScratch(s)
 	return buf
 }
 
@@ -444,14 +444,19 @@ func (l *Linear) RangeCount(q []float64, eps float64, limit int) int {
 		_ = l.scan(context.Background(), l.workers, single(q), eps, limit, l.blocks, s, false, nil)
 		c = clamp(s.totals[0].Load(), limit)
 	}
-	l.scratch.Put(s)
+	l.putScratch(s)
 	return c
 }
 
-// getScratch takes a scan's buffers from the pool, sized for queries
-// queries and parts block results, and zeroes the count totals.
+// getScratch takes an idle scan's buffers, sized for queries queries and
+// parts block results, and zeroes the count totals.
 func (l *Linear) getScratch(queries, parts int) *scanScratch {
-	s, _ := l.scratch.Get().(*scanScratch)
+	var s *scanScratch
+	l.mu.Lock()
+	if k := len(l.free); k > 0 {
+		s, l.free = l.free[k-1], l.free[:k-1]
+	}
+	l.mu.Unlock()
 	if s == nil {
 		s = &scanScratch{}
 	}
@@ -468,6 +473,13 @@ func (l *Linear) getScratch(queries, parts int) *scanScratch {
 		s.parts = make([][]int32, parts)
 	}
 	return s
+}
+
+// putScratch returns a scan's buffers to the idle ones.
+func (l *Linear) putScratch(s *scanScratch) {
+	l.mu.Lock()
+	l.free = append(l.free, s)
+	l.mu.Unlock()
 }
 
 // single addresses one query point as a batch.
@@ -493,7 +505,7 @@ func (l *Linear) BatchRangeQuery(ctx context.Context, qs Queries, eps float64, w
 	out = growSlices(out, size)
 	parts := out[size-qs.N*nb:]
 	s := l.getScratch(qs.N, 0)
-	defer l.scratch.Put(s)
+	defer l.putScratch(s)
 	if err := l.scan(ctx, workers, qs, eps, 0, nb, s, true, parts); err != nil {
 		return nil, err
 	}
@@ -521,7 +533,7 @@ func (l *Linear) BatchRangeCount(ctx context.Context, qs Queries, eps float64, l
 	}
 	out = out[:qs.N]
 	s := l.getScratch(qs.N, 0)
-	defer l.scratch.Put(s)
+	defer l.putScratch(s)
 	if err := l.scan(ctx, workers, qs, eps, limit, nb, s, true, nil); err != nil {
 		return nil, err
 	}
@@ -537,12 +549,13 @@ func (l *Linear) BatchRangeCount(ctx context.Context, qs Queries, eps float64, l
 // engine.For item is one chunk of up to queryChunk queries on one row
 // block. With fill it first sets its queries' reach bits for the block's
 // zones (the block owns their words); without, the caller has set every
-// bit. It then walks the block in tiles of l.tile rows, running every
-// query of the chunk on the tile's reachable zones before the next tile,
-// so a tile is read once per item. A count reads the query's total before
-// each tile, skips the tile once the total has reached the limit, and
-// otherwise counts only up to the limit's remainder, so a query's blocks
-// stop together and the clamped total is the whole scan's count.
+// bit. It then walks the block in tiles of l.tile rows (a chunk of one
+// filter query in one tile), running every query of the chunk on the
+// tile's reachable zones before the next tile, so a tile is read once per
+// item. A count reads the query's total before each tile, skips the tile
+// once the total has reached the limit, and otherwise counts only up to
+// the limit's remainder, so a query's blocks stop together and the clamped
+// total is the whole scan's count.
 func (l *Linear) scan(ctx context.Context, workers int, qs Queries, eps float64, limit, nb int, s *scanScratch, fill bool, hoods [][]int32) error {
 	m, eps2, n, words := l.ds.Matrix(), eps*eps, l.ds.Len(), l.words()
 	bound := reachBound(eps2, l.ds.Dim())
@@ -556,38 +569,38 @@ func (l *Linear) scan(ctx context.Context, workers int, qs Queries, eps float64,
 			c, b := k/nb, k%nb
 			q0, q1 := c*queryChunk, min((c+1)*queryChunk, qs.N)
 			r0, r1 := block(n, nb, b, unit)
-			// reach[i-q0] is query i's bitset, nil when the query reaches
-			// every zone of the block: its tiles then take one kernel call
-			// each, as a scan without zones does. Tiles that hold no zone
-			// any query of the chunk reaches are skipped.
+			// reach[i-q0] is query i's bitset. Tiles that hold no zone any
+			// query of the chunk reaches are skipped.
 			var reach [queryChunk][]uint64
-			skip := true
 			z0, z1 := zones(r0, r1)
 			for i := q0; i < q1; i++ {
 				bits := s.reach[i*words : (i+1)*words]
 				if fill {
 					l.reach(qs.At(i), bound, bits, z0, z1)
 				}
-				if nextBit(bits, z0, z1, ^uint64(0)) == z1 {
-					bits, skip = nil, false
-				}
 				reach[i-q0] = bits
 				if hoods != nil {
 					hoods[i*nb+b] = hoods[i*nb+b][:0]
 				}
 			}
-			for t0 := r0; t0 < r1; t0 += l.tile {
-				if skip {
-					next := z1
-					for _, bits := range reach[:q1-q0] {
-						next = nextBit(bits, t0/zoneRows, next, 0)
-					}
-					if next == z1 {
-						break
-					}
-					t0 += max(0, next*zoneRows-t0) / l.tile * l.tile
+			// A tile is read once per chunk for the rest of its queries,
+			// so a chunk of one filter query walks its block as one tile:
+			// its runs then span tiles, one kernel call each. A count
+			// keeps its tiles to read its total between them.
+			tile := l.tile
+			if hoods != nil && q1-q0 == 1 {
+				tile = r1 - r0
+			}
+			for t0 := r0; t0 < r1; t0 += tile {
+				next := z1
+				for _, bits := range reach[:q1-q0] {
+					next = nextBit(bits, t0/zoneRows, next, 0)
 				}
-				t1 := min(t0+l.tile, r1)
+				if next == z1 {
+					break
+				}
+				t0 += max(0, next*zoneRows-t0) / tile * tile
+				t1 := min(t0+tile, r1)
 				for i := q0; i < q1; i++ {
 					if hoods != nil {
 						j := i*nb + b
