@@ -104,3 +104,29 @@ func cpuHasAVX2FMA() bool
 //
 //go:noescape
 func expQuadsAVX(x *float64, quads int) int
+
+// axpyAVX adds a·x[k] to y[k] for the 4*quads values at x and y, the
+// multiply rounded before the add, like Axpy's loop. quads must be >= 1.
+//
+//go:noescape
+func axpyAVX(a float64, x, y *float64, quads int)
+
+// negScaleAVX replaces the 4*quads values at x with −x[k]·a, like
+// NegScale's loop. quads must be >= 1.
+//
+//go:noescape
+func negScaleAVX(x *float64, a float64, quads int)
+
+// smoPassAVX runs SMOPass's update and selection over the first 4*quads
+// entries and leaves, per lane l, the lane's minimum of f+pu and its first
+// index in lanes[l] and lanes[4+l], and the maximum of f+pd and its first
+// index in lanes[8+l] and lanes[12+l] (±Inf and −1 where nothing
+// qualified). quads must be >= 1.
+//
+//go:noescape
+func smoPassAVX(f, rowI, rowJ, pu, pd *float64, delta float64, quads int, lanes *[16]float64)
+
+// smoSelectAVX is smoPassAVX without the update.
+//
+//go:noescape
+func smoSelectAVX(f, pu, pd *float64, quads int, lanes *[16]float64)

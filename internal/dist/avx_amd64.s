@@ -335,3 +335,147 @@ expdone:
 	VZEROUPPER
 	MOVQ AX, ret+16(FP)
 	RET
+
+// SVDD solver kernels: elementwise loops, so the lane contract reduces to
+// "each lane runs the Go loop's operations on its own entries": VSUBPD,
+// VMULPD and VADDPD in the loop's order (only commutative operands may
+// swap), never FMA.
+//
+// The SMO pass adds delta·(rowI−rowJ) to f and tracks, per lane, the
+// minimum of f+pu and the maximum of f+pd with the index that first reached
+// each. VMINPD(v, min) returns v only when v < min, and min on equality or
+// NaN, which is the Go loop's strict comparison; VCMPPD LT_OQ (GT_OQ) gives
+// the same verdict as the mask that blends the lane's index, carried as a
+// float64 (exact below 2^53). So lane l holds the first index of its
+// extremum among k ≡ l (mod 4), and reduceLanes joins the lanes in Go.
+
+DATA smoconst<>+0(SB)/8, $0.0 // lane indices of the first quad
+DATA smoconst<>+8(SB)/8, $1.0
+DATA smoconst<>+16(SB)/8, $2.0
+DATA smoconst<>+24(SB)/8, $3.0
+DATA smoconst<>+32(SB)/8, $4.0 // index step per quad
+DATA smoconst<>+40(SB)/8, $4.0
+DATA smoconst<>+48(SB)/8, $4.0
+DATA smoconst<>+56(SB)/8, $4.0
+DATA smoconst<>+64(SB)/8, $0x7FF0000000000000 // +Inf: no minimum yet
+DATA smoconst<>+72(SB)/8, $0x7FF0000000000000
+DATA smoconst<>+80(SB)/8, $0x7FF0000000000000
+DATA smoconst<>+88(SB)/8, $0x7FF0000000000000
+DATA smoconst<>+96(SB)/8, $0xFFF0000000000000 // −Inf: no maximum yet
+DATA smoconst<>+104(SB)/8, $0xFFF0000000000000
+DATA smoconst<>+112(SB)/8, $0xFFF0000000000000
+DATA smoconst<>+120(SB)/8, $0xFFF0000000000000
+DATA smoconst<>+128(SB)/8, $-1.0 // no index yet
+DATA smoconst<>+136(SB)/8, $-1.0
+DATA smoconst<>+144(SB)/8, $-1.0
+DATA smoconst<>+152(SB)/8, $-1.0
+DATA smoconst<>+160(SB)/8, $0x8000000000000000 // sign bit
+DATA smoconst<>+168(SB)/8, $0x8000000000000000
+DATA smoconst<>+176(SB)/8, $0x8000000000000000
+DATA smoconst<>+184(SB)/8, $0x8000000000000000
+GLOBL smoconst<>(SB), RODATA|NOPTR, $192
+
+// SMOSELECT is the selection of one quad of f, loaded in Y1: SI, R10 and R11
+// point at f, pu and pd; Y10 holds the quad's indices; Y12/Y13 and Y14/Y15
+// the lane minima/indices and maxima/indices. It advances the three pointers
+// and the indices.
+#define SMOSELECT \
+	VADDPD (R10), Y1, Y3;               \
+	VCMPPD $0x11, Y12, Y3, Y4;          \
+	VMINPD Y12, Y3, Y12;                \
+	VBLENDVPD Y4, Y10, Y13, Y13;        \
+	VADDPD (R11), Y1, Y5;               \
+	VCMPPD $0x1E, Y14, Y5, Y6;          \
+	VMAXPD Y14, Y5, Y14;                \
+	VBLENDVPD Y6, Y10, Y15, Y15;        \
+	VADDPD smoconst<>+32(SB), Y10, Y10; \
+	ADDQ $32, SI;                       \
+	ADDQ $32, R10;                      \
+	ADDQ $32, R11
+
+#define SMOINIT \
+	VMOVUPD smoconst<>+0(SB), Y10;   \
+	VMOVUPD smoconst<>+64(SB), Y12;  \
+	VMOVUPD smoconst<>+128(SB), Y13; \
+	VMOVUPD smoconst<>+96(SB), Y14;  \
+	VMOVUPD Y13, Y15
+
+#define SMOSTORE \
+	VMOVUPD Y12, (DI);   \
+	VMOVUPD Y13, 32(DI); \
+	VMOVUPD Y14, 64(DI); \
+	VMOVUPD Y15, 96(DI); \
+	VZEROUPPER;          \
+	RET
+
+// func smoPassAVX(f, rowI, rowJ, pu, pd *float64, delta float64, quads int, lanes *[16]float64)
+TEXT ·smoPassAVX(SB), NOSPLIT, $0-64
+	MOVQ f+0(FP), SI
+	MOVQ rowI+8(FP), R8
+	MOVQ rowJ+16(FP), R9
+	MOVQ pu+24(FP), R10
+	MOVQ pd+32(FP), R11
+	VBROADCASTSD delta+40(FP), Y0
+	MOVQ quads+48(FP), CX
+	MOVQ lanes+56(FP), DI
+	SMOINIT
+passloop:
+	VMOVUPD (R8), Y2
+	VSUBPD (R9), Y2, Y2 // rowI − rowJ
+	VMULPD Y0, Y2, Y2   // delta·(rowI − rowJ)
+	VADDPD (SI), Y2, Y1 // f + delta·(rowI − rowJ)
+	VMOVUPD Y1, (SI)
+	ADDQ $32, R8
+	ADDQ $32, R9
+	SMOSELECT
+	DECQ CX
+	JNZ passloop
+	SMOSTORE
+
+// func smoSelectAVX(f, pu, pd *float64, quads int, lanes *[16]float64)
+TEXT ·smoSelectAVX(SB), NOSPLIT, $0-40
+	MOVQ f+0(FP), SI
+	MOVQ pu+8(FP), R10
+	MOVQ pd+16(FP), R11
+	MOVQ quads+24(FP), CX
+	MOVQ lanes+32(FP), DI
+	SMOINIT
+selectloop:
+	VMOVUPD (SI), Y1
+	SMOSELECT
+	DECQ CX
+	JNZ selectloop
+	SMOSTORE
+
+// func axpyAVX(a float64, x, y *float64, quads int)
+TEXT ·axpyAVX(SB), NOSPLIT, $0-32
+	VBROADCASTSD a+0(FP), Y0
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DI
+	MOVQ quads+24(FP), CX
+axpyloop:
+	VMULPD (SI), Y0, Y1 // a·x
+	VADDPD (DI), Y1, Y1 // y + a·x
+	VMOVUPD Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ axpyloop
+	VZEROUPPER
+	RET
+
+// func negScaleAVX(x *float64, a float64, quads int)
+TEXT ·negScaleAVX(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), SI
+	VBROADCASTSD a+8(FP), Y0
+	MOVQ quads+16(FP), CX
+	VMOVUPD smoconst<>+160(SB), Y2
+negloop:
+	VXORPD (SI), Y2, Y1 // −x, exactly
+	VMULPD Y0, Y1, Y1   // −x·a
+	VMOVUPD Y1, (SI)
+	ADDQ $32, SI
+	DECQ CX
+	JNZ negloop
+	VZEROUPPER
+	RET

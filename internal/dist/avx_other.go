@@ -42,3 +42,13 @@ func cpuHasAVX2FMA() bool { return false }
 func expQuadsAVX(x *float64, quads int) int { panic(noAVX) }
 
 const noAVX = "dist: AVX kernel called without amd64 support"
+
+func axpyAVX(a float64, x, y *float64, quads int) { panic(noAVX) }
+
+func negScaleAVX(x *float64, a float64, quads int) { panic(noAVX) }
+
+func smoPassAVX(f, rowI, rowJ, pu, pd *float64, delta float64, quads int, lanes *[16]float64) {
+	panic(noAVX)
+}
+
+func smoSelectAVX(f, pu, pd *float64, quads int, lanes *[16]float64) { panic(noAVX) }

@@ -33,8 +33,11 @@
 // stay as the path everywhere else and as the reference the tests hold the
 // assembly to.
 //
-// One kernel here is not a distance: ExpInPlace (exp.go), math.Exp over a
-// batch, four lanes at a time where the CPU allows, bit for bit math.Exp.
+// Some kernels here are not distances: ExpInPlace (exp.go), math.Exp over a
+// batch, four lanes at a time where the CPU allows, bit for bit math.Exp;
+// and the SVDD solver's vector loops (smo.go), Axpy, NegScale and the SMO
+// iteration's fused update-and-select pass, SMOPass, each bit for bit its
+// Go loop.
 package dist
 
 import "math"

@@ -116,10 +116,11 @@ type scanScratch struct {
 
 // NewLinear builds the zone map of a linear-scan index over ds in one pass
 // over its rows (the float32 mirror in F32 mode, whose values the kernels
-// widen exactly), checking ctx once; workers (<= 0 selects GOMAXPROCS) is
-// the number of goroutines a single query's split scan runs on. workers ==
-// 1 scans every single query on the caller, as do queries that read fewer
-// than 2·minBlockRows rows.
+// widen exactly), split over workers goroutines, checking ctx once; workers
+// (<= 0 selects GOMAXPROCS) is also the number of goroutines a single
+// query's split scan runs on. workers == 1 builds on the caller and scans
+// every single query there, as do queries that read fewer than
+// 2·minBlockRows rows.
 func NewLinear(ctx context.Context, ds *vec.Dataset, workers int) (*Linear, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -129,26 +130,42 @@ func NewLinear(ctx context.Context, ds *vec.Dataset, workers int) (*Linear, erro
 	workers = engine.ResolveWorkers(workers)
 	m := ds.Matrix()
 	l := &Linear{ds: ds, workers: workers, blocks: blocksFor(ds.Len(), 1, workers), tile: tileRows(m)}
-	if m.Coords32 != nil {
-		l.zone = zoneBoxes(m.Coords32, m.Dim)
-	} else {
-		l.zone = zoneBoxes(m.Coords, m.Dim)
-	}
-	l.word, l.wide = wordBoxes(l.zone, (ds.Len()+zoneRows-1)/zoneRows, m.Dim)
+	l.zone, l.word, l.wide = zoneMap(m, ds.Len(), workers)
 	return l, nil
 }
 
-// zoneBoxes returns the bounding boxes of the rows of c, zoneRows rows per
-// zone, in Linear.zone's layout.
-func zoneBoxes[E float32 | float64](c []E, d int) []float64 {
+// zoneMap returns Linear.zone, Linear.word and Linear.wide for the n rows
+// of m. Each 64-zone word reads only its own 4096 rows and writes only its
+// own bounds, so the words build on engine.For across workers, one word per
+// item, and every bound is the same min or max whichever worker computes
+// it.
+func zoneMap(m dist.Matrix, n, workers int) (zone, word []float64, wide []bool) {
+	d := m.Dim
 	if d <= 0 {
-		return nil
+		return nil, nil, nil
 	}
-	n := len(c) / d
 	zones := (n + zoneRows - 1) / zoneRows
-	box := make([]float64, 128*d*((zones+63)/64))
+	words := (zones + 63) / 64
+	zone, word, wide = make([]float64, 128*d*words), make([]float64, 2*d*words), make([]bool, words)
+	engine.For(nil, workers, words, 1, func(lo, hi int) {
+		for w := lo; w < hi; w++ {
+			if m.Coords32 != nil {
+				zoneBoxes(m.Coords32[:n*d], d, w, zone)
+			} else {
+				zoneBoxes(m.Coords[:n*d], d, w, zone)
+			}
+			wide[w] = wordBox(zone, zones, d, w, word)
+		}
+	})
+	return zone, word, wide
+}
+
+// zoneBoxes writes the bounding boxes of the zones of word w of the rows
+// of c, zoneRows rows per zone, into box in Linear.zone's layout.
+func zoneBoxes[E float32 | float64](c []E, d, w int, box []float64) {
+	n := len(c) / d
 	lo, hi := make([]float64, d), make([]float64, d)
-	for z := range zones {
+	for z := 64 * w; z < min(64*(w+1), (n+zoneRows-1)/zoneRows); z++ {
 		r0, r1 := z*zoneRows, min((z+1)*zoneRows, n)
 		for j, v := range c[r0*d : r0*d+d] {
 			lo[j], hi[j] = float64(v), float64(v)
@@ -167,38 +184,31 @@ func zoneBoxes[E float32 | float64](c []E, d int) []float64 {
 			bounds[128*j], bounds[128*j+64] = lo[j], hi[j]
 		}
 	}
-	return box
 }
 
-// wordBoxes returns the bounding boxes of the words of zones zone boxes
-// in Linear.word's layout, and which of those words are wide: the mean
-// over their zones and axes of zone width over word width (1 on an axis
+// wordBox writes the bounding box of word w, over zones zone boxes, into
+// word in Linear.word's layout, and reports whether the word is wide: the
+// mean over its zones and axes of zone width over word width (1 on an axis
 // where the word is flat) is at least one half. The mean reads 0.08 on
 // perfbench's cluster-default data in generation order and 0.97 on the
 // same rows shuffled.
-func wordBoxes(zone []float64, zones, d int) (word []float64, wide []bool) {
-	words := (zones + 63) / 64
-	word = make([]float64, 2*d*words)
-	wide = make([]bool, words)
-	for w := range words {
-		box, bounds := word[2*d*w:2*d*(w+1)], zone[128*d*w:128*d*(w+1)]
-		in := min(64, zones-64*w)
-		ratio := 0.0
-		for j := range d {
-			lo, hi := bounds[128*j:128*j+in], bounds[128*j+64:128*j+64+in]
-			box[j], box[d+j] = slices.Min(lo), slices.Max(hi)
-			span := box[d+j] - box[j]
-			for k := range in {
-				if span > 0 {
-					ratio += (hi[k] - lo[k]) / span
-				} else {
-					ratio++
-				}
+func wordBox(zone []float64, zones, d, w int, word []float64) bool {
+	box, bounds := word[2*d*w:2*d*(w+1)], zone[128*d*w:128*d*(w+1)]
+	in := min(64, zones-64*w)
+	ratio := 0.0
+	for j := range d {
+		lo, hi := bounds[128*j:128*j+in], bounds[128*j+64:128*j+64+in]
+		box[j], box[d+j] = slices.Min(lo), slices.Max(hi)
+		span := box[d+j] - box[j]
+		for k := range in {
+			if span > 0 {
+				ratio += (hi[k] - lo[k]) / span
+			} else {
+				ratio++
 			}
 		}
-		wide[w] = ratio >= 0.5*float64(in*d)
 	}
-	return word, wide
+	return ratio >= 0.5*float64(in*d)
 }
 
 // tileRows is the number of m's rows in tileBytes, rounded down to a

@@ -342,3 +342,72 @@ func FuzzLinearZones(f *testing.F) {
 		}
 	})
 }
+
+// TestZoneMapWorkersBitIdentical builds the zone map on 1, 2 and 3
+// workers and requires the zone boxes, word boxes and wide flags to be
+// bitwise equal: on walk rows in order and shuffled, with a row count
+// that leaves a ragged last zone and word, with NaN rows (first in a zone,
+// inside one, and a whole zone of them), in float64 and through the
+// float32 mirror.
+func TestZoneMapWorkersBitIdentical(t *testing.T) {
+	const n, d = 3*wordRows + 77, 5
+	walk := walkDataset(t, n, d, 41)
+	for _, rows := range []struct {
+		name string
+		ds   *vec.Dataset
+	}{{"ordered", walk}, {"shuffled", shuffled(t, walk, 42)}} {
+		coords := slices.Clone(rows.ds.Matrix().Coords)
+		for _, r := range []int{0, 70, 4096 + 3} {
+			coords[r*d+1] = math.NaN()
+		}
+		for r := 2 * zoneRows; r < 3*zoneRows; r++ {
+			for j := range d {
+				coords[r*d+j] = math.NaN()
+			}
+		}
+		f64 := dist.Matrix{Coords: coords, Dim: d}
+		f32 := dist.Matrix{Coords: make([]float64, len(coords)), Coords32: make([]float32, len(coords)), Dim: d}
+		for i, v := range coords {
+			f32.Coords32[i] = float32(v)
+			f32.Coords[i] = float64(f32.Coords32[i])
+		}
+		for _, m := range []struct {
+			name string
+			m    dist.Matrix
+		}{{"f64", f64}, {"f32", f32}} {
+			zone, word, wide := zoneMap(m.m, n, 1)
+			if len(wide) != 4 {
+				t.Fatalf("%d words, want 4", len(wide))
+			}
+			for _, workers := range []int{2, 3} {
+				z, w, wd := zoneMap(m.m, n, workers)
+				if !slices.Equal(f64Bits(z), f64Bits(zone)) || !slices.Equal(f64Bits(w), f64Bits(word)) || !slices.Equal(wd, wide) {
+					t.Fatalf("%s %s: zone map on %d workers differs from the serial build", rows.name, m.name, workers)
+				}
+			}
+		}
+	}
+}
+
+func f64Bits(v []float64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, x := range v {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// BenchmarkNewLinear times the zone-map build at perfbench's
+// cluster-default shape (n=40k, d=8) on one and two workers.
+func BenchmarkNewLinear(b *testing.B) {
+	ds := walkDataset(b, 40_000, 8, 1)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := NewLinear(context.Background(), ds, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -242,7 +242,7 @@ func TestShrinkMatchesFullScan(t *testing.T) {
 		ds := gaussCloud(350, 6, seed)
 		ids := vec.Iota(350)
 		times := make([]int, 350)
-		full, err := train(ds, ids, Config{Nu: 0.05, Times: times}, newKernelMatrix, false)
+		full, err := train(ds, ids, Config{Nu: 0.05, Times: times}, newKernelMatrix, (*Model).solveSMO, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,15 +340,16 @@ func benchTrainConfig() Config {
 // internal/svdd/README.md. The serial baseline trains on a fully dense
 // matrix with a full-scan solver — the strategy a non-adaptive
 // implementation would use; the fast variants use the lazy tier with the
-// pivot-row batch, shrinking and parallel workers.
+// pivot-row batch, shrinking and parallel workers, and twopass-serial is
+// fast-serial with the two-pass SMO loop the fused pass replaced.
 func BenchmarkTrain512d8(b *testing.B) {
 	ds := gaussCloud(512, 8, 3)
 	ids := vec.Iota(512)
-	run := func(b *testing.B, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix, shrink bool) {
+	run := func(b *testing.B, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix, solve solver, shrink bool) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := train(ds, ids, cfg, build, shrink); err != nil {
+			if _, err := train(ds, ids, cfg, build, solve, shrink); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -356,17 +357,22 @@ func BenchmarkTrain512d8(b *testing.B) {
 	b.Run("baseline-eager-serial", func(b *testing.B) {
 		cfg := benchTrainConfig()
 		cfg.Workers = 1
-		run(b, cfg, denseReference, false)
+		run(b, cfg, denseReference, (*Model).solveSMO, false)
+	})
+	b.Run("twopass-serial", func(b *testing.B) {
+		cfg := benchTrainConfig()
+		cfg.Workers = 1
+		run(b, cfg, newKernelMatrix, (*Model).solveSMOTwoPass, true)
 	})
 	b.Run("fast-serial", func(b *testing.B) {
 		cfg := benchTrainConfig()
 		cfg.Workers = 1
-		run(b, cfg, newKernelMatrix, true)
+		run(b, cfg, newKernelMatrix, (*Model).solveSMO, true)
 	})
 	b.Run("fast-workers8", func(b *testing.B) {
 		cfg := benchTrainConfig()
 		cfg.Workers = 8
-		run(b, cfg, newKernelMatrix, true)
+		run(b, cfg, newKernelMatrix, (*Model).solveSMO, true)
 	})
 }
 

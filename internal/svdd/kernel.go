@@ -200,8 +200,8 @@ func (km *kernelMatrix) fillDense(workers int) {
 
 // kernelRow writes K(i, j) for the targets j in [off, off+len(out)) into
 // out: the squared distances from the packed rows (through the cached-norms
-// identity when it is enabled for this matrix), then −d²·γ, then one
-// ExpInPlace over the segment. Each entry is math.Exp(−d²·γ) of the d²
+// identity when it is enabled for this matrix), then −d²·γ (one NegScale),
+// then one ExpInPlace over the segment. Each entry is math.Exp(−d²·γ) of the d²
 // that SqDistsTo and SqDistsToCached give, bit for bit.
 func (km *kernelMatrix) kernelRow(i, off int, out []float64) {
 	q := km.ds.Point(int(km.ids[i]))
@@ -211,9 +211,7 @@ func (km *kernelMatrix) kernelRow(i, off int, out []float64) {
 	} else {
 		dist.SqDistsToRange(*km.packed, q, off, hi, out)
 	}
-	for k, d2 := range out {
-		out[k] = -d2 * km.gamma
-	}
+	dist.NegScale(out, km.gamma)
 	dist.ExpInPlace(out)
 }
 

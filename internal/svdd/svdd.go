@@ -23,6 +23,7 @@
 // and the pivot-row batch of large ones fan out across a worker pool, and a
 // shrinking heuristic drops bound-pinned multipliers from the working set
 // (with a final full-pass KKT re-check so converged models are unchanged).
+// Each SMO iteration is one fused pass over the gradients (dist.SMOPass).
 package svdd
 
 import (
@@ -30,7 +31,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"dbsvec/internal/dist"
 	"dbsvec/internal/engine"
@@ -155,14 +158,19 @@ const (
 // anywhere inside training (including worker goroutines of the parallel
 // kernel fill) is contained and returned as a *fault.WorkerPanicError.
 func Train(ds *vec.Dataset, ids []int32, cfg Config) (*Model, error) {
-	return train(ds, ids, cfg, newKernelMatrix, true)
+	return train(ds, ids, cfg, newKernelMatrix, (*Model).solveSMO, true)
 }
 
-// train is Train with the kernel-matrix constructor and the shrinking
-// heuristic as parameters, so package tests and benchmarks can run a
-// training on a fully dense matrix or with the full scan over every
-// multiplier as the reference the shrinking solver must match.
-func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix, shrink bool) (model *Model, err error) {
+// solver is the SMO solve a training runs: solveSMO, or in the package's
+// tests the two-pass loop it replaced, which it must match bit for bit.
+type solver func(m *Model, ctx context.Context, km *kernelMatrix, s *smoScratch, maxIter int, shrink bool) (bool, error)
+
+// train is Train with the kernel-matrix constructor, the solver and the
+// shrinking heuristic as parameters, so package tests and benchmarks can run
+// a training on a fully dense matrix, with a reference solver, or with the
+// full scan over every multiplier as the reference the shrinking solver must
+// match.
+func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix, solve solver, shrink bool) (model *Model, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			model, err = nil, fault.AsWorkerPanic(v)
@@ -250,18 +258,20 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 	m.Upper = upper
 	fill.Stop(&m.Times.Fill)
 
-	solve := engine.StartPhase()
-	converged, solveErr := m.solveSMO(cfg.Context, km, maxIter, shrink)
-	solve.Stop(&m.Times.Solve)
+	s := getScratch(n)
+	defer scratchPool.Put(s)
+	phase := engine.StartPhase()
+	converged, solveErr := solve(m, cfg.Context, km, s, maxIter, shrink)
+	phase.Stop(&m.Times.Solve)
 	if solveErr != nil {
 		releaseMatrix(km)
 		return nil, solveErr
 	}
 	m.Converged = converged
 
-	fin := engine.StartPhase()
-	m.finish(km)
-	fin.Stop(&m.Times.Finish)
+	phase = engine.StartPhase()
+	m.finish(km, s.f)
+	phase.Stop(&m.Times.Finish)
 	releaseMatrix(km)
 
 	if !m.Converged {
@@ -292,25 +302,27 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 // keeps each SVDD training linear in ñ as the paper's cost analysis
 // assumes. The pivot rows are the one set of lazy rows known before the
 // solver starts, so they are computed as a single batch across workers.
+//
+// Both sums run column-wise, one dist.Axpy(1, row, sums) per row: the
+// multiply by 1 is exact, and each entry adds its terms in row order. For
+// the pivot sums that is the order of a per-entry loop; for the exact row
+// sums it is too, because the dense matrix is a bitwise mirror, so column i
+// of rows 0…ñ−1 holds row i's entries in j order.
 func adaptiveWeights(km *kernelMatrix, times []int, workers int) []float64 {
 	n := km.n
-	dists := make([]float64, n)
+	dists := make([]float64, n) // the kernel sums, then the distances
 	if n <= weightsExactCap {
-		rowSums := make([]float64, n)
+		for j := 0; j < n; j++ {
+			dist.Axpy(1, km.row(j), dists)
+		}
 		var double float64
-		for i := 0; i < n; i++ {
-			row := km.row(i)
-			var s float64
-			for _, v := range row {
-				s += v
-			}
-			rowSums[i] = s
+		for _, s := range dists {
 			double += s
 		}
 		nf := float64(n)
 		c := double / (nf * nf)
-		for i := 0; i < n; i++ {
-			dists[i] = c + 1 - 2*rowSums[i]/nf
+		for i, s := range dists {
+			dists[i] = c + 1 - 2*s/nf
 		}
 	} else {
 		const pivots = 96
@@ -324,21 +336,18 @@ func adaptiveWeights(km *kernelMatrix, times []int, workers int) []float64 {
 			pivotIdx[p] = int(float64(p) * stride)
 		}
 		km.fillRows(pivotIdx, workers)
-		sums := make([]float64, n)
 		var double float64
 		for _, p := range pivotIdx {
 			row := km.row(p)
-			for i := 0; i < n; i++ {
-				sums[i] += row[i]
-			}
+			dist.Axpy(1, row, dists)
 			for _, q := range pivotIdx {
 				double += row[q]
 			}
 		}
 		mf := float64(m)
 		c := double / (mf * mf)
-		for i := 0; i < n; i++ {
-			dists[i] = c + 1 - 2*sums[i]/mf
+		for i, s := range dists {
+			dists[i] = c + 1 - 2*s/mf
 		}
 	}
 	maxD := 0.0
@@ -374,73 +383,114 @@ func initAlpha(alpha, upper []float64) {
 }
 
 // shrinkPeriod is the number of SMO iterations between working-set pruning
-// passes. Pruning costs one scan over the active set, so it must be
-// amortized over enough iterations; too long and the solver keeps scanning
-// multipliers that have been pinned at their bounds for hundreds of
-// iterations.
+// passes. Pruning costs one scan over the multipliers plus a selection pass,
+// so it must be amortized over enough iterations; too long and the solver
+// keeps selecting among multipliers that have been pinned at their bounds
+// for hundreds of iterations.
 const shrinkPeriod = 64
 
+// smoScratch is one training's O(ñ) solver state, pooled like the kernel
+// rows because DBSVEC trains hundreds of similar-sized targets per run: the
+// gradient f (reused by finish), the gradient reconstruction buffer g, the
+// eligibility biases pu and pd that dist.SMOPass selects with, and the
+// shrinking heuristic's active mask.
+type smoScratch struct {
+	f, g, pu, pd []float64
+	active       []bool
+}
+
+var scratchPool sync.Pool
+
+// getScratch returns a pooled scratch sized for n multipliers; its contents
+// are stale, and every user initializes what it reads.
+func getScratch(n int) *smoScratch {
+	s, _ := scratchPool.Get().(*smoScratch)
+	if s == nil {
+		s = new(smoScratch)
+	}
+	s.f = slices.Grow(s.f[:0], n)[:n]
+	s.g = slices.Grow(s.g[:0], n)[:n]
+	s.pu = slices.Grow(s.pu[:0], n)[:n]
+	s.pd = slices.Grow(s.pd[:0], n)[:n]
+	s.active = slices.Grow(s.active[:0], n)[:n]
+	return s
+}
+
+// setBias sets multiplier k's eligibility biases from α_k, u_k and its
+// membership of the working set: pu[k] = 0 when α_k may grow (the up side),
+// pd[k] = 0 when it may shrink (the down side), and ±Inf otherwise.
+func (s *smoScratch) setBias(k int, alpha, upper []float64) {
+	s.pu[k], s.pd[k] = math.Inf(1), math.Inf(-1)
+	if !s.active[k] {
+		return
+	}
+	if alpha[k] < upper[k]-svThreshold {
+		s.pu[k] = 0
+	}
+	if alpha[k] > svThreshold {
+		s.pd[k] = 0
+	}
+}
+
 // solveSMO runs SMO on the dual with first-order (maximal violating pair)
-// working-set selection.
+// working-set selection, in one pass over the ñ multipliers per iteration:
+// dist.SMOPass adds the step's update to the gradient and, in the same loop,
+// selects the next pair. The pair is the up candidate, the smallest gradient
+// among the points that can grow, and the maximal-violation down candidate,
+// the largest among those that can shrink, the first index winning ties.
+// Which points can move is held in the biases pu and pd (setBias); they
+// change only at the step's two multipliers and when shrinking prunes or
+// restores multipliers.
 //
-// With shrink set, the solver maintains an active working set: every
-// shrinkPeriod iterations, multipliers pinned at a bound that cannot
-// currently form a tol-violating pair (α_i = 0 with f_i within tol of the
-// maximal gradient, or α_i = u_i with f_i within tol of the minimal one)
-// are dropped from selection and from the incremental gradient update, so
-// late iterations cost O(|A|) instead of O(ñ). When the active set
-// converges, the gradient of every inactive multiplier is reconstructed and
-// a full-pass KKT re-check runs over all ñ points; only if that passes is
-// the model declared converged, so shrinking never changes the KKT
-// conditions a converged model satisfies.
+// With shrink set, every shrinkPeriod iterations the multipliers pinned at a
+// bound that cannot currently form a tol-violating pair (α_i = 0 with f_i
+// within tol of the maximal gradient, or α_i = u_i with f_i within tol of the
+// minimal one) leave the working set: their biases go to ±Inf, so they can
+// no longer be selected. Shrinking narrows eligibility, not the pass length:
+// the pass keeps running over all ñ entries, and the gradients of inactive
+// multipliers may drift from their exact sums. When the working set
+// converges, those gradients are reconstructed exactly and a full-pass KKT
+// re-check runs over all ñ points; only if that passes is the model declared
+// converged, so shrinking never changes the KKT conditions a converged model
+// satisfies.
 //
 // The returned bool reports convergence: false means maxIter was exhausted
 // and the current iterate is the best found. A non-nil ctx is polled every
 // 1024 iterations; on cancellation the solve aborts with ctx's error.
-func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, maxIter int, shrink bool) (bool, error) {
-	n := len(m.IDs)
+func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, s *smoScratch, maxIter int, shrink bool) (bool, error) {
 	alpha := m.Alpha
 	upper := m.Upper
+	f, pu, pd, active := s.f, s.pu, s.pd, s.active
 
 	initAlpha(alpha, upper)
 
 	// f_i = Σ_j α_j K_ij maintained incrementally. The gradient of αᵀKα is
 	// 2f; SMO moves mass from the max-gradient "down" candidate to the
 	// min-gradient "up" candidate.
-	f := make([]float64, n)
-	for j := 0; j < n; j++ {
-		if alpha[j] == 0 {
-			continue
-		}
-		row := km.row(j)
-		aj := alpha[j]
-		for i := 0; i < n; i++ {
-			f[i] += aj * row[i]
+	clear(f)
+	for j, aj := range alpha {
+		if aj != 0 {
+			dist.Axpy(aj, km.row(j), f)
 		}
 	}
-
-	// The active working set, as indices into the target. activeMask mirrors
-	// it for the gradient reconstruction; shrunk records whether any
-	// multiplier is currently excluded.
-	active := make([]int32, n)
-	for i := range active {
-		active[i] = int32(i)
+	for k := range active {
+		active[k] = true
+		s.setBias(k, alpha, upper)
 	}
-	var activeMask []bool
+	up, down := dist.SMOSelect(f, pu, pd)
 	shrunk := false
 	sincePrune := 0
 
 	// unshrink brings every excluded multiplier back: gradients of the
 	// inactive points are reconstructed and the working set reset to the
-	// full target, so the next selection pass checks the full KKT
-	// conditions.
+	// full target, so the next selection checks the full KKT conditions.
 	unshrink := func() {
-		reconstructGradient(km, alpha, f, activeMask)
-		active = active[:0]
-		for i := 0; i < n; i++ {
-			active = append(active, int32(i))
-			activeMask[i] = true
+		reconstructGradient(km, alpha, f, s.g, active)
+		for k := range active {
+			active[k] = true
+			s.setBias(k, alpha, upper)
 		}
+		up, down = dist.SMOSelect(f, pu, pd)
 		shrunk = false
 		sincePrune = 0
 	}
@@ -452,20 +502,7 @@ func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, maxIter int, shr
 				return false, err
 			}
 		}
-		// Select the up candidate (smallest gradient among points that can
-		// grow) and the maximal-violation down candidate.
-		up, down := -1, -1
-		upVal, downVal := math.Inf(1), math.Inf(-1)
-		for _, ii := range active {
-			i := int(ii)
-			if alpha[i] < upper[i]-svThreshold && f[i] < upVal {
-				upVal, up = f[i], i
-			}
-			if alpha[i] > svThreshold && f[i] > downVal {
-				downVal, down = f[i], i
-			}
-		}
-		if up < 0 || down < 0 || downVal-upVal < tol {
+		if up < 0 || down < 0 || f[down]-f[up] < tol {
 			if !shrunk {
 				m.Iterations = iter
 				return true, nil
@@ -478,11 +515,12 @@ func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, maxIter int, shr
 			continue
 		}
 		i, j := up, down
+		upVal, downVal := f[i], f[j]
 		// Closed-form step: minimize along α_i += Δ, α_j -= Δ.
 		eta := 2 - 2*km.at(i, j) // K_ii + K_jj − 2K_ij with Gaussian diag 1
 		var delta float64
 		if eta > 1e-12 {
-			delta = (f[j] - f[i]) / eta
+			delta = (downVal - upVal) / eta
 		} else {
 			// Degenerate direction (duplicate points): move as far as the
 			// box allows; the objective is linear with negative slope.
@@ -507,12 +545,9 @@ func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, maxIter int, shr
 		}
 		alpha[i] += delta
 		alpha[j] -= delta
-		rowI := km.row(i)
-		rowJ := km.row(j)
-		for _, kk := range active {
-			k := int(kk)
-			f[k] += delta * (rowI[k] - rowJ[k])
-		}
+		s.setBias(i, alpha, upper)
+		s.setBias(j, alpha, upper)
+		up, down = dist.SMOPass(f, km.row(i), km.row(j), pu, pd, delta)
 		m.Iterations = iter + 1
 
 		if !shrink {
@@ -523,77 +558,61 @@ func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, maxIter int, shr
 			continue
 		}
 		sincePrune = 0
-		if activeMask == nil {
-			activeMask = make([]bool, n)
-			for i := range activeMask {
-				activeMask[i] = true
-			}
-		}
 		// Prune multipliers pinned at a bound that cannot currently form a
 		// violating pair: at the lower bound they could only serve as the
 		// up side, which needs downVal − f_i ≥ tol; at the upper bound only
 		// as the down side, needing f_i − upVal ≥ tol. The extremes are the
 		// pre-step selection values — a conservative snapshot, corrected by
-		// the full re-check at convergence.
-		out := active[:0]
-		for _, ii := range active {
-			k := int(ii)
+		// the full re-check at convergence. The pass's selection may have
+		// picked a pruned multiplier, so it runs again.
+		for k, on := range active {
+			if !on {
+				continue
+			}
 			atLower := alpha[k] <= svThreshold
 			atUpper := alpha[k] >= upper[k]-svThreshold
 			if (atLower && downVal-f[k] < tol) || (atUpper && f[k]-upVal < tol) {
-				activeMask[k] = false
+				active[k] = false
+				pu[k], pd[k] = math.Inf(1), math.Inf(-1)
 				shrunk = true
-				continue
 			}
-			out = append(out, ii)
 		}
-		active = out
+		up, down = dist.SMOSelect(f, pu, pd)
 	}
 	return false, nil
 }
 
-// reconstructGradient recomputes f_i = Σ_j α_j K_ij for every inactive
-// multiplier (the active ones are maintained incrementally). Cost is
-// O(#SV · #inactive) row accesses — paid once per unshrink, not per
-// iteration.
-func reconstructGradient(km *kernelMatrix, alpha, f []float64, activeMask []bool) {
-	n := len(alpha)
-	stale := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if !activeMask[i] {
-			f[i] = 0
-			stale = append(stale, int32(i))
+// reconstructGradient recomputes f_i = Σ_j α_j K_ij exactly for every
+// inactive multiplier; the active ones keep their incremental values. The
+// sums run over all ñ entries into the scratch g, one dist.Axpy per support
+// vector row, and only the inactive entries are copied into f: each is
+// 0 + α_j·K_ij added in j order, the sum a per-entry loop forms. Paid once
+// per unshrink, not per iteration.
+func reconstructGradient(km *kernelMatrix, alpha, f, g []float64, active []bool) {
+	clear(g)
+	for j, aj := range alpha {
+		if aj != 0 {
+			dist.Axpy(aj, km.row(j), g)
 		}
 	}
-	if len(stale) == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		if alpha[j] == 0 {
-			continue
-		}
-		row := km.row(j)
-		aj := alpha[j]
-		for _, ii := range stale {
-			f[ii] += aj * row[ii]
+	for k, on := range active {
+		if !on {
+			f[k] = g[k]
 		}
 	}
 }
 
-// finish computes αᵀKα and the radius R² from the normal support vectors.
-func (m *Model) finish(km *kernelMatrix) {
+// finish computes αᵀKα and the radius R² from the normal support vectors,
+// with f (length ñ, contents stale) as the scratch for Kα.
+func (m *Model) finish(km *kernelMatrix, f []float64) {
 	n := len(m.IDs)
 	var dot float64
-	f := make([]float64, n)
-	for j := 0; j < n; j++ {
-		if m.Alpha[j] <= svThreshold {
+	clear(f)
+	for j, aj := range m.Alpha {
+		if aj <= svThreshold {
 			continue
 		}
-		row := km.row(j)
-		aj := m.Alpha[j]
-		for i := 0; i < n; i++ {
-			f[i] += aj * row[i]
-		}
+		dist.Axpy(aj, km.row(j), f)
 	}
 	for i := 0; i < n; i++ {
 		dot += m.Alpha[i] * f[i]
