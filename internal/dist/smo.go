@@ -45,7 +45,7 @@ func NegScale(x []float64, a float64) {
 // then the add, each rounded) and, on the updated values, returns up, the
 // first index of the smallest f[k]+pu[k], and down, the first index of the
 // largest f[k]+pd[k]. pu and pd are eligibility biases: 0 where the
-// multiplier may grow (pu) or shrink (pd), +Inf in pu and −Inf in pd where
+// multiplier may grow (pu) or fall (pd), +Inf in pu and −Inf in pd where
 // it may not, so an ineligible entry never wins (its sum is ±Inf or NaN).
 // Only sums below +Inf compete for up and above −Inf for down, and NaN never
 // compares, so up or down is −1 when nothing qualifies. rowI, rowJ, pu and

@@ -29,7 +29,7 @@ func denseReference(ds *vec.Dataset, ids []int32, sigma float64, workers int) *k
 	km := newKernelMatrix(ds, ids, sigma, workers)
 	if km.full == nil {
 		km.rows = nil
-		km.full = getMatrixBuf(km.n * km.n)
+		km.full = getBuf(&matrixPool, km.n*km.n)
 		km.fillDense(workers)
 	}
 	return km
@@ -48,7 +48,7 @@ func TestParallelFillBitIdentical(t *testing.T) {
 		if ref.full == nil {
 			t.Fatalf("n=%d: serial fill is not dense", tc.n)
 		}
-		refCopy := append([]float64(nil), ref.full...)
+		refCopy := append([]float64(nil), *ref.full...)
 		releaseMatrix(ref)
 
 		for _, workers := range []int{2, 8} {
@@ -56,7 +56,7 @@ func TestParallelFillBitIdentical(t *testing.T) {
 			if km.full == nil {
 				t.Fatalf("n=%d workers=%d: parallel fill is not dense", tc.n, workers)
 			}
-			for i, v := range km.full {
+			for i, v := range *km.full {
 				if v != refCopy[i] {
 					t.Fatalf("n=%d d=%d workers=%d: entry (%d,%d) = %x, serial %x",
 						tc.n, tc.d, workers, i/tc.n, i%tc.n, math.Float64bits(v), math.Float64bits(refCopy[i]))
@@ -150,10 +150,10 @@ func TestPivotBatchMatchesSerialRows(t *testing.T) {
 					km := newKernelMatrix(ds, ids, sigma, workers)
 					km.fillRows(pivots, workers)
 					for _, p := range pivots {
-						got, want := km.rows[p], serial.rows[p]
-						if got == nil {
+						if km.rows[p] == nil {
 							t.Fatalf("n=%d d=%d %v workers=%d: pivot row %d not cached", n, d, prec, workers, p)
 						}
+						got, want := *km.rows[p], *serial.rows[p]
 						for j := range want {
 							if got[j] != want[j] {
 								t.Fatalf("n=%d d=%d %v workers=%d: row %d entry %d batch %x serial %x",
@@ -233,39 +233,6 @@ func kktViolation(t *testing.T, ds *vec.Dataset, m *Model) float64 {
 	return downVal - upVal
 }
 
-// TestShrinkMatchesFullScan verifies that shrinking changes no observable
-// output: the final full-pass KKT re-check makes the shrunk solver converge
-// to a model satisfying the same conditions, and on these inputs the very
-// same iterate path.
-func TestShrinkMatchesFullScan(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		ds := gaussCloud(350, 6, seed)
-		ids := vec.Iota(350)
-		times := make([]int, 350)
-		full, err := train(ds, ids, Config{Nu: 0.05, Times: times}, newKernelMatrix, (*Model).solveSMO, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shrunk, err := Train(ds, ids, Config{Nu: 0.05, Times: times})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g := kktViolation(t, ds, shrunk); g >= tol {
-			t.Errorf("seed %d: shrunk model violates KKT by %g", seed, g)
-		}
-		// Shrinking may select different pairs after the first prune, so the
-		// iterate paths can diverge — but both minimize the same convex dual
-		// to the same KKT gap, bounding the objective difference by O(tol).
-		if math.Abs(full.ObjectiveValue()-shrunk.ObjectiveValue()) > 1e-3 {
-			t.Errorf("seed %d: objective %g (shrink) vs %g (full scan)",
-				seed, shrunk.ObjectiveValue(), full.ObjectiveValue())
-		}
-		if s := shrunk.SumAlpha(); math.Abs(s-1) > 1e-9 {
-			t.Errorf("seed %d: sum alpha = %g", seed, s)
-		}
-	}
-}
-
 // TestInitAlpha covers the greedy cap-respecting fill directly.
 func TestInitAlpha(t *testing.T) {
 	upper := []float64{0.5, 0.5, 0.5, 0.5}
@@ -338,18 +305,18 @@ func benchTrainConfig() Config {
 
 // BenchmarkTrain512d8 is the acceptance micro-benchmark recorded in
 // internal/svdd/README.md. The serial baseline trains on a fully dense
-// matrix with a full-scan solver — the strategy a non-adaptive
-// implementation would use; the fast variants use the lazy tier with the
-// pivot-row batch, shrinking and parallel workers, and twopass-serial is
-// fast-serial with the two-pass SMO loop the fused pass replaced.
+// matrix — the strategy a non-adaptive implementation would use; the fast
+// variants use the lazy tier with the pivot-row batch and parallel workers,
+// and twopass-serial is fast-serial with the two-pass SMO loop the fused
+// pass replaced.
 func BenchmarkTrain512d8(b *testing.B) {
 	ds := gaussCloud(512, 8, 3)
 	ids := vec.Iota(512)
-	run := func(b *testing.B, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix, solve solver, shrink bool) {
+	run := func(b *testing.B, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix, solve solver) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := train(ds, ids, cfg, build, solve, shrink); err != nil {
+			if _, err := train(ds, ids, cfg, build, solve); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -357,22 +324,22 @@ func BenchmarkTrain512d8(b *testing.B) {
 	b.Run("baseline-eager-serial", func(b *testing.B) {
 		cfg := benchTrainConfig()
 		cfg.Workers = 1
-		run(b, cfg, denseReference, (*Model).solveSMO, false)
+		run(b, cfg, denseReference, (*Model).solveSMO)
 	})
 	b.Run("twopass-serial", func(b *testing.B) {
 		cfg := benchTrainConfig()
 		cfg.Workers = 1
-		run(b, cfg, newKernelMatrix, (*Model).solveSMOTwoPass, true)
+		run(b, cfg, newKernelMatrix, (*Model).solveSMOTwoPass)
 	})
 	b.Run("fast-serial", func(b *testing.B) {
 		cfg := benchTrainConfig()
 		cfg.Workers = 1
-		run(b, cfg, newKernelMatrix, (*Model).solveSMO, true)
+		run(b, cfg, newKernelMatrix, (*Model).solveSMO)
 	})
 	b.Run("fast-workers8", func(b *testing.B) {
 		cfg := benchTrainConfig()
 		cfg.Workers = 8
-		run(b, cfg, newKernelMatrix, (*Model).solveSMO, true)
+		run(b, cfg, newKernelMatrix, (*Model).solveSMO)
 	})
 }
 

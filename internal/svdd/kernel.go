@@ -43,8 +43,8 @@ type kernelMatrix struct {
 	ids    []int32
 	gamma  float64 // 1/(2σ²)
 	n      int
-	full   []float64   // dense storage when n <= weightsExactCap
-	rows   [][]float64 // lazy row cache otherwise
+	full   *[]float64   // dense storage when n <= weightsExactCap
+	rows   []*[]float64 // lazy row cache otherwise
 	// norms caches ‖x_i‖² per target for the cached-norms distance identity;
 	// nil where dist.UseCachedNorms says the identity does not pay: at low
 	// dimension, and in float32 storage mode, where its catastrophic
@@ -65,19 +65,23 @@ const weightsExactCap = 256
 // across workers; below it goroutine startup dominates the O(ñ²) fill.
 const parallelFillMin = 128
 
-// matrixPool recycles dense kernel-matrix backing slices. DBSVEC trains
-// SVDD hundreds of times per run with similar target sizes, so reuse avoids
-// repeated large allocations and their zeroing cost.
-var matrixPool sync.Pool
+// matrixPool and rowPool recycle the dense kernel-matrix backing buffers and
+// the lazy kernel rows: DBSVEC trains SVDD hundreds of times per run with
+// similar target sizes, and SMO materializes a row per touched target, so
+// reuse avoids repeated large allocations and their zeroing cost. Both hold
+// *[]float64, the box a kernelMatrix keeps its buffers in, so neither Get nor
+// Put allocates a slice header.
+var matrixPool, rowPool sync.Pool
 
-func getMatrixBuf(n int) []float64 {
-	if v := matrixPool.Get(); v != nil {
-		buf := v.([]float64)
-		if cap(buf) >= n {
-			return buf[:n]
-		}
+// getBuf returns a pooled buffer of length n from pool, or a new one when
+// the pool is empty or its buffer too short.
+func getBuf(pool *sync.Pool, n int) *[]float64 {
+	if p, _ := pool.Get().(*[]float64); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
 	}
-	return make([]float64, n)
+	buf := make([]float64, n)
+	return &buf
 }
 
 // packPool recycles the packed target copies (*dist.Matrix); like the
@@ -95,21 +99,6 @@ func packTargets(m dist.Matrix, ids []int32) *dist.Matrix {
 	return p
 }
 
-// rowPool recycles lazy kernel rows the same way: SMO materializes a row per
-// touched target, and consecutive trainings touch similar row counts at
-// similar lengths.
-var rowPool sync.Pool
-
-func getRowBuf(n int) []float64 {
-	if v := rowPool.Get(); v != nil {
-		buf := v.([]float64)
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
 // releaseMatrix returns the model's packed targets, dense matrix and any
 // materialized lazy rows to their pools; called by Train once the solver is
 // done with them.
@@ -119,12 +108,12 @@ func releaseMatrix(km *kernelMatrix) {
 		km.packed = nil
 	}
 	if km.full != nil {
-		matrixPool.Put(km.full) //nolint:staticcheck // slice reuse is the point
+		matrixPool.Put(km.full)
 		km.full = nil
 	}
 	for i, r := range km.rows {
 		if r != nil {
-			rowPool.Put(r) //nolint:staticcheck // slice reuse is the point
+			rowPool.Put(r)
 			km.rows[i] = nil
 		}
 	}
@@ -141,10 +130,10 @@ func newKernelMatrix(ds *vec.Dataset, ids []int32, sigma float64, workers int) *
 		km.norms = dist.NormsIDs(km.m, ids)
 	}
 	if km.n <= weightsExactCap {
-		km.full = getMatrixBuf(km.n * km.n)
+		km.full = getBuf(&matrixPool, km.n*km.n)
 		km.fillDense(workers)
 	} else {
-		km.rows = make([][]float64, km.n)
+		km.rows = make([]*[]float64, km.n)
 	}
 	return km
 }
@@ -157,7 +146,7 @@ const fillBlock = 128
 
 // fillStride is the number of rows a worker of the parallel dense fill
 // claims at a time: enough rows to reuse each column tile, few enough that
-// the triangle's shrinking rows spread evenly over the workers.
+// the triangle's ever shorter rows spread evenly over the workers.
 const fillStride = 16
 
 // fillDense computes the dense matrix: the upper triangle via the batched
@@ -171,10 +160,10 @@ const fillStride = 16
 // neither the tiling nor the chunking changes a single bit: the result is
 // identical for every worker count and tile width.
 func (km *kernelMatrix) fillDense(workers int) {
-	n := km.n
+	n, full := km.n, *km.full
 	fill := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			km.full[i*n+i] = 1
+			full[i*n+i] = 1
 		}
 		for j0 := lo + 1; j0 < n; j0 += fillBlock {
 			j1 := min(j0+fillBlock, n)
@@ -183,10 +172,10 @@ func (km *kernelMatrix) fillDense(workers int) {
 				if s >= j1 {
 					continue
 				}
-				seg := km.full[i*n+s : i*n+j1]
+				seg := full[i*n+s : i*n+j1]
 				km.kernelRow(i, s, seg)
 				for k, v := range seg {
-					km.full[(s+k)*n+i] = v
+					full[(s+k)*n+i] = v
 				}
 			}
 		}
@@ -219,22 +208,21 @@ func (km *kernelMatrix) kernelRow(i, off int, out []float64) {
 // it on first access.
 func (km *kernelMatrix) row(i int) []float64 {
 	if km.full != nil {
-		return km.full[i*km.n : (i+1)*km.n]
+		return (*km.full)[i*km.n : (i+1)*km.n]
 	}
-	if r := km.rows[i]; r != nil {
-		return r
+	if km.rows[i] == nil {
+		km.rows[i] = km.computeRow(i)
 	}
-	r := km.computeRow(i)
-	km.rows[i] = r
-	return r
+	return *km.rows[i]
 }
 
 // computeRow evaluates row i of the kernel matrix into a pooled buffer.
-func (km *kernelMatrix) computeRow(i int) []float64 {
-	r := getRowBuf(km.n)
+func (km *kernelMatrix) computeRow(i int) *[]float64 {
+	p := getBuf(&rowPool, km.n)
+	r := *p
 	km.kernelRow(i, 0, r)
 	r[i] = 1
-	return r
+	return p
 }
 
 // fillRows computes and caches the lazy rows idx (distinct indices, none
@@ -266,13 +254,13 @@ func (km *kernelMatrix) at(i, j int) float64 {
 		return 1
 	}
 	if km.full != nil {
-		return km.full[i*km.n+j]
+		return (*km.full)[i*km.n+j]
 	}
 	if r := km.rows[i]; r != nil {
-		return r[j]
+		return (*r)[j]
 	}
 	if r := km.rows[j]; r != nil {
-		return r[i]
+		return (*r)[i]
 	}
 	var d2 float64
 	if km.norms != nil {

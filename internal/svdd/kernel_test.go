@@ -100,7 +100,7 @@ func TestPackedRowsMatchGatherRows(t *testing.T) {
 					}
 					km.fillRows(pivots, 2)
 					for _, p := range pivots {
-						check("pivot", p, km.rows[p])
+						check("pivot", p, *km.rows[p])
 					}
 					for i := 0; i < n; i++ {
 						check("lazy", i, km.row(i))

@@ -73,10 +73,10 @@ func TestFillDenseBlockedBitIdentical(t *testing.T) {
 				if km.full == nil {
 					t.Fatalf("workers=%d: expected dense fill", workers)
 				}
-				for idx := range want {
-					if km.full[idx] != want[idx] {
+				for idx, got := range *km.full {
+					if got != want[idx] {
 						t.Fatalf("workers=%d: entry (%d,%d) = %v, reference %v",
-							workers, idx/n, idx%n, km.full[idx], want[idx])
+							workers, idx/n, idx%n, got, want[idx])
 					}
 				}
 			}

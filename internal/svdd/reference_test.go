@@ -12,13 +12,13 @@ import (
 )
 
 // The SMO solver as it ran before the fused pass: per iteration a selection
-// scan and a gradient update, each over the active index list, with scalar
+// scan and a gradient update, each over all ñ multipliers, with scalar
 // gradient sums. It is kept, as denseReference is, as the reference that
 // TestSolverTrajectoryPin holds solveSMO and finish to bit for bit.
 
 // solveSMOTwoPass is the two-pass solver; it allocates its own state and
 // ignores the pooled scratch.
-func (m *Model) solveSMOTwoPass(ctx context.Context, km *kernelMatrix, _ *smoScratch, maxIter int, shrink bool) (bool, error) {
+func (m *Model) solveSMOTwoPass(ctx context.Context, km *kernelMatrix, _ *smoScratch, maxIter int) (bool, error) {
 	n := len(m.IDs)
 	alpha := m.Alpha
 	upper := m.Upper
@@ -40,32 +40,6 @@ func (m *Model) solveSMOTwoPass(ctx context.Context, km *kernelMatrix, _ *smoScr
 		}
 	}
 
-	// The active working set, as indices into the target. activeMask mirrors
-	// it for the gradient reconstruction; shrunk records whether any
-	// multiplier is currently excluded.
-	active := make([]int32, n)
-	for i := range active {
-		active[i] = int32(i)
-	}
-	var activeMask []bool
-	shrunk := false
-	sincePrune := 0
-
-	// unshrink brings every excluded multiplier back: gradients of the
-	// inactive points are reconstructed and the working set reset to the
-	// full target, so the next selection pass checks the full KKT
-	// conditions.
-	unshrink := func() {
-		reconstructGradientTwoPass(km, alpha, f, activeMask)
-		active = active[:0]
-		for i := 0; i < n; i++ {
-			active = append(active, int32(i))
-			activeMask[i] = true
-		}
-		shrunk = false
-		sincePrune = 0
-	}
-
 	for iter := 0; iter < maxIter; iter++ {
 		if ctx != nil && iter&1023 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -77,8 +51,7 @@ func (m *Model) solveSMOTwoPass(ctx context.Context, km *kernelMatrix, _ *smoScr
 		// grow) and the maximal-violation down candidate.
 		up, down := -1, -1
 		upVal, downVal := math.Inf(1), math.Inf(-1)
-		for _, ii := range active {
-			i := int(ii)
+		for i := 0; i < n; i++ {
 			if alpha[i] < upper[i]-svThreshold && f[i] < upVal {
 				upVal, up = f[i], i
 			}
@@ -87,16 +60,8 @@ func (m *Model) solveSMOTwoPass(ctx context.Context, km *kernelMatrix, _ *smoScr
 			}
 		}
 		if up < 0 || down < 0 || downVal-upVal < tol {
-			if !shrunk {
-				m.Iterations = iter
-				return true, nil
-			}
-			// Final full-pass KKT re-check: bring the gradients of the
-			// shrunk multipliers up to date, reactivate everything and
-			// re-run the selection. A converged verdict is therefore always
-			// issued against the full KKT conditions.
-			unshrink()
-			continue
+			m.Iterations = iter
+			return true, nil
 		}
 		i, j := up, down
 		// Closed-form step: minimize along α_i += Δ, α_j -= Δ.
@@ -116,87 +81,19 @@ func (m *Model) solveSMOTwoPass(ctx context.Context, km *kernelMatrix, _ *smoScr
 			delta = alpha[j]
 		}
 		if delta <= 0 {
-			if !shrunk {
-				m.Iterations = iter
-				return true, nil
-			}
-			// Numerically stuck pair inside a shrunk working set: run the
-			// same full re-check as the converged path — the full set may
-			// offer a pair that can still move.
-			unshrink()
-			continue
+			m.Iterations = iter
+			return true, nil
 		}
 		alpha[i] += delta
 		alpha[j] -= delta
 		rowI := km.row(i)
 		rowJ := km.row(j)
-		for _, kk := range active {
-			k := int(kk)
+		for k := 0; k < n; k++ {
 			f[k] += delta * (rowI[k] - rowJ[k])
 		}
 		m.Iterations = iter + 1
-
-		if !shrink {
-			continue
-		}
-		sincePrune++
-		if sincePrune < shrinkPeriod {
-			continue
-		}
-		sincePrune = 0
-		if activeMask == nil {
-			activeMask = make([]bool, n)
-			for i := range activeMask {
-				activeMask[i] = true
-			}
-		}
-		// Prune multipliers pinned at a bound that cannot currently form a
-		// violating pair: at the lower bound they could only serve as the
-		// up side, which needs downVal − f_i ≥ tol; at the upper bound only
-		// as the down side, needing f_i − upVal ≥ tol. The extremes are the
-		// pre-step selection values — a conservative snapshot, corrected by
-		// the full re-check at convergence.
-		out := active[:0]
-		for _, ii := range active {
-			k := int(ii)
-			atLower := alpha[k] <= svThreshold
-			atUpper := alpha[k] >= upper[k]-svThreshold
-			if (atLower && downVal-f[k] < tol) || (atUpper && f[k]-upVal < tol) {
-				activeMask[k] = false
-				shrunk = true
-				continue
-			}
-			out = append(out, ii)
-		}
-		active = out
 	}
 	return false, nil
-}
-
-// reconstructGradientTwoPass is the per-entry gradient reconstruction the
-// two-pass solver used: f_i = Σ_j α_j K_ij for every inactive multiplier.
-func reconstructGradientTwoPass(km *kernelMatrix, alpha, f []float64, activeMask []bool) {
-	n := len(alpha)
-	stale := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if !activeMask[i] {
-			f[i] = 0
-			stale = append(stale, int32(i))
-		}
-	}
-	if len(stale) == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		if alpha[j] == 0 {
-			continue
-		}
-		row := km.row(j)
-		aj := alpha[j]
-		for _, ii := range stale {
-			f[ii] += aj * row[ii]
-		}
-	}
 }
 
 // finishTwoPass is finish with the per-entry Kα loop it used before
@@ -289,9 +186,10 @@ func sameModel(t *testing.T, name string, got, want *Model) {
 // TestSolverTrajectoryPin pins the fused one-pass solver to the two-pass
 // loop it replaced: the same multipliers bit for bit, the same iteration
 // count, R² and top support vectors, on both kernel tiers (ñ ≤ 256 dense,
-// above lazy), with shrinking on and off, with uniform and adaptive weights,
-// on a Gaussian cloud and on duplicate points whose gradients tie. finish
-// is held to its per-entry form as well: αᵀKα, R² and every boundary score.
+// above lazy), with uniform and adaptive weights, on a Gaussian cloud and on
+// duplicate points whose gradients tie. finish is held to its per-entry form
+// as well: αᵀKα, R² and every boundary score, and every converged model
+// meets the KKT conditions.
 func TestSolverTrajectoryPin(t *testing.T) {
 	for _, n := range []int{2, 37, 256, 257, 700, 1024} {
 		times := make([]int, n)
@@ -304,27 +202,29 @@ func TestSolverTrajectoryPin(t *testing.T) {
 			ds   *vec.Dataset
 		}{{"cloud", gaussCloud(n, 8, int64(n))}, {"duplicates", duplicateCloud(n, 8, int64(n))}} {
 			for _, c := range []struct {
-				nu              float64
-				weights, shrink bool
-			}{{0.1, false, false}, {0.1, false, true}, {0.1, true, false}, {0.1, true, true}, {0.5, false, true}, {0.5, true, true}} {
+				nu      float64
+				weights bool
+			}{{0.1, false}, {0.1, true}, {0.5, false}, {0.5, true}} {
 				cfg := Config{Nu: c.nu, Workers: 2}
 				if c.weights {
 					cfg.Times = times
 				}
-				name := fmt.Sprintf("n=%d %s nu=%v weights=%v shrink=%v", n, data.name, c.nu, c.weights, c.shrink)
-				checkTrajectory(t, name, data.ds, cfg, c.shrink)
+				name := fmt.Sprintf("n=%d %s nu=%v weights=%v", n, data.name, c.nu, c.weights)
+				checkTrajectory(t, name, data.ds, cfg)
 			}
 		}
 	}
 }
 
 // checkTrajectory trains ds once with each solver and compares the models,
-// then holds finish to finishTwoPass on the kernel matrix it used.
-func checkTrajectory(t *testing.T, name string, ds *vec.Dataset, cfg Config, shrink bool) {
+// then holds finish to finishTwoPass on the kernel matrix it used. Every
+// model must also keep Σα = 1, and a converged one the KKT conditions: a
+// maximal-violating-pair gap below tol on gradients summed afresh.
+func checkTrajectory(t *testing.T, name string, ds *vec.Dataset, cfg Config) {
 	t.Helper()
 	ids := vec.Iota(ds.Len())
-	want, wantErr := train(ds, ids, cfg, newKernelMatrix, (*Model).solveSMOTwoPass, shrink)
-	got, gotErr := train(ds, ids, cfg, newKernelMatrix, (*Model).solveSMO, shrink)
+	want, wantErr := train(ds, ids, cfg, newKernelMatrix, (*Model).solveSMOTwoPass)
+	got, gotErr := train(ds, ids, cfg, newKernelMatrix, (*Model).solveSMO)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || (got == nil) != (want == nil) {
 		t.Fatalf("%s: error %v, reference %v", name, gotErr, wantErr)
 	}
@@ -332,6 +232,14 @@ func checkTrajectory(t *testing.T, name string, ds *vec.Dataset, cfg Config, shr
 		return // a degenerate target: both refused it
 	}
 	sameModel(t, name, got, want)
+	if s := got.SumAlpha(); math.Abs(s-1) > 1e-9 {
+		t.Fatalf("%s: sum alpha = %v", name, s)
+	}
+	if got.Converged {
+		if g := kktViolation(t, ds, got); g >= tol {
+			t.Fatalf("%s: converged model violates KKT by %v", name, g)
+		}
+	}
 
 	ref := *got
 	km := newKernelMatrix(ds, ids, got.Sigma, 1)
@@ -402,13 +310,12 @@ func TestAdaptiveWeightsColumnSums(t *testing.T) {
 	}
 }
 
-// TestTrainAllocs pins the steady-state allocations of one Train at or
-// below the counts the two-pass solver made, whose gradient, index list,
-// active mask, reconstruction ids and finish buffer were allocated per
-// training; they now come from scratchPool. Lazy-tier trainings allocate
-// about one box per kernel row they return to rowPool, which dominates the
-// larger bounds. The race detector drops pooled buffers at random, so the
-// counts mean nothing there.
+// TestTrainAllocs pins the steady-state allocations of one Train at the
+// measured counts: the solver's gradient and biases and finish's buffer come
+// from scratchPool, and the kernel pools hold *[]float64, so returning a
+// lazy row or a dense matrix allocates nothing and the count does not grow
+// with the rows a training touches. The race detector drops pooled buffers
+// at random, so the counts mean nothing there.
 func TestTrainAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector")
@@ -416,8 +323,8 @@ func TestTrainAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		n       int
 		weights bool
-		bound   float64 // the two-pass solver's count
-	}{{37, true, 14}, {256, false, 13}, {256, true, 16}, {512, true, 248}, {1024, false, 217}} {
+		bound   float64
+	}{{37, true, 9}, {256, false, 7}, {256, true, 9}, {512, true, 14}, {1024, false, 7}} {
 		ds := gaussCloud(tc.n, 8, 5)
 		ids := vec.Iota(tc.n)
 		cfg := Config{Nu: 0.1}
@@ -442,10 +349,8 @@ func TestTrainAllocs(t *testing.T) {
 // TestSolverTrajectoryPinSmallTargets runs the trajectory pin over 500
 // small random targets: coordinates on a coarse grid, so points coincide
 // and gradients tie, random ν and weights, and half of them with a narrow
-// or wide fixed σ. Such targets reach the rare states of shrinking, a
-// selected multiplier pruned in the same iteration and gradients
-// reconstructed after several prunes, which the larger targets above do
-// not hit.
+// or wide fixed σ: coincident points, exact gradient ties and degenerate
+// (η ≈ 0) steps at many shapes the larger targets above do not cover.
 func TestSolverTrajectoryPinSmallTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for c := 0; c < 500; c++ {
@@ -469,6 +374,6 @@ func TestSolverTrajectoryPinSmallTargets(t *testing.T) {
 		if rng.Intn(3) > 0 {
 			cfg.Times = times
 		}
-		checkTrajectory(t, fmt.Sprintf("case %d (n=%d d=%d nu=%v sigma=%v)", c, n, d, cfg.Nu, cfg.Sigma), ds, cfg, true)
+		checkTrajectory(t, fmt.Sprintf("case %d (n=%d d=%d nu=%v sigma=%v)", c, n, d, cfg.Nu, cfg.Sigma), ds, cfg)
 	}
 }

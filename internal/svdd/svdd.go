@@ -17,13 +17,13 @@
 //
 // optimized by repeatedly selecting the maximal-violating pair and moving
 // mass between its two multipliers in closed form, starting every training
-// from the greedy cap-respecting fill. The training fast path adds two
-// layers on top (see internal/svdd/README.md and the "SVDD solver
-// internals" section of DESIGN.md): the dense kernel fill of small targets
-// and the pivot-row batch of large ones fan out across a worker pool, and a
-// shrinking heuristic drops bound-pinned multipliers from the working set
-// (with a final full-pass KKT re-check so converged models are unchanged).
-// Each SMO iteration is one fused pass over the gradients (dist.SMOPass).
+// from the greedy cap-respecting fill. Each SMO iteration is one fused pass
+// over all ñ gradients (dist.SMOPass), the O(ñ) per iteration of the paper's
+// cost analysis (Section IV-D). The training fast path lies in the kernel
+// matrix (see internal/svdd/README.md and the "SVDD solver internals"
+// section of DESIGN.md): the dense fill of small targets and the pivot-row
+// batch of large ones fan out across a worker pool, and large targets
+// compute only the rows the solver touches.
 package svdd
 
 import (
@@ -158,19 +158,17 @@ const (
 // anywhere inside training (including worker goroutines of the parallel
 // kernel fill) is contained and returned as a *fault.WorkerPanicError.
 func Train(ds *vec.Dataset, ids []int32, cfg Config) (*Model, error) {
-	return train(ds, ids, cfg, newKernelMatrix, (*Model).solveSMO, true)
+	return train(ds, ids, cfg, newKernelMatrix, (*Model).solveSMO)
 }
 
 // solver is the SMO solve a training runs: solveSMO, or in the package's
 // tests the two-pass loop it replaced, which it must match bit for bit.
-type solver func(m *Model, ctx context.Context, km *kernelMatrix, s *smoScratch, maxIter int, shrink bool) (bool, error)
+type solver func(m *Model, ctx context.Context, km *kernelMatrix, s *smoScratch, maxIter int) (bool, error)
 
-// train is Train with the kernel-matrix constructor, the solver and the
-// shrinking heuristic as parameters, so package tests and benchmarks can run
-// a training on a fully dense matrix, with a reference solver, or with the
-// full scan over every multiplier as the reference the shrinking solver must
-// match.
-func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix, solve solver, shrink bool) (model *Model, err error) {
+// train is Train with the kernel-matrix constructor and the solver as
+// parameters, so package tests and benchmarks can run a training on a fully
+// dense matrix or with the reference solver.
+func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []int32, float64, int) *kernelMatrix, solve solver) (model *Model, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			model, err = nil, fault.AsWorkerPanic(v)
@@ -261,7 +259,7 @@ func train(ds *vec.Dataset, ids []int32, cfg Config, build func(*vec.Dataset, []
 	s := getScratch(n)
 	defer scratchPool.Put(s)
 	phase := engine.StartPhase()
-	converged, solveErr := solve(m, cfg.Context, km, s, maxIter, shrink)
+	converged, solveErr := solve(m, cfg.Context, km, s, maxIter)
 	phase.Stop(&m.Times.Solve)
 	if solveErr != nil {
 		releaseMatrix(km)
@@ -382,21 +380,12 @@ func initAlpha(alpha, upper []float64) {
 	}
 }
 
-// shrinkPeriod is the number of SMO iterations between working-set pruning
-// passes. Pruning costs one scan over the multipliers plus a selection pass,
-// so it must be amortized over enough iterations; too long and the solver
-// keeps selecting among multipliers that have been pinned at their bounds
-// for hundreds of iterations.
-const shrinkPeriod = 64
-
 // smoScratch is one training's O(ñ) solver state, pooled like the kernel
 // rows because DBSVEC trains hundreds of similar-sized targets per run: the
-// gradient f (reused by finish), the gradient reconstruction buffer g, the
-// eligibility biases pu and pd that dist.SMOPass selects with, and the
-// shrinking heuristic's active mask.
+// gradient f (reused by finish) and the eligibility biases pu and pd that
+// dist.SMOPass selects with.
 type smoScratch struct {
-	f, g, pu, pd []float64
-	active       []bool
+	f, pu, pd []float64
 }
 
 var scratchPool sync.Pool
@@ -409,21 +398,16 @@ func getScratch(n int) *smoScratch {
 		s = new(smoScratch)
 	}
 	s.f = slices.Grow(s.f[:0], n)[:n]
-	s.g = slices.Grow(s.g[:0], n)[:n]
 	s.pu = slices.Grow(s.pu[:0], n)[:n]
 	s.pd = slices.Grow(s.pd[:0], n)[:n]
-	s.active = slices.Grow(s.active[:0], n)[:n]
 	return s
 }
 
-// setBias sets multiplier k's eligibility biases from α_k, u_k and its
-// membership of the working set: pu[k] = 0 when α_k may grow (the up side),
-// pd[k] = 0 when it may shrink (the down side), and ±Inf otherwise.
+// setBias sets multiplier k's eligibility biases from α_k and u_k: pu[k] = 0
+// when α_k may grow (the up side), pd[k] = 0 when it may fall (the down
+// side), and ±Inf otherwise.
 func (s *smoScratch) setBias(k int, alpha, upper []float64) {
 	s.pu[k], s.pd[k] = math.Inf(1), math.Inf(-1)
-	if !s.active[k] {
-		return
-	}
 	if alpha[k] < upper[k]-svThreshold {
 		s.pu[k] = 0
 	}
@@ -437,30 +421,19 @@ func (s *smoScratch) setBias(k int, alpha, upper []float64) {
 // dist.SMOPass adds the step's update to the gradient and, in the same loop,
 // selects the next pair. The pair is the up candidate, the smallest gradient
 // among the points that can grow, and the maximal-violation down candidate,
-// the largest among those that can shrink, the first index winning ties.
+// the largest among those that can fall, the first index winning ties.
 // Which points can move is held in the biases pu and pd (setBias); they
-// change only at the step's two multipliers and when shrinking prunes or
-// restores multipliers.
-//
-// With shrink set, every shrinkPeriod iterations the multipliers pinned at a
-// bound that cannot currently form a tol-violating pair (α_i = 0 with f_i
-// within tol of the maximal gradient, or α_i = u_i with f_i within tol of the
-// minimal one) leave the working set: their biases go to ±Inf, so they can
-// no longer be selected. Shrinking narrows eligibility, not the pass length:
-// the pass keeps running over all ñ entries, and the gradients of inactive
-// multipliers may drift from their exact sums. When the working set
-// converges, those gradients are reconstructed exactly and a full-pass KKT
-// re-check runs over all ñ points; only if that passes is the model declared
-// converged, so shrinking never changes the KKT conditions a converged model
-// satisfies.
+// change only at the step's two multipliers. Every selection reads every
+// gradient, so a converged verdict always holds against the full KKT
+// conditions.
 //
 // The returned bool reports convergence: false means maxIter was exhausted
 // and the current iterate is the best found. A non-nil ctx is polled every
 // 1024 iterations; on cancellation the solve aborts with ctx's error.
-func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, s *smoScratch, maxIter int, shrink bool) (bool, error) {
+func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, s *smoScratch, maxIter int) (bool, error) {
 	alpha := m.Alpha
 	upper := m.Upper
-	f, pu, pd, active := s.f, s.pu, s.pd, s.active
+	f, pu, pd := s.f, s.pu, s.pd
 
 	initAlpha(alpha, upper)
 
@@ -473,27 +446,10 @@ func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, s *smoScratch, m
 			dist.Axpy(aj, km.row(j), f)
 		}
 	}
-	for k := range active {
-		active[k] = true
+	for k := range alpha {
 		s.setBias(k, alpha, upper)
 	}
 	up, down := dist.SMOSelect(f, pu, pd)
-	shrunk := false
-	sincePrune := 0
-
-	// unshrink brings every excluded multiplier back: gradients of the
-	// inactive points are reconstructed and the working set reset to the
-	// full target, so the next selection checks the full KKT conditions.
-	unshrink := func() {
-		reconstructGradient(km, alpha, f, s.g, active)
-		for k := range active {
-			active[k] = true
-			s.setBias(k, alpha, upper)
-		}
-		up, down = dist.SMOSelect(f, pu, pd)
-		shrunk = false
-		sincePrune = 0
-	}
 
 	for iter := 0; iter < maxIter; iter++ {
 		if ctx != nil && iter&1023 == 0 {
@@ -503,24 +459,15 @@ func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, s *smoScratch, m
 			}
 		}
 		if up < 0 || down < 0 || f[down]-f[up] < tol {
-			if !shrunk {
-				m.Iterations = iter
-				return true, nil
-			}
-			// Final full-pass KKT re-check: bring the gradients of the
-			// shrunk multipliers up to date, reactivate everything and
-			// re-run the selection. A converged verdict is therefore always
-			// issued against the full KKT conditions.
-			unshrink()
-			continue
+			m.Iterations = iter
+			return true, nil
 		}
 		i, j := up, down
-		upVal, downVal := f[i], f[j]
 		// Closed-form step: minimize along α_i += Δ, α_j -= Δ.
 		eta := 2 - 2*km.at(i, j) // K_ii + K_jj − 2K_ij with Gaussian diag 1
 		var delta float64
 		if eta > 1e-12 {
-			delta = (downVal - upVal) / eta
+			delta = (f[j] - f[i]) / eta
 		} else {
 			// Degenerate direction (duplicate points): move as far as the
 			// box allows; the objective is linear with negative slope.
@@ -533,15 +480,8 @@ func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, s *smoScratch, m
 			delta = alpha[j]
 		}
 		if delta <= 0 {
-			if !shrunk {
-				m.Iterations = iter
-				return true, nil
-			}
-			// Numerically stuck pair inside a shrunk working set: run the
-			// same full re-check as the converged path — the full set may
-			// offer a pair that can still move.
-			unshrink()
-			continue
+			m.Iterations = iter
+			return true, nil
 		}
 		alpha[i] += delta
 		alpha[j] -= delta
@@ -549,57 +489,8 @@ func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, s *smoScratch, m
 		s.setBias(j, alpha, upper)
 		up, down = dist.SMOPass(f, km.row(i), km.row(j), pu, pd, delta)
 		m.Iterations = iter + 1
-
-		if !shrink {
-			continue
-		}
-		sincePrune++
-		if sincePrune < shrinkPeriod {
-			continue
-		}
-		sincePrune = 0
-		// Prune multipliers pinned at a bound that cannot currently form a
-		// violating pair: at the lower bound they could only serve as the
-		// up side, which needs downVal − f_i ≥ tol; at the upper bound only
-		// as the down side, needing f_i − upVal ≥ tol. The extremes are the
-		// pre-step selection values — a conservative snapshot, corrected by
-		// the full re-check at convergence. The pass's selection may have
-		// picked a pruned multiplier, so it runs again.
-		for k, on := range active {
-			if !on {
-				continue
-			}
-			atLower := alpha[k] <= svThreshold
-			atUpper := alpha[k] >= upper[k]-svThreshold
-			if (atLower && downVal-f[k] < tol) || (atUpper && f[k]-upVal < tol) {
-				active[k] = false
-				pu[k], pd[k] = math.Inf(1), math.Inf(-1)
-				shrunk = true
-			}
-		}
-		up, down = dist.SMOSelect(f, pu, pd)
 	}
 	return false, nil
-}
-
-// reconstructGradient recomputes f_i = Σ_j α_j K_ij exactly for every
-// inactive multiplier; the active ones keep their incremental values. The
-// sums run over all ñ entries into the scratch g, one dist.Axpy per support
-// vector row, and only the inactive entries are copied into f: each is
-// 0 + α_j·K_ij added in j order, the sum a per-entry loop forms. Paid once
-// per unshrink, not per iteration.
-func reconstructGradient(km *kernelMatrix, alpha, f, g []float64, active []bool) {
-	clear(g)
-	for j, aj := range alpha {
-		if aj != 0 {
-			dist.Axpy(aj, km.row(j), g)
-		}
-	}
-	for k, on := range active {
-		if !on {
-			f[k] = g[k]
-		}
-	}
 }
 
 // finish computes αᵀKα and the radius R² from the normal support vectors,
@@ -739,12 +630,6 @@ func (m *Model) Eval(x []float64) float64 {
 	}
 	return 1 - 2*s + m.alphaDot - m.R2
 }
-
-// ObjectiveValue returns the dual objective αᵀKα at the trained solution —
-// the quantity SMO minimizes. Differential tests compare it between the
-// shrinking solver and the full-scan reference, which must agree up to the
-// convergence tolerance.
-func (m *Model) ObjectiveValue() float64 { return m.alphaDot }
 
 // SumAlpha returns Σα (1 up to solver tolerance); exposed for tests.
 func (m *Model) SumAlpha() float64 {
