@@ -70,14 +70,14 @@ func TestSampleTargetsCap(t *testing.T) {
 	r := budgetRunner(Options{MaxSVDDTarget: 8}, ds)
 	targets := make([]target, 100)
 	for i := range targets {
-		targets[i] = target{id: int32(i)}
+		targets[i] = target{id: int32(i), times: 3 * i}
 	}
-	ids := r.sampleTargets(targets)
-	if len(ids) != 8 {
-		t.Fatalf("sampled %d ids, want 8", len(ids))
+	ids, times := r.sampleTargets(targets)
+	if len(ids) != 8 || len(times) != 8 {
+		t.Fatalf("sampled %d ids and %d counts, want 8", len(ids), len(times))
 	}
 	seen := map[int32]bool{}
-	for _, id := range ids {
+	for i, id := range ids {
 		if seen[id] {
 			t.Fatal("duplicate id in sample")
 		}
@@ -85,10 +85,13 @@ func TestSampleTargetsCap(t *testing.T) {
 		if id < 0 || id >= 100 {
 			t.Fatalf("id %d out of range", id)
 		}
+		if times[i] != 3*int(id) {
+			t.Fatalf("id %d sampled with count %d, want its own %d", id, times[i], 3*id)
+		}
 	}
 	// Small target sets pass through unchanged.
-	ids = r.sampleTargets(targets[:5])
-	if len(ids) != 5 {
-		t.Errorf("small set sampled to %d", len(ids))
+	ids, times = r.sampleTargets(targets[:5])
+	if len(ids) != 5 || len(times) != 5 {
+		t.Errorf("small set sampled to %d ids, %d counts", len(ids), len(times))
 	}
 }

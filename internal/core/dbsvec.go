@@ -248,9 +248,6 @@ type runner struct {
 	core       []coreState
 	stats      Stats
 	rng        *rand.Rand
-	// counters holds the SVDD participation counts t_i of the current
-	// sub-cluster's target points (reset per expansion).
-	counters map[int32]int
 
 	// Potential noise points and the ε-neighborhoods captured when they
 	// failed the seed test (reused by noise verification).
@@ -606,18 +603,16 @@ type target struct {
 // mid-round.
 func (r *runner) svExpandCluster(initial []int32, cid int32) error {
 	targets := make([]target, 0, len(initial))
-	r.counters = make(map[int32]int, len(initial))
 	for _, id := range initial {
 		targets = append(targets, target{id: id})
-		r.counters[id] = 0
 	}
 
 	for len(targets) > 0 {
 		if err := r.checkpoint(); err != nil {
 			return err
 		}
-		ids := r.sampleTargets(targets)
-		model, err := r.trainSVDD(ids)
+		ids, times := r.sampleTargets(targets)
+		model, err := r.trainSVDD(ids, times)
 		if model != nil {
 			r.stats.SVDDTrainings++
 			r.stats.SVDDIterations += int64(model.Iterations)
@@ -752,36 +747,30 @@ func (r *runner) nextTargets(targets []target, fresh []int32) []target {
 	for _, tg := range targets {
 		tg.times++
 		if r.opts.LearnThreshold >= 0 && tg.times > r.opts.LearnThreshold {
-			delete(r.counters, tg.id)
 			continue
 		}
-		r.counters[tg.id] = tg.times
 		out = append(out, tg)
 	}
 	for _, id := range fresh {
 		out = append(out, target{id: id})
-		r.counters[id] = 0
 	}
 	return out
 }
 
-// sampleTargets extracts the id list for SVDD training, deterministically
-// subsampling when the target set exceeds the cap.
-func (r *runner) sampleTargets(targets []target) []int32 {
-	capN := r.opts.MaxSVDDTarget
-	if len(targets) <= capN {
-		ids := make([]int32, len(targets))
-		for i, tg := range targets {
-			ids[i] = tg.id
-		}
-		return ids
+// sampleTargets extracts the ids for SVDD training and their participation
+// counts t_i, deterministically subsampling when the target set exceeds
+// the cap.
+func (r *runner) sampleTargets(targets []target) (ids []int32, times []int) {
+	k, stride := len(targets), 1.0
+	if capN := r.opts.MaxSVDDTarget; k > capN {
+		k, stride = capN, float64(len(targets))/float64(capN)
 	}
-	ids := make([]int32, 0, capN)
-	stride := float64(len(targets)) / float64(capN)
-	for i := 0; i < capN; i++ {
-		ids = append(ids, targets[int(float64(i)*stride)].id)
+	ids, times = make([]int32, k), make([]int, k)
+	for i := range k {
+		tg := targets[int(float64(i)*stride)]
+		ids[i], times[i] = tg.id, tg.times
 	}
-	return ids
+	return ids, times
 }
 
 // svBudget returns the number of support vectors whose ε-neighborhoods are
@@ -816,9 +805,10 @@ func (r *runner) effectiveNu(targetSize int) float64 {
 	}
 }
 
-// trainSVDD fits the (weighted) SVDD model for the current target ids. Every
-// round trains afresh (Algorithm 3).
-func (r *runner) trainSVDD(ids []int32) (*svdd.Model, error) {
+// trainSVDD fits the (weighted) SVDD model for the current target ids,
+// whose participation counts are times. Every round trains afresh
+// (Algorithm 3).
+func (r *runner) trainSVDD(ids []int32, times []int) (*svdd.Model, error) {
 	cfg := svdd.Config{
 		Nu:      r.effectiveNu(len(ids)),
 		Workers: r.workers,
@@ -835,10 +825,6 @@ func (r *runner) trainSVDD(ids []int32) (*svdd.Model, error) {
 		// count t_i. Fresh points (t = 0) far from the kernel centroid get
 		// the smallest weights and the loosest multiplier caps — exactly
 		// the points the paper wants selected as support vectors.
-		times := make([]int, len(ids))
-		for i, id := range ids {
-			times[i] = r.counters[id]
-		}
 		cfg.Times = times
 	}
 	model, err := svdd.Train(r.ds, ids, cfg)

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math"
+	"strings"
 	"testing"
 
 	"dbsvec/internal/cluster"
@@ -88,7 +90,9 @@ func TestBaselineLabelsGolden(t *testing.T) {
 // the coordinates once, which moves borderline neighbourhoods. They differ
 // per math.Exp branch too: amd64's FMA branch and its non-FMA branch (a CPU
 // without FMA, or GODEBUG=cpu.fma=off) round some SVDD kernel values one
-// ulp apart, which moves the solver's iterations.
+// ulp apart, which moves the solver's iterations. On a mismatch the test
+// logs every entry's own label digest and counters, so a re-pin can name
+// the datasets and counters that moved.
 func TestDBSVECGolden(t *testing.T) {
 	type key struct {
 		prec vec.Precision
@@ -109,6 +113,7 @@ func TestDBSVECGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		labels, counters := sha256.New(), sha256.New()
+		var entries []string
 		for _, e := range data.OpenSuite() {
 			res, st, err := core.Run(e.Gen(1), core.Options{
 				Eps: e.Eps, MinPts: e.MinPts, IndexBuilderCtx: build, Workers: c.workers,
@@ -116,20 +121,27 @@ func TestDBSVECGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d on %s: %v", c.kind, c.workers, e.Name, err)
 			}
+			entry := sha256.New()
 			for _, l := range res.Labels {
-				labels.Write(binary.LittleEndian.AppendUint32(nil, uint32(l)))
+				b := binary.LittleEndian.AppendUint32(nil, uint32(l))
+				labels.Write(b)
+				entry.Write(b)
 			}
-			for _, v := range []int64{
+			vals := []int64{
 				int64(st.Seeds), st.SupportVectors, int64(st.Merges), int64(st.NoiseList),
 				st.RangeQueries, st.RangeCounts, int64(st.SVDDTrainings), st.SVDDIterations,
 				int64(st.Degraded),
-			} {
+			}
+			for _, v := range vals {
 				counters.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
 			}
+			entries = append(entries, fmt.Sprintf("%s: labels %s, seeds=%d svs=%d merges=%d noise=%d range_queries=%d range_counts=%d trainings=%d iterations=%d degraded=%d",
+				e.Name, hex.EncodeToString(entry.Sum(nil)[:8]),
+				vals[0], vals[1], vals[2], vals[3], vals[4], vals[5], vals[6], vals[7], vals[8]))
 		}
 		got := [2]string{hex.EncodeToString(labels.Sum(nil)[:8]), hex.EncodeToString(counters.Sum(nil)[:8])}
 		if got != want {
-			t.Errorf("%s/%d: labels, counters digests = %v, want %v", c.kind, c.workers, got, want)
+			t.Errorf("%s/%d: labels, counters digests = %v, want %v; per entry:\n%s", c.kind, c.workers, got, want, strings.Join(entries, "\n"))
 		}
 	}
 }

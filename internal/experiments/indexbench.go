@@ -58,7 +58,7 @@ var indexBenchWorkers = []int{1, 2}
 // RunIndexBench executes the micro-benchmark and emits its rows: build
 // time per backend, cardinality and worker count ("build"), range-query
 // time per backend, cardinality and storage precision ("query"), the
-// batch linear scans ("scan"), the linear scan's row-block split
+// batch linear scans ("scan"), the linear scan's batches over row blocks
 // ("split") and its zone map on ordered and shuffled rows ("zones").
 func RunIndexBench(cfg Config, emit func(Row)) error {
 	sizes := []int{100_000, 500_000}
@@ -205,13 +205,16 @@ func runScanBench(cfg Config, repeats int, emit func(Row)) error {
 }
 
 // The split section pins perfbench's cluster-default shape (SeedSpreader
-// n=40k, d=8, ε=2000), where every seed query is a single call and
-// DBSVEC's support-vector batches hold 9.5 queries on average (26,238
-// points in 2,765 batches). Batches of 1, 6 and 12 queries run on
-// index.Linear at 1 and 2 workers, and so does a count batch of 512
-// queries with limit 100, the shape of noise verification's MinPts test.
-// The worker count changes only the time, so the results totals are equal
-// across it. The shape is identical in quick and full mode.
+// n=40k, d=8, ε=2000), where DBSVEC's support-vector batches hold 9.5
+// queries on average (26,238 points in 2,765 batches). Batches of 1, 6 and
+// 12 queries run on index.Linear's block-major schedule at 1 and 2
+// workers (one block, or 9 shared among the batch's query chunks), and so
+// does a count batch of 512 queries with limit 100, the shape of noise
+// verification's MinPts test. A one-query batch splits across the blocks
+// as any batch does; single RangeQuery calls, which run on the caller
+// whatever the workers, are the zones section's "single" rows. The worker
+// count changes only the time, so the results totals are equal across it.
+// The shape is identical in quick and full mode.
 const (
 	splitBenchN       = 40_000
 	splitBenchDim     = 8
@@ -329,11 +332,11 @@ func timeLinear(lin *index.Linear, batches []index.Queries, limit, workers int, 
 // each SeedSpreader region's random walk is one run of rows and a query
 // reads ~3 % of them, and the same rows shuffled by a fixed permutation,
 // where every zone's box spans the data and a query reads every row. Each
-// order runs single queries (one RangeQuery call per query), a 12-query
-// batch and a 512-query count batch with limit 100, on 2 workers. Besides
-// results, each row counts rows_scanned: the rows in the zones each
-// query's ε-ball reaches, summed over its queries. The shape is identical
-// in quick and full mode.
+// order runs single queries (one RangeQuery call per query, on the
+// caller), a 12-query batch and a 512-query count batch with limit 100, on
+// 2 workers. Besides results, each row counts rows_scanned: the rows in
+// the zones each query's ε-ball reaches, summed over its queries. The
+// shape is identical in quick and full mode.
 const (
 	zonesBenchWorkers     = 2
 	zonesBenchShuffleSeed = 1

@@ -14,13 +14,12 @@ import (
 	"dbsvec/internal/vec"
 )
 
-// minBlockRows is the fewest rows a split scan gives one row block, so a
-// scan splits only from 2·minBlockRows rows on. Below that the fan-out's
-// fixed cost (goroutine starts and a wait, a few µs) is a large share of
-// the scan it would split. Measured on 2 vCPUs at n=40k, d=8 (whole scan
-// ~200 µs), single-query medians were 81–110 µs at 4096 rows (9 blocks),
-// 88–107 µs at 2048 and 98–161 µs with one block per worker. A single
-// query splits only when the rows it reads reach 2·minBlockRows.
+// minBlockRows is the fewest rows a batch's row block holds, so a batch
+// splits its rows only from 2·minBlockRows rows on. Below that the
+// fan-out's fixed cost (goroutine starts and a wait, a few µs) is a large
+// share of the scan it would split. Measured on 2 vCPUs at n=40k, d=8
+// (whole scan ~200 µs), one-query scans took 81–110 µs at 4096 rows (9
+// blocks), 88–107 µs at 2048 and 98–161 µs with one block per worker.
 const minBlockRows = 4096
 
 // tileBytes is the size of the row tile a scan item runs all its queries
@@ -62,25 +61,21 @@ const (
 // perfbench's cluster-default data) and prunes nothing on shuffled rows,
 // where the scan reads every row as before and pays only the word tests.
 //
-// A single query that reads 2·minBlockRows rows or more, and every batch,
-// runs one block-major schedule (scan): the rows split into contiguous
-// blocks of minBlockRows to 2·minBlockRows rows (one block on one
-// worker), the queries into chunks of queryChunk, and
-// each engine.For item, one (chunk, block) pair, walks its block in tiles
-// of tileBytes, running every query of the chunk on the reachable zones of
-// a tile before it moves on. The workers claim items one at a time: a
-// worker whose CPU wakes late still takes its share, where one block per
-// worker would leave the scan waiting for it. A query's block results are
-// concatenated in block order, so it returns the ascending ids
-// dist.FilterWithin returns, and its counts add into one running total
-// clamped at the limit, which is dist.CountWithin's value: the zones and
-// the schedule change speed, never a result.
+// A single query runs on the caller over the runs of zones it reaches
+// (filterRuns, countRuns). Every batch runs one block-major schedule
+// (scan): the rows split into contiguous blocks of minBlockRows to
+// 2·minBlockRows rows (one block on one worker), the queries into chunks
+// of queryChunk, and each engine.For item, one (chunk, block) pair, walks
+// its block in tiles of tileBytes, running every query of the chunk on the
+// reachable zones of a tile before it moves on. The workers claim items
+// one at a time: a worker whose CPU wakes late still takes its share,
+// where one block per worker would leave the scan waiting for it. A
+// query's block results are concatenated in block order, so it returns the
+// ascending ids dist.FilterWithin returns, and its counts add into one
+// running total clamped at the limit, which is dist.CountWithin's value:
+// the zones and the schedule change speed, never a result.
 type Linear struct {
 	ds *vec.Dataset
-	// workers and blocks size a single query's split; with blocks == 1 no
-	// single query splits.
-	workers int
-	blocks  int
 	// tile is the number of rows in tileBytes, a multiple of four so only
 	// a block's last tile has rows past its last four-row quad.
 	tile int
@@ -105,22 +100,19 @@ type Linear struct {
 	free []*scanScratch
 }
 
-// scanScratch is one scan's per-query state: each query's reach bitset,
-// its count total, which every block of the query adds to and reads, and a
-// split single query's block results.
+// scanScratch is one scan's per-query state: each query's reach bitset
+// and its count total, which every block of the query adds to and reads.
 type scanScratch struct {
 	reach  []uint64
 	totals []atomic.Int64
-	parts  [][]int32
 }
 
 // NewLinear builds the zone map of a linear-scan index over ds in one pass
 // over its rows (the float32 mirror in F32 mode, whose values the kernels
-// widen exactly), split over workers goroutines, checking ctx once; workers
-// (<= 0 selects GOMAXPROCS) is also the number of goroutines a single
-// query's split scan runs on. workers == 1 builds on the caller and scans
-// every single query there, as do queries that read fewer than
-// 2·minBlockRows rows.
+// widen exactly), split over workers goroutines (<= 0 selects GOMAXPROCS;
+// 1 builds on the caller), checking ctx once. workers sizes only the
+// build: single queries run on their caller, and a batch on the workers
+// its call names.
 func NewLinear(ctx context.Context, ds *vec.Dataset, workers int) (*Linear, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -129,7 +121,7 @@ func NewLinear(ctx context.Context, ds *vec.Dataset, workers int) (*Linear, erro
 	}
 	workers = engine.ResolveWorkers(workers)
 	m := ds.Matrix()
-	l := &Linear{ds: ds, workers: workers, blocks: blocksFor(ds.Len(), 1, workers), tile: tileRows(m)}
+	l := &Linear{ds: ds, tile: tileRows(m)}
 	l.zone, l.word, l.wide = zoneMap(m, ds.Len(), workers)
 	return l, nil
 }
@@ -221,11 +213,11 @@ func tileRows(m dist.Matrix) int {
 	return max(4, tileBytes/(max(m.Dim, 1)*size)) &^ 3
 }
 
-// blocksFor is the number of row blocks a scan of queries queries over n
+// blocksFor is the number of row blocks a batch of queries queries over n
 // rows on workers splits into: 1 on one worker, else as many as give each
 // block at least minBlockRows rows, divided among the query chunks. A
-// batch thus runs about as many items as a single query, and never fewer
-// than its chunks. Fewer blocks for a many-query batch also keep its
+// batch thus runs about as many items as a one-query batch, and never
+// fewer than its chunks. Fewer blocks for a many-query batch also keep its
 // (query × block) result arena small.
 func blocksFor(n, queries, workers int) int {
 	if workers <= 1 {
@@ -236,18 +228,14 @@ func blocksFor(n, queries, workers int) int {
 }
 
 // block returns the rows [lo, hi) of block b of nb over n rows, in as
-// equal shares as starting each block at a multiple of unit allows. The
-// blocks tile [0, n) in order, which is what makes the concatenation of
-// block results in block order ascending. nb never exceeds n/minBlockRows,
-// so with a unit of at most minBlockRows no block is empty. A batch's
-// blocks start at multiples of wordRows, so each fills whole words of the
-// reach bitsets; a single query's bitset is set before its split, and its
-// blocks take equal shares: word-aligned blocks at n=40k are 4096 × 8 and
-// 7232 rows, and the workers, which claim blocks in order, would end with
-// one of them scanning the 7232 rows alone.
-func block(n, nb, b, unit int) (lo, hi int) {
-	units := (n + unit - 1) / unit
-	return b * units / nb * unit, min((b+1)*units/nb*unit, n)
+// equal shares as starting each block at a multiple of wordRows allows, so
+// each block fills whole words of the reach bitsets. The blocks tile [0,
+// n) in order, which is what makes the concatenation of block results in
+// block order ascending. nb never exceeds n/minBlockRows, and wordRows is
+// minBlockRows, so no block is empty.
+func block(n, nb, b int) (lo, hi int) {
+	words := (n + wordRows - 1) / wordRows
+	return b * words / nb * wordRows, min((b+1)*words/nb*wordRows, n)
 }
 
 // zones returns the zones [z0, z1) that hold the rows [lo, hi).
@@ -414,53 +402,33 @@ func (l *Linear) ReachRows(q []float64, eps float64) int {
 // prepare sets a single query's reach bitset in an idle scan's buffers and
 // returns the rows it reads.
 func (l *Linear) prepare(q []float64, eps2 float64) (*scanScratch, int) {
-	s := l.getScratch(1, l.blocks)
+	s := l.getScratch(1)
 	z0, z1 := zones(0, l.ds.Len())
 	return s, l.reach(q, reachBound(eps2, l.ds.Dim()), s.reach, z0, z1)
 }
 
-// splits reports whether a single query that reads rows rows splits
-// across the workers: only from 2·minBlockRows rows on.
-func (l *Linear) splits(rows int) bool { return l.blocks > 1 && rows >= 2*minBlockRows }
-
 // RangeQuery implements Index: the filter kernel over the reachable zones,
-// split into row blocks across the workers when they hold enough rows.
+// on the caller.
 func (l *Linear) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
 	eps2 := eps * eps
-	s, rows := l.prepare(q, eps2)
-	if !l.splits(rows) {
-		buf = filterRuns(l.ds.Matrix(), q, eps2, s.reach, 0, l.ds.Len(), buf)
-	} else {
-		// A background ctx never cancels, so the schedule cannot fail.
-		_ = l.scan(context.Background(), l.workers, single(q), eps, 0, l.blocks, s, false, s.parts)
-		for _, part := range s.parts[:l.blocks] {
-			buf = append(buf, part...)
-		}
-	}
+	s, _ := l.prepare(q, eps2)
+	buf = filterRuns(l.ds.Matrix(), q, eps2, s.reach, 0, l.ds.Len(), buf)
 	l.putScratch(s)
 	return buf
 }
 
-// RangeCount implements Index as RangeQuery does, via the count kernel. A
-// split count's blocks share its running total, so they stop once the
-// query reaches the limit.
+// RangeCount implements Index as RangeQuery does, via the count kernel.
 func (l *Linear) RangeCount(q []float64, eps float64, limit int) int {
 	eps2 := eps * eps
-	s, rows := l.prepare(q, eps2)
-	var c int
-	if !l.splits(rows) {
-		c = countRuns(l.ds.Matrix(), q, eps2, s.reach, 0, l.ds.Len(), limit)
-	} else {
-		_ = l.scan(context.Background(), l.workers, single(q), eps, limit, l.blocks, s, false, nil)
-		c = clamp(s.totals[0].Load(), limit)
-	}
+	s, _ := l.prepare(q, eps2)
+	c := countRuns(l.ds.Matrix(), q, eps2, s.reach, 0, l.ds.Len(), limit)
 	l.putScratch(s)
 	return c
 }
 
-// getScratch takes an idle scan's buffers, sized for queries queries and
-// parts block results, and zeroes the count totals.
-func (l *Linear) getScratch(queries, parts int) *scanScratch {
+// getScratch takes an idle scan's buffers, sized for queries queries, and
+// zeroes the count totals.
+func (l *Linear) getScratch(queries int) *scanScratch {
 	var s *scanScratch
 	l.mu.Lock()
 	if k := len(l.free); k > 0 {
@@ -479,9 +447,6 @@ func (l *Linear) getScratch(queries, parts int) *scanScratch {
 	for i := range s.totals[:queries] {
 		s.totals[i].Store(0)
 	}
-	if len(s.parts) < parts {
-		s.parts = make([][]int32, parts)
-	}
 	return s
 }
 
@@ -492,13 +457,7 @@ func (l *Linear) putScratch(s *scanScratch) {
 	l.mu.Unlock()
 }
 
-// single addresses one query point as a batch.
-func single(q []float64) Queries {
-	return Queries{N: 1, At: func(int) []float64 { return q }}
-}
-
-// BatchRangeQuery implements BatchIndex on the one schedule. It never
-// calls the splitting RangeQuery, so there is no nested fan-out. With one
+// BatchRangeQuery implements BatchIndex on the one schedule. With one
 // block each query's ids land in out[i]; with nb > 1 its block results
 // live in out's backing array past qs.N until they are concatenated into
 // out[i].
@@ -514,9 +473,9 @@ func (l *Linear) BatchRangeQuery(ctx context.Context, qs Queries, eps float64, w
 	}
 	out = growSlices(out, size)
 	parts := out[size-qs.N*nb:]
-	s := l.getScratch(qs.N, 0)
+	s := l.getScratch(qs.N)
 	defer l.putScratch(s)
-	if err := l.scan(ctx, workers, qs, eps, 0, nb, s, true, parts); err != nil {
+	if err := l.scan(ctx, workers, qs, eps, 0, nb, s, parts); err != nil {
 		return nil, err
 	}
 	if nb > 1 {
@@ -542,9 +501,9 @@ func (l *Linear) BatchRangeCount(ctx context.Context, qs Queries, eps float64, l
 		out = make([]int, qs.N)
 	}
 	out = out[:qs.N]
-	s := l.getScratch(qs.N, 0)
+	s := l.getScratch(qs.N)
 	defer l.putScratch(s)
-	if err := l.scan(ctx, workers, qs, eps, limit, nb, s, true, nil); err != nil {
+	if err := l.scan(ctx, workers, qs, eps, limit, nb, s, nil); err != nil {
 		return nil, err
 	}
 	for i := range out {
@@ -553,41 +512,34 @@ func (l *Linear) BatchRangeCount(ctx context.Context, qs Queries, eps float64, l
 	return out, nil
 }
 
-// scan is the linear scan's one schedule. It answers query i of qs on row
-// block b of nb into hoods[i*nb+b] (the ids within eps, ascending) or,
+// scan is the batches' block-major schedule. It answers query i of qs on
+// row block b of nb into hoods[i*nb+b] (the ids within eps, ascending) or,
 // with nil hoods, adds its count within eps into s.totals[i]. Each
 // engine.For item is one chunk of up to queryChunk queries on one row
-// block. With fill it first sets its queries' reach bits for the block's
-// zones (the block owns their words); without, the caller has set every
-// bit. It then walks the block in tiles of l.tile rows (a chunk of one
-// filter query in one tile), running every query of the chunk on the
-// tile's reachable zones before the next tile, so a tile is read once per
-// item. A count reads the query's total before each tile, skips the tile
+// block. It first sets its queries' reach bits for the block's zones (the
+// block owns their words), then walks the block in tiles of l.tile rows (a
+// chunk of one filter query in one tile), running every query of the
+// chunk on the tile's reachable zones before the next tile, so a tile is
+// read once per item. A count reads the query's total before each tile, skips the tile
 // once the total has reached the limit, and otherwise counts only up to
 // the limit's remainder, so a query's blocks stop together and the clamped
 // total is the whole scan's count.
-func (l *Linear) scan(ctx context.Context, workers int, qs Queries, eps float64, limit, nb int, s *scanScratch, fill bool, hoods [][]int32) error {
+func (l *Linear) scan(ctx context.Context, workers int, qs Queries, eps float64, limit, nb int, s *scanScratch, hoods [][]int32) error {
 	m, eps2, n, words := l.ds.Matrix(), eps*eps, l.ds.Len(), l.words()
 	bound := reachBound(eps2, l.ds.Dim())
-	unit := 1
-	if fill {
-		unit = wordRows
-	}
 	chunks := (qs.N + queryChunk - 1) / queryChunk
 	return engine.For(ctx, workers, chunks*nb, 1, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			c, b := k/nb, k%nb
 			q0, q1 := c*queryChunk, min((c+1)*queryChunk, qs.N)
-			r0, r1 := block(n, nb, b, unit)
+			r0, r1 := block(n, nb, b)
 			// reach[i-q0] is query i's bitset. Tiles that hold no zone any
 			// query of the chunk reaches are skipped.
 			var reach [queryChunk][]uint64
 			z0, z1 := zones(r0, r1)
 			for i := q0; i < q1; i++ {
 				bits := s.reach[i*words : (i+1)*words]
-				if fill {
-					l.reach(qs.At(i), bound, bits, z0, z1)
-				}
+				l.reach(qs.At(i), bound, bits, z0, z1)
 				reach[i-q0] = bits
 				if hoods != nil {
 					hoods[i*nb+b] = hoods[i*nb+b][:0]

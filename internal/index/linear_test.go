@@ -29,13 +29,14 @@ func splitQueries(ds *vec.Dataset, seed int64) [][]float64 {
 }
 
 // The split scan answers exactly what the whole scan answers: the same
-// ascending ids and the same limit-clamped counts, for single queries and
-// for batches of every size the block-major schedule treats alike (one
-// query, one chunk, chunks on several blocks, more chunks than blocks), at
-// cardinalities around the block-count thresholds, in both storage
-// precisions; and a count whose limit is reached in an early tile of a
-// later block, or only by two blocks together, stops with the whole
-// scan's value. The whole scan is the unpruned kernels' answer.
+// ascending ids and the same limit-clamped counts, for single queries, for
+// every query as a one-query batch (which splits into as many blocks as
+// the rows allow) and for batches of every size the block-major schedule
+// treats alike (one chunk, chunks on several blocks, more chunks than
+// blocks), at cardinalities around the block-count thresholds, in both
+// storage precisions; and a one-query count whose limit is reached in an
+// early tile of a later block, or only by two blocks together, stops with
+// the whole scan's value. The whole scan is the unpruned kernels' answer.
 func TestSplitScanMatchesWholeScan(t *testing.T) {
 	t.Run("limit-in-later-block", checkLimitInLaterBlock)
 	t.Run("limit-across-blocks", checkLimitAcrossBlocks)
@@ -88,22 +89,31 @@ func checkSplitScan(t *testing.T, ds *vec.Dataset, eps float64) {
 		if workers == 1 {
 			wantBlocks = 1
 		}
-		if lin.blocks != wantBlocks {
-			t.Fatalf("workers=%d: %d blocks, want %d", workers, lin.blocks, wantBlocks)
+		if nb := blocksFor(ds.Len(), 1, workers); nb != wantBlocks {
+			t.Fatalf("workers=%d: a one-query batch splits into %d blocks, want %d", workers, nb, wantBlocks)
 		}
+		var hoods [][]int32
+		var counts []int
 		for i, q := range points {
 			if got := lin.RangeQuery(q, eps, []int32{-1}); !slices.Equal(got[1:], want[i]) || got[0] != -1 {
 				t.Fatalf("workers=%d RangeQuery %d: got %d ids, want %d (ascending, appended to buf)", workers, i, len(got)-1, len(want[i]))
+			}
+			one := Queries{N: 1, At: func(int) []float64 { return q }}
+			hoods, err = lin.BatchRangeQuery(context.Background(), one, eps, workers, hoods)
+			if err != nil || len(hoods) != 1 || !slices.Equal(hoods[0], want[i]) {
+				t.Fatalf("workers=%d one-query batch %d: %d hoods, err %v, want %d ids", workers, i, len(hoods), err, len(want[i]))
 			}
 			for j, lim := range limits[i] {
 				if got := lin.RangeCount(q, eps, lim); got != wantN[i][j] {
 					t.Fatalf("workers=%d RangeCount %d limit %d = %d, want %d", workers, i, lim, got, wantN[i][j])
 				}
+				counts, err = lin.BatchRangeCount(context.Background(), one, eps, lim, workers, counts)
+				if err != nil || len(counts) != 1 || counts[0] != wantN[i][j] {
+					t.Fatalf("workers=%d one-query count batch %d limit %d = %v, err %v, want %d", workers, i, lim, counts, err, wantN[i][j])
+				}
 			}
 		}
-		var hoods [][]int32
-		var counts []int
-		for _, size := range []int{2 * workers, 0, 1, 2*workers - 1, 2 * workers, queryChunk + 1, 2 * queryChunk, len(points)} {
+		for _, size := range []int{2 * workers, 0, 2*workers - 1, 2 * workers, queryChunk + 1, 2 * queryChunk, len(points)} {
 			qs := Queries{N: size, At: func(i int) []float64 { return points[i] }}
 			hoods, err = lin.BatchRangeQuery(context.Background(), qs, eps, workers, hoods)
 			if err != nil || len(hoods) != size {
@@ -143,9 +153,10 @@ func checkLimitInLaterBlock(t *testing.T) {
 	// The cluster starts three rows into block 1's second 256-row float64
 	// tile (the first 512-row float32 one).
 	lin, ds, first := clusterAt(t, minBlockRows+256+3)
-	lo, _ := block(ds.Len(), lin.blocks, 1, wordRows)
-	if tile := (first - lo) / lin.tile; lin.blocks != 3 || tile > 1 || (first+clusterRows-1-lo)/lin.tile != tile {
-		t.Fatalf("%d blocks, block 1 at row %d, %d-row tiles: the cluster is not inside one early tile of block 1", lin.blocks, lo, lin.tile)
+	nb := blocksFor(ds.Len(), 1, 2)
+	lo, _ := block(ds.Len(), nb, 1)
+	if tile := (first - lo) / lin.tile; nb != 3 || tile > 1 || (first+clusterRows-1-lo)/lin.tile != tile {
+		t.Fatalf("%d blocks, block 1 at row %d, %d-row tiles: the cluster is not inside one early tile of block 1", nb, lo, lin.tile)
 	}
 	checkClusterCounts(t, lin, ds, first)
 }
@@ -156,8 +167,9 @@ func checkLimitInLaterBlock(t *testing.T) {
 // shared running total gives the whole scan's count.
 func checkLimitAcrossBlocks(t *testing.T) {
 	lin, ds, first := clusterAt(t, minBlockRows-clusterRows/2)
-	if _, hi := block(ds.Len(), lin.blocks, 0, wordRows); lin.blocks != 3 || hi != first+clusterRows/2 {
-		t.Fatalf("%d blocks, block 0 ends at row %d: the cluster does not straddle blocks 0 and 1", lin.blocks, hi)
+	nb := blocksFor(ds.Len(), 1, 2)
+	if _, hi := block(ds.Len(), nb, 0); nb != 3 || hi != first+clusterRows/2 {
+		t.Fatalf("%d blocks, block 0 ends at row %d: the cluster does not straddle blocks 0 and 1", nb, hi)
 	}
 	checkClusterCounts(t, lin, ds, first)
 }
@@ -168,8 +180,7 @@ const clusterRows = 40
 // clusterAt returns a 2-worker Linear over three blocks of minBlockRows
 // uniform rows in the unit-100 cube (d=8), except that rows [first,
 // first+clusterRows) form a tight cluster. The uniform rows make every
-// zone reachable, so a single query of the cluster splits. At this n a
-// single query's equal blocks and a batch's word-aligned ones coincide.
+// zone reachable, so a query of the cluster reads every block.
 func clusterAt(t *testing.T, first int) (*Linear, *vec.Dataset, int) {
 	const n, d = 3 * minBlockRows, 8
 	rng := rand.New(rand.NewSource(5))
@@ -193,9 +204,9 @@ func clusterAt(t *testing.T, first int) (*Linear, *vec.Dataset, int) {
 	return lin, ds, first
 }
 
-// checkClusterCounts checks clusterAt's counts around the cluster, single
-// and batched, against the whole scan at limits below, inside, at and past
-// the cluster's size.
+// checkClusterCounts checks clusterAt's counts around the cluster, single,
+// as a one-query batch and as a three-query batch, against the whole scan
+// at limits below, inside, at and past the cluster's size.
 func checkClusterCounts(t *testing.T, lin *Linear, ds *vec.Dataset, first int) {
 	t.Helper()
 	center := ds.Point(first)
@@ -204,24 +215,26 @@ func checkClusterCounts(t *testing.T, lin *Linear, ds *vec.Dataset, first int) {
 	if got := whole.RangeCount(center, eps, 0); got != clusterRows {
 		t.Fatalf("the cluster counts %d rows, want %d", got, clusterRows)
 	}
-	if rows := lin.ReachRows(center, eps); !lin.splits(rows) {
-		t.Fatalf("a query of the cluster reads %d rows and does not split", rows)
+	if rows := lin.ReachRows(center, eps); rows != ds.Len() {
+		t.Fatalf("a query of the cluster reads %d of %d rows, want all", rows, ds.Len())
 	}
 	qs := Queries{N: 3, At: func(i int) []float64 { return ds.Point(first + i) }}
 	var counts []int
 	var err error
 	for _, limit := range []int{0, 1, 7, clusterRows/2 + 1, clusterRows, clusterRows + 1} {
-		counts, err = lin.BatchRangeCount(context.Background(), qs, eps, limit, 2, counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range counts {
-			if want := whole.RangeCount(qs.At(i), eps, limit); c != want {
-				t.Fatalf("limit %d query %d: count %d, whole scan %d", limit, i, c, want)
+		for _, batch := range []Queries{qs, {N: 1, At: qs.At}} {
+			counts, err = lin.BatchRangeCount(context.Background(), batch, eps, limit, 2, counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range counts {
+				if want := whole.RangeCount(batch.At(i), eps, limit); c != want {
+					t.Fatalf("limit %d, batch of %d, query %d: count %d, whole scan %d", limit, batch.N, i, c, want)
+				}
 			}
 		}
 		if got, want := lin.RangeCount(center, eps, limit), whole.RangeCount(center, eps, limit); got != want {
-			t.Fatalf("limit %d: split RangeCount %d, whole scan %d", limit, got, want)
+			t.Fatalf("limit %d: RangeCount %d, whole scan %d", limit, got, want)
 		}
 	}
 }
@@ -251,19 +264,46 @@ func TestSplitBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkLinearSplit times single queries (batch=1 through RangeQuery)
-// and small batches on the linear scan at perfbench's cluster-default
-// shape (n=40k, d=8), whole (workers=1) and split across workers.
+// A steady-state single query allocates nothing, even where it reads every
+// row of a Linear built on several workers: it runs on its caller, with
+// its reach bitset from the idle scan buffers.
+func TestSingleQuerySteadyStateAllocs(t *testing.T) {
+	ds := shuffled(t, walkDataset(t, 2*minBlockRows+77, 8, 4), 4)
+	lin, err := NewLinear(context.Background(), ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ds.Point(5)
+	const eps = 1e4 // past the walk's extent, so every zone is reachable
+	if rows := lin.ReachRows(q, eps); rows != ds.Len() {
+		t.Fatalf("eps %g reads %d of %d rows, want all", eps, rows, ds.Len())
+	}
+	buf := lin.RangeQuery(q, eps, nil)
+	if len(buf) != ds.Len() {
+		t.Fatalf("RangeQuery found %d of %d rows", len(buf), ds.Len())
+	}
+	if got := testing.AllocsPerRun(50, func() { buf = lin.RangeQuery(q, eps, buf[:0]) }); got != 0 {
+		t.Errorf("RangeQuery: %v allocs per steady-state call, want 0", got)
+	}
+	if got := testing.AllocsPerRun(50, func() { _ = lin.RangeCount(q, eps, 0) }); got != 0 {
+		t.Errorf("RangeCount: %v allocs per steady-state call, want 0", got)
+	}
+}
+
+// BenchmarkLinearSplit times single queries (RangeQuery, which runs on the
+// caller at any worker count) and small batches on the linear scan at
+// perfbench's cluster-default shape (n=40k, d=8), the batches whole
+// (workers=1) and split across workers.
 func BenchmarkLinearSplit(b *testing.B) {
 	ds := randomDataset(b, 40_000, 8, 1)
+	lin, _ := NewLinear(context.Background(), ds, 1)
+	b.Run("single", func(b *testing.B) {
+		var buf []int32
+		for i := 0; i < b.N; i++ {
+			buf = lin.RangeQuery(ds.Point(i%ds.Len()), 60, buf[:0])
+		}
+	})
 	for _, workers := range []int{1, 2} {
-		lin, _ := NewLinear(context.Background(), ds, workers)
-		b.Run(fmt.Sprintf("workers=%d/single", workers), func(b *testing.B) {
-			var buf []int32
-			for i := 0; i < b.N; i++ {
-				buf = lin.RangeQuery(ds.Point(i%ds.Len()), 60, buf[:0])
-			}
-		})
 		b.Run(fmt.Sprintf("workers=%d/batch=6", workers), func(b *testing.B) {
 			var out [][]int32
 			for i := 0; i < b.N; i++ {

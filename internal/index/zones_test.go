@@ -125,12 +125,11 @@ func checkUnpruned(t *testing.T, ds *vec.Dataset, queries [][]float64, eps float
 
 // The zone map changes which rows a query reads, never its answer: on
 // random-walk rows in walk order (each zone a small box, most pruned) and
-// shuffled (every zone wide), at n below, at and past a zone and past the
-// split threshold (not a multiple of 64, and 13-dimensional float64 tiles
-// of 156 rows cut zones), d = 2, 3, 8, 13, both precisions, ε from 0
-// (repeated rows) to one that reaches every zone (so single queries
-// split), and queries on, beside and far outside the data or with a NaN
-// coordinate.
+// shuffled (every zone wide), at n below, at and past a zone and past two
+// batch blocks (not a multiple of 64, and 13-dimensional float64 tiles of
+// 156 rows cut zones), d = 2, 3, 8, 13, both precisions, ε from 0
+// (repeated rows) to one that reaches every zone, and queries on, beside
+// and far outside the data or with a NaN coordinate.
 func TestZonesMatchUnprunedScan(t *testing.T) {
 	for _, d := range []int{2, 3, 8, 13} {
 		for _, n := range []int{1, 63, 64, 65, 1000, 2*minBlockRows + 77} {
@@ -161,8 +160,8 @@ func TestZonesMatchUnprunedScan(t *testing.T) {
 
 // checkReach fails t unless the cases exercise both sides of the zone map
 // at q: on ordered rows ε = 1.5 reads under a quarter of the rows and ε =
-// 1e4 reads every row and splits; on shuffled rows every full word is
-// wide, so even ε = 0 reads all their rows.
+// 1e4 reads every row; on shuffled rows every full word is wide, so even
+// ε = 0 reads all their rows.
 func checkReach(t *testing.T, ds *vec.Dataset, q []float64, shuffled bool) {
 	t.Helper()
 	lin, _ := NewLinear(context.Background(), ds, 2)
@@ -176,8 +175,8 @@ func checkReach(t *testing.T, ds *vec.Dataset, q []float64, shuffled bool) {
 	if rows := lin.ReachRows(q, 1.5); rows >= n/4 {
 		t.Fatalf("ordered rows: eps 1.5 reads %d of %d rows, want under a quarter", rows, n)
 	}
-	if rows := lin.ReachRows(q, 1e4); rows != n || !lin.splits(rows) {
-		t.Fatalf("ordered rows: eps 1e4 reads %d of %d rows (split %v), want all, split", rows, n, lin.splits(rows))
+	if rows := lin.ReachRows(q, 1e4); rows != n {
+		t.Fatalf("ordered rows: eps 1e4 reads %d of %d rows, want all", rows, n)
 	}
 }
 
