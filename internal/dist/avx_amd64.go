@@ -130,3 +130,10 @@ func smoPassAVX(f, rowI, rowJ, pu, pd *float64, delta float64, quads int, lanes 
 //
 //go:noescape
 func smoSelectAVX(f, pu, pd *float64, quads int, lanes *[16]float64)
+
+// nearBoxesAVX returns the near bits of the first 16*passes of the 64 boxes
+// at bounds (NearBoxes's layout, d axes) against q and bound. d and passes
+// must be >= 1 and passes <= 4.
+//
+//go:noescape
+func nearBoxesAVX(bounds, q *float64, d, passes int, bound float64) uint64

@@ -479,3 +479,95 @@ negloop:
 	JNZ negloop
 	VZEROUPPER
 	RET
+
+// Zone-box test (NearBoxes in boxes.go): one bit per box of 64 boxes
+// stored axis-major, 128 float64 bounds per axis (64 lower, then 64 upper).
+//
+// Lane contract: each lane is one box's running sum, so a box adds its
+// terms in axis order, as the Go loop does. Per axis and box, with v the
+// query coordinate broadcast in Y4, the lane computes g = lo−v, h = v−hi,
+// 0.5·((g+|g|) + (h+|h|)), its square, and adds that to the sum: VSUBPD,
+// VANDPD with the sign-clearing mask (|x|, as math.Abs), VADDPD and VMULPD
+// in the loop's order (only the operands of a commutative add or multiply
+// swap), never FMA. One pass runs 16 boxes in four accumulators, Y0..Y3,
+// over every axis; VCMPPD NGT_UQ against the bound (Y15) is true where
+// !(s > bound), NaN sum or bound included, and VMOVMSKPD gives each quad's
+// four bits.
+
+DATA boxconst<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF // clears the sign bit
+DATA boxconst<>+8(SB)/8, $0x7FFFFFFFFFFFFFFF
+DATA boxconst<>+16(SB)/8, $0x7FFFFFFFFFFFFFFF
+DATA boxconst<>+24(SB)/8, $0x7FFFFFFFFFFFFFFF
+DATA boxconst<>+32(SB)/8, $0.5
+DATA boxconst<>+40(SB)/8, $0.5
+DATA boxconst<>+48(SB)/8, $0.5
+DATA boxconst<>+56(SB)/8, $0.5
+GLOBL boxconst<>(SB), RODATA|NOPTR, $64
+
+// GAPSQ adds the squared gaps of the quad of boxes whose lower bounds are
+// at lo(R10) and upper bounds at hi(R10) to acc, with a, b and t as
+// scratch; Y13 holds the sign-clearing mask and Y14 the four halves.
+#define GAPSQ(lo, hi, acc, a, b, t) \
+	VMOVUPD lo(R10), a;     \
+	VSUBPD Y4, a, a;        \
+	VANDPD Y13, a, t;       \
+	VADDPD t, a, a;         \
+	VSUBPD hi(R10), Y4, b;  \
+	VANDPD Y13, b, t;       \
+	VADDPD t, b, b;         \
+	VADDPD b, a, a;         \
+	VMULPD Y14, a, a;       \
+	VMULPD a, a, a;         \
+	VADDPD a, acc, acc
+
+// NEARBITS ORs the four near bits of accumulator acc, shifted left by
+// shift, into AX, using acc and R13 as scratch.
+#define NEARBITS(acc, shift) \
+	VCMPPD $0x1A, Y15, acc, acc; \
+	VMOVMSKPD acc, R13;          \
+	SHLQ $shift, R13;            \
+	ORQ R13, AX
+
+// func nearBoxesAVX(bounds, q *float64, d, passes int, bound float64) uint64
+TEXT ·nearBoxesAVX(SB), NOSPLIT, $0-48
+	MOVQ bounds+0(FP), SI
+	MOVQ q+8(FP), DI
+	MOVQ d+16(FP), DX
+	MOVQ passes+24(FP), BX
+	VBROADCASTSD bound+32(FP), Y15
+	VMOVUPD boxconst<>+0(SB), Y13
+	VMOVUPD boxconst<>+32(SB), Y14
+	XORQ R8, R8 // the result
+	XORQ CX, CX // the pass's first box, its bits' shift
+boxpass:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ SI, R10
+	MOVQ DI, R11
+	MOVQ DX, R12
+boxaxis:
+	VBROADCASTSD (R11), Y4
+	GAPSQ(0, 512, Y0, Y5, Y6, Y7)
+	GAPSQ(32, 544, Y1, Y8, Y9, Y10)
+	GAPSQ(64, 576, Y2, Y5, Y6, Y7)
+	GAPSQ(96, 608, Y3, Y8, Y9, Y10)
+	ADDQ $1024, R10 // the next axis's 128 bounds
+	ADDQ $8, R11
+	DECQ R12
+	JNZ  boxaxis
+	XORQ AX, AX
+	NEARBITS(Y0, 0)
+	NEARBITS(Y1, 4)
+	NEARBITS(Y2, 8)
+	NEARBITS(Y3, 12)
+	SHLQ CX, AX
+	ORQ  AX, R8
+	ADDQ $16, CX
+	ADDQ $128, SI // the next 16 boxes
+	DECQ BX
+	JNZ  boxpass
+	VZEROUPPER
+	MOVQ R8, ret+40(FP)
+	RET

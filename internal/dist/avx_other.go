@@ -52,3 +52,5 @@ func smoPassAVX(f, rowI, rowJ, pu, pd *float64, delta float64, quads int, lanes 
 }
 
 func smoSelectAVX(f, pu, pd *float64, quads int, lanes *[16]float64) { panic(noAVX) }
+
+func nearBoxesAVX(bounds, q *float64, d, passes int, bound float64) uint64 { panic(noAVX) }

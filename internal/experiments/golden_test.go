@@ -151,3 +151,48 @@ func TestDBSVECGolden(t *testing.T) {
 func expFMABranch() bool {
 	return math.Float64bits(math.Exp(math.Float64frombits(0xbfca9e7e1c3efd70))) == 0x3fe9fddaa93bfd21
 }
+
+// TestDBSVECGoldenBenchmarkScale pins DBSVEC at the scale perfbench's
+// cluster-default workload runs it: SeedSpreader n=40000, d=8, seed 64 (its
+// first dataset), ε=2000, MinPts 100, on the default linear index, whose
+// zone map prunes most rows there. One SHA-256 over the labels and one over
+// the nine run counters, as TestDBSVECGolden hashes an entry, picked by
+// storage precision and math.Exp branch; a mismatch logs the counters.
+func TestDBSVECGoldenBenchmarkScale(t *testing.T) {
+	type key struct {
+		prec vec.Precision
+		fma  bool
+	}
+	want := map[key][2]string{
+		{vec.F64, true}:  {"50d486e1016324f3", "fe0c38ec73652923"},
+		{vec.F32, true}:  {"50d486e1016324f3", "5f5cd497a480c965"},
+		{vec.F64, false}: {"50d486e1016324f3", "d9d03111447471f9"},
+		{vec.F32, false}: {"50d486e1016324f3", "97b70787f116d84e"},
+	}[key{vec.DefaultPrecision(), expFMABranch()}]
+	build, err := backend.Linear.Builder(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := data.SeedSpreader{N: 40000, D: 8, Seed: 64}.Generate()
+	res, st, err := core.Run(ds, core.Options{Eps: 2000, MinPts: 100, IndexBuilderCtx: build, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, counters := sha256.New(), sha256.New()
+	for _, l := range res.Labels {
+		labels.Write(binary.LittleEndian.AppendUint32(nil, uint32(l)))
+	}
+	vals := []int64{
+		int64(st.Seeds), st.SupportVectors, int64(st.Merges), int64(st.NoiseList),
+		st.RangeQueries, st.RangeCounts, int64(st.SVDDTrainings), st.SVDDIterations,
+		int64(st.Degraded),
+	}
+	for _, v := range vals {
+		counters.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
+	}
+	got := [2]string{hex.EncodeToString(labels.Sum(nil)[:8]), hex.EncodeToString(counters.Sum(nil)[:8])}
+	if got != want {
+		t.Errorf("labels, counters digests = %v, want %v; %d clusters, seeds=%d svs=%d merges=%d noise=%d range_queries=%d range_counts=%d trainings=%d iterations=%d degraded=%d",
+			got, want, res.Clusters, vals[0], vals[1], vals[2], vals[3], vals[4], vals[5], vals[6], vals[7], vals[8])
+	}
+}

@@ -331,7 +331,8 @@ func timeLinear(lin *index.Linear, batches []index.Queries, limit, workers int, 
 // section's data in both of its cases: rows in generation order, where
 // each SeedSpreader region's random walk is one run of rows and a query
 // reads ~3 % of them, and the same rows shuffled by a fixed permutation,
-// where every zone's box spans the data and a query reads every row. Each
+// where each zone's box spans most of the data and a query reads about
+// 99 % of the rows. Each
 // order runs single queries (one RangeQuery call per query, on the
 // caller), a 12-query batch and a 512-query count batch with limit 100, on
 // 2 workers. Besides results, each row counts rows_scanned: the rows in

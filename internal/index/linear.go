@@ -54,12 +54,13 @@ const (
 // thing, a zone map: the bounding box of every zoneRows consecutive rows
 // (a zone) and of every 64 zones (a word), 2·d float64 bounds each (about
 // 3 % of the float64 rows' bytes), made in one pass over the rows. A query
-// first tests the word boxes, then the zone boxes of the words it
-// reaches, against its ε-ball, and reads only the rows of the zones the
-// ball reaches. That prunes when the row order has locality (generated
-// random walks, trajectories, sorted exports: ~3 % of the rows on
-// perfbench's cluster-default data) and prunes nothing on shuffled rows,
-// where the scan reads every row as before and pays only the word tests.
+// first tests the word boxes (dist.NearBox), then the 64 zone boxes of each
+// word it reaches in one dist.NearBoxes call (AVX where the CPU has it,
+// 16 zones per pass), against its ε-ball, and reads only the rows of the
+// zones the ball reaches. That prunes when the row order has locality
+// (generated random walks, trajectories, sorted exports: ~3 % of the rows
+// on perfbench's cluster-default data) and prunes little on shuffled rows,
+// where the scan reads nearly every row as before and pays the box tests.
 //
 // A single query runs on the caller over the runs of zones it reaches
 // (filterRuns, countRuns). Every batch runs one block-major schedule
@@ -86,11 +87,6 @@ type Linear struct {
 	// boxes, box w at [2·d·w, 2·d·(w+1)): its d lower bounds, then its d
 	// upper bounds.
 	zone, word []float64
-	// wide marks the words whose zones are on average at least half as
-	// wide as the word on each axis, as on shuffled rows: a query that
-	// reaches the word reaches nearly all their zones, so reach takes them
-	// all instead of testing each.
-	wide []bool
 	// free holds the idle scans' buffers, under mu: a Linear is shared by
 	// concurrent readers, so scans cannot share one buffer. It is not a
 	// sync.Pool because a pool drops a quarter of its puts under the race
@@ -122,23 +118,22 @@ func NewLinear(ctx context.Context, ds *vec.Dataset, workers int) (*Linear, erro
 	workers = engine.ResolveWorkers(workers)
 	m := ds.Matrix()
 	l := &Linear{ds: ds, tile: tileRows(m)}
-	l.zone, l.word, l.wide = zoneMap(m, ds.Len(), workers)
+	l.zone, l.word = zoneMap(m, ds.Len(), workers)
 	return l, nil
 }
 
-// zoneMap returns Linear.zone, Linear.word and Linear.wide for the n rows
-// of m. Each 64-zone word reads only its own 4096 rows and writes only its
-// own bounds, so the words build on engine.For across workers, one word per
-// item, and every bound is the same min or max whichever worker computes
-// it.
-func zoneMap(m dist.Matrix, n, workers int) (zone, word []float64, wide []bool) {
+// zoneMap returns Linear.zone and Linear.word for the n rows of m. Each
+// 64-zone word reads only its own 4096 rows and writes only its own bounds,
+// so the words build on engine.For across workers, one word per item, and
+// every bound is the same min or max whichever worker computes it.
+func zoneMap(m dist.Matrix, n, workers int) (zone, word []float64) {
 	d := m.Dim
 	if d <= 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	zones := (n + zoneRows - 1) / zoneRows
 	words := (zones + 63) / 64
-	zone, word, wide = make([]float64, 128*d*words), make([]float64, 2*d*words), make([]bool, words)
+	zone, word = make([]float64, 128*d*words), make([]float64, 2*d*words)
 	engine.For(nil, workers, words, 1, func(lo, hi int) {
 		for w := lo; w < hi; w++ {
 			if m.Coords32 != nil {
@@ -146,10 +141,10 @@ func zoneMap(m dist.Matrix, n, workers int) (zone, word []float64, wide []bool) 
 			} else {
 				zoneBoxes(m.Coords[:n*d], d, w, zone)
 			}
-			wide[w] = wordBox(zone, zones, d, w, word)
+			wordBox(zone, zones, d, w, word)
 		}
 	})
-	return zone, word, wide
+	return zone, word
 }
 
 // zoneBoxes writes the bounding boxes of the zones of word w of the rows
@@ -179,28 +174,13 @@ func zoneBoxes[E float32 | float64](c []E, d, w int, box []float64) {
 }
 
 // wordBox writes the bounding box of word w, over zones zone boxes, into
-// word in Linear.word's layout, and reports whether the word is wide: the
-// mean over its zones and axes of zone width over word width (1 on an axis
-// where the word is flat) is at least one half. The mean reads 0.08 on
-// perfbench's cluster-default data in generation order and 0.97 on the
-// same rows shuffled.
-func wordBox(zone []float64, zones, d, w int, word []float64) bool {
+// word in Linear.word's layout.
+func wordBox(zone []float64, zones, d, w int, word []float64) {
 	box, bounds := word[2*d*w:2*d*(w+1)], zone[128*d*w:128*d*(w+1)]
 	in := min(64, zones-64*w)
-	ratio := 0.0
 	for j := range d {
-		lo, hi := bounds[128*j:128*j+in], bounds[128*j+64:128*j+64+in]
-		box[j], box[d+j] = slices.Min(lo), slices.Max(hi)
-		span := box[d+j] - box[j]
-		for k := range in {
-			if span > 0 {
-				ratio += (hi[k] - lo[k]) / span
-			} else {
-				ratio++
-			}
-		}
+		box[j], box[d+j] = slices.Min(bounds[128*j:128*j+in]), slices.Max(bounds[128*j+64:128*j+64+in])
 	}
-	return ratio >= 0.5*float64(in*d)
 }
 
 // tileRows is the number of m's rows in tileBytes, rounded down to a
@@ -242,9 +222,10 @@ func block(n, nb, b int) (lo, hi int) {
 func zones(lo, hi int) (z0, z1 int) { return lo / zoneRows, (hi + zoneRows - 1) / zoneRows }
 
 // reachBound is the squared distance a zone's box may lie from a query and
-// still hold a row within eps2 of it. The box test sums its terms in its
-// own order, the kernels in theirs (four partial sums, or fused
-// multiply-adds where the compiler fuses), so the two roundings may differ
+// still hold a row within eps2 of it. The box tests (dist.NearBox,
+// dist.NearBoxes) sum their terms in axis order, the kernels in theirs
+// (four partial sums, or fused multiply-adds where the compiler fuses),
+// so the two roundings may differ
 // by a few units in the last place per term; the relative slack covers
 // that many times over, and the absolute one the terms that underflow. A
 // NaN eps2 stays NaN, which keeps every zone; the kernel, which accepts
@@ -256,21 +237,18 @@ func reachBound(eps2 float64, d int) float64 {
 // reach sets the bits of the zones of [z0, z1) that may hold a row within
 // bound of q and clears the other bits of their words, and returns the
 // number of rows in the set zones. z0 is a multiple of 64, so reach writes
-// whole words. A word whose box lies beyond bound clears all its zones; a
-// wide word sets all of them; any other word tests each zone's box.
+// whole words. A word whose box lies beyond bound clears all its zones;
+// any other word tests its zones' boxes in one dist.NearBoxes call. A NaN
+// sum (a NaN coordinate or bound, or ∞−∞) is near, so the kernel, which
+// accepts no row at a NaN distance, then decides.
 func (l *Linear) reach(q []float64, bound float64, reach []uint64, z0, z1 int) int {
 	d := l.ds.Dim()
 	q = q[:d]
 	rows := 0
 	for w := z0 >> 6; w<<6 < z1; w++ {
 		var set uint64
-		if near(l.word[2*d*w:2*d*(w+1)], q, bound) {
-			zEnd := min(w<<6+64, z1)
-			if l.wide[w] {
-				set = ^uint64(0) >> (64 - (zEnd - w<<6))
-			} else {
-				set = nearZones(l.zone[128*d*w:128*d*(w+1)], q, bound, zEnd-w<<6)
-			}
+		if dist.NearBox(l.word[2*d*w:2*d*(w+1)], q, bound) {
+			set = dist.NearBoxes(l.zone[128*d*w:128*d*(w+1)], q, bound, min(w<<6+64, z1)-w<<6)
 		}
 		reach[w] = set
 		rows += bits.OnesCount64(set) * zoneRows
@@ -280,52 +258,6 @@ func (l *Linear) reach(q []float64, bound float64, reach []uint64, z0, z1 int) i
 		rows -= z1*zoneRows - n
 	}
 	return rows
-}
-
-// nearZones returns the bits of the first in zones of a word's block of
-// zone bounds (Linear.zone's layout) that are near q: near's test, one
-// axis at a time over all 64 zones, so the zones' sums do not wait on
-// each other. Each zone's terms add in axis order, as in near.
-func nearZones(bounds, q []float64, bound float64, in int) uint64 {
-	var acc [64]float64
-	for j, v := range q {
-		lo, hi := (*[64]float64)(bounds[128*j:]), (*[64]float64)(bounds[128*j+64:])
-		for k := range acc {
-			g := gap(lo[k], hi[k], v)
-			acc[k] += g * g
-		}
-	}
-	var set uint64
-	for k, s := range acc[:in] {
-		if !(s > bound) {
-			set |= 1 << k
-		}
-	}
-	return set
-}
-
-// near reports whether the box (d lower bounds, then d upper bounds) may
-// hold a point within bound of q. Its sum of squared gaps is a lower bound
-// on the kernels' distance to every row in the box, up to the rounding
-// reachBound allows for. A NaN (a NaN coordinate, or ∞−∞) makes the sum
-// NaN, which is near: the kernel then decides.
-func near(box, q []float64, bound float64) bool {
-	lo, hi := box[:len(q)], box[len(q):]
-	s := 0.0
-	for j, v := range q {
-		g := gap(lo[j], hi[j], v)
-		s += g * g
-	}
-	return !(s > bound)
-}
-
-// gap is the distance from v to [lo, hi] on one axis, max(lo−v, v−hi, 0),
-// taken without a branch: at most one of the differences is positive, and
-// x+|x| is exactly 2x or 0. It rounds no larger than the difference from v
-// to any coordinate in [lo, hi] does.
-func gap(lo, hi, v float64) float64 {
-	g, h := lo-v, v-hi
-	return 0.5 * ((g + math.Abs(g)) + (h + math.Abs(h)))
 }
 
 // nextRun returns the first run [a, b) of consecutive zones set in reach

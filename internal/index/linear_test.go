@@ -179,8 +179,8 @@ const clusterRows = 40
 
 // clusterAt returns a 2-worker Linear over three blocks of minBlockRows
 // uniform rows in the unit-100 cube (d=8), except that rows [first,
-// first+clusterRows) form a tight cluster. The uniform rows make every
-// zone reachable, so a query of the cluster reads every block.
+// first+clusterRows) form a tight cluster at the cube's centre, which every
+// zone's box holds, so a query of the cluster reads every block.
 func clusterAt(t *testing.T, first int) (*Linear, *vec.Dataset, int) {
 	const n, d = 3 * minBlockRows, 8
 	rng := rand.New(rand.NewSource(5))
@@ -188,9 +188,9 @@ func clusterAt(t *testing.T, first int) (*Linear, *vec.Dataset, int) {
 	for i := range coords {
 		coords[i] = rng.Float64() * 100
 	}
-	for i := first + 1; i < first+clusterRows; i++ {
+	for i := first; i < first+clusterRows; i++ {
 		for j := 0; j < d; j++ {
-			coords[i*d+j] = coords[first*d+j] + 0.005*float64(i-first)
+			coords[i*d+j] = 50 + 0.005*float64(i-first)
 		}
 	}
 	ds, err := vec.NewDataset(coords, d)
