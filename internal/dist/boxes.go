@@ -5,33 +5,21 @@ import "math"
 // Box tests of index.Linear's zone map. They are not distances: each sums
 // the squared gaps from a query to an axis-aligned box, a lower bound on the
 // distance from the query to every point in the box, up to the rounding the
-// caller's bound allows for. They are written once as pure-Go loops that
-// define the result; NearBoxes also has an AVX body that reproduces its
-// loop bit for bit (avx_amd64.s).
+// caller's bound allows for. The test is written once as a pure-Go loop
+// that defines the result, with an AVX body that reproduces it bit for bit
+// (avx_amd64.s).
 
-// NearBox reports whether the box (d lower bounds, then d upper bounds,
-// d = len(q)) may hold a point within bound of q: whether the sum of the
+// NearBoxes tests the first in of 64 boxes stored axis-major: for each
+// axis j of q, the 64 boxes' lower bounds at bounds[128·j:128·j+64] and
+// their upper bounds after them. in must be in 1..64. Bit k of the result
+// is set when box k may hold a point within bound of q: when the sum of the
 // squared gaps from q to the box, added in axis order, is not above bound.
-// A NaN (a NaN coordinate or bound, or ∞−∞) makes the test true.
-func NearBox(box, q []float64, bound float64) bool {
-	lo, hi := box[:len(q)], box[len(q):2*len(q)]
-	s := 0.0
-	for j, v := range q {
-		g := gap(lo[j], hi[j], v)
-		s += g * g
-	}
-	return !(s > bound)
-}
-
-// NearBoxes is NearBox over the first in of 64 boxes stored axis-major:
-// for each axis j of q, the 64 boxes' lower bounds at
-// bounds[128·j:128·j+64] and their upper bounds after them. in must be in
-// 1..64. Bit k of the result is NearBox's verdict on box k, each box's
-// terms added in axis order; the bits from in on are clear.
+// A NaN sum (a NaN coordinate or bound, or ∞−∞) sets the bit. The bits from
+// in on are clear.
 //
 // On amd64 with AVX the assembly body tests 16 boxes per pass, four to a
-// YMM register, with NearBox's operations in its order (VSUBPD, VANDPD for
-// the absolute value, VADDPD, VMULPD, never FMA) and a VCMPPD NGT_UQ
+// YMM register, with the Go loop's operations in its order (VSUBPD, VANDPD
+// for the absolute value, VADDPD, VMULPD, never FMA) and a VCMPPD NGT_UQ
 // verdict, which is !(s > bound) with a NaN sum or bound near.
 func NearBoxes(bounds, q []float64, bound float64, in int) uint64 {
 	bounds = bounds[:128*len(q)]

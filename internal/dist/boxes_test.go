@@ -36,8 +36,14 @@ func randBoxes(rng *rand.Rand, d, special int) (bounds, q []float64) {
 	return bounds, q
 }
 
-// boxAt returns box k of bounds (d lower bounds, then d upper bounds),
-// NearBox's layout.
+// nearBox is the test of one box (d lower bounds, then d upper bounds,
+// d = len(q)) that NearBoxes makes for each of its boxes: the sum of the
+// squared gaps from q to the box, added in axis order, is not above bound.
+func nearBox(box, q []float64, bound float64) bool {
+	return !(boxSum(box, q) > bound)
+}
+
+// boxAt returns box k of bounds in nearBox's layout.
 func boxAt(bounds []float64, d, k int) []float64 {
 	box := make([]float64, 2*d)
 	for j := range d {
@@ -46,7 +52,7 @@ func boxAt(bounds []float64, d, k int) []float64 {
 	return box
 }
 
-// boxSum is the sum NearBox compares with its bound.
+// boxSum is the sum nearBox compares with its bound.
 func boxSum(box, q []float64) float64 {
 	s := 0.0
 	for j, v := range q {
@@ -57,26 +63,26 @@ func boxSum(box, q []float64) float64 {
 }
 
 // checkNearBoxes fails t unless NearBoxes, with the AVX dispatch on and
-// off, sets exactly the bits of the first in boxes NearBox calls near.
+// off, sets exactly the bits of the first in boxes nearBox calls near.
 func checkNearBoxes(t testing.TB, bounds, q []float64, bound float64, in int) {
 	t.Helper()
 	var want uint64
 	for k := range in {
-		if NearBox(boxAt(bounds, len(q), k), q, bound) {
+		if nearBox(boxAt(bounds, len(q), k), q, bound) {
 			want |= 1 << k
 		}
 	}
 	got := NearBoxes(bounds, q, bound, in)
 	goGot := pureGo(func() uint64 { return NearBoxes(bounds, q, bound, in) })
 	if got != want || goGot != want {
-		t.Fatalf("d=%d in=%d bound=%v: NearBoxes %016x, pure Go %016x, per-box NearBox %016x", len(q), in, bound, got, goGot, want)
+		t.Fatalf("d=%d in=%d bound=%v: NearBoxes %016x, pure Go %016x, per-box nearBox %016x", len(q), in, bound, got, goGot, want)
 	}
 }
 
 // TestNearBoxesMatchGoOracle is the differential test of the zone-box
 // kernel: at every d from 1 to 40 (d mod 4 of every residue, one to three
 // passes' worth of axes) and every in from 1 to 64, the dispatch and the
-// pure-Go loop must equal NearBox box by box. The bounds are random boxes
+// pure-Go loop must equal nearBox box by box. The bounds are random boxes
 // around the query, with NaN, ±Inf, −0, subnormal and MaxFloat64 values in
 // the bounds and the query; the bound is a box's exact sum (a tie, which
 // is near), the next float below it, 0, −0, −1, ±Inf and NaN. Boxes past
@@ -105,29 +111,18 @@ func TestNearBoxesMatchGoOracle(t *testing.T) {
 	}
 }
 
-// TestNearBoxesDoNotAllocate: the box kernels allocate nothing.
+// TestNearBoxesDoNotAllocate: the box kernel allocates nothing.
 func TestNearBoxesDoNotAllocate(t *testing.T) {
 	bounds, q := randBoxes(rand.New(rand.NewSource(34)), 8, 0)
-	box := boxAt(bounds, 8, 3)
-	kernels := map[string]func(){
-		"NearBoxes": func() { sinkI += int(NearBoxes(bounds, q, 20, 64) & 1) },
-		"NearBox": func() {
-			if NearBox(box, q, 20) {
-				sinkI++
-			}
-		},
-	}
-	for name, run := range kernels {
-		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-			t.Errorf("%s allocates %v times per call, want 0", name, allocs)
-		}
+	if allocs := testing.AllocsPerRun(20, func() { sinkI += int(NearBoxes(bounds, q, 20, 64) & 1) }); allocs != 0 {
+		t.Errorf("NearBoxes allocates %v times per call, want 0", allocs)
 	}
 }
 
 // FuzzNearBoxes drives the zone-box kernel with fuzzer-chosen bits: the
 // raw words, repeated as needed, fill the bounds and then the query, at
 // any d from 1 to 40, any in from 1 to 64 and any bound; the dispatch and
-// the pure-Go loop must both equal NearBox box by box.
+// the pure-Go loop must both equal nearBox box by box.
 func FuzzNearBoxes(f *testing.F) {
 	word := func(vs ...float64) []byte {
 		b := make([]byte, 0, 8*len(vs))

@@ -37,9 +37,8 @@
 // batch, four lanes at a time where the CPU allows, bit for bit math.Exp;
 // and the SVDD solver's vector loops (smo.go), Axpy, NegScale and the SMO
 // iteration's fused update-and-select pass, SMOPass, each bit for bit its
-// Go loop; and index.Linear's zone-box tests (boxes.go), NearBox and
-// NearBoxes, whose AVX body tests four boxes per instruction, bit for bit
-// its Go loop.
+// Go loop; and index.Linear's zone-box test (boxes.go), NearBoxes, whose
+// AVX body tests four boxes per instruction, bit for bit its Go loop.
 package dist
 
 import "math"

@@ -11,6 +11,7 @@ import (
 	"dbsvec/internal/dist"
 	"dbsvec/internal/index"
 	"dbsvec/internal/index/backend"
+	"dbsvec/internal/index/kdtree"
 	"dbsvec/internal/vec"
 )
 
@@ -252,7 +253,7 @@ func splitRow(cfg Config, ds *vec.Dataset, batch, rounds, limit, workers int) (R
 	if err != nil {
 		return Row{}, err
 	}
-	results, best, err := timeLinear(lin, splitQueries(ds, batch, rounds), limit, workers, false)
+	results, best, err := timeScan(lin, splitQueries(ds, batch, rounds), limit, workers, false)
 	if err != nil {
 		return Row{}, err
 	}
@@ -282,11 +283,11 @@ func splitQueries(ds *vec.Dataset, batch, rounds int) []index.Queries {
 	return qs
 }
 
-// timeLinear runs the batches on lin over workers: range queries, or with
+// timeScan runs the batches on idx over workers: range queries, or with
 // limit > 0 counts; with single, one RangeQuery or RangeCount call per
 // query. It returns the results total over the batches (ids returned, or
 // counts summed) and the best wall clock of splitBenchRepeats passes.
-func timeLinear(lin *index.Linear, batches []index.Queries, limit, workers int, single bool) (results int, best int64, err error) {
+func timeScan(idx index.BatchIndex, batches []index.Queries, limit, workers int, single bool) (results int, best int64, err error) {
 	ctx := context.Background()
 	var hoods [][]int32
 	var counts []int
@@ -300,21 +301,21 @@ func timeLinear(lin *index.Linear, batches []index.Queries, limit, workers int, 
 			case single:
 				for i := range qs.N {
 					if limit > 0 {
-						results += lin.RangeCount(qs.At(i), splitBenchEps, limit)
+						results += idx.RangeCount(qs.At(i), splitBenchEps, limit)
 						continue
 					}
-					buf = lin.RangeQuery(qs.At(i), splitBenchEps, buf[:0])
+					buf = idx.RangeQuery(qs.At(i), splitBenchEps, buf[:0])
 					results += len(buf)
 				}
 			case limit > 0:
-				if counts, err = lin.BatchRangeCount(ctx, qs, splitBenchEps, limit, workers, counts); err != nil {
+				if counts, err = idx.BatchRangeCount(ctx, qs, splitBenchEps, limit, workers, counts); err != nil {
 					return 0, 0, err
 				}
 				for _, c := range counts {
 					results += c
 				}
 			default:
-				if hoods, err = lin.BatchRangeQuery(ctx, qs, splitBenchEps, workers, hoods); err != nil {
+				if hoods, err = idx.BatchRangeQuery(ctx, qs, splitBenchEps, workers, hoods); err != nil {
 					return 0, 0, err
 				}
 				for _, hood := range hoods {
@@ -332,8 +333,10 @@ func timeLinear(lin *index.Linear, batches []index.Queries, limit, workers int, 
 // each SeedSpreader region's random walk is one run of rows and a query
 // reads ~3 % of them, and the same rows shuffled by a fixed permutation,
 // where each zone's box spans most of the data and a query reads about
-// 99 % of the rows. Each
-// order runs single queries (one RangeQuery call per query, on the
+// 99 % of the rows. On each order it measures the scan over the dataset's
+// own rows and, in rows whose backend param is kdtree, the kd-tree's scan
+// over its leaf order, which the dataset's order does not change much.
+// Each runs single queries (one RangeQuery call per query, on the
 // caller), a 12-query batch and a 512-query count batch with limit 100, on
 // 2 workers. Besides results, each row counts rows_scanned: the rows in
 // the zones each query's ε-ball reaches, summed over its queries. The
@@ -352,7 +355,15 @@ var zonesBenchShapes = []struct {
 	{1, 100, 0, true}, {12, 100, 0, false}, {512, 20, 100, false},
 }
 
-// runZonesBench emits one "zones" row per row order and call shape.
+// zonesIndex is a scan the zones section measures: a batch index that
+// reports the rows a query reads.
+type zonesIndex interface {
+	index.BatchIndex
+	ReachRows(q []float64, eps float64) int
+}
+
+// runZonesBench emits one "zones" row per row order, backend and call
+// shape.
 func runZonesBench(cfg Config, emit func(Row)) error {
 	ordered := data.SeedSpreader{N: splitBenchN, D: splitBenchDim, Seed: cfg.Seed}.Generate()
 	perm := rand.New(rand.NewSource(zonesBenchShuffleSeed)).Perm(ordered.Len())
@@ -365,36 +376,59 @@ func runZonesBench(cfg Config, emit func(Row)) error {
 		if err != nil {
 			return err
 		}
-		for _, s := range zonesBenchShapes {
-			batches := splitQueries(o.ds, s.batch, s.rounds)
-			rows := 0
-			for _, qs := range batches {
-				for i := range qs.N {
-					rows += lin.ReachRows(qs.At(i), splitBenchEps)
-				}
-			}
-			results, best, err := timeLinear(lin, batches, s.limit, zonesBenchWorkers, s.single)
-			if err != nil {
+		kd, err := kdtree.New(context.Background(), o.ds, zonesBenchWorkers)
+		if err != nil {
+			return err
+		}
+		// The linear scan's rows carry no backend param, which keeps the
+		// keys of their committed baseline rows.
+		for _, b := range []struct {
+			name string
+			idx  zonesIndex
+		}{{"", lin}, {"kdtree", kd}} {
+			if err := zonesRows(cfg, o.name, b.name, o.ds, b.idx, emit); err != nil {
 				return err
 			}
-			params := map[string]any{
-				"section": "zones", "order": o.name, "n": splitBenchN, "dim": splitBenchDim,
-				"batch": s.batch, "workers": zonesBenchWorkers, "rounds": s.rounds,
-				"repeats": splitBenchRepeats, "seed": cfg.Seed,
-			}
-			if s.single {
-				params["batch"] = "single"
-			}
-			if s.limit > 0 {
-				params["limit"] = s.limit
-			}
-			emit(Row{
-				Exp:      "index",
-				Params:   params,
-				Counts:   map[string]float64{"results": float64(results), "rows_scanned": float64(rows)},
-				Measured: map[string]float64{"total_ns": float64(best)},
-			})
 		}
+	}
+	return nil
+}
+
+// zonesRows emits the zones rows of idx over ds, one per call shape, with
+// a backend param unless kind is empty.
+func zonesRows(cfg Config, order, kind string, ds *vec.Dataset, idx zonesIndex, emit func(Row)) error {
+	for _, s := range zonesBenchShapes {
+		batches := splitQueries(ds, s.batch, s.rounds)
+		rows := 0
+		for _, qs := range batches {
+			for i := range qs.N {
+				rows += idx.ReachRows(qs.At(i), splitBenchEps)
+			}
+		}
+		results, best, err := timeScan(idx, batches, s.limit, zonesBenchWorkers, s.single)
+		if err != nil {
+			return err
+		}
+		params := map[string]any{
+			"section": "zones", "order": order, "n": splitBenchN, "dim": splitBenchDim,
+			"batch": s.batch, "workers": zonesBenchWorkers, "rounds": s.rounds,
+			"repeats": splitBenchRepeats, "seed": cfg.Seed,
+		}
+		if kind != "" {
+			params["backend"] = kind
+		}
+		if s.single {
+			params["batch"] = "single"
+		}
+		if s.limit > 0 {
+			params["limit"] = s.limit
+		}
+		emit(Row{
+			Exp:      "index",
+			Params:   params,
+			Counts:   map[string]float64{"results": float64(results), "rows_scanned": float64(rows)},
+			Measured: map[string]float64{"total_ns": float64(best)},
+		})
 	}
 	return nil
 }

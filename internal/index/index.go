@@ -2,7 +2,8 @@
 // clustering algorithm in this repository and provides the linear scan,
 // DBSVEC's default backend (the paper's DBSVEC needs no extra index
 // structure): an exhaustive scan that reads only the row zones whose
-// bounding boxes a query's ε-ball reaches. Property tests check it, like
+// bounding boxes a query's ε-ball reaches, over the dataset's rows or over
+// rows a backend packed in its own order (the kd-tree's leaves). Property tests check it, like
 // every backend, against the unpruned fused kernels of internal/dist.
 package index
 

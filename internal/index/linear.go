@@ -50,17 +50,21 @@ const (
 )
 
 // Linear is the exhaustive-scan index: O(n) per query in the worst case,
-// and the default backend, which the paper's DBSVEC runs on. It builds one
-// thing, a zone map: the bounding box of every zoneRows consecutive rows
-// (a zone) and of every 64 zones (a word), 2·d float64 bounds each (about
-// 3 % of the float64 rows' bytes), made in one pass over the rows. A query
-// first tests the word boxes (dist.NearBox), then the 64 zone boxes of each
-// word it reaches in one dist.NearBoxes call (AVX where the CPU has it,
-// 16 zones per pass), against its ε-ball, and reads only the rows of the
-// zones the ball reaches. That prunes when the row order has locality
-// (generated random walks, trajectories, sorted exports: ~3 % of the rows
-// on perfbench's cluster-default data) and prunes little on shuffled rows,
-// where the scan reads nearly every row as before and pays the box tests.
+// and the default backend, which the paper's DBSVEC runs on. It scans a
+// matrix in a stored row order: the dataset's own (NewLinear) or one a
+// backend chose, with a position→id map (NewOrdered; the kd-tree's leaf
+// order). It builds one thing, a zone map: the bounding box of every
+// zoneRows consecutive rows (a zone) and of every 64 zones (a word), 2·d
+// float64 bounds each (about 3 % of the float64 rows' bytes), made in one
+// pass over the rows. A query first tests the word boxes of every 64 words
+// in one dist.NearBoxes call, then the 64 zone boxes of each word it
+// reaches in another (AVX where the CPU has it, 16 boxes per pass),
+// against its ε-ball, and reads only the rows of the zones the ball
+// reaches. That prunes when the row order has locality (generated random
+// walks, trajectories, sorted exports, a kd-tree's leaves: ~3 % of the
+// rows on perfbench's cluster-default data) and prunes little on shuffled
+// rows, where the scan reads nearly every row as before and pays the box
+// tests.
 //
 // A single query runs on the caller over the runs of zones it reaches
 // (filterRuns, countRuns). Every batch runs one block-major schedule
@@ -72,11 +76,16 @@ const (
 // one at a time: a worker whose CPU wakes late still takes its share,
 // where one block per worker would leave the scan waiting for it. A
 // query's block results are concatenated in block order, so it returns the
-// ascending ids dist.FilterWithin returns, and its counts add into one
+// ids of its matching rows in row order (in the dataset's own order, the
+// ascending ids dist.FilterWithin returns), and its counts add into one
 // running total clamped at the limit, which is dist.CountWithin's value:
 // the zones and the schedule change speed, never a result.
 type Linear struct {
-	ds *vec.Dataset
+	// m holds the n scanned rows; row k is the point with id ids[k], or
+	// with id k when ids is nil (the dataset's own order).
+	m   dist.Matrix
+	n   int
+	ids []int32
 	// tile is the number of rows in tileBytes, a multiple of four so only
 	// a block's last tile has rows past its last four-row quad.
 	tile int
@@ -84,8 +93,8 @@ type Linear struct {
 	// tests a word's 64 zones one axis at a time: word w's block of 128·d
 	// bounds holds, for each axis j, the 64 lower bounds at [128·j,
 	// 128·j+64) and the 64 upper bounds after them. word holds the words'
-	// boxes, box w at [2·d·w, 2·d·(w+1)): its d lower bounds, then its d
-	// upper bounds.
+	// boxes in the same layout, 64 words to a group: group g's block of
+	// 128·d bounds holds the boxes of words 64·g to 64·g+63.
 	zone, word []float64
 	// free holds the idle scans' buffers, under mu: a Linear is shared by
 	// concurrent readers, so scans cannot share one buffer. It is not a
@@ -103,23 +112,28 @@ type scanScratch struct {
 	totals []atomic.Int64
 }
 
-// NewLinear builds the zone map of a linear-scan index over ds in one pass
-// over its rows (the float32 mirror in F32 mode, whose values the kernels
-// widen exactly), split over workers goroutines (<= 0 selects GOMAXPROCS;
-// 1 builds on the caller), checking ctx once. workers sizes only the
-// build: single queries run on their caller, and a batch on the workers
-// its call names.
+// NewLinear builds the zone map of a linear-scan index over ds's rows in
+// their own order, checking ctx once (see NewOrdered).
 func NewLinear(ctx context.Context, ds *vec.Dataset, workers int) (*Linear, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	workers = engine.ResolveWorkers(workers)
-	m := ds.Matrix()
-	l := &Linear{ds: ds, tile: tileRows(m)}
-	l.zone, l.word = zoneMap(m, ds.Len(), workers)
-	return l, nil
+	return NewOrdered(ds.Matrix(), nil, workers), nil
+}
+
+// NewOrdered builds the zone map of a linear-scan index over the rows of m,
+// row k being the point with id ids[k] (nil ids: id k), in one pass over
+// the rows (the float32 mirror where m has one, whose values the kernels
+// widen exactly), split over workers goroutines (<= 0 selects GOMAXPROCS;
+// 1 builds on the caller). The index keeps m and ids, and copies neither.
+// workers sizes only the build: single queries run on their caller, and a
+// batch on the workers its call names.
+func NewOrdered(m dist.Matrix, ids []int32, workers int) *Linear {
+	l := &Linear{m: m, n: m.Len(), ids: ids, tile: tileRows(m)}
+	l.zone, l.word = zoneMap(m, l.n, engine.ResolveWorkers(workers))
+	return l
 }
 
 // zoneMap returns Linear.zone and Linear.word for the n rows of m. Each
@@ -133,7 +147,7 @@ func zoneMap(m dist.Matrix, n, workers int) (zone, word []float64) {
 	}
 	zones := (n + zoneRows - 1) / zoneRows
 	words := (zones + 63) / 64
-	zone, word = make([]float64, 128*d*words), make([]float64, 2*d*words)
+	zone, word = make([]float64, 128*d*words), make([]float64, 128*d*((words+63)/64))
 	engine.For(nil, workers, words, 1, func(lo, hi int) {
 		for w := lo; w < hi; w++ {
 			if m.Coords32 != nil {
@@ -176,10 +190,10 @@ func zoneBoxes[E float32 | float64](c []E, d, w int, box []float64) {
 // wordBox writes the bounding box of word w, over zones zone boxes, into
 // word in Linear.word's layout.
 func wordBox(zone []float64, zones, d, w int, word []float64) {
-	box, bounds := word[2*d*w:2*d*(w+1)], zone[128*d*w:128*d*(w+1)]
+	box, bounds := word[128*d*(w>>6)+(w&63):], zone[128*d*w:128*d*(w+1)]
 	in := min(64, zones-64*w)
 	for j := range d {
-		box[j], box[d+j] = slices.Min(bounds[128*j:128*j+in]), slices.Max(bounds[128*j+64:128*j+64+in])
+		box[128*j], box[128*j+64] = slices.Min(bounds[128*j:128*j+in]), slices.Max(bounds[128*j+64:128*j+64+in])
 	}
 }
 
@@ -210,8 +224,8 @@ func blocksFor(n, queries, workers int) int {
 // block returns the rows [lo, hi) of block b of nb over n rows, in as
 // equal shares as starting each block at a multiple of wordRows allows, so
 // each block fills whole words of the reach bitsets. The blocks tile [0,
-// n) in order, which is what makes the concatenation of block results in
-// block order ascending. nb never exceeds n/minBlockRows, and wordRows is
+// n) in order, which is what keeps the concatenation of block results in
+// block order in row order. nb never exceeds n/minBlockRows, and wordRows is
 // minBlockRows, so no block is empty.
 func block(n, nb, b int) (lo, hi int) {
 	words := (n + wordRows - 1) / wordRows
@@ -222,8 +236,8 @@ func block(n, nb, b int) (lo, hi int) {
 func zones(lo, hi int) (z0, z1 int) { return lo / zoneRows, (hi + zoneRows - 1) / zoneRows }
 
 // reachBound is the squared distance a zone's box may lie from a query and
-// still hold a row within eps2 of it. The box tests (dist.NearBox,
-// dist.NearBoxes) sum their terms in axis order, the kernels in theirs
+// still hold a row within eps2 of it. The box test (dist.NearBoxes) sums
+// its terms in axis order, the kernels in theirs
 // (four partial sums, or fused multiply-adds where the compiler fuses),
 // so the two roundings may differ
 // by a few units in the last place per term; the relative slack covers
@@ -237,25 +251,31 @@ func reachBound(eps2 float64, d int) float64 {
 // reach sets the bits of the zones of [z0, z1) that may hold a row within
 // bound of q and clears the other bits of their words, and returns the
 // number of rows in the set zones. z0 is a multiple of 64, so reach writes
-// whole words. A word whose box lies beyond bound clears all its zones;
-// any other word tests its zones' boxes in one dist.NearBoxes call. A NaN
-// sum (a NaN coordinate or bound, or ∞−∞) is near, so the kernel, which
-// accepts no row at a NaN distance, then decides.
+// whole words. It tests the word boxes in one dist.NearBoxes call per
+// 64-word group, up to the last word of [z0, z1): a word whose box lies
+// beyond bound clears all its zones, any other word tests its zones' boxes
+// in one more call. A NaN sum (a NaN coordinate or bound, or ∞−∞) is near, so
+// the kernel, which accepts no row at a NaN distance, then decides.
 func (l *Linear) reach(q []float64, bound float64, reach []uint64, z0, z1 int) int {
-	d := l.ds.Dim()
+	d := l.m.Dim
 	q = q[:d]
 	rows := 0
-	for w := z0 >> 6; w<<6 < z1; w++ {
-		var set uint64
-		if dist.NearBox(l.word[2*d*w:2*d*(w+1)], q, bound) {
-			set = dist.NearBoxes(l.zone[128*d*w:128*d*(w+1)], q, bound, min(w<<6+64, z1)-w<<6)
+	for w, w1 := z0>>6, (z1+63)>>6; w < w1; {
+		g := w >> 6
+		end := min(w1, g<<6+64)
+		near := dist.NearBoxes(l.word[128*d*g:128*d*(g+1)], q, bound, end-g<<6)
+		for ; w < end; w++ {
+			var set uint64
+			if near>>(w&63)&1 == 1 {
+				set = dist.NearBoxes(l.zone[128*d*w:128*d*(w+1)], q, bound, min(w<<6+64, z1)-w<<6)
+			}
+			reach[w] = set
+			rows += bits.OnesCount64(set) * zoneRows
 		}
-		reach[w] = set
-		rows += bits.OnesCount64(set) * zoneRows
 	}
-	// The dataset's last zone may hold fewer than zoneRows rows.
-	if n, last := l.ds.Len(), z1-1; z1*zoneRows > n && reach[last>>6]>>(last&63)&1 == 1 {
-		rows -= z1*zoneRows - n
+	// The last zone may hold fewer than zoneRows rows.
+	if last := z1 - 1; z1*zoneRows > l.n && reach[last>>6]>>(last&63)&1 == 1 {
+		rows -= z1*zoneRows - l.n
 	}
 	return rows
 }
@@ -282,22 +302,29 @@ func nextBit(reach []uint64, z, end int, flip uint64) int {
 	return end
 }
 
-// filterRuns appends the ids within eps2 of q among the rows [r0, r1) of
-// m in the zones set in reach, one FilterWithinRange call per run of
-// zones, so the ids come out ascending.
-func filterRuns(m dist.Matrix, q []float64, eps2 float64, reach []uint64, r0, r1 int, buf []int32) []int32 {
+// filterRuns appends the ids of the rows within eps2 of q among the rows
+// [r0, r1) in the zones set in reach, one FilterWithinRange call per run of
+// zones, so the rows come out ascending, then maps them to their ids.
+func (l *Linear) filterRuns(q []float64, eps2 float64, reach []uint64, r0, r1 int, buf []int32) []int32 {
+	mark := len(buf)
 	for z, end := zones(r0, r1); ; {
 		a, b := nextRun(reach, z, end)
 		if a == end {
-			return buf
+			break
 		}
-		buf = dist.FilterWithinRange(m, q, eps2, max(a*zoneRows, r0), min(b*zoneRows, r1), buf)
+		buf = dist.FilterWithinRange(l.m, q, eps2, max(a*zoneRows, r0), min(b*zoneRows, r1), buf)
 		z = b
 	}
+	if l.ids != nil {
+		for i, k := range buf[mark:] {
+			buf[mark+i] = l.ids[k]
+		}
+	}
+	return buf
 }
 
-// countRuns is filterRuns counting, with CountWithinRange's limit: once
-// the count reaches limit > 0 it returns limit.
+// countRuns is filterRuns counting the rows of m, with CountWithinRange's
+// limit: once the count reaches limit > 0 it returns limit.
 func countRuns(m dist.Matrix, q []float64, eps2 float64, reach []uint64, r0, r1, limit int) int {
 	count := 0
 	for z, end := zones(r0, r1); ; {
@@ -318,10 +345,10 @@ func countRuns(m dist.Matrix, q []float64, eps2 float64, reach []uint64, r0, r1,
 }
 
 // Len returns the number of indexed points.
-func (l *Linear) Len() int { return l.ds.Len() }
+func (l *Linear) Len() int { return l.n }
 
 // words is the length of one query's reach bitset.
-func (l *Linear) words() int { return (l.ds.Len() + wordRows - 1) / wordRows }
+func (l *Linear) words() int { return (l.n + wordRows - 1) / wordRows }
 
 // ReachRows returns the number of rows a range query of q within eps
 // reads: the rows of the zones whose boxes the ε-ball reaches.
@@ -335,8 +362,8 @@ func (l *Linear) ReachRows(q []float64, eps float64) int {
 // returns the rows it reads.
 func (l *Linear) prepare(q []float64, eps2 float64) (*scanScratch, int) {
 	s := l.getScratch(1)
-	z0, z1 := zones(0, l.ds.Len())
-	return s, l.reach(q, reachBound(eps2, l.ds.Dim()), s.reach, z0, z1)
+	z0, z1 := zones(0, l.n)
+	return s, l.reach(q, reachBound(eps2, l.m.Dim), s.reach, z0, z1)
 }
 
 // RangeQuery implements Index: the filter kernel over the reachable zones,
@@ -344,7 +371,7 @@ func (l *Linear) prepare(q []float64, eps2 float64) (*scanScratch, int) {
 func (l *Linear) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
 	eps2 := eps * eps
 	s, _ := l.prepare(q, eps2)
-	buf = filterRuns(l.ds.Matrix(), q, eps2, s.reach, 0, l.ds.Len(), buf)
+	buf = l.filterRuns(q, eps2, s.reach, 0, l.n, buf)
 	l.putScratch(s)
 	return buf
 }
@@ -353,7 +380,7 @@ func (l *Linear) RangeQuery(q []float64, eps float64, buf []int32) []int32 {
 func (l *Linear) RangeCount(q []float64, eps float64, limit int) int {
 	eps2 := eps * eps
 	s, _ := l.prepare(q, eps2)
-	c := countRuns(l.ds.Matrix(), q, eps2, s.reach, 0, l.ds.Len(), limit)
+	c := countRuns(l.m, q, eps2, s.reach, 0, l.n, limit)
 	l.putScratch(s)
 	return c
 }
@@ -398,7 +425,7 @@ func (l *Linear) BatchRangeQuery(ctx context.Context, qs Queries, eps float64, w
 		return nil, err
 	}
 	defer fault.RecoverTo(&err)
-	nb := blocksFor(l.ds.Len(), qs.N, engine.ResolveWorkers(workers))
+	nb := blocksFor(l.n, qs.N, engine.ResolveWorkers(workers))
 	size := qs.N
 	if nb > 1 {
 		size += qs.N * nb
@@ -428,7 +455,7 @@ func (l *Linear) BatchRangeCount(ctx context.Context, qs Queries, eps float64, l
 		return nil, err
 	}
 	defer fault.RecoverTo(&err)
-	nb := blocksFor(l.ds.Len(), qs.N, engine.ResolveWorkers(workers))
+	nb := blocksFor(l.n, qs.N, engine.ResolveWorkers(workers))
 	if cap(out) < qs.N {
 		out = make([]int, qs.N)
 	}
@@ -445,8 +472,8 @@ func (l *Linear) BatchRangeCount(ctx context.Context, qs Queries, eps float64, l
 }
 
 // scan is the batches' block-major schedule. It answers query i of qs on
-// row block b of nb into hoods[i*nb+b] (the ids within eps, ascending) or,
-// with nil hoods, adds its count within eps into s.totals[i]. Each
+// row block b of nb into hoods[i*nb+b] (the ids within eps, in row
+// order) or, with nil hoods, adds its count within eps into s.totals[i]. Each
 // engine.For item is one chunk of up to queryChunk queries on one row
 // block. It first sets its queries' reach bits for the block's zones (the
 // block owns their words), then walks the block in tiles of l.tile rows (a
@@ -457,8 +484,8 @@ func (l *Linear) BatchRangeCount(ctx context.Context, qs Queries, eps float64, l
 // the limit's remainder, so a query's blocks stop together and the clamped
 // total is the whole scan's count.
 func (l *Linear) scan(ctx context.Context, workers int, qs Queries, eps float64, limit, nb int, s *scanScratch, hoods [][]int32) error {
-	m, eps2, n, words := l.ds.Matrix(), eps*eps, l.ds.Len(), l.words()
-	bound := reachBound(eps2, l.ds.Dim())
+	eps2, n, words := eps*eps, l.n, l.words()
+	bound := reachBound(eps2, l.m.Dim)
 	chunks := (qs.N + queryChunk - 1) / queryChunk
 	return engine.For(ctx, workers, chunks*nb, 1, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
@@ -498,7 +525,7 @@ func (l *Linear) scan(ctx context.Context, workers int, qs Queries, eps float64,
 				for i := q0; i < q1; i++ {
 					if hoods != nil {
 						j := i*nb + b
-						hoods[j] = filterRuns(m, qs.At(i), eps2, reach[i-q0], t0, t1, hoods[j])
+						hoods[j] = l.filterRuns(qs.At(i), eps2, reach[i-q0], t0, t1, hoods[j])
 						continue
 					}
 					left := 0
@@ -507,7 +534,7 @@ func (l *Linear) scan(ctx context.Context, workers int, qs Queries, eps float64,
 							continue
 						}
 					}
-					if c := countRuns(m, qs.At(i), eps2, reach[i-q0], t0, t1, left); c > 0 {
+					if c := countRuns(l.m, qs.At(i), eps2, reach[i-q0], t0, t1, left); c > 0 {
 						s.totals[i].Add(int64(c))
 					}
 				}

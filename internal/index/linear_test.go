@@ -264,32 +264,6 @@ func TestSplitBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// A steady-state single query allocates nothing, even where it reads every
-// row of a Linear built on several workers: it runs on its caller, with
-// its reach bitset from the idle scan buffers.
-func TestSingleQuerySteadyStateAllocs(t *testing.T) {
-	ds := shuffled(t, walkDataset(t, 2*minBlockRows+77, 8, 4), 4)
-	lin, err := NewLinear(context.Background(), ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := ds.Point(5)
-	const eps = 1e4 // past the walk's extent, so every zone is reachable
-	if rows := lin.ReachRows(q, eps); rows != ds.Len() {
-		t.Fatalf("eps %g reads %d of %d rows, want all", eps, rows, ds.Len())
-	}
-	buf := lin.RangeQuery(q, eps, nil)
-	if len(buf) != ds.Len() {
-		t.Fatalf("RangeQuery found %d of %d rows", len(buf), ds.Len())
-	}
-	if got := testing.AllocsPerRun(50, func() { buf = lin.RangeQuery(q, eps, buf[:0]) }); got != 0 {
-		t.Errorf("RangeQuery: %v allocs per steady-state call, want 0", got)
-	}
-	if got := testing.AllocsPerRun(50, func() { _ = lin.RangeCount(q, eps, 0) }); got != 0 {
-		t.Errorf("RangeCount: %v allocs per steady-state call, want 0", got)
-	}
-}
-
 // BenchmarkLinearSplit times single queries (RangeQuery, which runs on the
 // caller at any worker count) and small batches on the linear scan at
 // perfbench's cluster-default shape (n=40k, d=8), the batches whole

@@ -375,8 +375,8 @@ func TestZoneMapWorkersBitIdentical(t *testing.T) {
 			m    dist.Matrix
 		}{{"f64", f64}, {"f32", f32}} {
 			zone, word := zoneMap(m.m, n, 1)
-			if len(word) != 4*2*d {
-				t.Fatalf("%d word bounds, want 4 words' %d", len(word), 4*2*d)
+			if len(word) != 128*d {
+				t.Fatalf("%d word bounds, want one 64-word group's %d", len(word), 128*d)
 			}
 			for _, workers := range []int{2, 3} {
 				z, w := zoneMap(m.m, n, workers)
@@ -386,6 +386,60 @@ func TestZoneMapWorkersBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The word boxes are tested 64 at a time, in one dist.NearBoxes call per
+// group of 64 words; reach must set the very bits a test of each word's
+// box on its own sets. On walk rows of two groups (the second partial) in
+// walk order and shuffled, reach over the whole index and over word-aligned
+// ranges that start inside a group and cross into the next sets the bits
+// of the per-word reference, and the scans match the unpruned kernels at
+// an ε that reaches across words.
+func TestWordGroupsMatchPerWordTests(t *testing.T) {
+	const d = 2
+	n := 64*wordRows + 77
+	walk := walkDataset(t, n, d, 5)
+	for _, order := range []struct {
+		name string
+		ds   *vec.Dataset
+	}{{"ordered", walk}, {"shuffled", shuffled(t, walk, 6)}} {
+		lin := linear(order.ds)
+		queries := zoneQueries(order.ds, 7)
+		for _, eps := range []float64{1.5, 40, 1e4} {
+			bound := reachBound(eps*eps, d)
+			for qi, q := range queries {
+				for _, r := range [][2]int{{0, n}, {60 * wordRows, n}, {3 * wordRows, 64 * wordRows}} {
+					z0, z1 := zones(r[0], r[1])
+					got, want := make([]uint64, lin.words()), make([]uint64, lin.words())
+					rows := lin.reach(q, bound, got, z0, z1)
+					for w := z0 >> 6; w<<6 < z1; w++ {
+						if wordNear(lin.word, d, w, q, bound) {
+							want[w] = dist.NearBoxes(lin.zone[128*d*w:128*d*(w+1)], q, bound, min(w<<6+64, z1)-w<<6)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s eps=%g query %d rows [%d, %d): reach bits differ from the per-word tests", order.name, eps, qi, r[0], r[1])
+					}
+					if r[0] == 0 && rows != lin.ReachRows(q, eps) {
+						t.Fatalf("%s eps=%g query %d: reach counts %d rows, ReachRows %d", order.name, eps, qi, rows, lin.ReachRows(q, eps))
+					}
+				}
+			}
+		}
+		checkUnpruned(t, order.ds, queries, 40)
+	}
+}
+
+// wordNear is the test of word w's box on its own: the squared gaps from q
+// to the box, added in axis order, are not above bound.
+func wordNear(word []float64, d, w int, q []float64, bound float64) bool {
+	box := word[128*d*(w>>6)+(w&63):]
+	s := 0.0
+	for j, v := range q[:d] {
+		g := max(box[128*j]-v, v-box[128*j+64], 0)
+		s += g * g
+	}
+	return !(s > bound)
 }
 
 func f64Bits(v []float64) []uint64 {
