@@ -153,11 +153,13 @@ func expFMABranch() bool {
 }
 
 // TestDBSVECGoldenBenchmarkScale pins DBSVEC at the scale perfbench's
-// cluster-default workload runs it: SeedSpreader n=40000, d=8, seed 64 (its
-// first dataset), ε=2000, MinPts 100, on the default linear index, whose
-// zone map prunes most rows there. One SHA-256 over the labels and one over
-// the nine run counters, as TestDBSVECGolden hashes an entry, picked by
-// storage precision and math.Exp branch; a mismatch logs the counters.
+// cluster-default and cluster-kdtree workloads run it: SeedSpreader
+// n=40000, d=8, seed 64 (their first dataset), ε=2000, MinPts 100, on the
+// linear index, whose zone map prunes most rows there, and on the kd-tree,
+// each built and queried on 1 and 2 workers. Every case must give the same
+// two digests, one SHA-256 over the labels and one over the nine run
+// counters, as TestDBSVECGolden hashes an entry, picked by storage
+// precision and math.Exp branch; a mismatch logs the counters.
 func TestDBSVECGoldenBenchmarkScale(t *testing.T) {
 	type key struct {
 		prec vec.Precision
@@ -169,15 +171,28 @@ func TestDBSVECGoldenBenchmarkScale(t *testing.T) {
 		{vec.F64, false}: {"50d486e1016324f3", "d9d03111447471f9"},
 		{vec.F32, false}: {"50d486e1016324f3", "97b70787f116d84e"},
 	}[key{vec.DefaultPrecision(), expFMABranch()}]
-	build, err := backend.Linear.Builder(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ds := data.SeedSpreader{N: 40000, D: 8, Seed: 64}.Generate()
-	res, st, err := core.Run(ds, core.Options{Eps: 2000, MinPts: 100, IndexBuilderCtx: build, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range []backend.Kind{backend.Linear, backend.KDTree} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%v/workers=%d", kind, workers), func(t *testing.T) {
+				build, err := kind.Builder(workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, st, err := core.Run(ds, core.Options{Eps: 2000, MinPts: 100, IndexBuilderCtx: build, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkScaleDigests(t, res, st, want)
+			})
+		}
 	}
+}
+
+// checkScaleDigests fails t unless the labels and counters of a run hash
+// to want.
+func checkScaleDigests(t *testing.T, res *cluster.Result, st core.Stats, want [2]string) {
+	t.Helper()
 	labels, counters := sha256.New(), sha256.New()
 	for _, l := range res.Labels {
 		labels.Write(binary.LittleEndian.AppendUint32(nil, uint32(l)))

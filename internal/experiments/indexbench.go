@@ -208,14 +208,13 @@ func runScanBench(cfg Config, repeats int, emit func(Row)) error {
 // The split section pins perfbench's cluster-default shape (SeedSpreader
 // n=40k, d=8, ε=2000), where DBSVEC's support-vector batches hold 9.5
 // queries on average (26,238 points in 2,765 batches). Batches of 1, 6 and
-// 12 queries run on index.Linear's block-major schedule at 1 and 2
-// workers (one block, or 9 shared among the batch's query chunks), and so
-// does a count batch of 512 queries with limit 100, the shape of noise
-// verification's MinPts test. A one-query batch splits across the blocks
-// as any batch does; single RangeQuery calls, which run on the caller
-// whatever the workers, are the zones section's "single" rows. The worker
-// count changes only the time, so the results totals are equal across it.
-// The shape is identical in quick and full mode.
+// 12 queries run through index.Batch over index.Linear at 1 and 2 workers,
+// one query per engine.For step, and so does a count batch of 512 queries
+// with limit 100, the shape of noise verification's MinPts test. Single
+// RangeQuery calls, which run on the caller whatever the workers, are the
+// zones section's "single" rows. The worker count changes only the time,
+// so the results totals are equal across it. The shape is identical in
+// quick and full mode.
 const (
 	splitBenchN       = 40_000
 	splitBenchDim     = 8
@@ -283,12 +282,14 @@ func splitQueries(ds *vec.Dataset, batch, rounds int) []index.Queries {
 	return qs
 }
 
-// timeScan runs the batches on idx over workers: range queries, or with
-// limit > 0 counts; with single, one RangeQuery or RangeCount call per
-// query. It returns the results total over the batches (ids returned, or
-// counts summed) and the best wall clock of splitBenchRepeats passes.
-func timeScan(idx index.BatchIndex, batches []index.Queries, limit, workers int, single bool) (results int, best int64, err error) {
+// timeScan runs the batches on idx through index.Batch over workers: range
+// queries, or with limit > 0 counts; with single, one RangeQuery or
+// RangeCount call per query. It returns the results total over the
+// batches (ids returned, or counts summed) and the best wall clock of
+// splitBenchRepeats passes.
+func timeScan(idx index.Index, batches []index.Queries, limit, workers int, single bool) (results int, best int64, err error) {
 	ctx := context.Background()
+	batch := index.Batch(idx)
 	var hoods [][]int32
 	var counts []int
 	var buf []int32
@@ -308,14 +309,14 @@ func timeScan(idx index.BatchIndex, batches []index.Queries, limit, workers int,
 					results += len(buf)
 				}
 			case limit > 0:
-				if counts, err = idx.BatchRangeCount(ctx, qs, splitBenchEps, limit, workers, counts); err != nil {
+				if counts, err = batch.BatchRangeCount(ctx, qs, splitBenchEps, limit, workers, counts); err != nil {
 					return 0, 0, err
 				}
 				for _, c := range counts {
 					results += c
 				}
 			default:
-				if hoods, err = idx.BatchRangeQuery(ctx, qs, splitBenchEps, workers, hoods); err != nil {
+				if hoods, err = batch.BatchRangeQuery(ctx, qs, splitBenchEps, workers, hoods); err != nil {
 					return 0, 0, err
 				}
 				for _, hood := range hoods {
@@ -355,10 +356,10 @@ var zonesBenchShapes = []struct {
 	{1, 100, 0, true}, {12, 100, 0, false}, {512, 20, 100, false},
 }
 
-// zonesIndex is a scan the zones section measures: a batch index that
-// reports the rows a query reads.
+// zonesIndex is a scan the zones section measures: an index that reports
+// the rows a query reads.
 type zonesIndex interface {
-	index.BatchIndex
+	index.Index
 	ReachRows(q []float64, eps float64) int
 }
 

@@ -31,8 +31,8 @@ func PointQueries(ds *vec.Dataset, ids []int32) Queries {
 // BatchIndex is the batched-query capability: a whole set of range queries
 // is submitted as one schedulable unit, fanned across a worker pool, with
 // results delivered in query order so callers stay deterministic regardless
-// of the worker count. Backends without a native implementation are served
-// by the Batch fallback adapter.
+// of the worker count. No backend implements it: Batch serves every one
+// with its fan-out adapter.
 type BatchIndex interface {
 	Index
 
@@ -50,10 +50,11 @@ type BatchIndex interface {
 	BatchRangeCount(ctx context.Context, qs Queries, eps float64, limit, workers int, out []int) ([]int, error)
 }
 
-// Batch upgrades idx to a BatchIndex: indexes with a native batch
-// implementation are returned as-is, every other backend is wrapped in a
-// fan-out adapter over its per-query methods (valid because Index
-// implementations are safe for concurrent readers).
+// Batch upgrades idx to a BatchIndex: an index with batch methods of its
+// own (a caller's timing wrapper, or a Batch result) is returned as-is,
+// every backend is wrapped in the fan-out adapter over its per-query
+// methods (valid because Index implementations are safe for concurrent
+// readers).
 func Batch(idx Index) BatchIndex {
 	if b, ok := idx.(BatchIndex); ok {
 		return b
@@ -61,14 +62,14 @@ func Batch(idx Index) BatchIndex {
 	return &fanout{Index: idx}
 }
 
-// fanout serves batches on any Index by running the per-query calls on
-// engine.For, one query per step: a query costs far more than a claim, and
-// most batches DBSVEC issues hold 2–16 queries, which longer steps would
-// leave on one worker. Results are keyed by query index, so output is
-// independent of scheduling. Both methods are recover boundaries: a
-// panicking query or an injected worker panic comes back as a
-// *fault.WorkerPanicError (the lowest panicking chunk's), never as a crash
-// of the caller.
+// fanout is the one batch executor: it serves batches on any Index by
+// running the per-query calls on engine.For, one query per step. A query
+// costs far more than a claim, and most batches DBSVEC issues hold 2–16
+// queries, which longer steps would leave on one worker. Results are keyed
+// by query index, so output is independent of scheduling. Both methods
+// are recover boundaries: a panicking query or an injected worker panic
+// comes back as a *fault.WorkerPanicError (the lowest panicking chunk's),
+// never as a crash of the caller.
 type fanout struct {
 	Index
 }

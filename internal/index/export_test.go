@@ -6,6 +6,3 @@ var (
 	WalkDataset = walkDataset
 	Shuffled    = shuffled
 )
-
-// MinBlockRows is minBlockRows.
-const MinBlockRows = minBlockRows

@@ -217,4 +217,4 @@ func (b *buildState) selectNth(start, end, nth, dim int) {
 	}
 }
 
-var _ index.BatchIndex = (*Tree)(nil)
+var _ index.Index = (*Tree)(nil)

@@ -221,8 +221,9 @@ func checkTraversal(tb testing.TB, t *Tree, ds *dbssrc.Dataset, queries [][]floa
 	}
 	qs := index.Queries{N: len(queries), At: func(i int) []float64 { return queries[i] }}
 	ctx := context.Background()
+	batch := index.Batch(t)
 	for _, workers := range []int{1, 2, 3} {
-		hoods, err := t.BatchRangeQuery(ctx, qs, eps, workers, nil)
+		hoods, err := batch.BatchRangeQuery(ctx, qs, eps, workers, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -232,7 +233,7 @@ func checkTraversal(tb testing.TB, t *Tree, ds *dbssrc.Dataset, queries [][]floa
 			}
 		}
 		for _, limit := range limits {
-			counts, err := t.BatchRangeCount(ctx, qs, eps, limit, workers, nil)
+			counts, err := batch.BatchRangeCount(ctx, qs, eps, limit, workers, nil)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -376,11 +377,12 @@ func FuzzKDTreeMatchesTraversal(f *testing.F) {
 		eps = math.Abs(eps)
 		lim := int(limit) % (ds.Len() + 2)
 		qs := index.Queries{N: len(queries), At: func(i int) []float64 { return queries[i] }}
-		hoods, err := tr.BatchRangeQuery(context.Background(), qs, eps, w, nil)
+		batch := index.Batch(tr)
+		hoods, err := batch.BatchRangeQuery(context.Background(), qs, eps, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts, err := tr.BatchRangeCount(context.Background(), qs, eps, lim, w, nil)
+		counts, err := batch.BatchRangeCount(context.Background(), qs, eps, lim, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

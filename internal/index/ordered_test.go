@@ -10,11 +10,12 @@ import (
 
 // A steady-state single query allocates nothing, even where it reads every
 // row of an index built on several workers: it runs on its caller, with
-// its reach bitset from the idle scan buffers. That holds for the linear
+// its reach bitset from the idle ones. That holds for the linear
 // scan over the dataset's own order and for the kd-tree's scan over its
 // leaf order, whose hits are mapped to ids in the caller's buffer.
 func TestSingleQuerySteadyStateAllocs(t *testing.T) {
-	ds := index.Shuffled(t, index.WalkDataset(t, 2*index.MinBlockRows+77, 8, 4), 4)
+	// Rows of two reach words (4096 rows each) and part of a third.
+	ds := index.Shuffled(t, index.WalkDataset(t, 2*4096+77, 8, 4), 4)
 	lin, err := index.NewLinear(context.Background(), ds, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -74,8 +74,8 @@ func zoneQueries(ds *vec.Dataset, seed int64) [][]float64 {
 // checkUnpruned fails t unless a Linear over ds on 1, 2 and 3 workers
 // answers every query within eps exactly as the unpruned kernels do:
 // single queries (ids ascending, appended to the caller's buffer; counts
-// at limits below, inside and past the answer) and batches of all of
-// them.
+// at limits below, inside and past the answer) and index.Batch batches of
+// all of them (counts at limits below, inside and past query 0's answer).
 func checkUnpruned(t *testing.T, ds *vec.Dataset, queries [][]float64, eps float64) {
 	t.Helper()
 	whole := unpruned{ds}
@@ -84,11 +84,13 @@ func checkUnpruned(t *testing.T, ds *vec.Dataset, queries [][]float64, eps float
 		want[i] = whole.RangeQuery(q, eps, nil)
 	}
 	qs := Queries{N: len(queries), At: func(i int) []float64 { return queries[i] }}
+	full0 := len(want[0])
 	for _, workers := range []int{1, 2, 3} {
 		lin, err := NewLinear(context.Background(), ds, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
+		batch := Batch(lin)
 		for i, q := range queries {
 			if got := lin.RangeQuery(q, eps, []int32{-1}); got[0] != -1 || !slices.Equal(got[1:], want[i]) {
 				t.Fatalf("workers=%d eps=%g query %d: RangeQuery %v, unpruned %v", workers, eps, i, got[1:], want[i])
@@ -100,7 +102,7 @@ func checkUnpruned(t *testing.T, ds *vec.Dataset, queries [][]float64, eps float
 				}
 			}
 		}
-		hoods, err := lin.BatchRangeQuery(context.Background(), qs, eps, workers, nil)
+		hoods, err := batch.BatchRangeQuery(context.Background(), qs, eps, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,8 +111,8 @@ func checkUnpruned(t *testing.T, ds *vec.Dataset, queries [][]float64, eps float
 				t.Fatalf("workers=%d eps=%g batch query %d: %v, unpruned %v", workers, eps, i, hoods[i], want[i])
 			}
 		}
-		for _, limit := range []int{0, 1, 3} {
-			counts, err := lin.BatchRangeCount(context.Background(), qs, eps, limit, workers, nil)
+		for _, limit := range []int{0, 1, 3, full0/2 + 1, full0, full0 + 1} {
+			counts, err := batch.BatchRangeCount(context.Background(), qs, eps, limit, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,14 +127,25 @@ func checkUnpruned(t *testing.T, ds *vec.Dataset, queries [][]float64, eps float
 
 // The zone map changes which rows a query reads, never its answer: on
 // random-walk rows in walk order (each zone a small box, most pruned) and
-// shuffled (each zone's box spans most of the walk), at n below, at and past a zone and past two
-// batch blocks (not a multiple of 64, and 13-dimensional float64 tiles of
-// 156 rows cut zones), d = 2, 3, 8, 13, both precisions, ε from 0
-// (repeated rows) to one that reaches every zone, and queries on, beside
-// and far outside the data or with a NaN coordinate.
+// shuffled (each zone's box spans most of the walk), at n below, at and
+// past a zone and past two reach words (not a multiple of 64), d = 2, 3,
+// 8, 13, both precisions, ε from 0 (repeated rows) to one that reaches
+// every zone, and queries on, beside and far outside the data or with a
+// NaN coordinate; and counts whose limit is reached only in the second run
+// of reachable zones, or only by two runs together, stop with the
+// unpruned count.
 func TestZonesMatchUnprunedScan(t *testing.T) {
+	t.Run("limit-in-later-run", func(t *testing.T) {
+		// The cluster starts three rows into zone 5, past the first run.
+		checkRunCounts(t, runCluster(5*zoneRows+3, clusterRows))
+	})
+	t.Run("limit-across-runs", func(t *testing.T) {
+		// Half the cluster ends the first run, half starts the second.
+		rows := append(runCluster(3*zoneRows-clusterRows/2, clusterRows/2), runCluster(4*zoneRows, clusterRows/2)...)
+		checkRunCounts(t, rows)
+	})
 	for _, d := range []int{2, 3, 8, 13} {
-		for _, n := range []int{1, 63, 64, 65, 1000, 2*minBlockRows + 77} {
+		for _, n := range []int{1, 63, 64, 65, 1000, 2*wordRows + 77} {
 			walk := walkDataset(t, n, d, int64(n+d))
 			for _, order := range []struct {
 				name string
@@ -145,7 +158,7 @@ func TestZonesMatchUnprunedScan(t *testing.T) {
 					}
 					t.Run(fmt.Sprintf("d=%d/n=%d/%s/%v", d, n, order.name, prec), func(t *testing.T) {
 						queries := zoneQueries(ds, int64(n))
-						if n > 2*minBlockRows {
+						if n > 2*wordRows {
 							checkReach(t, ds, queries[0], order.name == "shuffled")
 						}
 						for _, eps := range []float64{0, 1.5, 6, 1e4} {
@@ -155,6 +168,69 @@ func TestZonesMatchUnprunedScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// clusterRows is the size of checkRunCounts' cluster, and runsRows the
+// rows of its dataset: ten zones and a partial eleventh.
+const (
+	clusterRows = 40
+	runsRows    = 10*zoneRows + 17
+)
+
+// runCluster returns the rows [first, first+k).
+func runCluster(first, k int) []int {
+	rows := make([]int, k)
+	for i := range rows {
+		rows[i] = first + i
+	}
+	return rows
+}
+
+// checkRunCounts builds runsRows rows in d=8, in both precisions, that
+// split a query of a tight cluster into two runs of zones: every row of
+// zone 3 lies far away, so its box is pruned, and the other rows sit on
+// two corners of the box [40, 60]^8, so each other zone's box holds the
+// cube's centre but no row lies near it, except the cluster rows, which
+// lie within 0.3 of the centre. Queries of the cluster at ε = 1 then find
+// exactly the cluster, and checkUnpruned counts them at limits below,
+// inside, at and past its size, single and in batches.
+func checkRunCounts(t *testing.T, cluster []int) {
+	const d = 8
+	coords := make([]float64, runsRows*d)
+	for i := range runsRows {
+		v := 40 + 20*float64(i%2)
+		if i/zoneRows == 3 {
+			v = 1000 + float64(i)
+		}
+		for j := range d {
+			coords[i*d+j] = v
+		}
+	}
+	for k, i := range cluster {
+		for j := range d {
+			coords[i*d+j] = 50 + 0.005*float64(k)
+		}
+	}
+	base, err := vec.NewDataset(coords, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 1.0 // the cluster spans 0.005·39·√8 ≈ 0.55; other rows lie ≥ 27 away
+	for _, prec := range []vec.Precision{vec.F64, vec.F32} {
+		ds, err := base.ToPrecision(prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		center := ds.Point(cluster[0])
+		if got := (unpruned{ds}).RangeCount(center, eps, 0); got != len(cluster) {
+			t.Fatalf("%v: the cluster counts %d rows, want %d", prec, got, len(cluster))
+		}
+		if rows := linear(ds).ReachRows(center, eps); rows != runsRows-zoneRows {
+			t.Fatalf("%v: a query of the cluster reads %d of %d rows, want all but zone 3's", prec, rows, runsRows)
+		}
+		queries := [][]float64{center, ds.Point(cluster[len(cluster)/2]), ds.Point(cluster[len(cluster)-1])}
+		checkUnpruned(t, ds, queries, eps)
 	}
 }
 
@@ -315,11 +391,12 @@ func FuzzLinearZones(f *testing.F) {
 		whole := unpruned{ds}
 		lim := int(limit) % 50
 		qs := Queries{N: len(queries), At: func(i int) []float64 { return queries[i] }}
-		hoods, err := lin.BatchRangeQuery(context.Background(), qs, eps, w, nil)
+		batched := Batch(lin)
+		hoods, err := batched.BatchRangeQuery(context.Background(), qs, eps, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts, err := lin.BatchRangeCount(context.Background(), qs, eps, lim, w, nil)
+		counts, err := batched.BatchRangeCount(context.Background(), qs, eps, lim, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,10 +468,9 @@ func TestZoneMapWorkersBitIdentical(t *testing.T) {
 // The word boxes are tested 64 at a time, in one dist.NearBoxes call per
 // group of 64 words; reach must set the very bits a test of each word's
 // box on its own sets. On walk rows of two groups (the second partial) in
-// walk order and shuffled, reach over the whole index and over word-aligned
-// ranges that start inside a group and cross into the next sets the bits
-// of the per-word reference, and the scans match the unpruned kernels at
-// an ε that reaches across words.
+// walk order and shuffled, reach sets the bits of the per-word reference,
+// and the scans match the unpruned kernels at an ε that reaches across
+// words.
 func TestWordGroupsMatchPerWordTests(t *testing.T) {
 	const d = 2
 	n := 64*wordRows + 77
@@ -408,21 +484,19 @@ func TestWordGroupsMatchPerWordTests(t *testing.T) {
 		for _, eps := range []float64{1.5, 40, 1e4} {
 			bound := reachBound(eps*eps, d)
 			for qi, q := range queries {
-				for _, r := range [][2]int{{0, n}, {60 * wordRows, n}, {3 * wordRows, 64 * wordRows}} {
-					z0, z1 := zones(r[0], r[1])
-					got, want := make([]uint64, lin.words()), make([]uint64, lin.words())
-					rows := lin.reach(q, bound, got, z0, z1)
-					for w := z0 >> 6; w<<6 < z1; w++ {
-						if wordNear(lin.word, d, w, q, bound) {
-							want[w] = dist.NearBoxes(lin.zone[128*d*w:128*d*(w+1)], q, bound, min(w<<6+64, z1)-w<<6)
-						}
+				z1 := lin.zones()
+				got, want := make([]uint64, lin.words()), make([]uint64, lin.words())
+				rows := lin.reach(q, bound, got)
+				for w := range want {
+					if wordNear(lin.word, d, w, q, bound) {
+						want[w] = dist.NearBoxes(lin.zone[128*d*w:128*d*(w+1)], q, bound, min(w<<6+64, z1)-w<<6)
 					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s eps=%g query %d rows [%d, %d): reach bits differ from the per-word tests", order.name, eps, qi, r[0], r[1])
-					}
-					if r[0] == 0 && rows != lin.ReachRows(q, eps) {
-						t.Fatalf("%s eps=%g query %d: reach counts %d rows, ReachRows %d", order.name, eps, qi, rows, lin.ReachRows(q, eps))
-					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s eps=%g query %d: reach bits differ from the per-word tests", order.name, eps, qi)
+				}
+				if rows != lin.ReachRows(q, eps) {
+					t.Fatalf("%s eps=%g query %d: reach counts %d rows, ReachRows %d", order.name, eps, qi, rows, lin.ReachRows(q, eps))
 				}
 			}
 		}
